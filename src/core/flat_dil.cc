@@ -74,7 +74,8 @@ FlatDil FlatDil::FromSections(const Sections& sections) {
 
 FlatDil::Builder::Builder(size_t expected_keywords, size_t expected_postings,
                           size_t expected_keyword_bytes,
-                          size_t expected_blocks) {
+                          size_t expected_blocks,
+                          size_t expected_arena_words) {
   // list_begin_/skip_begin_ are rebuilt from scratch: BeginList pushes each
   // list's start, Finish the final end bound (so an empty build still ends
   // up with the canonical {0}).
@@ -87,10 +88,11 @@ FlatDil::Builder::Builder(size_t expected_keywords, size_t expected_postings,
   dil_.scores_.reserve(expected_postings);
   dil_.shared_.reserve(expected_postings);
   dil_.suffix_offsets_.reserve(expected_postings + 1);
-  // Prefix elision leaves ~1-2 fresh components per posting plus one full
-  // id per block restart; 2 per posting is a safe single-allocation guess
-  // (Finish shrinks whatever is unused).
-  dil_.arena_.reserve(expected_postings * 2);
+  // Without an exact size: prefix elision leaves ~1-2 fresh components
+  // per posting plus one full id per block restart; 2 per posting is a
+  // safe single-allocation guess (Finish shrinks whatever is unused).
+  dil_.arena_.reserve(expected_arena_words != 0 ? expected_arena_words
+                                                : expected_postings * 2);
   size_t reserve_blocks = expected_blocks != 0
                               ? expected_blocks
                               : expected_postings / kBlockPostings +
@@ -309,13 +311,18 @@ FlatDil XOntoDil::Freeze() const {
   size_t total_postings = TotalPostings();
   size_t keyword_bytes = 0;
   size_t blocks = 0;
+  size_t arena_words = 0;
   for (const auto& [keyword, entry] : entries_) {
     keyword_bytes += keyword.size();
     blocks += (entry.postings.size() + FlatDil::kBlockPostings - 1) /
               FlatDil::kBlockPostings;
+    arena_words += FlatDil::Builder::ArenaWords(
+        entry.postings.size(), [&entry](size_t i) {
+          return DeweyRef(entry.postings[i].dewey);
+        });
   }
   FlatDil::Builder builder(entries_.size(), total_postings, keyword_bytes,
-                           blocks);
+                           blocks, arena_words);
   for (const auto& [keyword, entry] : entries_) {
     XO_CHECK(builder.BeginList(keyword));  // map iterates sorted
     for (const DilPosting& posting : entry.postings) {
@@ -329,6 +336,7 @@ FlatDil XOntoDil::Freeze() const {
   XO_CHECK_EQ(dil.sections().keyword_arena.size(), keyword_bytes);
   XO_CHECK_EQ(dil.TotalBlocks(), blocks);
   XO_CHECK_EQ(dil.sections().block_max.size(), blocks);
+  XO_CHECK_EQ(dil.sections().dewey_arena.size(), arena_words);
   return dil;
 }
 

@@ -262,10 +262,29 @@ class FlatDil::Builder {
   /// per-posting columns exactly; `expected_keyword_bytes` and
   /// `expected_blocks`, when nonzero, size the keyword arena and the
   /// skip table exactly too (Freeze computes all four from the source
-  /// index's own counts). The Dewey arena stays heuristic — suffix
-  /// lengths are data-dependent (Finish shrinks the slack).
+  /// index's own counts). The Dewey arena stays heuristic unless
+  /// `expected_arena_words` gives its exact size (see ArenaWords) —
+  /// suffix lengths are data-dependent. Finish shrinks any slack, so
+  /// exact hints are what spare it a copy of every column.
   Builder(size_t expected_keywords, size_t expected_postings,
-          size_t expected_keyword_bytes = 0, size_t expected_blocks = 0);
+          size_t expected_keyword_bytes = 0, size_t expected_blocks = 0,
+          size_t expected_arena_words = 0);
+
+  /// Arena words one list takes: `ids(i)` returns posting i's Dewey id
+  /// (as a DeweyRef) for i < `postings`, in list order. Block restarts
+  /// store the whole id; every other posting the suffix it does not share
+  /// with its predecessor.
+  template <typename IdAt>
+  static size_t ArenaWords(size_t postings, const IdAt& ids) {
+    size_t words = 0;
+    for (size_t i = 0; i < postings; ++i) {
+      DeweyRef id = ids(i);
+      size_t shared =
+          i % kBlockPostings == 0 ? 0 : CommonPrefixLength(ids(i - 1), id);
+      words += id.size() - shared;
+    }
+    return words;
+  }
 
   /// Opens the list for `keyword`, which must sort strictly after every
   /// previously begun keyword; returns false (and ignores the call)
@@ -379,8 +398,8 @@ class DilCursor {
   // --- block-max pruning (flat cursors only) ----------------------------
 
   /// True when this cursor can participate in block-max pruning: flat mode
-  /// over a dil carrying the block-max column. Span cursors (demand cache,
-  /// legacy postings) and v1 mapped views answer false, which routes the
+  /// over a dil carrying the block-max column. Span cursors (legacy
+  /// DilEntry postings) and v1 mapped views answer false, which routes the
   /// whole query to the exact merge.
   bool has_block_max() const {
     return dil_ != nullptr && dil_->has_block_max();
@@ -463,9 +482,10 @@ class DilCursor {
 };
 
 /// One query keyword's inverted list for execution: either a list of a
-/// FlatDil (the precomputed, frozen set) or a legacy posting span (demand
-/// cache, tests). Query processors are written against this so the flat
-/// and legacy worlds share one execution path.
+/// FlatDil (precomputed or demand-built — everything CorpusIndex serves) or
+/// a legacy posting span (the parity-reference paths and tests). Query
+/// processors are written against this so the flat and legacy worlds share
+/// one execution path.
 struct DilListRef {
   const FlatDil* flat = nullptr;
   uint32_t list = 0;                     ///< valid when flat != nullptr

@@ -135,42 +135,42 @@ void CorpusIndex::Precompute() {
                            : options_.num_threads;
   num_threads = std::min(num_threads, vocab.size() == 0 ? 1 : vocab.size());
 
-  // Entries are assembled into a mutable staging dil and frozen into the
-  // columnar serving form in one pass at the end.
-  XOntoDil built;
+  // Each keyword's list lands in its vocabulary slot (workers claim slots
+  // round-robin), so the result is bit-identical for any thread count.
+  // Slots are then ordered by canonical keyword and frozen in one pass.
+  std::vector<UnitList> lists(vocab.size());
+  auto build_slot = [this, &vocab, &lists](size_t i) {
+    Keyword kw = MakeKeyword(vocab[i]);
+    if (kw.tokens.empty()) return;
+    lists[i].first = kw.Canonical();
+    lists[i].second = ScoreUnitsCached(kw);
+  };
   if (num_threads <= 1) {
-    for (const std::string& token : vocab) {
-      Keyword kw = MakeKeyword(token);
-      if (kw.tokens.empty()) continue;
-      built.Put(kw.Canonical(), BuildPostingsCached(kw));
+    for (size_t i = 0; i < vocab.size(); ++i) build_slot(i);
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(num_threads);
+    for (size_t t = 0; t < num_threads; ++t) {
+      workers.emplace_back([t, num_threads, &vocab, &build_slot]() {
+        for (size_t i = t; i < vocab.size(); i += num_threads) build_slot(i);
+      });
     }
-    flat_ = built.Freeze();
-    return;
+    for (std::thread& worker : workers) worker.join();
   }
-
-  // Parallel: workers claim keywords round-robin and produce entries into
-  // per-worker buffers; the (ordered) XOntoDil is assembled afterwards so
-  // the result is bit-identical to the serial build.
-  std::vector<std::vector<std::pair<std::string, std::vector<DilPosting>>>>
-      buffers(num_threads);
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  for (size_t t = 0; t < num_threads; ++t) {
-    workers.emplace_back([this, t, num_threads, &vocab, &buffers]() {
-      for (size_t i = t; i < vocab.size(); i += num_threads) {
-        Keyword kw = MakeKeyword(vocab[i]);
-        if (kw.tokens.empty()) continue;
-        buffers[t].emplace_back(kw.Canonical(), BuildPostingsCached(kw));
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  for (auto& buffer : buffers) {
-    for (auto& [canonical, postings] : buffer) {
-      built.Put(std::move(canonical), std::move(postings));
-    }
-  }
-  flat_ = built.Freeze();
+  // Tokens with no keyword form leave an empty slot (a real keyword's
+  // canonical form is never empty); distinct tokens that canonicalize
+  // alike produce identical lists, so keeping one of them is exact.
+  std::erase_if(lists, [](const UnitList& list) { return list.first.empty(); });
+  std::sort(lists.begin(), lists.end(),
+            [](const UnitList& a, const UnitList& b) {
+              return a.first < b.first;
+            });
+  lists.erase(std::unique(lists.begin(), lists.end(),
+                          [](const UnitList& a, const UnitList& b) {
+                            return a.first == b.first;
+                          }),
+              lists.end());
+  flat_ = FreezeLists(lists);
 }
 
 OntoScoreMap CorpusIndex::ComputeOntoScoreRow(const Keyword& keyword,
@@ -179,52 +179,96 @@ OntoScoreMap CorpusIndex::ComputeOntoScoreRow(const Keyword& keyword,
                            options_.strategy, options_.score);
 }
 
-std::vector<DilPosting> CorpusIndex::BuildPostingsFromRows(
+std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
     const Keyword& keyword,
     const std::vector<OntoScoreRowCache::Row>& rows) const {
   // NS(w, v) = max(IRS(w, v), ω·OS(w, concept(v))), Eq. 5. Both components
-  // are normalized to [0, 1] before combination.
-  std::unordered_map<uint32_t, double> node_scores;
-
-  // Textual component.
+  // are normalized to [0, 1] before combination. LookupUnits returns unit
+  // order, and code_units_ is recorded in unit order, so the two
+  // components are two sorted runs: merge them, then max-combine per unit.
+  std::vector<UnitScore> units;
   for (const ScoredUnit& unit : LookupUnits(keyword)) {
-    node_scores[unit.unit_id] = unit.score;
+    units.push_back({unit.unit_id, unit.score});
   }
+  const size_t textual = units.size();
 
   // Ontological component, through the corpus's code nodes. Each system's
   // OntoScore row is applied to that system's code nodes.
   if (options_.strategy != Strategy::kXRank) {
     const double w = options_.score.ontology_weight;
-    for (size_t system = 0; system < rows.size(); ++system) {
-      if (rows[system] == nullptr || rows[system]->empty()) continue;
-      const OntoScoreMap& onto_scores = *rows[system];
-      for (const CodeUnit& code_unit : code_units_) {
-        if (code_unit.system != system) continue;
-        auto it = onto_scores.find(code_unit.concept_id);
-        if (it == onto_scores.end()) continue;
-        double ns = w * it->second;
-        auto [entry, inserted] = node_scores.emplace(code_unit.unit, ns);
-        if (!inserted && ns > entry->second) entry->second = ns;
-      }
+    for (const CodeUnit& code_unit : code_units_) {
+      if (code_unit.system >= rows.size()) continue;
+      const OntoScoreRowCache::Row& row = rows[code_unit.system];
+      if (row == nullptr) continue;
+      auto it = row->find(code_unit.concept_id);
+      if (it == row->end()) continue;
+      units.push_back({code_unit.unit, w * it->second});
     }
   }
 
-  std::vector<DilPosting> postings;
-  postings.reserve(node_scores.size());
+  std::inplace_merge(units.begin(),
+                     units.begin() + static_cast<std::ptrdiff_t>(textual),
+                     units.end(), [](const UnitScore& a, const UnitScore& b) {
+                       return a.unit < b.unit;
+                     });
+
   const double blend = options_.elem_rank_blend;
-  for (const auto& [unit, score] : node_scores) {
-    if (score <= 0.0) continue;
-    double final_score = score;
-    if (elem_rank_ != nullptr) {
-      final_score *= (1.0 - blend) + blend * elem_rank_->rank(unit);
+  size_t out = 0;
+  for (size_t i = 0; i < units.size();) {
+    UnitScore best = units[i];
+    for (++i; i < units.size() && units[i].unit == best.unit; ++i) {
+      best.score = std::max(best.score, units[i].score);
     }
-    postings.push_back({unit_deweys_[unit], final_score});
+    if (best.score <= 0.0) continue;
+    if (elem_rank_ != nullptr) {
+      best.score *= (1.0 - blend) + blend * elem_rank_->rank(best.unit);
+    }
+    units[out++] = best;
   }
-  std::sort(postings.begin(), postings.end(),
-            [](const DilPosting& a, const DilPosting& b) {
-              return a.dewey < b.dewey;
-            });
-  return postings;
+  units.resize(out);
+  return units;
+}
+
+std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnitsCached(
+    const Keyword& keyword) const {
+  std::vector<OntoScoreRowCache::Row> rows;
+  if (options_.strategy != Strategy::kXRank) {
+    for (size_t system = 0; system < context_->systems().size(); ++system) {
+      rows.push_back(context_->GetRow(system, keyword));
+    }
+  }
+  return ScoreUnits(keyword, rows);
+}
+
+FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists) const {
+  size_t postings = 0;
+  size_t keyword_bytes = 0;
+  size_t blocks = 0;
+  size_t arena_words = 0;
+  for (const auto& [canonical, units] : lists) {
+    postings += units.size();
+    keyword_bytes += canonical.size();
+    blocks += (units.size() + FlatDil::kBlockPostings - 1) /
+              FlatDil::kBlockPostings;
+    arena_words += FlatDil::Builder::ArenaWords(
+        units.size(),
+        [this, &units](size_t i) {
+          return DeweyRef(unit_deweys_[units[i].unit]);
+        });
+  }
+  FlatDil::Builder builder(lists.size(), postings, keyword_bytes, blocks,
+                           arena_words);
+  for (const auto& [canonical, units] : lists) {
+    XO_CHECK(builder.BeginList(canonical));
+    for (const UnitScore& u : units) {
+      XO_CHECK(builder.AddPosting(unit_deweys_[u.unit].components(), u.score));
+    }
+  }
+  FlatDil dil = std::move(builder).Finish();
+  XO_CHECK_EQ(dil.total_postings(), postings);
+  XO_CHECK_EQ(dil.TotalBlocks(), blocks);
+  XO_CHECK_EQ(dil.sections().dewey_arena.size(), arena_words);
+  return dil;
 }
 
 std::vector<DilPosting> CorpusIndex::BuildPostings(
@@ -236,48 +280,82 @@ std::vector<DilPosting> CorpusIndex::BuildPostings(
           ComputeOntoScoreRow(keyword, system)));
     }
   }
-  return BuildPostingsFromRows(keyword, rows);
-}
-
-std::vector<DilPosting> CorpusIndex::BuildPostingsCached(
-    const Keyword& keyword) const {
-  std::vector<OntoScoreRowCache::Row> rows;
-  if (options_.strategy != Strategy::kXRank) {
-    for (size_t system = 0; system < context_->systems().size(); ++system) {
-      rows.push_back(context_->GetRow(system, keyword));
-    }
+  std::vector<DilPosting> postings;
+  for (const UnitScore& u : ScoreUnits(keyword, rows)) {
+    postings.push_back({unit_deweys_[u.unit], u.score});
   }
-  return BuildPostingsFromRows(keyword, rows);
+  return postings;
 }
 
 DilListRef CorpusIndex::GetListRef(const Keyword& keyword) const {
-  uint32_t list = flat_.FindList(keyword.Canonical());
-  if (list != FlatDil::kNoList) return DilListRef::OverFlat(flat_, list);
-  return DilListRef::Over(GetEntry(keyword));
+  auto [dil, list] = ResolveList(keyword);
+  return DilListRef::OverFlat(*dil, list);
+}
+
+std::pair<const FlatDil*, uint32_t> CorpusIndex::ResolveList(
+    const Keyword& keyword) const {
+  std::string canonical = keyword.Canonical();
+  uint32_t list = flat_.FindList(canonical);
+  if (list != FlatDil::kNoList) return {&flat_, list};
+  return {DemandList(keyword, canonical), 0};
+}
+
+namespace {
+
+/// The one-list dil every demand lookup that matches nothing resolves to.
+/// Leaked on purpose: list refs into it may be read during static
+/// destruction, like refs into any index.
+const FlatDil& EmptyList() {
+  static const FlatDil* const empty = [] {
+    FlatDil::Builder builder(1, 0);
+    XO_CHECK(builder.BeginList(""));
+    // xo-lint: allow(new-delete) — leaked singleton, see above.
+    return new FlatDil(std::move(builder).Finish());
+  }();
+  return *empty;
+}
+
+}  // namespace
+
+const FlatDil* CorpusIndex::DemandList(const Keyword& keyword,
+                                       const std::string& canonical) const {
+  {
+    MutexLock lock(demand_mutex_);
+    auto it = demand_.find(canonical);
+    if (it != demand_.end()) {
+      return it->second != nullptr ? it->second.get() : &EmptyList();
+    }
+  }
+  // Build outside the lock (the expensive part is read-only); a racing
+  // thread may build the same list, in which case the first insert wins
+  // and the duplicate work is discarded.
+  std::unique_ptr<const FlatDil> built;
+  std::vector<UnitList> lists(1);
+  lists[0].second = ScoreUnitsCached(keyword);
+  if (!lists[0].second.empty()) {
+    lists[0].first = canonical;
+    built = std::make_unique<const FlatDil>(FreezeLists(lists));
+  }
+  MutexLock lock(demand_mutex_);
+  auto it = demand_.try_emplace(canonical, std::move(built)).first;
+  return it->second != nullptr ? it->second.get() : &EmptyList();
 }
 
 const DilEntry* CorpusIndex::GetEntry(const Keyword& keyword) const {
   std::string canonical = keyword.Canonical();
   {
     MutexLock lock(demand_mutex_);
-    if (const DilEntry* entry = demand_.Find(canonical)) return entry;
+    if (const DilEntry* entry = thawed_.Find(canonical)) return entry;
   }
-  // Thaw a precomputed flat list, or build from scratch, outside the lock
-  // (the expensive part is read-only); a racing thread may produce the
-  // same entry, in which case the first Put wins and the duplicate work is
-  // discarded. Thawed postings are bit-identical to the frozen originals
-  // (scores are stored as full doubles).
-  std::vector<DilPosting> postings;
-  uint32_t list = flat_.FindList(canonical);
-  if (list != FlatDil::kNoList) {
-    postings = flat_.ThawPostings(list);
-  } else {
-    postings = BuildPostingsCached(keyword);
-  }
+  // Thawed postings are bit-identical to the served list (scores are
+  // stored as full doubles). As in DemandList, a racing duplicate thaw is
+  // discarded.
+  auto [dil, list] = ResolveList(keyword);
+  std::vector<DilPosting> postings = dil->ThawPostings(list);
   MutexLock lock(demand_mutex_);
-  if (const DilEntry* entry = demand_.Find(canonical)) return entry;
-  demand_.Put(canonical, std::move(postings));
-  return demand_.Find(canonical);
+  if (const DilEntry* entry = thawed_.Find(canonical)) return entry;
+  thawed_.Put(canonical, std::move(postings));
+  return thawed_.Find(canonical);
 }
 
 CorpusIndex::NodeSupport CorpusIndex::ComputeNodeSupport(
@@ -320,15 +398,11 @@ std::vector<std::string> CorpusIndex::PrecomputedVocabulary() const {
 }
 
 size_t CorpusIndex::TotalPostings() const {
-  // GetEntry may have thawed precomputed lists into the demand cache;
-  // count only genuinely demand-built lists to avoid double counting.
   size_t demand_postings = 0;
   {
     MutexLock lock(demand_mutex_);
-    for (const auto& [kw, entry] : demand_.entries()) {
-      if (flat_.FindList(kw) == FlatDil::kNoList) {
-        demand_postings += entry.postings.size();
-      }
+    for (const auto& [kw, dil] : demand_) {
+      if (dil != nullptr) demand_postings += dil->total_postings();
     }
   }
   return flat_.total_postings() + demand_postings;
@@ -337,10 +411,11 @@ size_t CorpusIndex::TotalPostings() const {
 XOntoDil CorpusIndex::MaterializedCopy() const {
   XOntoDil merged = flat_.ThawAll();
   MutexLock lock(demand_mutex_);
-  for (const auto& [kw, entry] : demand_.entries()) {
-    // Thawed duplicates of flat lists are identical; Put replaces either
-    // way, so the merge stays exact.
-    merged.Put(kw, entry.postings);
+  for (const auto& [kw, dil] : demand_) {
+    // Unmatched keywords persist as empty lists, so a reloaded index
+    // resolves them without rebuilding.
+    merged.Put(kw, dil != nullptr ? dil->ThawPostings(0)
+                                  : std::vector<DilPosting>{});
   }
   return merged;
 }

@@ -2,9 +2,11 @@
 #define XONTORANK_CORE_INDEX_BUILDER_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/sync.h"
@@ -53,15 +55,19 @@ struct IndexBuildStats {
 /// phrases) are built on demand and cached; results are identical either
 /// way.
 ///
-/// The precomputed vocabulary is held as an immutable FlatDil (columnar
-/// postings, skip tables — core/flat_dil.h): query execution reads it
-/// through GetListRef without materializing legacy entries, lock-free.
+/// Every list is served from an immutable FlatDil (columnar postings, skip
+/// tables, block-max — core/flat_dil.h): the precomputed vocabulary as one
+/// shared dil, each demand-built list as its own one-list dil. Both are
+/// built by the same path (unit scores in unit-id order, expanded to
+/// Dewey ids only inside FlatDil::Builder), so query execution reads every
+/// list through GetListRef without materializing legacy entries, and every
+/// list can take part in block-max pruning.
 ///
 /// Thread-safety: a CorpusIndex is immutable after construction. Any number
 /// of threads may call the const accessors concurrently; GetListRef serves
 /// precomputed (and adopted) lists without taking any lock, and
-/// synchronizes only the on-demand side cache. Returned entry pointers are
-/// stable for the life of the index.
+/// synchronizes only the on-demand side cache. Returned entry pointers and
+/// list references are stable for the life of the index.
 // xo-analyze: allow(backing-before-view) intentional propagation: the
 // holder pins the mapping (IndexSnapshot declares backing_ first).
 class CorpusIndex {
@@ -109,19 +115,20 @@ class CorpusIndex {
   }
   const Corpus& corpus() const { return *corpus_; }
 
-  /// The inverted list for `keyword` as an execution reference. Keywords in
-  /// the precomputed vocabulary resolve to their flat list — zero copies,
-  /// no lock; anything else (phrases, out-of-vocabulary tokens) goes
-  /// through the demand cache. This is the serving path's entry point.
+  /// The inverted list for `keyword` as an execution reference — always a
+  /// flat list. Keywords in the precomputed vocabulary resolve to their
+  /// list of flat_dil() — zero copies, no lock; anything else (phrases,
+  /// out-of-vocabulary tokens) is built once into the demand cache as a
+  /// one-list FlatDil. This is the serving path's entry point.
   DilListRef GetListRef(const Keyword& keyword) const
       XO_EXCLUDES(demand_mutex_);
 
   /// The inverted list for `keyword` as a legacy materialized entry,
-  /// building (or thawing, for precomputed keywords) and caching it if
-  /// needed. The returned pointer is stable for the life of the index;
-  /// nullptr is never returned (an unmatched keyword yields an empty
-  /// list). Prefer GetListRef on hot paths — this copies flat lists into
-  /// the demand cache on first request.
+  /// thawed from the list GetListRef serves and cached. The returned
+  /// pointer is stable for the life of the index; nullptr is never
+  /// returned (an unmatched keyword yields an empty list). Used by explain
+  /// and query expansion; prefer GetListRef on hot paths — this copies the
+  /// list into per-posting DeweyIds on first request.
   const DilEntry* GetEntry(const Keyword& keyword) const
       XO_EXCLUDES(demand_mutex_);
 
@@ -157,22 +164,48 @@ class CorpusIndex {
   NodeSupport ComputeNodeSupport(const DeweyId& dewey,
                                  const Keyword& keyword) const;
 
-  /// Total postings currently materialized (precomputed + cached).
+  /// Total postings currently materialized (precomputed + demand-built).
   size_t TotalPostings() const XO_EXCLUDES(demand_mutex_);
 
-  /// A copy of every materialized entry — precomputed and demand-cached —
+  /// A copy of every materialized entry — precomputed and demand-built —
   /// for persistence.
   XOntoDil MaterializedCopy() const XO_EXCLUDES(demand_mutex_);
 
  private:
+  /// One posting before its unit is expanded to a Dewey id.
+  struct UnitScore {
+    uint32_t unit;
+    double score;  ///< NS(w, v) (Eq. 5), ElemRank blend applied
+  };
+  /// A keyword's list in unit form, keyed by its canonical string.
+  using UnitList = std::pair<std::string, std::vector<UnitScore>>;
+
   void IndexCorpus();
   void Precompute();
-  /// BuildPostings through the context's row cache (exact same output;
-  /// used by Precompute and GetEntry so snapshot rebuilds share rows).
-  std::vector<DilPosting> BuildPostingsCached(const Keyword& keyword) const;
-  std::vector<DilPosting> BuildPostingsFromRows(
+  /// The keyword's postings in unit form, sorted by unit id — which is
+  /// Dewey order, since units are numbered in document order. Stage 3's
+  /// one build path: precomputed, demand-built and BuildPostings lists all
+  /// start here.
+  std::vector<UnitScore> ScoreUnits(
       const Keyword& keyword,
       const std::vector<OntoScoreRowCache::Row>& rows) const;
+  /// ScoreUnits through the context's row cache (exact same output; used
+  /// by Precompute and the demand cache so snapshot rebuilds share rows).
+  std::vector<UnitScore> ScoreUnitsCached(const Keyword& keyword) const;
+  /// Freezes `lists` (sorted by keyword, unique) into one FlatDil, with
+  /// every column reserved exactly, so Builder::Finish copies nothing.
+  FlatDil FreezeLists(const std::vector<UnitList>& lists) const;
+
+  /// The flat dil and list index serving `keyword`: the precomputed list,
+  /// or the demand-built one (built and cached on first request).
+  std::pair<const FlatDil*, uint32_t> ResolveList(const Keyword& keyword)
+      const XO_EXCLUDES(demand_mutex_);
+  /// The cached demand-built list for `canonical`, building it on first
+  /// request; never null (a keyword matching nothing maps to a shared
+  /// empty list). The list is index 0 of the returned dil.
+  const FlatDil* DemandList(const Keyword& keyword,
+                            const std::string& canonical) const
+      XO_EXCLUDES(demand_mutex_);
 
   /// Stage-1 matches for `keyword` across the whole corpus, sorted by unit
   /// id. Legacy mode reads node_index_; LSM mode concatenates the per-
@@ -207,14 +240,20 @@ class CorpusIndex {
   /// Precomputed (or adopted) lists, frozen columnar; immutable once the
   /// constructor returns, so lookups need no synchronization.
   FlatDil flat_;
-  /// On-demand entries (out-of-vocabulary keywords, phrases). The mutex
-  /// guards only this side cache; entry construction itself runs outside
-  /// the lock. Entry pointers handed out remain stable after the lock is
-  /// dropped (XOntoDil never moves or erases entries), which is an
-  /// invariant the annotations cannot express — hence const DilEntry*
-  /// results escape the guarded region by design.
+  /// The mutex guards only the two side caches below; list construction
+  /// itself runs outside the lock. Pointers handed out remain stable after
+  /// the lock is dropped (neither cache ever moves or erases a value),
+  /// which is an invariant the annotations cannot express — hence cached
+  /// lists and entries escape the guarded region by design.
   mutable Mutex demand_mutex_;
-  mutable XOntoDil demand_ XO_GUARDED_BY(demand_mutex_);
+  /// On-demand lists (out-of-vocabulary keywords, phrases) by canonical
+  /// keyword, each frozen into a one-list FlatDil. nullptr marks a keyword
+  /// that matches nothing here — the common case for single-document
+  /// segments — and costs no dil.
+  mutable std::map<std::string, std::unique_ptr<const FlatDil>> demand_
+      XO_GUARDED_BY(demand_mutex_);
+  /// GetEntry's thawed copies of served lists.
+  mutable XOntoDil thawed_ XO_GUARDED_BY(demand_mutex_);
   IndexBuildStats stats_;
 };
 

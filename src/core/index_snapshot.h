@@ -131,8 +131,8 @@ class IndexSnapshot {
 
  private:
   /// Collects one inverted list per query keyword. Precomputed keywords
-  /// resolve to flat lists (no thaw, no lock); the rest come from the
-  /// demand cache. Legacy mode only.
+  /// resolve to their flat lists (no lock); the rest to one-list flat dils
+  /// in the demand cache. Legacy mode only.
   std::vector<DilListRef> CollectListRefs(const KeywordQuery& query) const;
 
   /// LSM mode: one list vector per segment, same keyword order in each.

@@ -139,20 +139,24 @@ class Merger {
 /// reused arrays — path components, emitted flags, and a depth × keyword
 /// score matrix — so pushing or popping a frame never allocates. This is
 /// where the columnar layout pays off: the hot loop touches contiguous
-/// memory only.
+/// memory only. With top_k >= 1 every run keeps its results in a k-heap,
+/// so an emitted frame that cannot enter the top k costs no allocation.
 class CursorMerger {
  public:
   CursorMerger(std::vector<DilCursor>& cursors, const ScoreOptions& options)
       : cursors_(cursors), options_(options), num_keywords_(cursors.size()) {}
 
+  /// The exact merge: scores every aligned document. top_k == 0 keeps
+  /// every result; otherwise a BetterResult k-heap keeps the best k (same
+  /// output as sorting everything and truncating).
   std::vector<QueryResult> Run(size_t top_k, ExecuteStats* stats) {
-    top_k_ = top_k;
-    stats_ = stats != nullptr ? stats : &local_stats_;
+    Start(top_k, stats);
+    results_.reserve(top_k);
     while (AlignOnSharedDocument()) {
       DrainDocument(cursors_[0].doc());
     }
     PopTo(0);
-    SortAndTruncate();
+    std::sort(results_.begin(), results_.end(), BetterResult);
     return std::move(results_);
   }
 
@@ -165,9 +169,8 @@ class CursorMerger {
   /// earlier-document result under the Dewey tiebreak. Callers must ensure
   /// every cursor has_block_max(), top_k >= 1, and decay <= 1.
   std::vector<QueryResult> RunPruned(size_t top_k, ExecuteStats* stats) {
-    top_k_ = top_k;
-    stats_ = stats != nullptr ? stats : &local_stats_;
-    bounded_ = true;
+    Start(top_k, stats);
+    pruned_ = true;
     results_.reserve(top_k);
     last_counted_block_.assign(num_keywords_, UINT32_MAX);
     RunPrunedLoop();
@@ -185,9 +188,8 @@ class CursorMerger {
   /// tiebreak to the already-kept result and could never enter the heap.
   void RunPrunedShared(size_t top_k, ExecuteStats* stats,
                        std::vector<QueryResult>* heap) {
-    top_k_ = top_k;
-    stats_ = stats != nullptr ? stats : &local_stats_;
-    bounded_ = true;
+    Start(top_k, stats);
+    pruned_ = true;
     results_ = std::move(*heap);
     results_.reserve(top_k);
     if (results_.size() == top_k_) threshold_ = results_.front().score;
@@ -197,6 +199,11 @@ class CursorMerger {
   }
 
  private:
+  void Start(size_t top_k, ExecuteStats* stats) {
+    top_k_ = top_k;
+    stats_ = stats != nullptr ? stats : &local_stats_;
+  }
+
   /// The Block-Max-WAND loop shared by RunPruned and RunPrunedShared.
   void RunPrunedLoop() {
     while (AlignOnSharedDocument()) {
@@ -250,7 +257,7 @@ class CursorMerger {
       if (chosen < 0) break;
       DilCursor& cursor = cursors_[chosen];
       ++stats_->postings_scored;
-      if (bounded_) {
+      if (pruned_) {
         // Count each block once, the first time a posting is drawn from it.
         uint32_t block = cursor.block();
         if (block != last_counted_block_[static_cast<size_t>(chosen)]) {
@@ -263,32 +270,46 @@ class CursorMerger {
     }
   }
 
-  /// Routes a finished frame into the output. Exact mode appends (the
-  /// final sort truncates); bounded mode keeps a k-element heap whose top
-  /// is the worst kept result — the pruning threshold.
+  /// Whether a frame at the current path scoring `total` belongs in the
+  /// output: always with top_k == 0 or a heap not yet full, otherwise only
+  /// if it beats the worst kept result under BetterResult. Decided before
+  /// the QueryResult is built, so losing frames never allocate.
+  bool EntersOutput(double total) const {
+    if (top_k_ == 0 || results_.size() < top_k_) return true;
+    const QueryResult& worst = results_.front();
+    if (total != worst.score) return total > worst.score;
+    return CompareDewey(DeweyRef(path_.data(), path_.size()),
+                        DeweyRef(worst.element)) < 0;
+  }
+
+  /// Routes a finished frame that passed EntersOutput into the output.
+  /// top_k == 0 appends (the final sort orders everything); otherwise
+  /// results_ is a k-element heap whose top is the worst kept result —
+  /// the pruning threshold.
   void Emit(QueryResult result) {
-    if (!bounded_) {
+    if (top_k_ == 0) {
       results_.push_back(std::move(result));
       return;
     }
+    // The exact merge keeps the same heap but reports no pruning work.
     if (results_.size() < top_k_) {
       results_.push_back(std::move(result));
       std::push_heap(results_.begin(), results_.end(), BetterResult);
       if (results_.size() == top_k_) {
         threshold_ = results_.front().score;
-        ++stats_->threshold_updates;
+        if (pruned_) ++stats_->threshold_updates;
       }
       return;
     }
-    if (!BetterResult(result, results_.front())) return;
     std::pop_heap(results_.begin(), results_.end(), BetterResult);
     results_.back() = std::move(result);
     std::push_heap(results_.begin(), results_.end(), BetterResult);
     if (results_.front().score > threshold_) {
       threshold_ = results_.front().score;
-      ++stats_->threshold_updates;
+      if (pruned_) ++stats_->threshold_updates;
     }
   }
+
   /// Leapfrogs the cursors onto the next document present in every list,
   /// skipping whole documents through the block skip table. Exact: Eq. 1 is
   /// conjunctive and subtree scores never propagate across a document
@@ -343,7 +364,9 @@ class CursorMerger {
         total += frame[w];
       }
       bool emit = has_all && emitted_[f] == 0;
-      if (emit) {
+      // A frame that loses to a full heap still counts as emitted: its
+      // ancestors must not become results either (Eq. 1 minimality).
+      if (emit && EntersOutput(total)) {
         QueryResult result;
         result.element =
             DeweyId(std::vector<uint32_t>(path_.begin(), path_.end()));
@@ -365,23 +388,19 @@ class CursorMerger {
     }
   }
 
-  void SortAndTruncate() {
-    std::sort(results_.begin(), results_.end(), BetterResult);
-    if (top_k_ > 0 && results_.size() > top_k_) results_.resize(top_k_);
-  }
-
   std::vector<DilCursor>& cursors_;
   ScoreOptions options_;
   size_t num_keywords_;
   std::vector<uint32_t> path_;     ///< current stack's Dewey components
   std::vector<uint8_t> emitted_;   ///< per-frame descendant-emitted flag
   std::vector<double> scores_;     ///< depth × num_keywords_ score matrix
+  /// All results (top_k_ == 0), else a BetterResult heap of at most k.
   std::vector<QueryResult> results_;
   size_t top_k_ = 0;
+  double threshold_ = 0.0;  ///< k-th best score once the heap is full
 
-  // Pruned-merge state (RunPruned only).
-  bool bounded_ = false;      ///< results_ is a BetterResult heap of size k
-  double threshold_ = 0.0;    ///< k-th best score once the heap is full
+  // Pruned-merge state (RunPruned / RunPrunedShared only).
+  bool pruned_ = false;  ///< block-max leapfrogging on; block stats counted
   std::vector<uint32_t> last_counted_block_;  ///< per keyword, for stats
   ExecuteStats* stats_ = nullptr;  ///< added to, never reset; never null
   ExecuteStats local_stats_;       ///< sink when the caller passed none

@@ -142,6 +142,65 @@ TEST_F(LsmFixture, ResultsIdenticalAcrossSegmentCounts) {
   }
 }
 
+TEST_F(LsmFixture, DemandListsAreFlatBlockMaxAndPruneIdentically) {
+  // The fixture's engines precompute nothing (VocabularyMode::kNone), so
+  // every list below is demand-built: phrases, ontology-only keywords and
+  // an out-of-vocabulary token. Each must come back as a flat list with
+  // block-max bounds, and the pruned merge must match the exact one.
+  auto engine = BuildGrouped(2);
+  const char* const queries[] = {
+      "\"bronchial structure\" theophylline",  // phrase, never in the text
+      "\"cardiac arrest\"",                    // phrase on its own
+      "asthma theophylline",
+      "asthma zzqxvocab",                       // out of vocabulary
+  };
+  bool pruned_somewhere = false;
+  for (const char* text : queries) {
+    for (size_t top_k : {size_t{1}, size_t{3}, size_t{10}}) {
+      SearchOptions exact;
+      exact.top_k = top_k;
+      exact.use_cache = false;
+      exact.parallelism = 1;
+      exact.pruning = PruningMode::kExact;
+      SearchOptions blockmax = exact;
+      blockmax.pruning = PruningMode::kBlockMax;
+      SearchResponse a = engine->Search(text, exact);
+      SearchResponse b = engine->Search(text, blockmax);
+      std::string tag = std::string(text) + " k=" + std::to_string(top_k);
+      ExpectIdenticalResults(a.results, b.results, tag);
+      // The exact path reports no pruning work, heap or not.
+      EXPECT_EQ(a.stats.threshold_updates, 0u) << tag;
+      EXPECT_EQ(a.stats.blocks_scored, 0u) << tag;
+      EXPECT_EQ(a.stats.blocks_skipped, 0u) << tag;
+      pruned_somewhere |= b.stats.threshold_updates > 0;
+    }
+  }
+  // Demand lists now carry block-max, so the pruned merge engages.
+  EXPECT_TRUE(pruned_somewhere);
+
+  size_t nonempty = 0;
+  size_t demand_postings = 0;
+  for (const auto& segment : engine->snapshot()->segments()) {
+    const CorpusIndex& index = segment->index();
+    EXPECT_EQ(index.flat_dil().keyword_count(), 0u);  // nothing precomputed
+    for (const char* text : queries) {
+      for (const Keyword& kw : ParseQuery(text).keywords) {
+        DilListRef ref = index.GetListRef(kw);
+        ASSERT_NE(ref.flat, nullptr) << kw.Canonical();
+        EXPECT_TRUE(ref.flat->has_block_max()) << kw.Canonical();
+        if (!ref.empty()) ++nonempty;
+        // explain / query expansion thaw the very list that is served.
+        EXPECT_EQ(index.GetEntry(kw)->postings, ref.flat->ThawPostings(ref.list))
+            << kw.Canonical();
+      }
+    }
+    demand_postings += index.TotalPostings();
+  }
+  EXPECT_GT(nonempty, 0u);
+  // Persistence accounting sees the demand-built lists.
+  EXPECT_GT(demand_postings, 0u);
+}
+
 TEST_F(LsmFixture, CommitIsIncrementalPerSegmentStats) {
   auto engine = BuildGrouped(1);
   auto snapshot = engine->snapshot();

@@ -181,6 +181,67 @@ TEST(BlockMaxPruning, SkipsBlocksOnSkewedScores) {
   ExpectBitIdentical(exact, pruned);
 }
 
+TEST(ExactTopKHeap, MatchesFullSortTruncatedWithTies) {
+  // The exact merge keeps a k-heap when top_k >= 1: its answer must be the
+  // full result list truncated to k, including which of several results
+  // tied on the k-th score survive (ties go to the smaller Dewey id).
+  // Scores come from a three-value set, so ties sit on every frontier.
+  Rng rng(17);
+  XOntoDil dil;
+  for (size_t w = 0; w < 3; ++w) {
+    std::vector<DilPosting> postings;
+    std::set<std::vector<uint32_t>> used;
+    for (size_t i = 0; i < 900; ++i) {
+      std::vector<uint32_t> comps{static_cast<uint32_t>(rng.NextBelow(48))};
+      size_t depth = rng.NextBelow(4);
+      for (size_t d = 0; d < depth; ++d) {
+        comps.push_back(static_cast<uint32_t>(rng.NextBelow(3)));
+      }
+      if (!used.insert(comps).second) continue;
+      postings.push_back(
+          {DeweyId(std::move(comps)), 0.25 * (1 + rng.NextBelow(3))});
+    }
+    dil.Put("kw" + std::to_string(w), std::move(postings));
+  }
+  FlatDil flat = dil.Freeze();
+  QueryProcessor processor(ScoreOptions{});
+  size_t tied_cuts = 0;
+  for (const std::vector<std::string>& keywords :
+       {std::vector<std::string>{"kw0"},
+        std::vector<std::string>{"kw0", "kw1"},
+        std::vector<std::string>{"kw0", "kw1", "kw2"}}) {
+    std::vector<DilListRef> lists = FlatRefs(flat, keywords);
+    auto open = [&lists] {
+      std::vector<DilCursor> cursors;
+      for (const DilListRef& list : lists) cursors.push_back(list.OpenCursor());
+      return cursors;
+    };
+    std::vector<QueryResult> all = processor.Execute(open(), 0);
+    ASSERT_GT(all.size(), 20u);
+    for (size_t top_k : {size_t{1}, size_t{2}, size_t{5}, size_t{10},
+                         size_t{17}, all.size() - 1, all.size(),
+                         all.size() + 3}) {
+      SCOPED_TRACE("keywords=" + std::to_string(keywords.size()) +
+                   " top_k=" + std::to_string(top_k));
+      std::vector<QueryResult> expected(
+          all.begin(), all.begin() + std::min(top_k, all.size()));
+      ExecuteStats stats;
+      std::vector<QueryResult> heap =
+          processor.Execute(open(), top_k, PruningMode::kExact, &stats);
+      ExpectBitIdentical(expected, heap);
+      // The heap stays internal: the exact path reports no pruning work.
+      EXPECT_EQ(stats.threshold_updates, 0u);
+      EXPECT_EQ(stats.blocks_scored, 0u);
+      EXPECT_EQ(stats.blocks_skipped, 0u);
+      // The case under test: the k-th score is tied just past the cut.
+      if (top_k < all.size() && all[top_k].score == all[top_k - 1].score) {
+        ++tied_cuts;
+      }
+    }
+  }
+  EXPECT_GE(tied_cuts, 6u);
+}
+
 // ---- Admissibility fallbacks -----------------------------------------
 
 TEST(BlockMaxFallback, DecayAboveOneRunsExact) {
@@ -203,7 +264,7 @@ TEST(BlockMaxFallback, DecayAboveOneRunsExact) {
 }
 
 TEST(BlockMaxFallback, SpanCursorsRunExact) {
-  // Legacy span-backed lists (demand cache) carry no block-max column;
+  // Legacy span-backed lists (DilEntry postings) carry no block-max column;
   // one such list in the query routes the whole merge to the exact path.
   Rng rng(5);
   XOntoDil dil = RandomDil(rng, 2, 600);
