@@ -14,6 +14,11 @@
 //      while the writer commits and the background compactor folds
 //      segments — the paper's query phase staying live through the
 //      preprocessing phase's updates.
+//   3. compaction evidence: after the LSM stream, the segments left, the
+//      merges and the documents rewritten per committed document; then,
+//      under the default (precomputed) vocabulary, the compactor's
+//      milliseconds per rewritten document, timed synchronously
+//      (CompactNow after each commit).
 //
 // `--smoke` runs gate 1 only (3 baseline rebuild-commits against 20 LSM
 // seal-commits — the baseline commit is the expensive thing being
@@ -25,6 +30,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -101,11 +107,33 @@ int RunSmoke() {
   return ok ? 0 : 1;
 }
 
+/// Compaction seen from outside, the way the perfbench workloads see it: a
+/// segment id not seen before that spans more than one document is a merge
+/// output, and its documents were rewritten. A merge whose output is
+/// merged again before the next poll goes unseen.
+struct CompactionTally {
+  std::set<uint64_t> known;
+  size_t merges = 0;
+  size_t docs_rewritten = 0;
+
+  void Poll(const XOntoRank& engine) {
+    for (const auto& segment : engine.snapshot()->segments()) {
+      if (!known.insert(segment->id()).second) continue;
+      if (segment->num_docs() > 1) {
+        ++merges;
+        docs_rewritten += segment->num_docs();
+      }
+    }
+  }
+};
+
 /// One mode's interleaved phase: `commits` single-doc commits, a
 /// top-10 two-keyword search after each. Prints commit p50/p99 and the
-/// mean interleaved search latency.
+/// mean interleaved search latency. A non-null `tally` is polled after
+/// every commit.
 void RunInterleaved(const char* label, XOntoRank* engine,
-                    const CdaGenerator& gen, size_t commits) {
+                    const CdaGenerator& gen, size_t commits,
+                    CompactionTally* tally = nullptr) {
   std::vector<double> commit_ms;
   std::vector<double> search_ms;
   for (size_t i = 0; i < commits; ++i) {
@@ -114,6 +142,7 @@ void RunInterleaved(const char* label, XOntoRank* engine,
     Timer commit_timer;
     engine->AddDocument(std::move(doc));
     commit_ms.push_back(commit_timer.ElapsedMillis());
+    if (tally != nullptr) tally->Poll(*engine);
 
     Timer search_timer;
     SearchResponse response =
@@ -127,6 +156,42 @@ void RunInterleaved(const char* label, XOntoRank* engine,
   std::printf("%8s %8zu %12.3f %12.3f %14.3f\n", label, commits,
               Percentile(commit_ms, 0.5), Percentile(commit_ms, 0.99),
               mean_search);
+}
+
+/// The compactor's cost per rewritten document under the default
+/// vocabulary, where every segment precomputes its lists and a merge
+/// concatenates real postings: `commits` single-document commits into a
+/// fresh engine with auto compaction off, each followed by a timed
+/// CompactNow().
+void RunCompactionCost(const CdaGenerator& gen, const Ontology& ontology,
+                       size_t commits) {
+  IndexBuildOptions options;
+  options.strategy = Strategy::kRelationships;
+  options.lsm.enabled = true;
+  options.lsm.auto_compact = false;
+  XOntoRank engine(Corpus(), ontology, options);
+  CompactionTally tally;
+  double compact_ms = 0.0;
+  for (size_t i = 0; i < commits; ++i) {
+    uint32_t doc_id = static_cast<uint32_t>(i);
+    engine.AddDocument(CdaToXml(gen.GenerateDocument(doc_id), doc_id));
+    tally.Poll(engine);
+    Timer timer;
+    engine.CompactNow();
+    compact_ms += timer.ElapsedMillis();
+    tally.Poll(engine);
+  }
+  std::printf("compactor (default vocabulary, %zu single-doc commits, "
+              "CompactNow after each): %zu segments, %zu merges, %.2f docs "
+              "rewritten per committed doc, %.1f ms total, %.3f ms per "
+              "rewritten doc\n",
+              commits, engine.snapshot()->segments().size(), tally.merges,
+              static_cast<double>(tally.docs_rewritten) /
+                  static_cast<double>(commits),
+              compact_ms,
+              tally.docs_rewritten > 0
+                  ? compact_ms / static_cast<double>(tally.docs_rewritten)
+                  : 0.0);
 }
 
 }  // namespace
@@ -146,12 +211,25 @@ int main(int argc, char** argv) {
 
   XOntoRank lsm(gen.GenerateCorpus(), setup.search_ontology,
                 BuildOptions(/*lsm=*/true));
-  RunInterleaved("lsm", &lsm, gen, /*commits=*/200);
+  constexpr size_t kStreamCommits = 200;
+  CompactionTally tally;
+  tally.Poll(lsm);
+  tally.merges = 0;  // the seed corpus's segment is not a merge
+  tally.docs_rewritten = 0;
+  RunInterleaved("lsm", &lsm, gen, kStreamCommits, &tally);
   lsm.WaitForCompactionIdle();
+  tally.Poll(lsm);
+  const size_t stream_segments = lsm.snapshot()->segments().size();
 
   XOntoRank legacy(gen.GenerateCorpus(), setup.search_ontology,
                    BuildOptions(/*lsm=*/false));
   RunInterleaved("rebuild", &legacy, gen, /*commits=*/5);
+  std::printf("\nlsm stream (%zu commits): %zu segments at the end, %zu "
+              "merges, %.2f docs rewritten per committed doc\n",
+              kStreamCommits, stream_segments, tally.merges,
+              static_cast<double>(tally.docs_rewritten) /
+                  static_cast<double>(kStreamCommits));
+  RunCompactionCost(gen, setup.search_ontology, /*commits=*/256);
   std::printf("\n");
 
   // Concurrent phase (LSM only — the rebuild baseline would spend the

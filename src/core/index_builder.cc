@@ -16,33 +16,122 @@ CorpusIndex::CorpusIndex(const Corpus& corpus,
     : CorpusIndex(corpus, std::move(context), options,
                   adopted.keyword_count() > 0 ? adopted.Freeze() : FlatDil{}) {}
 
+DocumentUnits::DocumentUnits(const Corpus& corpus, size_t begin, size_t end,
+                             const OntologySet& systems,
+                             const Bm25Params& bm25)
+    : text_(bm25) {
+  const auto& excluded = DefaultExcludedAttributes();
+  uint32_t unit = 0;
+  for (size_t d = begin; d < end; ++d) {
+    const XmlDocument& doc = corpus[d];
+    if (doc.root() == nullptr) continue;
+    doc.root()->Visit([&](const XmlNode& node) {
+      if (!node.is_element()) return;
+      text_.AddUnit(unit, TextualDescription(node, excluded));
+      deweys_.push_back(doc.DeweyIdOf(node));
+      if (node.onto_ref().has_value()) {
+        size_t system = systems.FindSystem(node.onto_ref()->system);
+        if (system != OntologySet::npos) {
+          ConceptId c =
+              systems.system(system).FindByCode(node.onto_ref()->code);
+          if (c != kInvalidConcept) {
+            code_units_.push_back({unit, static_cast<uint32_t>(system), c});
+          }
+        }
+      }
+      ++unit;
+    });
+  }
+  text_.Finalize();
+}
+
+namespace {
+
+/// Resolves global unit ids to node addresses through the stage-1 records
+/// (`base` holds each record's first global unit, then the unit count).
+/// Walking units in order, a lookup within the current record is one
+/// bounds check.
+class UnitAddresses {
+ public:
+  UnitAddresses(
+      const std::vector<std::shared_ptr<const DocumentUnits>>& documents,
+      const std::vector<uint32_t>& base)
+      : documents_(documents), base_(base) {}
+
+  DeweyRef operator()(uint32_t unit) {
+    if (unit < begin_ || unit >= end_) Seek(unit);
+    return DeweyRef(deweys_[unit - begin_]);
+  }
+
+ private:
+  void Seek(uint32_t unit) {
+    while (unit < base_[record_]) --record_;
+    while (unit >= base_[record_ + 1]) ++record_;
+    begin_ = base_[record_];
+    end_ = base_[record_ + 1];
+    deweys_ = documents_[record_]->deweys().data();
+  }
+
+  const std::vector<std::shared_ptr<const DocumentUnits>>& documents_;
+  const std::vector<uint32_t>& base_;
+  size_t record_ = 0;
+  uint32_t begin_ = 0;  ///< the current record's global unit range
+  uint32_t end_ = 0;
+  const DeweyId* deweys_ = nullptr;  ///< the current record's addresses
+};
+
+/// Stage 1 over `corpus`: LSM mode scores each document as its own BM25
+/// collection (one record per document) so posting scores are invariant
+/// under any document → segment grouping; legacy mode keeps one
+/// corpus-global collection.
+std::vector<std::shared_ptr<const DocumentUnits>> IndexDocuments(
+    const Corpus& corpus, const OntologySet& systems,
+    const IndexBuildOptions& options) {
+  std::vector<std::shared_ptr<const DocumentUnits>> documents;
+  if (!options.lsm.enabled) {
+    documents.push_back(std::make_shared<const DocumentUnits>(
+        corpus, 0, corpus.size(), systems, options.score.bm25));
+    return documents;
+  }
+  documents.reserve(corpus.size());
+  for (size_t d = 0; d < corpus.size(); ++d) {
+    documents.push_back(std::make_shared<const DocumentUnits>(
+        corpus, d, d + 1, systems, options.score.bm25));
+  }
+  return documents;
+}
+
+}  // namespace
+
 CorpusIndex::CorpusIndex(const Corpus& corpus,
                          std::shared_ptr<const OntologyContext> context,
                          IndexBuildOptions options, FlatDil adopted)
+    : corpus_(&corpus), context_(std::move(context)), options_(options) {
+  XO_CHECK(context_ != nullptr && "an ontology context is required");
+  Timer timer;
+  documents_ = IndexDocuments(corpus, context_->systems(), options_);
+  Init(std::move(adopted));
+  stats_.build_millis = timer.ElapsedMillis();
+}
+
+CorpusIndex::CorpusIndex(
+    const Corpus& corpus,
+    std::vector<std::shared_ptr<const DocumentUnits>> documents,
+    std::shared_ptr<const OntologyContext> context, IndexBuildOptions options,
+    FlatDil adopted, DemandLists demand)
     : corpus_(&corpus),
       context_(std::move(context)),
       options_(options),
-      node_index_(options.score.bm25) {
-  XO_CHECK(context_ != nullptr && "an ontology context is required");
-  XO_CHECK(context_->strategy() == options_.strategy &&
-           "context was created for a different strategy");
-  XO_CHECK(!(options_.lsm.enabled && options_.use_elem_rank) &&
-           "ElemRank is corpus-normalized, so its scores are not invariant "
-           "under document->segment grouping; disable it in LSM mode");
+      documents_(std::move(documents)) {
+  XO_CHECK(options_.lsm.enabled && documents_.size() == corpus.size() &&
+           "shared stage-1 records are per-document (LSM mode)");
   Timer timer;
-  IndexCorpus();
-  if (options_.use_elem_rank) {
-    elem_rank_ = std::make_unique<ElemRank>(corpus, options_.elem_rank);
-  }
-  if (adopted.keyword_count() > 0) {
-    flat_ = std::move(adopted);
-  } else {
-    Precompute();
+  Init(std::move(adopted));
+  {
+    MutexLock lock(demand_mutex_);
+    demand_ = std::move(demand);
   }
   stats_.build_millis = timer.ElapsedMillis();
-  stats_.documents = corpus.size();
-  stats_.precomputed_keywords = flat_.keyword_count();
-  stats_.total_postings = flat_.total_postings();
 }
 
 CorpusIndex::CorpusIndex(const Corpus& corpus, OntologySet systems,
@@ -50,64 +139,58 @@ CorpusIndex::CorpusIndex(const Corpus& corpus, OntologySet systems,
     : CorpusIndex(corpus, OntologyContext::Create(std::move(systems), options),
                   options) {}
 
-void CorpusIndex::IndexCorpus() {
-  const auto& excluded = DefaultExcludedAttributes();
-  const OntologySet& systems = context_->systems();
-  // LSM mode scores each document against its own BM25 statistics (one
-  // TextIndex per document) so posting scores are invariant under any
-  // document → segment grouping; legacy mode keeps the corpus-global
-  // collection. Unit ids are global either way.
-  const bool doc_scoped = options_.lsm.enabled;
-  uint32_t unit = 0;
-  for (const XmlDocument& doc : *corpus_) {
-    TextIndex* sink = &node_index_;
-    if (doc_scoped) {
-      doc_indexes_.emplace_back(options_.score.bm25);
-      sink = &doc_indexes_.back();
-    }
-    if (doc.root() == nullptr) {
-      if (doc_scoped) sink->Finalize();
-      continue;
-    }
-    doc.root()->Visit([&](const XmlNode& node) {
-      if (!node.is_element()) return;
-      sink->AddUnit(unit, TextualDescription(node, excluded));
-      unit_deweys_.push_back(doc.DeweyIdOf(node));
-      if (node.onto_ref().has_value()) {
-        size_t system = systems.FindSystem(node.onto_ref()->system);
-        if (system != OntologySet::npos) {
-          ConceptId c =
-              systems.system(system).FindByCode(node.onto_ref()->code);
-          if (c != kInvalidConcept) {
-            code_units_.push_back(
-                {unit, static_cast<uint32_t>(system), c});
-            ++stats_.code_nodes;
-          }
-        }
-      }
-      ++unit;
-    });
-    if (doc_scoped) sink->Finalize();
+void CorpusIndex::Init(FlatDil adopted) {
+  XO_CHECK(context_ != nullptr && "an ontology context is required");
+  XO_CHECK(context_->strategy() == options_.strategy &&
+           "context was created for a different strategy");
+  XO_CHECK(!(options_.lsm.enabled && options_.use_elem_rank) &&
+           "ElemRank is corpus-normalized, so its scores are not invariant "
+           "under document->segment grouping; disable it in LSM mode");
+  size_t code_units = 0;
+  for (const auto& document : documents_) {
+    code_units += document->code_units().size();
   }
-  if (!doc_scoped) node_index_.Finalize();
-  stats_.indexed_nodes = unit;
+  record_base_.reserve(documents_.size() + 1);
+  code_units_.reserve(code_units);
+  uint32_t units = 0;
+  for (const auto& document : documents_) {
+    record_base_.push_back(units);
+    for (const CodeUnit& code_unit : document->code_units()) {
+      code_units_.push_back(
+          {units + code_unit.unit, code_unit.system, code_unit.concept_id});
+    }
+    units += static_cast<uint32_t>(document->unit_count());
+  }
+  record_base_.push_back(units);
+  if (options_.use_elem_rank) {
+    elem_rank_ = std::make_unique<ElemRank>(*corpus_, options_.elem_rank);
+  }
+  if (adopted.keyword_count() > 0) {
+    flat_ = std::move(adopted);
+  } else {
+    Precompute();
+  }
+  stats_.documents = corpus_->size();
+  stats_.indexed_nodes = units;
+  stats_.code_nodes = code_units;
+  stats_.precomputed_keywords = flat_.keyword_count();
+  stats_.total_postings = flat_.total_postings();
 }
 
 std::vector<ScoredUnit> CorpusIndex::LookupUnits(const Keyword& keyword) const {
-  if (!options_.lsm.enabled) return node_index_.Lookup(keyword);
   std::vector<ScoredUnit> units;
-  for (const TextIndex& index : doc_indexes_) {
-    std::vector<ScoredUnit> part = index.Lookup(keyword);
-    units.insert(units.end(), part.begin(), part.end());
+  for (size_t r = 0; r < documents_.size(); ++r) {
+    for (const ScoredUnit& unit : documents_[r]->text().Lookup(keyword)) {
+      units.push_back({record_base_[r] + unit.unit_id, unit.score});
+    }
   }
   return units;
 }
 
 std::vector<std::string> CorpusIndex::CorpusVocabulary() const {
-  if (!options_.lsm.enabled) return node_index_.Vocabulary();
   std::vector<std::string> vocab;
-  for (const TextIndex& index : doc_indexes_) {
-    std::vector<std::string> part = index.Vocabulary();
+  for (const auto& document : documents_) {
+    std::vector<std::string> part = document->text().Vocabulary();
     vocab.insert(vocab.end(), part.begin(), part.end());
   }
   std::sort(vocab.begin(), vocab.end());
@@ -250,18 +333,20 @@ FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists) const {
     keyword_bytes += canonical.size();
     blocks += (units.size() + FlatDil::kBlockPostings - 1) /
               FlatDil::kBlockPostings;
+    UnitAddresses address(documents_, record_base_);
     arena_words += FlatDil::Builder::ArenaWords(
         units.size(),
-        [this, &units](size_t i) {
-          return DeweyRef(unit_deweys_[units[i].unit]);
-        });
+        [&address, &units](size_t i) { return address(units[i].unit); });
   }
   FlatDil::Builder builder(lists.size(), postings, keyword_bytes, blocks,
                            arena_words);
+  UnitAddresses address(documents_, record_base_);
   for (const auto& [canonical, units] : lists) {
     XO_CHECK(builder.BeginList(canonical));
     for (const UnitScore& u : units) {
-      XO_CHECK(builder.AddPosting(unit_deweys_[u.unit].components(), u.score));
+      DeweyRef dewey = address(u.unit);
+      XO_CHECK(builder.AddPosting(
+          std::span<const uint32_t>(dewey.data(), dewey.size()), u.score));
     }
   }
   FlatDil dil = std::move(builder).Finish();
@@ -281,8 +366,9 @@ std::vector<DilPosting> CorpusIndex::BuildPostings(
     }
   }
   std::vector<DilPosting> postings;
+  UnitAddresses address(documents_, record_base_);
   for (const UnitScore& u : ScoreUnits(keyword, rows)) {
-    postings.push_back({unit_deweys_[u.unit], u.score});
+    postings.push_back({address(u.unit).ToDeweyId(), u.score});
   }
   return postings;
 }
@@ -361,11 +447,19 @@ const DilEntry* CorpusIndex::GetEntry(const Keyword& keyword) const {
 CorpusIndex::NodeSupport CorpusIndex::ComputeNodeSupport(
     const DeweyId& dewey, const Keyword& keyword) const {
   NodeSupport support;
-  // unit_deweys_ is ascending (units are assigned in document order), so
-  // the unit id can be recovered by binary search.
-  auto it = std::lower_bound(unit_deweys_.begin(), unit_deweys_.end(), dewey);
-  if (it == unit_deweys_.end() || !(*it == dewey)) return support;
-  uint32_t unit = static_cast<uint32_t>(it - unit_deweys_.begin());
+  // Each record's node addresses ascend (units are assigned in document
+  // order), so the unit id can be recovered by binary search.
+  uint32_t unit = 0;
+  bool found = false;
+  for (size_t r = 0; r < documents_.size() && !found; ++r) {
+    const std::vector<DeweyId>& deweys = documents_[r]->deweys();
+    auto it = std::lower_bound(deweys.begin(), deweys.end(), dewey);
+    if (it != deweys.end() && *it == dewey) {
+      unit = record_base_[r] + static_cast<uint32_t>(it - deweys.begin());
+      found = true;
+    }
+  }
+  if (!found) return support;
 
   for (const ScoredUnit& scored : LookupUnits(keyword)) {
     if (scored.unit_id == unit) {
@@ -395,6 +489,14 @@ std::vector<std::string> CorpusIndex::PrecomputedVocabulary() const {
     out.emplace_back(flat_.KeywordAt(l));
   }
   return out;
+}
+
+std::vector<std::string> CorpusIndex::DemandKeywords() const {
+  std::vector<std::string> keywords;
+  MutexLock lock(demand_mutex_);
+  keywords.reserve(demand_.size());
+  for (const auto& [kw, dil] : demand_) keywords.push_back(kw);
+  return keywords;
 }
 
 size_t CorpusIndex::TotalPostings() const {

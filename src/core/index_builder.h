@@ -36,6 +36,45 @@ struct IndexBuildStats {
   double build_millis = 0.0;
 };
 
+/// A code node resolved against its ontological system.
+struct CodeUnit {
+  uint32_t unit;
+  uint32_t system;
+  ConceptId concept_id;
+};
+
+/// The stage-1 record (§V-B stage 1) of a run of documents: every element
+/// node becomes an IR unit of one BM25 collection over its §III textual
+/// description, with its Dewey id and, for a code node, its resolved
+/// concept. Unit ids are local to the record (0-based, in document order).
+///
+/// Under LSM scoring each document is its own record — its own BM25
+/// collection, so its postings never depend on which segment holds it.
+/// The record is built once, when the document is sealed or loaded, and
+/// shared by every segment that later contains the document: compaction
+/// re-indexes nothing. Legacy mode builds one record over the whole corpus
+/// (corpus-global BM25).
+///
+/// Immutable after construction; safe to share across threads.
+class DocumentUnits {
+ public:
+  /// Indexes documents [begin, end) of `corpus`.
+  DocumentUnits(const Corpus& corpus, size_t begin, size_t end,
+                const OntologySet& systems, const Bm25Params& bm25);
+
+  const TextIndex& text() const { return text_; }
+  /// Local unit id → node address, ascending.
+  const std::vector<DeweyId>& deweys() const { return deweys_; }
+  /// The code nodes, in unit order.
+  const std::vector<CodeUnit>& code_units() const { return code_units_; }
+  size_t unit_count() const { return deweys_.size(); }
+
+ private:
+  TextIndex text_;
+  std::vector<DeweyId> deweys_;
+  std::vector<CodeUnit> code_units_;
+};
+
 /// The queryable XOntoRank index over a CDA corpus and an ontology.
 ///
 /// Construction runs the three §V-B stages:
@@ -90,6 +129,21 @@ class CorpusIndex {
               std::shared_ptr<const OntologyContext> context,
               IndexBuildOptions options, FlatDil adopted);
 
+  /// On-demand lists by canonical keyword, each a one-list FlatDil;
+  /// nullptr marks a keyword that matches nothing.
+  using DemandLists = std::map<std::string, std::unique_ptr<const FlatDil>>;
+
+  /// LSM mode over already-built stage-1 records, one per document of
+  /// `corpus`, in order (the compactor's path: a merged segment shares its
+  /// inputs' records instead of re-running stage 1). `adopted` as above;
+  /// `demand` seeds the demand cache, and each of its lists must equal
+  /// what DemandList would build here.
+  CorpusIndex(const Corpus& corpus,
+              std::vector<std::shared_ptr<const DocumentUnits>> documents,
+              std::shared_ptr<const OntologyContext> context,
+              IndexBuildOptions options, FlatDil adopted,
+              DemandLists demand = {});
+
   /// Convenience for standalone use (tests, benches, the query-expansion
   /// baseline): builds a private OntologyContext. The ontologies inside
   /// `systems` must outlive the index; a bare `Ontology&` converts
@@ -114,6 +168,12 @@ class CorpusIndex {
     return context_->index(system);
   }
   const Corpus& corpus() const { return *corpus_; }
+
+  /// The stage-1 records this index serves from: one per document under
+  /// LSM scoring, one for the whole corpus in legacy mode.
+  const std::vector<std::shared_ptr<const DocumentUnits>>& documents() const {
+    return documents_;
+  }
 
   /// The inverted list for `keyword` as an execution reference — always a
   /// flat list. Keywords in the precomputed vocabulary resolve to their
@@ -164,6 +224,9 @@ class CorpusIndex {
   NodeSupport ComputeNodeSupport(const DeweyId& dewey,
                                  const Keyword& keyword) const;
 
+  /// The keywords whose demand-built list is cached so far, ascending.
+  std::vector<std::string> DemandKeywords() const XO_EXCLUDES(demand_mutex_);
+
   /// Total postings currently materialized (precomputed + demand-built).
   size_t TotalPostings() const XO_EXCLUDES(demand_mutex_);
 
@@ -180,7 +243,10 @@ class CorpusIndex {
   /// A keyword's list in unit form, keyed by its canonical string.
   using UnitList = std::pair<std::string, std::vector<UnitScore>>;
 
-  void IndexCorpus();
+  /// The constructors' shared tail: checks the options, lays the records'
+  /// units out under global ids, then adopts `adopted` or runs stage 2+3,
+  /// and fills stats_.
+  void Init(FlatDil adopted);
   void Precompute();
   /// The keyword's postings in unit form, sorted by unit id — which is
   /// Dewey order, since units are numbered in document order. Stage 3's
@@ -207,10 +273,9 @@ class CorpusIndex {
                             const std::string& canonical) const
       XO_EXCLUDES(demand_mutex_);
 
-  /// Stage-1 matches for `keyword` across the whole corpus, sorted by unit
-  /// id. Legacy mode reads node_index_; LSM mode concatenates the per-
-  /// document indexes (unit id ranges ascend with document order, so the
-  /// concatenation is already sorted).
+  /// Stage-1 matches for `keyword` across the whole corpus, sorted by
+  /// (global) unit id: the records' matches concatenated, which is already
+  /// sorted because records are in document order.
   std::vector<ScoredUnit> LookupUnits(const Keyword& keyword) const;
 
   /// The corpus half of the precomputed vocabulary, sorted and unique.
@@ -220,19 +285,13 @@ class CorpusIndex {
   std::shared_ptr<const OntologyContext> context_;
   IndexBuildOptions options_;
 
-  TextIndex node_index_;  ///< stage 1 over document nodes (legacy mode)
-  /// LSM mode's stage 1: one TextIndex per document, each its own BM25
-  /// collection (document-scoped statistics — see LsmOptions). Unit ids
-  /// stay global, so lookups across documents concatenate directly.
-  /// Empty in legacy mode, where node_index_ is used instead.
-  std::vector<TextIndex> doc_indexes_;
-  std::vector<DeweyId> unit_deweys_;  ///< unit id → node address
-  /// A code node resolved against its ontological system.
-  struct CodeUnit {
-    uint32_t unit;
-    uint32_t system;
-    ConceptId concept_id;
-  };
+  /// Stage 1, shared: record r's local unit u is global unit
+  /// (units of records before r) + u, so global unit ids ascend in
+  /// document order.
+  std::vector<std::shared_ptr<const DocumentUnits>> documents_;
+  /// The first global unit id of each record, then the unit count.
+  std::vector<uint32_t> record_base_;
+  /// Every record's code units, with global unit ids, in unit order.
   std::vector<CodeUnit> code_units_;
 
   std::unique_ptr<ElemRank> elem_rank_;  ///< set when options.use_elem_rank
@@ -250,8 +309,7 @@ class CorpusIndex {
   /// keyword, each frozen into a one-list FlatDil. nullptr marks a keyword
   /// that matches nothing here — the common case for single-document
   /// segments — and costs no dil.
-  mutable std::map<std::string, std::unique_ptr<const FlatDil>> demand_
-      XO_GUARDED_BY(demand_mutex_);
+  mutable DemandLists demand_ XO_GUARDED_BY(demand_mutex_);
   /// GetEntry's thawed copies of served lists.
   mutable XOntoDil thawed_ XO_GUARDED_BY(demand_mutex_);
   IndexBuildStats stats_;

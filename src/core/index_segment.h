@@ -43,10 +43,10 @@ class IndexSegment {
       std::shared_ptr<const OntologyContext> context,
       const IndexBuildOptions& options);
 
-  /// Adopts an already-built FlatDil (the engine-store load path, and the
-  /// compactor's merged output). For a mapped view, `backing` pins the
-  /// mapping for the segment's lifetime. Stage 1 still runs over `docs`
-  /// (it is what serves demand/out-of-vocabulary keywords).
+  /// Adopts an already-built FlatDil (the engine-store load path). For a
+  /// mapped view, `backing` pins the mapping for the segment's lifetime.
+  /// Stage 1 still runs over `docs` (it is what serves demand/out-of-
+  /// vocabulary keywords): loading builds each document's record once.
   static std::shared_ptr<const IndexSegment> Adopt(
       uint64_t id, std::shared_ptr<const Corpus> docs, uint32_t first_doc,
       std::shared_ptr<const OntologyContext> context,
@@ -65,6 +65,11 @@ class IndexSegment {
   const Corpus& docs() const { return *docs_; }
 
  private:
+  friend std::shared_ptr<const IndexSegment> MergeSegments(
+      std::span<const std::shared_ptr<const IndexSegment>> inputs,
+      uint64_t id, std::shared_ptr<const OntologyContext> context,
+      const IndexBuildOptions& options);
+
   IndexSegment() = default;
 
   /// Keep-alive for mmap-backed segments; declared FIRST so it outlives
@@ -81,12 +86,23 @@ class IndexSegment {
 };
 
 /// Compaction: merges adjacent segments (ascending, contiguous document
-/// ranges) into one segment with id `id`. The merged posting lists are the
-/// keyword-union of the inputs' flat lists with postings concatenated in
-/// document order — bit-identical to sealing the union of the inputs'
-/// documents as one fresh segment, because scores are document-scoped and
-/// each input's vocabulary covers exactly its own documents' tokens (plus
-/// the shared ontology vocabulary).
+/// ranges) into one segment with id `id`, re-indexing nothing: the merged
+/// segment shares its inputs' per-document stage-1 records, and its flat
+/// dil concatenates the inputs' lists in document order, decoded through
+/// DilCursors into an exactly sized FlatDil::Builder. Demand-built lists
+/// any input has cached are concatenated the same way into the merged
+/// segment's demand cache.
+///
+/// The result is bit-identical to sealing the union of the inputs'
+/// documents as one fresh segment, under every VocabularyMode. Scores are
+/// document-scoped, so each input's list for a keyword is exactly the
+/// fresh segment's list restricted to that input's documents. The fresh
+/// segment's vocabulary is the union of the inputs' vocabularies (corpus
+/// tokens are per document; ontology tokens are shared), but an input
+/// whose own vocabulary lacks a union keyword may still match it — under
+/// kCorpusOnly, through its code nodes' ontology scores. Such an input
+/// contributes its demand-built list for the keyword, the same list it
+/// serves queries.
 std::shared_ptr<const IndexSegment> MergeSegments(
     std::span<const std::shared_ptr<const IndexSegment>> inputs, uint64_t id,
     std::shared_ptr<const OntologyContext> context,

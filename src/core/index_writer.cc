@@ -151,11 +151,11 @@ void IndexWriter::AdoptPrecomputed(FlatDil dil,
 bool IndexWriter::PickCompaction(size_t* begin, size_t* count) const {
   const size_t fanin = std::max<size_t>(2, options_.lsm.compaction_fanin);
   if (segments_.size() < fanin) return false;
-  const size_t base = std::max<size_t>(1, options_.lsm.tier_base_postings);
-  auto tier_of = [&](const IndexSegment& segment) {
-    size_t postings = segment.index().stats().total_postings;
+  // Tier t holds [fanin^t, fanin^(t+1)) documents, so single-document
+  // commits compact like a base-fanin counter.
+  auto tier_of = [fanin](const IndexSegment& segment) {
     size_t tier = 0;
-    for (size_t cap = base; postings >= cap * fanin; cap *= fanin) ++tier;
+    for (size_t cap = fanin; segment.num_docs() >= cap; cap *= fanin) ++tier;
     return tier;
   };
   size_t run_begin = 0;

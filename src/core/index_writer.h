@@ -38,10 +38,10 @@ namespace xontorank {
 /// context's cache (see IndexSnapshot's structural-sharing notes).
 ///
 /// LSM mode additionally runs a background compactor: when the segment set
-/// accumulates >= lsm.compaction_fanin segments of the same size tier, a
-/// detached task on the shared ThreadPool merges them (MergeSegments — bit-
-/// identical to fresh-sealing the union) and publishes the compacted
-/// snapshot. At most one compaction drain is in flight per writer; commits
+/// accumulates lsm.compaction_fanin contiguous segments of the same
+/// document-count tier, a detached task on the shared ThreadPool merges
+/// them (MergeSegments — bit-identical to fresh-sealing the union) and
+/// publishes the compacted snapshot. At most one compaction drain is in flight per writer; commits
 /// never wait for it. CompactNow()/WaitForCompactionIdle() give tests and
 /// shutdown paths a deterministic handle on it.
 ///
@@ -132,7 +132,9 @@ class IndexWriter {
 
   /// Tiered compaction policy: returns true with [*begin, *begin + *count)
   /// set to the first contiguous run of `compaction_fanin` segments sharing
-  /// a size tier (tier = log_fanin(postings / tier_base_postings)).
+  /// a size tier (tier = ⌊log_fanin(documents)⌋). N single-document
+  /// commits then leave at most 1 + (fanin − 1)·(⌊log_fanin N⌋ + 1)
+  /// segments once compaction drains.
   bool PickCompaction(size_t* begin, size_t* count) const
       XO_REQUIRES(mutex_);
 

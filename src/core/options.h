@@ -85,13 +85,10 @@ struct LsmOptions {
   bool enabled = false;
 
   /// Tiered compaction triggers when this many contiguous segments share a
-  /// size tier; the compactor merges exactly this many per step. Values
-  /// below 2 are clamped to 2.
+  /// size tier; the compactor merges exactly this many per step. Tier t
+  /// holds segments of [fanin^t, fanin^(t+1)) documents. Values below 2
+  /// are clamped to 2.
   size_t compaction_fanin = 4;
-
-  /// Tier t holds segments whose posting count lies in
-  /// [tier_base_postings·fanin^t, tier_base_postings·fanin^(t+1)).
-  size_t tier_base_postings = 1024;
 
   /// Schedule compaction automatically on the shared ThreadPool after each
   /// commit. Disable for deterministic tests (CompactNow() remains

@@ -1,5 +1,6 @@
 #include "storage/engine_store.h"
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -48,6 +49,19 @@ Result<std::string> ReadFile(const std::string& path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Parses a whole manifest.tsv field as a number. Malformed input is a
+/// corrupt directory, reported as such rather than thrown.
+template <typename T>
+Status ParseField(std::string_view key, std::string_view field, T* out) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  if (ec != std::errc() || ptr != end) {
+    return Status::Corruption("manifest.tsv: malformed " + std::string(key) +
+                              " value '" + std::string(field) + "'");
+  }
+  return Status::OK();
 }
 
 std::string_view VocabularyModeName(IndexBuildOptions::VocabularyMode mode) {
@@ -106,9 +120,9 @@ Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& dir,
     // compaction knobs ride along so a reloaded engine keeps the policy it
     // was built with (notably auto_compact, which tests disable for
     // deterministic segment counts).
-    manifest += StringPrintf(
-        "lsm\t1\t%zu\t%zu\t%d\n", options.lsm.compaction_fanin,
-        options.lsm.tier_base_postings, options.lsm.auto_compact ? 1 : 0);
+    manifest += StringPrintf("lsm\t1\t%zu\t%d\n",
+                             options.lsm.compaction_fanin,
+                             options.lsm.auto_compact ? 1 : 0);
   }
 
   // Ontological systems.
@@ -235,18 +249,21 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
                                   std::string(fields[1]));
       }
     } else if (key == "decay" && fields.size() >= 2) {
-      options.score.decay = std::stod(std::string(fields[1]));
+      XONTO_RETURN_IF_ERROR(ParseField(key, fields[1], &options.score.decay));
     } else if (key == "threshold" && fields.size() >= 2) {
-      options.score.threshold = std::stod(std::string(fields[1]));
+      XONTO_RETURN_IF_ERROR(
+          ParseField(key, fields[1], &options.score.threshold));
     } else if (key == "omega" && fields.size() >= 2) {
-      options.score.ontology_weight = std::stod(std::string(fields[1]));
+      XONTO_RETURN_IF_ERROR(
+          ParseField(key, fields[1], &options.score.ontology_weight));
     } else if (key == "bm25_k1" && fields.size() >= 2) {
-      options.score.bm25.k1 = std::stod(std::string(fields[1]));
+      XONTO_RETURN_IF_ERROR(ParseField(key, fields[1], &options.score.bm25.k1));
     } else if (key == "bm25_b" && fields.size() >= 2) {
-      options.score.bm25.b = std::stod(std::string(fields[1]));
+      XONTO_RETURN_IF_ERROR(ParseField(key, fields[1], &options.score.bm25.b));
     } else if (key == "elem_rank" && fields.size() >= 3) {
       options.use_elem_rank = fields[1] == "1";
-      options.elem_rank_blend = std::stod(std::string(fields[2]));
+      XONTO_RETURN_IF_ERROR(
+          ParseField(key, fields[2], &options.elem_rank_blend));
     } else if (key == "ontology" && fields.size() >= 2) {
       XONTO_ASSIGN_OR_RETURN(Ontology onto,
                              LoadOntology(dir + "/" + std::string(fields[1])));
@@ -257,13 +274,13 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
     } else if (key == "index" && fields.size() >= 2) {
       index_file = std::string(fields[1]);
     } else if (key == "lsm" && fields.size() >= 2) {
+      // lsm, enabled, fanin, auto_compact. Older directories carry a fifth
+      // field: a retired posting-tier base before auto_compact, ignored.
       lsm = fields[1] == "1";
-      if (fields.size() >= 5) {
-        options.lsm.compaction_fanin =
-            std::stoul(std::string(fields[2]));
-        options.lsm.tier_base_postings =
-            std::stoul(std::string(fields[3]));
-        options.lsm.auto_compact = fields[4] == "1";
+      if (fields.size() >= 4) {
+        XONTO_RETURN_IF_ERROR(
+            ParseField(key, fields[2], &options.lsm.compaction_fanin));
+        options.lsm.auto_compact = fields[fields.size() >= 5 ? 4 : 3] == "1";
       }
     }
     // Unknown keys are ignored for forward compatibility.

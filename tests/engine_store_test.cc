@@ -46,6 +46,27 @@ class EngineStoreFixture : public ::testing::Test {
                                        options);
   }
 
+  /// Replaces dir_'s manifest.tsv line whose key is `key` with `line`, or
+  /// appends `line` when no such line exists.
+  void RewriteManifestLine(const std::string& key, const std::string& line) {
+    std::string path = dir_ + "/manifest.tsv";
+    std::string rewritten;
+    bool replaced = false;
+    {
+      std::ifstream in(path);
+      for (std::string current; std::getline(in, current);) {
+        if (current.rfind(key + "\t", 0) == 0) {
+          current = line;
+          replaced = true;
+        }
+        rewritten += current + "\n";
+      }
+    }
+    if (!replaced) rewritten += line + "\n";
+    std::ofstream out(path, std::ios::trunc);
+    out << rewritten;
+  }
+
   Ontology snomed_;
   Ontology loinc_;
   std::string dir_;
@@ -135,6 +156,32 @@ TEST_F(EngineStoreFixture, OptionsRoundTrip) {
   EXPECT_EQ(options.strategy, Strategy::kRelationships);
   EXPECT_DOUBLE_EQ(options.score.decay, 0.4);
   EXPECT_DOUBLE_EQ(options.score.ontology_weight, 0.6);
+
+  // The LSM compaction knobs round-trip too: from the current four-field
+  // lsm line, and from an older directory whose five-field line carries a
+  // retired posting-tier base before auto_compact.
+  CdaGeneratorOptions gen_options;
+  gen_options.num_documents = 3;
+  gen_options.seed = 55;
+  IndexBuildOptions lsm_options;
+  lsm_options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+  lsm_options.lsm.enabled = true;
+  lsm_options.lsm.compaction_fanin = 3;
+  lsm_options.lsm.auto_compact = false;
+  XOntoRank lsm_engine(CdaGenerator(snomed_, gen_options).GenerateCorpus(),
+                       OntologySet(snomed_), lsm_options);
+  std::filesystem::remove_all(dir_);
+  ASSERT_TRUE(SaveEngineDir(lsm_engine, dir_).ok());
+  for (const char* lsm_line : {"", "lsm\t1\t3\t1024\t0"}) {
+    if (*lsm_line != '\0') RewriteManifestLine("lsm", lsm_line);
+    auto reloaded = LoadEngineDir(dir_);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    const IndexBuildOptions& lsm =
+        (*reloaded)->engine().snapshot()->options();
+    EXPECT_TRUE(lsm.lsm.enabled) << lsm_line;
+    EXPECT_EQ(lsm.lsm.compaction_fanin, 3u) << lsm_line;
+    EXPECT_FALSE(lsm.lsm.auto_compact) << lsm_line;
+  }
 }
 
 TEST_F(EngineStoreFixture, SystemsRoundTrip) {
@@ -174,6 +221,19 @@ TEST_F(EngineStoreFixture, CorruptManifestFails) {
   auto loaded = LoadEngineDir(dir_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+
+  // Malformed numeric fields are reported as corruption, never thrown.
+  auto engine = BuildEngine();
+  for (const auto& [key, line] :
+       {std::pair<std::string, std::string>{"decay", "decay\tabc"},
+        {"lsm", "lsm\t1\tfour\t0"}}) {
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
+    RewriteManifestLine(key, line);
+    auto malformed = LoadEngineDir(dir_);
+    ASSERT_FALSE(malformed.ok()) << line;
+    EXPECT_EQ(malformed.status().code(), StatusCode::kCorruption) << line;
+  }
 }
 
 TEST_F(EngineStoreFixture, ManifestWithoutDocumentsFails) {

@@ -13,6 +13,7 @@
 
 #include "cda/cda_document.h"
 #include "cda/cda_generator.h"
+#include "core/index_segment.h"
 #include "core/index_writer.h"
 #include "core/xontorank.h"
 #include "gtest/gtest.h"
@@ -50,24 +51,27 @@ class LsmFixture : public ::testing::Test {
     return CdaToXml(generator_->GenerateDocument(i), i);
   }
 
-  IndexBuildOptions LsmOptionsWith(size_t fanin, size_t tier_base,
-                                   bool auto_compact) {
+  IndexBuildOptions LsmOptionsWith(
+      size_t fanin, bool auto_compact,
+      IndexBuildOptions::VocabularyMode mode =
+          IndexBuildOptions::VocabularyMode::kNone) {
     IndexBuildOptions options;
     options.strategy = Strategy::kRelationships;
-    options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+    options.vocabulary_mode = mode;
     options.lsm.enabled = true;
     options.lsm.compaction_fanin = fanin;
-    options.lsm.tier_base_postings = tier_base;
     options.lsm.auto_compact = auto_compact;
     return options;
   }
 
   /// An engine over docs_ committed in batches of `group` documents, no
   /// background compaction (deterministic segment set).
-  std::unique_ptr<XOntoRank> BuildGrouped(size_t group) {
+  std::unique_ptr<XOntoRank> BuildGrouped(
+      size_t group, IndexBuildOptions::VocabularyMode mode =
+                        IndexBuildOptions::VocabularyMode::kNone) {
     auto engine = std::make_unique<XOntoRank>(
         Corpus(), OntologySet(onto_),
-        LsmOptionsWith(4, 1024, /*auto_compact=*/false));
+        LsmOptionsWith(4, /*auto_compact=*/false, mode));
     for (uint32_t i = 0; i < kNumDocs; ++i) {
       engine->StageDocument(Doc(i));
       if ((i + 1) % group == 0 || i + 1 == kNumDocs) engine->Commit();
@@ -78,6 +82,57 @@ class LsmFixture : public ::testing::Test {
   Ontology onto_;
   std::unique_ptr<CdaGenerator> generator_;
 };
+
+constexpr IndexBuildOptions::VocabularyMode kAllVocabularyModes[] = {
+    IndexBuildOptions::VocabularyMode::kNone,
+    IndexBuildOptions::VocabularyMode::kCorpusOnly,
+    IndexBuildOptions::VocabularyMode::kCorpusAndOntology,
+};
+
+std::string ModeName(IndexBuildOptions::VocabularyMode mode) {
+  switch (mode) {
+    case IndexBuildOptions::VocabularyMode::kNone:
+      return "none";
+    case IndexBuildOptions::VocabularyMode::kCorpusOnly:
+      return "corpus";
+    case IndexBuildOptions::VocabularyMode::kCorpusAndOntology:
+      return "corpus+ontology";
+  }
+  return "?";
+}
+
+/// Every list `segment` (over documents of `snapshot`) serves from its dil
+/// or its demand cache equals the list a fresh seal of the segment's
+/// documents serves for the same keyword (Dewey ids and exact double
+/// scores). With `same_vocabulary`, the segment's dil also holds exactly
+/// the fresh seal's keywords.
+void ExpectServedListsMatchFreshSeal(const IndexSegment& segment,
+                                     const IndexSnapshot& snapshot,
+                                     bool same_vocabulary,
+                                     const std::string& label) {
+  auto docs = std::make_shared<Corpus>();
+  for (uint32_t d = segment.first_doc(); d < segment.end_doc(); ++d) {
+    docs->Add(snapshot.corpus().handle(d));
+  }
+  auto fresh = IndexSegment::Build(0, std::move(docs), segment.first_doc(),
+                                   snapshot.context(), snapshot.options());
+  const std::string tag = label + " segment " + std::to_string(segment.id());
+  const CorpusIndex& index = segment.index();
+  if (same_vocabulary) {
+    EXPECT_EQ(index.PrecomputedVocabulary(),
+              fresh->index().PrecomputedVocabulary())
+        << tag;
+  }
+  std::vector<std::string> keywords = index.PrecomputedVocabulary();
+  std::vector<std::string> cached = index.DemandKeywords();
+  keywords.insert(keywords.end(), cached.begin(), cached.end());
+  for (const std::string& canonical : keywords) {
+    DilListRef a = index.GetListRef(MakeKeyword(canonical));
+    DilListRef b = fresh->index().GetListRef(MakeKeyword(canonical));
+    EXPECT_EQ(a.flat->ThawPostings(a.list), b.flat->ThawPostings(b.list))
+        << tag << " keyword " << canonical;
+  }
+}
 
 /// Bitwise result equality: element, score (exact doubles), per-keyword
 /// scores, and order.
@@ -215,34 +270,88 @@ TEST_F(LsmFixture, CommitIsIncrementalPerSegmentStats) {
 }
 
 TEST_F(LsmFixture, CompactionPreservesResultsExactly) {
-  auto reference = BuildGrouped(kNumDocs);
-  auto engine = BuildGrouped(1);
-  ASSERT_EQ(engine->snapshot()->segments().size(), kNumDocs);
+  for (IndexBuildOptions::VocabularyMode mode : kAllVocabularyModes) {
+    const std::string label = "vocabulary=" + ModeName(mode);
+    auto reference = BuildGrouped(kNumDocs, mode);
+    auto engine = BuildGrouped(1, mode);
+    ASSERT_EQ(engine->snapshot()->segments().size(), kNumDocs) << label;
+    // Queries before compaction fill the demand caches the merge carries.
+    ExpectParityAcrossOptions(*engine, *reference, label + " pre-compaction");
 
-  engine->CompactNow();
-  // fanin=4 over 8 equal-tier segments: two merge rounds at least; the
-  // drain runs to a fixed point, so < 4 segments of the base tier remain.
-  size_t after = engine->snapshot()->segments().size();
-  EXPECT_LT(after, kNumDocs);
-  ExpectParityAcrossOptions(*engine, *reference, "post-compaction");
+    engine->CompactNow();
+    // fanin=4 over 8 single-document segments: two merges into tier 1,
+    // and the drain runs to a fixed point.
+    size_t after = engine->snapshot()->segments().size();
+    EXPECT_LT(after, kNumDocs) << label;
+    ExpectParityAcrossOptions(*engine, *reference, label + " post-compaction");
 
-  // Compacting a compacted engine is a no-op for results too.
-  engine->CompactNow();
-  ExpectParityAcrossOptions(*engine, *reference, "re-compaction");
+    // Every merged segment's lists equal a fresh seal of its documents:
+    // the precomputed dil, and every demand-built list carried over.
+    auto snapshot = engine->snapshot();
+    for (const auto& segment : snapshot->segments()) {
+      ExpectServedListsMatchFreshSeal(*segment, *snapshot,
+                                      /*same_vocabulary=*/true, label);
+      if (segment->num_docs() > 1) {
+        EXPECT_FALSE(segment->index().DemandKeywords().empty()) << label;
+      }
+    }
+
+    // Compacting a compacted engine is a no-op for results too.
+    engine->CompactNow();
+    ExpectParityAcrossOptions(*engine, *reference, label + " re-compaction");
+  }
 }
 
 TEST_F(LsmFixture, BackgroundCompactionConvergesToSameResults) {
-  auto reference = BuildGrouped(kNumDocs);
-  // tier_base=1 puts every real segment in a high tier by postings, but
-  // equal-size single-doc segments still share a tier; fanin=2 compacts
-  // aggressively in the background as commits land.
+  for (IndexBuildOptions::VocabularyMode mode : kAllVocabularyModes) {
+    const std::string label = "vocabulary=" + ModeName(mode);
+    auto reference = BuildGrouped(kNumDocs, mode);
+    // fanin=2 compacts aggressively in the background as commits land.
+    auto engine = std::make_unique<XOntoRank>(
+        Corpus(), OntologySet(onto_),
+        LsmOptionsWith(2, /*auto_compact=*/true, mode));
+    for (uint32_t i = 0; i < kNumDocs; ++i) engine->AddDocument(Doc(i));
+    engine->WaitForCompactionIdle();
+    engine->CompactNow();  // drain any run the idle window missed
+    ExpectParityAcrossOptions(*engine, *reference,
+                              label + " background-compaction");
+  }
+}
+
+TEST_F(LsmFixture, SingleDocCommitsKeepLogarithmicSegmentCount) {
+  // Document-count tiers: N single-document commits compact like a
+  // base-fanin counter. Precomputed vocabularies give the segments widely
+  // spread posting counts, which a posting-count policy would tier apart.
+  constexpr uint32_t kCommits = 64;
+  constexpr size_t kFanin = 4;
+  CdaGeneratorOptions gen_options;
+  gen_options.num_documents = kCommits;
+  gen_options.seed = 1234;
+  CdaGenerator generator(onto_, gen_options);
+  const auto mode = IndexBuildOptions::VocabularyMode::kCorpusAndOntology;
+
   auto engine = std::make_unique<XOntoRank>(
       Corpus(), OntologySet(onto_),
-      LsmOptionsWith(2, 1024, /*auto_compact=*/true));
-  for (uint32_t i = 0; i < kNumDocs; ++i) engine->AddDocument(Doc(i));
+      LsmOptionsWith(kFanin, /*auto_compact=*/true, mode));
+  auto reference = std::make_unique<XOntoRank>(
+      Corpus(), OntologySet(onto_),
+      LsmOptionsWith(kFanin, /*auto_compact=*/false, mode));
+  for (uint32_t i = 0; i < kCommits; ++i) {
+    engine->AddDocument(CdaToXml(generator.GenerateDocument(i), i));
+    reference->StageDocument(CdaToXml(generator.GenerateDocument(i), i));
+  }
+  reference->Commit();
+  ASSERT_EQ(reference->snapshot()->segments().size(), 1u);
   engine->WaitForCompactionIdle();
-  engine->CompactNow();  // drain any run the idle window missed
-  ExpectParityAcrossOptions(*engine, *reference, "background-compaction");
+  engine->CompactNow();
+
+  // 1 + (fanin - 1) * (floor(log_fanin N) + 1).
+  size_t levels = 0;
+  for (size_t cap = 1; cap <= kCommits; cap *= kFanin) ++levels;
+  const size_t bound = 1 + (kFanin - 1) * levels;
+  size_t segments = engine->snapshot()->segments().size();
+  EXPECT_LE(segments, bound) << "bound " << bound;
+  ExpectParityAcrossOptions(*engine, *reference, "log-segments");
 }
 
 TEST_F(LsmFixture, MixedReadersWritersAndCompaction) {
@@ -250,7 +359,7 @@ TEST_F(LsmFixture, MixedReadersWritersAndCompaction) {
   // pinned snapshots, and a final parity check. Determinism comes from
   // joining everything before comparing.
   auto engine = std::make_unique<XOntoRank>(
-      Corpus(), OntologySet(onto_), LsmOptionsWith(2, 64, true));
+      Corpus(), OntologySet(onto_), LsmOptionsWith(2, /*auto_compact=*/true));
   std::thread writer([&] {
     for (uint32_t i = 0; i < kNumDocs; ++i) engine->AddDocument(Doc(i));
   });
@@ -281,53 +390,71 @@ TEST_F(LsmFixture, MixedReadersWritersAndCompaction) {
 }
 
 TEST_F(LsmFixture, SaveLoadRoundtripAndGenerations) {
-  std::string dir = ::testing::TempDir() + "lsm_roundtrip";
-  std::filesystem::remove_all(dir);
+  for (IndexBuildOptions::VocabularyMode mode :
+       {IndexBuildOptions::VocabularyMode::kNone,
+        IndexBuildOptions::VocabularyMode::kCorpusAndOntology}) {
+    const std::string label = "vocabulary=" + ModeName(mode);
+    std::string dir = ::testing::TempDir() + "lsm_roundtrip";
+    std::filesystem::remove_all(dir);
 
-  auto engine = BuildGrouped(2);
-  ASSERT_EQ(engine->snapshot()->segments().size(), 4u);
-  ASSERT_TRUE(SaveSnapshot(*engine->snapshot(), dir).ok());
+    auto engine = BuildGrouped(2, mode);
+    ASSERT_EQ(engine->snapshot()->segments().size(), 4u);
+    ASSERT_TRUE(SaveSnapshot(*engine->snapshot(), dir).ok());
 
-  auto first = LoadManifest(dir + "/MANIFEST");
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first.value().generation, 1u);
-  EXPECT_EQ(first.value().segments.size(), 4u);
+    auto first = LoadManifest(dir + "/MANIFEST");
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first.value().generation, 1u);
+    EXPECT_EQ(first.value().segments.size(), 4u);
 
-  auto loaded = LoadEngineDir(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  XOntoRank& reloaded = (*loaded)->engine();
-  EXPECT_TRUE(reloaded.snapshot()->is_lsm());
-  EXPECT_EQ(reloaded.snapshot()->segments().size(), 4u);
-  ExpectParityAcrossOptions(reloaded, *engine, "reloaded");
+    auto loaded = LoadEngineDir(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    XOntoRank& reloaded = (*loaded)->engine();
+    EXPECT_TRUE(reloaded.snapshot()->is_lsm());
+    EXPECT_EQ(reloaded.snapshot()->segments().size(), 4u);
+    ExpectParityAcrossOptions(reloaded, *engine, label + " reloaded");
 
-  // Continued commits on the reloaded engine: O(delta), fresh segment ids.
-  CdaGeneratorOptions more;
-  more.num_documents = kNumDocs + 2;
-  more.seed = 1234;
-  CdaGenerator extended_gen(onto_, more);
-  for (uint32_t i = kNumDocs; i < kNumDocs + 2; ++i) {
-    uint32_t id =
-        reloaded.AddDocument(CdaToXml(extended_gen.GenerateDocument(i), 0));
-    EXPECT_EQ(id, i);
+    // Continued commits on the reloaded engine: O(delta), fresh segment ids.
+    CdaGeneratorOptions more;
+    more.num_documents = kNumDocs + 2;
+    more.seed = 1234;
+    CdaGenerator extended_gen(onto_, more);
+    for (uint32_t i = kNumDocs; i < kNumDocs + 2; ++i) {
+      uint32_t id =
+          reloaded.AddDocument(CdaToXml(extended_gen.GenerateDocument(i), 0));
+      EXPECT_EQ(id, i);
+    }
+    EXPECT_EQ(reloaded.snapshot()->segments().size(), 6u);
+    ASSERT_TRUE(SaveSnapshot(*reloaded.snapshot(), dir).ok());
+    auto second = LoadManifest(dir + "/MANIFEST");
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second.value().generation, 2u);
+    EXPECT_EQ(second.value().segments.size(), 6u);
+
+    // The extended dir reloads and matches a fresh engine over 10 docs.
+    auto reloaded2 = LoadEngineDir(dir);
+    ASSERT_TRUE(reloaded2.ok()) << reloaded2.status().ToString();
+    auto fresh = std::make_unique<XOntoRank>(
+        Corpus(), OntologySet(onto_),
+        LsmOptionsWith(4, /*auto_compact=*/false, mode));
+    for (uint32_t i = 0; i < kNumDocs + 2; ++i) {
+      fresh->AddDocument(CdaToXml(extended_gen.GenerateDocument(i), 0));
+    }
+    ExpectParityAcrossOptions((*reloaded2)->engine(), *fresh,
+                              label + " reloaded-extended");
+
+    // A reopened engine seals new documents without precomputing, while
+    // its reloaded segments keep the lists they were saved with; merging
+    // the two kinds must keep the new documents' postings.
+    auto snapshot = (*reloaded2)->engine().snapshot();
+    auto mixed = MergeSegments(std::span(snapshot->segments()).subspan(3),
+                               /*id=*/100, snapshot->context(),
+                               snapshot->options());
+    EXPECT_EQ(mixed->num_docs(), 4u);
+    ExpectServedListsMatchFreshSeal(*mixed, *snapshot,
+                                    /*same_vocabulary=*/false,
+                                    label + " reloaded-merged");
+    std::filesystem::remove_all(dir);
   }
-  EXPECT_EQ(reloaded.snapshot()->segments().size(), 6u);
-  ASSERT_TRUE(SaveSnapshot(*reloaded.snapshot(), dir).ok());
-  auto second = LoadManifest(dir + "/MANIFEST");
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value().generation, 2u);
-  EXPECT_EQ(second.value().segments.size(), 6u);
-
-  // The extended dir reloads and matches a fresh engine over 10 docs.
-  auto reloaded2 = LoadEngineDir(dir);
-  ASSERT_TRUE(reloaded2.ok()) << reloaded2.status().ToString();
-  auto fresh = std::make_unique<XOntoRank>(
-      Corpus(), OntologySet(onto_), LsmOptionsWith(4, 1024, false));
-  for (uint32_t i = 0; i < kNumDocs + 2; ++i) {
-    fresh->AddDocument(CdaToXml(extended_gen.GenerateDocument(i), 0));
-  }
-  ExpectParityAcrossOptions((*reloaded2)->engine(), *fresh,
-                            "reloaded-extended");
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(LsmFixture, CrashBeforeManifestPublishLoadsPreviousGeneration) {
