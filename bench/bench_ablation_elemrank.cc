@@ -58,7 +58,7 @@ int main() {
       auto results = engine.Search(query, SearchOptions{.top_k = 5}).results;
       total_results += results.size();
       total_relevant +=
-          oracle.CountRelevant(query, engine.index().corpus(), results);
+          oracle.CountRelevant(query, engine.snapshot()->corpus(), results);
       tau_sum += TopKKendallTau(TopKIds(reference, query),
                                 TopKIds(engine, query), 0.5);
     }

@@ -38,10 +38,13 @@ void RunSweep(const bench::ExperimentSetup& setup, const SweepPoint& point) {
     auto results = engine.Search(query, SearchOptions{.top_k = 5}).results;
     total_results += results.size();
     total_relevant +=
-        oracle.CountRelevant(query, engine.index().corpus(), results);
+        oracle.CountRelevant(query, engine.snapshot()->corpus(), results);
   }
   // Postings materialized for the workload keywords measure index growth.
-  size_t postings = engine.index().TotalPostings();
+  size_t postings = 0;
+  for (const auto& segment : engine.snapshot()->segments()) {
+    postings += segment->index().TotalPostings();
+  }
   std::printf("%-28s %8.2f %10.2f %9.2f %12zu %10zu %10zu\n", point.name,
               point.score.decay, point.score.threshold,
               point.score.ontology_weight, postings, total_results,

@@ -72,10 +72,10 @@ int main() {
     top5.top_k = 5;
     top5.use_cache = false;  // time the merge, not the result cache
     run([&] { return xrank.Search(query, top5).results; },
-        xrank.index().corpus(), 0, 18);
+        xrank.snapshot()->corpus(), 0, 18);
     run([&] { return expansion.SearchExpanded(query, 5); }, corpus, 1, 22);
     run([&] { return xontorank.Search(query, top5).results; },
-        xontorank.index().corpus(), 2, 20);
+        xontorank.snapshot()->corpus(), 2, 20);
     std::printf("\n");
   }
   bench::PrintRule(116);

@@ -1,9 +1,7 @@
 // Flat serving representation vs. the legacy map-of-posting-structs:
 //   1. DIL merge throughput (postings/s) — legacy span merge vs. the
 //      cursor merge over FlatDil columns, identical top-k asserted first;
-//   2. snapshot load time — LoadIndex (blob -> XOntoDil) vs. LoadIndexFlat
-//      (blob -> FlatDil columns, no intermediate heap DeweyIds);
-//   3. heap bytes/posting — allocator-measured footprint of each decoded
+//   2. heap bytes/posting — allocator-measured footprint of each
 //      representation (bench_util.h HeapBytesInUse deltas), plus FlatDil's
 //      exact column accounting.
 //
@@ -12,14 +10,11 @@
 // ctest target so the bit-identity property is enforced on every build.
 //
 // Expected shape (recorded in EXPERIMENTS.md): >= 2x merge throughput and
-// >= 3x lower heap bytes/posting for the flat form; load speedup larger
-// still, since the flat decode performs O(keywords) allocations instead of
-// O(postings).
+// >= 3x lower heap bytes/posting for the flat form.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -30,7 +25,6 @@
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
 #include "core/xonto_dil.h"
-#include "storage/index_store.h"
 
 using namespace xontorank;
 
@@ -104,7 +98,8 @@ void RunGates(const XOntoDil& dil, const FlatDil& flat) {
   for (size_t top_k : {size_t{0}, size_t{10}}) {
     auto legacy = processor.Execute(spans, top_k);
     for (size_t shards : {1u, 2u, 4u, 8u}) {
-      auto flat_results = processor.ExecuteSharded(refs, top_k, shards, &pool);
+      auto flat_results =
+          processor.ExecuteSegments({refs}, top_k, shards, &pool);
       if (!ResultsIdentical(legacy, flat_results)) {
         std::fprintf(stderr,
                      "PARITY FAILURE: cursor merge != legacy merge "
@@ -114,22 +109,15 @@ void RunGates(const XOntoDil& dil, const FlatDil& flat) {
       }
     }
   }
-  // Both decode paths agree after a disk round trip.
-  std::string blob = EncodeIndex(dil);
-  auto legacy_decoded = DecodeIndex(blob);
-  auto flat_decoded = DecodeIndexFlat(blob);
-  if (!legacy_decoded.ok() || !flat_decoded.ok()) {
-    std::fprintf(stderr, "DECODE FAILURE\n");
-    std::exit(1);
-  }
-  XOntoDil thawed = flat_decoded->ThawAll();
-  if (thawed.keyword_count() != legacy_decoded->keyword_count() ||
-      thawed.TotalPostings() != legacy_decoded->TotalPostings()) {
-    std::fprintf(stderr, "ROUND-TRIP FAILURE: decoders disagree\n");
+  // Freezing loses nothing: the flat form thaws back to the source.
+  XOntoDil thawed = flat.ThawAll();
+  if (thawed.keyword_count() != dil.keyword_count() ||
+      thawed.TotalPostings() != dil.TotalPostings()) {
+    std::fprintf(stderr, "ROUND-TRIP FAILURE: list counts differ\n");
     std::exit(1);
   }
   auto ti = thawed.entries().begin();
-  for (const auto& [keyword, entry] : legacy_decoded->entries()) {
+  for (const auto& [keyword, entry] : dil.entries()) {
     if (ti->first != keyword ||
         ti->second.postings.size() != entry.postings.size()) {
       std::fprintf(stderr, "ROUND-TRIP FAILURE: entry mismatch\n");
@@ -201,38 +189,20 @@ int main(int argc, char** argv) {
   std::printf("%-34s %8.2f M/s %8.2f M/s\n\n", "posting throughput",
               legacy_mps, flat_mps);
 
-  // --- 2. load time + heap bytes/posting -------------------------------
-  std::string path = (std::filesystem::temp_directory_path() /
-                      "bench_flat_dil_index.xodl")
-                         .string();
-  if (!SaveIndex(dil, path).ok()) {
-    std::fprintf(stderr, "SaveIndex failed\n");
-    return 1;
-  }
-
-  double legacy_load_ms = 0.0, flat_load_ms = 0.0;
+  // --- 2. heap bytes/posting ------------------------------------------
   size_t legacy_heap = 0, flat_heap = 0;
   {
-    Timer load_timer;
-    auto loaded = bench::MeasureHeapDelta(
-        [&] { return LoadIndex(path); }, &legacy_heap);
-    legacy_load_ms = load_timer.ElapsedMillis();
-    if (!loaded.ok()) return 1;
+    XOntoDil rebuilt = bench::MeasureHeapDelta(
+        [&] {
+          return BuildSyntheticDil(kKeywords, docs, per_doc, /*seed=*/29);
+        },
+        &legacy_heap);
+    FlatDil frozen =
+        bench::MeasureHeapDelta([&] { return rebuilt.Freeze(); }, &flat_heap);
   }
-  {
-    Timer load_timer;
-    auto loaded = bench::MeasureHeapDelta(
-        [&] { return LoadIndexFlat(path); }, &flat_heap);
-    flat_load_ms = load_timer.ElapsedMillis();
-    if (!loaded.ok()) return 1;
-  }
-  std::remove(path.c_str());
 
-  std::printf("%-34s %12s %12s %9s\n", "snapshot load", "legacy", "flat",
-              "speedup");
+  std::printf("%-34s %12s %12s %9s\n", "memory", "legacy", "flat", "ratio");
   bench::PrintRule(72);
-  std::printf("%-34s %9.2f ms %9.2f ms %8.2fx\n", "LoadIndex[Flat] time",
-              legacy_load_ms, flat_load_ms, legacy_load_ms / flat_load_ms);
   std::printf("%-34s %9.1f B  %9.1f B  %8.2fx\n", "heap bytes/posting",
               static_cast<double>(legacy_heap) / postings,
               static_cast<double>(flat_heap) / postings,
@@ -243,7 +213,7 @@ int main(int argc, char** argv) {
               bench::CurrentRssBytes() / 1024);
 
   std::printf("Parity: cursor merge verified bit-identical to the legacy "
-              "merge at 1/2/4/8 shards, and both decode paths agree after "
-              "a disk round trip, before any timing.\n");
+              "merge at 1/2/4/8 shards, and the flat form thaws back to its "
+              "source, before any timing.\n");
   return 0;
 }

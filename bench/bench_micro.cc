@@ -12,7 +12,6 @@
 #include "ir/tokenizer.h"
 #include "onto/ontology_index.h"
 #include "onto/snomed_fragment.h"
-#include "storage/index_store.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -133,21 +132,6 @@ void BM_DilMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DilMerge);
-
-void BM_IndexEncodeDecode(benchmark::State& state) {
-  IndexedCorpus& shared = SharedIndex();
-  XOntoDil dil;
-  for (const char* word : {"cardiac", "arrest", "asthma", "amiodarone"}) {
-    Keyword kw = MakeKeyword(word);
-    dil.Put(kw.Canonical(), shared.index->BuildPostings(kw));
-  }
-  for (auto _ : state) {
-    std::string blob = EncodeIndex(dil);
-    auto decoded = DecodeIndex(blob);
-    benchmark::DoNotOptimize(decoded);
-  }
-}
-BENCHMARK(BM_IndexEncodeDecode);
 
 }  // namespace
 }  // namespace xontorank

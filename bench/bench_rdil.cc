@@ -29,12 +29,15 @@ int main() {
                      options);
 
     // Materialize the workload lists once (both processors share them).
+    // The engine is built over its whole corpus, so it serves one segment.
+    auto snap = engine.snapshot();
+    const CorpusIndex& index = snap->segments().front()->index();
     std::vector<std::vector<const DilEntry*>> query_lists;
     for (const WorkloadQuery& wq : TableOneQueries()) {
       KeywordQuery query = ParseQuery(wq.text);
       std::vector<const DilEntry*> lists;
       for (const Keyword& kw : query.keywords) {
-        lists.push_back(engine.index().GetEntry(kw));
+        lists.push_back(index.GetEntry(kw));
       }
       query_lists.push_back(std::move(lists));
     }

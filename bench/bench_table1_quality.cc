@@ -38,8 +38,8 @@ int main() {
     std::printf("%-5s %-52s", wq.id.c_str(), wq.text.c_str());
     for (size_t s = 0; s < engines.size(); ++s) {
       auto results = engines[s]->Search(query, SearchOptions{.top_k = 5}).results;
-      size_t relevant =
-          oracle.CountRelevant(query, engines[s]->index().corpus(), results);
+      size_t relevant = oracle.CountRelevant(
+          query, engines[s]->snapshot()->corpus(), results);
       totals[s] += static_cast<double>(relevant);
       std::printf(" %*zu", s == 0 ? 6 : (s == 1 ? 6 : (s == 2 ? 9 : 14)),
                   relevant);

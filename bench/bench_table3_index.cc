@@ -13,7 +13,6 @@
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
-#include "storage/index_store.h"
 
 using namespace xontorank;
 

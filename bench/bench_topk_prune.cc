@@ -101,11 +101,11 @@ bool ParityGate(const QueryProcessor& processor,
                 const std::vector<DilListRef>& refs, ThreadPool* pool) {
   bool ok = true;
   for (size_t top_k : kParityKs) {
-    std::vector<QueryResult> expected = processor.ExecuteSharded(
-        refs, top_k, 1, nullptr, nullptr, PruningMode::kExact);
+    std::vector<QueryResult> expected = processor.ExecuteSegments(
+        {refs}, top_k, 1, nullptr, nullptr, PruningMode::kExact);
     for (size_t shards : kShardCounts) {
-      std::vector<QueryResult> pruned = processor.ExecuteSharded(
-          refs, top_k, shards, pool, nullptr, PruningMode::kBlockMax);
+      std::vector<QueryResult> pruned = processor.ExecuteSegments(
+          {refs}, top_k, shards, pool, nullptr, PruningMode::kBlockMax);
       if (!SameResults(expected, pruned)) {
         std::printf("PARITY FAIL: k=%zu shards=%zu — pruned results "
                     "diverge from exhaustive\n",
@@ -125,10 +125,11 @@ bool ParityGate(const QueryProcessor& processor,
 bool SkipGate(const QueryProcessor& processor,
               const std::vector<DilListRef>& refs, bool print) {
   ExecuteStats exact;
-  processor.ExecuteSharded(refs, 10, 1, nullptr, &exact, PruningMode::kExact);
+  processor.ExecuteSegments({refs}, 10, 1, nullptr, &exact,
+                            PruningMode::kExact);
   ExecuteStats pruned;
-  processor.ExecuteSharded(refs, 10, 1, nullptr, &pruned,
-                           PruningMode::kBlockMax);
+  processor.ExecuteSegments({refs}, 10, 1, nullptr, &pruned,
+                            PruningMode::kBlockMax);
   double skipped =
       exact.postings_scored == 0
           ? 0.0
@@ -203,12 +204,12 @@ int main(int argc, char** argv) {
     double exact_ms = 0.0;
     for (PruningMode mode : {PruningMode::kExact, PruningMode::kBlockMax}) {
       // Warm.
-      processor.ExecuteSharded(refs, top_k, 1, nullptr, nullptr, mode);
+      processor.ExecuteSegments({refs}, top_k, 1, nullptr, nullptr, mode);
       ExecuteStats stats;
       Timer timer;
       for (int rep = 0; rep < kReps; ++rep) {
         stats = ExecuteStats{};
-        processor.ExecuteSharded(refs, top_k, 1, nullptr, &stats, mode);
+        processor.ExecuteSegments({refs}, top_k, 1, nullptr, &stats, mode);
       }
       double ms = timer.ElapsedMillis() / kReps;
       if (mode == PruningMode::kExact) exact_ms = ms;

@@ -46,12 +46,11 @@ int main() {
     KeywordQuery query = ParseQuery(wq.text);
     std::printf("%-5s %-55s", wq.id.c_str(), wq.text.c_str());
     for (size_t s = 0; s < engines.size(); ++s) {
-      // Pin one snapshot per engine call batch: Search + index() accesses
-      // must see the same serving state (see xontorank.h's index() note).
+      // Pin one snapshot per engine call batch: Search + corpus() accesses
+      // must see the same serving state.
       auto snap = engines[s]->snapshot();
       auto results = snap->Search(query, search).results;
-      size_t relevant = oracle.CountRelevant(
-          query, snap->index().corpus(), results);
+      size_t relevant = oracle.CountRelevant(query, snap->corpus(), results);
       std::printf(" %*zu/%zu", s == 0 ? 6 : (s == 1 ? 6 : (s == 2 ? 8 : 12)),
                   relevant, results.size());
     }

@@ -70,18 +70,21 @@ int main() {
   std::printf("Query [%s]: %zu results\n", query_text, results.size());
 
   // 4. Group structurally similar results.
-  auto groups = GroupResultsByPath(results, snap->index().corpus());
+  auto groups = GroupResultsByPath(results, snap->corpus());
   for (const ResultGroup& group : groups) {
     std::printf("  %zux %s (best %.3f)\n", group.results.size(),
                 group.signature.c_str(), group.best_score());
   }
 
   // 5. Explain the best result.
+  // The segment holding the result's document carries its serving scores.
   if (!results.empty()) {
-    auto evidence = ExplainResult(snap->index(), query, results[0]);
+    const CorpusIndex* index =
+        snap->SegmentIndexForDoc(results[0].element.doc_id());
+    auto evidence = ExplainResult(*index, query, results[0]);
     if (evidence.ok()) {
       std::printf("\nWhy the top result matches:\n%s",
-                  FormatEvidence(snap->index(), *evidence).c_str());
+                  FormatEvidence(*index, *evidence).c_str());
     }
   }
   return 0;

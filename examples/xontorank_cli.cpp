@@ -1,25 +1,20 @@
 // Command-line interface to the XOntoRank system: generate artifacts on
-// disk, build and persist indexes, and run (optionally explained) queries
+// disk, build and persist engines, and run (optionally explained) queries
 // over a directory of CDA XML files.
 //
 //   xontorank_cli gen-ontology <out.tsv> [--extend N]
 //   xontorank_cli gen-corpus <out-dir> [--docs N] [--seed S]
 //   xontorank_cli validate <corpus-dir>
-//   xontorank_cli index <corpus-dir> <ontology.tsv> <out.xodl>
-//                 [--strategy XRANK|Graph|Taxonomy|Relationships] [--threads N]
-//                 [--index-format xodl|segment]
 //   xontorank_cli query <corpus-dir> <ontology.tsv> "<query>"
-//                 [--strategy NAME] [--top K] [--explain] [--ranked] [--group]
-//                 [--parallel N] [--no-cache] [--pruning=exact|blockmax]
-//                 [--stats] [--index saved.xodl]
-//                 (--index detects the file format by magic: XODL decodes,
-//                 a segment is mmap-opened and served in place; --stats
-//                 reports the pruning work counters)
+//                 [--strategy XRANK|Graph|Taxonomy|Relationships] [--top K]
+//                 [--explain] [--ranked] [--group] [--parallel N]
+//                 [--no-cache] [--pruning=exact|blockmax] [--stats]
+//                 (--stats reports the pruning work counters)
 //   xontorank_cli save-engine <corpus-dir> <ontology.tsv> <engine-dir>
-//                 [--strategy NAME] [--threads N] [--index-format xodl|segment]
-//                 [--lsm]  (multi-segment engine dir: O(delta) recommits)
+//                 [--strategy NAME] [--threads N]
+//                 (segment files + MANIFEST; query it with query-engine)
 //   xontorank_cli query-engine <engine-dir> "<query>" [--top K] [--explain]
-//                 [--ranked] [--parallel N] [--no-cache]
+//                 [--ranked] [--group] [--parallel N] [--no-cache]
 //                 [--pruning=exact|blockmax] [--stats]
 //   xontorank_cli repl <engine-dir>     # interactive: one query per line;
 //                                       # :top N, :explain, :group, :quit
@@ -27,8 +22,9 @@
 // Example session:
 //   ./build/examples/xontorank_cli gen-ontology /tmp/onto.tsv
 //   ./build/examples/xontorank_cli gen-corpus /tmp/emr --docs 20
-//   ./build/examples/xontorank_cli index /tmp/emr /tmp/onto.tsv /tmp/emr.xodl
-//   ./build/examples/xontorank_cli query /tmp/emr /tmp/onto.tsv  (then)
+//   ./build/examples/xontorank_cli save-engine /tmp/emr /tmp/onto.tsv  (then)
+//       /tmp/engine
+//   ./build/examples/xontorank_cli query-engine /tmp/engine  (then)
 //       '"bronchial structure" theophylline' --explain
 
 #include <algorithm>
@@ -43,7 +39,6 @@
 
 #include "cda/cda_generator.h"
 #include "cda/cda_validator.h"
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "core/explain.h"
 #include "core/ranked_query_processor.h"
@@ -54,9 +49,6 @@
 #include "onto/ontology_generator.h"
 #include "onto/ontology_io.h"
 #include "onto/snomed_fragment.h"
-#include "storage/index_store.h"
-#include "storage/segment_file.h"
-#include "storage/segment_writer.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -84,17 +76,6 @@ std::string FlagValue(const std::vector<std::string>& args,
 
 bool HasFlag(const std::vector<std::string>& args, const std::string& name) {
   return std::find(args.begin(), args.end(), name) != args.end();
-}
-
-/// Parses the shared --index-format flag (which on-disk index format save
-/// paths write).
-Result<IndexFileFormat> ParseIndexFormatFlag(
-    const std::vector<std::string>& args) {
-  std::string name = FlagValue(args, "--index-format", "xodl");
-  if (name == "xodl") return IndexFileFormat::kXodl;
-  if (name == "segment") return IndexFileFormat::kSegment;
-  return Status::InvalidArgument("unknown index format '" + name +
-                                 "' (use xodl or segment)");
 }
 
 Result<Strategy> ParseStrategy(const std::string& name) {
@@ -175,43 +156,6 @@ int GenCorpus(const std::vector<std::string>& args) {
   return 0;
 }
 
-int IndexCommand(const std::vector<std::string>& args) {
-  if (args.size() < 3) {
-    return Fail("index needs <corpus-dir> <ontology.tsv> <out.xodl>");
-  }
-  auto corpus = LoadCorpusDir(args[0]);
-  if (!corpus.ok()) return Fail(corpus.status().ToString());
-  auto onto = LoadOntology(args[1]);
-  if (!onto.ok()) return Fail(onto.status().ToString());
-  auto strategy = ParseStrategy(FlagValue(args, "--strategy", "Relationships"));
-  if (!strategy.ok()) return Fail(strategy.status().ToString());
-  auto format = ParseIndexFormatFlag(args);
-  if (!format.ok()) return Fail(format.status().ToString());
-
-  IndexBuildOptions options;
-  options.strategy = *strategy;
-  options.vocabulary_mode =
-      IndexBuildOptions::VocabularyMode::kCorpusAndOntology;
-  options.num_threads = std::stoul(FlagValue(args, "--threads", "1"));
-  Corpus documents(std::move(corpus).value());
-  CorpusIndex index(documents, *onto, options);
-
-  // The eager build already materialized every vocabulary entry.
-  XOntoDil dil = index.MaterializedCopy();
-  Status st = *format == IndexFileFormat::kSegment
-                  ? SaveSegment(dil.Freeze(), args[2])
-                  : SaveIndex(dil, args[2]);
-  if (!st.ok()) return Fail(st.ToString());
-  std::printf("indexed %zu documents (%zu nodes, %zu code nodes) under %s: "
-              "%zu keywords, %zu postings in %.0f ms → %s\n",
-              index.stats().documents, index.stats().indexed_nodes,
-              index.stats().code_nodes,
-              std::string(StrategyName(*strategy)).c_str(),
-              dil.keyword_count(), dil.TotalPostings(),
-              index.stats().build_millis, args[2].c_str());
-  return 0;
-}
-
 int ValidateCommand(const std::vector<std::string>& args) {
   if (args.empty()) return Fail("validate needs <corpus-dir>");
   auto corpus = LoadCorpusDir(args[0]);
@@ -239,7 +183,7 @@ int ValidateCommand(const std::vector<std::string>& args) {
 /// IndexSnapshot — never the engine — so every lookup (resolve, snippet,
 /// explain, group) reads the exact serving state the query ran against,
 /// even if a writer publishes a new snapshot mid-request (see the
-/// `XOntoRank::index()` stability note).
+/// `XOntoRank::build_stats()` stability note).
 void PrintResults(const IndexSnapshot& snap, const KeywordQuery& query,
                   const std::vector<QueryResult>& results, bool explain,
                   bool group) {
@@ -253,9 +197,9 @@ void PrintResults(const IndexSnapshot& snap, const KeywordQuery& query,
         MakeSnippet(snap.document(r.element.doc_id()), r.element, query, {});
     if (!snippet.empty()) std::printf("   %s\n", snippet.c_str());
     if (explain) {
-      // The index responsible for the result's document: under an LSM
-      // snapshot that is the owning segment's index (whose per-document
-      // support values ARE the serving scores); otherwise the monolith.
+      // The index responsible for the result's document: the owning
+      // segment's index, whose per-document support values ARE the
+      // serving scores.
       const CorpusIndex* index = snap.SegmentIndexForDoc(r.element.doc_id());
       if (index != nullptr) {
         auto evidence = ExplainResult(*index, query, r);
@@ -340,30 +284,6 @@ int QueryCommand(const std::vector<std::string>& args) {
   options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
   XOntoRank engine(std::move(corpus).value(), *onto, options);
 
-  // Adopt a previously saved index (from the `index` command) so no
-  // OntoScore work is repeated. Must match corpus/ontology/strategy. The
-  // format is sniffed from the file: an XODL blob decodes straight into
-  // the serving columns; a segment is mmap-opened and served in place,
-  // with the mapping pinned by the published snapshot.
-  std::string index_path = FlagValue(args, "--index", "");
-  if (!index_path.empty()) {
-    auto format = DetectIndexFileFormat(index_path);
-    if (!format.ok()) return Fail(format.status().ToString());
-    if (*format == IndexFileFormat::kSegment) {
-      auto segment = SegmentFile::Open(index_path);
-      if (!segment.ok()) return Fail(segment.status().ToString());
-      std::shared_ptr<const SegmentFile> backing =
-          std::move(segment).value();
-      engine.AdoptPrecomputed(backing->MakeView(), backing);
-      XONTO_LOG(kInfo) << "mapped " << index_path;
-    } else {
-      auto dil = LoadIndexFlat(index_path);
-      if (!dil.ok()) return Fail(dil.status().ToString());
-      engine.AdoptPrecomputed(std::move(dil).value());
-      XONTO_LOG(kInfo) << "adopted " << index_path;
-    }
-  }
-
   KeywordQuery query = ParseQuery(args[2]);
   auto search = ParseSearchFlags(args, /*default_top_k=*/5);
   if (!search.ok()) return Fail(search.status().ToString());
@@ -393,26 +313,18 @@ int SaveEngineCommand(const std::vector<std::string>& args) {
   if (!onto.ok()) return Fail(onto.status().ToString());
   auto strategy = ParseStrategy(FlagValue(args, "--strategy", "Relationships"));
   if (!strategy.ok()) return Fail(strategy.status().ToString());
-  auto format = ParseIndexFormatFlag(args);
-  if (!format.ok()) return Fail(format.status().ToString());
 
   IndexBuildOptions options;
   options.strategy = *strategy;
   options.vocabulary_mode =
       IndexBuildOptions::VocabularyMode::kCorpusAndOntology;
   options.num_threads = std::stoul(FlagValue(args, "--threads", "1"));
-  // --lsm builds and persists the multi-segment layout (seg-<id>.xoseg
-  // files + binary MANIFEST, DESIGN.md §15): subsequent loads resume the
-  // segment set and commit new documents in O(delta).
-  options.lsm.enabled = HasFlag(args, "--lsm");
   XOntoRank engine(std::move(corpus).value(), *onto, options);
-  SaveSnapshotOptions save_options;
-  save_options.index_format = *format;
-  Status st = SaveEngineDir(engine, args[2], save_options);
+  Status st = SaveEngineDir(engine, args[2]);
   if (!st.ok()) return Fail(st.ToString());
-  std::printf("saved %sengine (%zu documents, %zu keywords, %zu postings) to "
+  std::printf("saved engine (%zu documents, %zu keywords, %zu postings) to "
               "%s\n",
-              options.lsm.enabled ? "LSM " : "", engine.corpus_size(),
+              engine.corpus_size(),
               engine.build_stats().precomputed_keywords,
               engine.build_stats().total_postings, args[2].c_str());
   return 0;
@@ -491,7 +403,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: xontorank_cli <gen-ontology|gen-corpus|validate|"
-                 "index|query|save-engine|query-engine> [args]\n");
+                 "query|save-engine|query-engine|repl> [args]\n");
     return 1;
   }
   std::string command = argv[1];
@@ -499,7 +411,6 @@ int main(int argc, char** argv) {
   if (command == "gen-ontology") return GenOntology(args);
   if (command == "gen-corpus") return GenCorpus(args);
   if (command == "validate") return ValidateCommand(args);
-  if (command == "index") return IndexCommand(args);
   if (command == "query") return QueryCommand(args);
   if (command == "save-engine") return SaveEngineCommand(args);
   if (command == "query-engine") return QueryEngineCommand(args);

@@ -111,7 +111,6 @@ extern "C" size_t LLVMFuzzerCustomMutator(uint8_t* data, size_t size,
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size > kMaxInput) return 0;
   if (!WriteScratch(data, size)) return 0;
-  (void)xontorank::DetectIndexFileFormat(ScratchPath());
   for (bool verify : {true, false}) {
     xontorank::SegmentFile::Options options;
     options.verify_checksums = verify;

@@ -29,7 +29,6 @@
 ///     SaveMutex            engine_store.cc — one whole-directory save
 ///                          at a time.
 ///   Process-wide, level 2 (under SaveMutex; never nested in each other):
-///     FileMutex            index_store.cc   — temp+rename of one index.
 ///     SegmentFileMutex     segment_writer.cc — temp+rename of a segment.
 ///     ManifestFileMutex    manifest.cc      — temp+rename of a MANIFEST
 ///                          (the LSM commit point; always the LAST file a

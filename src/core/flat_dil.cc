@@ -162,9 +162,8 @@ FlatDil FlatDil::Builder::Finish() && {
   dil_.skip_begin_.push_back(
       static_cast<uint32_t>(dil_.skip_first_doc_.size()));
   // Drop reservation slack so MemoryBytes()-style accounting (and the
-  // bench's heap counters) reflect the data, not the sizing heuristics —
-  // DecodeIndexFlat in particular can only bound the posting count from
-  // the blob size, leaving every per-posting column over-reserved.
+  // bench's heap counters) reflect the data, not the sizing heuristics of
+  // builders constructed without exact column sizes.
   dil_.scores_.shrink_to_fit();
   dil_.shared_.shrink_to_fit();
   dil_.suffix_offsets_.shrink_to_fit();

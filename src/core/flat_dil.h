@@ -52,23 +52,20 @@ inline float ScoreUpperBoundFloat(double score) {
 ///     document-range seeks land on a block in O(log blocks) and decode at
 ///     most one block instead of binary-searching fat posting structs.
 ///
-/// This is byte-for-byte the same prefix-elision scheme both on-disk
-/// formats use: the XODL wire format (storage/index_store.h) stores the
-/// deltas varint-compressed, which is why DecodeIndexFlat can fill these
-/// columns straight from the wire, and the segment format
-/// (storage/segment_file.h) stores the columns *themselves*, which is why
-/// a segment opens with mmap + pointer fixup and no decode at all.
+/// The segment format (storage/segment_file.h) stores these columns
+/// *themselves*, which is why a segment opens with mmap + pointer fixup
+/// and no decode at all.
 ///
-/// Ownership modes. A FlatDil normally owns its columns (Builder / Freeze /
-/// decode). In **mapped-view mode** (FromSections, used by
+/// Ownership modes. A FlatDil normally owns its columns (Builder /
+/// Freeze). In **mapped-view mode** (FromSections, used by
 /// SegmentFile::MakeView) it owns nothing: every column aliases external
 /// memory — typically a memory-mapped segment file — and the caller must
-/// keep that memory alive for the life of the FlatDil (IndexSnapshot holds
+/// keep that memory alive for the life of the FlatDil (IndexSegment holds
 /// the backing mapping alongside the served FlatDil). Either way the
 /// object is immutable after construction and safe to share across any
 /// number of reader threads.
 // xo-analyze: allow(backing-before-view) FlatDil is the view-capable root
-// by design: owners pin the mapping (IndexSnapshot) or own the columns.
+// by design: owners pin the mapping (IndexSegment) or own the columns.
 class FlatDil {
  public:
   /// Postings per block; restarts and skip entries are per block. 128
@@ -108,8 +105,8 @@ class FlatDil {
   FlatDil& operator=(const FlatDil&) = delete;
 
   /// Assembles a FlatDil from lists arriving in sorted order. Shared by
-  /// XOntoDil::Freeze and the flat wire decoder so there is exactly one
-  /// construction path. Defined after the class (it holds a FlatDil).
+  /// XOntoDil::Freeze, CorpusIndex and MergeSegments so there is exactly
+  /// one construction path. Defined after the class (it holds a FlatDil).
   class Builder;
 
   /// A non-owning FlatDil whose columns alias `sections` (mapped-view

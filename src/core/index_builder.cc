@@ -5,30 +5,24 @@
 
 #include "common/check.h"
 #include "common/timer.h"
+#include "core/elem_rank.h"
 #include "core/node_text.h"
 #include "ir/tokenizer.h"
 
 namespace xontorank {
 
-CorpusIndex::CorpusIndex(const Corpus& corpus,
-                         std::shared_ptr<const OntologyContext> context,
-                         IndexBuildOptions options, XOntoDil adopted)
-    : CorpusIndex(corpus, std::move(context), options,
-                  adopted.keyword_count() > 0 ? adopted.Freeze() : FlatDil{}) {}
-
-DocumentUnits::DocumentUnits(const Corpus& corpus, size_t begin, size_t end,
+DocumentUnits::DocumentUnits(const Corpus& corpus, size_t doc,
                              const OntologySet& systems,
-                             const Bm25Params& bm25)
-    : text_(bm25) {
-  const auto& excluded = DefaultExcludedAttributes();
-  uint32_t unit = 0;
-  for (size_t d = begin; d < end; ++d) {
-    const XmlDocument& doc = corpus[d];
-    if (doc.root() == nullptr) continue;
-    doc.root()->Visit([&](const XmlNode& node) {
+                             const IndexBuildOptions& options)
+    : text_(options.score.bm25) {
+  const XmlDocument& document = corpus[doc];
+  if (document.root() != nullptr) {
+    const auto& excluded = DefaultExcludedAttributes();
+    uint32_t unit = 0;
+    document.root()->Visit([&](const XmlNode& node) {
       if (!node.is_element()) return;
       text_.AddUnit(unit, TextualDescription(node, excluded));
-      deweys_.push_back(doc.DeweyIdOf(node));
+      deweys_.push_back(document.DeweyIdOf(node));
       if (node.onto_ref().has_value()) {
         size_t system = systems.FindSystem(node.onto_ref()->system);
         if (system != OntologySet::npos) {
@@ -43,6 +37,17 @@ DocumentUnits::DocumentUnits(const Corpus& corpus, size_t begin, size_t end,
     });
   }
   text_.Finalize();
+  if (options.use_elem_rank) {
+    // ElemRank numbers elements in the same preorder as the units above.
+    Corpus one;
+    one.Add(corpus.handle(doc));
+    ElemRank rank(one, options.elem_rank);
+    XO_CHECK_EQ(rank.size(), deweys_.size());
+    elem_ranks_.reserve(rank.size());
+    for (uint32_t unit = 0; unit < rank.size(); ++unit) {
+      elem_ranks_.push_back(rank.rank(unit));
+    }
+  }
 }
 
 namespace {
@@ -80,23 +85,17 @@ class UnitAddresses {
   const DeweyId* deweys_ = nullptr;  ///< the current record's addresses
 };
 
-/// Stage 1 over `corpus`: LSM mode scores each document as its own BM25
-/// collection (one record per document) so posting scores are invariant
-/// under any document → segment grouping; legacy mode keeps one
-/// corpus-global collection.
+/// Stage 1 over `corpus`: each document is its own BM25 collection (one
+/// record per document), so posting scores are invariant under any
+/// document → segment grouping.
 std::vector<std::shared_ptr<const DocumentUnits>> IndexDocuments(
     const Corpus& corpus, const OntologySet& systems,
     const IndexBuildOptions& options) {
   std::vector<std::shared_ptr<const DocumentUnits>> documents;
-  if (!options.lsm.enabled) {
-    documents.push_back(std::make_shared<const DocumentUnits>(
-        corpus, 0, corpus.size(), systems, options.score.bm25));
-    return documents;
-  }
   documents.reserve(corpus.size());
   for (size_t d = 0; d < corpus.size(); ++d) {
-    documents.push_back(std::make_shared<const DocumentUnits>(
-        corpus, d, d + 1, systems, options.score.bm25));
+    documents.push_back(
+        std::make_shared<const DocumentUnits>(corpus, d, systems, options));
   }
   return documents;
 }
@@ -123,8 +122,8 @@ CorpusIndex::CorpusIndex(
       context_(std::move(context)),
       options_(options),
       documents_(std::move(documents)) {
-  XO_CHECK(options_.lsm.enabled && documents_.size() == corpus.size() &&
-           "shared stage-1 records are per-document (LSM mode)");
+  XO_CHECK(documents_.size() == corpus.size() &&
+           "stage-1 records are per document");
   Timer timer;
   Init(std::move(adopted));
   {
@@ -143,9 +142,6 @@ void CorpusIndex::Init(FlatDil adopted) {
   XO_CHECK(context_ != nullptr && "an ontology context is required");
   XO_CHECK(context_->strategy() == options_.strategy &&
            "context was created for a different strategy");
-  XO_CHECK(!(options_.lsm.enabled && options_.use_elem_rank) &&
-           "ElemRank is corpus-normalized, so its scores are not invariant "
-           "under document->segment grouping; disable it in LSM mode");
   size_t code_units = 0;
   for (const auto& document : documents_) {
     code_units += document->code_units().size();
@@ -162,9 +158,6 @@ void CorpusIndex::Init(FlatDil adopted) {
     units += static_cast<uint32_t>(document->unit_count());
   }
   record_base_.push_back(units);
-  if (options_.use_elem_rank) {
-    elem_rank_ = std::make_unique<ElemRank>(*corpus_, options_.elem_rank);
-  }
   if (adopted.keyword_count() > 0) {
     flat_ = std::move(adopted);
   } else {
@@ -297,14 +290,18 @@ std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
 
   const double blend = options_.elem_rank_blend;
   size_t out = 0;
+  size_t record = 0;  // the record holding best.unit, for its ElemRank
   for (size_t i = 0; i < units.size();) {
     UnitScore best = units[i];
     for (++i; i < units.size() && units[i].unit == best.unit; ++i) {
       best.score = std::max(best.score, units[i].score);
     }
     if (best.score <= 0.0) continue;
-    if (elem_rank_ != nullptr) {
-      best.score *= (1.0 - blend) + blend * elem_rank_->rank(best.unit);
+    if (options_.use_elem_rank) {
+      while (best.unit >= record_base_[record + 1]) ++record;
+      double rank = documents_[record]->elem_ranks()[best.unit -
+                                                      record_base_[record]];
+      best.score *= (1.0 - blend) + blend * rank;
     }
     units[out++] = best;
   }
@@ -508,18 +505,6 @@ size_t CorpusIndex::TotalPostings() const {
     }
   }
   return flat_.total_postings() + demand_postings;
-}
-
-XOntoDil CorpusIndex::MaterializedCopy() const {
-  XOntoDil merged = flat_.ThawAll();
-  MutexLock lock(demand_mutex_);
-  for (const auto& [kw, dil] : demand_) {
-    // Unmatched keywords persist as empty lists, so a reloaded index
-    // resolves them without rebuilding.
-    merged.Put(kw, dil != nullptr ? dil->ThawPostings(0)
-                                  : std::vector<DilPosting>{});
-  }
-  return merged;
 }
 
 }  // namespace xontorank

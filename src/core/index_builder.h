@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "core/elem_rank.h"
 #include "core/flat_dil.h"
 #include "core/onto_score.h"
 #include "core/ontology_context.h"
@@ -43,36 +42,41 @@ struct CodeUnit {
   ConceptId concept_id;
 };
 
-/// The stage-1 record (§V-B stage 1) of a run of documents: every element
-/// node becomes an IR unit of one BM25 collection over its §III textual
-/// description, with its Dewey id and, for a code node, its resolved
-/// concept. Unit ids are local to the record (0-based, in document order).
+/// The stage-1 record (§V-B stage 1) of one document: every element node
+/// becomes an IR unit of the document's own BM25 collection over its §III
+/// textual description, with its Dewey id and, for a code node, its
+/// resolved concept. Unit ids are local to the record (0-based, preorder).
 ///
-/// Under LSM scoring each document is its own record — its own BM25
-/// collection, so its postings never depend on which segment holds it.
-/// The record is built once, when the document is sealed or loaded, and
-/// shared by every segment that later contains the document: compaction
-/// re-indexes nothing. Legacy mode builds one record over the whole corpus
-/// (corpus-global BM25).
+/// Each document is its own BM25 collection, so its postings never depend
+/// on which segment holds it. The record is built once, when the document
+/// is sealed or loaded, and shared by every segment that later contains
+/// the document: compaction re-indexes nothing. ElemRank is scoped the
+/// same way: its hyperlink edges never leave their document, so with
+/// IndexBuildOptions::use_elem_rank the record also holds each unit's
+/// ElemRank over the document alone.
 ///
 /// Immutable after construction; safe to share across threads.
 class DocumentUnits {
  public:
-  /// Indexes documents [begin, end) of `corpus`.
-  DocumentUnits(const Corpus& corpus, size_t begin, size_t end,
-                const OntologySet& systems, const Bm25Params& bm25);
+  /// Indexes document `doc` of `corpus`.
+  DocumentUnits(const Corpus& corpus, size_t doc, const OntologySet& systems,
+                const IndexBuildOptions& options);
 
   const TextIndex& text() const { return text_; }
   /// Local unit id → node address, ascending.
   const std::vector<DeweyId>& deweys() const { return deweys_; }
   /// The code nodes, in unit order.
   const std::vector<CodeUnit>& code_units() const { return code_units_; }
+  /// Local unit id → ElemRank within the document (maximum 1); empty
+  /// unless the record was built with use_elem_rank.
+  const std::vector<double>& elem_ranks() const { return elem_ranks_; }
   size_t unit_count() const { return deweys_.size(); }
 
  private:
   TextIndex text_;
   std::vector<DeweyId> deweys_;
   std::vector<CodeUnit> code_units_;
+  std::vector<double> elem_ranks_;
 };
 
 /// The queryable XOntoRank index over a CDA corpus and an ontology.
@@ -108,34 +112,28 @@ class DocumentUnits {
 /// synchronizes only the on-demand side cache. Returned entry pointers and
 /// list references are stable for the life of the index.
 // xo-analyze: allow(backing-before-view) intentional propagation: the
-// holder pins the mapping (IndexSnapshot declares backing_ first).
+// holder pins the mapping (IndexSegment declares backing_ first).
 class CorpusIndex {
  public:
-  /// Full constructor: `corpus` must outlive the index (the IndexSnapshot
+  /// Full constructor: `corpus` must outlive the index (the IndexSegment
   /// layer owns both and guarantees this); `context` carries the ontology
   /// half and must have been created with the same strategy/score options.
-  /// A non-empty `adopted` dil (typically loaded from an index file)
-  /// replaces stage 2+3 entirely: its entries are served as the precomputed
-  /// set and the vocabulary precomputation is skipped. Entries must have
-  /// been built with the same corpus, systems and options or queries will
-  /// be inconsistent.
+  /// Stage 1 runs once per document. A non-empty `adopted` dil (a segment
+  /// file's mapped view) replaces stage 2+3 entirely: its lists are served
+  /// as the precomputed set and the vocabulary precomputation is skipped.
+  /// Its lists must have been built with the same corpus, systems and
+  /// options or queries will be inconsistent.
   CorpusIndex(const Corpus& corpus,
               std::shared_ptr<const OntologyContext> context,
-              IndexBuildOptions options, XOntoDil adopted = {});
-
-  /// Same, adopting an already-flat index (the near-zero-copy load path:
-  /// LoadIndexFlat decodes the wire format straight into these columns).
-  CorpusIndex(const Corpus& corpus,
-              std::shared_ptr<const OntologyContext> context,
-              IndexBuildOptions options, FlatDil adopted);
+              IndexBuildOptions options, FlatDil adopted = {});
 
   /// On-demand lists by canonical keyword, each a one-list FlatDil;
   /// nullptr marks a keyword that matches nothing.
   using DemandLists = std::map<std::string, std::unique_ptr<const FlatDil>>;
 
-  /// LSM mode over already-built stage-1 records, one per document of
-  /// `corpus`, in order (the compactor's path: a merged segment shares its
-  /// inputs' records instead of re-running stage 1). `adopted` as above;
+  /// Over already-built stage-1 records, one per document of `corpus`, in
+  /// order (the compactor's path: a merged segment shares its inputs'
+  /// records instead of re-running stage 1). `adopted` as above;
   /// `demand` seeds the demand cache, and each of its lists must equal
   /// what DemandList would build here.
   CorpusIndex(const Corpus& corpus,
@@ -169,8 +167,7 @@ class CorpusIndex {
   }
   const Corpus& corpus() const { return *corpus_; }
 
-  /// The stage-1 records this index serves from: one per document under
-  /// LSM scoring, one for the whole corpus in legacy mode.
+  /// The stage-1 records this index serves from, one per document.
   const std::vector<std::shared_ptr<const DocumentUnits>>& documents() const {
     return documents_;
   }
@@ -230,10 +227,6 @@ class CorpusIndex {
   /// Total postings currently materialized (precomputed + demand-built).
   size_t TotalPostings() const XO_EXCLUDES(demand_mutex_);
 
-  /// A copy of every materialized entry — precomputed and demand-built —
-  /// for persistence.
-  XOntoDil MaterializedCopy() const XO_EXCLUDES(demand_mutex_);
-
  private:
   /// One posting before its unit is expanded to a Dewey id.
   struct UnitScore {
@@ -243,7 +236,7 @@ class CorpusIndex {
   /// A keyword's list in unit form, keyed by its canonical string.
   using UnitList = std::pair<std::string, std::vector<UnitScore>>;
 
-  /// The constructors' shared tail: checks the options, lays the records'
+  /// The constructors' shared tail: checks the context, lays the records'
   /// units out under global ids, then adopts `adopted` or runs stage 2+3,
   /// and fills stats_.
   void Init(FlatDil adopted);
@@ -293,8 +286,6 @@ class CorpusIndex {
   std::vector<uint32_t> record_base_;
   /// Every record's code units, with global unit ids, in unit order.
   std::vector<CodeUnit> code_units_;
-
-  std::unique_ptr<ElemRank> elem_rank_;  ///< set when options.use_elem_rank
 
   /// Precomputed (or adopted) lists, frozen columnar; immutable once the
   /// constructor returns, so lookups need no synchronization.

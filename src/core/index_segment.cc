@@ -16,8 +16,6 @@ std::shared_ptr<const IndexSegment> IndexSegment::Build(
     std::shared_ptr<const OntologyContext> context,
     const IndexBuildOptions& options) {
   XO_CHECK(docs != nullptr);
-  XO_CHECK(options.lsm.enabled &&
-           "segments require document-scoped scoring (options.lsm.enabled)");
   // xo-lint: allow(new-delete) — private ctor, unreachable by make_shared.
   auto segment = std::shared_ptr<IndexSegment>(new IndexSegment());
   segment->docs_ = std::move(docs);
@@ -37,8 +35,6 @@ std::shared_ptr<const IndexSegment> IndexSegment::Adopt(
     const IndexBuildOptions& options, FlatDil adopted,
     std::shared_ptr<const void> backing) {
   XO_CHECK(docs != nullptr);
-  XO_CHECK(options.lsm.enabled &&
-           "segments require document-scoped scoring (options.lsm.enabled)");
   // xo-lint: allow(new-delete) — private ctor, unreachable by make_shared.
   auto segment = std::shared_ptr<IndexSegment>(new IndexSegment());
   segment->backing_ = std::move(backing);

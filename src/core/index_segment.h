@@ -13,7 +13,7 @@
 
 namespace xontorank {
 
-/// One immutable segment of an LSM-mode snapshot (DESIGN.md §15): a
+/// One immutable segment of a snapshot (DESIGN.md §15): a
 /// contiguous document range [first_doc, end_doc) of the corpus together
 /// with the CorpusIndex built over exactly those documents. Segments are
 /// sealed once (a commit turns the writer's staged delta into a segment) or
@@ -23,8 +23,8 @@ namespace xontorank {
 /// Dewey ids are absolute (component 0 is the global doc id), so a
 /// segment's posting lists are globally addressed: the cross-segment merge
 /// never rewrites ids, and results resolve against the snapshot's full
-/// corpus. Scores are document-scoped under LSM mode (LsmOptions), so a
-/// segment's postings are bit-identical to what any other segmentation of
+/// corpus. Scores are document-scoped (DocumentUnits), so a segment's
+/// postings are bit-identical to what any other segmentation of
 /// the same documents would produce — the property the cross-segment merge
 /// and compaction rely on.
 ///
@@ -36,8 +36,7 @@ class IndexSegment {
  public:
   /// Seals a segment over `docs` (document ids [first_doc,
   /// first_doc + docs->size()), already absolute inside the documents):
-  /// runs the full stage-1..3 build per `options`. `options.lsm.enabled`
-  /// must be set (document-scoped scoring).
+  /// runs the full stage-1..3 build per `options`.
   static std::shared_ptr<const IndexSegment> Build(
       uint64_t id, std::shared_ptr<const Corpus> docs, uint32_t first_doc,
       std::shared_ptr<const OntologyContext> context,

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "xml/xml_writer.h"
@@ -24,36 +25,6 @@ std::string ResultCacheKey(const KeywordQuery& query, size_t top_k) {
 
 }  // namespace
 
-IndexSnapshot::IndexSnapshot(Corpus corpus,
-                             std::shared_ptr<const OntologyContext> context,
-                             IndexBuildOptions options, XOntoDil adopted)
-    : context_(context),
-      options_(options),
-      corpus_(std::move(corpus)),
-      index_(std::make_unique<const CorpusIndex>(corpus_, std::move(context),
-                                                 options, std::move(adopted))),
-      processor_(options.score),
-      ranked_processor_(options.score),
-      result_cache_(options.query_cache_entries) {
-  stats_ = index_->stats();
-}
-
-IndexSnapshot::IndexSnapshot(Corpus corpus,
-                             std::shared_ptr<const OntologyContext> context,
-                             IndexBuildOptions options, FlatDil adopted,
-                             std::shared_ptr<const void> backing)
-    : backing_(std::move(backing)),
-      context_(context),
-      options_(options),
-      corpus_(std::move(corpus)),
-      index_(std::make_unique<const CorpusIndex>(corpus_, std::move(context),
-                                                 options, std::move(adopted))),
-      processor_(options.score),
-      ranked_processor_(options.score),
-      result_cache_(options.query_cache_entries) {
-  stats_ = index_->stats();
-}
-
 IndexSnapshot::IndexSnapshot(
     Corpus corpus, std::shared_ptr<const OntologyContext> context,
     IndexBuildOptions options,
@@ -62,12 +33,9 @@ IndexSnapshot::IndexSnapshot(
       options_(options),
       corpus_(std::move(corpus)),
       segments_(std::move(segments)),
-      lsm_(true),
       processor_(options.score),
       ranked_processor_(options.score),
       result_cache_(options.query_cache_entries) {
-  XO_CHECK(options_.lsm.enabled &&
-           "multi-segment snapshots require options.lsm.enabled");
   // Segments must tile the corpus: disjoint, ascending, gap-free.
   uint32_t expect_doc = 0;
   for (const auto& segment : segments_) {
@@ -89,7 +57,6 @@ IndexSnapshot::IndexSnapshot(
 
 const CorpusIndex* IndexSnapshot::SegmentIndexForDoc(uint32_t doc_id) const {
   if (doc_id >= corpus_.size()) return nullptr;
-  if (!lsm_) return index_.get();
   // Segments are few and doc-ordered; linear scan with an upper-bound
   // shape would both be fine. Keep it simple.
   for (const auto& segment : segments_) {
@@ -98,16 +65,6 @@ const CorpusIndex* IndexSnapshot::SegmentIndexForDoc(uint32_t doc_id) const {
     }
   }
   return nullptr;
-}
-
-std::vector<DilListRef> IndexSnapshot::CollectListRefs(
-    const KeywordQuery& query) const {
-  std::vector<DilListRef> lists;
-  lists.reserve(query.size());
-  for (const Keyword& kw : query.keywords) {
-    lists.push_back(index_->GetListRef(kw));
-  }
-  return lists;
 }
 
 std::vector<std::vector<DilListRef>> IndexSnapshot::CollectSegmentLists(
@@ -147,53 +104,27 @@ SearchResponse IndexSnapshot::Search(const KeywordQuery& query,
     }
   }
 
-  if (lsm_) {
-    std::vector<std::vector<DilListRef>> segment_lists =
-        CollectSegmentLists(query);
-    if (options.strategy == QueryExecution::kRdil) {
-      // Per-segment ranked execution is exact for the segment's documents
-      // (the RankedQueryProcessor contract), and segments partition the
-      // corpus, so the k-way merge of the per-segment top-k's is the
-      // global top-k.
-      std::vector<std::vector<QueryResult>> parts;
-      parts.reserve(segment_lists.size());
-      size_t postings_consumed = 0;
-      for (const std::vector<DilListRef>& lists : segment_lists) {
-        RankedQueryStats ranked_stats;
-        parts.push_back(
-            ranked_processor_.Execute(lists, options.top_k, &ranked_stats));
-        postings_consumed += ranked_stats.postings_consumed;
-      }
-      response.results =
-          QueryProcessor::MergeTopK(std::move(parts), options.top_k);
-      response.stats.postings_scanned = postings_consumed;
-      response.stats.shards = 1;
-    } else {
-      ExecuteStats exec_stats;
-      ThreadPool* pool =
-          options.parallelism == 1 ? nullptr : &ThreadPool::Shared();
-      size_t shards = options.parallelism == 0
-                          ? ThreadPool::Shared().num_threads()
-                          : options.parallelism;
-      response.results =
-          processor_.ExecuteSegments(segment_lists, options.top_k, shards,
-                                     pool, &exec_stats, options.pruning);
-      response.stats.postings_scanned = exec_stats.postings_scanned;
-      response.stats.shards = exec_stats.shards;
-      response.stats.postings_scored = exec_stats.postings_scored;
-      response.stats.blocks_scored = exec_stats.blocks_scored;
-      response.stats.blocks_skipped = exec_stats.blocks_skipped;
-      response.stats.threshold_updates = exec_stats.threshold_updates;
+  std::vector<std::vector<DilListRef>> segment_lists =
+      CollectSegmentLists(query);
+  if (options.strategy == QueryExecution::kRdil) {
+    // Per-segment ranked execution is exact for the segment's documents
+    // (the RankedQueryProcessor contract), and segments partition the
+    // corpus, so the k-way merge of the per-segment top-k's is the global
+    // top-k.
+    std::vector<std::vector<QueryResult>> parts;
+    parts.reserve(segment_lists.size());
+    size_t postings_consumed = 0;
+    for (const std::vector<DilListRef>& lists : segment_lists) {
+      RankedQueryStats ranked_stats;
+      parts.push_back(
+          ranked_processor_.Execute(lists, options.top_k, &ranked_stats));
+      postings_consumed += ranked_stats.postings_consumed;
     }
-  } else if (options.strategy == QueryExecution::kRdil) {
-    std::vector<DilListRef> lists = CollectListRefs(query);
-    RankedQueryStats ranked_stats;
     response.results =
-        ranked_processor_.Execute(lists, options.top_k, &ranked_stats);
-    response.stats.postings_scanned = ranked_stats.postings_consumed;
+        QueryProcessor::MergeTopK(std::move(parts), options.top_k);
+    response.stats.postings_scanned = postings_consumed;
     response.stats.shards = 1;
   } else {
-    std::vector<DilListRef> lists = CollectListRefs(query);
     ExecuteStats exec_stats;
     ThreadPool* pool =
         options.parallelism == 1 ? nullptr : &ThreadPool::Shared();
@@ -201,8 +132,8 @@ SearchResponse IndexSnapshot::Search(const KeywordQuery& query,
                         ? ThreadPool::Shared().num_threads()
                         : options.parallelism;
     response.results =
-        processor_.ExecuteSharded(lists, options.top_k, shards, pool,
-                                  &exec_stats, options.pruning);
+        processor_.ExecuteSegments(segment_lists, options.top_k, shards, pool,
+                                   &exec_stats, options.pruning);
     response.stats.postings_scanned = exec_stats.postings_scanned;
     response.stats.shards = exec_stats.shards;
     response.stats.postings_scored = exec_stats.postings_scored;

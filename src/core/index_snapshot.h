@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/check.h"
 #include "common/lru_cache.h"
 #include "core/index_builder.h"
 #include "core/index_segment.h"
@@ -18,23 +17,21 @@
 
 namespace xontorank {
 
-/// One immutable, self-consistent serving state of the engine: a corpus
-/// slice, the CorpusIndex built over exactly that slice, and a handle on the
-/// shared ontology context. Snapshots are created by the IndexWriter (or the
-/// engine store's load path), published to readers through one atomic
-/// shared_ptr swap, and never mutated afterwards — a reader holding a
-/// snapshot can answer queries indefinitely without observing any effect of
-/// concurrent writes.
+/// One immutable, self-consistent serving state of the engine: a corpus,
+/// the ordered set of immutable segments whose document ranges tile it
+/// (DESIGN.md §15), and a handle on the shared ontology context. Snapshots
+/// are created by the IndexWriter (or the engine store's load path),
+/// published to readers through one atomic shared_ptr swap, and never
+/// mutated afterwards — a reader holding a snapshot can answer queries
+/// indefinitely without observing any effect of concurrent writes.
 ///
 /// Structural sharing across successive snapshots of one engine:
 ///   - documents (shared_ptr inside Corpus — extending the corpus copies
 ///     pointers, never documents),
+///   - segments (a commit adds one; every earlier segment is shared),
 ///   - the ontology systems and their stage-1 BM25 indexes
 ///     (OntologyContext),
 ///   - the OntoScore rows of stage 2 (the context's row cache).
-/// Only the corpus-dependent parts — the node text index, the unit/Dewey
-/// tables and the posting lists, whose BM25 scores change with the
-/// collection statistics — are derived per snapshot.
 ///
 /// Thread-safety: all methods are const and safe to call from any number of
 /// threads concurrently. Query evaluation over precomputed entries is
@@ -42,26 +39,10 @@ namespace xontorank {
 /// phrases) synchronizes internally.
 class IndexSnapshot {
  public:
-  /// Builds a snapshot over `corpus`. A non-empty `adopted` dil replaces
-  /// the vocabulary precomputation (load path).
-  IndexSnapshot(Corpus corpus, std::shared_ptr<const OntologyContext> context,
-                IndexBuildOptions options, XOntoDil adopted = {});
-
-  /// Same, adopting an already-flat index (the LoadIndexFlat path: the
-  /// wire format decodes straight into the serving columns, no
-  /// intermediate XOntoDil). When `adopted` is a mapped view whose columns
-  /// alias external memory — a mmap-opened SegmentFile — pass the owner as
-  /// `backing`: the snapshot pins it for its own lifetime, so the mapping
-  /// cannot be unmapped while queries read through the view.
-  IndexSnapshot(Corpus corpus, std::shared_ptr<const OntologyContext> context,
-                IndexBuildOptions options, FlatDil adopted,
-                std::shared_ptr<const void> backing = nullptr);
-
-  /// LSM mode (DESIGN.md §15): the snapshot serves from an ordered set of
-  /// immutable segments whose document ranges tile [0, corpus.size()).
-  /// `options.lsm.enabled` must be set; `segments` may be empty only for
-  /// an empty corpus. Search results are bit-identical to a single-segment
-  /// snapshot of the same corpus (the lsm_segment_test parity property).
+  /// Serves from `segments`, whose document ranges must tile
+  /// [0, corpus.size()) in order; empty only for an empty corpus. Search
+  /// results are bit-identical for any segmentation of the same corpus
+  /// (the lsm_segment_test parity property).
   IndexSnapshot(Corpus corpus, std::shared_ptr<const OntologyContext> context,
                 IndexBuildOptions options,
                 std::vector<std::shared_ptr<const IndexSegment>> segments);
@@ -75,28 +56,15 @@ class IndexSnapshot {
     return corpus_[doc_id];
   }
 
-  /// True when this snapshot serves from segments (LSM mode); index() is
-  /// then unavailable — use segments() or SegmentIndexForDoc().
-  bool is_lsm() const { return lsm_; }
-
-  /// The monolithic index (legacy mode only).
-  const CorpusIndex& index() const {
-    XO_CHECK(index_ != nullptr &&
-             "index() is unavailable on a multi-segment (LSM) snapshot; "
-             "use segments() or SegmentIndexForDoc()");
-    return *index_;
-  }
-
-  /// The ordered segment set (LSM mode; empty in legacy mode). Segments
-  /// cover disjoint ascending document ranges tiling the corpus.
+  /// The ordered segment set. Segments cover disjoint ascending document
+  /// ranges tiling the corpus.
   const std::vector<std::shared_ptr<const IndexSegment>>& segments() const {
     return segments_;
   }
 
-  /// The CorpusIndex responsible for `doc_id`: the segment's index in LSM
-  /// mode, the monolithic one otherwise; nullptr for an out-of-range doc.
-  /// This is what explain/node-support tooling should use — under LSM
-  /// mode, per-document support values ARE the serving scores.
+  /// The CorpusIndex of the segment holding `doc_id`; nullptr for an
+  /// out-of-range doc. This is what explain/node-support tooling should
+  /// use — per-document support values ARE the serving scores.
   const CorpusIndex* SegmentIndexForDoc(uint32_t doc_id) const;
 
   const std::shared_ptr<const OntologyContext>& context() const {
@@ -130,30 +98,18 @@ class IndexSnapshot {
   }
 
  private:
-  /// Collects one inverted list per query keyword. Precomputed keywords
-  /// resolve to their flat lists (no lock); the rest to one-list flat dils
-  /// in the demand cache. Legacy mode only.
-  std::vector<DilListRef> CollectListRefs(const KeywordQuery& query) const;
-
-  /// LSM mode: one list vector per segment, same keyword order in each.
+  /// One list vector per segment, same keyword order in each. Precomputed
+  /// keywords resolve to their flat lists (no lock); the rest to one-list
+  /// flat dils in the demand cache.
   std::vector<std::vector<DilListRef>> CollectSegmentLists(
       const KeywordQuery& query) const;
 
-  /// Keep-alive for externally backed indexes (type-erased so core never
-  /// depends on storage's SegmentFile). Declared FIRST: members destroy in
-  /// reverse order, so the backing mapping outlives index_, whose FlatDil
-  /// view may point into it. (LSM segments pin their own backing.)
-  std::shared_ptr<const void> backing_;
   std::shared_ptr<const OntologyContext> context_;
   IndexBuildOptions options_;
   Corpus corpus_;
-  /// Legacy mode's monolithic index (refers to corpus_; declared after
-  /// it). Null in LSM mode.
-  std::unique_ptr<const CorpusIndex> index_;
-  /// LSM mode's ordered segment set; empty in legacy mode.
+  /// Segments pin their own mapped files (IndexSegment's backing).
   std::vector<std::shared_ptr<const IndexSegment>> segments_;
-  bool lsm_ = false;
-  IndexBuildStats stats_;  ///< legacy: the index's; LSM: segment aggregate
+  IndexBuildStats stats_;  ///< the segments' aggregate
   QueryProcessor processor_;
   RankedQueryProcessor ranked_processor_;
   /// Snapshot-scoped result cache (see Search). Mutable: caching is not

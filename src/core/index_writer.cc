@@ -4,7 +4,6 @@
 #include <span>
 #include <utility>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 #include "core/index_segment.h"
 
@@ -16,29 +15,23 @@ IndexWriter::IndexWriter(Corpus corpus, OntologySet systems,
       options_(options),
       corpus_(std::move(corpus)) {
   MutexLock lock(mutex_);
-  if (options_.lsm.enabled) {
-    // The seed corpus seals as segment 0 (an empty corpus publishes an
-    // empty, still-LSM snapshot — the first commit creates segment 0).
-    if (corpus_.size() > 0) {
-      auto docs = std::make_shared<Corpus>();
-      for (size_t d = 0; d < corpus_.size(); ++d) docs->Add(corpus_.handle(d));
-      segments_.push_back(IndexSegment::Build(next_segment_id_++,
-                                              std::move(docs), 0, context_,
-                                              options_));
-    }
-    PublishLsm();
-  } else {
-    published_.store(
-        std::make_shared<const IndexSnapshot>(corpus_, context_, options_),
-        std::memory_order_release);
+  // The seed corpus seals as segment 0 (an empty corpus publishes an empty
+  // snapshot — the first commit creates segment 0).
+  if (corpus_.size() > 0) {
+    auto docs = std::make_shared<Corpus>();
+    for (size_t d = 0; d < corpus_.size(); ++d) docs->Add(corpus_.handle(d));
+    segments_.push_back(IndexSegment::Build(next_segment_id_++,
+                                            std::move(docs), 0, context_,
+                                            options_));
   }
+  Publish();
 }
 
 IndexWriter::IndexWriter(std::shared_ptr<const IndexSnapshot> initial)
     : context_(initial->context()),
       options_(initial->options()),
       corpus_(initial->corpus()) {
-  if (initial->is_lsm()) {
+  {
     MutexLock lock(mutex_);
     segments_ = initial->segments();
     for (const auto& segment : segments_) {
@@ -66,16 +59,7 @@ size_t IndexWriter::pending() const {
   return pending_.size();
 }
 
-std::shared_ptr<const IndexSnapshot> IndexWriter::Publish(Corpus corpus,
-                                                          XOntoDil adopted) {
-  auto snapshot = std::make_shared<const IndexSnapshot>(
-      std::move(corpus), context_, options_, std::move(adopted));
-  corpus_ = snapshot->corpus();
-  published_.store(snapshot, std::memory_order_release);
-  return snapshot;
-}
-
-std::shared_ptr<const IndexSnapshot> IndexWriter::PublishLsm() {
+std::shared_ptr<const IndexSnapshot> IndexWriter::Publish() {
   auto snapshot = std::make_shared<const IndexSnapshot>(corpus_, context_,
                                                         options_, segments_);
   published_.store(snapshot, std::memory_order_release);
@@ -90,9 +74,6 @@ std::shared_ptr<const IndexSnapshot> IndexWriter::CommitLocked() {
   Corpus extended = corpus_;
   for (XmlDocument& doc : pending_) extended.Add(std::move(doc));
   pending_.clear();
-  if (!options_.lsm.enabled) {
-    return Publish(std::move(extended), XOntoDil());
-  }
   // O(delta): only the staged documents are indexed — every previously
   // sealed segment is shared into the new snapshot untouched.
   auto delta = std::make_shared<Corpus>();
@@ -103,7 +84,7 @@ std::shared_ptr<const IndexSnapshot> IndexWriter::CommitLocked() {
   segments_.push_back(IndexSegment::Build(next_segment_id_++,
                                           std::move(delta), first_doc,
                                           context_, options_));
-  auto snapshot = PublishLsm();
+  auto snapshot = Publish();
   if (options_.lsm.auto_compact) MaybeScheduleCompaction();
   return snapshot;
 }
@@ -122,30 +103,6 @@ uint32_t IndexWriter::AddDocument(XmlDocument doc) {
   pending_.push_back(std::move(doc));
   CommitLocked();
   return doc_id;
-}
-
-void IndexWriter::AdoptPrecomputed(XOntoDil dil) {
-  MutexLock lock(mutex_);
-  XO_CHECK(!options_.lsm.enabled &&
-           "AdoptPrecomputed targets the monolithic index; LSM snapshots "
-           "adopt per-segment through the engine store's load path");
-  XO_CHECK(pending_.empty() &&
-           "commit staged documents before adopting a precomputed index");
-  Publish(corpus_, std::move(dil));
-}
-
-void IndexWriter::AdoptPrecomputed(FlatDil dil,
-                                   std::shared_ptr<const void> backing) {
-  MutexLock lock(mutex_);
-  XO_CHECK(!options_.lsm.enabled &&
-           "AdoptPrecomputed targets the monolithic index; LSM snapshots "
-           "adopt per-segment through the engine store's load path");
-  XO_CHECK(pending_.empty() &&
-           "commit staged documents before adopting a precomputed index");
-  auto snapshot = std::make_shared<const IndexSnapshot>(
-      corpus_, context_, options_, std::move(dil), std::move(backing));
-  corpus_ = snapshot->corpus();
-  published_.store(snapshot, std::memory_order_release);
 }
 
 bool IndexWriter::PickCompaction(size_t* begin, size_t* count) const {
@@ -218,7 +175,7 @@ void IndexWriter::CompactionDrain() {
       segments_.erase(segments_.begin() + begin,
                       segments_.begin() + begin + count);
       segments_.insert(segments_.begin() + begin, std::move(merged));
-      PublishLsm();
+      Publish();
     }
   }
   // Clear the flag under compaction_mutex_ ALONE — see the header comment
@@ -229,7 +186,6 @@ void IndexWriter::CompactionDrain() {
 }
 
 void IndexWriter::CompactNow() {
-  if (!options_.lsm.enabled) return;
   {
     MutexLock lock(compaction_mutex_);
     while (compaction_inflight_) compaction_idle_.Wait(compaction_mutex_);

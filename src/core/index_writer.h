@@ -27,27 +27,25 @@ namespace xontorank {
 /// A reader therefore observes either the entire old snapshot or the entire
 /// new one, never a partially built index.
 ///
-/// Scores match a fresh build over the extended corpus exactly. In legacy
-/// mode BM25 collection statistics (df, average length) change globally on
-/// every commit, so the corpus-dependent posting lists are re-derived rather
-/// than patched — commit cost is O(corpus). Under LSM mode
-/// (options.lsm.enabled, DESIGN.md §15) scores are document-scoped, so a
-/// commit seals ONLY the staged delta into a new immutable IndexSegment and
-/// publishes a snapshot sharing every previous segment — commit cost is
-/// O(delta). Either way the expensive ontological rows are reused from the
-/// context's cache (see IndexSnapshot's structural-sharing notes).
+/// Scores match a fresh build over the extended corpus exactly. Scores are
+/// document-scoped (DESIGN.md §15), so a commit seals ONLY the staged delta
+/// into a new immutable IndexSegment and publishes a snapshot sharing every
+/// previous segment — commit cost is O(delta). The expensive ontological
+/// rows are reused from the context's cache (see IndexSnapshot's
+/// structural-sharing notes).
 ///
-/// LSM mode additionally runs a background compactor: when the segment set
+/// A background compactor runs beside the commits: when the segment set
 /// accumulates lsm.compaction_fanin contiguous segments of the same
 /// document-count tier, a detached task on the shared ThreadPool merges
 /// them (MergeSegments — bit-identical to fresh-sealing the union) and
-/// publishes the compacted snapshot. At most one compaction drain is in flight per writer; commits
-/// never wait for it. CompactNow()/WaitForCompactionIdle() give tests and
-/// shutdown paths a deterministic handle on it.
+/// publishes the compacted snapshot. At most one compaction drain is in
+/// flight per writer; commits never wait for it. CompactNow() and
+/// WaitForCompactionIdle() give tests and shutdown paths a deterministic
+/// handle on it.
 ///
 /// Thread-safety: snapshot() is safe from any thread and lock-free on the
-/// reader side. StageDocument/Commit/AddDocument/AdoptPrecomputed serialize
-/// on an internal writer mutex that readers never touch. The compactor's
+/// reader side. StageDocument/Commit/AddDocument serialize on an internal
+/// writer mutex that readers never touch. The compactor's
 /// in-flight flag lives under a second mutex ordered strictly after the
 /// writer mutex (see the lock-order table in common/sync.h).
 class IndexWriter {
@@ -57,9 +55,8 @@ class IndexWriter {
   IndexWriter(Corpus corpus, OntologySet systems, IndexBuildOptions options);
 
   /// Adopts an externally built snapshot (the engine store's load path) as
-  /// the published state; subsequent commits extend it. An LSM snapshot
-  /// resumes its segment set (fresh segment ids continue past the largest
-  /// adopted id).
+  /// the published state; subsequent commits extend it, resuming its
+  /// segment set (fresh segment ids continue past the largest adopted id).
   explicit IndexWriter(std::shared_ptr<const IndexSnapshot> initial);
 
   /// Waits for any in-flight compaction before tearing down (the detached
@@ -91,24 +88,11 @@ class IndexWriter {
   /// Stage + Commit in one step: the document is searchable on return.
   uint32_t AddDocument(XmlDocument doc) XO_EXCLUDES(mutex_);
 
-  /// Republishes the current corpus with `dil` as the precomputed entry
-  /// set (typically one loaded from an index file). Entries must have been
-  /// built with the same corpus, systems and options or queries will be
-  /// inconsistent.
-  void AdoptPrecomputed(XOntoDil dil) XO_EXCLUDES(mutex_);
-
-  /// Same, adopting an already-flat index (the LoadIndexFlat path). For a
-  /// mapped-view dil (SegmentFile::MakeView), `backing` is the owner of
-  /// the mapped memory; the published snapshot pins it alive.
-  void AdoptPrecomputed(FlatDil dil,
-                        std::shared_ptr<const void> backing = nullptr)
-      XO_EXCLUDES(mutex_);
-
-  /// LSM mode: runs the compaction policy to a fixed point on the calling
-  /// thread (claiming the single in-flight slot first, so it never races a
-  /// background drain) and returns when no further merge is eligible. A
-  /// no-op in legacy mode or when nothing is eligible. Deterministic
-  /// handle for tests and for `auto_compact = false` setups.
+  /// Runs the compaction policy to a fixed point on the calling thread
+  /// (claiming the single in-flight slot first, so it never races a
+  /// background drain) and returns when no further merge is eligible — at
+  /// once if nothing is. Deterministic handle for tests and for
+  /// `auto_compact = false` setups.
   void CompactNow() XO_EXCLUDES(mutex_, compaction_mutex_);
 
   /// Blocks until no compaction is in flight. Note the next commit may
@@ -116,19 +100,14 @@ class IndexWriter {
   void WaitForCompactionIdle() XO_EXCLUDES(mutex_, compaction_mutex_);
 
  private:
-  /// Builds a snapshot over `corpus` and publishes it. Holding the writer
-  /// mutex across the (expensive) snapshot build is what serializes
-  /// commits; readers never wait on it. Legacy mode only.
-  std::shared_ptr<const IndexSnapshot> Publish(Corpus corpus, XOntoDil adopted)
-      XO_REQUIRES(mutex_);
-
-  /// Commits the staged batch under the already-held writer mutex: legacy
-  /// mode rebuilds over the extended corpus; LSM mode seals the delta into
-  /// one new segment, publishes, and (auto_compact) nudges the compactor.
+  /// Commits the staged batch under the already-held writer mutex: seals
+  /// the delta into one new segment, publishes, and (auto_compact) nudges
+  /// the compactor. Holding the writer mutex across the seal is what
+  /// serializes commits; readers never wait on it.
   std::shared_ptr<const IndexSnapshot> CommitLocked() XO_REQUIRES(mutex_);
 
-  /// Publishes a snapshot over the current corpus_/segments_ (LSM mode).
-  std::shared_ptr<const IndexSnapshot> PublishLsm() XO_REQUIRES(mutex_);
+  /// Publishes a snapshot over the current corpus_/segments_.
+  std::shared_ptr<const IndexSnapshot> Publish() XO_REQUIRES(mutex_);
 
   /// Tiered compaction policy: returns true with [*begin, *begin + *count)
   /// set to the first contiguous run of `compaction_fanin` segments sharing
@@ -160,8 +139,8 @@ class IndexWriter {
   Corpus corpus_ XO_GUARDED_BY(mutex_);
   /// Staged batch for the next Commit.
   std::vector<XmlDocument> pending_ XO_GUARDED_BY(mutex_);
-  /// LSM mode: the committed segment set (what PublishLsm snapshots) and
-  /// the next fresh segment id. Both empty/0 in legacy mode.
+  /// The committed segment set (what Publish snapshots) and the next
+  /// fresh segment id.
   std::vector<std::shared_ptr<const IndexSegment>> segments_
       XO_GUARDED_BY(mutex_);
   uint64_t next_segment_id_ XO_GUARDED_BY(mutex_) = 0;

@@ -63,26 +63,24 @@ struct ScoreOptions {
   Bm25Params bm25;
 };
 
-/// LSM-style multi-segment snapshot knobs (DESIGN.md §15). When enabled,
-/// the engine's serving state is an ordered set of immutable segments
-/// instead of one monolithic index: a commit seals only the staged delta
+/// Segment-set knobs (DESIGN.md §15). The engine's serving state is an
+/// ordered set of immutable segments: a commit seals only the staged delta
 /// into a new segment — O(delta), not O(corpus) — and a background
 /// compactor merges small segments under the same snapshot-publish
 /// discipline.
 ///
-/// Scoring under LSM mode is *document-scoped*: each document is its own
-/// BM25 collection (stage 1 builds one TextIndex per document), so a
-/// posting's score depends only on its own document and the ontology —
-/// never on collection statistics. That is what makes segment results
-/// composable: any grouping of the same documents into segments produces
-/// bit-identical search results (the lsm_segment_test parity property),
-/// which in turn is what lets a commit avoid touching existing segments.
-/// OntoScores are corpus-independent already; ElemRank is corpus-normalized
-/// and therefore rejected (XO_CHECK) in LSM mode.
+/// Scoring is *document-scoped*: each document is its own BM25 collection
+/// (stage 1 builds one TextIndex per document) and, with use_elem_rank,
+/// its own ElemRank graph, so a posting's score depends only on its own
+/// document and the ontology — never on collection statistics. That is
+/// what makes segment results composable: any grouping of the same
+/// documents into segments produces bit-identical search results (the
+/// lsm_segment_test parity property), which in turn is what lets a commit
+/// avoid touching existing segments.
 struct LsmOptions {
-  /// Multi-segment snapshots + O(delta) commits. Off by default: the
-  /// legacy single-index mode (corpus-global BM25) is unchanged.
-  bool enabled = false;
+  /// Ignored: segment sets are the only serving state. Kept only so that
+  /// callers which still assign it compile; no code reads it.
+  bool enabled = true;
 
   /// Tiered compaction triggers when this many contiguous segments share a
   /// size tier; the compactor merges exactly this many per step. Tier t
@@ -123,7 +121,9 @@ struct IndexBuildOptions {
   /// PageRank over elements (§V-A: "ElemRank could be incorporated in NS").
   /// The paper disabled it (its corpus had no ID-IDREF edges); our CDA
   /// corpus carries reference→content links, so the extension is
-  /// exercisable. Final score: NS · ((1-λ) + λ·ElemRank(v)).
+  /// exercisable. Those links never leave their document, so ElemRank runs
+  /// per document (DocumentUnits). Final score:
+  /// NS · ((1-λ) + λ·ElemRank(v)).
   bool use_elem_rank = false;
 
   /// Blend λ between pure NS (0) and fully ElemRank-modulated (1).
@@ -153,7 +153,7 @@ struct IndexBuildOptions {
   /// static indexes where the memory matters more.
   bool cache_onto_score_rows = true;
 
-  /// Multi-segment snapshot / O(delta) commit knobs (DESIGN.md §15).
+  /// Segment-set and compaction knobs (DESIGN.md §15).
   LsmOptions lsm;
 };
 

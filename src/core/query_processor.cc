@@ -520,57 +520,6 @@ std::vector<QueryResult> QueryProcessor::ExecuteSharded(
   return MergeShardResults(std::move(shard_results), top_k);
 }
 
-std::vector<QueryResult> QueryProcessor::ExecuteSharded(
-    const std::vector<DilListRef>& lists, size_t top_k, size_t num_shards,
-    ThreadPool* pool, ExecuteStats* stats, PruningMode pruning) const {
-  if (stats != nullptr) *stats = ExecuteStats{};
-  if (lists.empty()) return {};
-  size_t total_postings = 0;
-  for (const DilListRef& list : lists) {
-    if (list.empty()) return {};  // conjunctive: no results, nothing scanned
-    total_postings += list.size();
-  }
-  if (stats != nullptr) stats->postings_scanned = total_postings;
-
-  auto open_all = [&lists](const DocRange* range) {
-    std::vector<DilCursor> cursors;
-    cursors.reserve(lists.size());
-    for (const DilListRef& list : lists) {
-      cursors.push_back(range == nullptr ? list.OpenCursor()
-                                         : list.OpenCursor(*range));
-    }
-    return cursors;
-  };
-
-  std::vector<DocRange> ranges;
-  if (num_shards > 1 && pool != nullptr) {
-    ranges = PartitionListsByDocument(lists, num_shards);
-  }
-  if (ranges.size() <= 1) {
-    return Execute(open_all(nullptr), top_k, pruning, stats);
-  }
-  if (stats != nullptr) stats->shards = ranges.size();
-
-  // Each shard prunes against its own shard-local threshold: every
-  // shard-local top-k is exact for its document range, so the k-way merge
-  // below is the global top-k — bit-identical to the serial pass.
-  std::vector<std::vector<QueryResult>> shard_results(ranges.size());
-  std::vector<ExecuteStats> shard_stats(ranges.size());
-  pool->ParallelFor(ranges.size(), [&](size_t s) {
-    shard_results[s] =
-        Execute(open_all(&ranges[s]), top_k, pruning, &shard_stats[s]);
-  });
-  if (stats != nullptr) {
-    for (const ExecuteStats& s : shard_stats) {
-      stats->postings_scored += s.postings_scored;
-      stats->blocks_scored += s.blocks_scored;
-      stats->blocks_skipped += s.blocks_skipped;
-      stats->threshold_updates += s.threshold_updates;
-    }
-  }
-  return MergeShardResults(std::move(shard_results), top_k);
-}
-
 std::vector<QueryResult> QueryProcessor::MergeTopK(
     std::vector<std::vector<QueryResult>> parts, size_t top_k) {
   return MergeShardResults(std::move(parts), top_k);
@@ -601,17 +550,24 @@ std::vector<QueryResult> QueryProcessor::ExecuteSegments(
     total_postings += postings;
   }
   if (eligible.empty()) return {};
-  if (eligible.size() == 1) {
-    // One live segment: this IS the single-segment path.
-    return ExecuteSharded(*eligible[0], top_k, num_shards, pool, stats,
-                          pruning);
-  }
   if (stats != nullptr) stats->postings_scanned = total_postings;
+
+  auto open_all = [&eligible](size_t s, const DocRange* range) {
+    std::vector<DilCursor> cursors;
+    cursors.reserve(eligible[s]->size());
+    for (const DilListRef& list : *eligible[s]) {
+      cursors.push_back(range == nullptr ? list.OpenCursor()
+                                         : list.OpenCursor(*range));
+    }
+    return cursors;
+  };
 
   // Parallel plan: flatten into (segment, document range) work items —
   // segments are doc-disjoint, so the items partition the corpus at
-  // document granularity exactly like single-segment sharding, and each
-  // item's exact local top-k makes the final k-way merge the global top-k.
+  // document granularity. Each item prunes against its own local
+  // threshold: every item's local top-k is exact for its range, so the
+  // final k-way merge is the global top-k, bit-identical to the serial
+  // pass.
   std::vector<std::pair<size_t, DocRange>> items;
   if (num_shards > 1 && pool != nullptr) {
     size_t per_segment = std::max<size_t>(1, num_shards / eligible.size());
@@ -628,13 +584,8 @@ std::vector<QueryResult> QueryProcessor::ExecuteSegments(
     std::vector<ExecuteStats> item_stats(items.size());
     pool->ParallelFor(items.size(), [&](size_t i) {
       const auto& [s, range] = items[i];
-      std::vector<DilCursor> cursors;
-      cursors.reserve(eligible[s]->size());
-      for (const DilListRef& list : *eligible[s]) {
-        cursors.push_back(list.OpenCursor(range));
-      }
       item_results[i] =
-          Execute(std::move(cursors), top_k, pruning, &item_stats[i]);
+          Execute(open_all(s, &range), top_k, pruning, &item_stats[i]);
     });
     if (stats != nullptr) {
       for (const ExecuteStats& s : item_stats) {
@@ -645,6 +596,10 @@ std::vector<QueryResult> QueryProcessor::ExecuteSegments(
       }
     }
     return MergeShardResults(std::move(item_results), top_k);
+  }
+  // One live segment: the plain serial merge.
+  if (eligible.size() == 1) {
+    return Execute(open_all(0, nullptr), top_k, pruning, stats);
   }
 
   // Serial plan: one global top-k heap shared across segments, visited in
@@ -671,10 +626,8 @@ std::vector<QueryResult> QueryProcessor::ExecuteSegments(
       std::push_heap(heap.begin(), heap.end(), BetterResult);
     }
   };
-  for (const std::vector<DilListRef>* lists : eligible) {
-    std::vector<DilCursor> cursors;
-    cursors.reserve(lists->size());
-    for (const DilListRef& list : *lists) cursors.push_back(list.OpenCursor());
+  for (size_t s = 0; s < eligible.size(); ++s) {
+    std::vector<DilCursor> cursors = open_all(s, nullptr);
     bool prunable = pruning == PruningMode::kBlockMax && top_k >= 1 &&
                     options_.decay <= 1.0;
     if (prunable) {

@@ -116,21 +116,10 @@ class QueryProcessor {
       const std::vector<std::span<const DilPosting>>& lists, size_t top_k,
       size_t num_shards, ThreadPool* pool, ExecuteStats* stats = nullptr) const;
 
-  /// DilListRef variant of ExecuteSharded: the snapshot serving entry
-  /// point. Flat lists shard via the block skip table; legacy spans via
-  /// SliceDocRange. Same contract and bit-identical output. Under
-  /// kBlockMax each shard prunes against its own shard-local threshold —
-  /// every shard-local top-k is exact, so the k-way merge of them is the
-  /// global top-k, bit-identical to the serial exact pass.
-  std::vector<QueryResult> ExecuteSharded(
-      const std::vector<DilListRef>& lists, size_t top_k, size_t num_shards,
-      ThreadPool* pool, ExecuteStats* stats = nullptr,
-      PruningMode pruning = PruningMode::kExact) const;
-
-  /// Cross-segment merge (DESIGN.md §15): `segment_lists` holds one list
-  /// vector per segment — same keyword order in each — for segments
-  /// covering disjoint, ascending document ranges (the LSM snapshot
-  /// layout). Bit-identical to evaluating one concatenated list per
+  /// The snapshot serving entry point (DESIGN.md §15): `segment_lists`
+  /// holds one list vector per segment — same keyword order in each — for
+  /// segments covering disjoint, ascending document ranges (the snapshot
+  /// layout; a single index is the one-segment case `{lists}`). Bit-identical to evaluating one concatenated list per
   /// keyword: segments never share a document, so the merge stack and the
   /// conjunctive/pruning arguments all localize per segment, and the
   /// segment results compose through one shared top-k. Serially the
@@ -139,7 +128,9 @@ class QueryProcessor {
   /// non-prunable ones run exact and feed the heap); with a pool and
   /// num_shards > 1 the segments shard into (segment, doc range) items
   /// whose exact local top-k's k-way merge is the global answer — the
-  /// same argument as ExecuteSharded.
+  /// same argument as ExecuteSharded. Under kBlockMax each item prunes
+  /// against its own local threshold; every local top-k is exact, so the
+  /// result is bit-identical to the serial exact pass.
   std::vector<QueryResult> ExecuteSegments(
       const std::vector<std::vector<DilListRef>>& segment_lists, size_t top_k,
       size_t num_shards, ThreadPool* pool, ExecuteStats* stats = nullptr,

@@ -23,9 +23,8 @@ bool DeweyLess(const DilPosting& a, const DilPosting& b) {
 }  // namespace
 
 size_t DilEntry::ApproxSizeBytes() const {
-  // Mirrors the per-posting payload of EncodeIndex / the FlatDil arena:
-  // varint(shared) + varint(fresh) + fresh component varints + fixed32
-  // quantized score.
+  // Per posting: varint(shared) + varint(fresh) + fresh component varints
+  // + fixed32 quantized score.
   size_t bytes = 0;
   const DilPosting* prev = nullptr;
   for (const DilPosting& p : postings) {

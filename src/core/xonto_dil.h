@@ -31,11 +31,11 @@ struct DilEntry {
   std::string keyword;  ///< canonical keyword string
   std::vector<DilPosting> postings;
 
-  /// Serialized footprint in bytes (Table III's "Size" column): what the
-  /// flat/on-disk representation actually holds per posting — the Dewey
-  /// components after shared-prefix elision, each fresh component a
-  /// varint, plus a 4-byte quantized score. Matches EncodeIndex's posting
-  /// payload byte for byte (the wire format adds only per-entry headers).
+  /// Compact footprint in bytes (Table III's "Size" column): per posting,
+  /// the Dewey components after shared-prefix elision — varint(shared),
+  /// varint(fresh count) and each fresh component as a varint — plus a
+  /// 4-byte quantized score. The definition is self-contained (no encoder
+  /// computes it); xonto_dil_test pins it on a hand-computed list.
   size_t ApproxSizeBytes() const;
 };
 

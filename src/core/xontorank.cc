@@ -26,15 +26,6 @@ uint32_t XOntoRank::StageDocument(XmlDocument doc) {
 
 void XOntoRank::Commit() { writer_.Commit(); }
 
-void XOntoRank::AdoptPrecomputed(XOntoDil dil) {
-  writer_.AdoptPrecomputed(std::move(dil));
-}
-
-void XOntoRank::AdoptPrecomputed(FlatDil dil,
-                                 std::shared_ptr<const void> backing) {
-  writer_.AdoptPrecomputed(std::move(dil), std::move(backing));
-}
-
 const XmlNode* XOntoRank::ResolveResult(const QueryResult& result) const {
   return snapshot()->ResolveResult(result);
 }

@@ -91,30 +91,15 @@ class XOntoRank {
   uint32_t StageDocument(XmlDocument doc);
 
   /// Publishes one snapshot covering every staged document (no-op if none
-  /// are staged). One commit per batch amortizes the rebuild (legacy mode)
-  /// or seals one segment per batch (LSM mode, options.lsm.enabled).
+  /// are staged): the batch seals as one new segment.
   void Commit();
 
-  /// LSM mode: runs the compaction policy to a fixed point on the calling
-  /// thread (see IndexWriter::CompactNow); a no-op in legacy mode.
+  /// Runs the compaction policy to a fixed point on the calling thread
+  /// (see IndexWriter::CompactNow).
   void CompactNow() { writer_.CompactNow(); }
 
   /// Blocks until no background compaction is in flight.
   void WaitForCompactionIdle() { writer_.WaitForCompactionIdle(); }
-
-  /// Replaces the precomputed entry set with `dil` (typically one loaded
-  /// from an index file) by publishing a republished snapshot: subsequent
-  /// queries for its keywords are served without recomputation. Entries
-  /// must have been built with the same corpus, systems and options or
-  /// queries will be inconsistent.
-  void AdoptPrecomputed(XOntoDil dil);
-
-  /// Same, adopting an already-flat index (the LoadIndexFlat path). A
-  /// mapped-view dil (a mmap-opened segment) passes its SegmentFile as
-  /// `backing` so the mapping stays alive as long as any snapshot serves
-  /// from it.
-  void AdoptPrecomputed(FlatDil dil,
-                        std::shared_ptr<const void> backing = nullptr);
 
   /// The current serving snapshot — the safe way to get a stable view for
   /// a batch of related calls (resolve + serialize + explain) while
@@ -137,10 +122,9 @@ class XOntoRank {
   /// Serializes the result's XML fragment (e.g. Fig. 4), pretty-printed.
   std::string ResultFragmentXml(const QueryResult& result) const;
 
-  /// The current snapshot's index. NOTE: the reference is only guaranteed
-  /// stable until the next AddDocument/Commit/AdoptPrecomputed; callers
+  /// The current snapshot's build statistics. NOTE: the reference is only
+  /// guaranteed stable until the next AddDocument/Commit; callers
   /// overlapping with writers should hold snapshot() instead.
-  const CorpusIndex& index() const { return snapshot()->index(); }
   const IndexBuildStats& build_stats() const {
     return snapshot()->build_stats();
   }

@@ -11,7 +11,6 @@
 #include "common/sync.h"
 #include "core/index_segment.h"
 #include "onto/ontology_io.h"
-#include "storage/index_store.h"
 #include "storage/manifest.h"
 #include "storage/segment_writer.h"
 #include "xml/xml_parser.h"
@@ -31,8 +30,8 @@ Status WriteFile(const std::string& path, const std::string& content) {
 }
 
 /// Atomic variant (temp file + rename) for files whose partial content
-/// must never be observable — the LSM save sequence depends on
-/// manifest.tsv being either the old or the new inventory, never a prefix.
+/// must never be observable — the save sequence depends on manifest.tsv
+/// being either the old or the new inventory, never a prefix.
 Status WriteFileAtomic(const std::string& path, const std::string& content) {
   std::string tmp_path = path + ".tmp";
   XONTO_RETURN_IF_ERROR(WriteFile(tmp_path, content));
@@ -80,7 +79,8 @@ std::string_view VocabularyModeName(IndexBuildOptions::VocabularyMode mode) {
 /// manifest, and two saves racing into the same directory would interleave
 /// their inventories. One process-wide lock (saves are rare, bulk I/O
 /// bound) is simpler than per-directory tracking; it is acquired BEFORE
-/// the index-store file lock taken inside SaveIndex — see DESIGN.md §9.
+/// the segment and MANIFEST file locks taken inside SaveSegment and
+/// SaveManifest — see DESIGN.md §9.
 Mutex& SaveMutex() {
   // xo-lint: allow(new-delete) — leaked singleton, see above.
   static Mutex* mutex = new Mutex();
@@ -89,8 +89,7 @@ Mutex& SaveMutex() {
 
 }  // namespace
 
-Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& dir,
-                    const SaveSnapshotOptions& save_options) {
+Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& dir) {
   MutexLock lock(SaveMutex());
   std::error_code ec;
   std::filesystem::create_directories(dir + "/corpus", ec);
@@ -114,16 +113,14 @@ Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& dir,
   manifest += StringPrintf("elem_rank\t%d\t%.17g\n",
                            options.use_elem_rank ? 1 : 0,
                            options.elem_rank_blend);
-  if (snapshot.is_lsm()) {
-    // The marker flips the load path to the segment-set layout; the
-    // authoritative segment list lives in the binary MANIFEST. The
-    // compaction knobs ride along so a reloaded engine keeps the policy it
-    // was built with (notably auto_compact, which tests disable for
-    // deterministic segment counts).
-    manifest += StringPrintf("lsm\t1\t%zu\t%d\n",
-                             options.lsm.compaction_fanin,
-                             options.lsm.auto_compact ? 1 : 0);
-  }
+  // The marker names the segment-set layout (directories without it are
+  // the retired single-index layout); the authoritative segment list
+  // lives in the binary MANIFEST. The compaction knobs ride along so a
+  // reloaded engine keeps the policy it was built with (notably
+  // auto_compact, which tests disable for deterministic segment counts).
+  manifest += StringPrintf("lsm\t1\t%zu\t%d\n",
+                           options.lsm.compaction_fanin,
+                           options.lsm.auto_compact ? 1 : 0);
 
   // Ontological systems.
   for (size_t s = 0; s < systems.size(); ++s) {
@@ -141,81 +138,54 @@ Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& dir,
     manifest += "document\t" + name + "\n";
   }
 
-  if (snapshot.is_lsm()) {
-    // LSM layout (DESIGN.md §15). Order is the crash-safety argument:
-    //   1. every live segment file (atomic rename each; persists exactly
-    //      the segment's serving FlatDil so a merged segment and a
-    //      fresh-sealed one save byte-identically),
-    //   2. manifest.tsv (atomic; the new doc inventory),
-    //   3. the binary MANIFEST LAST (atomic; generation = prior + 1).
-    // A crash anywhere before step 3 leaves the previous MANIFEST — and
-    // thus the previous generation's fully consistent engine — loadable;
-    // the new files are unreferenced garbage, collected on the next save.
-    std::unordered_set<std::string> live_files;
-    for (const auto& segment : snapshot.segments()) {
-      std::string name = StringPrintf(
-          "seg-%llu.xoseg", static_cast<unsigned long long>(segment->id()));
-      XONTO_RETURN_IF_ERROR(
-          SaveSegment(segment->index().flat_dil(), dir + "/" + name));
-      live_files.insert(name);
-    }
-    XONTO_RETURN_IF_ERROR(WriteFileAtomic(dir + "/manifest.tsv", manifest));
-
-    EngineManifest binary;
-    binary.generation = 1;
-    if (Result<EngineManifest> prior = LoadManifest(dir + "/MANIFEST");
-        prior.ok()) {
-      binary.generation = prior.value().generation + 1;
-    }
-    for (const auto& segment : snapshot.segments()) {
-      binary.segments.push_back(ManifestSegment{
-          segment->id(), segment->first_doc(), segment->end_doc()});
-    }
-    XONTO_RETURN_IF_ERROR(SaveManifest(binary, dir + "/MANIFEST"));
-
-    // GC: segment files the new MANIFEST no longer references (compacted
-    // inputs, interrupted earlier saves). Failure to unlink is harmless —
-    // unreferenced files are ignored by load — so errors are not fatal.
-    std::error_code gc_ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, gc_ec)) {
-      std::string name = entry.path().filename().string();
-      if (name.rfind("seg-", 0) == 0 &&
-          name.size() > 6 && name.substr(name.size() - 6) == ".xoseg" &&
-          live_files.count(name) == 0) {
-        std::filesystem::remove(entry.path(), gc_ec);
-      }
-    }
-    return Status::OK();
-  }
-
-  // Materialized inverted lists (precomputed + demand-cached), in the
-  // requested index format. The load side dispatches on file magic, not
-  // the manifest name, so either file round-trips through older manifests.
-  const CorpusIndex& index = snapshot.index();
-  if (save_options.index_format == IndexFileFormat::kSegment) {
-    XONTO_RETURN_IF_ERROR(SaveSegment(index.MaterializedCopy().Freeze(),
-                                      dir + "/index.xoseg"));
-    manifest += "index\tindex.xoseg\n";
-  } else {
+  // Order is the crash-safety argument (DESIGN.md §15):
+  //   1. every live segment file (atomic rename each; persists exactly the
+  //      segment's serving FlatDil so a merged segment and a fresh-sealed
+  //      one save byte-identically),
+  //   2. manifest.tsv (atomic; the new doc inventory),
+  //   3. the binary MANIFEST LAST (atomic; generation = prior + 1).
+  // A crash anywhere before step 3 leaves the previous MANIFEST — and thus
+  // the previous generation's fully consistent engine — loadable; the new
+  // files are unreferenced garbage, collected on the next save.
+  std::unordered_set<std::string> live_files;
+  for (const auto& segment : snapshot.segments()) {
+    std::string name = StringPrintf(
+        "seg-%llu.xoseg", static_cast<unsigned long long>(segment->id()));
     XONTO_RETURN_IF_ERROR(
-        SaveIndex(index.MaterializedCopy(), dir + "/index.xodl"));
-    manifest += "index\tindex.xodl\n";
+        SaveSegment(segment->index().flat_dil(), dir + "/" + name));
+    live_files.insert(name);
   }
+  XONTO_RETURN_IF_ERROR(WriteFileAtomic(dir + "/manifest.tsv", manifest));
 
-  return WriteFile(dir + "/manifest.tsv", manifest);
-}
+  EngineManifest binary;
+  binary.generation = 1;
+  if (Result<EngineManifest> prior = LoadManifest(dir + "/MANIFEST");
+      prior.ok()) {
+    binary.generation = prior.value().generation + 1;
+  }
+  for (const auto& segment : snapshot.segments()) {
+    binary.segments.push_back(ManifestSegment{
+        segment->id(), segment->first_doc(), segment->end_doc()});
+  }
+  XONTO_RETURN_IF_ERROR(SaveManifest(binary, dir + "/MANIFEST"));
 
-Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& dir) {
-  return SaveSnapshot(snapshot, dir, SaveSnapshotOptions());
-}
-
-Status SaveEngineDir(const XOntoRank& engine, const std::string& dir,
-                     const SaveSnapshotOptions& options) {
-  return SaveSnapshot(*engine.snapshot(), dir, options);
+  // GC: segment files the new MANIFEST no longer references (compacted
+  // inputs, interrupted earlier saves). Failure to unlink is harmless —
+  // unreferenced files are ignored by load — so errors are not fatal.
+  std::error_code gc_ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, gc_ec)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("seg-", 0) == 0 &&
+        name.size() > 6 && name.substr(name.size() - 6) == ".xoseg" &&
+        live_files.count(name) == 0) {
+      std::filesystem::remove(entry.path(), gc_ec);
+    }
+  }
+  return Status::OK();
 }
 
 Status SaveEngineDir(const XOntoRank& engine, const std::string& dir) {
-  return SaveSnapshot(*engine.snapshot(), dir, SaveSnapshotOptions());
+  return SaveSnapshot(*engine.snapshot(), dir);
 }
 
 Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
@@ -225,8 +195,9 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
   IndexBuildOptions options;
   options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
   std::vector<std::string> document_files;
-  std::string index_file;
-  bool lsm = false;
+  // The retired single-index layout has an `index` line and no `lsm` line.
+  bool single_index = false;
+  bool segment_set = false;
 
   for (std::string_view line : SplitString(manifest, '\n')) {
     if (TrimWhitespace(line).empty()) continue;
@@ -271,12 +242,12 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
           std::make_unique<Ontology>(std::move(onto)));
     } else if (key == "document" && fields.size() >= 2) {
       document_files.emplace_back(fields[1]);
-    } else if (key == "index" && fields.size() >= 2) {
-      index_file = std::string(fields[1]);
+    } else if (key == "index") {
+      single_index = true;
     } else if (key == "lsm" && fields.size() >= 2) {
-      // lsm, enabled, fanin, auto_compact. Older directories carry a fifth
+      // lsm, 1, fanin, auto_compact. Older directories carry a fifth
       // field: a retired posting-tier base before auto_compact, ignored.
-      lsm = fields[1] == "1";
+      segment_set = fields[1] == "1";
       if (fields.size() >= 4) {
         XONTO_RETURN_IF_ERROR(
             ParseField(key, fields[2], &options.lsm.compaction_fanin));
@@ -292,29 +263,25 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
   if (document_files.empty()) {
     return Status::Corruption("manifest lists no documents");
   }
-  if (lsm && options.use_elem_rank) {
-    // The builder XO_CHECKs this combination (ElemRank is corpus-
-    // normalized, LSM scoring is document-scoped); a manifest carrying
-    // both is corrupt input, not a programming error.
-    return Status::Corruption("manifest combines lsm with elem_rank");
+  if (single_index || !segment_set) {
+    return Status::Corruption(
+        "manifest.tsv describes the retired single-index layout "
+        "(index.xodl / index.xoseg); rebuild the directory with "
+        "save-engine");
   }
 
-  // LSM directories: the binary MANIFEST is authoritative for how many of
-  // the listed documents are committed — documents past the last segment's
-  // end are leftovers of an interrupted save (the MANIFEST rename is the
-  // commit point) and are deliberately ignored, restoring the previous
+  // The binary MANIFEST is authoritative for how many of the listed
+  // documents are committed — documents past the last segment's end are
+  // leftovers of an interrupted save (the MANIFEST rename is the commit
+  // point) and are deliberately ignored, restoring the previous
   // generation's state.
-  EngineManifest binary;
-  size_t num_docs = document_files.size();
-  if (lsm) {
-    XONTO_ASSIGN_OR_RETURN(binary, LoadManifest(dir + "/MANIFEST"));
-    num_docs =
-        binary.segments.empty() ? 0 : binary.segments.back().end_doc;
-    if (num_docs > document_files.size()) {
-      return Status::Corruption(
-          "MANIFEST references more documents than the directory holds");
-    }
-    options.lsm.enabled = true;
+  XONTO_ASSIGN_OR_RETURN(EngineManifest binary,
+                         LoadManifest(dir + "/MANIFEST"));
+  size_t num_docs =
+      binary.segments.empty() ? 0 : binary.segments.back().end_doc;
+  if (num_docs > document_files.size()) {
+    return Status::Corruption(
+        "MANIFEST references more documents than the directory holds");
   }
 
   Corpus corpus;
@@ -333,68 +300,29 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
   OntologySet systems;
   for (const auto& onto : loaded->ontologies_) systems.Add(*onto);
 
-  if (lsm) {
-    auto context = OntologyContext::Create(systems, options);
-    std::vector<std::shared_ptr<const IndexSegment>> segments;
-    segments.reserve(binary.segments.size());
-    for (const ManifestSegment& entry : binary.segments) {
-      std::string path = dir + "/" +
-                         StringPrintf("seg-%llu.xoseg",
-                                      static_cast<unsigned long long>(
-                                          entry.id));
-      XONTO_ASSIGN_OR_RETURN(std::unique_ptr<SegmentFile> file,
-                             SegmentFile::Open(path));
-      FlatDil view = file->MakeView();
-      std::shared_ptr<const void> backing(std::move(file));
-      auto docs = std::make_shared<Corpus>();
-      for (uint32_t d = entry.first_doc; d < entry.end_doc; ++d) {
-        docs->Add(corpus.handle(d));
-      }
-      segments.push_back(IndexSegment::Adopt(entry.id, std::move(docs),
-                                             entry.first_doc, context,
-                                             options, std::move(view),
-                                             std::move(backing)));
+  auto context = OntologyContext::Create(systems, options);
+  std::vector<std::shared_ptr<const IndexSegment>> segments;
+  segments.reserve(binary.segments.size());
+  for (const ManifestSegment& entry : binary.segments) {
+    std::string path =
+        dir + "/" +
+        StringPrintf("seg-%llu.xoseg",
+                     static_cast<unsigned long long>(entry.id));
+    XONTO_ASSIGN_OR_RETURN(std::unique_ptr<SegmentFile> file,
+                           SegmentFile::Open(path));
+    FlatDil view = file->MakeView();
+    std::shared_ptr<const void> backing(std::move(file));
+    auto docs = std::make_shared<Corpus>();
+    for (uint32_t d = entry.first_doc; d < entry.end_doc; ++d) {
+      docs->Add(corpus.handle(d));
     }
-    auto snapshot = std::make_shared<const IndexSnapshot>(
-        std::move(corpus), std::move(context), options, std::move(segments));
-    loaded->engine_ = std::make_unique<XOntoRank>(std::move(snapshot));
-    return loaded;
-  }
-
-  // Produce the serving snapshot directly: the persisted entries are
-  // handed to the snapshot at construction, so the vocabulary
-  // precomputation (a no-op under the persisted kNone mode anyway) is
-  // bypassed and persisted keywords serve without any stage-2
-  // recomputation. The index file's magic picks the path: a segment is
-  // mmap-opened and served in place (the snapshot pins the mapping), an
-  // XODL file decodes straight into owned flat columns (no intermediate
-  // XOntoDil).
-  FlatDil dil;
-  std::shared_ptr<const void> backing;
-  if (!index_file.empty()) {
-    std::string index_path = dir + "/" + index_file;
-    XONTO_ASSIGN_OR_RETURN(IndexFileFormat format,
-                           DetectIndexFileFormat(index_path));
-    switch (format) {
-      case IndexFileFormat::kSegment: {
-        XONTO_ASSIGN_OR_RETURN(std::unique_ptr<SegmentFile> segment,
-                               SegmentFile::Open(index_path));
-        dil = segment->MakeView();
-        backing = std::shared_ptr<const SegmentFile>(std::move(segment));
-        break;
-      }
-      case IndexFileFormat::kXodl: {
-        XONTO_ASSIGN_OR_RETURN(dil, LoadIndexFlat(index_path));
-        break;
-      }
-      case IndexFileFormat::kUnknown:
-        return Status::Corruption(index_path +
-                                  ": unrecognized index file magic");
-    }
+    segments.push_back(IndexSegment::Adopt(entry.id, std::move(docs),
+                                           entry.first_doc, context, options,
+                                           std::move(view),
+                                           std::move(backing)));
   }
   auto snapshot = std::make_shared<const IndexSnapshot>(
-      std::move(corpus), OntologyContext::Create(systems, options), options,
-      std::move(dil), std::move(backing));
+      std::move(corpus), std::move(context), options, std::move(segments));
   loaded->engine_ = std::make_unique<XOntoRank>(std::move(snapshot));
   return loaded;
 }

@@ -14,18 +14,19 @@ namespace xontorank {
 
 /// Whole-engine persistence: a self-contained directory holding everything
 /// needed to answer queries (the paper's preprocessing/query phase split
-/// made durable). Layout:
+/// made durable). Layout (DESIGN.md §15):
 ///
 /// ```
 ///   <dir>/manifest.tsv        # options + file inventory
 ///   <dir>/ontology_<i>.tsv    # one per ontological system
 ///   <dir>/corpus/doc_<i>.xml  # the document collection
-///   <dir>/index.xodl          # materialized XOnto-DILs
+///   <dir>/seg-<id>.xoseg      # one mmap-native file per live segment
+///   <dir>/MANIFEST            # CRC'd segment list; the commit point
 /// ```
 ///
 /// Loading reconstructs a fully owned engine: the corpus and ontologies are
-/// parsed back, the index structure is rebuilt (stage 1 is cheap and
-/// in-memory) and the persisted DIL entries are adopted so stage 2+3 — the
+/// parsed back, stage 1 is rebuilt per document (cheap and in-memory) and
+/// each segment file is mapped and served in place, so stage 2+3 — the
 /// expensive OntoScore work — is never repeated for persisted keywords.
 
 /// A loaded engine owning all of its parts.
@@ -46,40 +47,23 @@ class LoadedEngine {
   std::unique_ptr<XOntoRank> engine_;
 };
 
-/// How SaveSnapshot persists the inverted lists.
-struct SaveSnapshotOptions {
-  /// kXodl writes the compact, portable varint format (index.xodl);
-  /// kSegment writes the mmap-native segment (index.xoseg) that
-  /// LoadEngineDir serves directly from the page cache with no decode.
-  /// The manifest records which file was written, and loading detects the
-  /// format by magic either way — directories saved by older builds keep
-  /// working.
-  IndexFileFormat index_format = IndexFileFormat::kXodl;
-};
-
-/// Persists one immutable serving snapshot (its corpus slice, its systems,
-/// its currently materialized DIL entries and its options) into `dir`,
-/// creating it if needed. Because a snapshot is frozen, the saved state is
-/// consistent even while writers keep committing to the engine it came
-/// from.
-[[nodiscard]] Status SaveSnapshot(const IndexSnapshot& snapshot,
-                                  const std::string& dir,
-                                  const SaveSnapshotOptions& options);
+/// Persists one immutable serving snapshot (its corpus, its systems, its
+/// segments' lists and its options) into `dir`, creating it if needed.
+/// Because a snapshot is frozen, the saved state is consistent even while
+/// writers keep committing to the engine it came from.
 [[nodiscard]] Status SaveSnapshot(const IndexSnapshot& snapshot,
                                   const std::string& dir);
 
 /// Convenience: saves `engine`'s currently published snapshot.
 [[nodiscard]] Status SaveEngineDir(const XOntoRank& engine,
-                                   const std::string& dir,
-                                   const SaveSnapshotOptions& options);
-[[nodiscard]] Status SaveEngineDir(const XOntoRank& engine,
                                    const std::string& dir);
 
 /// Restores an engine saved with SaveEngineDir/SaveSnapshot: the corpus and
 /// ontologies are parsed back, a snapshot is constructed directly around the
-/// persisted DIL entries (so stage 2+3 — the expensive OntoScore work — is
+/// mapped segment files (so stage 2+3 — the expensive OntoScore work — is
 /// never repeated for persisted keywords), and the engine adopts it as its
-/// published serving state.
+/// published serving state. A directory in the retired single-index layout
+/// (index.xodl / index.xoseg) yields Status::Corruption naming that layout.
 [[nodiscard]] Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(
     const std::string& dir);
 

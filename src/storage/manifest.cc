@@ -24,7 +24,7 @@ constexpr size_t kEntryBytes = 8 + 4 + 4;
 constexpr size_t kCrcBytes = 4;
 
 /// Serializes SaveManifest's temp-file + rename sequence, same reasoning
-/// as the index store's FileMutex: concurrent saves to one path share the
+/// as SegmentFileMutex: concurrent saves to one path share the
 /// "<path>.tmp" name. Acquired AFTER the engine-store save lock when
 /// reached through SaveSnapshot — see the lock-order table in
 /// common/sync.h and DESIGN.md §9.

@@ -10,7 +10,7 @@
 
 namespace xontorank {
 
-/// The binary segment manifest of an LSM engine directory (DESIGN.md §15):
+/// The binary segment manifest of an engine directory (DESIGN.md §15):
 /// the authoritative, atomically-replaced list of live segments plus a
 /// monotonically increasing generation. A directory is valid iff its
 /// MANIFEST is — segment files not listed there are garbage from an
@@ -57,8 +57,8 @@ std::string EncodeManifest(const EngineManifest& manifest);
 [[nodiscard]] Result<EngineManifest> DecodeManifest(std::string_view data);
 
 /// Writes `manifest` to `path` atomically (temp file + rename), serialized
-/// process-wide on ManifestFileMutex. The rename IS the commit point of an
-/// LSM save: a crash before it leaves the previous manifest (and thus the
+/// process-wide on ManifestFileMutex. The rename IS the commit point of a
+/// save: a crash before it leaves the previous manifest (and thus the
 /// previous generation's engine state) intact and loadable.
 [[nodiscard]] Status SaveManifest(const EngineManifest& manifest,
                                   const std::string& path);

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -14,9 +15,13 @@ namespace xontorank {
 
 namespace {
 
-constexpr char kXodlMagic[4] = {'X', 'O', 'D', 'L'};
+// The format is little-endian (segment_format.h), and the reader both
+// fixes column pointers straight into the mapping and reads metadata with
+// native-order memcpy: that is only correct on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the .xoseg reader maps little-endian columns in place");
 
-/// Host-endian metadata reads out of the mapping. memcpy instead of a
+/// Little-endian metadata reads out of the mapping. memcpy instead of a
 /// reinterpret-cast load: header/table fields are not aligned to their
 /// own width (the magic shifts everything by 4).
 uint32_t LoadU32(const char* p) {
@@ -456,27 +461,6 @@ Status SegmentFile::Validate(const Options& options) {
   ::madvise(base_, size_, AdviceFlag(options.advice));
   if (options.prefetch) Prefetch();
   return Status::OK();
-}
-
-Result<IndexFileFormat> DetectIndexFileFormat(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + path +
-                           " for reading: " + std::strerror(errno));
-  }
-  char magic[4] = {};
-  ssize_t n = ::read(fd, magic, sizeof(magic));
-  ::close(fd);
-  if (n != static_cast<ssize_t>(sizeof(magic))) {
-    return IndexFileFormat::kUnknown;  // too short for any index format
-  }
-  if (std::memcmp(magic, kSegmentMagic, sizeof(magic)) == 0) {
-    return IndexFileFormat::kSegment;
-  }
-  if (std::memcmp(magic, kXodlMagic, sizeof(magic)) == 0) {
-    return IndexFileFormat::kXodl;
-  }
-  return IndexFileFormat::kUnknown;
 }
 
 }  // namespace xontorank

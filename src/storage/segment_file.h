@@ -147,18 +147,6 @@ class SegmentFile {
   FlatDil::Sections view_{};
 };
 
-/// The serialized formats an index file can carry, by magic.
-enum class IndexFileFormat {
-  kXodl,     ///< varint wire format (index_store.h) — portable fallback
-  kSegment,  ///< mmap-native segment (this header)
-  kUnknown,
-};
-
-/// Sniffs the first bytes of `path`. IoError if unreadable; kUnknown for
-/// readable files with an unrecognized magic.
-[[nodiscard]] Result<IndexFileFormat> DetectIndexFileFormat(
-    const std::string& path);
-
 }  // namespace xontorank
 
 #endif  // XONTORANK_STORAGE_SEGMENT_FILE_H_

@@ -7,9 +7,9 @@
 namespace xontorank {
 
 /// Byte-level constants of the mmap-native segment format, shared by
-/// SegmentWriter (encode) and SegmentFile (open/validate). The format's
-/// contract — and the reason it exists next to the XODL wire format — is
-/// that the section payloads are byte-for-byte the FlatDil serving columns
+/// SegmentWriter (encode) and SegmentFile (open/validate). It is the
+/// engine's only persisted index format. Its contract is that the section
+/// payloads are byte-for-byte the FlatDil serving columns
 /// (FlatDil::Sections, in declaration order), so opening a segment is mmap
 /// + pointer fixup, never a decode. See DESIGN.md §11 for the full layout
 /// table and rationale.
@@ -33,9 +33,10 @@ namespace xontorank {
 /// identical and a v1 view simply serves an empty block_max span (the
 /// query path then falls back to exact scoring).
 ///
-/// Integers are host-endian: the segment is the *serving* format for the
-/// machine that wrote it (a wrong-endian reader fails the version check);
-/// XODL remains the portable interchange format.
+/// Every integer and double is little-endian, in the header, the table and
+/// the section payloads alike. The reader maps the columns in place, so
+/// both sides static_assert a little-endian host; a big-endian port would
+/// have to byte-swap on encode and decode every column on open.
 inline constexpr char kSegmentMagic[4] = {'X', 'O', 'S', 'G'};
 inline constexpr uint32_t kSegmentVersion = 2;
 inline constexpr uint32_t kSegmentVersionV1 = 1;

@@ -1,5 +1,6 @@
 #include "storage/segment_writer.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -12,23 +13,22 @@ namespace xontorank {
 
 namespace {
 
-/// Serializes SaveSegment's temp-file + rename sequence for the same
-/// reason SaveIndex has one: two concurrent saves to the same path share
-/// one "<path>.tmp" name. Leaked so saves racing static destruction stay
-/// safe. Independent of index_store's FileMutex — the two formats never
-/// share a temp path (different extensions by convention, and even on a
-/// shared path the rename target differs only by who wins).
+/// Serializes SaveSegment's temp-file + rename sequence: two concurrent
+/// saves to the same path share one "<path>.tmp" name. Leaked so saves
+/// racing static destruction stay safe.
 Mutex& SegmentFileMutex() {
   // xo-lint: allow(new-delete) — leaked singleton, see above.
   static Mutex* mutex = new Mutex();
   return *mutex;
 }
 
-// Host-endian fixed-width appends/patches. The segment deliberately does
-// NOT use coding.h's little-endian PutFixed32: the reader fixes pointers
-// straight into the mapping and reads metadata with host-endian memcpy,
-// so the writer must emit host order for the pair to agree (XODL handles
-// cross-endian interchange).
+// The format is little-endian (segment_format.h). The writer copies the
+// serving columns byte for byte and appends metadata in native order, so
+// it emits that byte order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the .xoseg writer copies native-order columns");
+
+// Native-order (little-endian, see above) fixed-width appends/patches.
 // The casts here run in the encode direction — serializing trusted
 // in-memory values, not interpreting untrusted bytes — hence the
 // untrusted-decode suppressions.
@@ -70,7 +70,7 @@ std::string EncodeSegment(const FlatDil& dil, uint32_t version) {
   const size_t table_end = SegmentTableEndFor(version);
 
   // The section payloads, in kSegmentSections order: raw bytes of the
-  // serving columns (host-endian, exactly as FlatDil reads them).
+  // serving columns (little-endian, exactly as FlatDil reads them).
   struct Payload {
     const void* data;
     size_t bytes;

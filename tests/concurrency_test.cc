@@ -79,20 +79,22 @@ TEST(ConcurrencyTest, EntryPointersStableAcrossRaces) {
   XOntoRank engine(generator.GenerateCorpus(), onto, options);
 
   // All threads request the same keyword; everyone must observe the same
-  // stable entry pointer afterwards.
+  // stable entry pointer afterwards. The engine serves one segment.
+  auto snap = engine.snapshot();
+  const CorpusIndex& index = snap->segments().front()->index();
   Keyword kw = MakeKeyword("cardiac");
   std::vector<const DilEntry*> seen(8, nullptr);
   std::vector<std::thread> workers;
   for (size_t t = 0; t < seen.size(); ++t) {
     workers.emplace_back([&, t]() {
-      seen[t] = engine.index().GetEntry(kw);
+      seen[t] = index.GetEntry(kw);
     });
   }
   for (std::thread& worker : workers) worker.join();
   for (size_t t = 1; t < seen.size(); ++t) {
     EXPECT_EQ(seen[t], seen[0]);
   }
-  EXPECT_EQ(engine.index().GetEntry(kw), seen[0]);
+  EXPECT_EQ(index.GetEntry(kw), seen[0]);
 }
 
 bool SameResults(const std::vector<QueryResult>& a,

@@ -29,7 +29,9 @@ class EngineStoreFixture : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
 
-  std::unique_ptr<XOntoRank> BuildEngine() {
+  std::unique_ptr<XOntoRank> BuildEngine(
+      IndexBuildOptions::VocabularyMode vocabulary =
+          IndexBuildOptions::VocabularyMode::kNone) {
     CdaGeneratorOptions gen_options;
     gen_options.num_documents = 6;
     gen_options.seed = 55;
@@ -41,7 +43,7 @@ class EngineStoreFixture : public ::testing::Test {
     options.strategy = Strategy::kRelationships;
     options.score.decay = 0.4;           // non-default, must round-trip
     options.score.ontology_weight = 0.6;
-    options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+    options.vocabulary_mode = vocabulary;
     return std::make_unique<XOntoRank>(generator.GenerateCorpus(), systems,
                                        options);
   }
@@ -65,6 +67,29 @@ class EngineStoreFixture : public ::testing::Test {
     if (!replaced) rewritten += line + "\n";
     std::ofstream out(path, std::ios::trunc);
     out << rewritten;
+  }
+
+  /// Drops dir_'s manifest.tsv lines whose key is `key`.
+  void DropManifestLine(const std::string& key) {
+    std::string path = dir_ + "/manifest.tsv";
+    std::string kept;
+    {
+      std::ifstream in(path);
+      for (std::string current; std::getline(in, current);) {
+        if (current.rfind(key + "\t", 0) != 0) kept += current + "\n";
+      }
+    }
+    std::ofstream out(path, std::ios::trunc);
+    out << kept;
+  }
+
+  /// The engine's precomputed postings, summed over its segments.
+  static size_t PrecomputedPostings(const XOntoRank& engine) {
+    size_t postings = 0;
+    for (const auto& segment : engine.snapshot()->segments()) {
+      postings += segment->index().flat_dil().total_postings();
+    }
+    return postings;
   }
 
   Ontology snomed_;
@@ -95,17 +120,23 @@ TEST_F(EngineStoreFixture, SaveLoadPreservesQueryResults) {
 }
 
 TEST_F(EngineStoreFixture, SegmentFormatSaveLoadPreservesQueryResults) {
-  auto engine = BuildEngine();
+  // A precomputed vocabulary, so the segment file carries real lists.
+  auto engine =
+      BuildEngine(IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
   std::vector<std::string> queries = {"\"cardiac arrest\" epinephrine",
                                       "asthma", "\"bronchial structure\""};
   std::vector<std::vector<QueryResult>> before;
   for (const std::string& q : queries) before.push_back(SearchTop(*engine, q, 10));
 
-  SaveSnapshotOptions options;
-  options.index_format = IndexFileFormat::kSegment;
-  ASSERT_TRUE(SaveEngineDir(*engine, dir_, options).ok());
-  // The mmap-native segment replaces the varint blob on disk.
-  EXPECT_TRUE(std::filesystem::exists(dir_ + "/index.xoseg"));
+  ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
+  // One mmap-native file per live segment plus the binary MANIFEST; the
+  // retired single-index files are never written.
+  for (const auto& segment : engine->snapshot()->segments()) {
+    EXPECT_TRUE(std::filesystem::exists(
+        dir_ + "/seg-" + std::to_string(segment->id()) + ".xoseg"));
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/MANIFEST"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/index.xoseg"));
   EXPECT_FALSE(std::filesystem::exists(dir_ + "/index.xodl"));
 
   auto loaded = LoadEngineDir(dir_);
@@ -115,19 +146,20 @@ TEST_F(EngineStoreFixture, SegmentFormatSaveLoadPreservesQueryResults) {
     ASSERT_EQ(after.size(), before[i].size()) << queries[i];
     for (size_t r = 0; r < after.size(); ++r) {
       EXPECT_EQ(after[r].element, before[i][r].element) << queries[i];
-      EXPECT_NEAR(after[r].score, before[i][r].score, 1e-5) << queries[i];
+      EXPECT_EQ(after[r].score, before[i][r].score) << queries[i];
     }
   }
 }
 
 TEST_F(EngineStoreFixture, CorruptSegmentIndexFailsWithSectionContext) {
-  auto engine = BuildEngine();
-  SearchTop(*engine, "asthma", 5);  // materialize something to persist
-  SaveSnapshotOptions options;
-  options.index_format = IndexFileFormat::kSegment;
-  ASSERT_TRUE(SaveEngineDir(*engine, dir_, options).ok());
+  auto engine =
+      BuildEngine(IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
+  ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
 
-  std::string index_path = dir_ + "/index.xoseg";
+  ASSERT_FALSE(engine->snapshot()->segments().empty());
+  std::string index_path =
+      dir_ + "/seg-" +
+      std::to_string(engine->snapshot()->segments().front()->id()) + ".xoseg";
   std::string data;
   {
     std::ifstream in(index_path, std::ios::binary);
@@ -145,6 +177,8 @@ TEST_F(EngineStoreFixture, CorruptSegmentIndexFailsWithSectionContext) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   EXPECT_NE(loaded.status().message().find(index_path), std::string::npos)
       << loaded.status().message();
+  EXPECT_NE(loaded.status().message().find("section "), std::string::npos)
+      << loaded.status().message();
 }
 
 TEST_F(EngineStoreFixture, OptionsRoundTrip) {
@@ -152,12 +186,13 @@ TEST_F(EngineStoreFixture, OptionsRoundTrip) {
   ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
   auto loaded = LoadEngineDir(dir_);
   ASSERT_TRUE(loaded.ok());
-  const IndexBuildOptions& options = (*loaded)->engine().index().options();
+  const IndexBuildOptions& options =
+      (*loaded)->engine().snapshot()->options();
   EXPECT_EQ(options.strategy, Strategy::kRelationships);
   EXPECT_DOUBLE_EQ(options.score.decay, 0.4);
   EXPECT_DOUBLE_EQ(options.score.ontology_weight, 0.6);
 
-  // The LSM compaction knobs round-trip too: from the current four-field
+  // The compaction knobs round-trip too: from the current four-field
   // lsm line, and from an older directory whose five-field line carries a
   // retired posting-tier base before auto_compact.
   CdaGeneratorOptions gen_options;
@@ -165,7 +200,6 @@ TEST_F(EngineStoreFixture, OptionsRoundTrip) {
   gen_options.seed = 55;
   IndexBuildOptions lsm_options;
   lsm_options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
-  lsm_options.lsm.enabled = true;
   lsm_options.lsm.compaction_fanin = 3;
   lsm_options.lsm.auto_compact = false;
   XOntoRank lsm_engine(CdaGenerator(snomed_, gen_options).GenerateCorpus(),
@@ -178,7 +212,6 @@ TEST_F(EngineStoreFixture, OptionsRoundTrip) {
     ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
     const IndexBuildOptions& lsm =
         (*reloaded)->engine().snapshot()->options();
-    EXPECT_TRUE(lsm.lsm.enabled) << lsm_line;
     EXPECT_EQ(lsm.lsm.compaction_fanin, 3u) << lsm_line;
     EXPECT_FALSE(lsm.lsm.auto_compact) << lsm_line;
   }
@@ -189,21 +222,28 @@ TEST_F(EngineStoreFixture, SystemsRoundTrip) {
   ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
   auto loaded = LoadEngineDir(dir_);
   ASSERT_TRUE(loaded.ok());
-  const OntologySet& systems = (*loaded)->engine().index().systems();
+  const OntologySet& systems =
+      (*loaded)->engine().snapshot()->context()->systems();
   ASSERT_EQ(systems.size(), 2u);
   EXPECT_NE(systems.FindSystem(kSnomedSystemId), OntologySet::npos);
   EXPECT_NE(systems.FindSystem(kLoincSystemId), OntologySet::npos);
 }
 
 TEST_F(EngineStoreFixture, AdoptedEntriesServeWithoutRecomputation) {
-  auto engine = BuildEngine();
-  SearchTop(*engine, "asthma", 5);  // materialize
-  size_t postings = engine->index().TotalPostings();
+  auto engine =
+      BuildEngine(IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
+  size_t postings = PrecomputedPostings(*engine);
   ASSERT_GT(postings, 0u);
   ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
   auto loaded = LoadEngineDir(dir_);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->engine().index().TotalPostings(), postings);
+  const XOntoRank& reloaded = (*loaded)->engine();
+  EXPECT_EQ(PrecomputedPostings(reloaded), postings);
+  // A persisted keyword resolves to its mapped list: no demand build.
+  ASSERT_FALSE(SearchTop(reloaded, "asthma", 5).empty());
+  for (const auto& segment : reloaded.snapshot()->segments()) {
+    EXPECT_TRUE(segment->index().DemandKeywords().empty());
+  }
 }
 
 TEST_F(EngineStoreFixture, LoadMissingDirectoryFails) {
@@ -224,6 +264,23 @@ TEST_F(EngineStoreFixture, CorruptManifestFails) {
 
   // Malformed numeric fields are reported as corruption, never thrown.
   auto engine = BuildEngine();
+  // So is the retired single-index layout, named as such: an `index`
+  // line, or no `lsm` line.
+  for (bool drop_lsm : {false, true}) {
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
+    if (drop_lsm) {
+      DropManifestLine("lsm");
+    } else {
+      RewriteManifestLine("index", "index\tindex.xodl");
+    }
+    auto legacy = LoadEngineDir(dir_);
+    ASSERT_FALSE(legacy.ok()) << drop_lsm;
+    EXPECT_EQ(legacy.status().code(), StatusCode::kCorruption) << drop_lsm;
+    EXPECT_NE(legacy.status().message().find("retired single-index layout"),
+              std::string::npos)
+        << legacy.status().message();
+  }
   for (const auto& [key, line] :
        {std::pair<std::string, std::string>{"decay", "decay\tabc"},
         {"lsm", "lsm\t1\tfour\t0"}}) {

@@ -167,6 +167,11 @@ class ExplainResultFixture : public ::testing::Test {
     engine_ = std::make_unique<XOntoRank>(std::move(corpus), onto_, options);
   }
 
+  /// The index of the segment holding document 0 (the only one).
+  const CorpusIndex& index() const {
+    return *engine_->snapshot()->SegmentIndexForDoc(0);
+  }
+
   Ontology onto_;
   std::unique_ptr<XOntoRank> engine_;
 };
@@ -175,7 +180,7 @@ TEST_F(ExplainResultFixture, DistinguishesTextualFromOntological) {
   KeywordQuery query = ParseQuery("bronchus theophylline");
   auto results = SearchTop(*engine_, query, 1);
   ASSERT_FALSE(results.empty());
-  auto evidence = ExplainResult(engine_->index(), query, results[0]);
+  auto evidence = ExplainResult(index(), query, results[0]);
   ASSERT_TRUE(evidence.ok()) << evidence.status().ToString();
   ASSERT_EQ(evidence->size(), 2u);
   // "bronchus" never occurs textually: must be ontological with a path.
@@ -192,7 +197,7 @@ TEST_F(ExplainResultFixture, FailsForUncoveredKeyword) {
   KeywordQuery query = ParseQuery("bronchus zebra");
   QueryResult fake;
   fake.element = DeweyId({0});
-  auto evidence = ExplainResult(engine_->index(), query, fake);
+  auto evidence = ExplainResult(index(), query, fake);
   ASSERT_FALSE(evidence.ok());
   EXPECT_EQ(evidence.status().code(), StatusCode::kNotFound);
 }
@@ -201,9 +206,9 @@ TEST_F(ExplainResultFixture, FormatEvidenceMentionsSources) {
   KeywordQuery query = ParseQuery("bronchus theophylline");
   auto results = SearchTop(*engine_, query, 1);
   ASSERT_FALSE(results.empty());
-  auto evidence = ExplainResult(engine_->index(), query, results[0]);
+  auto evidence = ExplainResult(index(), query, results[0]);
   ASSERT_TRUE(evidence.ok());
-  std::string text = FormatEvidence(engine_->index(), *evidence);
+  std::string text = FormatEvidence(index(), *evidence);
   EXPECT_NE(text.find("via ontology"), std::string::npos);
   EXPECT_NE(text.find("via text"), std::string::npos);
 }

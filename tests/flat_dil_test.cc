@@ -1,6 +1,5 @@
-// The flat serving representation: Freeze/Thaw losslessness, the
-// XOntoDil <-> Freeze() <-> EncodeIndex <-> DecodeIndexFlat round trip,
-// skip-table seeks at block boundaries, and the property that the cursor
+// The flat serving representation: Freeze/Thaw losslessness, skip-table
+// seeks at block boundaries, and the property that the cursor
 // merge is bit-identical to the legacy posting-struct merge for every
 // shard count.
 
@@ -18,7 +17,6 @@
 #include "core/ranked_query_processor.h"
 #include "core/xonto_dil.h"
 #include "gtest/gtest.h"
-#include "storage/index_store.h"
 
 namespace xontorank {
 namespace {
@@ -124,52 +122,6 @@ TEST(FlatDilTest, MemoryBytesCountsColumns) {
   // Prefix elision keeps the arena below the un-elided component total
   // (DeepDil shares the leading doc component within each document).
   EXPECT_LT(flat.ArenaBytes(), 1000 * 3 * sizeof(uint32_t));
-}
-
-// ---- Wire round trip ----
-
-TEST(FlatDilTest, DiskRoundTripMatchesLegacyDecoder) {
-  Rng rng(41);
-  for (int trial = 0; trial < 10; ++trial) {
-    XOntoDil dil = RandomDil(rng, 1 + rng.NextBelow(6), 150);
-    std::string blob = EncodeIndex(dil);
-    auto legacy = DecodeIndex(blob);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-    auto flat = DecodeIndexFlat(blob);
-    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-    // Both decoders quantize scores through the same fixed32 float bits,
-    // so the thawed flat index equals the legacy decode exactly.
-    ExpectDilEqual(*legacy, flat->ThawAll());
-  }
-}
-
-TEST(FlatDilTest, FreezeOfDecodeEqualsDecodeFlat) {
-  Rng rng(1009);
-  XOntoDil dil = RandomDil(rng, 4, 200);
-  std::string blob = EncodeIndex(dil);
-  auto legacy = DecodeIndex(blob);
-  ASSERT_TRUE(legacy.ok());
-  auto flat = DecodeIndexFlat(blob);
-  ASSERT_TRUE(flat.ok());
-  ExpectDilEqual(legacy->Freeze().ThawAll(), flat->ThawAll());
-}
-
-TEST(FlatDilTest, DecodeFlatRejectsCorruptBlobs) {
-  XOntoDil dil = DeepDil(50);
-  std::string blob = EncodeIndex(dil);
-  EXPECT_FALSE(DecodeIndexFlat("").ok());
-  EXPECT_FALSE(DecodeIndexFlat(blob.substr(0, blob.size() / 2)).ok());
-  std::string corrupted = blob;
-  corrupted[corrupted.size() / 2] ^= 0x40;
-  auto decoded = DecodeIndexFlat(corrupted);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
-}
-
-TEST(FlatDilTest, DecodeFlatEmptyIndex) {
-  auto flat = DecodeIndexFlat(EncodeIndex(XOntoDil()));
-  ASSERT_TRUE(flat.ok());
-  EXPECT_EQ(flat->keyword_count(), 0u);
 }
 
 // ---- Skip table & PostingRange ----
@@ -305,7 +257,7 @@ TEST_P(FlatParityTest, CursorExecuteMatchesLegacyBitForBit) {
     auto legacy = processor.Execute(spans, top_k);
     for (size_t num_shards : {1u, 2u, 4u, 8u}) {
       auto flat_results =
-          processor.ExecuteSharded(refs, top_k, num_shards, &pool);
+          processor.ExecuteSegments({refs}, top_k, num_shards, &pool);
       ASSERT_EQ(legacy.size(), flat_results.size())
           << "shards=" << num_shards << " trial=" << trial;
       for (size_t i = 0; i < legacy.size(); ++i) {

@@ -1,6 +1,9 @@
 // Cross-module integration tests: generator → engine → query → storage,
 // over the curated fragment, for every strategy.
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 
 #include "cda/cda_generator.h"
@@ -10,7 +13,8 @@
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 #include "onto/snomed_fragment.h"
-#include "storage/index_store.h"
+#include "storage/segment_file.h"
+#include "storage/segment_writer.h"
 
 namespace xontorank {
 namespace {
@@ -113,38 +117,51 @@ TEST_F(IntegrationFixture, MotivatingQueriesAnsweredOnlyWithOntology) {
 
 TEST_F(IntegrationFixture, IndexSurvivesStorageRoundTrip) {
   XOntoRank engine = MakeEngine(Strategy::kRelationships);
-  // Materialize the workload keywords into the DIL, then snapshot it.
+  // The engine was built over its whole corpus, so it serves one segment.
+  auto snap = engine.snapshot();
+  const CorpusIndex& index = snap->segments().front()->index();
+  // Materialize the workload keywords into the DIL, then persist them as
+  // a segment file.
   std::vector<KeywordQuery> queries;
   for (const WorkloadQuery& wq : TableOneQueries()) {
     queries.push_back(ParseQuery(wq.text));
     SearchTop(engine, queries.back(), 5);
   }
-  XOntoDil snapshot;
+  XOntoDil lists;
   for (const KeywordQuery& q : queries) {
     for (const Keyword& kw : q.keywords) {
-      const DilEntry* entry = engine.index().GetEntry(kw);
-      snapshot.Put(kw.Canonical(), entry->postings);
+      lists.Put(kw.Canonical(), index.GetEntry(kw)->postings);
     }
   }
-  auto decoded = DecodeIndex(EncodeIndex(snapshot));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("xontorank_integration_" + std::to_string(::getpid()) + ".xoseg"))
+          .string();
+  ASSERT_TRUE(SaveSegment(lists.Freeze(), path).ok());
+  auto segment = SegmentFile::Open(path);
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  FlatDil mapped = (*segment)->MakeView();
 
-  // Queries over the loaded lists give the same result elements.
+  // Queries over the mapped lists give the same results.
   QueryProcessor processor((ScoreOptions()));
   for (const KeywordQuery& q : queries) {
-    std::vector<const DilEntry*> live, loaded;
+    std::vector<const DilEntry*> live;
+    std::vector<DilCursor> loaded;
     for (const Keyword& kw : q.keywords) {
-      live.push_back(engine.index().GetEntry(kw));
-      loaded.push_back(decoded->Find(kw.Canonical()));
+      live.push_back(index.GetEntry(kw));
+      uint32_t list = mapped.FindList(kw.Canonical());
+      ASSERT_NE(list, FlatDil::kNoList) << kw.Canonical();
+      loaded.push_back(DilListRef::OverFlat(mapped, list).OpenCursor());
     }
     auto live_results = processor.Execute(live, 10);
-    auto loaded_results = processor.Execute(loaded, 10);
+    auto loaded_results = processor.Execute(std::move(loaded), 10);
     ASSERT_EQ(live_results.size(), loaded_results.size()) << q.ToString();
     for (size_t i = 0; i < live_results.size(); ++i) {
       EXPECT_EQ(live_results[i].element, loaded_results[i].element);
-      EXPECT_NEAR(live_results[i].score, loaded_results[i].score, 1e-5);
+      EXPECT_EQ(live_results[i].score, loaded_results[i].score);
     }
   }
+  std::filesystem::remove(path);
 }
 
 TEST_F(IntegrationFixture, OracleJudgesTextualResultsRelevant) {
@@ -152,7 +169,7 @@ TEST_F(IntegrationFixture, OracleJudgesTextualResultsRelevant) {
   // must accept them.
   XOntoRank baseline = MakeEngine(Strategy::kXRank);
   RelevanceOracle oracle(onto_);
-  const Corpus& corpus = baseline.index().corpus();
+  const Corpus& corpus = baseline.snapshot()->corpus();
   for (const WorkloadQuery& wq : TableOneQueries()) {
     KeywordQuery query = ParseQuery(wq.text);
     auto results = SearchTop(baseline, query, 5);

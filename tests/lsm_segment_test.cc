@@ -2,7 +2,7 @@
 // that search results are BIT-IDENTICAL — exact doubles, exact tie order —
 // no matter how the corpus is split into segments: one commit or many,
 // before or after compaction, in memory or reloaded from an engine dir.
-// Document-scoped scoring (LsmOptions) is what makes the property hold;
+// Document-scoped scoring (DocumentUnits) is what makes the property hold;
 // these tests are the proof obligation.
 
 #include <cstdio>
@@ -13,6 +13,7 @@
 
 #include "cda/cda_document.h"
 #include "cda/cda_generator.h"
+#include "core/elem_rank.h"
 #include "core/index_segment.h"
 #include "core/index_writer.h"
 #include "core/xontorank.h"
@@ -58,7 +59,6 @@ class LsmFixture : public ::testing::Test {
     IndexBuildOptions options;
     options.strategy = Strategy::kRelationships;
     options.vocabulary_mode = mode;
-    options.lsm.enabled = true;
     options.lsm.compaction_fanin = fanin;
     options.lsm.auto_compact = auto_compact;
     return options;
@@ -67,11 +67,15 @@ class LsmFixture : public ::testing::Test {
   /// An engine over docs_ committed in batches of `group` documents, no
   /// background compaction (deterministic segment set).
   std::unique_ptr<XOntoRank> BuildGrouped(
-      size_t group, IndexBuildOptions::VocabularyMode mode =
-                        IndexBuildOptions::VocabularyMode::kNone) {
-    auto engine = std::make_unique<XOntoRank>(
-        Corpus(), OntologySet(onto_),
-        LsmOptionsWith(4, /*auto_compact=*/false, mode));
+      size_t group,
+      IndexBuildOptions::VocabularyMode mode =
+          IndexBuildOptions::VocabularyMode::kNone,
+      bool use_elem_rank = false) {
+    IndexBuildOptions options =
+        LsmOptionsWith(4, /*auto_compact=*/false, mode);
+    options.use_elem_rank = use_elem_rank;
+    auto engine =
+        std::make_unique<XOntoRank>(Corpus(), OntologySet(onto_), options);
     for (uint32_t i = 0; i < kNumDocs; ++i) {
       engine->StageDocument(Doc(i));
       if ((i + 1) % group == 0 || i + 1 == kNumDocs) engine->Commit();
@@ -195,6 +199,57 @@ TEST_F(LsmFixture, ResultsIdenticalAcrossSegmentCounts) {
                               "segments=" + std::to_string(
                                   many->snapshot()->segments().size()));
   }
+}
+
+TEST_F(LsmFixture, ElemRankIsPerDocumentAndIdenticalAcrossSegmentations) {
+  // ElemRank's edges never leave their document, so each document's
+  // stage-1 record ranks that document alone: results stay bit-identical
+  // across segmentations, compaction and a save/load round trip.
+  const auto mode = IndexBuildOptions::VocabularyMode::kCorpusAndOntology;
+  auto one = BuildGrouped(kNumDocs, mode, /*use_elem_rank=*/true);
+  const CorpusIndex& index = one->snapshot()->segments().front()->index();
+  ASSERT_EQ(index.documents().size(), kNumDocs);
+  for (uint32_t d = 0; d < kNumDocs; ++d) {
+    const DocumentUnits& record = *index.documents()[d];
+    ASSERT_EQ(record.elem_ranks().size(), record.unit_count());
+    Corpus alone;
+    alone.Add(one->snapshot()->corpus().handle(d));
+    ElemRank rank(alone, one->snapshot()->options().elem_rank);
+    for (uint32_t unit = 0; unit < record.unit_count(); ++unit) {
+      EXPECT_EQ(record.elem_ranks()[unit], rank.rank(unit)) << d;
+    }
+  }
+  // Without ElemRank the records carry no factors, and scores differ.
+  auto plain = BuildGrouped(kNumDocs, mode);
+  EXPECT_TRUE(plain->snapshot()
+                  ->segments()
+                  .front()
+                  ->index()
+                  .documents()
+                  .front()
+                  ->elem_ranks()
+                  .empty());
+  SearchOptions all;
+  all.use_cache = false;
+  EXPECT_NE(plain->Search("asthma", all).results.front().score,
+            one->Search("asthma", all).results.front().score);
+
+  for (size_t group : {size_t{2}, size_t{1}}) {
+    auto many = BuildGrouped(group, mode, /*use_elem_rank=*/true);
+    const std::string label = "elem_rank group=" + std::to_string(group);
+    ExpectParityAcrossOptions(*one, *many, label);
+    many->CompactNow();
+    ExpectParityAcrossOptions(*one, *many, label + " compacted");
+  }
+
+  std::string dir = ::testing::TempDir() + "lsm_elem_rank";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(SaveEngineDir(*BuildGrouped(2, mode, true), dir).ok());
+  auto loaded = LoadEngineDir(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE((*loaded)->engine().snapshot()->options().use_elem_rank);
+  ExpectParityAcrossOptions(*one, (*loaded)->engine(), "elem_rank reloaded");
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(LsmFixture, DemandListsAreFlatBlockMaxAndPruneIdentically) {
@@ -409,7 +464,6 @@ TEST_F(LsmFixture, SaveLoadRoundtripAndGenerations) {
     auto loaded = LoadEngineDir(dir);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     XOntoRank& reloaded = (*loaded)->engine();
-    EXPECT_TRUE(reloaded.snapshot()->is_lsm());
     EXPECT_EQ(reloaded.snapshot()->segments().size(), 4u);
     ExpectParityAcrossOptions(reloaded, *engine, label + " reloaded");
 

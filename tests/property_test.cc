@@ -1,8 +1,13 @@
 // Cross-cutting randomized property tests: invariants that must hold for
 // every seed, exercised over generated ontologies, corpora and byte noise.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "cda/cda_generator.h"
 #include "common/random.h"
@@ -12,7 +17,8 @@
 #include "gtest/gtest.h"
 #include "onto/ontology_generator.h"
 #include "onto/snomed_fragment.h"
-#include "storage/index_store.h"
+#include "storage/segment_file.h"
+#include "storage/segment_writer.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -212,6 +218,9 @@ TEST_P(EngineInvariantTest, RankedAgreesWithExhaustiveOnRealCorpus) {
   options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
   XOntoRank engine(generator.GenerateCorpus(), onto, options);
 
+  // The engine was built over its whole corpus, so it serves one segment.
+  auto snap = engine.snapshot();
+  const CorpusIndex& index = snap->segments().front()->index();
   QueryProcessor exhaustive(options.score);
   RankedQueryProcessor ranked(options.score);
   for (const char* text :
@@ -220,7 +229,7 @@ TEST_P(EngineInvariantTest, RankedAgreesWithExhaustiveOnRealCorpus) {
     KeywordQuery query = ParseQuery(text);
     std::vector<const DilEntry*> lists;
     for (const Keyword& kw : query.keywords) {
-      lists.push_back(engine.index().GetEntry(kw));
+      lists.push_back(index.GetEntry(kw));
     }
     auto a = exhaustive.Execute(lists, 5);
     auto b = ranked.Execute(lists, 5);
@@ -257,10 +266,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineInvariantTest,
 
 // ---- Storage round-trip over random indexes ----
 
-class StorageFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+class StorageFuzzTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  std::string TempPath() const {
+    return (std::filesystem::temp_directory_path() /
+            ("xontorank_storage_fuzz_" + std::to_string(::getpid()) + "_" +
+             std::to_string(GetParam()) + ".xoseg"))
+        .string();
+  }
+};
 
 TEST_P(StorageFuzzTest, RandomIndexesRoundTrip) {
   Rng rng(GetParam());
+  const std::string path = TempPath();
   for (int trial = 0; trial < 20; ++trial) {
     XOntoDil dil;
     size_t num_keywords = rng.NextBelow(8);
@@ -280,23 +298,32 @@ TEST_P(StorageFuzzTest, RandomIndexesRoundTrip) {
       }
       dil.Put("kw" + std::to_string(k), std::move(postings));
     }
-    auto decoded = DecodeIndex(EncodeIndex(dil));
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ASSERT_EQ(decoded->keyword_count(), dil.keyword_count());
-    EXPECT_EQ(decoded->TotalPostings(), dil.TotalPostings());
+    ASSERT_TRUE(SaveSegment(dil.Freeze(), path).ok());
+    auto segment = SegmentFile::Open(path);
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    XOntoDil decoded = (*segment)->MakeView().ThawAll();
+    ASSERT_EQ(decoded.keyword_count(), dil.keyword_count());
+    EXPECT_EQ(decoded.TotalPostings(), dil.TotalPostings());
   }
+  std::filesystem::remove(path);
 }
 
 TEST_P(StorageFuzzTest, RandomTruncationsNeverCrashOrSucceedWrongly) {
   Rng rng(GetParam() ^ 0xBEEF);
   XOntoDil dil;
   dil.Put("asthma", {{DeweyId({0, 1, 2}), 0.5}, {DeweyId({3}), 0.25}});
-  std::string blob = EncodeIndex(dil);
+  const std::string blob = EncodeSegment(dil.Freeze());
+  const std::string path = TempPath();
   for (int trial = 0; trial < 100; ++trial) {
     size_t keep = rng.NextBelow(blob.size());
-    auto decoded = DecodeIndex(blob.substr(0, keep));
-    EXPECT_FALSE(decoded.ok());  // CRC or structure must reject
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(blob.data(), static_cast<std::streamsize>(keep));
+    }
+    auto segment = SegmentFile::Open(path);
+    EXPECT_FALSE(segment.ok()) << keep;  // size or CRC checks must reject
   }
+  std::filesystem::remove(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StorageFuzzTest,

@@ -73,7 +73,7 @@ TEST(GroupingIntegrationTest, CdaResultsShareSectionShape) {
   XOntoRank engine(std::move(corpus), onto, options);
   auto results = SearchTop(engine, "asthma", 0);
   ASSERT_FALSE(results.empty());
-  auto groups = GroupResultsByPath(results, engine.index().corpus());
+  auto groups = GroupResultsByPath(results, engine.snapshot()->corpus());
   ASSERT_FALSE(groups.empty());
   size_t total = 0;
   for (const ResultGroup& g : groups) {

@@ -1,9 +1,8 @@
 // The mmap-native segment format: round-trip bit-identity of the serving
-// columns, query parity between a mapped view and the decoded FlatDil it
-// was written from (unranked + ranked, every shard count), strict
+// columns, query parity between a mapped view and the heap FlatDil it was
+// written from (unranked + ranked, every shard count), and strict
 // corruption handling (every injected fault yields a descriptive Status
-// naming path, offset and section — never a crash), format detection, and
-// the legacy XODL path's new error context.
+// naming path, offset and section — never a crash).
 
 #include <unistd.h>
 
@@ -23,7 +22,6 @@
 #include "core/xonto_dil.h"
 #include "gtest/gtest.h"
 #include "storage/coding.h"
-#include "storage/index_store.h"
 #include "storage/segment_file.h"
 #include "storage/segment_writer.h"
 
@@ -180,6 +178,18 @@ TEST(SegmentRoundTrip, EmptyIndex) {
   std::filesystem::remove(path);
 }
 
+TEST(SegmentRoundTrip, OpenMissingFileIsIoError) {
+  auto segment = SegmentFile::Open("/nonexistent/path/seg-0.xoseg");
+  ASSERT_FALSE(segment.ok());
+  EXPECT_EQ(segment.status().code(), StatusCode::kIoError);
+}
+
+TEST(SegmentRoundTrip, SaveToUnwritablePathIsIoError) {
+  EXPECT_EQ(SaveSegment(XOntoDil().Freeze(), "/nonexistent/dir/seg-0.xoseg")
+                .code(),
+            StatusCode::kIoError);
+}
+
 TEST(SegmentRoundTrip, MovedViewStaysBoundToMapping) {
   Rng rng(1009);
   FlatDil flat = RandomDil(rng, 4, 50).Freeze();
@@ -197,7 +207,7 @@ TEST(SegmentRoundTrip, MovedViewStaysBoundToMapping) {
   std::filesystem::remove(path);
 }
 
-// ---- Query parity: mapped view vs the decoded FlatDil, bit for bit ----
+// ---- Query parity: mapped view vs the heap FlatDil, bit for bit ----
 
 class SegmentParityTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -207,12 +217,10 @@ TEST_P(SegmentParityTest, MappedExecuteMatchesDecodedBitForBit) {
   std::string path = TempPath("parity" + std::to_string(GetParam()));
   for (int trial = 0; trial < 6; ++trial) {
     XOntoDil dil = RandomDil(rng, 1 + rng.NextBelow(3), 60);
-    // Through the XODL wire format first: scores are float32-rounded, and
-    // the segment is written FROM the decoded columns, so both sides of
-    // the comparison carry identical doubles.
-    Result<FlatDil> decoded = DecodeIndexFlat(EncodeIndex(dil));
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ASSERT_TRUE(SaveSegment(*decoded, path).ok());
+    // The segment is written FROM the heap columns, so both sides of the
+    // comparison carry identical doubles.
+    FlatDil heap = dil.Freeze();
+    ASSERT_TRUE(SaveSegment(heap, path).ok());
     auto segment = SegmentFile::Open(path);
     ASSERT_TRUE(segment.ok()) << segment.status().ToString();
     FlatDil view = (*segment)->MakeView();
@@ -221,28 +229,28 @@ TEST_P(SegmentParityTest, MappedExecuteMatchesDecodedBitForBit) {
     ScoreOptions score;
     score.decay = 0.25 + 0.5 * rng.NextDouble();
     QueryProcessor processor(score);
-    std::vector<DilListRef> decoded_refs, mapped_refs;
+    std::vector<DilListRef> heap_refs, mapped_refs;
     for (const auto& [keyword, entry] : dil.entries()) {
       (void)entry;
-      uint32_t list = decoded->FindList(keyword);
+      uint32_t list = heap.FindList(keyword);
       ASSERT_NE(list, FlatDil::kNoList);
       ASSERT_EQ(view.FindList(keyword), list);
-      decoded_refs.push_back(DilListRef::OverFlat(*decoded, list));
+      heap_refs.push_back(DilListRef::OverFlat(heap, list));
       mapped_refs.push_back(DilListRef::OverFlat(view, list));
     }
 
     size_t top_k = rng.NextBelow(2) == 0 ? 0 : 1 + rng.NextBelow(10);
-    auto expected = processor.ExecuteSharded(decoded_refs, top_k, 1, &pool);
+    auto expected = processor.ExecuteSegments({heap_refs}, top_k, 1, &pool);
     for (size_t num_shards : {1u, 2u, 4u, 8u}) {
       auto mapped =
-          processor.ExecuteSharded(mapped_refs, top_k, num_shards, &pool);
+          processor.ExecuteSegments({mapped_refs}, top_k, num_shards, &pool);
       ASSERT_EQ(expected.size(), mapped.size())
           << "shards=" << num_shards << " trial=" << trial;
       for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(expected[i].element, mapped[i].element)
             << "shards=" << num_shards << " trial=" << trial << " i=" << i;
         // Exact double equality: the mapped columns are byte-identical to
-        // the decoded ones, so the merge performs the same floating-point
+        // the heap ones, so the merge performs the same floating-point
         // operations in the same order.
         EXPECT_EQ(expected[i].score, mapped[i].score)
             << "shards=" << num_shards << " trial=" << trial << " i=" << i;
@@ -253,7 +261,7 @@ TEST_P(SegmentParityTest, MappedExecuteMatchesDecodedBitForBit) {
 
     RankedQueryProcessor ranked((ScoreOptions()));
     for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
-      auto expected_ranked = ranked.Execute(decoded_refs, k);
+      auto expected_ranked = ranked.Execute(heap_refs, k);
       auto mapped_ranked = ranked.Execute(mapped_refs, k);
       ASSERT_EQ(expected_ranked.size(), mapped_ranked.size())
           << "trial " << trial << " k " << k;
@@ -556,76 +564,6 @@ TEST_F(SegmentCorruptionTest, PristineFileStillOpensAfterSuite) {
   options.advice = SegmentFile::Options::Advice::kSequential;
   auto segment = SegmentFile::Open(path_, options);
   EXPECT_TRUE(segment.ok()) << segment.status().ToString();
-}
-
-// ---- Format detection ----
-
-TEST(DetectIndexFileFormatTest, RecognizesBothFormatsAndRejectsOthers) {
-  Rng rng(7);
-  XOntoDil dil = RandomDil(rng, 3, 40);
-  std::string seg_path = TempPath("detect_seg");
-  std::string xodl_path = TempPath("detect_xodl");
-  ASSERT_TRUE(SaveSegment(dil.Freeze(), seg_path).ok());
-  ASSERT_TRUE(SaveIndex(dil, xodl_path).ok());
-
-  auto seg_format = DetectIndexFileFormat(seg_path);
-  ASSERT_TRUE(seg_format.ok());
-  EXPECT_EQ(*seg_format, IndexFileFormat::kSegment);
-  auto xodl_format = DetectIndexFileFormat(xodl_path);
-  ASSERT_TRUE(xodl_format.ok());
-  EXPECT_EQ(*xodl_format, IndexFileFormat::kXodl);
-
-  WriteAll(seg_path, "not an index file at all");
-  auto unknown = DetectIndexFileFormat(seg_path);
-  ASSERT_TRUE(unknown.ok());
-  EXPECT_EQ(*unknown, IndexFileFormat::kUnknown);
-
-  WriteAll(seg_path, "XO");  // shorter than any magic
-  auto tiny = DetectIndexFileFormat(seg_path);
-  ASSERT_TRUE(tiny.ok());
-  EXPECT_EQ(*tiny, IndexFileFormat::kUnknown);
-
-  std::filesystem::remove(seg_path);
-  EXPECT_FALSE(DetectIndexFileFormat(seg_path).ok());
-  std::filesystem::remove(xodl_path);
-}
-
-// ---- Legacy XODL: still loads, and failures carry path + offset ----
-
-TEST(XodlCompatibilityTest, LegacyIndexStillLoads) {
-  Rng rng(41);
-  XOntoDil dil = RandomDil(rng, 6, 80);
-  std::string path = TempPath("legacy");
-  ASSERT_TRUE(SaveIndex(dil, path).ok());
-  auto flat = LoadIndexFlat(path);
-  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-  EXPECT_EQ(flat->keyword_count(), dil.keyword_count());
-  EXPECT_FALSE(flat->is_mapped_view());
-  std::filesystem::remove(path);
-}
-
-TEST(XodlCompatibilityTest, CorruptXodlNamesPathAndOffset) {
-  Rng rng(1009);
-  XOntoDil dil = RandomDil(rng, 6, 80);
-  std::string path = TempPath("legacy_corrupt");
-  ASSERT_TRUE(SaveIndex(dil, path).ok());
-  std::string data = ReadAll(path);
-  data[data.size() / 2] ^= 0x10;
-  WriteAll(path, data);
-
-  auto flat = LoadIndexFlat(path);
-  ASSERT_FALSE(flat.ok());
-  const std::string& msg = flat.status().message();
-  EXPECT_NE(msg.find(path), std::string::npos) << msg;
-  EXPECT_NE(msg.find("index CRC mismatch (offset "), std::string::npos) << msg;
-
-  WriteAll(path, data.substr(0, 6));
-  auto tiny = LoadIndexFlat(path);
-  ASSERT_FALSE(tiny.ok());
-  EXPECT_NE(tiny.status().message().find("index blob too small"),
-            std::string::npos)
-      << tiny.status().message();
-  std::filesystem::remove(path);
 }
 
 }  // namespace

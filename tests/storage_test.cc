@@ -1,8 +1,4 @@
 #include "storage/coding.h"
-#include "storage/index_store.h"
-
-#include <cstdio>
-#include <filesystem>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -94,171 +90,6 @@ TEST(Crc32Test, KnownVectorAndSensitivity) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
   EXPECT_NE(Crc32("abc"), Crc32("abd"));
-}
-
-// ---- Index store ----
-
-XOntoDil SampleDil() {
-  XOntoDil dil;
-  dil.Put("asthma", {{DeweyId({0, 3, 0, 1}), 0.5},
-                     {DeweyId({0, 3, 0, 2}), 1.0},
-                     {DeweyId({2, 0}), 0.125}});
-  dil.Put("theophylline", {{DeweyId({0, 3, 1}), 0.75}});
-  dil.Put("empty", {});
-  return dil;
-}
-
-void ExpectDilEqual(const XOntoDil& a, const XOntoDil& b) {
-  ASSERT_EQ(a.keyword_count(), b.keyword_count());
-  auto ai = a.entries().begin();
-  auto bi = b.entries().begin();
-  for (; ai != a.entries().end(); ++ai, ++bi) {
-    EXPECT_EQ(ai->first, bi->first);
-    ASSERT_EQ(ai->second.postings.size(), bi->second.postings.size());
-    for (size_t i = 0; i < ai->second.postings.size(); ++i) {
-      EXPECT_EQ(ai->second.postings[i].dewey, bi->second.postings[i].dewey);
-      EXPECT_FLOAT_EQ(
-          static_cast<float>(ai->second.postings[i].score),
-          static_cast<float>(bi->second.postings[i].score));
-    }
-  }
-}
-
-TEST(IndexStoreTest, EncodeDecodeRoundTrip) {
-  XOntoDil dil = SampleDil();
-  std::string blob = EncodeIndex(dil);
-  auto decoded = DecodeIndex(blob);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ExpectDilEqual(dil, *decoded);
-}
-
-TEST(IndexStoreTest, EmptyIndexRoundTrips) {
-  XOntoDil dil;
-  auto decoded = DecodeIndex(EncodeIndex(dil));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->keyword_count(), 0u);
-}
-
-TEST(IndexStoreTest, RejectsBadMagic) {
-  std::string blob = EncodeIndex(SampleDil());
-  blob[0] = 'Z';
-  auto decoded = DecodeIndex(blob);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
-}
-
-TEST(IndexStoreTest, RejectsTooSmall) {
-  EXPECT_FALSE(DecodeIndex("").ok());
-  EXPECT_FALSE(DecodeIndex("XODL").ok());
-}
-
-TEST(IndexStoreTest, CrcCatchesBitFlips) {
-  std::string blob = EncodeIndex(SampleDil());
-  Rng rng(5);
-  for (int trial = 0; trial < 32; ++trial) {
-    std::string corrupted = blob;
-    size_t pos = 4 + rng.NextBelow(corrupted.size() - 4);
-    corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x20);
-    auto decoded = DecodeIndex(corrupted);
-    EXPECT_FALSE(decoded.ok()) << "flip at " << pos;
-    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
-  }
-}
-
-TEST(IndexStoreTest, TruncationDetected) {
-  std::string blob = EncodeIndex(SampleDil());
-  for (size_t keep : {blob.size() - 1, blob.size() / 2, size_t{10}}) {
-    EXPECT_FALSE(DecodeIndex(blob.substr(0, keep)).ok()) << keep;
-  }
-}
-
-TEST(IndexStoreTest, EntryCountBombRejectedBeforeAllocation) {
-  // A 13-byte blob with a valid CRC declaring 2^40 entries: the
-  // plausibility cap (an entry needs >= 2 payload bytes) must refuse it
-  // up front instead of feeding the count to reserve().
-  std::string blob;
-  blob.append("XODL", 4);
-  PutFixed32(&blob, 1);                        // version
-  PutVarint64(&blob, uint64_t{1} << 40);       // entry count
-  PutFixed32(&blob, Crc32(blob));
-  for (auto decode : {+[](std::string_view b) { return DecodeIndex(b).ok(); },
-                      +[](std::string_view b) {
-                        return DecodeIndexFlat(b).ok();
-                      }}) {
-    EXPECT_FALSE(decode(blob));
-  }
-  auto decoded = DecodeIndex(blob);
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(decoded.status().message().find("implausible entry count"),
-            std::string::npos)
-      << decoded.status().message();
-}
-
-TEST(IndexStoreTest, PostingCountBombRejectedBeforeAllocation) {
-  // Same attack one level down: a single keyword whose posting count
-  // (fed to three reserve() calls) exceeds what the remaining bytes
-  // could encode at >= 6 bytes per posting.
-  std::string blob;
-  blob.append("XODL", 4);
-  PutFixed32(&blob, 1);                        // version
-  PutVarint64(&blob, 1);                       // one entry
-  PutLengthPrefixed(&blob, "kw");
-  PutVarint64(&blob, uint64_t{1} << 40);       // posting count
-  PutFixed32(&blob, Crc32(blob));
-  auto decoded = DecodeIndex(blob);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(decoded.status().message().find("implausible posting count"),
-            std::string::npos)
-      << decoded.status().message();
-  EXPECT_FALSE(DecodeIndexFlat(blob).ok());
-}
-
-TEST(IndexStoreTest, PrefixCompressionShrinksSortedLists) {
-  // Deep sibling postings share long prefixes; the encoded form must be far
-  // smaller than the uncompressed (full components + score) representation.
-  XOntoDil dil;
-  std::vector<DilPosting> postings;
-  size_t uncompressed = 0;
-  for (uint32_t i = 0; i < 1000; ++i) {
-    postings.push_back({DeweyId({0, 3, 0, 2, 0, 5, 1, i}), 0.5});
-    uncompressed += 8 * sizeof(uint32_t) + sizeof(float);
-  }
-  dil.Put("deep", std::move(postings));
-  std::string blob = EncodeIndex(dil);
-  EXPECT_LT(blob.size(), uncompressed / 3);
-  // ApproxSizeBytes now reports the encoded posting payload, so the blob
-  // (payload + per-entry header + magic/version/CRC framing) must sit just
-  // above it.
-  size_t payload_bytes = dil.Find("deep")->ApproxSizeBytes();
-  EXPECT_GE(blob.size(), payload_bytes);
-  EXPECT_LT(blob.size(), payload_bytes + 64);
-  auto decoded = DecodeIndex(blob);
-  ASSERT_TRUE(decoded.ok());
-  ExpectDilEqual(dil, *decoded);
-}
-
-TEST(IndexStoreTest, SaveAndLoadFile) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "xontorank_index_test.xodl")
-          .string();
-  XOntoDil dil = SampleDil();
-  ASSERT_TRUE(SaveIndex(dil, path).ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectDilEqual(dil, *loaded);
-  std::remove(path.c_str());
-}
-
-TEST(IndexStoreTest, LoadMissingFileIsIoError) {
-  auto loaded = LoadIndex("/nonexistent/path/index.xodl");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-}
-
-TEST(IndexStoreTest, SaveToUnwritablePathIsIoError) {
-  EXPECT_EQ(SaveIndex(SampleDil(), "/nonexistent/dir/index.xodl").code(),
-            StatusCode::kIoError);
 }
 
 }  // namespace

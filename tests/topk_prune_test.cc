@@ -93,12 +93,12 @@ TEST(BlockMaxParity, MatchesExhaustiveForEveryKAndShardCount) {
 
   for (size_t top_k : {size_t{1}, size_t{5}, size_t{10}, size_t{128},
                        size_t{0}}) {
-    std::vector<QueryResult> expected = processor.ExecuteSharded(
-        lists, top_k, 1, nullptr, nullptr, PruningMode::kExact);
+    std::vector<QueryResult> expected = processor.ExecuteSegments(
+        {lists}, top_k, 1, nullptr, nullptr, PruningMode::kExact);
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       ExecuteStats stats;
-      std::vector<QueryResult> pruned = processor.ExecuteSharded(
-          lists, top_k, shards, &pool, &stats, PruningMode::kBlockMax);
+      std::vector<QueryResult> pruned = processor.ExecuteSegments(
+          {lists}, top_k, shards, &pool, &stats, PruningMode::kBlockMax);
       SCOPED_TRACE("top_k=" + std::to_string(top_k) +
                    " shards=" + std::to_string(shards));
       ExpectBitIdentical(expected, pruned);
@@ -117,10 +117,10 @@ TEST(BlockMaxParity, SingleKeywordEveryK) {
   QueryProcessor processor(ScoreOptions{});
   std::vector<DilListRef> lists = FlatRefs(flat, {"kw0"});
   for (size_t top_k : {size_t{1}, size_t{3}, size_t{50}, size_t{0}}) {
-    auto exact = processor.ExecuteSharded(lists, top_k, 1, nullptr, nullptr,
-                                          PruningMode::kExact);
-    auto pruned = processor.ExecuteSharded(lists, top_k, 1, nullptr, nullptr,
-                                           PruningMode::kBlockMax);
+    auto exact = processor.ExecuteSegments(
+        {lists}, top_k, 1, nullptr, nullptr, PruningMode::kExact);
+    auto pruned = processor.ExecuteSegments(
+        {lists}, top_k, 1, nullptr, nullptr, PruningMode::kBlockMax);
     SCOPED_TRACE("top_k=" + std::to_string(top_k));
     ExpectBitIdentical(exact, pruned);
   }
@@ -143,10 +143,10 @@ TEST(BlockMaxParity, TieScoresKeepDeweyOrderDeterministic) {
   QueryProcessor processor(ScoreOptions{});
   std::vector<DilListRef> lists = FlatRefs(flat, {"kw0", "kw1"});
   for (size_t top_k : {size_t{1}, size_t{7}, size_t{100}}) {
-    auto exact = processor.ExecuteSharded(lists, top_k, 1, nullptr, nullptr,
-                                          PruningMode::kExact);
-    auto pruned = processor.ExecuteSharded(lists, top_k, 1, nullptr, nullptr,
-                                           PruningMode::kBlockMax);
+    auto exact = processor.ExecuteSegments(
+        {lists}, top_k, 1, nullptr, nullptr, PruningMode::kExact);
+    auto pruned = processor.ExecuteSegments(
+        {lists}, top_k, 1, nullptr, nullptr, PruningMode::kBlockMax);
     SCOPED_TRACE("top_k=" + std::to_string(top_k));
     ExpectBitIdentical(exact, pruned);
   }
@@ -168,16 +168,16 @@ TEST(BlockMaxPruning, SkipsBlocksOnSkewedScores) {
   std::vector<DilListRef> lists = FlatRefs(flat, {"kw"});
 
   ExecuteStats stats;
-  auto pruned = processor.ExecuteSharded(lists, 1, 1, nullptr, &stats,
-                                         PruningMode::kBlockMax);
+  auto pruned = processor.ExecuteSegments(
+      {lists}, 1, 1, nullptr, &stats, PruningMode::kBlockMax);
   ASSERT_EQ(pruned.size(), 1u);
   EXPECT_EQ(pruned[0].element, DeweyId({0, 0}));
   EXPECT_GT(stats.blocks_skipped, 10u);
   EXPECT_LT(stats.postings_scored, stats.postings_scanned / 2);
   EXPECT_GE(stats.threshold_updates, 1u);
 
-  auto exact = processor.ExecuteSharded(lists, 1, 1, nullptr, nullptr,
-                                        PruningMode::kExact);
+  auto exact = processor.ExecuteSegments(
+      {lists}, 1, 1, nullptr, nullptr, PruningMode::kExact);
   ExpectBitIdentical(exact, pruned);
 }
 
@@ -254,12 +254,12 @@ TEST(BlockMaxFallback, DecayAboveOneRunsExact) {
   QueryProcessor processor(amplifying);
   std::vector<DilListRef> lists = FlatRefs(flat, {"kw0", "kw1"});
   ExecuteStats stats;
-  auto pruned = processor.ExecuteSharded(lists, 5, 1, nullptr, &stats,
-                                         PruningMode::kBlockMax);
+  auto pruned = processor.ExecuteSegments(
+      {lists}, 5, 1, nullptr, &stats, PruningMode::kBlockMax);
   EXPECT_EQ(stats.blocks_skipped, 0u);
   EXPECT_EQ(stats.threshold_updates, 0u);
-  auto exact = processor.ExecuteSharded(lists, 5, 1, nullptr, nullptr,
-                                        PruningMode::kExact);
+  auto exact = processor.ExecuteSegments(
+      {lists}, 5, 1, nullptr, nullptr, PruningMode::kExact);
   ExpectBitIdentical(exact, pruned);
 }
 
@@ -276,12 +276,12 @@ TEST(BlockMaxFallback, SpanCursorsRunExact) {
 
   QueryProcessor processor(ScoreOptions{});
   ExecuteStats stats;
-  auto pruned = processor.ExecuteSharded(mixed, 5, 1, nullptr, &stats,
-                                         PruningMode::kBlockMax);
+  auto pruned = processor.ExecuteSegments(
+      {mixed}, 5, 1, nullptr, &stats, PruningMode::kBlockMax);
   EXPECT_EQ(stats.blocks_skipped, 0u);
   EXPECT_EQ(stats.threshold_updates, 0u);
-  auto exact = processor.ExecuteSharded(mixed, 5, 1, nullptr, nullptr,
-                                        PruningMode::kExact);
+  auto exact = processor.ExecuteSegments(
+      {mixed}, 5, 1, nullptr, nullptr, PruningMode::kExact);
   ExpectBitIdentical(exact, pruned);
 }
 
@@ -338,13 +338,13 @@ TEST(BlockMaxSegment, MappedViewMatchesBuiltColumnAndPrunesIdentically) {
             0);
 
   QueryProcessor processor(ScoreOptions{});
-  auto from_built =
-      processor.ExecuteSharded(FlatRefs(flat, {"kw0", "kw1"}), 10, 1, nullptr,
-                               nullptr, PruningMode::kBlockMax);
+  auto from_built = processor.ExecuteSegments(
+      {FlatRefs(flat, {"kw0", "kw1"})}, 10, 1, nullptr, nullptr,
+      PruningMode::kBlockMax);
   ExecuteStats stats;
-  auto from_mapped =
-      processor.ExecuteSharded(FlatRefs(view, {"kw0", "kw1"}), 10, 1, nullptr,
-                               &stats, PruningMode::kBlockMax);
+  auto from_mapped = processor.ExecuteSegments(
+      {FlatRefs(view, {"kw0", "kw1"})}, 10, 1, nullptr, &stats,
+      PruningMode::kBlockMax);
   ExpectBitIdentical(from_built, from_mapped);
   std::filesystem::remove(path);
 }
@@ -369,14 +369,14 @@ TEST(BlockMaxSegment, V1SegmentOpensAndFallsBackToExact) {
   // still matches the built (v2-capable) index bit for bit.
   QueryProcessor processor(ScoreOptions{});
   ExecuteStats stats;
-  auto from_v1 =
-      processor.ExecuteSharded(FlatRefs(view, {"kw0", "kw1"}), 10, 1, nullptr,
-                               &stats, PruningMode::kBlockMax);
+  auto from_v1 = processor.ExecuteSegments(
+      {FlatRefs(view, {"kw0", "kw1"})}, 10, 1, nullptr, &stats,
+      PruningMode::kBlockMax);
   EXPECT_EQ(stats.blocks_skipped, 0u);
   EXPECT_EQ(stats.threshold_updates, 0u);
-  auto expected =
-      processor.ExecuteSharded(FlatRefs(flat, {"kw0", "kw1"}), 10, 1, nullptr,
-                               nullptr, PruningMode::kExact);
+  auto expected = processor.ExecuteSegments(
+      {FlatRefs(flat, {"kw0", "kw1"})}, 10, 1, nullptr, nullptr,
+      PruningMode::kExact);
   ExpectBitIdentical(expected, from_v1);
   std::filesystem::remove(path);
 }

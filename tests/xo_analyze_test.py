@@ -302,12 +302,12 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
 
     # --- lock-order -----------------------------------------------------
 
-    def test_save_mutex_under_file_mutex_fires(self):
+    def test_save_mutex_under_segment_file_mutex_fires(self):
         self.assert_fires(
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
                  "void F() {\n"
-                 "  MutexLock lock(FileMutex());\n"
+                 "  MutexLock lock(SegmentFileMutex());\n"
                  "  MutexLock save(SaveMutex());\n"
                  "}\n"},
             "lock-order")
@@ -320,7 +320,7 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
                  "  MutexLock lock(SaveMutex());\n"
                  "}\n"
                  "void F() {\n"
-                 "  MutexLock lock(FileMutex());\n"
+                 "  MutexLock lock(SegmentFileMutex());\n"
                  "  TakesSave();\n"
                  "}\n"},
             "lock-order")
@@ -330,8 +330,8 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
                  "void F() {\n"
-                 "  MutexLock a(FileMutex());\n"
-                 "  MutexLock b(SegmentFileMutex());\n"
+                 "  MutexLock a(SegmentFileMutex());\n"
+                 "  MutexLock b(ManifestFileMutex());\n"
                  "}\n"},
             "lock-order")
 
@@ -388,15 +388,15 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
                  "}\n"})
 
     def test_documented_order_is_clean(self):
-        # SaveMutex (level 1) before FileMutex (level 2): the real
-        # SaveSnapshot -> SaveIndex shape.
+        # SaveMutex (level 1) before SegmentFileMutex (level 2): the real
+        # SaveSnapshot -> SaveSegment shape.
         self.assert_clean(
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
-                 "void SaveIndexLike() { MutexLock lock(FileMutex()); }\n"
+                 "void SaveSegmentLike() { MutexLock lock(SegmentFileMutex()); }\n"
                  "void F() {\n"
                  "  MutexLock lock(SaveMutex());\n"
-                 "  SaveIndexLike();\n"
+                 "  SaveSegmentLike();\n"
                  "}\n"})
 
     def test_sequential_scopes_are_clean(self):
@@ -404,7 +404,7 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
                  "void F() {\n"
-                 "  { MutexLock lock(FileMutex()); }\n"
+                 "  { MutexLock lock(SegmentFileMutex()); }\n"
                  "  { MutexLock lock(SaveMutex()); }\n"
                  "}\n"})
 

@@ -169,7 +169,7 @@ class XoLintFixtureTest(unittest.TestCase):
     def test_voided_fallible_call_fires(self):
         self.assert_fires(
             {"tests/helper.cc":
-                 "void Seed() { (void)SaveIndex(dil, \"/tmp/i\"); }\n"},
+                 "void Seed() { (void)SaveSegment(dil, \"/tmp/i\"); }\n"},
             "voided-status")
 
     def test_voided_member_call_fires(self):
@@ -185,13 +185,13 @@ class XoLintFixtureTest(unittest.TestCase):
     def test_checked_call_does_not_fire(self):
         self.assert_clean(
             {"tests/helper.cc":
-                 "void Seed() { XO_CHECK_OK(SaveIndex(dil, \"/tmp/i\")); }\n"})
+                 "void Seed() { XO_CHECK_OK(SaveSegment(dil, \"/tmp/i\")); }\n"})
 
-    def test_voided_flat_decoder_fires(self):
+    def test_voided_manifest_decoders_fire(self):
         self.assert_fires(
             {"tests/helper.cc":
-                 "void Seed() { (void)LoadIndexFlat(\"/tmp/i\"); }\n"
-                 "void Peek() { (void)DecodeIndexFlat(blob); }\n"},
+                 "void Seed() { (void)LoadManifest(\"/tmp/m\"); }\n"
+                 "void Peek() { (void)DecodeManifest(blob); }\n"},
             "voided-status", count=2)
 
     # --- posting-by-value -----------------------------------------------

@@ -4,7 +4,7 @@
 //   make_fuzz_corpus OUTDIR --hostile  write known-trigger regression inputs
 //
 // Creates OUTDIR/<surface>/ for each harness surface (xml_parse,
-// xodl_decode, segment_open, query, dewey). Seeds are well-formed
+// segment_open, query, dewey, manifest). Seeds are well-formed
 // instances of each wire format produced by the repo's own encoders, so
 // mutation starts from deep inside the accept-states of every parser.
 // The hostile set reproduces the classes of bug the hardening work
@@ -28,7 +28,6 @@
 #include "core/xonto_dil.h"
 #include "onto/snomed_fragment.h"
 #include "storage/coding.h"
-#include "storage/index_store.h"
 #include "storage/manifest.h"
 #include "storage/segment_format.h"
 #include "storage/segment_writer.h"
@@ -143,16 +142,9 @@ void WriteSeeds(const fs::path& out) {
             "<!-- note --><doc a=\"&lt;1&gt;\"><![CDATA[raw < text]]></doc>");
   WriteFile(out / "xml_parse", "nested_32.xml", NestedXml(32));
 
-  // xodl_decode: encoded indexes of three sizes.
-  Rng rng(42);
-  WriteFile(out / "xodl_decode", "empty.xodl", EncodeIndex(XOntoDil()));
-  WriteFile(out / "xodl_decode", "small.xodl",
-            EncodeIndex(RandomDil(rng, 4, 20)));
-  WriteFile(out / "xodl_decode", "large.xodl",
-            EncodeIndex(RandomDil(rng, 16, 200)));
-
   // segment_open: both segment versions, plus a multi-block index so the
   // skip table and block-max sections are non-trivial.
+  Rng rng(42);
   FlatDil small = RandomDil(rng, 6, 40).Freeze();
   FlatDil blocky = RandomDil(rng, 8, 400).Freeze();
   WriteFile(out / "segment_open", "small_v1.xoseg", EncodeSegment(small, 1));
@@ -194,24 +186,6 @@ void WriteHostile(const fs::path& out) {
   WriteFile(out / "xml_parse", "depth_bomb.xml", NestedXml(4096));
   WriteFile(out / "xml_parse", "unclosed_depth.xml",
             std::string(2048, '<') + "a>");
-
-  // xodl_decode: count bombs with a valid trailing CRC, so they pass the
-  // integrity gate and attack the reserve/validation logic directly.
-  std::string entry_bomb;
-  entry_bomb.append("XODL", 4);
-  PutFixed32(&entry_bomb, 1);                         // version
-  PutVarint64(&entry_bomb, uint64_t{1} << 40);        // entry count
-  PutFixed32(&entry_bomb, Crc32(entry_bomb));
-  WriteFile(out / "xodl_decode", "entry_bomb.xodl", entry_bomb);
-
-  std::string posting_bomb;
-  posting_bomb.append("XODL", 4);
-  PutFixed32(&posting_bomb, 1);                       // version
-  PutVarint64(&posting_bomb, 1);                      // one entry
-  PutLengthPrefixed(&posting_bomb, "kw");
-  PutVarint64(&posting_bomb, uint64_t{1} << 40);      // posting count
-  PutFixed32(&posting_bomb, Crc32(posting_bomb));
-  WriteFile(out / "xodl_decode", "posting_bomb.xodl", posting_bomb);
 
   // segment_open: a real segment with forged header fields, re-signed so
   // the metadata CRC passes and Validate's plausibility caps are what

@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 BUDGET="${1:-60}"
 BUILD_DIR="${FUZZ_BUILD_DIR:-build-fuzz}"
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
-SURFACES=(xml_parse xodl_decode segment_open query dewey manifest)
+SURFACES=(xml_parse segment_open query dewey manifest)
 
 CXX_BIN="${FUZZ_CLANG:-}"
 if [[ -z "${CXX_BIN}" ]]; then

@@ -19,7 +19,7 @@ rules:
                       member (shared_ptr<const void>, SegmentFile, or a
                       smart pointer to one) declared BEFORE the first
                       such member: members destroy in reverse order, so
-                      the mapping outlives every view (the IndexSnapshot
+                      the mapping outlives every view (the IndexSegment
                       pattern, DESIGN.md §11).            [scope: src/]
   snapshot-pin        calling .get() directly on a shared_ptr returned by
                       value (XOntoRank::snapshot(), make_shared, ...) and
@@ -29,8 +29,8 @@ rules:
                       must hold the shared_ptr itself.    [scope: src/]
   lock-order          cross-TU partial-order check over the named
                       process-wide locks (engine_store SaveMutex before
-                      index_store FileMutex / segment_writer
-                      SegmentFileMutex / manifest ManifestFileMutex):
+                      segment_writer SegmentFileMutex / manifest
+                      ManifestFileMutex):
                       while one is held, no direct or
                       transitive callee may acquire a lock of lower or
                       equal level (DESIGN.md §9).         [scope: src/]
@@ -104,7 +104,6 @@ RAW_VIEW_MEMBER_TYPES = {"string_view", "span", "DeweyRef", "DilListRef",
 # may only be acquired while holding locks of strictly LOWER level.
 LOCK_LEVELS = {
     "SaveMutex": (1, "engine_store.cc whole-directory save lock"),
-    "FileMutex": (2, "index_store.cc temp+rename file lock"),
     "SegmentFileMutex": (2, "segment_writer.cc temp+rename file lock"),
     "ManifestFileMutex": (2, "manifest.cc temp+rename file lock"),
 }
@@ -123,7 +122,7 @@ RULE_DOCS = {
     "snapshot-pin": ".get() on a temporary shared_ptr stored as a raw "
                     "pointer (unpinned snapshot)",
     "lock-order": "named lock acquired under a lock of equal or higher "
-                  "level (SaveMutex < FileMutex/SegmentFileMutex/"
+                  "level (SaveMutex < SegmentFileMutex/"
                   "ManifestFileMutex)",
     "view-outlives-unmap": "SegmentFile view used after reset/move/scope "
                            "death of its mapping",
@@ -1365,7 +1364,7 @@ def check_lock_order(program):
                             f"{level}, via {via}) while holding {held} "
                             f"(level {held_level}, acquired line "
                             f"{held_line}); the documented order is "
-                            "SaveMutex before FileMutex/SegmentFileMutex/"
+                            "SaveMutex before SegmentFileMutex/"
                             "ManifestFileMutex and same-level locks "
                             "never nest"))
     return findings
@@ -1844,7 +1843,7 @@ SELF_TEST_FIXTURES = {
         "  MutexLock lock(SaveMutex());\n"
         "}\n"
         "void Outer() {\n"
-        "  MutexLock lock(FileMutex());\n"
+        "  MutexLock lock(SegmentFileMutex());\n"
         "  Inner();\n"
         "}\n",
         [("lock-order", 7)],

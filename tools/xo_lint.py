@@ -71,22 +71,18 @@ FALLIBLE_FUNCTIONS = [
     "AddRelationship",
     "CheckCda",
     "ConvertEmrToCda",
-    "DecodeIndex",
-    "DecodeIndexFlat",
     "DecodeManifest",
     "ExplainOntoScore",
     "ExplainResult",
     "LoadEngineDir",
-    "LoadIndex",
-    "LoadIndexFlat",
     "LoadManifest",
     "LoadOntology",
     "ParseOntologyText",
     "ParseXml",
     "SaveEngineDir",
-    "SaveIndex",
     "SaveManifest",
     "SaveOntology",
+    "SaveSegment",
     "SaveSnapshot",
     "Validate",
 ]
