@@ -122,12 +122,11 @@ BENCHMARK(BM_BuildDilEntry);
 
 void BM_DilMerge(benchmark::State& state) {
   IndexedCorpus& shared = SharedIndex();
-  const DilEntry* a = shared.index->GetEntry(MakeKeyword("cardiac"));
-  const DilEntry* b = shared.index->GetEntry(MakeKeyword("arrest"));
+  DilListRef a = shared.index->GetListRef(MakeKeyword("cardiac"));
+  DilListRef b = shared.index->GetListRef(MakeKeyword("arrest"));
   QueryProcessor processor((ScoreOptions()));
   for (auto _ : state) {
-    auto results =
-        processor.Execute(std::vector<const DilEntry*>{a, b}, 10);
+    auto results = processor.Execute({a.OpenCursor(), b.OpenCursor()}, 10);
     benchmark::DoNotOptimize(results);
   }
 }

@@ -46,8 +46,8 @@ int main() {
               engine.build_stats().build_millis);
 
   // 4. Query phase: the unified Search API. SearchOptions picks top-k,
-  //    execution strategy (dil/rdil), shard parallelism and caching; the
-  //    response carries the results plus execution stats.
+  //    shard parallelism, pruning and caching; the response carries the
+  //    results plus execution stats.
   const char* query = "\"bronchial structure\" theophylline";
   std::printf("Query: %s\n", query);
   SearchOptions search;

@@ -7,17 +7,20 @@
 //   xontorank_cli validate <corpus-dir>
 //   xontorank_cli query <corpus-dir> <ontology.tsv> "<query>"
 //                 [--strategy XRANK|Graph|Taxonomy|Relationships] [--top K]
-//                 [--explain] [--ranked] [--group] [--parallel N]
+//                 [--explain] [--group] [--parallel N]
 //                 [--no-cache] [--pruning=exact|blockmax] [--stats]
 //                 (--stats reports the pruning work counters)
 //   xontorank_cli save-engine <corpus-dir> <ontology.tsv> <engine-dir>
 //                 [--strategy NAME] [--threads N]
 //                 (segment files + MANIFEST; query it with query-engine)
 //   xontorank_cli query-engine <engine-dir> "<query>" [--top K] [--explain]
-//                 [--ranked] [--group] [--parallel N] [--no-cache]
+//                 [--group] [--parallel N] [--no-cache]
 //                 [--pruning=exact|blockmax] [--stats]
 //   xontorank_cli repl <engine-dir>     # interactive: one query per line;
 //                                       # :top N, :explain, :group, :quit
+//
+// Numeric flags take decimal digits only; anything else (a sign, trailing
+// bytes, an out-of-range value) is an error naming the flag (exit 1).
 //
 // Example session:
 //   ./build/examples/xontorank_cli gen-ontology /tmp/onto.tsv
@@ -28,6 +31,7 @@
 //       '"bronchial structure" theophylline' --explain
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -41,7 +45,6 @@
 #include "cda/cda_validator.h"
 #include "common/string_util.h"
 #include "core/explain.h"
-#include "core/ranked_query_processor.h"
 #include "core/result_grouping.h"
 #include "core/snippet.h"
 #include "core/xontorank.h"
@@ -72,6 +75,32 @@ std::string FlagValue(const std::vector<std::string>& args,
     }
   }
   return fallback;
+}
+
+/// Parses `text` as a non-negative decimal integer of type T: digits only,
+/// no sign, no whitespace, no trailing bytes, and within T's range. `what`
+/// names the input in the error; `*value` is only written on success.
+template <typename T>
+Status ParseNumber(std::string_view text, std::string_view what, T* value) {
+  const char* end = text.data() + text.size();
+  T parsed{};
+  auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(std::string(what) +
+                                   ": expected a non-negative integer, got '" +
+                                   std::string(text) + "'");
+  }
+  *value = parsed;
+  return Status::OK();
+}
+
+/// Numeric flag `name` into `*value`, which keeps its current value when
+/// the flag is absent.
+template <typename T>
+Status NumericFlag(const std::vector<std::string>& args,
+                   const std::string& name, T* value) {
+  return ParseNumber(FlagValue(args, name, std::to_string(*value)), name,
+                     value);
 }
 
 bool HasFlag(const std::vector<std::string>& args, const std::string& name) {
@@ -115,8 +144,11 @@ Result<std::vector<XmlDocument>> LoadCorpusDir(const std::string& dir) {
 
 int GenOntology(const std::vector<std::string>& args) {
   if (args.empty()) return Fail("gen-ontology needs an output path");
+  size_t extend = 0;
+  if (Status st = NumericFlag(args, "--extend", &extend); !st.ok()) {
+    return Fail(st.ToString());
+  }
   Ontology onto = BuildSnomedCardiologyFragment();
-  size_t extend = std::stoul(FlagValue(args, "--extend", "0"));
   if (extend > 0) {
     OntologyGeneratorOptions gen;
     gen.num_concepts = extend;
@@ -132,12 +164,16 @@ int GenOntology(const std::vector<std::string>& args) {
 
 int GenCorpus(const std::vector<std::string>& args) {
   if (args.empty()) return Fail("gen-corpus needs an output directory");
+  CdaGeneratorOptions options;
+  options.num_documents = 20;
+  options.seed = 7;
+  for (Status st : {NumericFlag(args, "--docs", &options.num_documents),
+                    NumericFlag(args, "--seed", &options.seed)}) {
+    if (!st.ok()) return Fail(st.ToString());
+  }
   std::error_code ec;
   std::filesystem::create_directories(args[0], ec);
   Ontology onto = BuildSnomedCardiologyFragment();
-  CdaGeneratorOptions options;
-  options.num_documents = std::stoul(FlagValue(args, "--docs", "20"));
-  options.seed = std::stoull(FlagValue(args, "--seed", "7"));
   CdaGenerator generator(onto, options);
   Corpus corpus = generator.GenerateCorpus();
   XmlWriteOptions write_options;
@@ -221,14 +257,17 @@ void PrintResults(const IndexSnapshot& snap, const KeywordQuery& query,
 }
 
 /// Parses the shared query-execution flags into SearchOptions. Exits via
-/// the returned error Result on an unknown --pruning value.
+/// the returned error Result on a malformed number or an unknown --pruning
+/// value.
 Result<SearchOptions> ParseSearchFlags(const std::vector<std::string>& args,
                                        size_t default_top_k) {
   SearchOptions options;
-  options.top_k =
-      std::stoul(FlagValue(args, "--top", std::to_string(default_top_k)));
-  if (HasFlag(args, "--ranked")) options.strategy = QueryExecution::kRdil;
-  options.parallelism = std::stoul(FlagValue(args, "--parallel", "1"));
+  options.top_k = default_top_k;
+  options.parallelism = 1;
+  for (Status st : {NumericFlag(args, "--top", &options.top_k),
+                    NumericFlag(args, "--parallel", &options.parallelism)}) {
+    if (!st.ok()) return st;
+  }
   options.use_cache = !HasFlag(args, "--no-cache");
   std::string pruning = FlagValue(args, "--pruning", "blockmax");
   if (pruning == "exact") {
@@ -246,8 +285,7 @@ Result<SearchOptions> ParseSearchFlags(const std::vector<std::string>& args,
 /// the pruning work counters.
 void PrintQueryStats(const SearchOptions& options, const QueryStats& stats,
                      bool detailed) {
-  std::printf("(%s/%s: %zu postings, %zu shard(s), %.0f us%s)\n",
-              std::string(QueryExecutionName(options.strategy)).c_str(),
+  std::printf("(%s: %zu postings, %zu shard(s), %.0f us%s)\n",
               std::string(PruningModeName(options.pruning)).c_str(),
               stats.postings_scanned, stats.shards, stats.wall_micros,
               stats.cache_hit ? ", served from cache" : "");
@@ -287,7 +325,6 @@ int QueryCommand(const std::vector<std::string>& args) {
   KeywordQuery query = ParseQuery(args[2]);
   auto search = ParseSearchFlags(args, /*default_top_k=*/5);
   if (!search.ok()) return Fail(search.status().ToString());
-  if (Status v = search->Validate(); !v.ok()) return Fail(v.ToString());
 
   // Pin one snapshot for the whole request: query + render + explain all
   // read the same serving state.
@@ -318,7 +355,11 @@ int SaveEngineCommand(const std::vector<std::string>& args) {
   options.strategy = *strategy;
   options.vocabulary_mode =
       IndexBuildOptions::VocabularyMode::kCorpusAndOntology;
-  options.num_threads = std::stoul(FlagValue(args, "--threads", "1"));
+  options.num_threads = 1;
+  if (Status st = NumericFlag(args, "--threads", &options.num_threads);
+      !st.ok()) {
+    return Fail(st.ToString());
+  }
   XOntoRank engine(std::move(corpus).value(), *onto, options);
   Status st = SaveEngineDir(engine, args[2]);
   if (!st.ok()) return Fail(st.ToString());
@@ -338,7 +379,6 @@ int QueryEngineCommand(const std::vector<std::string>& args) {
   KeywordQuery query = ParseQuery(args[1]);
   auto search = ParseSearchFlags(args, /*default_top_k=*/5);
   if (!search.ok()) return Fail(search.status().ToString());
-  if (Status v = search->Validate(); !v.ok()) return Fail(v.ToString());
   auto snap = engine.snapshot();
   SearchResponse response = snap->Search(query, *search);
   PrintQueryStats(*search, response.stats, HasFlag(args, "--stats"));
@@ -382,8 +422,13 @@ int ReplCommand(const std::vector<std::string>& args) {
       continue;
     }
     if (trimmed.rfind(":top ", 0) == 0) {
-      search.top_k = std::stoul(trimmed.substr(5));
-      std::printf("top %zu\n", search.top_k);
+      if (Status st = ParseNumber(std::string_view(trimmed).substr(5), ":top",
+                                  &search.top_k);
+          !st.ok()) {
+        Fail(st.ToString());
+      } else {
+        std::printf("top %zu\n", search.top_k);
+      }
       continue;
     }
     KeywordQuery query = ParseQuery(trimmed);

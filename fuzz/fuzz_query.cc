@@ -1,9 +1,10 @@
 // Harness: the query surface — ParseQuery over arbitrary text plus the
 // full Search entry point with fuzz-derived SearchOptions against a
 // small baked-in engine (tiny ontology + three CDA documents, built once
-// per process). Invariant: any (query text, options) pair yields a
-// well-formed response — results capped at top_k, scores non-increasing
-// — or the documented empty response for the one invalid combination.
+// per process). Invariant: any (query text, options) pair answers exactly
+// what the naive Eq. 1-5 reference evaluator (tests/reference_eval.h)
+// computes over the same documents — the same elements in the same order
+// with bit-identical scores.
 
 #include <string>
 #include <string_view>
@@ -15,13 +16,17 @@
 #include "fuzz_target.h"
 #include "ir/query.h"
 #include "onto/ontology.h"
+#include "tests/reference_eval.h"
 #include "xml/xml_parser.h"
 
 namespace {
 
+using xontorank::Corpus;
 using xontorank::Ontology;
+using xontorank::QueryResult;
 using xontorank::XmlDocument;
 using xontorank::XOntoRank;
+using xontorank::reference::TreeEvaluator;
 
 constexpr size_t kMaxQueryBytes = 512;
 
@@ -52,14 +57,8 @@ XmlDocument MustParse(std::string_view xml, uint32_t doc_id) {
   return doc;
 }
 
-const XOntoRank& Engine() {
-  // Leaked singletons: the ontology is borrowed by the engine and both
-  // must live for the whole campaign.
-  static const XOntoRank* engine = [] {
-    // xo-lint: allow(new-delete) — process-lifetime fixture.
-    auto* onto = new Ontology(BuildOntology());
-    std::vector<XmlDocument> corpus;
-    corpus.push_back(MustParse(R"(<ClinicalDocument><section>
+const char* const kDocuments[] = {
+    R"(<ClinicalDocument><section>
         <title>Problems</title>
         <entry><Observation>
           <value code="4" codeSystem="test.sys" displayName="Asthma"/>
@@ -68,31 +67,56 @@ const XOntoRank& Engine() {
           <text>Theophylline 20 mg daily</text>
           <code code="8" codeSystem="test.sys" displayName="Drug"/>
         </SubstanceAdministration></entry>
-      </section></ClinicalDocument>)", 0));
-    corpus.push_back(MustParse(R"(<ClinicalDocument><section>
+      </section></ClinicalDocument>)",
+    R"(<ClinicalDocument><section>
         <title>Findings</title>
         <entry><Observation>
           <value code="6" codeSystem="test.sys" displayName="Bronchus"/>
           <text>bronchial structure inflamed, wheezing pulse 96</text>
         </Observation></entry>
-      </section></ClinicalDocument>)", 1));
-    corpus.push_back(MustParse(R"(<ClinicalDocument><section>
+      </section></ClinicalDocument>)",
+    R"(<ClinicalDocument><section>
         <title>Vitals</title>
         <text>Pulse 86 per minute, asthma attack resolved</text>
-      </section></ClinicalDocument>)", 2));
-    // xo-lint: allow(new-delete) — process-lifetime fixture.
-    return new XOntoRank(std::move(corpus), *onto, {});
-  }();
-  return *engine;
+      </section></ClinicalDocument>)",
+};
+
+std::vector<XmlDocument> ParseDocuments() {
+  std::vector<XmlDocument> docs;
+  for (const char* xml : kDocuments) {
+    docs.push_back(MustParse(xml, static_cast<uint32_t>(docs.size())));
+  }
+  return docs;
 }
 
-void CheckResponse(const xontorank::SearchResponse& response,
-                   const xontorank::SearchOptions& options) {
-  if (options.top_k > 0) {
-    XO_CHECK(response.results.size() <= options.top_k);
-  }
-  for (size_t i = 1; i < response.results.size(); ++i) {
-    XO_CHECK(response.results[i - 1].score >= response.results[i].score);
+/// The engine under test and the reference over the same documents and
+/// options. Leaked singletons: the ontology is borrowed by both and must
+/// live for the whole campaign.
+struct Fixture {
+  const XOntoRank* engine;
+  const TreeEvaluator* reference;
+};
+
+const Fixture& GetFixture() {
+  static const Fixture fixture = [] {
+    // xo-lint: allow(new-delete) — process-lifetime fixture.
+    auto* onto = new Ontology(BuildOntology());
+    // xo-lint: allow(new-delete) — process-lifetime fixture.
+    auto* engine = new XOntoRank(ParseDocuments(), *onto, {});
+    // xo-lint: allow(new-delete) — process-lifetime fixture.
+    auto* reference = new TreeEvaluator(Corpus(ParseDocuments()), *onto, {});
+    return Fixture{engine, reference};
+  }();
+  return fixture;
+}
+
+void CheckEqual(const std::vector<QueryResult>& got,
+                const std::vector<QueryResult>& want) {
+  XO_CHECK_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    XO_CHECK(got[i].element == want[i].element);
+    XO_CHECK(got[i].score == want[i].score);
+    XO_CHECK(got[i].keyword_scores == want[i].keyword_scores);
   }
 }
 
@@ -102,17 +126,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   xontorank::fuzz::FuzzInput input(data, size);
   xontorank::SearchOptions options;
   options.top_k = input.TakeByte() % 17;                  // 0 = everything
-  options.strategy = (input.TakeByte() & 1) != 0
-                         ? xontorank::QueryExecution::kRdil
-                         : xontorank::QueryExecution::kDil;
   options.parallelism = input.TakeByte() % 4;             // 0 = per-core
   options.use_cache = (input.TakeByte() & 1) != 0;
   options.pruning = (input.TakeByte() & 1) != 0
                         ? xontorank::PruningMode::kBlockMax
                         : xontorank::PruningMode::kExact;
-  // Deliberately dropped: valid and invalid option combinations are both
-  // legal Search inputs here.  xo-lint: allow(voided-status)
-  (void)options.Validate();
 
   std::string_view text = input.Rest().substr(
       0, std::min(input.remaining(), kMaxQueryBytes));
@@ -120,8 +138,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   xontorank::KeywordQuery parsed = xontorank::ParseQuery(text);
   XO_CHECK(parsed.ToString().size() <= 4 * text.size() + 2 * parsed.size());
 
-  const XOntoRank& engine = Engine();
-  CheckResponse(engine.Search(text, options), options);
-  CheckResponse(engine.Search(parsed, options), options);
+  const Fixture& fixture = GetFixture();
+  std::vector<QueryResult> expected =
+      fixture.reference->Evaluate(parsed, options.top_k);
+  CheckEqual(fixture.engine->Search(text, options).results, expected);
+  CheckEqual(fixture.engine->Search(parsed, options).results, expected);
   return 0;
 }

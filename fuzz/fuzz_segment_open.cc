@@ -91,10 +91,6 @@ void WalkView(const xontorank::FlatDil& dil, bool verified) {
     std::vector<uint32_t> docs;
     dil.CollectDocIds(l, &docs);
     XO_CHECK_EQ(docs.size(), seen);
-
-    double sum = 0;
-    for (double s : dil.ListScores(l)) sum += s;
-    (void)sum;
   }
   XO_CHECK(dil.TotalBlocks() == dil.sections().skip_first_doc.size());
 }

@@ -36,7 +36,7 @@ std::string_view StatusCodeName(StatusCode code);
 /// The class is [[nodiscard]]: any call that returns a Status by value and
 /// ignores it is a compile error under `-Werror=unused-result` (set by the
 /// top-level CMakeLists). A silently dropped parse/IO/commit error is
-/// exactly how DIL/RDIL scores rot without a failing test; callers must
+/// exactly how DIL scores rot without a failing test; callers must
 /// check, propagate (XONTO_RETURN_IF_ERROR), or assert (XO_CHECK_OK).
 class [[nodiscard]] Status {
  public:

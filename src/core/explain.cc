@@ -226,33 +226,34 @@ Result<std::vector<KeywordEvidence>> ExplainResult(const CorpusIndex& index,
   const double decay = index.options().score.decay;
   const double omega = index.options().score.ontology_weight;
 
+  const DeweyRef element(result.element);
   for (const Keyword& keyword : query.keywords) {
-    const DilEntry* entry = index.GetEntry(keyword);
-    // Find the Eq. 3 witness: posting under the result with max decayed NS.
-    const DilPosting* best = nullptr;
-    double best_decayed = 0.0;
-    for (const DilPosting& p : entry->postings) {
-      if (!result.element.IsAncestorOrSelfOf(p.dewey)) continue;
+    // Find the Eq. 3 witness: posting under the result with max decayed NS,
+    // read from the very list the query was served from.
+    KeywordEvidence item;
+    bool found = false;
+    for (DilCursor cursor = index.GetListRef(keyword).OpenCursor();
+         !cursor.AtEnd(); cursor.Next()) {
+      DeweyRef posting = cursor.dewey();
+      if (CommonPrefixLength(element, posting) != element.size()) continue;
       double decayed =
-          p.score * std::pow(decay, static_cast<double>(
-                                        result.element.DistanceTo(p.dewey)));
-      if (best == nullptr || decayed > best_decayed) {
-        best = &p;
-        best_decayed = decayed;
+          cursor.score() *
+          std::pow(decay, static_cast<double>(posting.size() - element.size()));
+      if (!found || decayed > item.decayed) {
+        found = true;
+        item.witness = posting.ToDeweyId();
+        item.node_score = cursor.score();
+        item.decayed = decayed;
       }
     }
-    if (best == nullptr) {
+    if (!found) {
       return Status::NotFound("result does not cover keyword '" +
                               keyword.Canonical() + "'");
     }
-    KeywordEvidence item;
     item.keyword = keyword;
-    item.witness = best->dewey;
-    item.node_score = best->score;
-    item.decayed = best_decayed;
 
     CorpusIndex::NodeSupport support =
-        index.ComputeNodeSupport(best->dewey, keyword);
+        index.ComputeNodeSupport(item.witness, keyword);
     item.ontological =
         support.is_code_node && omega * support.onto_score > support.textual_irs;
     if (item.ontological) {

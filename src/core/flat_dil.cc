@@ -341,42 +341,66 @@ FlatDil XOntoDil::Freeze() const {
 
 // --- partitioning ---------------------------------------------------------
 
+namespace {
+
+/// The greedy equal-work cut: `doc_postings[d - min_doc]` is document d's
+/// posting count, `total` their sum (must be > 0).
+std::vector<DocRange> PartitionDocHistogram(
+    uint32_t min_doc, uint32_t max_doc, size_t total,
+    const std::vector<size_t>& doc_postings, size_t max_shards) {
+  // Greedy equal-work cuts: close a shard once it holds its fair share of
+  // the remaining postings. Documents are atomic, so a single huge
+  // document can make one shard heavy — correctness is unaffected.
+  std::vector<DocRange> ranges;
+  uint32_t begin = min_doc;
+  size_t in_shard = 0;
+  size_t assigned = 0;
+  for (uint32_t doc = min_doc; doc <= max_doc; ++doc) {
+    in_shard += doc_postings[doc - min_doc];
+    size_t shards_left = max_shards - ranges.size();
+    size_t target = (total - assigned + shards_left - 1) / shards_left;
+    if (in_shard >= target && shards_left > 1 && doc < max_doc) {
+      ranges.push_back(DocRange{begin, doc + 1});
+      begin = doc + 1;
+      assigned += in_shard;
+      in_shard = 0;
+    }
+  }
+  if (in_shard > 0 || ranges.empty()) {
+    ranges.push_back(DocRange{begin, max_doc + 1});
+  } else {
+    ranges.back().end_doc = max_doc + 1;
+  }
+  return ranges;
+}
+
+}  // namespace
+
 std::vector<DocRange> PartitionListsByDocument(
     const std::vector<DilListRef>& lists, size_t max_shards) {
   uint32_t min_doc = UINT32_MAX;
   uint32_t max_doc = 0;
   size_t total = 0;
-  // Flat lists surface doc ids through one sequential scan each; reuse that
-  // scan for both the bounds and the histogram below. Span lists are read
-  // in place.
-  std::vector<std::vector<uint32_t>> flat_docs(lists.size());
+  // Each list surfaces its doc ids through one sequential scan; reuse that
+  // scan for both the bounds and the histogram below.
+  std::vector<std::vector<uint32_t>> docs(lists.size());
   for (size_t i = 0; i < lists.size(); ++i) {
     const DilListRef& list = lists[i];
     if (list.empty()) continue;
     total += list.size();
-    if (list.flat != nullptr) {
-      list.flat->CollectDocIds(list.list, &flat_docs[i]);
-      min_doc = std::min(min_doc, flat_docs[i].front());
-      max_doc = std::max(max_doc, flat_docs[i].back());
-    } else {
-      min_doc = std::min(min_doc, list.span.front().dewey.doc_id());
-      max_doc = std::max(max_doc, list.span.back().dewey.doc_id());
-    }
+    list.flat->CollectDocIds(list.list, &docs[i]);
+    min_doc = std::min(min_doc, docs[i].front());
+    max_doc = std::max(max_doc, docs[i].back());
   }
   if (total == 0) return {DocRange{0, 0}};
   if (max_shards <= 1 || min_doc == max_doc) {
     return {DocRange{min_doc, max_doc + 1}};
   }
 
+  // Per-document posting counts — the balance unit.
   std::vector<size_t> doc_postings(max_doc - min_doc + 1, 0);
-  for (size_t i = 0; i < lists.size(); ++i) {
-    if (lists[i].flat != nullptr) {
-      for (uint32_t doc : flat_docs[i]) ++doc_postings[doc - min_doc];
-    } else {
-      for (const DilPosting& p : lists[i].span) {
-        ++doc_postings[p.dewey.doc_id() - min_doc];
-      }
-    }
+  for (const std::vector<uint32_t>& list_docs : docs) {
+    for (uint32_t doc : list_docs) ++doc_postings[doc - min_doc];
   }
 
   return PartitionDocHistogram(min_doc, max_doc, total, doc_postings,

@@ -18,6 +18,18 @@ namespace xontorank {
 
 class DilCursor;
 
+/// A contiguous half-open document-id range [begin_doc, end_doc) — one
+/// shard of a partitioned query execution.
+struct DocRange {
+  uint32_t begin_doc = 0;
+  uint32_t end_doc = 0;
+
+  bool empty() const { return begin_doc >= end_doc; }
+  bool operator==(const DocRange& other) const {
+    return begin_doc == other.begin_doc && end_doc == other.end_doc;
+  }
+};
+
 /// The smallest float >= `score`. Block upper bounds are stored as floats
 /// while the score column is double; rounding *up* keeps the bound
 /// admissible — a bound that rounded below the true maximum would let the
@@ -151,7 +163,6 @@ class FlatDil {
   /// The half-open posting-index range of `list` whose documents fall in
   /// `range`: a binary search over the block skip table narrows the
   /// boundary to one block, which is then scanned without full decoding.
-  /// Exact equivalent of SliceDocRange on the legacy representation.
   std::pair<uint32_t, uint32_t> PostingRange(uint32_t list,
                                              const DocRange& range) const;
 
@@ -159,19 +170,9 @@ class FlatDil {
   /// sequential scan: the doc id changes only at restart postings).
   void CollectDocIds(uint32_t list, std::vector<uint32_t>* out) const;
 
-  /// Score of a posting by global posting index (columnar: O(1), used by
-  /// the ranked processor's frontier).
-  double ScoreAt(uint32_t posting) const { return v_.scores[posting]; }
+  // --- thaw (build-side interop) ----------------------------------------
 
-  /// The list's score column, indexed by list-local posting position —
-  /// random access for the ranked processor without touching Dewey data.
-  std::span<const double> ListScores(uint32_t list) const {
-    return v_.scores.subspan(v_.list_begin[list], ListSize(list));
-  }
-
-  // --- thaw (legacy interop) --------------------------------------------
-
-  /// Rebuilds the list's legacy posting vector, bit-identical to what was
+  /// Rebuilds the list's build-side posting vector, bit-identical to what was
   /// frozen (scores are stored as full doubles).
   std::vector<DilPosting> ThawPostings(uint32_t list) const;
 
@@ -302,65 +303,38 @@ class FlatDil::Builder {
   bool has_prev_ = false;  ///< a posting exists in the current list
 };
 
-/// A cheap forward view over one inverted list — flat (arena-backed) or
-/// legacy (span of DilPosting) — that the merge loop consumes without ever
-/// materializing a DeweyId. The flat side incrementally reconstructs the
-/// current id into a reused buffer (copying only the prefix-elided fresh
-/// components per advance); the span side just points at the posting.
+/// A cheap forward view over one list of a FlatDil that the merge loop
+/// consumes without ever materializing a DeweyId: it incrementally
+/// reconstructs the current id into a reused buffer, copying only the
+/// prefix-elided fresh components per advance.
 class DilCursor {
  public:
   /// An exhausted cursor.
   DilCursor() = default;
 
-  /// A cursor over a legacy Dewey-sorted posting range.
-  static DilCursor OverSpan(std::span<const DilPosting> postings) {
-    DilCursor c;
-    c.span_ = postings;
-    c.pos_ = 0;
-    c.end_ = static_cast<uint32_t>(postings.size());
-    return c;
-  }
-
   bool AtEnd() const { return pos_ >= end_; }
   size_t remaining() const { return AtEnd() ? 0 : end_ - pos_; }
 
   /// The current posting's Dewey id. The ref is valid until Next().
-  DeweyRef dewey() const {
-    if (dil_ == nullptr) return DeweyRef(span_[pos_].dewey);
-    return DeweyRef(buf_.data(), depth_);
-  }
+  DeweyRef dewey() const { return DeweyRef(buf_.data(), depth_); }
 
-  double score() const {
-    return dil_ == nullptr ? span_[pos_].score : dil_->v_.scores[pos_];
-  }
+  double score() const { return dil_->v_.scores[pos_]; }
 
   /// The current posting's document id (the first Dewey component).
-  uint32_t doc() const {
-    return dil_ == nullptr ? span_[pos_].dewey.doc_id() : buf_[0];
-  }
+  uint32_t doc() const { return buf_[0]; }
 
   void Next() {
     ++pos_;
-    if (dil_ != nullptr && pos_ < end_) LoadCurrent();
+    if (pos_ < end_) LoadCurrent();
   }
 
   /// Advances to the first posting whose document id is >= `doc` (never
-  /// moves backwards; no-op when already there). Flat cursors jump through
-  /// the block skip table and decode at most one block's worth of postings;
-  /// span cursors binary-search the remaining range. This is what lets the
-  /// conjunctive merge leapfrog over documents that cannot emit results.
+  /// moves backwards; no-op when already there): jumps through the block
+  /// skip table and decodes at most one block's worth of postings. This is
+  /// what lets the conjunctive merge leapfrog over documents that cannot
+  /// emit results.
   void SeekDoc(uint32_t doc) {
     if (AtEnd()) return;
-    if (dil_ == nullptr) {
-      auto rest = span_.subspan(pos_, end_ - pos_);
-      pos_ += static_cast<uint32_t>(
-          std::partition_point(rest.begin(), rest.end(),
-                               [doc](const DilPosting& p) {
-                                 return p.dewey.doc_id() < doc;
-                               }) -
-          rest.begin());
-      return;
-    }
     if (buf_[0] >= doc) return;
     // First block after the current one whose first document id is >= doc;
     // the target posting then lives in the block before it (or at its
@@ -392,24 +366,23 @@ class DilCursor {
   /// merge once the block bounds prove no remaining document can score.
   void SkipToEnd() { pos_ = end_; }
 
-  // --- block-max pruning (flat cursors only) ----------------------------
+  // --- block-max pruning ------------------------------------------------
 
-  /// True when this cursor can participate in block-max pruning: flat mode
-  /// over a dil carrying the block-max column. Span cursors (legacy
-  /// DilEntry postings) and v1 mapped views answer false, which routes the
-  /// whole query to the exact merge.
+  /// True when this cursor can participate in block-max pruning: its dil
+  /// carries the block-max column. v1 mapped views answer false, which
+  /// routes the whole query to the exact merge.
   bool has_block_max() const {
     return dil_ != nullptr && dil_->has_block_max();
   }
 
   /// Global skip-table index of the current posting's block. Requires
-  /// !AtEnd() and flat mode.
+  /// !AtEnd().
   uint32_t block() const {
     return skip_lo_ + (pos_ - list_start_) / FlatDil::kBlockPostings;
   }
 
   /// Last block this cursor's range [pos_, end_) can touch. Requires
-  /// !AtEnd() and flat mode.
+  /// !AtEnd().
   uint32_t range_last_block() const {
     return skip_lo_ + (end_ - 1 - list_start_) / FlatDil::kBlockPostings;
   }
@@ -463,43 +436,22 @@ class DilCursor {
     }
   }
 
-  // Flat mode (dil_ != nullptr): pos_/end_ are global posting indices.
+  /// The cursor's dil; null only for the default (exhausted) cursor.
   const FlatDil* dil_ = nullptr;
   uint32_t depth_ = 0;
   std::vector<uint32_t> buf_;  ///< reconstructed components, reused
   uint32_t list_start_ = 0;    ///< the list's first posting index
   uint32_t skip_lo_ = 0;       ///< the list's block range in the skip table
   uint32_t skip_hi_ = 0;
-
-  // Span mode: pos_/end_ index span_.
-  std::span<const DilPosting> span_;
-
-  uint32_t pos_ = 0;
-  uint32_t end_ = 0;
+  uint32_t pos_ = 0;  ///< global posting index of the current posting
+  uint32_t end_ = 0;  ///< global posting index one past the range
 };
 
-/// One query keyword's inverted list for execution: either a list of a
-/// FlatDil (precomputed or demand-built — everything CorpusIndex serves) or
-/// a legacy posting span (the parity-reference paths and tests). Query
-/// processors are written against this so the flat and legacy worlds share
-/// one execution path.
+/// One query keyword's inverted list for execution: one list of a FlatDil
+/// (precomputed or demand-built — everything CorpusIndex serves).
 struct DilListRef {
   const FlatDil* flat = nullptr;
-  uint32_t list = 0;                     ///< valid when flat != nullptr
-  std::span<const DilPosting> span{};    ///< used when flat == nullptr
-
-  static DilListRef Over(std::span<const DilPosting> postings) {
-    DilListRef ref;
-    ref.span = postings;
-    return ref;
-  }
-
-  /// nullptr maps to an empty list (the keyword matches nothing).
-  static DilListRef Over(const DilEntry* entry) {
-    DilListRef ref;
-    if (entry != nullptr) ref.span = std::span<const DilPosting>(entry->postings);
-    return ref;
-  }
+  uint32_t list = 0;
 
   static DilListRef OverFlat(const FlatDil& dil, uint32_t list) {
     DilListRef ref;
@@ -508,32 +460,27 @@ struct DilListRef {
     return ref;
   }
 
-  size_t size() const {
-    return flat != nullptr ? flat->ListSize(list) : span.size();
-  }
+  size_t size() const { return flat->ListSize(list); }
   bool empty() const { return size() == 0; }
 
-  DilCursor OpenCursor() const {
-    return flat != nullptr ? flat->OpenCursor(list) : DilCursor::OverSpan(span);
-  }
+  DilCursor OpenCursor() const { return flat->OpenCursor(list); }
 
   DilCursor OpenCursor(const DocRange& range) const {
-    return flat != nullptr ? flat->OpenCursor(list, range)
-                           : DilCursor::OverSpan(SliceDocRange(span, range));
-  }
-
-  /// Postings inside `range` without opening a cursor.
-  size_t CountInRange(const DocRange& range) const {
-    if (flat != nullptr) {
-      auto [lo, hi] = flat->PostingRange(list, range);
-      return hi - lo;
-    }
-    return SliceDocRange(span, range).size();
+    return flat->OpenCursor(list, range);
   }
 };
 
-/// DilListRef overload of the document-granular partitioner; produces the
-/// exact ranges PartitionListsByDocument yields for the same postings.
+/// Splits the documents covered by `lists` into at most `max_shards`
+/// contiguous doc-id ranges of approximately equal total posting count
+/// (the unit of merge work). Because postings are globally Dewey-ordered
+/// and the first Dewey component is the document id, these ranges cut the
+/// lists at exact document boundaries — the DIL merge stack never spans
+/// two documents, so evaluating ranges independently is exact.
+///
+/// Ranges are returned in ascending doc order, are disjoint, jointly cover
+/// every posting, and are all non-empty (fewer than `max_shards` ranges
+/// come back when there is not enough work to split). Empty input or
+/// `max_shards <= 1` yields a single covering range.
 std::vector<DocRange> PartitionListsByDocument(
     const std::vector<DilListRef>& lists, size_t max_shards);
 

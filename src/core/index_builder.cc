@@ -424,23 +424,6 @@ const FlatDil* CorpusIndex::DemandList(const Keyword& keyword,
   return it->second != nullptr ? it->second.get() : &EmptyList();
 }
 
-const DilEntry* CorpusIndex::GetEntry(const Keyword& keyword) const {
-  std::string canonical = keyword.Canonical();
-  {
-    MutexLock lock(demand_mutex_);
-    if (const DilEntry* entry = thawed_.Find(canonical)) return entry;
-  }
-  // Thawed postings are bit-identical to the served list (scores are
-  // stored as full doubles). As in DemandList, a racing duplicate thaw is
-  // discarded.
-  auto [dil, list] = ResolveList(keyword);
-  std::vector<DilPosting> postings = dil->ThawPostings(list);
-  MutexLock lock(demand_mutex_);
-  if (const DilEntry* entry = thawed_.Find(canonical)) return entry;
-  thawed_.Put(canonical, std::move(postings));
-  return thawed_.Find(canonical);
-}
-
 CorpusIndex::NodeSupport CorpusIndex::ComputeNodeSupport(
     const DeweyId& dewey, const Keyword& keyword) const {
   NodeSupport support;

@@ -109,8 +109,8 @@ class DocumentUnits {
 /// Thread-safety: a CorpusIndex is immutable after construction. Any number
 /// of threads may call the const accessors concurrently; GetListRef serves
 /// precomputed (and adopted) lists without taking any lock, and
-/// synchronizes only the on-demand side cache. Returned entry pointers and
-/// list references are stable for the life of the index.
+/// synchronizes only the on-demand side cache. Returned list references
+/// are stable for the life of the index.
 // xo-analyze: allow(backing-before-view) intentional propagation: the
 // holder pins the mapping (IndexSegment declares backing_ first).
 class CorpusIndex {
@@ -178,15 +178,6 @@ class CorpusIndex {
   /// out-of-vocabulary tokens) is built once into the demand cache as a
   /// one-list FlatDil. This is the serving path's entry point.
   DilListRef GetListRef(const Keyword& keyword) const
-      XO_EXCLUDES(demand_mutex_);
-
-  /// The inverted list for `keyword` as a legacy materialized entry,
-  /// thawed from the list GetListRef serves and cached. The returned
-  /// pointer is stable for the life of the index; nullptr is never
-  /// returned (an unmatched keyword yields an empty list). Used by explain
-  /// and query expansion; prefer GetListRef on hot paths — this copies the
-  /// list into per-posting DeweyIds on first request.
-  const DilEntry* GetEntry(const Keyword& keyword) const
       XO_EXCLUDES(demand_mutex_);
 
   /// The precomputed vocabulary's flat serving representation.
@@ -290,19 +281,17 @@ class CorpusIndex {
   /// Precomputed (or adopted) lists, frozen columnar; immutable once the
   /// constructor returns, so lookups need no synchronization.
   FlatDil flat_;
-  /// The mutex guards only the two side caches below; list construction
+  /// The mutex guards only the demand cache below; list construction
   /// itself runs outside the lock. Pointers handed out remain stable after
-  /// the lock is dropped (neither cache ever moves or erases a value),
-  /// which is an invariant the annotations cannot express — hence cached
-  /// lists and entries escape the guarded region by design.
+  /// the lock is dropped (the cache never moves or erases a value), which
+  /// is an invariant the annotations cannot express — hence cached lists
+  /// escape the guarded region by design.
   mutable Mutex demand_mutex_;
   /// On-demand lists (out-of-vocabulary keywords, phrases) by canonical
   /// keyword, each frozen into a one-list FlatDil. nullptr marks a keyword
   /// that matches nothing here — the common case for single-document
   /// segments — and costs no dil.
   mutable DemandLists demand_ XO_GUARDED_BY(demand_mutex_);
-  /// GetEntry's thawed copies of served lists.
-  mutable XOntoDil thawed_ XO_GUARDED_BY(demand_mutex_);
   IndexBuildStats stats_;
 };
 

@@ -11,11 +11,11 @@ namespace xontorank {
 
 namespace {
 
-/// Cache key: the canonical query rendering plus top_k. Execution
-/// strategy, shard count and pruning mode are deliberately excluded —
-/// dil/rdil, every shard count and exact/blockmax all return identical
-/// results by construction (the parity property tests assert this), so
-/// distinguishing them would only lower the hit rate.
+/// Cache key: the canonical query rendering plus top_k. Shard count and
+/// pruning mode are deliberately excluded — every shard count and
+/// exact/blockmax return identical results by construction (the parity
+/// property tests assert this), so distinguishing them would only lower
+/// the hit rate.
 std::string ResultCacheKey(const KeywordQuery& query, size_t top_k) {
   std::string key = query.ToString();
   key.push_back('\x1f');
@@ -34,7 +34,6 @@ IndexSnapshot::IndexSnapshot(
       corpus_(std::move(corpus)),
       segments_(std::move(segments)),
       processor_(options.score),
-      ranked_processor_(options.score),
       result_cache_(options.query_cache_entries) {
   // Segments must tile the corpus: disjoint, ascending, gap-free.
   uint32_t expect_doc = 0;
@@ -86,7 +85,7 @@ SearchResponse IndexSnapshot::Search(const KeywordQuery& query,
                                      const SearchOptions& options) const {
   Timer timer;
   SearchResponse response;
-  if (query.empty() || !options.Validate().ok()) {
+  if (query.empty()) {
     response.stats.wall_micros = timer.ElapsedMicros();
     return response;
   }
@@ -106,41 +105,21 @@ SearchResponse IndexSnapshot::Search(const KeywordQuery& query,
 
   std::vector<std::vector<DilListRef>> segment_lists =
       CollectSegmentLists(query);
-  if (options.strategy == QueryExecution::kRdil) {
-    // Per-segment ranked execution is exact for the segment's documents
-    // (the RankedQueryProcessor contract), and segments partition the
-    // corpus, so the k-way merge of the per-segment top-k's is the global
-    // top-k.
-    std::vector<std::vector<QueryResult>> parts;
-    parts.reserve(segment_lists.size());
-    size_t postings_consumed = 0;
-    for (const std::vector<DilListRef>& lists : segment_lists) {
-      RankedQueryStats ranked_stats;
-      parts.push_back(
-          ranked_processor_.Execute(lists, options.top_k, &ranked_stats));
-      postings_consumed += ranked_stats.postings_consumed;
-    }
-    response.results =
-        QueryProcessor::MergeTopK(std::move(parts), options.top_k);
-    response.stats.postings_scanned = postings_consumed;
-    response.stats.shards = 1;
-  } else {
-    ExecuteStats exec_stats;
-    ThreadPool* pool =
-        options.parallelism == 1 ? nullptr : &ThreadPool::Shared();
-    size_t shards = options.parallelism == 0
-                        ? ThreadPool::Shared().num_threads()
-                        : options.parallelism;
-    response.results =
-        processor_.ExecuteSegments(segment_lists, options.top_k, shards, pool,
-                                   &exec_stats, options.pruning);
-    response.stats.postings_scanned = exec_stats.postings_scanned;
-    response.stats.shards = exec_stats.shards;
-    response.stats.postings_scored = exec_stats.postings_scored;
-    response.stats.blocks_scored = exec_stats.blocks_scored;
-    response.stats.blocks_skipped = exec_stats.blocks_skipped;
-    response.stats.threshold_updates = exec_stats.threshold_updates;
-  }
+  ExecuteStats exec_stats;
+  ThreadPool* pool =
+      options.parallelism == 1 ? nullptr : &ThreadPool::Shared();
+  size_t shards = options.parallelism == 0
+                      ? ThreadPool::Shared().num_threads()
+                      : options.parallelism;
+  response.results =
+      processor_.ExecuteSegments(segment_lists, options.top_k, shards, pool,
+                                 &exec_stats, options.pruning);
+  response.stats.postings_scanned = exec_stats.postings_scanned;
+  response.stats.shards = exec_stats.shards;
+  response.stats.postings_scored = exec_stats.postings_scored;
+  response.stats.blocks_scored = exec_stats.blocks_scored;
+  response.stats.blocks_skipped = exec_stats.blocks_skipped;
+  response.stats.threshold_updates = exec_stats.threshold_updates;
 
   if (use_cache) {
     result_cache_.Put(

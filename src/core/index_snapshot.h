@@ -10,7 +10,6 @@
 #include "core/index_segment.h"
 #include "core/ontology_context.h"
 #include "core/query_processor.h"
-#include "core/ranked_query_processor.h"
 #include "core/search_api.h"
 #include "xml/corpus.h"
 #include "xml/xml_node.h"
@@ -74,14 +73,13 @@ class IndexSnapshot {
   const IndexBuildStats& build_stats() const { return stats_; }
 
   /// The unified query entry point: executes `query` under `options` —
-  /// exhaustive (optionally sharded-parallel) or ranked, cached or not —
-  /// and returns results plus execution stats. Invalid options (the one
-  /// rule: rdil needs top_k >= 1) yield an empty response, never UB.
+  /// serial or sharded-parallel, pruned or exact, cached or not — and
+  /// returns results plus execution stats.
   ///
   /// The result cache is owned by this snapshot: entries are keyed by the
-  /// normalized query + top_k (execution strategy, shard count and pruning
-  /// mode are hints that provably do not change results) and can never
-  /// outlive or cross snapshots.
+  /// normalized query + top_k (shard count and pruning mode are hints that
+  /// provably do not change results) and can never outlive or cross
+  /// snapshots.
   SearchResponse Search(const KeywordQuery& query,
                         const SearchOptions& options) const;
 
@@ -111,7 +109,6 @@ class IndexSnapshot {
   std::vector<std::shared_ptr<const IndexSegment>> segments_;
   IndexBuildStats stats_;  ///< the segments' aggregate
   QueryProcessor processor_;
-  RankedQueryProcessor ranked_processor_;
   /// Snapshot-scoped result cache (see Search). Mutable: caching is not
   /// observable through results, and the cache synchronizes internally.
   mutable LruCache<std::string, std::vector<QueryResult>> result_cache_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/check.h"
 #include "core/onto_score.h"
 
 namespace xontorank {
@@ -66,36 +67,39 @@ QueryExpansionEngine::Expand(const Keyword& keyword) const {
 }
 
 std::vector<QueryResult> QueryExpansionEngine::SearchExpanded(
-    const KeywordQuery& query, size_t top_k) {
+    const KeywordQuery& query, size_t top_k) const {
   if (query.empty()) return {};
-  scratch_.clear();
-  std::vector<const DilEntry*> lists;
+  // One frozen list per keyword: the union of the textual lists of all its
+  // disjuncts, max-combining per node with the association-weighted score.
+  std::vector<FlatDil> unions;
+  unions.reserve(query.size());
   for (const Keyword& keyword : query.keywords) {
-    // Union the textual lists of all disjuncts, max-combining per node with
-    // the association-weighted score.
     std::map<DeweyId, double> merged;
     for (const auto& [expanded, weight] : Expand(keyword)) {
-      const DilEntry* entry = index_.GetEntry(expanded);
-      for (const DilPosting& p : entry->postings) {
-        double score = p.score * weight;
-        auto [it, inserted] = merged.emplace(p.dewey, score);
+      for (DilCursor cursor = index_.GetListRef(expanded).OpenCursor();
+           !cursor.AtEnd(); cursor.Next()) {
+        double score = cursor.score() * weight;
+        auto [it, inserted] =
+            merged.emplace(cursor.dewey().ToDeweyId(), score);
         if (!inserted && score > it->second) it->second = score;
       }
     }
-    auto entry = std::make_unique<DilEntry>();
-    entry->keyword = keyword.Canonical() + " (expanded)";
-    entry->postings.reserve(merged.size());
+    FlatDil::Builder builder(1, merged.size());
+    XO_CHECK(builder.BeginList(keyword.Canonical()));
     for (const auto& [dewey, score] : merged) {
-      entry->postings.push_back({dewey, score});
+      XO_CHECK(builder.AddPosting(dewey.components(), score));
     }
-    scratch_.push_back(std::move(entry));
-    lists.push_back(scratch_.back().get());
+    unions.push_back(std::move(builder).Finish());
   }
-  return processor_.Execute(lists, top_k);
+  std::vector<DilListRef> lists;
+  lists.reserve(unions.size());
+  for (const FlatDil& dil : unions) lists.push_back(DilListRef::OverFlat(dil, 0));
+  return processor_.ExecuteSegments({lists}, top_k, /*num_shards=*/1,
+                                    /*pool=*/nullptr);
 }
 
 std::vector<QueryResult> QueryExpansionEngine::SearchExpanded(
-    std::string_view query_text, size_t top_k) {
+    std::string_view query_text, size_t top_k) const {
   return SearchExpanded(ParseQuery(query_text), top_k);
 }
 

@@ -1,7 +1,6 @@
 #ifndef XONTORANK_CORE_QUERY_EXPANSION_H_
 #define XONTORANK_CORE_QUERY_EXPANSION_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -58,9 +57,9 @@ class QueryExpansionEngine {
   /// baseline, not part of the finalized Search(query, SearchOptions)
   /// surface, and the distinct name keeps that visible at call sites.)
   std::vector<QueryResult> SearchExpanded(const KeywordQuery& query,
-                                          size_t top_k);
+                                          size_t top_k) const;
   std::vector<QueryResult> SearchExpanded(std::string_view query_text,
-                                          size_t top_k);
+                                          size_t top_k) const;
 
   const CorpusIndex& index() const { return index_; }
 
@@ -68,8 +67,6 @@ class QueryExpansionEngine {
   QueryExpansionOptions options_;
   CorpusIndex index_;  ///< XRANK-strategy (textual-only) index
   QueryProcessor processor_;
-  /// Union lists are materialized per query; keep them alive for the merge.
-  std::vector<std::unique_ptr<DilEntry>> scratch_;
 };
 
 }  // namespace xontorank

@@ -1,7 +1,6 @@
 #include "core/query_processor.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/thread_pool.h"
 
@@ -18,128 +17,11 @@ bool BetterResult(const QueryResult& a, const QueryResult& b) {
   return a.element < b.element;
 }
 
-/// A stack frame mirrors one component of the current Dewey path.
-struct Frame {
-  uint32_t component;
-  std::vector<double> scores;  ///< per-keyword subtree max (Eq. 3)
-  bool descendant_emitted = false;
-};
-
-class Merger {
- public:
-  Merger(const std::vector<std::span<const DilPosting>>& lists,
-         const ScoreOptions& options)
-      : lists_(lists), options_(options), num_keywords_(lists.size()) {}
-
-  std::vector<QueryResult> Run() {
-    cursors_.assign(num_keywords_, 0);
-    while (true) {
-      // Pick the smallest current Dewey id across lists.
-      int chosen = -1;
-      for (size_t w = 0; w < num_keywords_; ++w) {
-        if (cursors_[w] >= lists_[w].size()) continue;
-        if (chosen < 0 ||
-            lists_[w][cursors_[w]].dewey <
-                lists_[chosen][cursors_[chosen]].dewey) {
-          chosen = static_cast<int>(w);
-        }
-      }
-      if (chosen < 0) break;
-      const DilPosting& posting = lists_[chosen][cursors_[chosen]++];
-      Consume(posting, static_cast<size_t>(chosen));
-    }
-    PopTo(0);
-    SortAndTruncate();
-    return std::move(results_);
-  }
-
-  void set_top_k(size_t top_k) { top_k_ = top_k; }
-
- private:
-  void Consume(const DilPosting& posting, size_t keyword) {
-    // Common prefix of the stack path and the posting's Dewey id.
-    size_t common = 0;
-    while (common < stack_.size() && common < posting.dewey.size() &&
-           stack_[common].component == posting.dewey[common]) {
-      ++common;
-    }
-    PopTo(common);
-    while (stack_.size() < posting.dewey.size()) {
-      Frame frame;
-      frame.component = posting.dewey[stack_.size()];
-      frame.scores.assign(num_keywords_, 0.0);
-      stack_.push_back(std::move(frame));
-    }
-    Frame& top = stack_.back();
-    top.scores[keyword] = std::max(top.scores[keyword], posting.score);
-  }
-
-  /// Pops frames until the stack has `depth` frames, emitting results and
-  /// propagating subtree scores upward with decay (Eq. 2).
-  void PopTo(size_t depth) {
-    while (stack_.size() > depth) {
-      Frame frame = std::move(stack_.back());
-      stack_.pop_back();
-      bool has_all = true;
-      double total = 0.0;
-      for (double s : frame.scores) {
-        if (s <= 0.0) {
-          has_all = false;
-          break;
-        }
-        total += s;
-      }
-      bool emitted = false;
-      if (has_all && !frame.descendant_emitted) {
-        QueryResult result;
-        result.element = CurrentDewey(frame.component);
-        result.score = total;
-        result.keyword_scores = frame.scores;
-        results_.push_back(std::move(result));
-        emitted = true;
-      }
-      if (!stack_.empty()) {
-        Frame& parent = stack_.back();
-        for (size_t w = 0; w < num_keywords_; ++w) {
-          parent.scores[w] =
-              std::max(parent.scores[w], frame.scores[w] * options_.decay);
-        }
-        parent.descendant_emitted |=
-            emitted || frame.descendant_emitted;
-      }
-    }
-  }
-
-  /// Dewey id of the node formed by the current stack plus `last`.
-  DeweyId CurrentDewey(uint32_t last) const {
-    std::vector<uint32_t> comps;
-    comps.reserve(stack_.size() + 1);
-    for (const Frame& f : stack_) comps.push_back(f.component);
-    comps.push_back(last);
-    return DeweyId(std::move(comps));
-  }
-
-  void SortAndTruncate() {
-    std::sort(results_.begin(), results_.end(), BetterResult);
-    if (top_k_ > 0 && results_.size() > top_k_) results_.resize(top_k_);
-  }
-
-  const std::vector<std::span<const DilPosting>>& lists_;
-  ScoreOptions options_;
-  size_t num_keywords_;
-  std::vector<size_t> cursors_;
-  std::vector<Frame> stack_;
-  std::vector<QueryResult> results_;
-  size_t top_k_ = 0;
-};
-
-/// The flat-path twin of Merger: same emission and propagation logic (the
-/// parity property tests pin the two to bit-identical output), but postings
-/// arrive through DilCursors as DeweyRefs and the stack is three flat
-/// reused arrays — path components, emitted flags, and a depth × keyword
-/// score matrix — so pushing or popping a frame never allocates. This is
-/// where the columnar layout pays off: the hot loop touches contiguous
-/// memory only. With top_k >= 1 every run keeps its results in a k-heap,
+/// The DIL merge. Postings arrive through DilCursors as DeweyRefs and the
+/// stack is three flat reused arrays — path components, emitted flags, and
+/// a depth × keyword score matrix — so pushing or popping a frame never
+/// allocates. This is where the columnar layout pays off: the hot loop
+/// touches contiguous memory only. With top_k >= 1 every run keeps its results in a k-heap,
 /// so an emitted frame that cannot enter the top k costs no allocation.
 class CursorMerger {
  public:
@@ -425,32 +307,6 @@ std::vector<QueryResult> MergeShardResults(
 }  // namespace
 
 std::vector<QueryResult> QueryProcessor::Execute(
-    const std::vector<const DilEntry*>& lists, size_t top_k) const {
-  std::vector<std::span<const DilPosting>> spans;
-  spans.reserve(lists.size());
-  for (const DilEntry* list : lists) {
-    spans.push_back(list == nullptr
-                        ? std::span<const DilPosting>()
-                        : std::span<const DilPosting>(list->postings));
-  }
-  return Execute(spans, top_k);
-}
-
-std::vector<QueryResult> QueryProcessor::Execute(
-    const std::vector<std::span<const DilPosting>>& lists,
-    size_t top_k) const {
-  if (lists.empty()) return {};
-  // A keyword with no postings can never be covered: no results (Eq. 1 is
-  // conjunctive). Short-circuit to avoid a full merge.
-  for (const auto& list : lists) {
-    if (list.empty()) return {};
-  }
-  Merger merger(lists, options_);
-  merger.set_top_k(top_k);
-  return merger.Run();
-}
-
-std::vector<QueryResult> QueryProcessor::Execute(
     std::vector<DilCursor> cursors, size_t top_k) const {
   return Execute(std::move(cursors), top_k, PruningMode::kExact, nullptr);
 }
@@ -479,50 +335,6 @@ std::vector<QueryResult> QueryProcessor::Execute(
   CursorMerger merger(cursors, options_);
   return prunable ? merger.RunPruned(top_k, stats)
                   : merger.Run(top_k, stats);
-}
-
-std::vector<QueryResult> QueryProcessor::ExecuteSharded(
-    const std::vector<std::span<const DilPosting>>& lists, size_t top_k,
-    size_t num_shards, ThreadPool* pool, ExecuteStats* stats) const {
-  if (stats != nullptr) *stats = ExecuteStats{};
-  if (lists.empty()) return {};
-  size_t total_postings = 0;
-  for (const auto& list : lists) {
-    if (list.empty()) return {};  // conjunctive: no results, nothing scanned
-    total_postings += list.size();
-  }
-  if (stats != nullptr) stats->postings_scanned = total_postings;
-
-  std::vector<DocRange> ranges;
-  if (num_shards > 1 && pool != nullptr) {
-    ranges = PartitionListsByDocument(lists, num_shards);
-  }
-  if (ranges.size() <= 1) {
-    return Execute(lists, top_k);
-  }
-  if (stats != nullptr) stats->shards = ranges.size();
-
-  // Each shard merges its document range into a shard-local top-k. Shards
-  // are independent by construction (the stack empties between documents),
-  // so any element of the global top-k is in its shard's local top-k.
-  std::vector<std::vector<QueryResult>> shard_results(ranges.size());
-  pool->ParallelFor(ranges.size(), [&](size_t s) {
-    std::vector<std::span<const DilPosting>> slices;
-    slices.reserve(lists.size());
-    for (const auto& list : lists) {
-      slices.push_back(SliceDocRange(list, ranges[s]));
-    }
-    shard_results[s] = Execute(slices, top_k);
-  });
-
-  // Final k-way merge: the same (score desc, Dewey) order the serial pass
-  // uses, so the output is bit-identical to it.
-  return MergeShardResults(std::move(shard_results), top_k);
-}
-
-std::vector<QueryResult> QueryProcessor::MergeTopK(
-    std::vector<std::vector<QueryResult>> parts, size_t top_k) {
-  return MergeShardResults(std::move(parts), top_k);
 }
 
 std::vector<QueryResult> QueryProcessor::ExecuteSegments(

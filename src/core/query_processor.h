@@ -2,26 +2,15 @@
 #define XONTORANK_CORE_QUERY_PROCESSOR_H_
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/flat_dil.h"
 #include "core/options.h"
-#include "core/xonto_dil.h"
-#include "xml/dewey_id.h"
+#include "core/query_result.h"
 
 namespace xontorank {
 
 class ThreadPool;
-
-/// One query result: the most specific element whose subtree is associated
-/// with every query keyword (Eq. 1), with its overall score (Eq. 4) and the
-/// per-keyword subtree scores it aggregates (Eq. 3).
-struct QueryResult {
-  DeweyId element;
-  double score = 0.0;
-  std::vector<double> keyword_scores;
-};
 
 /// Whether a top-k merge may skip work that provably cannot change the
 /// result set. Both modes return identical results (parity is
@@ -67,34 +56,24 @@ class QueryProcessor {
  public:
   explicit QueryProcessor(const ScoreOptions& options) : options_(options) {}
 
-  /// Runs the merge over one inverted list per query keyword. Null list
-  /// pointers are treated as empty lists (the keyword matches nothing, so
-  /// there are no results). Returns up to `top_k` results ordered by
-  /// descending score, ties broken by Dewey order; `top_k == 0` means all.
-  std::vector<QueryResult> Execute(const std::vector<const DilEntry*>& lists,
-                                   size_t top_k) const;
-
-  /// Zero-copy variant over posting ranges (each span must be sorted by
-  /// Dewey id); used by the ranked processor to evaluate single documents
-  /// without materializing slice copies.
-  std::vector<QueryResult> Execute(
-      const std::vector<std::span<const DilPosting>>& lists,
-      size_t top_k) const;
-
-  /// Cursor-based merge — the flat serving path. One cursor per keyword
-  /// (flat or span backed, already restricted to the range to evaluate);
-  /// the merge consumes DeweyRefs and keeps its path stack in flat reused
-  /// arrays, so it performs no per-posting or per-frame allocation. The
-  /// conjunctive merge also leapfrogs over documents missing any keyword
-  /// (DilCursor::SeekDoc through the block skip table) — exact, because
-  /// scores never propagate across a document boundary. Bit-identical to
-  /// the span Execute (property-tested).
+  /// Runs the merge over one cursor per query keyword, each already
+  /// restricted to the range to evaluate. Returns up to `top_k` results
+  /// ordered by descending score, ties broken by Dewey order; `top_k == 0`
+  /// means all. A keyword whose cursor is exhausted matches nothing, so
+  /// there are no results (Eq. 1 is conjunctive).
+  ///
+  /// The merge consumes DeweyRefs and keeps its path stack in flat reused
+  /// arrays, so it performs no per-posting or per-frame allocation. It
+  /// also leapfrogs over documents missing any keyword (DilCursor::SeekDoc
+  /// through the block skip table) — exact, because scores never
+  /// propagate across a document boundary. Bit-identical to the reference
+  /// evaluator of Eq. 1-4 (tests/reference_eval.h; property-tested).
   std::vector<QueryResult> Execute(std::vector<DilCursor> cursors,
                                    size_t top_k) const;
 
   /// Same, with a pruning mode. kBlockMax runs the Block-Max-WAND merge
-  /// when it is admissible — a finite top_k, every cursor flat with a
-  /// block-max column, and a decay <= 1 (the bound argument needs scores
+  /// when it is admissible — a finite top_k, a block-max column behind
+  /// every cursor, and a decay <= 1 (the bound argument needs scores
   /// to never grow while propagating) — and falls back to the exact merge
   /// otherwise, so the result set is identical either way (DESIGN.md §12
   /// gives the threshold algebra). `stats`, if non-null, is *added to*
@@ -104,44 +83,28 @@ class QueryProcessor {
                                    size_t top_k, PruningMode pruning,
                                    ExecuteStats* stats) const;
 
-  /// Parallel variant: partitions the postings into up to `num_shards`
-  /// document ranges (PartitionListsByDocument), merges each range
-  /// independently on `pool` into a shard-local top-k, and k-way merges
-  /// the shard results. Bit-identical to the serial Execute for every
-  /// shard count — the merge stack never spans a document boundary, so a
-  /// doc-granular partition changes nothing but the work distribution.
-  /// `num_shards <= 1` (or a null pool, or too little work to split) falls
-  /// back to the serial pass. `stats`, if non-null, receives work counters.
-  std::vector<QueryResult> ExecuteSharded(
-      const std::vector<std::span<const DilPosting>>& lists, size_t top_k,
-      size_t num_shards, ThreadPool* pool, ExecuteStats* stats = nullptr) const;
-
   /// The snapshot serving entry point (DESIGN.md §15): `segment_lists`
   /// holds one list vector per segment — same keyword order in each — for
   /// segments covering disjoint, ascending document ranges (the snapshot
-  /// layout; a single index is the one-segment case `{lists}`). Bit-identical to evaluating one concatenated list per
-  /// keyword: segments never share a document, so the merge stack and the
+  /// layout; a single index is the one-segment case `{lists}`).
+  /// Bit-identical to evaluating one concatenated list per keyword:
+  /// segments never share a document, so the merge stack and the
   /// conjunctive/pruning arguments all localize per segment, and the
   /// segment results compose through one shared top-k. Serially the
   /// segments run in document order against one global heap (block-max
   /// segments continue Block-Max-WAND with the carried threshold;
   /// non-prunable ones run exact and feed the heap); with a pool and
   /// num_shards > 1 the segments shard into (segment, doc range) items
-  /// whose exact local top-k's k-way merge is the global answer — the
-  /// same argument as ExecuteSharded. Under kBlockMax each item prunes
-  /// against its own local threshold; every local top-k is exact, so the
-  /// result is bit-identical to the serial exact pass.
+  /// whose exact local top-k's k-way merge is the global answer: the merge
+  /// stack never spans a document boundary, so a doc-granular partition
+  /// (PartitionListsByDocument) changes nothing but the work distribution.
+  /// Under kBlockMax each item prunes against its own local threshold;
+  /// every local top-k is exact, so the result is bit-identical to the
+  /// serial exact pass. `num_shards <= 1` or a null pool runs serially.
   std::vector<QueryResult> ExecuteSegments(
       const std::vector<std::vector<DilListRef>>& segment_lists, size_t top_k,
       size_t num_shards, ThreadPool* pool, ExecuteStats* stats = nullptr,
       PruningMode pruning = PruningMode::kExact) const;
-
-  /// K-way merges independently produced top-k lists (e.g. one per
-  /// segment under ranked execution) into the global (score desc, Dewey)
-  /// order, truncated to `top_k` (0 = keep all). Exact whenever the parts
-  /// cover disjoint document sets and each part is exact for its set.
-  static std::vector<QueryResult> MergeTopK(
-      std::vector<std::vector<QueryResult>> parts, size_t top_k);
 
  private:
   ScoreOptions options_;

@@ -2,16 +2,6 @@
 
 namespace xontorank {
 
-std::string_view QueryExecutionName(QueryExecution e) {
-  switch (e) {
-    case QueryExecution::kDil:
-      return "dil";
-    case QueryExecution::kRdil:
-      return "rdil";
-  }
-  return "?";
-}
-
 std::string_view PruningModeName(PruningMode mode) {
   switch (mode) {
     case PruningMode::kExact:
@@ -20,15 +10,6 @@ std::string_view PruningModeName(PruningMode mode) {
       return "blockmax";
   }
   return "?";
-}
-
-Status SearchOptions::Validate() const {
-  if (strategy == QueryExecution::kRdil && top_k == 0) {
-    return Status::InvalidArgument(
-        "top_k == 0 (all results) requires the exhaustive dil strategy; "
-        "ranked (rdil) evaluation needs a finite top_k >= 1");
-  }
-  return Status::OK();
 }
 
 }  // namespace xontorank

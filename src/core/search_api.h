@@ -5,71 +5,45 @@
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
 #include "core/query_processor.h"
 
 namespace xontorank {
 
-/// How a query is evaluated. Both strategies return *identical* results
-/// (same elements, same scores, same order) — the choice only moves work
-/// around, so it is an execution hint, not part of the query's meaning.
-enum class QueryExecution {
-  /// Exhaustive Dewey-ordered sort-merge over the XOnto-DILs (XRANK's DIL
-  /// algorithm). Supports `top_k == 0` ("all results") and sharded
-  /// parallel execution.
-  kDil,
-  /// Ranked lists with threshold-algorithm early termination (XRANK's
-  /// RDIL idea). Needs a finite `top_k >= 1`; usually less work for
-  /// selective queries. Always single-shard (the frontier is sequential).
-  kRdil,
-};
-
-/// Human-readable execution-strategy name ("dil" / "rdil").
-std::string_view QueryExecutionName(QueryExecution e);
-
 /// Human-readable pruning-mode name ("exact" / "blockmax").
 std::string_view PruningModeName(PruningMode mode);
 
-/// Per-call knobs of the unified Search entry point.
+/// Per-call knobs of the unified Search entry point. Every combination is
+/// valid.
 ///
 /// `top_k` has ONE meaning everywhere: 0 returns all results, k >= 1
-/// returns the k best. Because ranked (RDIL) evaluation is meaningless
-/// without a finite k, `{top_k = 0, strategy = kRdil}` is the single
-/// invalid combination; Validate names it and Search answers it with an
-/// empty response instead of asserting.
+/// returns the k best.
 struct SearchOptions {
   /// 0 = all results; k >= 1 = the k best (score desc, ties by Dewey).
   size_t top_k = 10;
 
-  /// Execution strategy (results are identical either way).
-  QueryExecution strategy = QueryExecution::kDil;
-
   /// Shard count for the parallel DIL merge: 1 = serial, 0 = one shard per
-  /// hardware core. Ignored under kRdil. Sharding is exact — postings are
-  /// partitioned at document boundaries, which the merge stack never
-  /// crosses, so any shard count returns bit-identical results.
+  /// hardware core. Sharding is exact — postings are partitioned at
+  /// document boundaries, which the merge stack never crosses, so any
+  /// shard count returns bit-identical results.
   size_t parallelism = 1;
 
   /// Consult (and fill) the snapshot's result cache. Cached entries live
   /// and die with their snapshot, so a hit can never serve stale data.
   bool use_cache = true;
 
-  /// Top-k pruning of the DIL merge (see PruningMode). Like `strategy`,
-  /// an execution hint: results are identical under either mode, so it is
-  /// excluded from the cache key. The default prunes whenever admissible;
-  /// `top_k == 0` (no threshold exists), a decay > 1, or lists without the
-  /// block-max column (v1 segments, demand-cache spans) silently run
-  /// exact. Ignored under kRdil.
+  /// Top-k pruning of the DIL merge (see PruningMode). Like
+  /// `parallelism`, an execution hint: results are identical under either
+  /// mode, so it is excluded from the cache key. The default prunes
+  /// whenever admissible; `top_k == 0` (no threshold exists), a decay > 1,
+  /// or lists without the block-max column (v1 segments) silently run
+  /// exact.
   PruningMode pruning = PruningMode::kBlockMax;
-
-  /// The one validity rule above; every Search entry point applies it.
-  [[nodiscard]] Status Validate() const;
 };
 
 /// What one Search call did (returned alongside the results).
 struct QueryStats {
-  /// Postings fed into the merge (kDil) or frontier advances (kRdil).
-  /// 0 when the result came from the cache or a keyword matched nothing.
+  /// Postings fed into the merge. 0 when the result came from the cache or
+  /// a keyword matched nothing.
   size_t postings_scanned = 0;
   /// Shards the merge actually ran with (after partitioning; a tiny corpus
   /// may yield fewer than requested). 0 on a cache hit — nothing ran.
@@ -79,7 +53,7 @@ struct QueryStats {
   /// End-to-end wall time of the call, microseconds.
   double wall_micros = 0.0;
 
-  // Work counters of the DIL merge (0 under kRdil or on a cache hit).
+  // Work counters of the DIL merge (0 on a cache hit).
   /// Postings actually decoded and scored; under block-max pruning this is
   /// postings_scanned minus everything leapfrogged.
   size_t postings_scored = 0;

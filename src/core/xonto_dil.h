@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -74,46 +73,6 @@ class XOntoDil {
  private:
   std::map<std::string, DilEntry> entries_;
 };
-
-/// A contiguous half-open document-id range [begin_doc, end_doc) — one
-/// shard of a partitioned query execution.
-struct DocRange {
-  uint32_t begin_doc = 0;
-  uint32_t end_doc = 0;
-
-  bool empty() const { return begin_doc >= end_doc; }
-  bool operator==(const DocRange& other) const {
-    return begin_doc == other.begin_doc && end_doc == other.end_doc;
-  }
-};
-
-/// Splits the documents covered by `lists` into at most `max_shards`
-/// contiguous doc-id ranges of approximately equal total posting count
-/// (the unit of merge work). Because postings are globally Dewey-ordered
-/// and the first Dewey component is the document id, these ranges cut the
-/// lists at exact document boundaries — the DIL merge stack never spans
-/// two documents, so evaluating ranges independently is exact.
-///
-/// Ranges are returned in ascending doc order, are disjoint, jointly cover
-/// every posting, and are all non-empty (fewer than `max_shards` ranges
-/// come back when there is not enough work to split). Empty input or
-/// `max_shards <= 1` yields a single covering range.
-std::vector<DocRange> PartitionListsByDocument(
-    const std::vector<std::span<const DilPosting>>& lists, size_t max_shards);
-
-/// The greedy equal-work cut shared by both PartitionListsByDocument
-/// overloads (legacy spans here, DilListRefs in flat_dil.h):
-/// `doc_postings[d - min_doc]` is document d's posting count, `total`
-/// their sum (must be > 0). Exposed so the two overloads provably cut at
-/// the same boundaries.
-std::vector<DocRange> PartitionDocHistogram(
-    uint32_t min_doc, uint32_t max_doc, size_t total,
-    const std::vector<size_t>& doc_postings, size_t max_shards);
-
-/// The sub-span of `list` (sorted by Dewey id) whose postings fall inside
-/// `range` — two binary searches, no copying.
-std::span<const DilPosting> SliceDocRange(std::span<const DilPosting> list,
-                                          const DocRange& range);
 
 }  // namespace xontorank
 

@@ -66,11 +66,10 @@ class XOntoRank {
   XOntoRank& operator=(const XOntoRank&) = delete;
 
   /// The unified query entry point: executes `query` under `options`
-  /// (exhaustive or ranked, serial or sharded-parallel, cached or not)
-  /// against the current snapshot and returns results plus execution
-  /// stats. Lock-free on the hot path: one atomic snapshot load, then
-  /// immutable state only. Invalid options (rdil with top_k == 0) yield an
-  /// empty response. See SearchOptions for the knobs.
+  /// (serial or sharded-parallel, pruned or exact, cached or not) against
+  /// the current snapshot and returns results plus execution stats.
+  /// Lock-free on the hot path: one atomic snapshot load, then immutable
+  /// state only. See SearchOptions for the knobs.
   SearchResponse Search(const KeywordQuery& query,
                         const SearchOptions& options) const;
 

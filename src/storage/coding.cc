@@ -4,58 +4,11 @@
 
 namespace xontorank {
 
-void PutVarint32(std::string* dst, uint32_t value) {
-  while (value >= 0x80) {
-    dst->push_back(static_cast<char>(value | 0x80));
-    value >>= 7;
-  }
-  dst->push_back(static_cast<char>(value));
-}
-
-void PutVarint64(std::string* dst, uint64_t value) {
-  while (value >= 0x80) {
-    dst->push_back(static_cast<char>(value | 0x80));
-    value >>= 7;
-  }
-  dst->push_back(static_cast<char>(value));
-}
-
 void PutFixed32(std::string* dst, uint32_t value) {
   dst->push_back(static_cast<char>(value & 0xff));
   dst->push_back(static_cast<char>((value >> 8) & 0xff));
   dst->push_back(static_cast<char>((value >> 16) & 0xff));
   dst->push_back(static_cast<char>((value >> 24) & 0xff));
-}
-
-void PutLengthPrefixed(std::string* dst, std::string_view value) {
-  PutVarint64(dst, value.size());
-  dst->append(value);
-}
-
-bool Decoder::GetVarint32(uint32_t* value) {
-  uint64_t v64 = 0;
-  size_t saved = pos_;
-  if (!GetVarint64(&v64) || v64 > UINT32_MAX) {
-    pos_ = saved;
-    return false;
-  }
-  *value = static_cast<uint32_t>(v64);
-  return true;
-}
-
-bool Decoder::GetVarint64(uint64_t* value) {
-  uint64_t result = 0;
-  size_t saved = pos_;
-  for (int shift = 0; shift <= 63 && pos_ < data_.size(); shift += 7) {
-    uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return true;
-    }
-  }
-  pos_ = saved;
-  return false;
 }
 
 bool Decoder::GetFixed32(uint32_t* value) {
@@ -65,18 +18,6 @@ bool Decoder::GetFixed32(uint32_t* value) {
            (static_cast<uint32_t>(p[2]) << 16) |
            (static_cast<uint32_t>(p[3]) << 24);
   pos_ += 4;
-  return true;
-}
-
-bool Decoder::GetLengthPrefixed(std::string_view* value) {
-  size_t saved = pos_;
-  uint64_t len = 0;
-  if (!GetVarint64(&len) || len > remaining()) {
-    pos_ = saved;
-    return false;
-  }
-  *value = data_.substr(pos_, len);
-  pos_ += len;
   return true;
 }
 

@@ -7,20 +7,11 @@
 
 namespace xontorank {
 
-/// Little-endian / varint primitives for the on-disk index format
-/// (LevelDB-style).
-
-/// Appends a 32-bit value in LEB128 varint encoding (1–5 bytes).
-void PutVarint32(std::string* dst, uint32_t value);
-
-/// Appends a 64-bit value in LEB128 varint encoding (1–10 bytes).
-void PutVarint64(std::string* dst, uint64_t value);
+/// Fixed-width little-endian primitives of the on-disk formats (MANIFEST,
+/// .xoseg).
 
 /// Appends a fixed 4-byte little-endian value.
 void PutFixed32(std::string* dst, uint32_t value);
-
-/// Appends a length-prefixed string.
-void PutLengthPrefixed(std::string* dst, std::string_view value);
 
 /// Cursor over encoded bytes. All Get* methods advance the cursor and
 /// return false on truncation/overflow without advancing past the end.
@@ -28,10 +19,7 @@ class Decoder {
  public:
   explicit Decoder(std::string_view data) : data_(data) {}
 
-  bool GetVarint32(uint32_t* value);
-  bool GetVarint64(uint64_t* value);
   bool GetFixed32(uint32_t* value);
-  bool GetLengthPrefixed(std::string_view* value);
 
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t position() const { return pos_; }

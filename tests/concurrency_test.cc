@@ -78,23 +78,24 @@ TEST(ConcurrencyTest, EntryPointersStableAcrossRaces) {
   options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
   XOntoRank engine(generator.GenerateCorpus(), onto, options);
 
-  // All threads request the same keyword; everyone must observe the same
-  // stable entry pointer afterwards. The engine serves one segment.
+  // All threads request the same demand-built list; everyone must observe
+  // the same stable list afterwards. The engine serves one segment.
   auto snap = engine.snapshot();
   const CorpusIndex& index = snap->segments().front()->index();
   Keyword kw = MakeKeyword("cardiac");
-  std::vector<const DilEntry*> seen(8, nullptr);
+  std::vector<const FlatDil*> seen(8, nullptr);
   std::vector<std::thread> workers;
   for (size_t t = 0; t < seen.size(); ++t) {
     workers.emplace_back([&, t]() {
-      seen[t] = index.GetEntry(kw);
+      seen[t] = index.GetListRef(kw).flat;
     });
   }
   for (std::thread& worker : workers) worker.join();
   for (size_t t = 1; t < seen.size(); ++t) {
     EXPECT_EQ(seen[t], seen[0]);
   }
-  EXPECT_EQ(index.GetEntry(kw), seen[0]);
+  EXPECT_EQ(index.GetListRef(kw).flat, seen[0]);
+  EXPECT_FALSE(index.GetListRef(kw).empty());
 }
 
 bool SameResults(const std::vector<QueryResult>& a,

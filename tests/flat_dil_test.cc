@@ -1,22 +1,22 @@
 // The flat serving representation: Freeze/Thaw losslessness, skip-table
-// seeks at block boundaries, and the property that the cursor
-// merge is bit-identical to the legacy posting-struct merge for every
-// shard count.
+// seeks at block boundaries, and the property that the cursor merge is
+// bit-identical to the reference evaluator of Eq. 1-4 for every shard
+// count.
 
 #include "core/flat_dil.h"
 
 #include <algorithm>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/query_processor.h"
-#include "core/ranked_query_processor.h"
 #include "core/xonto_dil.h"
 #include "gtest/gtest.h"
+#include "tests/reference_eval.h"
+#include "tests/test_util.h"
 
 namespace xontorank {
 namespace {
@@ -128,11 +128,14 @@ TEST(FlatDilTest, MemoryBytesCountsColumns) {
 
 // The reference: count postings whose doc id falls in [begin, end).
 size_t ReferenceCount(const DilEntry* entry, const DocRange& range) {
-  return SliceDocRange(std::span<const DilPosting>(entry->postings), range)
-      .size();
+  return std::count_if(entry->postings.begin(), entry->postings.end(),
+                       [&range](const DilPosting& p) {
+                         return p.dewey.doc_id() >= range.begin_doc &&
+                                p.dewey.doc_id() < range.end_doc;
+                       });
 }
 
-TEST(FlatDilTest, PostingRangeMatchesSliceDocRangeExhaustively) {
+TEST(FlatDilTest, PostingRangeMatchesNaiveCountExhaustively) {
   // 1000 postings over ~334 documents => 8 blocks; sweep every boundary.
   XOntoDil dil = DeepDil(1000);
   FlatDil flat = dil.Freeze();
@@ -230,11 +233,11 @@ TEST(FlatDilTest, CollectDocIdsMatchesThaw) {
   }
 }
 
-// ---- Cursor merge parity (the bit-identity property of the tentpole) ----
+// ---- Cursor merge vs the reference evaluator, bit for bit ----
 
 class FlatParityTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(FlatParityTest, CursorExecuteMatchesLegacyBitForBit) {
+TEST_P(FlatParityTest, CursorExecuteMatchesReferenceBitForBit) {
   Rng rng(GetParam());
   ThreadPool pool(4);
   for (int trial = 0; trial < 15; ++trial) {
@@ -244,61 +247,23 @@ TEST_P(FlatParityTest, CursorExecuteMatchesLegacyBitForBit) {
     score.decay = 0.25 + 0.5 * rng.NextDouble();
     QueryProcessor processor(score);
 
-    std::vector<std::span<const DilPosting>> spans;
+    std::vector<std::vector<DilPosting>> lists;
     std::vector<DilListRef> refs;
     for (const auto& [keyword, entry] : dil.entries()) {
-      spans.emplace_back(entry.postings);
+      lists.push_back(entry.postings);
       uint32_t list = flat.FindList(keyword);
       ASSERT_NE(list, FlatDil::kNoList);
       refs.push_back(DilListRef::OverFlat(flat, list));
     }
 
     size_t top_k = rng.NextBelow(2) == 0 ? 0 : 1 + rng.NextBelow(10);
-    auto legacy = processor.Execute(spans, top_k);
+    auto expected = reference::EvaluateLists(lists, score.decay, top_k);
     for (size_t num_shards : {1u, 2u, 4u, 8u}) {
-      auto flat_results =
-          processor.ExecuteSegments({refs}, top_k, num_shards, &pool);
-      ASSERT_EQ(legacy.size(), flat_results.size())
-          << "shards=" << num_shards << " trial=" << trial;
-      for (size_t i = 0; i < legacy.size(); ++i) {
-        EXPECT_EQ(legacy[i].element, flat_results[i].element)
-            << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-        // Exact double equality: the cursor merge performs the same
-        // floating-point operations in the same order as the legacy
-        // struct merge, so not even the last bit may differ.
-        EXPECT_EQ(legacy[i].score, flat_results[i].score)
-            << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-        EXPECT_EQ(legacy[i].keyword_scores, flat_results[i].keyword_scores)
-            << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST_P(FlatParityTest, RankedExecuteMatchesLegacy) {
-  Rng rng(GetParam() * 3 + 1);
-  for (int trial = 0; trial < 10; ++trial) {
-    XOntoDil dil = RandomDil(rng, 1 + rng.NextBelow(3), 40);
-    FlatDil flat = dil.Freeze();
-    RankedQueryProcessor processor((ScoreOptions()));
-
-    std::vector<const DilEntry*> entries;
-    std::vector<DilListRef> refs;
-    for (const auto& [keyword, entry] : dil.entries()) {
-      entries.push_back(&entry);
-      refs.push_back(DilListRef::OverFlat(flat, flat.FindList(keyword)));
-    }
-    for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
-      auto legacy = processor.Execute(entries, k);
-      auto flat_results = processor.Execute(refs, k);
-      ASSERT_EQ(legacy.size(), flat_results.size())
-          << "trial " << trial << " k " << k;
-      for (size_t i = 0; i < legacy.size(); ++i) {
-        EXPECT_EQ(legacy[i].element, flat_results[i].element)
-            << "trial " << trial << " k " << k << " i " << i;
-        EXPECT_EQ(legacy[i].score, flat_results[i].score)
-            << "trial " << trial << " k " << k << " i " << i;
-      }
+      testing_util::ExpectSameResults(
+          processor.ExecuteSegments({refs}, top_k, num_shards, &pool),
+          expected,
+          "shards=" + std::to_string(num_shards) +
+              " trial=" + std::to_string(trial));
     }
   }
 }

@@ -111,7 +111,7 @@ TEST_F(IndexBuilderFixture, VocabularyModesAgreeOnPostings) {
 TEST_F(IndexBuilderFixture, CorpusAndOntologyModeCoversOntologyOnlyTerms) {
   CorpusIndex eager = Build(Strategy::kRelationships);
   // "bronchus" appears only in the ontology, yet is precomputed.
-  EXPECT_NE(eager.GetEntry(MakeKeyword("bronchus")), nullptr);
+  EXPECT_FALSE(eager.GetListRef(MakeKeyword("bronchus")).empty());
   std::vector<std::string> vocab = eager.PrecomputedVocabulary();
   EXPECT_NE(std::find(vocab.begin(), vocab.end(), "bronchus"), vocab.end());
 
@@ -122,21 +122,24 @@ TEST_F(IndexBuilderFixture, CorpusAndOntologyModeCoversOntologyOnlyTerms) {
             corpus_vocab.end());
 }
 
-TEST_F(IndexBuilderFixture, GetEntryCachesAndIsStable) {
+TEST_F(IndexBuilderFixture, DemandListCachesAndIsStable) {
   CorpusIndex index =
       Build(Strategy::kRelationships, IndexBuildOptions::VocabularyMode::kNone);
   Keyword phrase = MakeKeyword("theophylline");
-  const DilEntry* first = index.GetEntry(phrase);
-  const DilEntry* second = index.GetEntry(phrase);
-  EXPECT_EQ(first, second);
-  EXPECT_FALSE(first->postings.empty());
+  DilListRef first = index.GetListRef(phrase);
+  DilListRef second = index.GetListRef(phrase);
+  EXPECT_EQ(first.flat, second.flat);
+  EXPECT_EQ(first.list, second.list);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first.flat->ThawPostings(first.list), index.BuildPostings(phrase));
 }
 
 TEST_F(IndexBuilderFixture, UnknownKeywordYieldsEmptyEntryNotNull) {
   CorpusIndex index = Build(Strategy::kRelationships);
-  const DilEntry* entry = index.GetEntry(MakeKeyword("zebra"));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_TRUE(entry->postings.empty());
+  DilListRef ref = index.GetListRef(MakeKeyword("zebra"));
+  ASSERT_NE(ref.flat, nullptr);
+  EXPECT_TRUE(ref.empty());
+  EXPECT_TRUE(ref.OpenCursor().AtEnd());
 }
 
 TEST_F(IndexBuilderFixture, PostingsSortedByDewey) {

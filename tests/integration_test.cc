@@ -15,6 +15,7 @@
 #include "onto/snomed_fragment.h"
 #include "storage/segment_file.h"
 #include "storage/segment_writer.h"
+#include "tests/reference_eval.h"
 
 namespace xontorank {
 namespace {
@@ -130,7 +131,8 @@ TEST_F(IntegrationFixture, IndexSurvivesStorageRoundTrip) {
   XOntoDil lists;
   for (const KeywordQuery& q : queries) {
     for (const Keyword& kw : q.keywords) {
-      lists.Put(kw.Canonical(), index.GetEntry(kw)->postings);
+      DilListRef served = index.GetListRef(kw);
+      lists.Put(kw.Canonical(), served.flat->ThawPostings(served.list));
     }
   }
   std::string path =
@@ -142,24 +144,22 @@ TEST_F(IntegrationFixture, IndexSurvivesStorageRoundTrip) {
   ASSERT_TRUE(segment.ok()) << segment.status().ToString();
   FlatDil mapped = (*segment)->MakeView();
 
-  // Queries over the mapped lists give the same results.
-  QueryProcessor processor((ScoreOptions()));
+  // Queries over the mapped lists answer what the reference evaluator
+  // computes from the live lists.
+  ScoreOptions score;
+  QueryProcessor processor(score);
   for (const KeywordQuery& q : queries) {
-    std::vector<const DilEntry*> live;
+    std::vector<std::vector<DilPosting>> live;
     std::vector<DilCursor> loaded;
     for (const Keyword& kw : q.keywords) {
-      live.push_back(index.GetEntry(kw));
+      live.push_back(lists.Find(kw.Canonical())->postings);
       uint32_t list = mapped.FindList(kw.Canonical());
       ASSERT_NE(list, FlatDil::kNoList) << kw.Canonical();
-      loaded.push_back(DilListRef::OverFlat(mapped, list).OpenCursor());
+      loaded.push_back(mapped.OpenCursor(list));
     }
-    auto live_results = processor.Execute(live, 10);
-    auto loaded_results = processor.Execute(std::move(loaded), 10);
-    ASSERT_EQ(live_results.size(), loaded_results.size()) << q.ToString();
-    for (size_t i = 0; i < live_results.size(); ++i) {
-      EXPECT_EQ(live_results[i].element, loaded_results[i].element);
-      EXPECT_EQ(live_results[i].score, loaded_results[i].score);
-    }
+    testing_util::ExpectSameResults(
+        processor.Execute(std::move(loaded), 10),
+        reference::EvaluateLists(live, score.decay, 10), q.ToString());
   }
   std::filesystem::remove(path);
 }

@@ -39,12 +39,14 @@ TEST_F(ParallelIndexFixture, ParallelBuildMatchesSerial) {
   std::vector<std::string> vocab = serial.PrecomputedVocabulary();
   for (size_t i = 0; i < vocab.size(); i += 17) {
     Keyword kw = MakeKeyword(vocab[i]);
-    const DilEntry* a = serial.GetEntry(kw);
-    const DilEntry* b = parallel.GetEntry(kw);
-    ASSERT_EQ(a->postings.size(), b->postings.size()) << vocab[i];
-    for (size_t p = 0; p < a->postings.size(); ++p) {
-      EXPECT_EQ(a->postings[p].dewey, b->postings[p].dewey) << vocab[i];
-      EXPECT_DOUBLE_EQ(a->postings[p].score, b->postings[p].score) << vocab[i];
+    DilListRef a = serial.GetListRef(kw);
+    DilListRef b = parallel.GetListRef(kw);
+    std::vector<DilPosting> pa = a.flat->ThawPostings(a.list);
+    std::vector<DilPosting> pb = b.flat->ThawPostings(b.list);
+    ASSERT_EQ(pa.size(), pb.size()) << vocab[i];
+    for (size_t p = 0; p < pa.size(); ++p) {
+      EXPECT_EQ(pa[p].dewey, pb[p].dewey) << vocab[i];
+      EXPECT_DOUBLE_EQ(pa[p].score, pb[p].score) << vocab[i];
     }
   }
 }

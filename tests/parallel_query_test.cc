@@ -1,64 +1,89 @@
 // Sharded parallel execution: the document-range partitioner and the
-// property that ExecuteSharded is bit-identical to the serial merge for
-// every shard count (the DIL stack never spans two documents, so a
-// doc-granular partition only redistributes work).
+// property that ExecuteSegments is bit-identical to the serial merge and
+// to the reference evaluator for every shard count (the DIL stack never
+// spans two documents, so a doc-granular partition only redistributes
+// work).
 
-#include <algorithm>
 #include <set>
-#include <span>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/flat_dil.h"
 #include "core/query_processor.h"
 #include "core/xonto_dil.h"
 #include "gtest/gtest.h"
+#include "tests/reference_eval.h"
+#include "tests/test_util.h"
 
 namespace xontorank {
 namespace {
+
+using testing_util::ExpectSameResults;
 
 DilPosting P(std::vector<uint32_t> comps, double score) {
   return {DeweyId(std::move(comps)), score};
 }
 
-DilEntry Entry(std::vector<DilPosting> postings) {
-  DilEntry entry;
-  std::sort(postings.begin(), postings.end(),
-            [](const DilPosting& a, const DilPosting& b) {
-              return a.dewey < b.dewey;
-            });
-  entry.postings = std::move(postings);
-  return entry;
-}
+/// One frozen list per keyword ("kw0", "kw1", ...) and refs to them in
+/// keyword order.
+struct Lists {
+  explicit Lists(const std::vector<std::vector<DilPosting>>& postings)
+      : postings(postings) {
+    XOntoDil dil;
+    for (size_t w = 0; w < postings.size(); ++w) {
+      dil.Put(Key(w), postings[w]);
+    }
+    flat = dil.Freeze();
+    for (size_t w = 0; w < postings.size(); ++w) {
+      refs.push_back(DilListRef::OverFlat(flat, flat.FindList(Key(w))));
+    }
+  }
 
-std::vector<std::span<const DilPosting>> Spans(
-    const std::vector<DilEntry>& entries) {
-  std::vector<std::span<const DilPosting>> lists;
-  for (const DilEntry& e : entries) lists.emplace_back(e.postings);
-  return lists;
+  static std::string Key(size_t w) { return "kw" + std::to_string(w); }
+
+  std::vector<std::vector<DilPosting>> postings;
+  FlatDil flat;
+  std::vector<DilListRef> refs;
+};
+
+/// `n` random postings with unique Dewey ids over `docs` documents.
+std::vector<DilPosting> RandomPostings(Rng& rng, size_t n, uint32_t docs,
+                                       size_t max_depth) {
+  std::vector<DilPosting> postings;
+  std::set<std::vector<uint32_t>> used;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<uint32_t> comps{static_cast<uint32_t>(rng.NextBelow(docs))};
+    size_t depth = rng.NextBelow(max_depth);
+    for (size_t d = 0; d < depth; ++d) {
+      comps.push_back(static_cast<uint32_t>(rng.NextBelow(3)));
+    }
+    if (!used.insert(comps).second) continue;
+    postings.push_back(P(comps, 0.1 + 0.9 * rng.NextDouble()));
+  }
+  return postings;
 }
 
 // ---- PartitionListsByDocument ----
 
 TEST(PartitionTest, EmptyInputYieldsOneEmptyRange) {
-  auto ranges = PartitionListsByDocument(
-      std::vector<std::span<const DilPosting>>{}, 4);
+  auto ranges = PartitionListsByDocument(std::vector<DilListRef>{}, 4);
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_TRUE(ranges[0].empty());
 }
 
 TEST(PartitionTest, SingleShardCoversEverything) {
-  std::vector<DilEntry> entries{Entry({P({0, 1}, 1.0), P({5, 0}, 0.5)})};
-  auto ranges = PartitionListsByDocument(Spans(entries), 1);
+  Lists lists({{P({0, 1}, 1.0), P({5, 0}, 0.5)}});
+  auto ranges = PartitionListsByDocument(lists.refs, 1);
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0].begin_doc, 0u);
   EXPECT_EQ(ranges[0].end_doc, 6u);
 }
 
 TEST(PartitionTest, SingleDocumentCannotBeSplit) {
-  std::vector<DilEntry> entries{
-      Entry({P({3, 0}, 1.0), P({3, 1}, 1.0), P({3, 2}, 1.0)})};
-  auto ranges = PartitionListsByDocument(Spans(entries), 8);
+  Lists lists({{P({3, 0}, 1.0), P({3, 1}, 1.0), P({3, 2}, 1.0)}});
+  auto ranges = PartitionListsByDocument(lists.refs, 8);
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0].begin_doc, 3u);
   EXPECT_EQ(ranges[0].end_doc, 4u);
@@ -67,25 +92,14 @@ TEST(PartitionTest, SingleDocumentCannotBeSplit) {
 TEST(PartitionTest, RangesAreDisjointCoveringAndNonEmpty) {
   Rng rng(77);
   for (int trial = 0; trial < 30; ++trial) {
-    std::vector<DilEntry> entries;
-    size_t lists = 1 + rng.NextBelow(3);
-    for (size_t w = 0; w < lists; ++w) {
-      std::vector<DilPosting> postings;
-      size_t n = 1 + rng.NextBelow(40);
-      std::set<std::vector<uint32_t>> used;
-      for (size_t i = 0; i < n; ++i) {
-        std::vector<uint32_t> comps{static_cast<uint32_t>(rng.NextBelow(12))};
-        size_t depth = rng.NextBelow(3);
-        for (size_t d = 0; d < depth; ++d) {
-          comps.push_back(static_cast<uint32_t>(rng.NextBelow(3)));
-        }
-        if (used.insert(comps).second) postings.push_back(P(comps, 0.5));
-      }
-      entries.push_back(Entry(std::move(postings)));
+    std::vector<std::vector<DilPosting>> postings;
+    size_t num_lists = 1 + rng.NextBelow(3);
+    for (size_t w = 0; w < num_lists; ++w) {
+      postings.push_back(RandomPostings(rng, 1 + rng.NextBelow(40), 12, 3));
     }
+    Lists lists(postings);
     size_t max_shards = 1 + rng.NextBelow(8);
-    auto spans = Spans(entries);
-    auto ranges = PartitionListsByDocument(spans, max_shards);
+    auto ranges = PartitionListsByDocument(lists.refs, max_shards);
     ASSERT_FALSE(ranges.empty());
     EXPECT_LE(ranges.size(), max_shards);
     for (size_t i = 0; i < ranges.size(); ++i) {
@@ -95,43 +109,18 @@ TEST(PartitionTest, RangesAreDisjointCoveringAndNonEmpty) {
       }
     }
     // Every posting of every list lands in exactly one range.
-    for (const auto& span : spans) {
+    for (const DilListRef& ref : lists.refs) {
       size_t covered = 0;
-      for (const DocRange& r : ranges) covered += SliceDocRange(span, r).size();
-      EXPECT_EQ(covered, span.size()) << "trial " << trial;
+      for (const DocRange& r : ranges) {
+        auto [lo, hi] = ref.flat->PostingRange(ref.list, r);
+        covered += hi - lo;
+      }
+      EXPECT_EQ(covered, ref.size()) << "trial " << trial;
     }
   }
 }
 
-TEST(SliceTest, SliceIsTheContiguousDocSubrange) {
-  std::vector<DilEntry> entries{Entry(
-      {P({0, 0}, 1.0), P({1, 0}, 1.0), P({1, 1}, 1.0), P({4, 0}, 1.0)})};
-  std::span<const DilPosting> all(entries[0].postings);
-  auto mid = SliceDocRange(all, DocRange{1, 4});
-  ASSERT_EQ(mid.size(), 2u);
-  EXPECT_EQ(mid[0].dewey.ToString(), "1.0");
-  EXPECT_EQ(mid[1].dewey.ToString(), "1.1");
-  EXPECT_TRUE(SliceDocRange(all, DocRange{2, 4}).empty());
-}
-
-// ---- Parallel == serial (bit-identical, randomized property) ----
-
-void ExpectBitIdentical(const std::vector<QueryResult>& serial,
-                        const std::vector<QueryResult>& sharded,
-                        size_t num_shards, int trial) {
-  ASSERT_EQ(serial.size(), sharded.size())
-      << "shards=" << num_shards << " trial=" << trial;
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].element, sharded[i].element)
-        << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-    // Exact double equality on purpose: each shard runs the very same
-    // serial merge over its slice, so not even the last bit may differ.
-    EXPECT_EQ(serial[i].score, sharded[i].score)
-        << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-    EXPECT_EQ(serial[i].keyword_scores, sharded[i].keyword_scores)
-        << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-  }
-}
+// ---- Parallel == serial == reference (bit-identical, randomized) ----
 
 class ParallelParityTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -141,35 +130,28 @@ TEST_P(ParallelParityTest, ShardedMatchesSerialBitForBit) {
   for (int trial = 0; trial < 25; ++trial) {
     // Randomized corpus: up to 16 documents, 1-3 keywords, varied depth.
     size_t num_keywords = 1 + rng.NextBelow(3);
-    std::vector<DilEntry> entries;
+    std::vector<std::vector<DilPosting>> postings;
     for (size_t w = 0; w < num_keywords; ++w) {
-      std::vector<DilPosting> postings;
-      size_t n = 1 + rng.NextBelow(60);
-      std::set<std::vector<uint32_t>> used;
-      for (size_t i = 0; i < n; ++i) {
-        std::vector<uint32_t> comps{static_cast<uint32_t>(rng.NextBelow(16))};
-        size_t depth = rng.NextBelow(5);
-        for (size_t d = 0; d < depth; ++d) {
-          comps.push_back(static_cast<uint32_t>(rng.NextBelow(3)));
-        }
-        if (!used.insert(comps).second) continue;
-        postings.push_back(P(comps, 0.1 + 0.9 * rng.NextDouble()));
-      }
-      if (postings.empty()) postings.push_back(P({0}, 0.5));
-      entries.push_back(Entry(std::move(postings)));
+      postings.push_back(RandomPostings(rng, 1 + rng.NextBelow(60), 16, 5));
+      if (postings.back().empty()) postings.back().push_back(P({0}, 0.5));
     }
+    Lists lists(postings);
     ScoreOptions score;
     score.decay = 0.25 + 0.5 * rng.NextDouble();
     QueryProcessor processor(score);
-    auto spans = Spans(entries);
     size_t top_k = rng.NextBelow(2) == 0 ? 0 : 1 + rng.NextBelow(10);
-    auto serial = processor.Execute(spans, top_k);
-    for (size_t num_shards : {1u, 2u, 4u, 8u}) {
+    auto serial = processor.ExecuteSegments({lists.refs}, top_k, 1, nullptr);
+    ExpectSameResults(serial,
+                      reference::EvaluateLists(postings, score.decay, top_k),
+                      "serial trial=" + std::to_string(trial));
+    for (size_t num_shards : {2u, 4u, 8u}) {
       ExecuteStats stats;
-      auto sharded =
-          processor.ExecuteSharded(spans, top_k, num_shards, &pool, &stats);
-      ExpectBitIdentical(serial, sharded, num_shards, trial);
-      EXPECT_LE(stats.shards, std::max<size_t>(num_shards, 1));
+      auto sharded = processor.ExecuteSegments({lists.refs}, top_k,
+                                               num_shards, &pool, &stats);
+      ExpectSameResults(sharded, serial,
+                        "shards=" + std::to_string(num_shards) +
+                            " trial=" + std::to_string(trial));
+      EXPECT_LE(stats.shards, num_shards);
     }
   }
 }
@@ -177,25 +159,25 @@ TEST_P(ParallelParityTest, ShardedMatchesSerialBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelParityTest,
                          ::testing::Values(7, 41, 1009, 65537));
 
-TEST(ExecuteShardedTest, NullPoolFallsBackToSerial) {
-  std::vector<DilEntry> entries{
-      Entry({P({0, 0}, 1.0), P({1, 0}, 0.8), P({2, 0}, 0.6)})};
+TEST(ExecuteSegmentsTest, NullPoolFallsBackToSerial) {
+  Lists lists({{P({0, 0}, 1.0), P({1, 0}, 0.8), P({2, 0}, 0.6)}});
   QueryProcessor processor((ScoreOptions()));
-  auto spans = Spans(entries);
   ExecuteStats stats;
-  auto results = processor.ExecuteSharded(spans, 0, 4, nullptr, &stats);
-  ExpectBitIdentical(processor.Execute(spans, 0), results, 4, 0);
+  auto results =
+      processor.ExecuteSegments({lists.refs}, 0, 4, nullptr, &stats);
+  ExpectSameResults(results, reference::EvaluateLists(
+                                 lists.postings, ScoreOptions().decay, 0));
   EXPECT_EQ(stats.shards, 1u);
   EXPECT_EQ(stats.postings_scanned, 3u);
 }
 
-TEST(ExecuteShardedTest, EmptyListShortCircuitsConjunction) {
-  std::vector<DilEntry> entries{Entry({P({0, 0}, 1.0)}), Entry({})};
+TEST(ExecuteSegmentsTest, EmptyListShortCircuitsConjunction) {
+  Lists lists({{P({0, 0}, 1.0)}, {}});
   QueryProcessor processor((ScoreOptions()));
   ThreadPool pool(2);
   ExecuteStats stats;
   auto results =
-      processor.ExecuteSharded(Spans(entries), 0, 4, &pool, &stats);
+      processor.ExecuteSegments({lists.refs}, 0, 4, &pool, &stats);
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(stats.postings_scanned, 0u);
 }

@@ -12,13 +12,14 @@
 #include "cda/cda_generator.h"
 #include "common/random.h"
 #include "core/onto_score.h"
-#include "core/ranked_query_processor.h"
 #include "core/xontorank.h"
 #include "gtest/gtest.h"
 #include "onto/ontology_generator.h"
 #include "onto/snomed_fragment.h"
 #include "storage/segment_file.h"
 #include "storage/segment_writer.h"
+#include "tests/reference_eval.h"
+#include "tests/test_util.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -207,7 +208,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XmlFuzzTest, ::testing::Values(1, 77, 900));
 
 class EngineInvariantTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(EngineInvariantTest, RankedAgreesWithExhaustiveOnRealCorpus) {
+TEST_P(EngineInvariantTest, SearchMatchesReferenceOnRealCorpus) {
   Ontology onto = BuildSnomedCardiologyFragment();
   CdaGeneratorOptions gen_options;
   gen_options.num_documents = 10;
@@ -218,26 +219,15 @@ TEST_P(EngineInvariantTest, RankedAgreesWithExhaustiveOnRealCorpus) {
   options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
   XOntoRank engine(generator.GenerateCorpus(), onto, options);
 
-  // The engine was built over its whole corpus, so it serves one segment.
-  auto snap = engine.snapshot();
-  const CorpusIndex& index = snap->segments().front()->index();
-  QueryProcessor exhaustive(options.score);
-  RankedQueryProcessor ranked(options.score);
+  reference::TreeEvaluator evaluator(engine.snapshot()->corpus(), onto,
+                                     options);
   for (const char* text :
        {"cardiac arrest", "asthma theophylline", "\"pericardial effusion\"",
         "amiodarone arrhythmia"}) {
     KeywordQuery query = ParseQuery(text);
-    std::vector<const DilEntry*> lists;
-    for (const Keyword& kw : query.keywords) {
-      lists.push_back(index.GetEntry(kw));
-    }
-    auto a = exhaustive.Execute(lists, 5);
-    auto b = ranked.Execute(lists, 5);
-    ASSERT_EQ(a.size(), b.size()) << text;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].element, b[i].element) << text;
-      EXPECT_NEAR(a[i].score, b[i].score, kEps) << text;
-    }
+    testing_util::ExpectSameResults(
+        testing_util::SearchTop(engine, query, 5), evaluator.Evaluate(query, 5),
+        text);
   }
 }
 

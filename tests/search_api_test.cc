@@ -1,6 +1,6 @@
-// The unified Search(query, SearchOptions) entry point: option validation,
-// stats reporting, and equivalence of execution strategies and pruning
-// modes. This is the ONLY query surface — the old Search(query, top_k) and
+// The unified Search(query, SearchOptions) entry point: stats reporting,
+// caching, and equivalence of execution hints (parallelism, pruning
+// mode). This is the ONLY query surface — the old Search(query, top_k) and
 // SearchRanked wrappers are gone (xo_lint rejects reintroductions).
 
 #include "core/search_api.h"
@@ -15,38 +15,10 @@ namespace xontorank {
 namespace {
 
 using testing_util::BuildTinyOntology;
+using testing_util::ExpectSameResults;
 using testing_util::MustParse;
 using testing_util::TinyCdaXml;
 using testing_util::SearchTop;
-
-void ExpectSameResults(const std::vector<QueryResult>& a,
-                       const std::vector<QueryResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].element, b[i].element) << i;
-    EXPECT_EQ(a[i].score, b[i].score) << i;  // bit-identical, not approximate
-    EXPECT_EQ(a[i].keyword_scores, b[i].keyword_scores) << i;
-  }
-}
-
-TEST(SearchOptionsTest, DefaultsAreValid) {
-  EXPECT_TRUE(SearchOptions{}.Validate().ok());
-}
-
-TEST(SearchOptionsTest, AllResultsIsValidForDilOnly) {
-  SearchOptions all;
-  all.top_k = 0;
-  all.strategy = QueryExecution::kDil;
-  EXPECT_TRUE(all.Validate().ok());
-
-  all.strategy = QueryExecution::kRdil;
-  EXPECT_FALSE(all.Validate().ok());
-}
-
-TEST(SearchOptionsTest, ExecutionNames) {
-  EXPECT_EQ(QueryExecutionName(QueryExecution::kDil), "dil");
-  EXPECT_EQ(QueryExecutionName(QueryExecution::kRdil), "rdil");
-}
 
 TEST(SearchOptionsTest, PruningModeNames) {
   EXPECT_EQ(PruningModeName(PruningMode::kExact), "exact");
@@ -70,16 +42,6 @@ class SearchApiFixture : public ::testing::Test {
   Ontology onto_;
   std::unique_ptr<XOntoRank> engine_;
 };
-
-TEST_F(SearchApiFixture, InvalidOptionsReturnEmptyResponseNotUb) {
-  SearchOptions invalid;
-  invalid.top_k = 0;
-  invalid.strategy = QueryExecution::kRdil;
-  SearchResponse response = engine_->Search("theophylline", invalid);
-  EXPECT_TRUE(response.results.empty());
-  EXPECT_FALSE(response.stats.cache_hit);
-  EXPECT_EQ(response.stats.shards, 0u);
-}
 
 TEST_F(SearchApiFixture, PruningIsAnExecutionHintOnly) {
   KeywordQuery query = ParseQuery("bronchus theophylline");
@@ -110,16 +72,6 @@ TEST_F(SearchApiFixture, TopKZeroForcesExactScoring) {
   EXPECT_FALSE(response.results.empty());
   EXPECT_EQ(response.stats.blocks_skipped, 0u);
   EXPECT_EQ(response.stats.threshold_updates, 0u);
-}
-
-TEST_F(SearchApiFixture, RdilReturnsIdenticalResultsToDil) {
-  KeywordQuery query = ParseQuery("bronchus theophylline");
-  SearchOptions dil;
-  dil.top_k = 5;
-  SearchOptions rdil = dil;
-  rdil.strategy = QueryExecution::kRdil;
-  ExpectSameResults(engine_->Search(query, dil).results,
-                    engine_->Search(query, rdil).results);
 }
 
 TEST_F(SearchApiFixture, TopKZeroMeansAllResults) {

@@ -1,6 +1,6 @@
 // The mmap-native segment format: round-trip bit-identity of the serving
-// columns, query parity between a mapped view and the heap FlatDil it was
-// written from (unranked + ranked, every shard count), and strict
+// columns, query parity between a mapped view, the heap FlatDil it was
+// written from and the reference evaluator (every shard count), and strict
 // corruption handling (every injected fault yields a descriptive Status
 // naming path, offset and section — never a crash).
 
@@ -18,12 +18,13 @@
 #include "common/thread_pool.h"
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
-#include "core/ranked_query_processor.h"
 #include "core/xonto_dil.h"
 #include "gtest/gtest.h"
 #include "storage/coding.h"
 #include "storage/segment_file.h"
 #include "storage/segment_writer.h"
+#include "tests/reference_eval.h"
+#include "tests/test_util.h"
 
 namespace xontorank {
 namespace {
@@ -230,8 +231,9 @@ TEST_P(SegmentParityTest, MappedExecuteMatchesDecodedBitForBit) {
     score.decay = 0.25 + 0.5 * rng.NextDouble();
     QueryProcessor processor(score);
     std::vector<DilListRef> heap_refs, mapped_refs;
+    std::vector<std::vector<DilPosting>> lists;
     for (const auto& [keyword, entry] : dil.entries()) {
-      (void)entry;
+      lists.push_back(entry.postings);
       uint32_t list = heap.FindList(keyword);
       ASSERT_NE(list, FlatDil::kNoList);
       ASSERT_EQ(view.FindList(keyword), list);
@@ -241,36 +243,18 @@ TEST_P(SegmentParityTest, MappedExecuteMatchesDecodedBitForBit) {
 
     size_t top_k = rng.NextBelow(2) == 0 ? 0 : 1 + rng.NextBelow(10);
     auto expected = processor.ExecuteSegments({heap_refs}, top_k, 1, &pool);
+    testing_util::ExpectSameResults(
+        expected, reference::EvaluateLists(lists, score.decay, top_k),
+        "reference trial=" + std::to_string(trial));
+    // Exact double equality: the mapped columns are byte-identical to the
+    // heap ones, so the merge performs the same floating-point operations
+    // in the same order.
     for (size_t num_shards : {1u, 2u, 4u, 8u}) {
-      auto mapped =
-          processor.ExecuteSegments({mapped_refs}, top_k, num_shards, &pool);
-      ASSERT_EQ(expected.size(), mapped.size())
-          << "shards=" << num_shards << " trial=" << trial;
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i].element, mapped[i].element)
-            << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-        // Exact double equality: the mapped columns are byte-identical to
-        // the heap ones, so the merge performs the same floating-point
-        // operations in the same order.
-        EXPECT_EQ(expected[i].score, mapped[i].score)
-            << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-        EXPECT_EQ(expected[i].keyword_scores, mapped[i].keyword_scores)
-            << "shards=" << num_shards << " trial=" << trial << " i=" << i;
-      }
-    }
-
-    RankedQueryProcessor ranked((ScoreOptions()));
-    for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
-      auto expected_ranked = ranked.Execute(heap_refs, k);
-      auto mapped_ranked = ranked.Execute(mapped_refs, k);
-      ASSERT_EQ(expected_ranked.size(), mapped_ranked.size())
-          << "trial " << trial << " k " << k;
-      for (size_t i = 0; i < expected_ranked.size(); ++i) {
-        EXPECT_EQ(expected_ranked[i].element, mapped_ranked[i].element)
-            << "trial " << trial << " k " << k << " i " << i;
-        EXPECT_EQ(expected_ranked[i].score, mapped_ranked[i].score)
-            << "trial " << trial << " k " << k << " i " << i;
-      }
+      testing_util::ExpectSameResults(
+          processor.ExecuteSegments({mapped_refs}, top_k, num_shards, &pool),
+          expected,
+          "shards=" + std::to_string(num_shards) +
+              " trial=" + std::to_string(trial));
     }
   }
   std::filesystem::remove(path);

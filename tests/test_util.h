@@ -100,6 +100,21 @@ inline std::string TinyCdaXml() {
 </ClinicalDocument>)";
 }
 
+/// Bit-identical result lists: the same elements in the same order with
+/// exactly equal doubles (score and every keyword score). `where` labels
+/// failures.
+inline void ExpectSameResults(const std::vector<QueryResult>& got,
+                              const std::vector<QueryResult>& want,
+                              const std::string& where = "") {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].element, want[i].element) << where << " i=" << i;
+    EXPECT_EQ(got[i].score, want[i].score) << where << " i=" << i;
+    EXPECT_EQ(got[i].keyword_scores, want[i].keyword_scores)
+        << where << " i=" << i;
+  }
+}
+
 }  // namespace testing_util
 }  // namespace xontorank
 

@@ -2,7 +2,7 @@
 // indistinguishable from the exhaustive one — bit-identical results for
 // every top_k and shard count, deterministic tie order — while provably
 // skipping work. Also pins the admissibility fallbacks (top_k == 0,
-// decay > 1, span cursors, v1 segments), the block-max column's upper-bound
+// decay > 1, v1 segments), the block-max column's upper-bound
 // invariant, its mapped/decoded parity, and checksum coverage of the new
 // section.
 
@@ -260,28 +260,6 @@ TEST(BlockMaxFallback, DecayAboveOneRunsExact) {
   EXPECT_EQ(stats.threshold_updates, 0u);
   auto exact = processor.ExecuteSegments(
       {lists}, 5, 1, nullptr, nullptr, PruningMode::kExact);
-  ExpectBitIdentical(exact, pruned);
-}
-
-TEST(BlockMaxFallback, SpanCursorsRunExact) {
-  // Legacy span-backed lists (DilEntry postings) carry no block-max column;
-  // one such list in the query routes the whole merge to the exact path.
-  Rng rng(5);
-  XOntoDil dil = RandomDil(rng, 2, 600);
-  FlatDil flat = dil.Freeze();
-  const DilEntry* entry = dil.Find("kw1");
-  ASSERT_NE(entry, nullptr);
-  std::vector<DilListRef> mixed = FlatRefs(flat, {"kw0"});
-  mixed.push_back(DilListRef::Over(entry));
-
-  QueryProcessor processor(ScoreOptions{});
-  ExecuteStats stats;
-  auto pruned = processor.ExecuteSegments(
-      {mixed}, 5, 1, nullptr, &stats, PruningMode::kBlockMax);
-  EXPECT_EQ(stats.blocks_skipped, 0u);
-  EXPECT_EQ(stats.threshold_updates, 0u);
-  auto exact = processor.ExecuteSegments(
-      {mixed}, 5, 1, nullptr, nullptr, PruningMode::kExact);
   ExpectBitIdentical(exact, pruned);
 }
 

@@ -75,10 +75,10 @@ std::string NestedXml(size_t depth) {
   return xml;
 }
 
-/// Query-harness input: five option bytes (top_k, strategy, parallelism,
-/// cache, pruning) followed by the query text.
+/// Query-harness input: four option bytes (top_k, parallelism, cache,
+/// pruning) followed by the query text.
 std::string QuerySeed(std::string_view text) {
-  std::string bytes = {'\x05', '\x00', '\x01', '\x01', '\x01'};
+  std::string bytes = {'\x05', '\x01', '\x01', '\x01'};
   bytes += text;
   return bytes;
 }
@@ -211,7 +211,7 @@ void WriteHostile(const fs::path& out) {
 
   // query: extreme option bytes with degenerate text.
   WriteFile(out / "query", "all_options.txt",
-            std::string("\xff\xff\xff\xff\xff", 5) +
+            std::string("\xff\xff\xff\xff", 4) +
                 std::string(512, ' '));
 
   // dewey: counts larger than the remaining bytes (components read as 0).
