@@ -8,6 +8,11 @@
 //   3. RSS breakdown — /proc/self/smaps_rollup deltas showing where each
 //      representation's bytes live: a heap FlatDil is anonymous memory,
 //      the mapped segment is file-backed page cache.
+//   4. engine directory load — a 1,000-document, five-segment engine is
+//      saved, then LoadEngineDir is timed next to its phases: XML read +
+//      parse, segment open with and without the CRC pass, Crc32 MB/s, and
+//      the first phrase query on the loaded engine, which builds the
+//      deferred stage-1 records of every segment.
 //
 // `--smoke` runs a small corpus through the bit-identity gate (mapped view
 // vs the heap columns it was written from, at 1/2/4/8 shards) plus a
@@ -17,6 +22,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,8 +39,12 @@
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
 #include "core/xonto_dil.h"
+#include "ir/query.h"
+#include "storage/coding.h"
+#include "storage/engine_store.h"
 #include "storage/segment_file.h"
 #include "storage/segment_writer.h"
+#include "xml/xml_parser.h"
 
 using namespace xontorank;
 
@@ -152,6 +163,151 @@ void RunGates(const FlatDil& heap, const std::string& segment_path) {
     std::fprintf(stderr, "GATE FAILURE: corruption not detected\n");
     std::exit(1);
   }
+}
+
+std::string ReadWholeFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Section 4: LoadEngineDir on a serve-shaped directory, and its phases
+/// measured one by one over the same files (best of `reps` each).
+int EngineDirLoadPhases(int reps) {
+  constexpr size_t kBaseDocs = 600;
+  constexpr size_t kCommits = 4;
+  constexpr size_t kPerCommit = 100;
+  bench::ExperimentSetup setup(kBaseDocs + kCommits * kPerCommit, 11);
+  std::vector<XmlDocument> docs = setup.generator->GenerateCorpus();
+  std::vector<XmlDocument> extra;
+  for (size_t d = kBaseDocs; d < docs.size(); ++d) {
+    extra.push_back(std::move(docs[d]));
+  }
+  docs.resize(kBaseDocs);
+  IndexBuildOptions options;
+  options.strategy = Strategy::kRelationships;
+  options.vocabulary_mode =
+      IndexBuildOptions::VocabularyMode::kCorpusAndOntology;
+  options.lsm.auto_compact = false;
+  XOntoRank live(std::move(docs), setup.search_ontology, options);
+  for (size_t c = 0; c < kCommits; ++c) {
+    for (size_t d = 0; d < kPerCommit; ++d) {
+      live.StageDocument(std::move(extra[c * kPerCommit + d]));
+    }
+    live.Commit();
+  }
+  std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("bench_segment_load_engine_" + std::to_string(::getpid())))
+          .string();
+  if (!SaveEngineDir(live, dir).ok()) {
+    std::fprintf(stderr, "engine save failed\n");
+    return 1;
+  }
+
+  std::vector<std::filesystem::path> xml_files;
+  std::vector<std::filesystem::path> segment_files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir + "/corpus")) {
+    xml_files.push_back(entry.path());
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".xoseg") {
+      segment_files.push_back(entry.path());
+    }
+  }
+  size_t xml_bytes = 0;
+  size_t segment_bytes = 0;
+  for (const auto& path : xml_files) {
+    xml_bytes += std::filesystem::file_size(path);
+  }
+  for (const auto& path : segment_files) {
+    segment_bytes += std::filesystem::file_size(path);
+  }
+
+  auto best_of = [reps](auto&& body) {
+    double best = HUGE_VAL;
+    for (int r = 0; r < reps; ++r) {
+      Timer timer;
+      if (!body()) return -1.0;
+      best = std::min(best, timer.ElapsedMillis());
+    }
+    return best;
+  };
+  const double load_ms = best_of([&] { return LoadEngineDir(dir).ok(); });
+  const double parse_ms = best_of([&] {
+    for (const auto& path : xml_files) {
+      if (!ParseXml(ReadWholeFile(path)).ok()) return false;
+    }
+    return true;
+  });
+  SegmentFile::Options no_verify;
+  no_verify.verify_checksums = false;
+  const double open_crc_ms = best_of([&] {
+    for (const auto& path : segment_files) {
+      if (!SegmentFile::Open(path.string()).ok()) return false;
+    }
+    return true;
+  });
+  const double open_ms = best_of([&] {
+    for (const auto& path : segment_files) {
+      if (!SegmentFile::Open(path.string(), no_verify).ok()) return false;
+    }
+    return true;
+  });
+  std::vector<std::string> segment_bytes_in_memory;
+  for (const auto& path : segment_files) {
+    segment_bytes_in_memory.push_back(ReadWholeFile(path));
+  }
+  uint32_t crc_sink = 0;
+  const double crc_ms = best_of([&] {
+    for (const std::string& bytes : segment_bytes_in_memory) {
+      crc_sink ^= Crc32(bytes);
+    }
+    return true;
+  });
+
+  // The first phrase query on a fresh load builds every segment's stage-1
+  // records (phrases are never precomputed); a second phrase then pays
+  // only its own list build.
+  auto loaded = LoadEngineDir(dir);
+  if (!loaded.ok()) return 1;
+  const XOntoRank& engine = (*loaded)->engine();
+  const KeywordQuery first = ParseQuery("\"bronchial structure\" theophylline");
+  const KeywordQuery second = ParseQuery("\"cardiac arrest\" epinephrine");
+  Timer timer;
+  auto first_results = engine.Search(first, bench::TimedSearch(10)).results;
+  const double first_query_ms = timer.ElapsedMillis();
+  timer.Reset();
+  (void)engine.Search(second, bench::TimedSearch(10));
+  const double second_query_ms = timer.ElapsedMillis();
+  if (!ResultsIdentical(first_results,
+                        live.Search(first, bench::TimedSearch(10)).results)) {
+    std::fprintf(stderr, "GATE FAILURE: reloaded phrase answer differs\n");
+    return 1;
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+
+  std::printf("ENGINE DIRECTORY LOAD — %zu documents (%.1f MB XML), %zu "
+              "segments (%.1f MB); best of %d\n\n",
+              live.corpus_size(), xml_bytes / 1048576.0, segment_files.size(),
+              segment_bytes / 1048576.0, reps);
+  std::printf("%-44s %10s\n", "phase", "time");
+  bench::PrintRule(60);
+  std::printf("%-44s %8.1f ms\n", "LoadEngineDir (total)", load_ms);
+  std::printf("%-44s %8.1f ms\n", "  XML read + parse", parse_ms);
+  std::printf("%-44s %8.1f ms\n", "  SegmentFile::Open, all (CRC verify)",
+              open_crc_ms);
+  std::printf("%-44s %8.1f ms\n", "  SegmentFile::Open, all (no verify)",
+              open_ms);
+  std::printf("%-44s %8.0f MB/s\n", "  Crc32 over the segment bytes",
+              segment_bytes / 1048576.0 / (crc_ms / 1e3));
+  std::printf("%-44s %8.1f ms\n", "first phrase query (builds stage 1)",
+              first_query_ms);
+  std::printf("%-44s %8.1f ms\n", "second phrase query", second_query_ms);
+  std::printf("(segment CRC fold %08x)\n\n", crc_sink);
+  return 0;
 }
 
 }  // namespace
@@ -274,6 +430,8 @@ int main(int argc, char** argv) {
 
   std::remove(segment_path.c_str());
   std::printf("Results bit-identical between the heap columns and the "
-              "mapped segment on cold and warm paths.\n");
-  return 0;
+              "mapped segment on cold and warm paths.\n\n");
+
+  // --- 4. engine directory load ----------------------------------------
+  return EngineDirLoadPhases(reps);
 }

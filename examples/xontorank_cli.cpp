@@ -218,8 +218,7 @@ int ValidateCommand(const std::vector<std::string>& args) {
 /// Shared result rendering for query/query-engine/repl. Takes a pinned
 /// IndexSnapshot — never the engine — so every lookup (resolve, snippet,
 /// explain, group) reads the exact serving state the query ran against,
-/// even if a writer publishes a new snapshot mid-request (see the
-/// `XOntoRank::build_stats()` stability note).
+/// even if a writer publishes a new snapshot mid-request.
 void PrintResults(const IndexSnapshot& snap, const KeywordQuery& query,
                   const std::vector<QueryResult>& results, bool explain,
                   bool group) {

@@ -104,13 +104,25 @@ std::vector<std::shared_ptr<const DocumentUnits>> IndexDocuments(
 
 CorpusIndex::CorpusIndex(const Corpus& corpus,
                          std::shared_ptr<const OntologyContext> context,
-                         IndexBuildOptions options, FlatDil adopted)
+                         IndexBuildOptions options)
     : corpus_(&corpus), context_(std::move(context)), options_(options) {
-  XO_CHECK(context_ != nullptr && "an ontology context is required");
   Timer timer;
-  documents_ = IndexDocuments(corpus, context_->systems(), options_);
-  Init(std::move(adopted));
-  stats_.build_millis = timer.ElapsedMillis();
+  CheckContext();
+  records();
+  Precompute();
+  FinishStats(timer.ElapsedMillis());
+}
+
+CorpusIndex::CorpusIndex(const Corpus& corpus,
+                         std::shared_ptr<const OntologyContext> context,
+                         IndexBuildOptions options, FlatDil adopted)
+    : corpus_(&corpus),
+      context_(std::move(context)),
+      options_(options),
+      flat_(std::move(adopted)) {
+  Timer timer;
+  CheckContext();
+  FinishStats(timer.ElapsedMillis());
 }
 
 CorpusIndex::CorpusIndex(
@@ -121,16 +133,18 @@ CorpusIndex::CorpusIndex(
     : corpus_(&corpus),
       context_(std::move(context)),
       options_(options),
-      documents_(std::move(documents)) {
-  XO_CHECK(documents_.size() == corpus.size() &&
+      records_{std::move(documents), {}, {}},
+      flat_(std::move(adopted)) {
+  XO_CHECK(records_.documents.size() == corpus.size() &&
            "stage-1 records are per document");
   Timer timer;
-  Init(std::move(adopted));
+  CheckContext();
+  records();
   {
     MutexLock lock(demand_mutex_);
     demand_ = std::move(demand);
   }
-  stats_.build_millis = timer.ElapsedMillis();
+  FinishStats(timer.ElapsedMillis());
 }
 
 CorpusIndex::CorpusIndex(const Corpus& corpus, OntologySet systems,
@@ -138,43 +152,62 @@ CorpusIndex::CorpusIndex(const Corpus& corpus, OntologySet systems,
     : CorpusIndex(corpus, OntologyContext::Create(std::move(systems), options),
                   options) {}
 
-void CorpusIndex::Init(FlatDil adopted) {
+void CorpusIndex::CheckContext() const {
   XO_CHECK(context_ != nullptr && "an ontology context is required");
   XO_CHECK(context_->strategy() == options_.strategy &&
            "context was created for a different strategy");
+}
+
+void CorpusIndex::FinishStats(double build_millis) {
+  stats_.documents = corpus_->size();
+  stats_.precomputed_keywords = flat_.keyword_count();
+  stats_.total_postings = flat_.total_postings();
+  stats_.build_millis = build_millis;
+}
+
+IndexBuildStats CorpusIndex::stats() const {
+  const Records& records = this->records();
+  IndexBuildStats stats = stats_;
+  stats.indexed_nodes = records.base.back();
+  stats.code_nodes = records.code_units.size();
+  return stats;
+}
+
+const CorpusIndex::Records& CorpusIndex::records() const {
+  std::call_once(records_once_, [this] { BuildRecords(); });
+  return records_;
+}
+
+void CorpusIndex::BuildRecords() const {
+  Records& records = records_;
+  if (records.documents.empty()) {
+    records.documents = IndexDocuments(*corpus_, context_->systems(), options_);
+  }
   size_t code_units = 0;
-  for (const auto& document : documents_) {
+  for (const auto& document : records.documents) {
     code_units += document->code_units().size();
   }
-  record_base_.reserve(documents_.size() + 1);
-  code_units_.reserve(code_units);
+  records.base.reserve(records.documents.size() + 1);
+  records.code_units.reserve(code_units);
   uint32_t units = 0;
-  for (const auto& document : documents_) {
-    record_base_.push_back(units);
+  for (const auto& document : records.documents) {
+    records.base.push_back(units);
     for (const CodeUnit& code_unit : document->code_units()) {
-      code_units_.push_back(
+      records.code_units.push_back(
           {units + code_unit.unit, code_unit.system, code_unit.concept_id});
     }
     units += static_cast<uint32_t>(document->unit_count());
   }
-  record_base_.push_back(units);
-  if (adopted.keyword_count() > 0) {
-    flat_ = std::move(adopted);
-  } else {
-    Precompute();
-  }
-  stats_.documents = corpus_->size();
-  stats_.indexed_nodes = units;
-  stats_.code_nodes = code_units;
-  stats_.precomputed_keywords = flat_.keyword_count();
-  stats_.total_postings = flat_.total_postings();
+  records.base.push_back(units);
 }
 
-std::vector<ScoredUnit> CorpusIndex::LookupUnits(const Keyword& keyword) const {
+std::vector<ScoredUnit> CorpusIndex::LookupUnits(
+    const Keyword& keyword, const Records& records) const {
   std::vector<ScoredUnit> units;
-  for (size_t r = 0; r < documents_.size(); ++r) {
-    for (const ScoredUnit& unit : documents_[r]->text().Lookup(keyword)) {
-      units.push_back({record_base_[r] + unit.unit_id, unit.score});
+  for (size_t r = 0; r < records.documents.size(); ++r) {
+    for (const ScoredUnit& unit :
+         records.documents[r]->text().Lookup(keyword)) {
+      units.push_back({records.base[r] + unit.unit_id, unit.score});
     }
   }
   return units;
@@ -182,7 +215,7 @@ std::vector<ScoredUnit> CorpusIndex::LookupUnits(const Keyword& keyword) const {
 
 std::vector<std::string> CorpusIndex::CorpusVocabulary() const {
   std::vector<std::string> vocab;
-  for (const auto& document : documents_) {
+  for (const auto& document : records().documents) {
     std::vector<std::string> part = document->text().Vocabulary();
     vocab.insert(vocab.end(), part.begin(), part.end());
   }
@@ -260,10 +293,11 @@ std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
     const std::vector<OntoScoreRowCache::Row>& rows) const {
   // NS(w, v) = max(IRS(w, v), ω·OS(w, concept(v))), Eq. 5. Both components
   // are normalized to [0, 1] before combination. LookupUnits returns unit
-  // order, and code_units_ is recorded in unit order, so the two
+  // order, and the code units are recorded in unit order, so the two
   // components are two sorted runs: merge them, then max-combine per unit.
+  const Records& records = this->records();
   std::vector<UnitScore> units;
-  for (const ScoredUnit& unit : LookupUnits(keyword)) {
+  for (const ScoredUnit& unit : LookupUnits(keyword, records)) {
     units.push_back({unit.unit_id, unit.score});
   }
   const size_t textual = units.size();
@@ -272,7 +306,7 @@ std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
   // OntoScore row is applied to that system's code nodes.
   if (options_.strategy != Strategy::kXRank) {
     const double w = options_.score.ontology_weight;
-    for (const CodeUnit& code_unit : code_units_) {
+    for (const CodeUnit& code_unit : records.code_units) {
       if (code_unit.system >= rows.size()) continue;
       const OntoScoreRowCache::Row& row = rows[code_unit.system];
       if (row == nullptr) continue;
@@ -298,9 +332,9 @@ std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
     }
     if (best.score <= 0.0) continue;
     if (options_.use_elem_rank) {
-      while (best.unit >= record_base_[record + 1]) ++record;
-      double rank = documents_[record]->elem_ranks()[best.unit -
-                                                      record_base_[record]];
+      while (best.unit >= records.base[record + 1]) ++record;
+      double rank = records.documents[record]
+                        ->elem_ranks()[best.unit - records.base[record]];
       best.score *= (1.0 - blend) + blend * rank;
     }
     units[out++] = best;
@@ -321,6 +355,7 @@ std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnitsCached(
 }
 
 FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists) const {
+  const Records& records = this->records();
   size_t postings = 0;
   size_t keyword_bytes = 0;
   size_t blocks = 0;
@@ -330,14 +365,14 @@ FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists) const {
     keyword_bytes += canonical.size();
     blocks += (units.size() + FlatDil::kBlockPostings - 1) /
               FlatDil::kBlockPostings;
-    UnitAddresses address(documents_, record_base_);
+    UnitAddresses address(records.documents, records.base);
     arena_words += FlatDil::Builder::ArenaWords(
         units.size(),
         [&address, &units](size_t i) { return address(units[i].unit); });
   }
   FlatDil::Builder builder(lists.size(), postings, keyword_bytes, blocks,
                            arena_words);
-  UnitAddresses address(documents_, record_base_);
+  UnitAddresses address(records.documents, records.base);
   for (const auto& [canonical, units] : lists) {
     XO_CHECK(builder.BeginList(canonical));
     for (const UnitScore& u : units) {
@@ -363,7 +398,8 @@ std::vector<DilPosting> CorpusIndex::BuildPostings(
     }
   }
   std::vector<DilPosting> postings;
-  UnitAddresses address(documents_, record_base_);
+  const Records& records = this->records();
+  UnitAddresses address(records.documents, records.base);
   for (const UnitScore& u : ScoreUnits(keyword, rows)) {
     postings.push_back({address(u.unit).ToDeweyId(), u.score});
   }
@@ -427,27 +463,28 @@ const FlatDil* CorpusIndex::DemandList(const Keyword& keyword,
 CorpusIndex::NodeSupport CorpusIndex::ComputeNodeSupport(
     const DeweyId& dewey, const Keyword& keyword) const {
   NodeSupport support;
+  const Records& records = this->records();
   // Each record's node addresses ascend (units are assigned in document
   // order), so the unit id can be recovered by binary search.
   uint32_t unit = 0;
   bool found = false;
-  for (size_t r = 0; r < documents_.size() && !found; ++r) {
-    const std::vector<DeweyId>& deweys = documents_[r]->deweys();
+  for (size_t r = 0; r < records.documents.size() && !found; ++r) {
+    const std::vector<DeweyId>& deweys = records.documents[r]->deweys();
     auto it = std::lower_bound(deweys.begin(), deweys.end(), dewey);
     if (it != deweys.end() && *it == dewey) {
-      unit = record_base_[r] + static_cast<uint32_t>(it - deweys.begin());
+      unit = records.base[r] + static_cast<uint32_t>(it - deweys.begin());
       found = true;
     }
   }
   if (!found) return support;
 
-  for (const ScoredUnit& scored : LookupUnits(keyword)) {
+  for (const ScoredUnit& scored : LookupUnits(keyword, records)) {
     if (scored.unit_id == unit) {
       support.textual_irs = scored.score;
       break;
     }
   }
-  for (const CodeUnit& code_unit : code_units_) {
+  for (const CodeUnit& code_unit : records.code_units) {
     if (code_unit.unit != unit) continue;
     support.is_code_node = true;
     support.system = code_unit.system;

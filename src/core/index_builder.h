@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -48,9 +49,10 @@ struct CodeUnit {
 /// resolved concept. Unit ids are local to the record (0-based, preorder).
 ///
 /// Each document is its own BM25 collection, so its postings never depend
-/// on which segment holds it. The record is built once, when the document
-/// is sealed or loaded, and shared by every segment that later contains
-/// the document: compaction re-indexes nothing. ElemRank is scoped the
+/// on which segment holds it. The record is built once — when the document
+/// is sealed, or on first use after a load (CorpusIndex defers stage 1 for
+/// adopted segments) — and shared by every segment that later contains the
+/// document: compaction re-indexes nothing. ElemRank is scoped the
 /// same way: its hyperlink edges never leave their document, so with
 /// IndexBuildOptions::use_elem_rank the record also holds each unit's
 /// ElemRank over the document alone.
@@ -106,11 +108,16 @@ class DocumentUnits {
 /// list through GetListRef without materializing legacy entries, and every
 /// list can take part in block-max pruning.
 ///
-/// Thread-safety: a CorpusIndex is immutable after construction. Any number
-/// of threads may call the const accessors concurrently; GetListRef serves
-/// precomputed (and adopted) lists without taking any lock, and
-/// synchronizes only the on-demand side cache. Returned list references
-/// are stable for the life of the index.
+/// An index over an adopted dil (a loaded segment) defers stage 1 to its
+/// first use: vocabulary keywords resolve in the adopted lists and never
+/// read the stage-1 records, so a load does not re-index its documents.
+///
+/// Thread-safety: a CorpusIndex serves the same answers for its whole life.
+/// Any number of threads may call the const accessors concurrently;
+/// GetListRef serves precomputed (and adopted) lists without taking any
+/// lock. The only internal synchronization is the one-time stage-1 build
+/// of an adopted index (std::call_once) and the on-demand side cache.
+/// Returned list references are stable for the life of the index.
 // xo-analyze: allow(backing-before-view) intentional propagation: the
 // holder pins the mapping (IndexSegment declares backing_ first).
 class CorpusIndex {
@@ -118,14 +125,21 @@ class CorpusIndex {
   /// Full constructor: `corpus` must outlive the index (the IndexSegment
   /// layer owns both and guarantees this); `context` carries the ontology
   /// half and must have been created with the same strategy/score options.
-  /// Stage 1 runs once per document. A non-empty `adopted` dil (a segment
-  /// file's mapped view) replaces stage 2+3 entirely: its lists are served
-  /// as the precomputed set and the vocabulary precomputation is skipped.
-  /// Its lists must have been built with the same corpus, systems and
-  /// options or queries will be inconsistent.
+  /// Runs stage 1 once per document, then precomputes the vocabulary per
+  /// options.vocabulary_mode.
   CorpusIndex(const Corpus& corpus,
               std::shared_ptr<const OntologyContext> context,
-              IndexBuildOptions options, FlatDil adopted = {});
+              IndexBuildOptions options);
+
+  /// Over an already-built dil (a segment file's mapped view): `adopted`
+  /// IS the precomputed vocabulary, empty or not, and replaces stage 2+3
+  /// entirely. Stage 1 is deferred to the first use that needs it (a
+  /// demand-built list, explain, a merge, stats()). The lists must have
+  /// been built with the same corpus, systems and options or queries will
+  /// be inconsistent.
+  CorpusIndex(const Corpus& corpus,
+              std::shared_ptr<const OntologyContext> context,
+              IndexBuildOptions options, FlatDil adopted);
 
   /// On-demand lists by canonical keyword, each a one-list FlatDil;
   /// nullptr marks a keyword that matches nothing.
@@ -133,9 +147,9 @@ class CorpusIndex {
 
   /// Over already-built stage-1 records, one per document of `corpus`, in
   /// order (the compactor's path: a merged segment shares its inputs'
-  /// records instead of re-running stage 1). `adopted` as above;
-  /// `demand` seeds the demand cache, and each of its lists must equal
-  /// what DemandList would build here.
+  /// records instead of re-running stage 1). `adopted` is the merged
+  /// vocabulary, as above; `demand` seeds the demand cache, and each of
+  /// its lists must equal what DemandList would build here.
   CorpusIndex(const Corpus& corpus,
               std::vector<std::shared_ptr<const DocumentUnits>> documents,
               std::shared_ptr<const OntologyContext> context,
@@ -149,7 +163,9 @@ class CorpusIndex {
   CorpusIndex(const Corpus& corpus, OntologySet systems,
               IndexBuildOptions options);
 
-  const IndexBuildStats& stats() const { return stats_; }
+  /// Build statistics; the node counts read the stage-1 records (so on an
+  /// adopted index the first call builds them).
+  IndexBuildStats stats() const;
   const IndexBuildOptions& options() const { return options_; }
 
   /// The shared ontology half (systems, stage-1 indexes, row cache).
@@ -169,7 +185,7 @@ class CorpusIndex {
 
   /// The stage-1 records this index serves from, one per document.
   const std::vector<std::shared_ptr<const DocumentUnits>>& documents() const {
-    return documents_;
+    return records().documents;
   }
 
   /// The inverted list for `keyword` as an execution reference — always a
@@ -227,10 +243,30 @@ class CorpusIndex {
   /// A keyword's list in unit form, keyed by its canonical string.
   using UnitList = std::pair<std::string, std::vector<UnitScore>>;
 
-  /// The constructors' shared tail: checks the context, lays the records'
-  /// units out under global ids, then adopts `adopted` or runs stage 2+3,
-  /// and fills stats_.
-  void Init(FlatDil adopted);
+  /// Stage 1, shared: record r's local unit u is global unit
+  /// (units of records before r) + u, so global unit ids ascend in
+  /// document order.
+  struct Records {
+    std::vector<std::shared_ptr<const DocumentUnits>> documents;
+    /// The first global unit id of each record, then the unit count.
+    std::vector<uint32_t> base;
+    /// Every record's code units, with global unit ids, in unit order.
+    std::vector<CodeUnit> code_units;
+  };
+
+  /// The stage-1 records, built exactly once: by the Build and merge
+  /// constructors before they return, or on first use for an adopted
+  /// index. Every reader goes through here once per list build (or
+  /// lookup), never once per unit.
+  const Records& records() const;
+  /// The one-time body of records(): runs stage 1 over the corpus unless
+  /// the merge constructor supplied the documents' records, then lays
+  /// their units out under global ids.
+  void BuildRecords() const;
+  /// The constructors' shared head and tail: check the context; record the
+  /// list counts and the build time in stats_.
+  void CheckContext() const;
+  void FinishStats(double build_millis);
   void Precompute();
   /// The keyword's postings in unit form, sorted by unit id — which is
   /// Dewey order, since units are numbered in document order. Stage 3's
@@ -260,7 +296,8 @@ class CorpusIndex {
   /// Stage-1 matches for `keyword` across the whole corpus, sorted by
   /// (global) unit id: the records' matches concatenated, which is already
   /// sorted because records are in document order.
-  std::vector<ScoredUnit> LookupUnits(const Keyword& keyword) const;
+  std::vector<ScoredUnit> LookupUnits(const Keyword& keyword,
+                                      const Records& records) const;
 
   /// The corpus half of the precomputed vocabulary, sorted and unique.
   std::vector<std::string> CorpusVocabulary() const;
@@ -269,14 +306,10 @@ class CorpusIndex {
   std::shared_ptr<const OntologyContext> context_;
   IndexBuildOptions options_;
 
-  /// Stage 1, shared: record r's local unit u is global unit
-  /// (units of records before r) + u, so global unit ids ascend in
-  /// document order.
-  std::vector<std::shared_ptr<const DocumentUnits>> documents_;
-  /// The first global unit id of each record, then the unit count.
-  std::vector<uint32_t> record_base_;
-  /// Every record's code units, with global unit ids, in unit order.
-  std::vector<CodeUnit> code_units_;
+  /// Written only inside records_once_ (so every reader that passed
+  /// through records() sees it complete), and never after.
+  mutable std::once_flag records_once_;
+  mutable Records records_;
 
   /// Precomputed (or adopted) lists, frozen columnar; immutable once the
   /// constructor returns, so lookups need no synchronization.
@@ -292,6 +325,7 @@ class CorpusIndex {
   /// that matches nothing here — the common case for single-document
   /// segments — and costs no dil.
   mutable DemandLists demand_ XO_GUARDED_BY(demand_mutex_);
+  /// Every field but the node counts, which stats() reads off records_.
   IndexBuildStats stats_;
 };
 

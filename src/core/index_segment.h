@@ -28,8 +28,9 @@ namespace xontorank {
 /// the same documents would produce — the property the cross-segment merge
 /// and compaction rely on.
 ///
-/// Thread-safety: immutable after construction, like CorpusIndex; the only
-/// internal synchronization is the index's demand cache.
+/// Thread-safety: serves the same answers for its whole life, like
+/// CorpusIndex; the only internal synchronization is the index's: its
+/// one-time stage-1 build (adopted segments) and its demand cache.
 // xo-analyze: allow(backing-before-view) intentional propagation: backing_
 // is declared first so a mmap-backed index_ dies before its mapping.
 class IndexSegment {
@@ -42,10 +43,12 @@ class IndexSegment {
       std::shared_ptr<const OntologyContext> context,
       const IndexBuildOptions& options);
 
-  /// Adopts an already-built FlatDil (the engine-store load path). For a
-  /// mapped view, `backing` pins the mapping for the segment's lifetime.
-  /// Stage 1 still runs over `docs` (it is what serves demand/out-of-
-  /// vocabulary keywords): loading builds each document's record once.
+  /// Adopts an already-built FlatDil (the engine-store load path) as the
+  /// segment's precomputed vocabulary, empty or not. For a mapped view,
+  /// `backing` pins the mapping for the segment's lifetime. Stage 1 over
+  /// `docs` is deferred to its first use (a demand-built list, explain, a
+  /// merge, build stats): vocabulary queries never read it, so a load
+  /// re-indexes nothing.
   static std::shared_ptr<const IndexSegment> Adopt(
       uint64_t id, std::shared_ptr<const Corpus> docs, uint32_t first_doc,
       std::shared_ptr<const OntologyContext> context,

@@ -42,16 +42,23 @@ IndexSnapshot::IndexSnapshot(
     XO_CHECK(segment->first_doc() == expect_doc &&
              "segments must tile the corpus in document order");
     expect_doc = segment->end_doc();
-    stats_.indexed_nodes += segment->index().stats().indexed_nodes;
-    stats_.code_nodes += segment->index().stats().code_nodes;
-    stats_.precomputed_keywords +=
-        segment->index().stats().precomputed_keywords;
-    stats_.total_postings += segment->index().stats().total_postings;
-    stats_.build_millis += segment->index().stats().build_millis;
   }
   XO_CHECK(expect_doc == corpus_.size() &&
            "segments must cover the whole corpus");
-  stats_.documents = corpus_.size();
+}
+
+IndexBuildStats IndexSnapshot::build_stats() const {
+  IndexBuildStats stats;
+  stats.documents = corpus_.size();
+  for (const auto& segment : segments_) {
+    IndexBuildStats part = segment->index().stats();
+    stats.indexed_nodes += part.indexed_nodes;
+    stats.code_nodes += part.code_nodes;
+    stats.precomputed_keywords += part.precomputed_keywords;
+    stats.total_postings += part.total_postings;
+    stats.build_millis += part.build_millis;
+  }
+  return stats;
 }
 
 const CorpusIndex* IndexSnapshot::SegmentIndexForDoc(uint32_t doc_id) const {

@@ -70,7 +70,10 @@ class IndexSnapshot {
     return context_;
   }
   const IndexBuildOptions& options() const { return options_; }
-  const IndexBuildStats& build_stats() const { return stats_; }
+  /// The segments' build statistics, summed on each call. The node counts
+  /// read the stage-1 records, so on a loaded engine the first call builds
+  /// every segment's records.
+  IndexBuildStats build_stats() const;
 
   /// The unified query entry point: executes `query` under `options` —
   /// serial or sharded-parallel, pruned or exact, cached or not — and
@@ -107,7 +110,6 @@ class IndexSnapshot {
   Corpus corpus_;
   /// Segments pin their own mapped files (IndexSegment's backing).
   std::vector<std::shared_ptr<const IndexSegment>> segments_;
-  IndexBuildStats stats_;  ///< the segments' aggregate
   QueryProcessor processor_;
   /// Snapshot-scoped result cache (see Search). Mutable: caching is not
   /// observable through results, and the cache synchronizes internally.

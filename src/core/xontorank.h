@@ -121,12 +121,8 @@ class XOntoRank {
   /// Serializes the result's XML fragment (e.g. Fig. 4), pretty-printed.
   std::string ResultFragmentXml(const QueryResult& result) const;
 
-  /// The current snapshot's build statistics. NOTE: the reference is only
-  /// guaranteed stable until the next AddDocument/Commit; callers
-  /// overlapping with writers should hold snapshot() instead.
-  const IndexBuildStats& build_stats() const {
-    return snapshot()->build_stats();
-  }
+  /// The current snapshot's build statistics, summed on each call.
+  IndexBuildStats build_stats() const { return snapshot()->build_stats(); }
 
  private:
   IndexWriter writer_;

@@ -193,6 +193,9 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
 
   auto loaded = std::make_unique<LoadedEngine>();
   IndexBuildOptions options;
+  // The saved mode governs the segments later commits seal; the loaded
+  // segments adopt their saved lists whatever it is. Directories written
+  // without a vocabulary line keep the lazy mode.
   options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
   std::vector<std::string> document_files;
   // The retired single-index layout has an `index` line and no `lsm` line.
@@ -231,6 +234,20 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
       XONTO_RETURN_IF_ERROR(ParseField(key, fields[1], &options.score.bm25.k1));
     } else if (key == "bm25_b" && fields.size() >= 2) {
       XONTO_RETURN_IF_ERROR(ParseField(key, fields[1], &options.score.bm25.b));
+    } else if (key == "vocabulary" && fields.size() >= 2) {
+      bool found = false;
+      using Mode = IndexBuildOptions::VocabularyMode;
+      for (Mode mode :
+           {Mode::kNone, Mode::kCorpusOnly, Mode::kCorpusAndOntology}) {
+        if (fields[1] == VocabularyModeName(mode)) {
+          options.vocabulary_mode = mode;
+          found = true;
+        }
+      }
+      if (!found) {
+        return Status::Corruption("unknown vocabulary mode in manifest: " +
+                                  std::string(fields[1]));
+      }
     } else if (key == "elem_rank" && fields.size() >= 3) {
       options.use_elem_rank = fields[1] == "1";
       XONTO_RETURN_IF_ERROR(

@@ -25,9 +25,10 @@ namespace xontorank {
 /// ```
 ///
 /// Loading reconstructs a fully owned engine: the corpus and ontologies are
-/// parsed back, stage 1 is rebuilt per document (cheap and in-memory) and
-/// each segment file is mapped and served in place, so stage 2+3 — the
-/// expensive OntoScore work — is never repeated for persisted keywords.
+/// parsed back and each segment file is mapped (its sections CRC-checked)
+/// and served in place, so stage 2+3 — the expensive OntoScore work — is
+/// never repeated for persisted keywords. Stage 1 is deferred per segment
+/// to its first use (a demand-built list, explain, a merge, build stats).
 
 /// A loaded engine owning all of its parts.
 class LoadedEngine {
@@ -62,8 +63,10 @@ class LoadedEngine {
 /// ontologies are parsed back, a snapshot is constructed directly around the
 /// mapped segment files (so stage 2+3 — the expensive OntoScore work — is
 /// never repeated for persisted keywords), and the engine adopts it as its
-/// published serving state. A directory in the retired single-index layout
-/// (index.xodl / index.xoseg) yields Status::Corruption naming that layout.
+/// published serving state. The saved options, vocabulary mode included,
+/// govern the segments later commits seal. A directory in the retired
+/// single-index layout (index.xodl / index.xoseg) yields Status::Corruption
+/// naming that layout.
 [[nodiscard]] Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(
     const std::string& dir);
 

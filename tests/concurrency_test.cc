@@ -2,17 +2,21 @@
 // agree with serial execution, and readers racing a committing writer must
 // always observe a complete published snapshot.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <thread>
 
 #include "cda/cda_generator.h"
 #include "core/xontorank.h"
 #include "eval/workload.h"
 #include "gtest/gtest.h"
-#include "tests/test_util.h"
 #include "onto/snomed_fragment.h"
+#include "storage/engine_store.h"
+#include "tests/test_util.h"
 
 namespace xontorank {
 namespace {
@@ -221,6 +225,132 @@ TEST(ConcurrencyTest, PinnedSnapshotSurvivesCommits) {
   EXPECT_EQ(engine.corpus_size(), 6u);
   EXPECT_TRUE(SameResults(SearchTop(*pinned, query, 10), before));
   EXPECT_NE(engine.snapshot().get(), pinned.get());
+}
+
+// A loaded engine builds each segment's stage-1 records on first use. The
+// fixture saves a five-segment kCorpusOnly engine (6 documents, then four
+// commits of 2: four segments in compaction tier 0, so CompactNow merges)
+// whose phrase and ontology-only keyword are both outside every segment's
+// saved vocabulary, so the first queries for them on the reloaded engine
+// race to build those records.
+class ReloadedEngineTest : public ::testing::Test {
+ protected:
+  ReloadedEngineTest()
+      : onto_(BuildSnomedCardiologyFragment()),
+        dir_((std::filesystem::temp_directory_path() /
+              ("xontorank_concurrency_test_" + std::to_string(::getpid())))
+                 .string()) {
+    CdaGeneratorOptions gen_options;
+    gen_options.num_documents = 14;
+    gen_options.seed = 7;
+    std::vector<XmlDocument> docs =
+        CdaGenerator(onto_, gen_options).GenerateCorpus();
+    std::vector<XmlDocument> extra;
+    for (size_t i = 6; i < docs.size(); ++i) {
+      extra.push_back(std::move(docs[i]));
+    }
+    docs.resize(6);
+    IndexBuildOptions options;
+    options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kCorpusOnly;
+    options.lsm.auto_compact = false;
+    live_ = std::make_unique<XOntoRank>(std::move(docs), onto_, options);
+    for (size_t i = 0; i < extra.size(); i += 2) {
+      live_->StageDocument(std::move(extra[i]));
+      live_->StageDocument(std::move(extra[i + 1]));
+      live_->Commit();
+    }
+    for (const char* text : kQueries) {
+      expected_.push_back(SearchTop(*live_, ParseQuery(text), 10));
+    }
+    EXPECT_TRUE(SaveEngineDir(*live_, dir_).ok());
+  }
+
+  ~ReloadedEngineTest() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// A phrase, an ontology-only keyword (no corpus text holds it) and a
+  /// vocabulary keyword.
+  static constexpr const char* kQueries[] = {"\"cardiac arrest\"",
+                                             "myocardium", "asthma"};
+
+  Ontology onto_;
+  std::string dir_;
+  std::unique_ptr<XOntoRank> live_;
+  std::vector<std::vector<QueryResult>> expected_;
+};
+
+TEST_F(ReloadedEngineTest, FirstDemandQueriesRaceStageOneBuild) {
+  ASSERT_GT(live_->snapshot()->segments().size(), 1u);
+  for (size_t q = 0; q < 2; ++q) {
+    ASSERT_FALSE(expected_[q].empty()) << kQueries[q];
+    std::string canonical = ParseQuery(kQueries[q]).keywords[0].Canonical();
+    for (const auto& segment : live_->snapshot()->segments()) {
+      ASSERT_EQ(segment->index().flat_dil().FindList(canonical),
+                FlatDil::kNoList)
+          << kQueries[q];
+    }
+  }
+  auto loaded = LoadEngineDir(dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const XOntoRank& engine = (*loaded)->engine();
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t]() {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Half the threads start with the phrase, half with the keyword.
+      for (size_t i = 0; i < 2; ++i) {
+        size_t q = (i + static_cast<size_t>(t)) % 2;
+        if (!SameResults(SearchTop(engine, ParseQuery(kQueries[q]), 10),
+                         expected_[q])) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST_F(ReloadedEngineTest, CompactionAfterReloadRacesQueries) {
+  auto loaded = LoadEngineDir(dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  XOntoRank& engine = (*loaded)->engine();
+  const size_t segments = engine.snapshot()->segments().size();
+  ASSERT_GT(segments, 1u);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t]() {
+      int iterations = 0;
+      while (!done.load(std::memory_order_acquire) || iterations < 10) {
+        size_t q = (t + static_cast<size_t>(iterations++)) % 3;
+        if (!SameResults(SearchTop(engine, ParseQuery(kQueries[q]), 10),
+                         expected_[q])) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  engine.CompactNow();
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LT(engine.snapshot()->segments().size(), segments);
+  for (size_t q = 0; q < 3; ++q) {
+    EXPECT_TRUE(SameResults(SearchTop(engine, ParseQuery(kQueries[q]), 10),
+                            expected_[q]))
+        << kQueries[q];
+  }
 }
 
 }  // namespace

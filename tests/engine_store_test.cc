@@ -191,6 +191,30 @@ TEST_F(EngineStoreFixture, OptionsRoundTrip) {
   EXPECT_EQ(options.strategy, Strategy::kRelationships);
   EXPECT_DOUBLE_EQ(options.score.decay, 0.4);
   EXPECT_DOUBLE_EQ(options.score.ontology_weight, 0.6);
+  EXPECT_EQ(options.vocabulary_mode, IndexBuildOptions::VocabularyMode::kNone);
+
+  // The vocabulary mode round-trips, so a commit on the reloaded engine
+  // seals a segment with precomputed lists rather than a lazy one.
+  {
+    auto eager =
+        BuildEngine(IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(SaveEngineDir(*eager, dir_).ok());
+    auto reloaded = LoadEngineDir(dir_);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    XOntoRank& engine = (*reloaded)->engine();
+    EXPECT_EQ(engine.snapshot()->options().vocabulary_mode,
+              IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
+    CdaGeneratorOptions more;
+    more.num_documents = 7;
+    more.seed = 55;
+    std::vector<XmlDocument> docs =
+        CdaGenerator(snomed_, more).GenerateCorpus();
+    engine.AddDocument(std::move(docs.back()));
+    auto snap = engine.snapshot();
+    ASSERT_EQ(snap->corpus_size(), 7u);
+    EXPECT_GT(snap->segments().back()->index().flat_dil().keyword_count(), 0u);
+  }
 
   // The compaction knobs round-trip too: from the current four-field
   // lsm line, and from an older directory whose five-field line carries a
@@ -214,6 +238,47 @@ TEST_F(EngineStoreFixture, OptionsRoundTrip) {
         (*reloaded)->engine().snapshot()->options();
     EXPECT_EQ(lsm.lsm.compaction_fanin, 3u) << lsm_line;
     EXPECT_FALSE(lsm.lsm.auto_compact) << lsm_line;
+  }
+}
+
+TEST_F(EngineStoreFixture, ReloadedBuildStatsAreExact) {
+  // A multi-segment directory: loading defers each segment's stage 1, and
+  // build_stats() must still count every node and code node.
+  using Mode = IndexBuildOptions::VocabularyMode;
+  for (Mode vocabulary : {Mode::kNone, Mode::kCorpusAndOntology}) {
+    CdaGeneratorOptions gen_options;
+    gen_options.num_documents = 8;
+    gen_options.seed = 55;
+    std::vector<XmlDocument> docs =
+        CdaGenerator(snomed_, gen_options).GenerateCorpus();
+    std::vector<XmlDocument> extra;
+    for (size_t i = 3; i < docs.size(); ++i) {
+      extra.push_back(std::move(docs[i]));
+    }
+    docs.resize(3);
+    OntologySet systems;
+    systems.Add(snomed_);
+    systems.Add(loinc_);
+    IndexBuildOptions options;
+    options.vocabulary_mode = vocabulary;
+    options.lsm.auto_compact = false;
+    XOntoRank live(std::move(docs), systems, options);
+    for (XmlDocument& doc : extra) live.AddDocument(std::move(doc));
+    ASSERT_EQ(live.snapshot()->segments().size(), 6u);
+
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(SaveEngineDir(live, dir_).ok());
+    auto loaded = LoadEngineDir(dir_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const IndexBuildStats want = live.build_stats();
+    const IndexBuildStats got = (*loaded)->engine().build_stats();
+    ASSERT_GT(want.indexed_nodes, 0u);
+    ASSERT_GT(want.code_nodes, 0u);
+    EXPECT_EQ(got.documents, want.documents);
+    EXPECT_EQ(got.indexed_nodes, want.indexed_nodes);
+    EXPECT_EQ(got.code_nodes, want.code_nodes);
+    EXPECT_EQ(got.precomputed_keywords, want.precomputed_keywords);
+    EXPECT_EQ(got.total_postings, want.total_postings);
   }
 }
 
@@ -283,7 +348,8 @@ TEST_F(EngineStoreFixture, CorruptManifestFails) {
   }
   for (const auto& [key, line] :
        {std::pair<std::string, std::string>{"decay", "decay\tabc"},
-        {"lsm", "lsm\t1\tfour\t0"}}) {
+        {"lsm", "lsm\t1\tfour\t0"},
+        {"vocabulary", "vocabulary\teverything"}}) {
     std::filesystem::remove_all(dir_);
     ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
     RewriteManifestLine(key, line);
