@@ -1,6 +1,8 @@
 #include "core/index_builder.h"
 
 #include <algorithm>
+#include <functional>
+#include <ranges>
 #include <thread>
 
 #include "common/check.h"
@@ -11,46 +13,22 @@
 
 namespace xontorank {
 
-DocumentUnits::DocumentUnits(const Corpus& corpus, size_t doc,
-                             const OntologySet& systems,
-                             const IndexBuildOptions& options)
-    : text_(options.score.bm25) {
-  const XmlDocument& document = corpus[doc];
-  if (document.root() != nullptr) {
-    const auto& excluded = DefaultExcludedAttributes();
-    uint32_t unit = 0;
-    document.root()->Visit([&](const XmlNode& node) {
-      if (!node.is_element()) return;
-      text_.AddUnit(unit, TextualDescription(node, excluded));
-      deweys_.push_back(document.DeweyIdOf(node));
-      if (node.onto_ref().has_value()) {
-        size_t system = systems.FindSystem(node.onto_ref()->system);
-        if (system != OntologySet::npos) {
-          ConceptId c =
-              systems.system(system).FindByCode(node.onto_ref()->code);
-          if (c != kInvalidConcept) {
-            code_units_.push_back({unit, static_cast<uint32_t>(system), c});
-          }
-        }
-      }
-      ++unit;
-    });
-  }
-  text_.Finalize();
-  if (options.use_elem_rank) {
-    // ElemRank numbers elements in the same preorder as the units above.
-    Corpus one;
-    one.Add(corpus.handle(doc));
-    ElemRank rank(one, options.elem_rank);
-    XO_CHECK_EQ(rank.size(), deweys_.size());
-    elem_ranks_.reserve(rank.size());
-    for (uint32_t unit = 0; unit < rank.size(); ++unit) {
-      elem_ranks_.push_back(rank.rank(unit));
-    }
+namespace {
+
+/// Visits `node`'s subtree in preorder with `path` holding the visited
+/// node's Dewey components (the caller seeds it with the doc id, which is
+/// the root's whole address): a child's address is its parent's plus its
+/// ordinal, so the walk keeps one path instead of a DeweyId per node.
+template <typename Fn>
+void VisitWithPath(const XmlNode& node, std::vector<uint32_t>& path,
+                   const Fn& fn) {
+  fn(node, path);
+  for (const auto& child : node.children()) {
+    path.push_back(child->ordinal());
+    VisitWithPath(*child, path, fn);
+    path.pop_back();
   }
 }
-
-namespace {
 
 /// Resolves global unit ids to node addresses through the stage-1 records
 /// (`base` holds each record's first global unit, then the unit count).
@@ -65,7 +43,7 @@ class UnitAddresses {
 
   DeweyRef operator()(uint32_t unit) {
     if (unit < begin_ || unit >= end_) Seek(unit);
-    return DeweyRef(deweys_[unit - begin_]);
+    return document_->dewey(unit - begin_);
   }
 
  private:
@@ -74,7 +52,7 @@ class UnitAddresses {
     while (unit >= base_[record_ + 1]) ++record_;
     begin_ = base_[record_];
     end_ = base_[record_ + 1];
-    deweys_ = documents_[record_]->deweys().data();
+    document_ = documents_[record_].get();
   }
 
   const std::vector<std::shared_ptr<const DocumentUnits>>& documents_;
@@ -82,7 +60,7 @@ class UnitAddresses {
   size_t record_ = 0;
   uint32_t begin_ = 0;  ///< the current record's global unit range
   uint32_t end_ = 0;
-  const DeweyId* deweys_ = nullptr;  ///< the current record's addresses
+  const DocumentUnits* document_ = nullptr;  ///< the current record
 };
 
 /// Stage 1 over `corpus`: each document is its own BM25 collection (one
@@ -101,6 +79,51 @@ std::vector<std::shared_ptr<const DocumentUnits>> IndexDocuments(
 }
 
 }  // namespace
+
+DocumentUnits::DocumentUnits(const Corpus& corpus, size_t doc,
+                             const OntologySet& systems,
+                             const IndexBuildOptions& options)
+    : text_(options.score.bm25) {
+  const XmlDocument& document = corpus[doc];
+  if (document.root() != nullptr) {
+    const auto& excluded = DefaultExcludedAttributes();
+    uint32_t unit = 0;
+    auto add_unit = [&](const XmlNode& node,
+                        const std::vector<uint32_t>& address) {
+      if (!node.is_element()) return;
+      text_.AddUnit(unit, TextualDescription(node, excluded));
+      dewey_arena_.insert(dewey_arena_.end(), address.begin(), address.end());
+      dewey_offsets_.push_back(static_cast<uint32_t>(dewey_arena_.size()));
+      if (node.onto_ref().has_value()) {
+        size_t system = systems.FindSystem(node.onto_ref()->system);
+        if (system != OntologySet::npos) {
+          ConceptId c =
+              systems.system(system).FindByCode(node.onto_ref()->code);
+          if (c != kInvalidConcept) {
+            code_units_.push_back({unit, static_cast<uint32_t>(system), c});
+          }
+        }
+      }
+      ++unit;
+    };
+    std::vector<uint32_t> path{document.doc_id()};
+    VisitWithPath(*document.root(), path, add_unit);
+  }
+  text_.Finalize();
+  dewey_arena_.shrink_to_fit();
+  dewey_offsets_.shrink_to_fit();
+  if (options.use_elem_rank) {
+    // ElemRank numbers elements in the same preorder as the units above.
+    Corpus one;
+    one.Add(corpus.handle(doc));
+    ElemRank rank(one, options.elem_rank);
+    XO_CHECK_EQ(rank.size(), unit_count());
+    elem_ranks_.reserve(rank.size());
+    for (uint32_t unit = 0; unit < rank.size(); ++unit) {
+      elem_ranks_.push_back(rank.rank(unit));
+    }
+  }
+}
 
 CorpusIndex::CorpusIndex(const Corpus& corpus,
                          std::shared_ptr<const OntologyContext> context,
@@ -303,16 +326,20 @@ std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
   const size_t textual = units.size();
 
   // Ontological component, through the corpus's code nodes. Each system's
-  // OntoScore row is applied to that system's code nodes.
-  if (options_.strategy != Strategy::kXRank) {
+  // dense OntoScore row is indexed by that system's code nodes' concepts:
+  // one load per code node. A 0.0 entry (not reached) is skipped, which is
+  // exact: a unit whose only support is 0 is dropped below anyway
+  // (best.score <= 0.0), and max(IRS, 0) is IRS.
+  const bool reaches = std::ranges::any_of(
+      rows, [](const OntoScoreRowCache::Row& row) { return !row->empty(); });
+  if (reaches) {
     const double w = options_.score.ontology_weight;
     for (const CodeUnit& code_unit : records.code_units) {
-      if (code_unit.system >= rows.size()) continue;
-      const OntoScoreRowCache::Row& row = rows[code_unit.system];
-      if (row == nullptr) continue;
-      auto it = row->find(code_unit.concept_id);
-      if (it == row->end()) continue;
-      units.push_back({code_unit.unit, w * it->second});
+      const OntoScoreRow& row = *rows[code_unit.system];
+      if (row.empty()) continue;
+      const double os = row[code_unit.concept_id];
+      if (os == 0.0) continue;
+      units.push_back({code_unit.unit, w * os});
     }
   }
 
@@ -393,8 +420,9 @@ std::vector<DilPosting> CorpusIndex::BuildPostings(
   std::vector<OntoScoreRowCache::Row> rows;
   if (options_.strategy != Strategy::kXRank) {
     for (size_t system = 0; system < context_->systems().size(); ++system) {
-      rows.push_back(std::make_shared<const OntoScoreMap>(
-          ComputeOntoScoreRow(keyword, system)));
+      rows.push_back(std::make_shared<const OntoScoreRow>(DenseOntoScoreRow(
+          ComputeOntoScoreRow(keyword, system),
+          context_->systems().system(system).concept_count())));
     }
   }
   std::vector<DilPosting> postings;
@@ -466,35 +494,44 @@ CorpusIndex::NodeSupport CorpusIndex::ComputeNodeSupport(
   const Records& records = this->records();
   // Each record's node addresses ascend (units are assigned in document
   // order), so the unit id can be recovered by binary search.
-  uint32_t unit = 0;
-  bool found = false;
-  for (size_t r = 0; r < records.documents.size() && !found; ++r) {
-    const std::vector<DeweyId>& deweys = records.documents[r]->deweys();
-    auto it = std::lower_bound(deweys.begin(), deweys.end(), dewey);
-    if (it != deweys.end() && *it == dewey) {
-      unit = records.base[r] + static_cast<uint32_t>(it - deweys.begin());
-      found = true;
+  const DeweyRef target(dewey);
+  size_t record = 0;
+  uint32_t local = 0;
+  for (; record < records.documents.size(); ++record) {
+    const DocumentUnits& document = *records.documents[record];
+    auto units = std::views::iota(
+        uint32_t{0}, static_cast<uint32_t>(document.unit_count()));
+    auto it = std::ranges::lower_bound(
+        units, target, std::less<>(),
+        [&document](uint32_t u) { return document.dewey(u); });
+    if (it != units.end() && document.dewey(*it) == target) {
+      local = *it;
+      break;
     }
   }
-  if (!found) return support;
+  if (record == records.documents.size()) return support;
 
-  for (const ScoredUnit& scored : LookupUnits(keyword, records)) {
-    if (scored.unit_id == unit) {
+  // The IRS comes from the owning record's own BM25 collection.
+  for (const ScoredUnit& scored :
+       records.documents[record]->text().Lookup(keyword)) {
+    if (scored.unit_id == local) {
       support.textual_irs = scored.score;
       break;
     }
   }
-  for (const CodeUnit& code_unit : records.code_units) {
-    if (code_unit.unit != unit) continue;
+  const uint32_t unit = records.base[record] + local;
+  auto code_unit = std::lower_bound(
+      records.code_units.begin(), records.code_units.end(), unit,
+      [](const CodeUnit& a, uint32_t u) { return a.unit < u; });
+  if (code_unit != records.code_units.end() && code_unit->unit == unit) {
     support.is_code_node = true;
-    support.system = code_unit.system;
-    support.concept_id = code_unit.concept_id;
+    support.system = code_unit->system;
+    support.concept_id = code_unit->concept_id;
     if (options_.strategy != Strategy::kXRank) {
-      OntoScoreMap row = ComputeOntoScoreRow(keyword, code_unit.system);
-      auto score_it = row.find(code_unit.concept_id);
-      if (score_it != row.end()) support.onto_score = score_it->second;
+      // The same cached dense row stage 3 reads.
+      OntoScoreRowCache::Row row = context_->GetRow(code_unit->system, keyword);
+      if (!row->empty()) support.onto_score = (*row)[code_unit->concept_id];
     }
-    break;
   }
   return support;
 }

@@ -22,6 +22,7 @@
 #include "onto/ontology_index.h"
 #include "onto/ontology_set.h"
 #include "xml/corpus.h"
+#include "xml/dewey_ref.h"
 #include "xml/xml_node.h"
 
 namespace xontorank {
@@ -48,6 +49,12 @@ struct CodeUnit {
 /// textual description, with its Dewey id and, for a code node, its
 /// resolved concept. Unit ids are local to the record (0-based, preorder).
 ///
+/// The addresses are flat: one u32 arena holding every unit's Dewey id
+/// back to back (doc id, then the child ordinals from the root down), and
+/// unit_count()+1 offsets into it, so unit u's address is the contiguous
+/// run [offsets[u], offsets[u+1]) read as a DeweyRef — no allocation per
+/// unit, and one sequential read per posting when lists are frozen.
+///
 /// Each document is its own BM25 collection, so its postings never depend
 /// on which segment holds it. The record is built once — when the document
 /// is sealed, or on first use after a load (CorpusIndex defers stage 1 for
@@ -65,18 +72,26 @@ class DocumentUnits {
                 const IndexBuildOptions& options);
 
   const TextIndex& text() const { return text_; }
-  /// Local unit id → node address, ascending.
-  const std::vector<DeweyId>& deweys() const { return deweys_; }
+  /// Local unit `u`'s node address (valid while the record lives); the
+  /// addresses ascend with u.
+  DeweyRef dewey(uint32_t u) const {
+    return DeweyRef(dewey_arena_.data() + dewey_offsets_[u],
+                    dewey_offsets_[u + 1] - dewey_offsets_[u]);
+  }
   /// The code nodes, in unit order.
   const std::vector<CodeUnit>& code_units() const { return code_units_; }
   /// Local unit id → ElemRank within the document (maximum 1); empty
   /// unless the record was built with use_elem_rank.
   const std::vector<double>& elem_ranks() const { return elem_ranks_; }
-  size_t unit_count() const { return deweys_.size(); }
+  size_t unit_count() const { return dewey_offsets_.size() - 1; }
 
  private:
   TextIndex text_;
-  std::vector<DeweyId> deweys_;
+  /// Every unit's address, in unit order, back to back.
+  std::vector<uint32_t> dewey_arena_;
+  /// Unit u's address starts at dewey_offsets_[u]; the last entry is the
+  /// arena size.
+  std::vector<uint32_t> dewey_offsets_{0};
   std::vector<CodeUnit> code_units_;
   std::vector<double> elem_ranks_;
 };
@@ -272,6 +287,8 @@ class CorpusIndex {
   /// Dewey order, since units are numbered in document order. Stage 3's
   /// one build path: precomputed, demand-built and BuildPostings lists all
   /// start here.
+  /// `rows` holds one non-null dense row per system (none under XRANK); an
+  /// empty row contributes nothing.
   std::vector<UnitScore> ScoreUnits(
       const Keyword& keyword,
       const std::vector<OntoScoreRowCache::Row>& rows) const;

@@ -1,7 +1,9 @@
 #ifndef XONTORANK_CORE_ONTO_SCORE_H_
 #define XONTORANK_CORE_ONTO_SCORE_H_
 
+#include <cstddef>
 #include <unordered_map>
+#include <vector>
 
 #include "core/options.h"
 #include "ir/query.h"
@@ -15,6 +17,16 @@ namespace xontorank {
 /// OS ≥ threshold. This is one hash-map row of the paper's OntoScore Hash
 /// Map H (§V-B, Algorithm 1).
 using OntoScoreMap = std::unordered_map<ConceptId, double>;
+
+/// The same row in the form stage 3 reads it: OS(w, c) at index c, for
+/// every concept of one system (sized by its concept_count()), with 0.0 for
+/// a concept the keyword does not reach. A keyword that reaches no concept
+/// has an empty row, so callers test empty() before indexing.
+using OntoScoreRow = std::vector<double>;
+
+/// Lays `map` out densely over a system of `concept_count` concepts; empty
+/// when `map` is. Every id in `map` must be below `concept_count`.
+OntoScoreRow DenseOntoScoreRow(const OntoScoreMap& map, size_t concept_count);
 
 /// Computes OS(w, ·) for `keyword` under the given strategy (§IV, §VI).
 ///

@@ -13,8 +13,8 @@ OntoScoreRowCache::Row OntoScoreRowCache::Find(
 
 OntoScoreRowCache::Row OntoScoreRowCache::Insert(size_t system,
                                                  const std::string& canonical,
-                                                 OntoScoreMap row) {
-  auto shared = std::make_shared<const OntoScoreMap>(std::move(row));
+                                                 OntoScoreRow row) {
+  auto shared = std::make_shared<const OntoScoreRow>(std::move(row));
   MutexLock lock(mutex_);
   auto [it, inserted] = rows_.emplace(Key{system, canonical}, shared);
   return it->second;
@@ -51,10 +51,11 @@ OntoScoreRowCache::Row OntologyContext::GetRow(size_t system,
   }
   // Compute outside any lock; a racing thread may duplicate the work, in
   // which case the first insert wins.
-  OntoScoreMap row =
-      ComputeOntoScores(*indexes_[system], keyword, strategy_, score_);
+  OntoScoreRow row = DenseOntoScoreRow(
+      ComputeOntoScores(*indexes_[system], keyword, strategy_, score_),
+      systems_.system(system).concept_count());
   if (!cache_rows_) {
-    return std::make_shared<const OntoScoreMap>(std::move(row));
+    return std::make_shared<const OntoScoreRow>(std::move(row));
   }
   return row_cache_.Insert(system, canonical, std::move(row));
 }

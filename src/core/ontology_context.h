@@ -16,19 +16,21 @@
 
 namespace xontorank {
 
-/// Thread-safe memo of OntoScore hash-map rows: (system, keyword) →
-/// OS(w, ·). A row depends only on the ontology, the strategy and the score
-/// knobs — never on the corpus — so rows computed for one index snapshot
-/// remain exact for every later snapshot of the same engine. This is what
-/// makes a writer commit cheap: re-deriving the XOnto-DILs for a grown
-/// corpus redoes only the (fast) textual BM25 component and reuses the
-/// (dominant) Algorithm-1 expansions.
+/// Thread-safe memo of OntoScore rows: (system, keyword) → OS(w, ·), stored
+/// dense (OntoScoreRow: one double per concept of the system, 0.0 where the
+/// keyword does not reach) because that is the form stage 3 reads — one
+/// indexed load per code node. A row depends only on the ontology, the
+/// strategy and the score knobs — never on the corpus — so rows computed
+/// for one index snapshot remain exact for every later snapshot of the
+/// same engine. This is what makes a writer commit cheap: re-deriving the
+/// XOnto-DILs for a grown corpus redoes only the (fast) textual BM25
+/// component and reuses the (dominant) Algorithm-1 expansions.
 ///
 /// Rows are returned as shared_ptr so concurrent readers and superseded
 /// snapshots can keep using a row without copying it.
 class OntoScoreRowCache {
  public:
-  using Row = std::shared_ptr<const OntoScoreMap>;
+  using Row = std::shared_ptr<const OntoScoreRow>;
 
   /// The cached row for (system, canonical keyword), or nullptr.
   Row Find(size_t system, const std::string& canonical) const
@@ -36,7 +38,7 @@ class OntoScoreRowCache {
 
   /// Inserts a row; if a racing thread inserted one first, the existing row
   /// wins and is returned (callers discard their duplicate computation).
-  Row Insert(size_t system, const std::string& canonical, OntoScoreMap row)
+  Row Insert(size_t system, const std::string& canonical, OntoScoreRow row)
       XO_EXCLUDES(mutex_);
 
   size_t size() const XO_EXCLUDES(mutex_);
@@ -81,9 +83,10 @@ class OntologyContext {
   Strategy strategy() const { return strategy_; }
   const ScoreOptions& score() const { return score_; }
 
-  /// The row for (system, keyword), computed via Algorithm 1 on first use
-  /// and memoized when row caching is enabled. Never nullptr (a keyword
-  /// matching nothing yields an empty row).
+  /// The dense row for (system, keyword), computed via Algorithm 1 on first
+  /// use and memoized when row caching is enabled. Never nullptr; sized by
+  /// the system's concept_count(), or empty when the keyword reaches no
+  /// concept (always under Strategy::kXRank).
   OntoScoreRowCache::Row GetRow(size_t system, const Keyword& keyword) const;
 
   /// Rows currently memoized (stats/tests).

@@ -1,6 +1,8 @@
 #include "core/index_builder.h"
 
+#include "cda/cda_generator.h"
 #include "gtest/gtest.h"
+#include "onto/snomed_fragment.h"
 #include "tests/test_util.h"
 
 namespace xontorank {
@@ -190,6 +192,46 @@ TEST_F(IndexBuilderFixture, ComputeNodeSupportUnknownAddress) {
   EXPECT_DOUBLE_EQ(support.textual_irs, 0.0);
   EXPECT_FALSE(support.is_code_node);
   EXPECT_EQ(support.concept_id, kInvalidConcept);
+}
+
+// Stage-1 records keep every unit's address in one flat arena. On a
+// generated multi-document corpus, unit u of each record must address the
+// u-th element in preorder (exactly what XmlDocument::DeweyIdOf computes),
+// the addresses must ascend, and the records must cover every indexed node.
+TEST(DocumentUnitsTest, FlatAddressesMatchPreorderElements) {
+  Ontology onto = BuildSnomedCardiologyFragment();
+  CdaGeneratorOptions gen_options;
+  gen_options.num_documents = 6;
+  gen_options.seed = 17;
+  Corpus corpus = CdaGenerator(onto, gen_options).GenerateCorpus();
+  IndexBuildOptions options;
+  options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+  CorpusIndex index(corpus, onto, options);
+  ASSERT_EQ(index.documents().size(), corpus.size());
+  size_t units = 0;
+  for (size_t d = 0; d < corpus.size(); ++d) {
+    const XmlDocument& document = corpus[d];
+    const DocumentUnits& record = *index.documents()[d];
+    std::vector<const XmlNode*> elements;
+    document.root()->Visit([&elements](const XmlNode& node) {
+      if (node.is_element()) elements.push_back(&node);
+    });
+    ASSERT_EQ(record.unit_count(), elements.size()) << "document " << d;
+    for (uint32_t u = 0; u < record.unit_count(); ++u) {
+      DeweyId expected = document.DeweyIdOf(*elements[u]);
+      EXPECT_TRUE(record.dewey(u) == expected)
+          << "document " << d << " unit " << u << ": "
+          << record.dewey(u).ToDeweyId().ToString() << " vs "
+          << expected.ToString();
+      if (u > 0) {
+        EXPECT_TRUE(record.dewey(u - 1) < record.dewey(u))
+            << "document " << d << " unit " << u;
+      }
+    }
+    units += record.unit_count();
+  }
+  EXPECT_GT(units, corpus.size());
+  EXPECT_EQ(units, index.stats().indexed_nodes);
 }
 
 }  // namespace

@@ -122,6 +122,61 @@ TEST_F(MultiSystemFixture, SystemsDoNotCrossTalk) {
   }
 }
 
+TEST_F(MultiSystemFixture, DenseRowsSizedAndReadPerSystem) {
+  // Each system's OntoScore row is laid out over that system's own
+  // concepts and indexed only with that system's code nodes; the two
+  // fragments differ in size, so reading one system's row with the other
+  // system's concept ids would run past it (ASan reports that).
+  Corpus corpus;
+  corpus.Add(MustParse(DocXml(), 0));
+  OntologySet systems;
+  systems.Add(snomed_);
+  systems.Add(loinc_);
+  IndexBuildOptions options;
+  options.strategy = Strategy::kRelationships;
+  CorpusIndex index(corpus, systems, options);
+  ASSERT_NE(snomed_.concept_count(), loinc_.concept_count());
+  const std::vector<CodeUnit>& code_units = index.documents()[0]->code_units();
+  ASSERT_EQ(code_units.size(), 2u);
+  for (const CodeUnit& code_unit : code_units) {
+    EXPECT_LT(code_unit.concept_id,
+              systems.system(code_unit.system).concept_count());
+  }
+  const double w = options.score.ontology_weight;
+  std::vector<size_t> reached(systems.size(), 0);
+  for (const char* word : {"asthma", "bronchial", "vital", "pulse"}) {
+    Keyword keyword = MakeKeyword(word);
+    for (size_t s = 0; s < systems.size(); ++s) {
+      OntoScoreRowCache::Row row = index.context()->GetRow(s, keyword);
+      if (row->empty()) continue;
+      ++reached[s];
+      EXPECT_EQ(row->size(), systems.system(s).concept_count())
+          << word << " system " << s;
+    }
+    // Every code node's posting takes its ontological half from its own
+    // system's row.
+    std::vector<DilPosting> postings = index.BuildPostings(keyword);
+    for (const CodeUnit& code_unit : code_units) {
+      OntoScoreRowCache::Row row =
+          index.context()->GetRow(code_unit.system, keyword);
+      double os = row->empty() ? 0.0 : (*row)[code_unit.concept_id];
+      DeweyId dewey = index.documents()[0]->dewey(code_unit.unit).ToDeweyId();
+      CorpusIndex::NodeSupport support =
+          index.ComputeNodeSupport(dewey, keyword);
+      EXPECT_EQ(support.system, code_unit.system) << word;
+      EXPECT_EQ(support.onto_score, os) << word;
+      double expected = std::max(support.textual_irs, w * os);
+      double got = 0.0;
+      for (const DilPosting& p : postings) {
+        if (p.dewey == dewey) got = p.score;
+      }
+      EXPECT_EQ(got, expected) << word << " system " << code_unit.system;
+    }
+  }
+  // Both systems' rows were exercised.
+  EXPECT_GT(reached[0], 0u);
+  EXPECT_GT(reached[1], 0u);
+}
 
 TEST(MultiSystemGeneratorTest, LoincVitalCodesResolveWhenEnabled) {
   Ontology snomed = BuildSnomedCardiologyFragment();

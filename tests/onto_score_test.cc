@@ -1,9 +1,12 @@
 #include "core/onto_score.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
+#include "core/ontology_context.h"
 #include "gtest/gtest.h"
 #include "onto/ontology_generator.h"
 #include "onto/snomed_fragment.h"
@@ -342,6 +345,58 @@ TEST_F(OntoScoreFixture, ApproximationCapZeroMeansUnlimited) {
   OntoScoreMap a = Compute("asthma", Strategy::kRelationships, unlimited);
   OntoScoreMap b = Compute("asthma", Strategy::kRelationships, defaulted);
   EXPECT_EQ(a.size(), b.size());
+}
+
+// The row cache stores rows densely (one double per concept); the map that
+// Algorithm 1 produces stays the reference. Every strategy, cached or not,
+// must read back exactly: 0.0 for a concept the keyword does not reach, the
+// map's value bit for bit otherwise, and an empty row when nothing is
+// reached.
+TEST(OntoScoreRowTest, DenseRowMatchesMapAtEveryConcept) {
+  Ontology onto = BuildSnomedCardiologyFragment();
+  for (Strategy strategy : {Strategy::kXRank, Strategy::kGraph,
+                            Strategy::kTaxonomy, Strategy::kRelationships}) {
+    for (bool cached : {true, false}) {
+      IndexBuildOptions options;
+      options.strategy = strategy;
+      options.cache_onto_score_rows = cached;
+      auto context = OntologyContext::Create(onto, options);
+      for (const char* word :
+           {"asthma", "bronchial structure", "theophylline", "zebra"}) {
+        Keyword keyword = MakeKeyword(word);
+        OntoScoreMap map = ComputeOntoScores(context->index(0), keyword,
+                                             strategy, options.score);
+        OntoScoreRowCache::Row row = context->GetRow(0, keyword);
+        ASSERT_NE(row, nullptr);
+        EXPECT_EQ(context->GetRow(0, keyword) == row, cached) << word;
+        if (map.empty()) {
+          EXPECT_TRUE(row->empty()) << word;
+          continue;
+        }
+        ASSERT_EQ(row->size(), onto.concept_count()) << word;
+        for (ConceptId c = 0; c < onto.concept_count(); ++c) {
+          auto it = map.find(c);
+          double expected = it == map.end() ? 0.0 : it->second;
+          EXPECT_EQ(std::bit_cast<uint64_t>((*row)[c]),
+                    std::bit_cast<uint64_t>(expected))
+              << StrategyName(strategy) << " " << word << " concept " << c;
+        }
+      }
+      // A keyword that reaches nothing stores an empty row.
+      EXPECT_TRUE(context->GetRow(0, MakeKeyword("zebra"))->empty());
+      if (strategy == Strategy::kXRank) {
+        EXPECT_TRUE(context->GetRow(0, MakeKeyword("asthma"))->empty());
+      } else {
+        EXPECT_FALSE(context->GetRow(0, MakeKeyword("asthma"))->empty());
+      }
+    }
+  }
+}
+
+TEST(OntoScoreRowTest, DenseOntoScoreRowLaysOutMap) {
+  EXPECT_TRUE(DenseOntoScoreRow({}, 5).empty());
+  OntoScoreRow row = DenseOntoScoreRow({{1, 0.25}, {4, 1.0}}, 5);
+  EXPECT_EQ(row, (OntoScoreRow{0.0, 0.25, 0.0, 0.0, 1.0}));
 }
 
 }  // namespace
