@@ -37,13 +37,15 @@ int main() {
   IndexBuildOptions options;
   options.strategy = Strategy::kRelationships;
   XOntoRank engine(std::move(corpus), ontology, options);
+  const IndexBuildStats build = engine.build_stats();
   std::printf("Index: %zu nodes, %zu code nodes, %zu keywords, %zu postings "
-              "(built in %.0f ms)\n\n",
-              engine.build_stats().indexed_nodes,
-              engine.build_stats().code_nodes,
-              engine.build_stats().precomputed_keywords,
-              engine.build_stats().total_postings,
-              engine.build_stats().build_millis);
+              "(built in %.0f ms: stage 1 %.0f, vocabulary %.0f, scoring "
+              "%.0f, freeze %.0f)\n\n",
+              build.indexed_nodes, build.code_nodes,
+              build.precomputed_keywords, build.total_postings,
+              build.build_millis, build.stage1_millis,
+              build.vocabulary_millis, build.score_millis,
+              build.freeze_millis);
 
   // 4. Query phase: the unified Search API. SearchOptions picks top-k,
   //    shard parallelism, pruning and caching; the response carries the

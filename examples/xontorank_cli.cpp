@@ -11,8 +11,9 @@
 //                 [--no-cache] [--pruning=exact|blockmax] [--stats]
 //                 (--stats reports the pruning work counters)
 //   xontorank_cli save-engine <corpus-dir> <ontology.tsv> <engine-dir>
-//                 [--strategy NAME] [--threads N]
-//                 (segment files + MANIFEST; query it with query-engine)
+//                 [--strategy NAME]
+//                 (segment files + MANIFEST; query it with query-engine;
+//                 prints the build's phase times)
 //   xontorank_cli query-engine <engine-dir> "<query>" [--top K] [--explain]
 //                 [--group] [--parallel N] [--no-cache]
 //                 [--pruning=exact|blockmax] [--stats]
@@ -354,19 +355,19 @@ int SaveEngineCommand(const std::vector<std::string>& args) {
   options.strategy = *strategy;
   options.vocabulary_mode =
       IndexBuildOptions::VocabularyMode::kCorpusAndOntology;
-  options.num_threads = 1;
-  if (Status st = NumericFlag(args, "--threads", &options.num_threads);
-      !st.ok()) {
-    return Fail(st.ToString());
-  }
   XOntoRank engine(std::move(corpus).value(), *onto, options);
   Status st = SaveEngineDir(engine, args[2]);
   if (!st.ok()) return Fail(st.ToString());
+  const IndexBuildStats stats = engine.build_stats();
   std::printf("saved engine (%zu documents, %zu keywords, %zu postings) to "
               "%s\n",
-              engine.corpus_size(),
-              engine.build_stats().precomputed_keywords,
-              engine.build_stats().total_postings, args[2].c_str());
+              engine.corpus_size(), stats.precomputed_keywords,
+              stats.total_postings, args[2].c_str());
+  std::printf("built in %.1f ms: stage 1 %.1f, vocabulary %.1f, scoring "
+              "%.1f, freeze %.1f\n",
+              stats.build_millis, stats.stage1_millis,
+              stats.vocabulary_millis, stats.score_millis,
+              stats.freeze_millis);
   return 0;
 }
 

@@ -1,23 +1,41 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 namespace xontorank {
 
-/// Join state of one ParallelFor call. The counter is guarded by the batch
-/// mutex (not an atomic) so the final notify and the caller's wake-up are
-/// fully ordered — the batch lives on the caller's stack and must not be
-/// touched by a worker after the caller observes remaining == 0.
+/// Join state of one ParallelFor call. Participants claim iterations from
+/// `next`; `remaining` counts the iterations not yet finished and is
+/// guarded by the batch mutex (not an atomic) so the final notify and the
+/// caller's wake-up are fully ordered. Helpers hold the batch by
+/// shared_ptr: one still queued when the call returns finds nothing left
+/// to claim, and never reads `body`, which lives on the caller's stack.
 struct ThreadPool::Batch {
-  const std::function<void(size_t)>* body = nullptr;
+  Batch(size_t n, const std::function<void(size_t)>& body)
+      : n(n), body(&body) {}
+
+  const size_t n;
+  const std::function<void(size_t)>* const body;
+  std::atomic<size_t> next{0};  ///< the next unclaimed iteration
   Mutex mutex;
   CondVar done;
   size_t remaining XO_GUARDED_BY(mutex) = 0;
 
-  /// Marks one iteration finished, waking the join if it was the last.
-  void FinishOne() XO_EXCLUDES(mutex) {
+  /// Claims and runs iterations until none is left, then reports them
+  /// finished, waking the join if they were the last.
+  void Drain() XO_EXCLUDES(mutex) {
+    size_t ran = 0;
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      (*body)(i);
+      ++ran;
+    }
+    if (ran == 0) return;
     MutexLock lock(mutex);
-    if (--remaining == 0) done.NotifyAll();
+    remaining -= ran;
+    if (remaining == 0) done.NotifyAll();
   }
 };
 
@@ -38,17 +56,15 @@ ThreadPool::~ThreadPool() {
   }
   work_available_.NotifyAll();
   for (std::thread& worker : workers_) worker.join();
-  // Workers are gone; any tasks still queued are detached ones (ParallelFor
-  // callers block until their batch drains, so no batch task can remain).
-  // Run them inline to honor the Post() exactly-once guarantee.
-  std::deque<Task> leftover;
+  // Workers are gone. Run what is still queued inline to honor the Post()
+  // exactly-once guarantee; a leftover ParallelFor helper finds its batch
+  // drained (its caller returned only after every iteration finished).
+  std::deque<std::function<void()>> leftover;
   {
     MutexLock lock(mutex_);
     leftover.swap(queue_);
   }
-  for (Task& task : leftover) {
-    if (task.batch == nullptr && task.detached) task.detached();
-  }
+  for (std::function<void()>& task : leftover) task();
 }
 
 void ThreadPool::WorkerLoop() {
@@ -56,15 +72,10 @@ void ThreadPool::WorkerLoop() {
   while (true) {
     while (!shutting_down_ && queue_.empty()) work_available_.Wait(mutex_);
     if (shutting_down_) break;
-    Task task = std::move(queue_.front());
+    std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
     mutex_.Unlock();
-    if (task.batch != nullptr) {
-      (*task.batch->body)(task.index);
-      task.batch->FinishOne();
-    } else {
-      task.detached();
-    }
+    task();
     mutex_.Lock();
   }
   mutex_.Unlock();
@@ -74,9 +85,7 @@ void ThreadPool::Post(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
     if (!shutting_down_) {
-      Task queued;
-      queued.detached = std::move(task);
-      queue_.push_back(std::move(queued));
+      queue_.push_back(std::move(task));
       task = nullptr;
     }
   }
@@ -95,40 +104,26 @@ void ThreadPool::ParallelFor(size_t n,
     body(0);
     return;
   }
-  Batch batch;
-  batch.body = &body;
+  auto batch = std::make_shared<Batch>(n, body);
   {
-    MutexLock lock(batch.mutex);
-    batch.remaining = n;
+    MutexLock lock(batch->mutex);
+    batch->remaining = n;
   }
+  const size_t helpers = std::min(n - 1, workers_.size());
   {
     MutexLock lock(mutex_);
-    for (size_t i = 1; i < n; ++i) queue_.push_back(Task{&batch, i, {}});
+    for (size_t h = 0; h < helpers; ++h) {
+      queue_.push_back([batch] { batch->Drain(); });
+    }
   }
   work_available_.NotifyAll();
 
-  // The caller participates: iteration 0 inline, then any of its own
-  // iterations still queued (so the batch completes even if every worker is
-  // busy with other batches — or if the pool has fewer workers than shards).
-  body(0);
-  batch.FinishOne();
-  while (true) {
-    mutex_.Lock();
-    auto it =
-        std::find_if(queue_.begin(), queue_.end(),
-                     [&batch](const Task& t) { return t.batch == &batch; });
-    if (it == queue_.end()) {
-      mutex_.Unlock();
-      break;
-    }
-    Task task = *it;
-    queue_.erase(it);
-    mutex_.Unlock();
-    (*task.batch->body)(task.index);
-    task.batch->FinishOne();
-  }
-  MutexLock lock(batch.mutex);
-  while (batch.remaining != 0) batch.done.Wait(batch.mutex);
+  // The caller participates: it claims iterations alongside the helpers,
+  // and alone if none of them starts, so the batch completes even when
+  // every worker is busy with other work.
+  batch->Drain();
+  MutexLock lock(batch->mutex);
+  while (batch->remaining != 0) batch->done.Wait(batch->mutex);
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -12,25 +12,27 @@
 namespace xontorank {
 
 /// A small fixed-size worker pool for fork/join parallelism (intra-query
-/// shard execution, batch scoring). Tasks are plain closures drained FIFO
-/// from one shared queue.
+/// shard execution, the eager index build) and detached background tasks
+/// (the compactor). Tasks are plain closures drained FIFO from one shared
+/// queue.
 ///
 /// The pool is deliberately minimal: no futures, no priorities, no task
 /// stealing. The only composition primitive is ParallelFor, a blocking
-/// fork/join over an index range, which is exactly the shape the sharded
-/// query merge needs.
+/// fork/join over an index range.
 ///
 /// Thread-safety: every method may be called from any thread. Concurrent
 /// ParallelFor calls (e.g. many user threads each running a sharded query)
-/// interleave their tasks on the shared workers; each call returns when its
-/// own batch is done. The queue and the stop flag are guarded by `mutex_`
-/// (enforced at compile time via the sync.h annotations); the per-call join
-/// state lives in a Batch with its own lock, always acquired after the pool
-/// lock is released — see DESIGN.md §9 for the lock order.
+/// interleave their helpers on the shared workers; each call returns when
+/// its own iterations are done. The queue and the stop flag are guarded by
+/// `mutex_` (enforced at compile time via the sync.h annotations); the
+/// per-call join state lives in a Batch with its own lock, always acquired
+/// after the pool lock is released — see DESIGN.md §9 for the lock order.
 ///
-/// Caveat: ParallelFor must not be called from inside a pool task of the
-/// same pool (the worker would block on its own queue). The query path only
-/// ever calls it from user threads.
+/// Convention: pool tasks do not call ParallelFor. A nested call cannot
+/// deadlock (its caller runs every iteration no helper claims), but it
+/// gains nothing on a busy pool and can queue behind the outer call's own
+/// helpers, so work that runs inside a pool task (compaction merges) stays
+/// serial.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers; 0 means one per hardware core.
@@ -42,11 +44,13 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Runs `body(0) .. body(n-1)`, distributing iterations across the pool,
-  /// and returns when all have finished. The calling thread participates
-  /// (it runs iteration 0 and then helps drain the batch), so progress is
-  /// guaranteed even under a saturated pool. With n <= 1 the body runs
-  /// inline with no synchronization at all.
+  /// Runs `body(0) .. body(n-1)`, each exactly once, and returns when all
+  /// have finished. Iterations are claimed one at a time from a shared
+  /// counter by the calling thread and by at most min(n-1, num_threads())
+  /// queued helpers, so the caller participates: it claims every iteration
+  /// no helper gets to, and the call completes even when every worker is
+  /// busy elsewhere (say, with a long Post()ed task). With n <= 1 the body
+  /// runs inline with no synchronization at all.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body)
       XO_EXCLUDES(mutex_);
 
@@ -54,34 +58,24 @@ class ThreadPool {
   /// background maintenance (the IndexWriter's compactor). Tasks still
   /// queued at destruction run inline on the destroying thread after the
   /// workers have joined, so a posted closure ALWAYS runs exactly once —
-  /// callers may rely on it for cleanup/wakeup protocols. The ParallelFor
-  /// caveat applies doubly: a posted task must never call ParallelFor or
-  /// Post on the same pool and then block on its completion.
+  /// callers may rely on it for cleanup/wakeup protocols.
   void Post(std::function<void()> task) XO_EXCLUDES(mutex_);
 
   /// A process-wide pool sized to the hardware, created on first use and
   /// intentionally leaked (serving threads may outlive static destruction
-  /// order). Shared by all query execution; index builds keep their own
-  /// short-lived threads.
+  /// order). Shared by query execution, the eager index build and the
+  /// compactor.
   static ThreadPool& Shared();
 
  private:
   struct Batch;
 
-  /// One queued unit of work: an iteration of some ParallelFor batch
-  /// (batch != nullptr) or a detached closure from Post (batch == nullptr,
-  /// `detached` set).
-  struct Task {
-    Batch* batch = nullptr;
-    size_t index = 0;
-    std::function<void()> detached;
-  };
-
   void WorkerLoop() XO_EXCLUDES(mutex_);
 
   Mutex mutex_;
   CondVar work_available_;
-  std::deque<Task> queue_ XO_GUARDED_BY(mutex_);
+  /// ParallelFor helpers and Post()ed closures, FIFO.
+  std::deque<std::function<void()>> queue_ XO_GUARDED_BY(mutex_);
   bool shutting_down_ XO_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
 };

@@ -72,104 +72,111 @@ FlatDil FlatDil::FromSections(const Sections& sections) {
 
 // --- Builder --------------------------------------------------------------
 
-FlatDil::Builder::Builder(size_t expected_keywords, size_t expected_postings,
-                          size_t expected_keyword_bytes,
-                          size_t expected_blocks,
-                          size_t expected_arena_words) {
-  // list_begin_/skip_begin_ are rebuilt from scratch: BeginList pushes each
-  // list's start, Finish the final end bound (so an empty build still ends
-  // up with the canonical {0}).
-  dil_.list_begin_.clear();
-  dil_.skip_begin_.clear();
-  dil_.keyword_offsets_.reserve(expected_keywords + 1);
-  dil_.list_begin_.reserve(expected_keywords + 1);
-  dil_.skip_begin_.reserve(expected_keywords + 1);
-  dil_.keyword_arena_.reserve(expected_keyword_bytes);
-  dil_.scores_.reserve(expected_postings);
-  dil_.shared_.reserve(expected_postings);
-  dil_.suffix_offsets_.reserve(expected_postings + 1);
-  // Without an exact size: prefix elision leaves ~1-2 fresh components
-  // per posting plus one full id per block restart; 2 per posting is a
-  // safe single-allocation guess (Finish shrinks whatever is unused).
-  dil_.arena_.reserve(expected_arena_words != 0 ? expected_arena_words
-                                                : expected_postings * 2);
-  size_t reserve_blocks = expected_blocks != 0
-                              ? expected_blocks
-                              : expected_postings / kBlockPostings +
-                                    expected_keywords;
-  dil_.skip_first_doc_.reserve(reserve_blocks);
-  dil_.block_max_.reserve(reserve_blocks);
-}
-
-bool FlatDil::Builder::BeginList(std::string_view keyword) {
-  size_t built = dil_.keyword_offsets_.size() - 1;
-  if (built > 0) {
-    std::string_view last =
-        std::string_view(dil_.keyword_arena_)
-            .substr(dil_.keyword_offsets_[built - 1],
-                    dil_.keyword_offsets_[built] -
-                        dil_.keyword_offsets_[built - 1]);
-    if (!(last < keyword)) return false;  // must be strictly ascending
+FlatDil::Builder::Builder(std::span<const ListShape> shapes)
+    : arena_begin_(shapes.size() + 1, 0) {
+  const size_t lists = shapes.size();
+  dil_.keyword_offsets_.resize(lists + 1);
+  dil_.list_begin_.resize(lists + 1);
+  dil_.skip_begin_.resize(lists + 1);
+  size_t keyword_bytes = 0;
+  size_t postings = 0;
+  size_t blocks = 0;
+  for (size_t l = 0; l < lists; ++l) {
+    const ListShape& shape = shapes[l];
+    XO_CHECK((l == 0 || shapes[l - 1].keyword < shape.keyword) &&
+             "list keywords must be strictly ascending");
+    XO_CHECK((shape.postings == 0) == (shape.arena_words == 0) &&
+             "a list's first posting stores a whole, non-empty id");
+    keyword_bytes += shape.keyword.size();
+    postings += shape.postings;
+    blocks += shape.blocks();
+    arena_begin_[l + 1] = arena_begin_[l] + shape.arena_words;
+    dil_.keyword_offsets_[l + 1] = static_cast<uint32_t>(keyword_bytes);
+    dil_.list_begin_[l + 1] = static_cast<uint32_t>(postings);
+    dil_.skip_begin_[l + 1] = static_cast<uint32_t>(blocks);
   }
-  dil_.list_begin_.push_back(static_cast<uint32_t>(dil_.scores_.size()));
-  dil_.skip_begin_.push_back(
-      static_cast<uint32_t>(dil_.skip_first_doc_.size()));
-  dil_.keyword_arena_.append(keyword);
-  dil_.keyword_offsets_.push_back(
-      static_cast<uint32_t>(dil_.keyword_arena_.size()));
-  list_open_ = true;
-  has_prev_ = false;
-  return true;
+  XO_CHECK(keyword_bytes <= UINT32_MAX && postings < UINT32_MAX &&
+           arena_begin_[lists] <= UINT32_MAX && "columns index with u32");
+  dil_.keyword_arena_.reserve(keyword_bytes);
+  for (const ListShape& shape : shapes) {
+    dil_.keyword_arena_.append(shape.keyword);
+  }
+  dil_.scores_.resize(postings);
+  dil_.shared_.resize(postings);
+  dil_.suffix_offsets_.resize(postings + 1);
+  dil_.arena_.resize(arena_begin_[lists]);
+  dil_.skip_first_doc_.resize(blocks);
+  dil_.block_max_.resize(blocks);
+  // Finish's completeness check reads each list's last suffix offset,
+  // which only the list's last posting writes.
+  for (size_t l = 0; l < lists; ++l) {
+    dil_.suffix_offsets_[dil_.list_begin_[l + 1]] = 0;
+  }
 }
 
-bool FlatDil::Builder::AddPosting(std::span<const uint32_t> components,
-                                  double score) {
-  if (!list_open_ || components.empty() || components.size() > UINT16_MAX) {
+FlatDil::Builder::ListWriter FlatDil::Builder::List(size_t list) {
+  return ListWriter(&dil_, dil_.list_begin_[list], dil_.list_begin_[list + 1],
+                    dil_.skip_begin_[list], arena_begin_[list],
+                    arena_begin_[list + 1]);
+}
+
+bool FlatDil::Builder::ListWriter::AddPosting(
+    std::span<const uint32_t> components, double score) {
+  if (pos_ == end_ || components.empty() || components.size() > UINT16_MAX) {
     return false;
   }
-  DeweyRef cur(components.data(), components.size());
-  uint32_t shared = 0;
-  if (has_prev_) {
-    DeweyRef prev(prev_.data(), prev_.size());
-    if (CompareDewey(cur, prev) < 0) return false;  // non-decreasing only
-    shared = static_cast<uint32_t>(CommonPrefixLength(prev, cur));
+  // One pass over the common prefix decides both the order and the shared
+  // length: the first differing component must not decrease, and with no
+  // difference the id must not be a proper prefix (an ancestor) of the
+  // previous one.
+  const size_t common = std::min(prev_.size(), components.size());
+  size_t shared = 0;
+  while (shared < common && prev_[shared] == components[shared]) ++shared;
+  if (shared < common ? components[shared] < prev_[shared]
+                      : components.size() < prev_.size()) {
+    return false;
   }
-  uint32_t in_list = static_cast<uint32_t>(dil_.scores_.size()) -
-                     dil_.list_begin_.back();
-  if (in_list % kBlockPostings == 0) {
-    // Block restart: store the full id so a skip-table seek can start
-    // decoding here, and record the block's first document id and open
-    // its score upper bound.
-    shared = 0;
-    dil_.skip_first_doc_.push_back(components[0]);
-    dil_.block_max_.push_back(ScoreUpperBoundFloat(score));
-  } else {
-    float ub = ScoreUpperBoundFloat(score);
-    if (ub > dil_.block_max_.back()) dil_.block_max_.back() = ub;
+  // Block restart: store the full id so a skip-table seek can start
+  // decoding here, and record the block's first document id and open its
+  // score upper bound.
+  const bool restart = (pos_ - list_begin_) % kBlockPostings == 0;
+  const size_t stored_shared = restart ? 0 : shared;
+  const size_t fresh = components.size() - stored_shared;
+  if (arena_end_ - arena_ < fresh) return false;
+  const float ub = ScoreUpperBoundFloat(score);
+  if (restart) {
+    dil_->skip_first_doc_[block_] = components[0];
+    dil_->block_max_[block_] = ub;
+    ++block_;
+  } else if (ub > dil_->block_max_[block_ - 1]) {
+    dil_->block_max_[block_ - 1] = ub;
   }
-  dil_.shared_.push_back(static_cast<uint16_t>(shared));
-  dil_.arena_.insert(dil_.arena_.end(), components.begin() + shared,
-                     components.end());
-  dil_.suffix_offsets_.push_back(static_cast<uint32_t>(dil_.arena_.size()));
-  dil_.scores_.push_back(score);
-  prev_.assign(components.begin(), components.end());
-  has_prev_ = true;
+  std::copy(components.begin() + static_cast<std::ptrdiff_t>(stored_shared),
+            components.end(),
+            dil_->arena_.begin() + static_cast<std::ptrdiff_t>(arena_));
+  arena_ += fresh;
+  dil_->shared_[pos_] = static_cast<uint16_t>(stored_shared);
+  dil_->suffix_offsets_[pos_ + 1] = static_cast<uint32_t>(arena_);
+  dil_->scores_[pos_] = score;
+  ++pos_;
+  prev_.resize(shared);
+  prev_.insert(prev_.end(),
+               components.begin() + static_cast<std::ptrdiff_t>(shared),
+               components.end());
   return true;
 }
 
 FlatDil FlatDil::Builder::Finish() && {
-  dil_.list_begin_.push_back(static_cast<uint32_t>(dil_.scores_.size()));
-  dil_.skip_begin_.push_back(
-      static_cast<uint32_t>(dil_.skip_first_doc_.size()));
-  // Drop reservation slack so MemoryBytes()-style accounting (and the
-  // bench's heap counters) reflect the data, not the sizing heuristics of
-  // builders constructed without exact column sizes.
-  dil_.scores_.shrink_to_fit();
-  dil_.shared_.shrink_to_fit();
-  dil_.suffix_offsets_.shrink_to_fit();
-  dil_.arena_.shrink_to_fit();
-  dil_.skip_first_doc_.shrink_to_fit();
-  dil_.block_max_.shrink_to_fit();
+  // A list's last posting writes the suffix offset at the list's end, and
+  // only a list written in full reaches its arena end there (a non-empty
+  // list's arena slice is never empty, and the constructor zeroed the
+  // entry).
+  for (size_t l = 0; l + 1 < arena_begin_.size(); ++l) {
+    const uint32_t end = dil_.list_begin_[l + 1];
+    XO_CHECK((end == dil_.list_begin_[l] ||
+              dil_.suffix_offsets_[end] == arena_begin_[l + 1]) &&
+             "every list must be written in full");
+  }
   dil_.Rebind();
   return std::move(dil_);
 }
@@ -305,38 +312,26 @@ size_t FlatDil::MemoryBytes() const {
 // --- conversions ----------------------------------------------------------
 
 FlatDil XOntoDil::Freeze() const {
-  // Exact sizes fall out of the source index's own bookkeeping, so every
-  // column can be reserved once and verified after the build.
-  size_t total_postings = TotalPostings();
-  size_t keyword_bytes = 0;
-  size_t blocks = 0;
-  size_t arena_words = 0;
+  std::vector<FlatDil::Builder::ListShape> shapes;
+  shapes.reserve(entries_.size());
   for (const auto& [keyword, entry] : entries_) {
-    keyword_bytes += keyword.size();
-    blocks += (entry.postings.size() + FlatDil::kBlockPostings - 1) /
-              FlatDil::kBlockPostings;
-    arena_words += FlatDil::Builder::ArenaWords(
-        entry.postings.size(), [&entry](size_t i) {
-          return DeweyRef(entry.postings[i].dewey);
-        });
-  }
-  FlatDil::Builder builder(entries_.size(), total_postings, keyword_bytes,
-                           blocks, arena_words);
-  for (const auto& [keyword, entry] : entries_) {
-    XO_CHECK(builder.BeginList(keyword));  // map iterates sorted
-    for (const DilPosting& posting : entry.postings) {
-      // Lists are Dewey-sorted by Put's invariant.
-      XO_CHECK(builder.AddPosting(posting.dewey.components(), posting.score));
+    FlatDil::Builder::ListShape& shape = shapes.emplace_back();
+    shape.keyword = keyword;  // map iterates sorted
+    for (size_t i = 0; i < entry.postings.size(); ++i) {
+      shape.Add(i == 0 ? DeweyRef() : DeweyRef(entry.postings[i - 1].dewey),
+                DeweyRef(entry.postings[i].dewey));
     }
   }
-  FlatDil dil = std::move(builder).Finish();
-  XO_CHECK_EQ(dil.keyword_count(), entries_.size());
-  XO_CHECK_EQ(dil.total_postings(), total_postings);
-  XO_CHECK_EQ(dil.sections().keyword_arena.size(), keyword_bytes);
-  XO_CHECK_EQ(dil.TotalBlocks(), blocks);
-  XO_CHECK_EQ(dil.sections().block_max.size(), blocks);
-  XO_CHECK_EQ(dil.sections().dewey_arena.size(), arena_words);
-  return dil;
+  FlatDil::Builder builder(shapes);
+  size_t list = 0;
+  for (const auto& [keyword, entry] : entries_) {
+    FlatDil::Builder::ListWriter writer = builder.List(list++);
+    for (const DilPosting& posting : entry.postings) {
+      // Lists are Dewey-sorted by Put's invariant.
+      XO_CHECK(writer.AddPosting(posting.dewey.components(), posting.score));
+    }
+  }
+  return std::move(builder).Finish();
 }
 
 // --- partitioning ---------------------------------------------------------

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,6 +43,31 @@ inline float ScoreUpperBoundFloat(double score) {
   }
   return f;
 }
+
+/// The standard allocator, except that an element constructed without
+/// arguments is default-initialized: resizing a column of scalars leaves
+/// it unwritten instead of zeroing memory its builder overwrites anyway.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    std::uninitialized_default_construct_n(p, 1);
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+/// One owned FlatDil column.
+template <typename T>
+using FlatColumn = std::vector<T, DefaultInitAllocator<T>>;
 
 /// The immutable, flat serving representation of an XOnto-DIL (the
 /// perf-critical half of Table III / Fig. 11): every inverted list of every
@@ -116,7 +143,8 @@ class FlatDil {
   FlatDil(const FlatDil&) = delete;
   FlatDil& operator=(const FlatDil&) = delete;
 
-  /// Assembles a FlatDil from lists arriving in sorted order. Shared by
+  /// Assembles a FlatDil from lists measured up front (ListShape) and then
+  /// written, possibly in parallel, into exactly sized columns. Shared by
   /// XOntoDil::Freeze, CorpusIndex and MergeSegments so there is exactly
   /// one construction path. Defined after the class (it holds a FlatDil).
   class Builder;
@@ -235,15 +263,15 @@ class FlatDil {
   // Owned storage. Empty in mapped-view mode; in owning mode the views in
   // v_ alias these (every read goes through v_, never through these).
   std::string keyword_arena_;
-  std::vector<uint32_t> keyword_offsets_ = {0};  ///< K+1
-  std::vector<uint32_t> list_begin_ = {0};       ///< K+1 posting bounds
-  std::vector<double> scores_;                   ///< P
-  std::vector<uint16_t> shared_;                 ///< P (restarts store 0)
-  std::vector<uint32_t> suffix_offsets_ = {0};   ///< P+1 arena offsets
-  std::vector<uint32_t> arena_;                  ///< concatenated suffixes
-  std::vector<uint32_t> skip_first_doc_;         ///< one per block
-  std::vector<uint32_t> skip_begin_ = {0};       ///< K+1 block bounds
-  std::vector<float> block_max_;                 ///< one per block
+  FlatColumn<uint32_t> keyword_offsets_ = {0};  ///< K+1
+  FlatColumn<uint32_t> list_begin_ = {0};       ///< K+1 posting bounds
+  FlatColumn<double> scores_;                   ///< P
+  FlatColumn<uint16_t> shared_;                 ///< P (restarts store 0)
+  FlatColumn<uint32_t> suffix_offsets_ = {0};   ///< P+1 arena offsets
+  FlatColumn<uint32_t> arena_;                  ///< concatenated suffixes
+  FlatColumn<uint32_t> skip_first_doc_;         ///< one per block
+  FlatColumn<uint32_t> skip_begin_ = {0};       ///< K+1 block bounds
+  FlatColumn<float> block_max_;                 ///< one per block
 
   /// The read views: every accessor and cursor reads through these. They
   /// alias the owned vectors above (owning mode) or external memory
@@ -253,54 +281,96 @@ class FlatDil {
 };
 
 // xo-analyze: allow(backing-before-view) the Builder's FlatDil is always
-// in owning mode (mapped_ == false) until Freeze() hands it off.
+// in owning mode (mapped_ == false) until Finish() hands it off.
 class FlatDil::Builder {
  public:
-  /// Size hints reserve the columns up front. The first two size the
-  /// per-posting columns exactly; `expected_keyword_bytes` and
-  /// `expected_blocks`, when nonzero, size the keyword arena and the
-  /// skip table exactly too (Freeze computes all four from the source
-  /// index's own counts). The Dewey arena stays heuristic unless
-  /// `expected_arena_words` gives its exact size (see ArenaWords) —
-  /// suffix lengths are data-dependent. Finish shrinks any slack, so
-  /// exact hints are what spare it a copy of every column.
-  Builder(size_t expected_keywords, size_t expected_postings,
-          size_t expected_keyword_bytes = 0, size_t expected_blocks = 0,
-          size_t expected_arena_words = 0);
+  /// One list's exact extent in the columns, measured before the build:
+  /// its keyword, its posting count and the Dewey arena words it takes.
+  /// The skip-table blocks follow from the posting count.
+  struct ListShape {
+    std::string_view keyword;
+    size_t postings = 0;
+    size_t arena_words = 0;
 
-  /// Arena words one list takes: `ids(i)` returns posting i's Dewey id
-  /// (as a DeweyRef) for i < `postings`, in list order. Block restarts
-  /// store the whole id; every other posting the suffix it does not share
-  /// with its predecessor.
-  template <typename IdAt>
-  static size_t ArenaWords(size_t postings, const IdAt& ids) {
-    size_t words = 0;
-    for (size_t i = 0; i < postings; ++i) {
-      DeweyRef id = ids(i);
-      size_t shared =
-          i % kBlockPostings == 0 ? 0 : CommonPrefixLength(ids(i - 1), id);
-      words += id.size() - shared;
+    /// Counts one more posting, `id`; `prev` is the list's previous
+    /// posting (unread for the first posting of a block). Block restarts
+    /// store the whole id, every other posting the suffix it does not
+    /// share with its predecessor.
+    void Add(DeweyRef prev, DeweyRef id) {
+      const size_t shared =
+          postings % kBlockPostings == 0 ? 0 : CommonPrefixLength(prev, id);
+      arena_words += id.size() - shared;
+      ++postings;
     }
-    return words;
-  }
 
-  /// Opens the list for `keyword`, which must sort strictly after every
-  /// previously begun keyword; returns false (and ignores the call)
-  /// otherwise.
-  bool BeginList(std::string_view keyword);
+    size_t blocks() const {
+      return (postings + kBlockPostings - 1) / kBlockPostings;
+    }
+  };
 
-  /// Appends one posting to the current list. `components` must be
-  /// non-empty and must not sort before the list's previous posting;
-  /// returns false (and ignores the call) otherwise.
-  bool AddPosting(std::span<const uint32_t> components, double score);
+  /// Writes one list's postings, in order, into its slice of the presized
+  /// columns. Writers of distinct lists touch disjoint column ranges, so
+  /// they may run concurrently; one list has one writer.
+  class ListWriter {
+   public:
+    /// Appends one posting. `components` must be non-empty and must not
+    /// sort before the list's previous posting (equal is allowed), and the
+    /// list must have room left in its shape; returns false (and ignores
+    /// the call) otherwise.
+    bool AddPosting(std::span<const uint32_t> components, double score);
 
+   private:
+    friend class Builder;
+    ListWriter(FlatDil* dil, uint32_t list_begin, uint32_t list_end,
+               uint32_t block, size_t arena, size_t arena_end)
+        : dil_(dil),
+          list_begin_(list_begin),
+          pos_(list_begin),
+          end_(list_end),
+          block_(block),
+          arena_(arena),
+          arena_end_(arena_end) {
+      prev_.reserve(kReservedDepth);
+    }
+
+    /// Components prev_ holds before it grows: more than CDA nesting
+    /// needs, so a list's writer allocates once.
+    static constexpr size_t kReservedDepth = 16;
+
+    FlatDil* dil_;
+    uint32_t list_begin_;
+    uint32_t pos_;  ///< the next posting's global index
+    uint32_t end_;
+    uint32_t block_;  ///< the next block restart's global index
+    size_t arena_;    ///< where the next suffix goes
+    size_t arena_end_;
+    /// The previous posting's full id, kept incrementally: cut to the
+    /// prefix it shares with the next posting, then extended by the rest.
+    std::vector<uint32_t> prev_;
+  };
+
+  /// Sizes every column exactly for `shapes` (keywords strictly ascending)
+  /// and lays the lists out back to back in that order, so the columns are
+  /// allocated once, left unwritten for the writers, and Finish copies
+  /// nothing.
+  explicit Builder(std::span<const ListShape> shapes);
+
+  // Writers point into the builder's columns.
+  Builder(const Builder&) = delete;
+  Builder& operator=(const Builder&) = delete;
+
+  /// The writer of list `list` (an index into the constructor's shapes).
+  /// Reads only the layout, so writers may be taken from any thread.
+  ListWriter List(size_t list);
+
+  /// Requires every list to have been written in full, exactly as its
+  /// shape said.
   FlatDil Finish() &&;
 
  private:
   FlatDil dil_;
-  std::vector<uint32_t> prev_;  ///< previous posting's full components
-  bool list_open_ = false;
-  bool has_prev_ = false;  ///< a posting exists in the current list
+  /// List l's arena words start at arena_begin_[l]; K+1 entries.
+  std::vector<size_t> arena_begin_;
 };
 
 /// A cheap forward view over one list of a FlatDil that the merge loop

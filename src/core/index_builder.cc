@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <ranges>
-#include <thread>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/elem_rank.h"
 #include "core/node_text.h"
@@ -63,18 +64,80 @@ class UnitAddresses {
   const DocumentUnits* document_ = nullptr;  ///< the current record
 };
 
+// The eager build's grains: the least work one chunk carries, taken from
+// what that work costs, so a small build (a single-document seal) stays one
+// inline chunk and a large one splits into many more chunks than workers,
+// which ParallelFor's dynamic claiming then balances.
+/// Stage 1: documents per chunk (about 0.5 ms each at the generator's
+/// document size).
+constexpr size_t kStageOneDocsPerChunk = 8;
+/// Scoring: keyword × document probes per chunk (a probe — one record's
+/// text lookup plus its share of the code-unit scan — costs about 1.5 µs).
+constexpr size_t kScoreProbesPerChunk = 8192;
+/// Freeze: postings per chunk (a few tens of ns each).
+constexpr size_t kFreezePostingsPerChunk = size_t{1} << 16;
+
+/// Cuts [0, n) into contiguous chunks of at least `grain` work each (the
+/// last may hold less), item i costing cost(i). Returns the chunk bounds:
+/// each chunk's first item, then n.
+template <typename CostFn>
+std::vector<size_t> ChunkBounds(size_t n, size_t grain, const CostFn& cost) {
+  std::vector<size_t> bounds{0};
+  size_t work = 0;
+  for (size_t i = 0; i < n; ++i) {
+    work += cost(i);
+    if (work >= grain && i + 1 < n) {
+      bounds.push_back(i + 1);
+      work = 0;
+    }
+  }
+  bounds.push_back(n);
+  return bounds;
+}
+
+/// Runs body(chunk, begin, end) for every chunk of `bounds`: on `pool`
+/// (a lone chunk runs inline there too), or serially without one.
+void RunChunks(ThreadPool* pool, const std::vector<size_t>& bounds,
+               const std::function<void(size_t, size_t, size_t)>& body) {
+  const size_t chunks = bounds.size() - 1;
+  auto run = [&bounds, &body](size_t c) { body(c, bounds[c], bounds[c + 1]); };
+  if (pool == nullptr) {
+    for (size_t c = 0; c < chunks; ++c) run(c);
+  } else {
+    pool->ParallelFor(chunks, run);
+  }
+}
+
 /// Stage 1 over `corpus`: each document is its own BM25 collection (one
 /// record per document), so posting scores are invariant under any
-/// document → segment grouping.
+/// document → segment grouping — and under any chunking of the build.
+/// With `vocabularies`, each chunk also leaves its documents' vocabulary
+/// there, sorted and unique.
 std::vector<std::shared_ptr<const DocumentUnits>> IndexDocuments(
     const Corpus& corpus, const OntologySet& systems,
-    const IndexBuildOptions& options) {
-  std::vector<std::shared_ptr<const DocumentUnits>> documents;
-  documents.reserve(corpus.size());
-  for (size_t d = 0; d < corpus.size(); ++d) {
-    documents.push_back(
-        std::make_shared<const DocumentUnits>(corpus, d, systems, options));
-  }
+    const IndexBuildOptions& options, ThreadPool* pool,
+    std::vector<std::vector<std::string>>* vocabularies) {
+  std::vector<std::shared_ptr<const DocumentUnits>> documents(corpus.size());
+  const std::vector<size_t> bounds = ChunkBounds(
+      corpus.size(), kStageOneDocsPerChunk, [](size_t) { return 1; });
+  if (vocabularies != nullptr) vocabularies->assign(bounds.size() - 1, {});
+  RunChunks(pool, bounds, [&](size_t chunk, size_t begin, size_t end) {
+    for (size_t d = begin; d < end; ++d) {
+      documents[d] =
+          std::make_shared<const DocumentUnits>(corpus, d, systems, options);
+      if (vocabularies != nullptr) {
+        std::vector<std::string> part = documents[d]->text().Vocabulary();
+        std::vector<std::string>& vocab = (*vocabularies)[chunk];
+        vocab.insert(vocab.end(), std::make_move_iterator(part.begin()),
+                     std::make_move_iterator(part.end()));
+      }
+    }
+    if (vocabularies != nullptr) {
+      std::vector<std::string>& vocab = (*vocabularies)[chunk];
+      std::sort(vocab.begin(), vocab.end());
+      vocab.erase(std::unique(vocab.begin(), vocab.end()), vocab.end());
+    }
+  });
   return documents;
 }
 
@@ -131,8 +194,18 @@ CorpusIndex::CorpusIndex(const Corpus& corpus,
     : corpus_(&corpus), context_(std::move(context)), options_(options) {
   Timer timer;
   CheckContext();
-  records();
-  Precompute();
+  // The eager build runs on the shared pool. The lazy stage 1 of an
+  // adopted index, the one-list demand builds and compaction stay serial:
+  // they run on query threads or inside the compactor's pool task.
+  ThreadPool& pool = ThreadPool::Shared();
+  const bool precompute =
+      options_.vocabulary_mode != IndexBuildOptions::VocabularyMode::kNone;
+  std::vector<std::vector<std::string>> vocabularies;
+  std::call_once(records_once_, [&] {
+    BuildRecords(&pool, precompute ? &vocabularies : nullptr);
+  });
+  stats_.stage1_millis = timer.ElapsedMillis();
+  if (precompute) Precompute(std::move(vocabularies), pool);
   FinishStats(timer.ElapsedMillis());
 }
 
@@ -197,14 +270,18 @@ IndexBuildStats CorpusIndex::stats() const {
 }
 
 const CorpusIndex::Records& CorpusIndex::records() const {
-  std::call_once(records_once_, [this] { BuildRecords(); });
+  std::call_once(records_once_,
+                 [this] { BuildRecords(/*pool=*/nullptr, nullptr); });
   return records_;
 }
 
-void CorpusIndex::BuildRecords() const {
+void CorpusIndex::BuildRecords(
+    ThreadPool* pool,
+    std::vector<std::vector<std::string>>* vocabularies) const {
   Records& records = records_;
   if (records.documents.empty()) {
-    records.documents = IndexDocuments(*corpus_, context_->systems(), options_);
+    records.documents = IndexDocuments(*corpus_, context_->systems(), options_,
+                                       pool, vocabularies);
   }
   size_t code_units = 0;
   for (const auto& document : records.documents) {
@@ -236,73 +313,70 @@ std::vector<ScoredUnit> CorpusIndex::LookupUnits(
   return units;
 }
 
-std::vector<std::string> CorpusIndex::CorpusVocabulary() const {
+void CorpusIndex::Precompute(
+    std::vector<std::vector<std::string>> corpus_vocabularies,
+    ThreadPool& pool) {
+  Timer phase;
+  // Vocabulary = corpus tokens, optionally united with ontology tokens
+  // (sorted once, in the context). A lone chunk's part is sorted already.
   std::vector<std::string> vocab;
-  for (const auto& document : records().documents) {
-    std::vector<std::string> part = document->text().Vocabulary();
-    vocab.insert(vocab.end(), part.begin(), part.end());
+  for (std::vector<std::string>& part : corpus_vocabularies) {
+    vocab.insert(vocab.end(), std::make_move_iterator(part.begin()),
+                 std::make_move_iterator(part.end()));
   }
-  std::sort(vocab.begin(), vocab.end());
-  vocab.erase(std::unique(vocab.begin(), vocab.end()), vocab.end());
-  return vocab;
-}
-
-void CorpusIndex::Precompute() {
-  if (options_.vocabulary_mode == IndexBuildOptions::VocabularyMode::kNone) {
-    return;
-  }
-  // Vocabulary = corpus tokens, optionally united with ontology tokens.
-  std::vector<std::string> vocab = CorpusVocabulary();
-  if (options_.vocabulary_mode ==
-      IndexBuildOptions::VocabularyMode::kCorpusAndOntology) {
-    for (size_t s = 0; s < context_->systems().size(); ++s) {
-      std::vector<std::string> onto_vocab = context_->index(s).Vocabulary();
-      vocab.insert(vocab.end(), onto_vocab.begin(), onto_vocab.end());
-    }
+  if (corpus_vocabularies.size() > 1) {
     std::sort(vocab.begin(), vocab.end());
     vocab.erase(std::unique(vocab.begin(), vocab.end()), vocab.end());
   }
-  size_t num_threads = options_.num_threads == 0
-                           ? std::max(1u, std::thread::hardware_concurrency())
-                           : options_.num_threads;
-  num_threads = std::min(num_threads, vocab.size() == 0 ? 1 : vocab.size());
-
-  // Each keyword's list lands in its vocabulary slot (workers claim slots
-  // round-robin), so the result is bit-identical for any thread count.
-  // Slots are then ordered by canonical keyword and frozen in one pass.
-  std::vector<UnitList> lists(vocab.size());
-  auto build_slot = [this, &vocab, &lists](size_t i) {
-    Keyword kw = MakeKeyword(vocab[i]);
-    if (kw.tokens.empty()) return;
-    lists[i].first = kw.Canonical();
-    lists[i].second = ScoreUnitsCached(kw);
-  };
-  if (num_threads <= 1) {
-    for (size_t i = 0; i < vocab.size(); ++i) build_slot(i);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    for (size_t t = 0; t < num_threads; ++t) {
-      workers.emplace_back([t, num_threads, &vocab, &build_slot]() {
-        for (size_t i = t; i < vocab.size(); i += num_threads) build_slot(i);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
+  if (options_.vocabulary_mode ==
+      IndexBuildOptions::VocabularyMode::kCorpusAndOntology) {
+    const std::vector<std::string>& ontology = context_->vocabulary();
+    std::vector<std::string> corpus = std::move(vocab);
+    vocab.clear();
+    vocab.reserve(corpus.size() + ontology.size());
+    std::set_union(std::make_move_iterator(corpus.begin()),
+                   std::make_move_iterator(corpus.end()), ontology.begin(),
+                   ontology.end(), std::back_inserter(vocab));
   }
+  stats_.vocabulary_millis = phase.ElapsedMillis();
+
+  // Each keyword's list lands in its vocabulary slot, so the result does
+  // not depend on how the chunks are scheduled. A keyword costs one probe
+  // per record.
+  phase.Reset();
+  std::vector<UnitList> lists(vocab.size());
+  const size_t probes = std::max<size_t>(1, records().documents.size());
+  RunChunks(&pool,
+            ChunkBounds(vocab.size(), kScoreProbesPerChunk,
+                        [probes](size_t) { return probes; }),
+            [this, &vocab, &lists](size_t, size_t begin, size_t end) {
+              for (size_t i = begin; i < end; ++i) {
+                Keyword kw = MakeKeyword(vocab[i]);
+                if (kw.tokens.empty()) continue;
+                lists[i].canonical = kw.Canonical();
+                lists[i].units = ScoreUnitsCached(kw);
+                MeasureList(lists[i]);
+              }
+            });
+  stats_.score_millis = phase.ElapsedMillis();
+
   // Tokens with no keyword form leave an empty slot (a real keyword's
   // canonical form is never empty); distinct tokens that canonicalize
   // alike produce identical lists, so keeping one of them is exact.
-  std::erase_if(lists, [](const UnitList& list) { return list.first.empty(); });
+  phase.Reset();
+  std::erase_if(lists,
+                [](const UnitList& list) { return list.canonical.empty(); });
   std::sort(lists.begin(), lists.end(),
             [](const UnitList& a, const UnitList& b) {
-              return a.first < b.first;
+              return a.canonical < b.canonical;
             });
   lists.erase(std::unique(lists.begin(), lists.end(),
                           [](const UnitList& a, const UnitList& b) {
-                            return a.first == b.first;
+                            return a.canonical == b.canonical;
                           }),
               lists.end());
-  flat_ = FreezeLists(lists);
+  flat_ = FreezeLists(lists, &pool);
+  stats_.freeze_millis = phase.ElapsedMillis();
 }
 
 OntoScoreMap CorpusIndex::ComputeOntoScoreRow(const Keyword& keyword,
@@ -381,38 +455,45 @@ std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnitsCached(
   return ScoreUnits(keyword, rows);
 }
 
-FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists) const {
+void CorpusIndex::MeasureList(UnitList& list) const {
   const Records& records = this->records();
-  size_t postings = 0;
-  size_t keyword_bytes = 0;
-  size_t blocks = 0;
-  size_t arena_words = 0;
-  for (const auto& [canonical, units] : lists) {
-    postings += units.size();
-    keyword_bytes += canonical.size();
-    blocks += (units.size() + FlatDil::kBlockPostings - 1) /
-              FlatDil::kBlockPostings;
-    UnitAddresses address(records.documents, records.base);
-    arena_words += FlatDil::Builder::ArenaWords(
-        units.size(),
-        [&address, &units](size_t i) { return address(units[i].unit); });
-  }
-  FlatDil::Builder builder(lists.size(), postings, keyword_bytes, blocks,
-                           arena_words);
   UnitAddresses address(records.documents, records.base);
-  for (const auto& [canonical, units] : lists) {
-    XO_CHECK(builder.BeginList(canonical));
-    for (const UnitScore& u : units) {
-      DeweyRef dewey = address(u.unit);
-      XO_CHECK(builder.AddPosting(
-          std::span<const uint32_t>(dewey.data(), dewey.size()), u.score));
-    }
+  FlatDil::Builder::ListShape shape;
+  DeweyRef prev;
+  for (const UnitScore& u : list.units) {
+    const DeweyRef id = address(u.unit);
+    shape.Add(prev, id);
+    prev = id;
   }
-  FlatDil dil = std::move(builder).Finish();
-  XO_CHECK_EQ(dil.total_postings(), postings);
-  XO_CHECK_EQ(dil.TotalBlocks(), blocks);
-  XO_CHECK_EQ(dil.sections().dewey_arena.size(), arena_words);
-  return dil;
+  list.arena_words = shape.arena_words;
+}
+
+FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists,
+                                 ThreadPool* pool) const {
+  std::vector<FlatDil::Builder::ListShape> shapes(lists.size());
+  for (size_t l = 0; l < lists.size(); ++l) {
+    shapes[l].keyword = lists[l].canonical;
+    shapes[l].postings = lists[l].units.size();
+    shapes[l].arena_words = lists[l].arena_words;
+  }
+  FlatDil::Builder builder(shapes);
+  const Records& records = this->records();
+  RunChunks(pool,
+            ChunkBounds(lists.size(), kFreezePostingsPerChunk,
+                        [&lists](size_t l) { return lists[l].units.size(); }),
+            [&](size_t, size_t begin, size_t end) {
+              UnitAddresses address(records.documents, records.base);
+              for (size_t l = begin; l < end; ++l) {
+                FlatDil::Builder::ListWriter writer = builder.List(l);
+                for (const UnitScore& u : lists[l].units) {
+                  const DeweyRef dewey = address(u.unit);
+                  XO_CHECK(writer.AddPosting(
+                      std::span<const uint32_t>(dewey.data(), dewey.size()),
+                      u.score));
+                }
+              }
+            });
+  return std::move(builder).Finish();
 }
 
 std::vector<DilPosting> CorpusIndex::BuildPostings(
@@ -454,8 +535,8 @@ namespace {
 /// destruction, like refs into any index.
 const FlatDil& EmptyList() {
   static const FlatDil* const empty = [] {
-    FlatDil::Builder builder(1, 0);
-    XO_CHECK(builder.BeginList(""));
+    const FlatDil::Builder::ListShape shape;
+    FlatDil::Builder builder(std::span(&shape, 1));
     // xo-lint: allow(new-delete) — leaked singleton, see above.
     return new FlatDil(std::move(builder).Finish());
   }();
@@ -478,10 +559,11 @@ const FlatDil* CorpusIndex::DemandList(const Keyword& keyword,
   // and the duplicate work is discarded.
   std::unique_ptr<const FlatDil> built;
   std::vector<UnitList> lists(1);
-  lists[0].second = ScoreUnitsCached(keyword);
-  if (!lists[0].second.empty()) {
-    lists[0].first = canonical;
-    built = std::make_unique<const FlatDil>(FreezeLists(lists));
+  lists[0].units = ScoreUnitsCached(keyword);
+  if (!lists[0].units.empty()) {
+    lists[0].canonical = canonical;
+    MeasureList(lists[0]);
+    built = std::make_unique<const FlatDil>(FreezeLists(lists, nullptr));
   }
   MutexLock lock(demand_mutex_);
   auto it = demand_.try_emplace(canonical, std::move(built)).first;

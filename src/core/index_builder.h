@@ -27,7 +27,14 @@
 
 namespace xontorank {
 
-/// Index-construction statistics (reported by Table III's bench).
+class ThreadPool;
+
+/// Index-construction statistics (reported by Table III's bench). The
+/// phase times split build_millis for an eager build (the other
+/// constructors leave them 0): stage 1 with each chunk's share of the
+/// corpus vocabulary, the vocabulary's final merge, scoring (stages 2 and
+/// 3 in unit form) and the freeze into flat columns. A snapshot sums them
+/// over its segments like build_millis.
 struct IndexBuildStats {
   size_t documents = 0;
   size_t indexed_nodes = 0;
@@ -35,6 +42,10 @@ struct IndexBuildStats {
   size_t precomputed_keywords = 0;
   size_t total_postings = 0;
   double build_millis = 0.0;
+  double stage1_millis = 0.0;
+  double vocabulary_millis = 0.0;
+  double score_millis = 0.0;
+  double freeze_millis = 0.0;
 };
 
 /// A code node resolved against its ontological system.
@@ -141,7 +152,9 @@ class CorpusIndex {
   /// layer owns both and guarantees this); `context` carries the ontology
   /// half and must have been created with the same strategy/score options.
   /// Runs stage 1 once per document, then precomputes the vocabulary per
-  /// options.vocabulary_mode.
+  /// options.vocabulary_mode. This eager build runs on ThreadPool::Shared()
+  /// in chunks sized by their work (a small build stays one inline chunk),
+  /// so it must not be called from a task of that pool.
   CorpusIndex(const Corpus& corpus,
               std::shared_ptr<const OntologyContext> context,
               IndexBuildOptions options);
@@ -255,8 +268,13 @@ class CorpusIndex {
     uint32_t unit;
     double score;  ///< NS(w, v) (Eq. 5), ElemRank blend applied
   };
-  /// A keyword's list in unit form, keyed by its canonical string.
-  using UnitList = std::pair<std::string, std::vector<UnitScore>>;
+  /// A keyword's list in unit form, keyed by its canonical string, with
+  /// the Dewey arena words its frozen form takes (MeasureList).
+  struct UnitList {
+    std::string canonical;
+    std::vector<UnitScore> units;
+    size_t arena_words = 0;
+  };
 
   /// Stage 1, shared: record r's local unit u is global unit
   /// (units of records before r) + u, so global unit ids ascend in
@@ -276,13 +294,20 @@ class CorpusIndex {
   const Records& records() const;
   /// The one-time body of records(): runs stage 1 over the corpus unless
   /// the merge constructor supplied the documents' records, then lays
-  /// their units out under global ids.
-  void BuildRecords() const;
+  /// their units out under global ids. Stage 1 runs in chunks of
+  /// documents on `pool`, or serially without one; with `vocabularies`, it
+  /// also leaves there each chunk's corpus vocabulary, sorted and unique.
+  void BuildRecords(ThreadPool* pool,
+                    std::vector<std::vector<std::string>>* vocabularies) const;
   /// The constructors' shared head and tail: check the context; record the
   /// list counts and the build time in stats_.
   void CheckContext() const;
   void FinishStats(double build_millis);
-  void Precompute();
+  /// Stages 2 and 3 over the vocabulary (the corpus vocabularies stage 1
+  /// gathered, plus the ontology's per options), scored in chunks of
+  /// keywords and frozen in chunks of lists on `pool`.
+  void Precompute(std::vector<std::vector<std::string>> corpus_vocabularies,
+                  ThreadPool& pool);
   /// The keyword's postings in unit form, sorted by unit id — which is
   /// Dewey order, since units are numbered in document order. Stage 3's
   /// one build path: precomputed, demand-built and BuildPostings lists all
@@ -295,9 +320,15 @@ class CorpusIndex {
   /// ScoreUnits through the context's row cache (exact same output; used
   /// by Precompute and the demand cache so snapshot rebuilds share rows).
   std::vector<UnitScore> ScoreUnitsCached(const Keyword& keyword) const;
-  /// Freezes `lists` (sorted by keyword, unique) into one FlatDil, with
-  /// every column reserved exactly, so Builder::Finish copies nothing.
-  FlatDil FreezeLists(const std::vector<UnitList>& lists) const;
+  /// Records the arena words `list` takes once frozen (its shape's one
+  /// data-dependent extent), walking its units' addresses.
+  void MeasureList(UnitList& list) const;
+  /// Freezes measured `lists` (sorted by keyword, unique) into one
+  /// FlatDil: the columns are sized once from the lists' shapes, then
+  /// every list writes its own slice — in chunks of lists on `pool`, or
+  /// serially without one.
+  FlatDil FreezeLists(const std::vector<UnitList>& lists,
+                      ThreadPool* pool) const;
 
   /// The flat dil and list index serving `keyword`: the precomputed list,
   /// or the demand-built one (built and cached on first request).
@@ -315,9 +346,6 @@ class CorpusIndex {
   /// sorted because records are in document order.
   std::vector<ScoredUnit> LookupUnits(const Keyword& keyword,
                                       const Records& records) const;
-
-  /// The corpus half of the precomputed vocabulary, sorted and unique.
-  std::vector<std::string> CorpusVocabulary() const;
 
   const Corpus* corpus_;
   std::shared_ptr<const OntologyContext> context_;

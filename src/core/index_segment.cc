@@ -63,55 +63,40 @@ Keyword KeywordFromCanonical(std::string_view canonical) {
 
 /// Concatenates, per keyword k (ascending), the lists
 /// parts[k·n, (k+1)·n) in order into one FlatDil, n = parts / keywords.
-/// A sizing pass over the same cursors first counts every column exactly,
-/// so Builder::Finish copies nothing. The lists of one keyword must cover
+/// A sizing pass over the same cursors first measures every list exactly,
+/// so the columns are allocated once. The lists of one keyword must cover
 /// ascending, disjoint document ranges, so concatenation keeps Dewey
 /// order; the merged list's block restarts fall elsewhere than the
-/// parts', so its arena words are counted over the decoded ids.
+/// parts', so its arena words are counted over the decoded ids. Runs
+/// inside the compactor's pool task, so it stays serial.
 FlatDil ConcatLists(std::span<const std::string_view> keywords,
                     std::span<const DilListRef> parts) {
   const size_t n = keywords.empty() ? 0 : parts.size() / keywords.size();
-  size_t postings = 0;
-  size_t keyword_bytes = 0;
-  size_t blocks = 0;
-  size_t arena_words = 0;
+  std::vector<FlatDil::Builder::ListShape> shapes(keywords.size());
   std::vector<uint32_t> prev;
   for (size_t k = 0; k < keywords.size(); ++k) {
-    keyword_bytes += keywords[k].size();
-    size_t in_list = 0;
-    for (const DilListRef& part : parts.subspan(k * n, n)) {
-      for (DilCursor c = part.OpenCursor(); !c.AtEnd(); c.Next(), ++in_list) {
-        DeweyRef dewey = c.dewey();
-        size_t shared =
-            in_list % FlatDil::kBlockPostings == 0
-                ? 0
-                : CommonPrefixLength(DeweyRef(prev.data(), prev.size()),
-                                     dewey);
-        arena_words += dewey.size() - shared;
-        prev.assign(dewey.data(), dewey.data() + dewey.size());
-      }
-    }
-    postings += in_list;
-    blocks += (in_list + FlatDil::kBlockPostings - 1) / FlatDil::kBlockPostings;
-  }
-
-  FlatDil::Builder builder(keywords.size(), postings, keyword_bytes, blocks,
-                           arena_words);
-  for (size_t k = 0; k < keywords.size(); ++k) {
-    XO_CHECK(builder.BeginList(keywords[k]));
+    shapes[k].keyword = keywords[k];
     for (const DilListRef& part : parts.subspan(k * n, n)) {
       for (DilCursor c = part.OpenCursor(); !c.AtEnd(); c.Next()) {
         DeweyRef dewey = c.dewey();
-        XO_CHECK(builder.AddPosting(
+        shapes[k].Add(DeweyRef(prev.data(), prev.size()), dewey);
+        prev.assign(dewey.data(), dewey.data() + dewey.size());
+      }
+    }
+  }
+
+  FlatDil::Builder builder(shapes);
+  for (size_t k = 0; k < keywords.size(); ++k) {
+    FlatDil::Builder::ListWriter writer = builder.List(k);
+    for (const DilListRef& part : parts.subspan(k * n, n)) {
+      for (DilCursor c = part.OpenCursor(); !c.AtEnd(); c.Next()) {
+        DeweyRef dewey = c.dewey();
+        XO_CHECK(writer.AddPosting(
             std::span<const uint32_t>(dewey.data(), dewey.size()), c.score()));
       }
     }
   }
-  FlatDil dil = std::move(builder).Finish();
-  XO_CHECK_EQ(dil.total_postings(), postings);
-  XO_CHECK_EQ(dil.TotalBlocks(), blocks);
-  XO_CHECK_EQ(dil.sections().dewey_arena.size(), arena_words);
-  return dil;
+  return std::move(builder).Finish();
 }
 
 }  // namespace

@@ -57,6 +57,10 @@ IndexBuildStats IndexSnapshot::build_stats() const {
     stats.precomputed_keywords += part.precomputed_keywords;
     stats.total_postings += part.total_postings;
     stats.build_millis += part.build_millis;
+    stats.stage1_millis += part.stage1_millis;
+    stats.vocabulary_millis += part.vocabulary_millis;
+    stats.score_millis += part.score_millis;
+    stats.freeze_millis += part.freeze_millis;
   }
   return stats;
 }

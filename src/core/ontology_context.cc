@@ -1,5 +1,8 @@
 #include "core/ontology_context.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/check.h"
 
 namespace xontorank {
@@ -34,10 +37,17 @@ std::shared_ptr<const OntologyContext> OntologyContext::Create(
   context->strategy_ = options.strategy;
   context->score_ = options.score;
   context->cache_rows_ = options.cache_onto_score_rows;
+  std::vector<std::string>& vocabulary = context->vocabulary_;
   for (size_t s = 0; s < context->systems_.size(); ++s) {
     context->indexes_.push_back(std::make_unique<OntologyIndex>(
         context->systems_.system(s), options.score.bm25));
+    std::vector<std::string> part = context->indexes_.back()->Vocabulary();
+    vocabulary.insert(vocabulary.end(), std::make_move_iterator(part.begin()),
+                      std::make_move_iterator(part.end()));
   }
+  std::sort(vocabulary.begin(), vocabulary.end());
+  vocabulary.erase(std::unique(vocabulary.begin(), vocabulary.end()),
+                   vocabulary.end());
   return context;
 }
 

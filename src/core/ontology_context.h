@@ -83,6 +83,11 @@ class OntologyContext {
   Strategy strategy() const { return strategy_; }
   const ScoreOptions& score() const { return score_; }
 
+  /// Every system's indexed vocabulary, sorted and unique: the ontology
+  /// half of a kCorpusAndOntology vocabulary, computed once here rather
+  /// than by every segment build.
+  const std::vector<std::string>& vocabulary() const { return vocabulary_; }
+
   /// The dense row for (system, keyword), computed via Algorithm 1 on first
   /// use and memoized when row caching is enabled. Never nullptr; sized by
   /// the system's concept_count(), or empty when the keyword reaches no
@@ -97,6 +102,7 @@ class OntologyContext {
 
   OntologySet systems_;
   std::vector<std::unique_ptr<OntologyIndex>> indexes_;
+  std::vector<std::string> vocabulary_;
   Strategy strategy_ = Strategy::kRelationships;
   ScoreOptions score_;
   bool cache_rows_ = true;

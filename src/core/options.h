@@ -132,11 +132,6 @@ struct IndexBuildOptions {
   /// ElemRank damping/iteration knobs (used when use_elem_rank is set).
   ElemRankOptions elem_rank;
 
-  /// Worker threads for vocabulary precomputation (stage 2+3 of §V-B are
-  /// embarrassingly parallel across keywords). 1 = serial; 0 = one thread
-  /// per hardware core. Query-time entry caching remains single-threaded.
-  size_t num_threads = 1;
-
   /// Capacity (in entries) of the per-snapshot query-result cache consulted
   /// by the unified Search API when SearchOptions::use_cache is set. Each
   /// published snapshot owns a fresh cache, so immutability makes

@@ -84,10 +84,18 @@ std::vector<QueryResult> QueryExpansionEngine::SearchExpanded(
         if (!inserted && score > it->second) it->second = score;
       }
     }
-    FlatDil::Builder builder(1, merged.size());
-    XO_CHECK(builder.BeginList(keyword.Canonical()));
+    const std::string canonical = keyword.Canonical();
+    FlatDil::Builder::ListShape shape;
+    shape.keyword = canonical;
+    DeweyRef prev;
     for (const auto& [dewey, score] : merged) {
-      XO_CHECK(builder.AddPosting(dewey.components(), score));
+      shape.Add(prev, DeweyRef(dewey));
+      prev = DeweyRef(dewey);
+    }
+    FlatDil::Builder builder(std::span(&shape, 1));
+    FlatDil::Builder::ListWriter writer = builder.List(0);
+    for (const auto& [dewey, score] : merged) {
+      XO_CHECK(writer.AddPosting(dewey.components(), score));
     }
     unions.push_back(std::move(builder).Finish());
   }

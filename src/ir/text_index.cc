@@ -63,7 +63,7 @@ void TextIndex::Finalize() {
 
 const TextIndex::PostingList* TextIndex::FindPostings(
     std::string_view token) const {
-  auto it = postings_.find(std::string(token));
+  auto it = postings_.find(token);
   return it == postings_.end() ? nullptr : &it->second;
 }
 
@@ -184,7 +184,7 @@ std::vector<std::string> TextIndex::Vocabulary() const {
 }
 
 bool TextIndex::ContainsTerm(std::string_view token) const {
-  return postings_.find(std::string(token)) != postings_.end();
+  return postings_.find(token) != postings_.end();
 }
 
 }  // namespace xontorank

@@ -2,6 +2,7 @@
 #define XONTORANK_IR_TEXT_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -89,10 +90,20 @@ class TextIndex {
 
   const PostingList* FindPostings(std::string_view token) const;
 
+  /// Transparent hashing and equality, so that lookups by string_view
+  /// build no std::string.
+  struct TermHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+
   Bm25Params params_;
   TokenizerOptions tokenizer_;
   bool finalized_ = false;
-  std::unordered_map<std::string, PostingList> postings_;
+  std::unordered_map<std::string, PostingList, TermHash, std::equal_to<>>
+      postings_;
   std::unordered_map<uint32_t, uint32_t> unit_lengths_;
   double avg_unit_length_ = 0.0;
 };

@@ -227,6 +227,84 @@ TEST(ConcurrencyTest, PinnedSnapshotSurvivesCommits) {
   EXPECT_NE(engine.snapshot().get(), pinned.get());
 }
 
+// A batch commit seals its segment on the shared pool (stage 1, scoring
+// and the freeze in chunks), the pool the compactor's drain also runs on.
+// A 40-document batch commits right behind single-document commits whose
+// compactions are still merging, while readers search; afterwards the
+// engine answers exactly as a fresh build over the whole corpus does.
+TEST(ConcurrencyTest, BatchCommitBuildsOnThePoolBesideTheCompactor) {
+  Ontology onto = BuildSnomedCardiologyFragment();
+  CdaGeneratorOptions gen_options;
+  gen_options.num_documents = 60;
+  gen_options.seed = 13;
+  CdaGenerator generator(onto, gen_options);
+  IndexBuildOptions options;
+  options.strategy = Strategy::kRelationships;
+  options.vocabulary_mode =
+      IndexBuildOptions::VocabularyMode::kCorpusAndOntology;
+  options.lsm.compaction_fanin = 2;
+
+  const char* const kTexts[] = {"asthma", "\"cardiac arrest\"", "myocardium"};
+  std::vector<std::vector<QueryResult>> expected;
+  {
+    XOntoRank reference(generator.GenerateCorpus(), onto, options);
+    for (const char* text : kTexts) {
+      expected.push_back(SearchTop(reference, ParseQuery(text), 10));
+    }
+  }
+  ASSERT_FALSE(expected[0].empty());
+
+  constexpr size_t kBase = 8;
+  constexpr size_t kSingles = 8;
+  constexpr size_t kBatch = 40;
+  std::vector<XmlDocument> docs = generator.GenerateCorpus();
+  std::vector<XmlDocument> extra;
+  for (size_t i = kBase; i < docs.size(); ++i) {
+    extra.push_back(std::move(docs[i]));
+  }
+  docs.resize(kBase);
+  XOntoRank engine(std::move(docs), onto, options);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> searches{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t]() {
+      size_t q = t;
+      while (!done.load(std::memory_order_acquire)) {
+        std::vector<QueryResult> results =
+            SearchTop(engine, ParseQuery(kTexts[q++ % 3]), 10);
+        EXPECT_LE(results.size(), 10u);
+        ++searches;
+      }
+    });
+  }
+  size_t next = 0;
+  for (; next < kSingles; ++next) {
+    engine.StageDocument(std::move(extra[next]));
+    engine.Commit();  // with fan-in 2, every other commit wakes the compactor
+  }
+  for (size_t i = 0; i < kBatch; ++i) {
+    engine.StageDocument(std::move(extra[next++]));
+  }
+  engine.Commit();
+  for (; next < extra.size(); ++next) {
+    engine.StageDocument(std::move(extra[next]));
+    engine.Commit();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  engine.WaitForCompactionIdle();
+
+  EXPECT_GT(searches.load(), 0);
+  EXPECT_EQ(engine.corpus_size(), gen_options.num_documents);
+  for (size_t q = 0; q < 3; ++q) {
+    EXPECT_TRUE(SameResults(SearchTop(engine, ParseQuery(kTexts[q]), 10),
+                            expected[q]))
+        << kTexts[q];
+  }
+}
+
 // A loaded engine builds each segment's stage-1 records on first use. The
 // fixture saves a five-segment kCorpusOnly engine (6 documents, then four
 // commits of 2: four segments in compaction tier 0, so CompactNow merges)

@@ -97,6 +97,120 @@ TEST(FlatDilTest, FreezeEmptyIndex) {
   EXPECT_EQ(flat.FindList("anything"), FlatDil::kNoList);
 }
 
+// ---- Builder: the ordering check and the presized columns ----
+
+/// A one-list builder whose shape fits `ids` (measured as the callers do).
+struct OneListBuild {
+  explicit OneListBuild(const std::vector<std::vector<uint32_t>>& ids) {
+    shape.keyword = "kw";
+    for (size_t i = 0; i < ids.size(); ++i) {
+      shape.Add(i == 0 ? DeweyRef() : DeweyRef(ids[i - 1].data(),
+                                                ids[i - 1].size()),
+                DeweyRef(ids[i].data(), ids[i].size()));
+    }
+  }
+  FlatDil::Builder::ListShape shape;
+};
+
+/// Adds `next` after `first` to a list with room for both; the result of
+/// the second AddPosting.
+bool AcceptsAfter(std::vector<uint32_t> first, std::vector<uint32_t> next) {
+  OneListBuild measured({first, first});
+  measured.shape.arena_words += next.size();  // room for any second id
+  FlatDil::Builder builder(std::span(&measured.shape, 1));
+  FlatDil::Builder::ListWriter writer = builder.List(0);
+  EXPECT_TRUE(writer.AddPosting(first, 0.5));
+  return writer.AddPosting(next, 0.5);
+}
+
+TEST(FlatDilBuilderTest, RejectsADecreasingId) {
+  EXPECT_FALSE(AcceptsAfter({1, 3}, {1, 2}));        // smaller sibling
+  EXPECT_FALSE(AcceptsAfter({2, 0}, {1, 9, 9}));     // earlier document
+  EXPECT_FALSE(AcceptsAfter({1, 2, 5}, {1, 2}));     // ancestor after its
+                                                     // descendant
+  EXPECT_FALSE(AcceptsAfter({1, 2, 5, 7}, {1}));     // the document root
+  EXPECT_FALSE(AcceptsAfter({1, 2, 5}, {1, 2, 4, 9}));  // deeper but earlier
+}
+
+TEST(FlatDilBuilderTest, AcceptsANonDecreasingId) {
+  EXPECT_TRUE(AcceptsAfter({1, 2}, {1, 2}));         // equal
+  EXPECT_TRUE(AcceptsAfter({1, 2}, {1, 2, 0}));      // first child
+  EXPECT_TRUE(AcceptsAfter({1, 2, 5, 7}, {1, 3}));   // shorter but later
+  EXPECT_TRUE(AcceptsAfter({1, 2}, {1, 3, 0, 0}));   // later and deeper
+  EXPECT_TRUE(AcceptsAfter({1, 9, 9}, {2}));         // next document
+}
+
+TEST(FlatDilBuilderTest, RejectedPostingLeavesTheListIntact) {
+  // Past a rejection, the writer still holds the last accepted id: the
+  // check is against it, and the list decodes to the accepted postings.
+  const std::vector<std::vector<uint32_t>> accepted = {
+      {4, 1}, {4, 1, 2}, {4, 1, 2, 3}, {4, 2}, {5}};
+  OneListBuild measured(accepted);
+  FlatDil::Builder builder(std::span(&measured.shape, 1));
+  FlatDil::Builder::ListWriter writer = builder.List(0);
+  const std::vector<uint32_t> ancestor = {4, 1};
+  const std::vector<uint32_t> later_document = {6};
+  const std::vector<double> scores = {0.1, 0.2, 0.3, 0.4, 0.5};
+  ASSERT_TRUE(writer.AddPosting(accepted[0], scores[0]));
+  ASSERT_TRUE(writer.AddPosting(accepted[1], scores[1]));
+  EXPECT_FALSE(writer.AddPosting(ancestor, 0.9));  // of the last posting
+  ASSERT_TRUE(writer.AddPosting(accepted[2], scores[2]));
+  EXPECT_FALSE(writer.AddPosting(accepted[1], 0.9));
+  EXPECT_FALSE(writer.AddPosting({}, 0.9));  // empty id
+  ASSERT_TRUE(writer.AddPosting(accepted[3], scores[3]));
+  ASSERT_TRUE(writer.AddPosting(accepted[4], scores[4]));
+  EXPECT_FALSE(writer.AddPosting(later_document, 0.9));  // the list is full
+  FlatDil flat = std::move(builder).Finish();
+  std::vector<DilPosting> thawed = flat.ThawPostings(0);
+  ASSERT_EQ(thawed.size(), accepted.size());
+  for (size_t i = 0; i < accepted.size(); ++i) {
+    EXPECT_EQ(thawed[i].dewey, DeweyId(accepted[i])) << i;
+    EXPECT_EQ(thawed[i].score, scores[i]) << i;
+  }
+}
+
+TEST(FlatDilBuilderTest, ListsWrittenInAnyOrderMatchFreeze) {
+  // Every list owns its slice of the columns, so writing the lists last
+  // to first (or from several threads) builds the same columns as Freeze.
+  Rng rng(29);
+  XOntoDil dil = RandomDil(rng, 6, 300);
+  dil.Put("deep", DeepDil(700).entries().begin()->second.postings);
+  FlatDil frozen = dil.Freeze();
+  std::vector<FlatDil::Builder::ListShape> shapes;
+  for (const auto& [keyword, entry] : dil.entries()) {
+    FlatDil::Builder::ListShape& shape = shapes.emplace_back();
+    shape.keyword = keyword;
+    for (size_t i = 0; i < entry.postings.size(); ++i) {
+      shape.Add(i == 0 ? DeweyRef() : DeweyRef(entry.postings[i - 1].dewey),
+                DeweyRef(entry.postings[i].dewey));
+    }
+  }
+  FlatDil::Builder builder(shapes);
+  std::vector<const DilEntry*> entries;
+  for (const auto& [keyword, entry] : dil.entries()) entries.push_back(&entry);
+  ThreadPool pool(3);
+  pool.ParallelFor(entries.size(), [&](size_t i) {
+    const size_t list = entries.size() - 1 - i;
+    FlatDil::Builder::ListWriter writer = builder.List(list);
+    for (const DilPosting& posting : entries[list]->postings) {
+      ASSERT_TRUE(writer.AddPosting(posting.dewey.components(), posting.score));
+    }
+  });
+  FlatDil built = std::move(builder).Finish();
+  const FlatDil::Sections& a = frozen.sections();
+  const FlatDil::Sections& b = built.sections();
+  EXPECT_EQ(a.keyword_arena, b.keyword_arena);
+  EXPECT_TRUE(std::ranges::equal(a.list_begin, b.list_begin));
+  EXPECT_TRUE(std::ranges::equal(a.scores, b.scores));
+  EXPECT_TRUE(std::ranges::equal(a.shared, b.shared));
+  EXPECT_TRUE(std::ranges::equal(a.suffix_offsets, b.suffix_offsets));
+  EXPECT_TRUE(std::ranges::equal(a.dewey_arena, b.dewey_arena));
+  EXPECT_TRUE(std::ranges::equal(a.skip_first_doc, b.skip_first_doc));
+  EXPECT_TRUE(std::ranges::equal(a.skip_begin, b.skip_begin));
+  EXPECT_TRUE(std::ranges::equal(a.block_max, b.block_max));
+  ExpectDilEqual(dil, built.ThawAll());
+}
+
 TEST(FlatDilTest, FindListMatchesDictionary) {
   Rng rng(23);
   XOntoDil dil = RandomDil(rng, 7, 20);

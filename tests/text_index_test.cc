@@ -84,6 +84,27 @@ TEST(TextIndexTest, ThreeWordPhrase) {
   EXPECT_EQ(UnitIds(hits), (std::vector<uint32_t>{0}));
 }
 
+TEST(TextIndexTest, TokensLongerThanTheSmallStringBufferMatch) {
+  // Terms past std::string's in-object buffer (15 bytes in libstdc++) live
+  // on the heap; lookups probe the term table by string_view all the same.
+  TextIndex index = MakeIndex({
+      "bronchopulmonary dysplasiaassociated findings",
+      "dysplasiaassociated bronchopulmonary",
+      "bronchopulmonary",
+  });
+  EXPECT_EQ(UnitIds(index.Lookup(MakeKeyword("Bronchopulmonary"))),
+            (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(UnitIds(index.Lookup(
+                MakeKeyword("bronchopulmonary dysplasiaassociated"))),
+            (std::vector<uint32_t>{0}));
+  EXPECT_EQ(UnitIds(index.Lookup(
+                MakeKeyword("dysplasiaassociated bronchopulmonary"))),
+            (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(index.Lookup(MakeKeyword("bronchopulmonaryx")).empty());
+  EXPECT_TRUE(index.ContainsTerm("dysplasiaassociated"));
+  EXPECT_FALSE(index.ContainsTerm("dysplasiaassociate"));
+}
+
 TEST(TextIndexTest, PhraseWithMissingTokenEmpty) {
   TextIndex index = MakeIndex({"cardiac arrest"});
   EXPECT_TRUE(index.Lookup(MakeKeyword("cardiac zebra")).empty());

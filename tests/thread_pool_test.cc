@@ -1,7 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -47,6 +49,58 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallsDoNotInterfere) {
   }
   for (std::thread& t : callers) t.join();
   for (size_t c = 0; c < kCallers; ++c) EXPECT_EQ(counts[c].load(), kN);
+}
+
+TEST(ThreadPoolTest, TenThousandIterationsEachRunExactlyOnce) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 10000;
+  std::vector<std::atomic<int>> hits(kN);
+  pool.ParallelFor(kN, [&](size_t i) { ++hits[i]; });
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPoolTest, FourUserThreadsCallParallelForConcurrently) {
+  ThreadPool pool(4);
+  constexpr size_t kCallers = 4;
+  constexpr size_t kN = 10000;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& caller_hits : hits) {
+    caller_hits = std::vector<std::atomic<int>>(kN);
+  }
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &hits, c]() {
+      for (int round = 0; round < 3; ++round) {
+        pool.ParallelFor(kN, [&hits, c](size_t i) { ++hits[c][i]; });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (size_t c = 0; c < kCallers; ++c) {
+    for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[c][i].load(), 3) << c;
+  }
+}
+
+TEST(ThreadPoolTest, LongPostedTaskAtQueueFrontDoesNotStallParallelFor) {
+  ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  pool.Post([&]() {
+    started = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  while (!started) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // The only worker is busy; its helper for this batch queues behind the
+  // posted task, so the caller runs every iteration itself.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<size_t> on_caller{0};
+  pool.ParallelFor(100, [&](size_t) {
+    if (std::this_thread::get_id() == caller) ++on_caller;
+  });
+  EXPECT_EQ(on_caller.load(), 100u);
+  EXPECT_FALSE(release.load());
+  release = true;
 }
 
 TEST(ThreadPoolTest, SharedPoolIsUsableAndStable) {

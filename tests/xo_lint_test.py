@@ -231,6 +231,46 @@ class XoLintFixtureTest(unittest.TestCase):
                  "  for (DilPosting p : e.postings) Use(p);\n"
                  "}\n"})
 
+    # --- raw-thread -----------------------------------------------------
+
+    def test_raw_thread_in_src_fires(self):
+        self.assert_fires(
+            {"src/core/widget.cc":
+                 "#include <thread>\n"
+                 "void Build() {\n"
+                 "  std::vector<std::thread> workers;\n"
+                 "  workers.emplace_back([] {});\n"
+                 "}\n"},
+            "raw-thread")
+
+    def test_jthread_async_and_hardware_query_fire(self):
+        self.assert_fires(
+            {"src/ir/widget.cc":
+                 "std::jthread worker([] {});\n"
+                 "auto f = std::async(std::launch::async, [] {});\n"
+                 "size_t n = std::thread::hardware_concurrency();\n"},
+            "raw-thread", count=3)
+
+    def test_thread_pool_is_exempt(self):
+        self.assert_clean(
+            {"src/common/thread_pool.cc":
+                 "std::vector<std::thread> workers_;\n"
+                 "size_t n = std::thread::hardware_concurrency();\n"})
+
+    def test_this_thread_and_threads_outside_src_do_not_fire(self):
+        self.assert_clean(
+            {"src/core/widget.cc":
+                 "void Nap() { std::this_thread::yield(); }\n"
+                 "// a std::thread per keyword used to run here\n",
+             "tests/widget_test.cc":
+                 "std::thread reader([] {});\n"})
+
+    def test_raw_thread_suppression_comment(self):
+        self.assert_clean(
+            {"src/core/widget.cc":
+                 "// xo-lint: allow(raw-thread) — a reason\n"
+                 "std::thread watchdog([] {});\n"})
+
     # --- raw-mmap -------------------------------------------------------
 
     def test_raw_mmap_in_src_fires(self):

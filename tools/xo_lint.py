@@ -42,6 +42,11 @@ sources and enforces the XOntoRank contract invariants:
                   call Search(query, SearchOptions) so execution options
                   (pruning, strategy, cache) stay on one struct.
                                     [scope: src/ tests/ bench/ examples/]
+  raw-thread      std::thread, std::jthread and std::async may appear only
+                  in src/common/thread_pool.* — the shared pool is the
+                  engine's one owner of threads, so every parallel phase
+                  shares its workers (and the CPU placement they were
+                  given) instead of starting its own.   [scope: src/]
   untrusted-decode  reinterpreting raw bytes as typed data
                   (reinterpret_cast, C-style scalar-pointer casts) is how
                   wire/mapped input reaches typed code, so it is confined
@@ -118,6 +123,7 @@ POSTING_BY_VALUE_RE = re.compile(
     r"for\s*\(\s*(?:const\s+)?DilPosting\s+[A-Za-z_][A-Za-z0-9_]*\s*:"
 )
 RAW_MMAP_RE = re.compile(r"\b(?:mmap|munmap|madvise)\s*\(")
+RAW_THREAD_RE = re.compile(r"\bstd::(?:thread|jthread|async)\b")
 # The finalized-API rule: SearchRanked is gone, and a Search(...) call
 # whose last argument is an integer literal is the removed top_k
 # convenience shape (Search(query, 5)). The unified surface takes a
@@ -145,6 +151,8 @@ RULE_DOCS = {
     "voided-status": "(void)-cast of a Status/Result-returning call",
     "posting-by-value": "DilPosting iterated by value in src/core",
     "raw-mmap": "mmap/munmap/madvise outside src/storage/segment_file.*",
+    "raw-thread": "std::thread/jthread/async outside "
+                  "src/common/thread_pool.*",
     "legacy-search": "removed SearchRanked/Search(query, top_k) call shape",
     "untrusted-decode": "byte-reinterpreting cast outside the audited "
                         "decode layer (segment_file.*, coding.*, "
@@ -264,6 +272,7 @@ class Linter:
         in_core = relpath.startswith("src/core/")
         is_sync_header = relpath == "src/common/sync.h"
         is_mapping_owner = relpath.startswith("src/storage/segment_file.")
+        is_thread_owner = relpath.startswith("src/common/thread_pool.")
         is_decode_owner = relpath.startswith(UNTRUSTED_DECODE_OWNERS)
 
         for idx, code in enumerate(lines, start=1):
@@ -299,6 +308,12 @@ class Linter:
                     "raw mmap/munmap/madvise call; SegmentFile "
                     "(src/storage/segment_file.h) is the single owner of "
                     "file mappings — take a view through it", allowed)
+            if in_src and not is_thread_owner and RAW_THREAD_RE.search(code):
+                self.report(
+                    relpath, idx, "raw-thread",
+                    "raw std::thread/jthread/async; run parallel work on "
+                    "ThreadPool::Shared() (src/common/thread_pool.h), the "
+                    "engine's one owner of threads", allowed)
             if LEGACY_SEARCH_RANKED_RE.search(code) or \
                     LEGACY_SEARCH_TOPK_RE.search(code):
                 self.report(
