@@ -102,9 +102,9 @@ void RunStrategy(Strategy strategy, const Ontology& ontology) {
   std::printf("--- %s: %zu result(s)\n",
               std::string(StrategyName(strategy)).c_str(), results.size());
   for (const QueryResult& r : results) {
-    const XmlNode* node = engine.ResolveResult(r);
+    XmlNode node = engine.ResolveResult(r);
     std::printf("    <%s> at %s, score %.3f\n",
-                node ? node->tag().c_str() : "?",
+                node ? std::string(node.tag()).c_str() : "?",
                 r.element.ToString().c_str(), r.score);
   }
   if (strategy == Strategy::kRelationships && !results.empty()) {
@@ -124,11 +124,12 @@ void ShowDeweyAndDil(const Ontology& ontology) {
   std::printf("--- Dewey IDs (cf. paper Fig. 9; first component = doc id)\n");
   size_t shown = 0;
   const XmlDocument& doc = corpus[0];
-  doc.root()->Visit([&](const XmlNode& node) {
+  doc.root().Visit([&](const XmlNode& node) {
     if (!node.is_element() || shown >= 12) return;
     DeweyId id = doc.DeweyIdOf(node);
     std::printf("  %-16s %*s<%s>\n", id.ToString().c_str(),
-                static_cast<int>(2 * id.depth()), "", node.tag().c_str());
+                static_cast<int>(2 * id.depth()), "",
+                std::string(node.tag()).c_str());
     ++shown;
   });
 

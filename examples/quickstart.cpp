@@ -63,9 +63,10 @@ int main() {
               response.stats.cache_hit ? ", cached" : "");
   for (size_t i = 0; i < results.size(); ++i) {
     const QueryResult& r = results[i];
-    const XmlNode* node = engine.ResolveResult(r);
+    XmlNode node = engine.ResolveResult(r);
     std::printf("  %zu. doc %u  element <%s>  dewey %s  score %.3f\n", i + 1,
-                r.element.doc_id(), node ? node->tag().c_str() : "?",
+                r.element.doc_id(),
+                node ? std::string(node.tag()).c_str() : "?",
                 r.element.ToString().c_str(), r.score);
   }
   if (!results.empty()) {

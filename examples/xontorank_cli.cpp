@@ -225,9 +225,10 @@ void PrintResults(const IndexSnapshot& snap, const KeywordQuery& query,
                   bool group) {
   for (size_t i = 0; i < results.size(); ++i) {
     const QueryResult& r = results[i];
-    const XmlNode* node = snap.ResolveResult(r);
+    XmlNode node = snap.ResolveResult(r);
     std::printf("%zu. doc %u  <%s>  dewey %s  score %.3f\n", i + 1,
-                r.element.doc_id(), node ? node->tag().c_str() : "?",
+                r.element.doc_id(),
+                node ? std::string(node.tag()).c_str() : "?",
                 r.element.ToString().c_str(), r.score);
     std::string snippet =
         MakeSnippet(snap.document(r.element.doc_id()), r.element, query, {});

@@ -1,96 +1,96 @@
 #include "cda/cda_document.h"
 
-#include "xml/xml_parser.h"
 
 namespace xontorank {
 
 namespace {
 
-/// Emits a coded element (`<tag code=... codeSystem=... displayName=.../>`)
-/// and tags it with its OntoRef.
-XmlNode* AddCodedElement(XmlNode* parent, const std::string& tag,
+using Element = XmlBuilder::Element;
+
+/// Emits a coded element (`<tag code=... codeSystem=... displayName=.../>`),
+/// which its code and codeSystem attributes make a code node.
+Element AddCodedElement(Element parent, const std::string& tag,
                          const CdaCodedValue& value,
                          const char* value_type = nullptr) {
-  XmlNode* elem = parent->AddElementChild(tag);
-  if (value_type != nullptr) elem->AddAttribute("xsi:type", value_type);
-  elem->AddAttribute("code", value.code);
-  elem->AddAttribute("codeSystem", value.code_system);
+  Element elem = parent.AddElementChild(tag);
+  if (value_type != nullptr) elem.AddAttribute("xsi:type", value_type);
+  elem.AddAttribute("code", value.code);
+  elem.AddAttribute("codeSystem", value.code_system);
   if (!value.code_system_name.empty()) {
-    elem->AddAttribute("codeSystemName", value.code_system_name);
+    elem.AddAttribute("codeSystemName", value.code_system_name);
   }
   if (!value.display_name.empty()) {
-    elem->AddAttribute("displayName", value.display_name);
+    elem.AddAttribute("displayName", value.display_name);
   }
-  if (auto ref = ExtractOntoRef(*elem)) elem->set_onto_ref(*ref);
   return elem;
 }
 
-void AddName(XmlNode* parent, const std::string& given,
+void AddName(Element parent, const std::string& given,
              const std::string& family, const std::string& suffix) {
-  XmlNode* name = parent->AddElementChild("name");
-  name->AddElementChild("given")->AddTextChild(given);
-  name->AddElementChild("family")->AddTextChild(family);
-  if (!suffix.empty()) name->AddElementChild("suffix")->AddTextChild(suffix);
+  Element name = parent.AddElementChild("name");
+  name.AddElementChild("given").AddTextChild(given);
+  name.AddElementChild("family").AddTextChild(family);
+  if (!suffix.empty()) name.AddElementChild("suffix").AddTextChild(suffix);
 }
 
-void AddObservation(XmlNode* entry, const CdaObservation& obs) {
-  XmlNode* observation = entry->AddElementChild("Observation");
+void AddObservation(Element entry, const CdaObservation& obs) {
+  Element observation = entry.AddElementChild("Observation");
   AddCodedElement(observation, "code", obs.code);
   if (!obs.effective_time.empty()) {
-    observation->AddElementChild("effectiveTime")
-        ->AddAttribute("value", obs.effective_time);
+    observation.AddElementChild("effectiveTime")
+        .AddAttribute("value", obs.effective_time);
   }
-  XmlNode* nest_under = observation;
+  Element nest_under = observation;
   for (const CdaCodedValue& value : obs.values) {
     // Values nest like Fig. 1 lines 45-46: each subsequent value goes inside
     // the previous one.
-    XmlNode* value_elem = AddCodedElement(nest_under, "value", value, "CD");
+    Element value_elem = AddCodedElement(nest_under, "value", value, "CD");
     if (nest_under == observation && !obs.original_text_ref.empty()) {
-      XmlNode* original = value_elem->AddElementChild("originalText");
-      original->AddElementChild("reference")
-          ->AddAttribute("value", obs.original_text_ref);
+      Element original = value_elem.AddElementChild("originalText");
+      original.AddElementChild("reference")
+          .AddAttribute("value", obs.original_text_ref);
     }
     nest_under = value_elem;
   }
 }
 
-void AddSubstanceAdministration(XmlNode* entry,
+void AddSubstanceAdministration(Element entry,
                                 const CdaSubstanceAdministration& sub) {
-  XmlNode* administration = entry->AddElementChild("SubstanceAdministration");
-  XmlNode* text = administration->AddElementChild("text");
-  XmlNode* content = text->AddElementChild("content");
-  if (!sub.content_id.empty()) content->AddAttribute("ID", sub.content_id);
-  content->AddTextChild(sub.drug_name);
-  if (!sub.instructions.empty()) text->AddTextChild(sub.instructions);
-  XmlNode* consumable = administration->AddElementChild("consumable");
-  XmlNode* product = consumable->AddElementChild("manufacturedProduct");
-  XmlNode* drug = product->AddElementChild("manufacturedLabeledDrug");
+  Element administration = entry.AddElementChild("SubstanceAdministration");
+  Element text = administration.AddElementChild("text");
+  Element content = text.AddElementChild("content");
+  if (!sub.content_id.empty()) content.AddAttribute("ID", sub.content_id);
+  content.AddTextChild(sub.drug_name);
+  if (!sub.instructions.empty()) text.AddTextChild(sub.instructions);
+  Element consumable = administration.AddElementChild("consumable");
+  Element product = consumable.AddElementChild("manufacturedProduct");
+  Element drug = product.AddElementChild("manufacturedLabeledDrug");
   AddCodedElement(drug, "code", sub.drug_code);
 }
 
-void AddSection(XmlNode* parent, const CdaSection& section) {
-  XmlNode* component = parent->AddElementChild("component");
-  XmlNode* sec = component->AddElementChild("section");
+void AddSection(Element parent, const CdaSection& section) {
+  Element component = parent.AddElementChild("component");
+  Element sec = component.AddElementChild("section");
   if (!section.code.empty()) AddCodedElement(sec, "code", section.code);
   if (!section.title.empty()) {
-    sec->AddElementChild("title")->AddTextChild(section.title);
+    sec.AddElementChild("title").AddTextChild(section.title);
   }
   if (!section.narrative_text.empty() || !section.vitals.empty()) {
-    XmlNode* text = sec->AddElementChild("text");
+    Element text = sec.AddElementChild("text");
     if (!section.narrative_text.empty()) {
-      text->AddTextChild(section.narrative_text);
+      text.AddTextChild(section.narrative_text);
     }
     if (!section.vitals.empty()) {
-      XmlNode* table = text->AddElementChild("table");
+      Element table = text.AddElementChild("table");
       for (const CdaVitalSign& vital : section.vitals) {
-        XmlNode* tr = table->AddElementChild("tr");
-        tr->AddElementChild("th")->AddTextChild(vital.name);
-        tr->AddElementChild("td")->AddTextChild(vital.value);
+        Element tr = table.AddElementChild("tr");
+        tr.AddElementChild("th").AddTextChild(vital.name);
+        tr.AddElementChild("td").AddTextChild(vital.value);
       }
     }
   }
   for (const CdaEntry& entry : section.entries) {
-    XmlNode* entry_elem = sec->AddElementChild("entry");
+    Element entry_elem = sec.AddElementChild("entry");
     switch (entry.kind) {
       case CdaEntry::Kind::kObservation:
         AddObservation(entry_elem, entry.observation);
@@ -108,53 +108,54 @@ void AddSection(XmlNode* parent, const CdaSection& section) {
 }  // namespace
 
 XmlDocument CdaToXml(const CdaDocument& doc, uint32_t doc_id) {
-  auto root = XmlNode::MakeElement("ClinicalDocument");
-  root->AddAttribute("xmlns", "urn:hl7-org:v3");
-  root->AddAttribute("xmlns:voc", "urn:hl7-org:v3/voc");
-  root->AddAttribute("templateId", doc.template_id);
+  XmlBuilder builder("ClinicalDocument");
+  Element root = builder.root();
+  root.AddAttribute("xmlns", "urn:hl7-org:v3");
+  root.AddAttribute("xmlns:voc", "urn:hl7-org:v3/voc");
+  root.AddAttribute("templateId", doc.template_id);
 
-  XmlNode* id = root->AddElementChild("id");
-  id->AddAttribute("extension", doc.id_extension);
-  id->AddAttribute("root", "2.16.840.1.113883.3.933");
+  Element id = root.AddElementChild("id");
+  id.AddAttribute("extension", doc.id_extension);
+  id.AddAttribute("root", "2.16.840.1.113883.3.933");
 
   // Header: author.
-  XmlNode* author = root->AddElementChild("author");
-  author->AddElementChild("time")->AddAttribute("value", doc.author.time);
-  XmlNode* assigned = author->AddElementChild("assignedAuthor");
-  XmlNode* author_id = assigned->AddElementChild("id");
-  author_id->AddAttribute("extension", doc.author.id_extension);
-  author_id->AddAttribute("root", "2.16.840.1.113883.19.5");
-  XmlNode* person = assigned->AddElementChild("assignedPerson");
+  Element author = root.AddElementChild("author");
+  author.AddElementChild("time").AddAttribute("value", doc.author.time);
+  Element assigned = author.AddElementChild("assignedAuthor");
+  Element author_id = assigned.AddElementChild("id");
+  author_id.AddAttribute("extension", doc.author.id_extension);
+  author_id.AddAttribute("root", "2.16.840.1.113883.19.5");
+  Element person = assigned.AddElementChild("assignedPerson");
   AddName(person, doc.author.given_name, doc.author.family_name,
           doc.author.suffix);
 
   // Header: record target (patient).
-  XmlNode* record_target = root->AddElementChild("recordTarget");
-  XmlNode* patient_role = record_target->AddElementChild("patientRole");
-  XmlNode* patient_id = patient_role->AddElementChild("id");
-  patient_id->AddAttribute("extension", doc.patient.id_extension);
-  patient_id->AddAttribute("root", "2.16.840.1.113883.19.5");
-  XmlNode* patient = patient_role->AddElementChild("patientPatient");
+  Element record_target = root.AddElementChild("recordTarget");
+  Element patient_role = record_target.AddElementChild("patientRole");
+  Element patient_id = patient_role.AddElementChild("id");
+  patient_id.AddAttribute("extension", doc.patient.id_extension);
+  patient_id.AddAttribute("root", "2.16.840.1.113883.19.5");
+  Element patient = patient_role.AddElementChild("patientPatient");
   AddName(patient, doc.patient.given_name, doc.patient.family_name,
           doc.patient.suffix);
-  XmlNode* gender = patient->AddElementChild("administrativeGenderCode");
-  gender->AddAttribute("code", doc.patient.gender_code);
-  gender->AddAttribute("codeSystem", "2.16.840.1.113883.5.1");
-  patient->AddElementChild("birthTime")
-      ->AddAttribute("value", doc.patient.birth_time);
-  XmlNode* provider = patient_role->AddElementChild("providerOrganization");
-  XmlNode* provider_id = provider->AddElementChild("id");
-  provider_id->AddAttribute("extension", doc.patient.provider_org_id);
-  provider_id->AddAttribute("root", "2.16.840.1.113883.19.5");
+  Element gender = patient.AddElementChild("administrativeGenderCode");
+  gender.AddAttribute("code", doc.patient.gender_code);
+  gender.AddAttribute("codeSystem", "2.16.840.1.113883.5.1");
+  patient.AddElementChild("birthTime")
+      .AddAttribute("value", doc.patient.birth_time);
+  Element provider = patient_role.AddElementChild("providerOrganization");
+  Element provider_id = provider.AddElementChild("id");
+  provider_id.AddAttribute("extension", doc.patient.provider_org_id);
+  provider_id.AddAttribute("root", "2.16.840.1.113883.19.5");
 
   // Body.
-  XmlNode* component = root->AddElementChild("component");
-  XmlNode* body = component->AddElementChild("StructuredBody");
+  Element component = root.AddElementChild("component");
+  Element body = component.AddElementChild("StructuredBody");
   for (const CdaSection& section : doc.sections) {
     AddSection(body, section);
   }
 
-  return XmlDocument(std::move(root), doc_id);
+  return builder.Finish(doc_id);
 }
 
 }  // namespace xontorank

@@ -342,7 +342,7 @@ CdaCorpusStats CdaGenerator::ComputeStats(const Corpus& corpus) {
   for (const XmlDocument& doc : corpus) {
     stats.total_elements += doc.NodeCount();
     stats.total_bytes += WriteXml(doc).size();
-    doc.root()->Visit([&stats](const XmlNode& node) {
+    doc.root().Visit([&stats](const XmlNode& node) {
       if (node.onto_ref().has_value()) ++stats.total_onto_refs;
     });
   }

@@ -16,11 +16,11 @@ struct Graph {
 };
 
 /// Attributes that define an anchor and attributes that reference one.
-bool IsAnchorAttribute(const std::string& name) {
+bool IsAnchorAttribute(std::string_view name) {
   return name == "ID" || name == "id" || name == "xml:id";
 }
 
-bool IsReferenceAttribute(const std::string& name) {
+bool IsReferenceAttribute(std::string_view name) {
   return name == "IDREF" || name == "idref" || name == "value";
 }
 
@@ -41,45 +41,36 @@ ElemRank::ElemRank(const Corpus& corpus, ElemRankOptions options) {
   uint32_t next_unit = 0;
   for (size_t d = 0; d < corpus.size(); ++d) {
     const XmlDocument& doc = corpus[d];
-    if (doc.root() == nullptr) continue;
-    // Recursive lambda: assign unit ids preorder, remember parent units.
-    struct Frame {
-      const XmlNode* node;
-      int32_t parent_unit;
-    };
-    std::vector<Frame> stack{{doc.root(), -1}};
-    while (!stack.empty()) {
-      Frame frame = stack.back();
-      stack.pop_back();
-      if (!frame.node->is_element()) continue;
+    if (!doc.root()) continue;
+    // Assign unit ids in preorder (matching CorpusIndex); a node's parent
+    // is visited first, so its unit is known by node index.
+    std::vector<int32_t> unit_of(doc.NodeCount(), -1);
+    doc.root().Visit([&](const XmlNode& node) {
+      if (!node.is_element()) return;
       uint32_t unit = next_unit++;
-      graph.parent.push_back(frame.parent_unit);
+      unit_of[node.index()] = static_cast<int32_t>(unit);
+      XmlNode parent = node.parent();
+      int32_t parent_unit = parent ? unit_of[parent.index()] : -1;
+      graph.parent.push_back(parent_unit);
       graph.children.emplace_back();
       graph.hyper_out.emplace_back();
-      if (frame.parent_unit >= 0) {
-        graph.children[static_cast<size_t>(frame.parent_unit)].push_back(unit);
+      if (parent_unit >= 0) {
+        graph.children[static_cast<size_t>(parent_unit)].push_back(unit);
       }
-      for (const XmlAttribute& attr : frame.node->attributes()) {
+      for (XmlAttribute attr : node.attributes()) {
         if (IsAnchorAttribute(attr.name) && !attr.value.empty()) {
           anchors[d].emplace(attr.value, unit);
         } else if (IsReferenceAttribute(attr.name) && !attr.value.empty() &&
-                   (frame.node->tag() == "reference" ||
+                   (node.tag() == "reference" ||
                     attr.name != "value")) {
           // `value` only counts as a reference on <reference> elements (the
           // CDA originalText pattern); IDREF counts anywhere.
-          std::string target = attr.value;
+          std::string target(attr.value);
           if (!target.empty() && target[0] == '#') target.erase(0, 1);
           pending.push_back({unit, std::move(target), d});
         }
       }
-      // Push children in reverse so preorder numbering matches Visit().
-      const auto& kids = frame.node->children();
-      for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-        if ((*it)->is_element()) {
-          stack.push_back({it->get(), static_cast<int32_t>(unit)});
-        }
-      }
-    }
+    });
   }
 
   // Resolve hyperlink edges within each document.

@@ -24,9 +24,9 @@ template <typename Fn>
 void VisitWithPath(const XmlNode& node, std::vector<uint32_t>& path,
                    const Fn& fn) {
   fn(node, path);
-  for (const auto& child : node.children()) {
-    path.push_back(child->ordinal());
-    VisitWithPath(*child, path, fn);
+  for (XmlNode child : node.children()) {
+    path.push_back(child.ordinal());
+    VisitWithPath(child, path, fn);
     path.pop_back();
   }
 }
@@ -148,7 +148,7 @@ DocumentUnits::DocumentUnits(const Corpus& corpus, size_t doc,
                              const IndexBuildOptions& options)
     : text_(options.score.bm25) {
   const XmlDocument& document = corpus[doc];
-  if (document.root() != nullptr) {
+  if (document.root()) {
     const auto& excluded = DefaultExcludedAttributes();
     uint32_t unit = 0;
     auto add_unit = [&](const XmlNode& node,
@@ -170,7 +170,7 @@ DocumentUnits::DocumentUnits(const Corpus& corpus, size_t doc,
       ++unit;
     };
     std::vector<uint32_t> path{document.doc_id()};
-    VisitWithPath(*document.root(), path, add_unit);
+    VisitWithPath(document.root(), path, add_unit);
   }
   text_.Finalize();
   dewey_arena_.shrink_to_fit();

@@ -141,20 +141,20 @@ SearchResponse IndexSnapshot::Search(const KeywordQuery& query,
   return response;
 }
 
-const XmlNode* IndexSnapshot::ResolveResult(const QueryResult& result) const {
-  if (result.element.empty()) return nullptr;
+XmlNode IndexSnapshot::ResolveResult(const QueryResult& result) const {
+  if (result.element.empty()) return XmlNode();
   uint32_t doc_id = result.element.doc_id();
-  if (doc_id >= corpus_.size()) return nullptr;
+  if (doc_id >= corpus_.size()) return XmlNode();
   return corpus_[doc_id].Resolve(result.element);
 }
 
 std::string IndexSnapshot::ResultFragmentXml(const QueryResult& result) const {
-  const XmlNode* node = ResolveResult(result);
-  if (node == nullptr) return "";
+  XmlNode node = ResolveResult(result);
+  if (!node) return "";
   XmlWriteOptions options;
   options.pretty = true;
   options.emit_declaration = false;
-  return WriteXml(*node, options);
+  return WriteXml(node, options);
 }
 
 }  // namespace xontorank

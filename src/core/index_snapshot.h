@@ -86,9 +86,9 @@ class IndexSnapshot {
   SearchResponse Search(const KeywordQuery& query,
                         const SearchOptions& options) const;
 
-  /// Resolves a result to its XML element; nullptr if the Dewey id does not
-  /// address a node of this snapshot's corpus.
-  const XmlNode* ResolveResult(const QueryResult& result) const;
+  /// Resolves a result to its XML element; a null handle if the Dewey id
+  /// does not address a node of this snapshot's corpus.
+  XmlNode ResolveResult(const QueryResult& result) const;
 
   /// Serializes the result's XML fragment (e.g. Fig. 4), pretty-printed.
   std::string ResultFragmentXml(const QueryResult& result) const;

@@ -20,19 +20,19 @@ bool LooksLikeCodeString(std::string_view s) {
 std::string TextualDescription(
     const XmlNode& element,
     const std::unordered_set<std::string>& excluded_attributes) {
-  std::string out = element.tag();
-  for (const XmlAttribute& attr : element.attributes()) {
+  std::string out(element.tag());
+  for (XmlAttribute attr : element.attributes()) {
     out.push_back(' ');
     out += attr.name;
-    if (excluded_attributes.count(attr.name) > 0) continue;
+    if (excluded_attributes.count(std::string(attr.name)) > 0) continue;
     if (LooksLikeCodeString(attr.value)) continue;
     out.push_back(' ');
     out += attr.value;
   }
-  for (const auto& child : element.children()) {
-    if (child->is_text()) {
+  for (XmlNode child : element.children()) {
+    if (child.is_text()) {
       out.push_back(' ');
-      out += child->text();
+      out += child.text();
     }
   }
   return out;

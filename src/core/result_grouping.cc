@@ -6,16 +6,14 @@
 namespace xontorank {
 
 std::string PathSignature(const XmlDocument& doc, const DeweyId& element) {
-  const XmlNode* node = doc.Resolve(element);
-  if (node == nullptr) return "";
-  std::vector<const XmlNode*> chain;
-  for (const XmlNode* cur = node; cur != nullptr; cur = cur->parent()) {
-    chain.push_back(cur);
-  }
+  XmlNode node = doc.Resolve(element);
+  if (!node) return "";
+  std::vector<XmlNode> chain;
+  for (XmlNode cur = node; cur; cur = cur.parent()) chain.push_back(cur);
   std::string signature;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (!signature.empty()) signature.push_back('/');
-    signature += (*it)->tag();
+    signature += it->tag();
   }
   return signature;
 }

@@ -48,7 +48,7 @@ std::string VisibleText(const XmlNode& subtree) {
       raw.push_back(' ');
       return;
     }
-    for (const XmlAttribute& attr : node.attributes()) {
+    for (XmlAttribute attr : node.attributes()) {
       if (attr.name == "displayName" || attr.name == "title") {
         raw += attr.value;
         raw.push_back(' ');
@@ -75,9 +75,9 @@ std::string VisibleText(const XmlNode& subtree) {
 std::string MakeSnippet(const XmlDocument& doc, const DeweyId& element,
                         const KeywordQuery& query,
                         const SnippetOptions& options) {
-  const XmlNode* node = doc.Resolve(element);
-  if (node == nullptr) return "";
-  std::string text = VisibleText(*node);
+  XmlNode node = doc.Resolve(element);
+  if (!node) return "";
+  std::string text = VisibleText(node);
   if (text.empty()) return "";
   std::string lower = AsciiToLower(text);
 

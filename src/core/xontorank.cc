@@ -26,7 +26,7 @@ uint32_t XOntoRank::StageDocument(XmlDocument doc) {
 
 void XOntoRank::Commit() { writer_.Commit(); }
 
-const XmlNode* XOntoRank::ResolveResult(const QueryResult& result) const {
+XmlNode XOntoRank::ResolveResult(const QueryResult& result) const {
   return snapshot()->ResolveResult(result);
 }
 

@@ -115,8 +115,8 @@ class XOntoRank {
   size_t corpus_size() const { return snapshot()->corpus_size(); }
 
   /// Resolves a result to its XML element (the Database Access Module of
-  /// Fig. 8); nullptr if the Dewey id does not address a node.
-  const XmlNode* ResolveResult(const QueryResult& result) const;
+  /// Fig. 8); a null handle if the Dewey id does not address a node.
+  XmlNode ResolveResult(const QueryResult& result) const;
 
   /// Serializes the result's XML fragment (e.g. Fig. 4), pretty-printed.
   std::string ResultFragmentXml(const QueryResult& result) const;

@@ -111,11 +111,11 @@ bool RelevanceOracle::KeywordSupported(
 bool RelevanceOracle::IsRelevant(const KeywordQuery& query,
                                  const XmlDocument& doc,
                                  const QueryResult& result) const {
-  const XmlNode* subtree = doc.Resolve(result.element);
-  if (subtree == nullptr) return false;
+  XmlNode subtree = doc.Resolve(result.element);
+  if (!subtree) return false;
 
   std::vector<ConceptId> doc_concepts;
-  subtree->Visit([&](const XmlNode& node) {
+  subtree.Visit([&](const XmlNode& node) {
     if (!node.onto_ref().has_value()) return;
     if (node.onto_ref()->system != ontology_->system_id()) return;
     ConceptId c = ontology_->FindByCode(node.onto_ref()->code);
@@ -123,7 +123,7 @@ bool RelevanceOracle::IsRelevant(const KeywordQuery& query,
   });
 
   for (const Keyword& keyword : query.keywords) {
-    if (!KeywordSupported(keyword, *subtree, doc_concepts)) return false;
+    if (!KeywordSupported(keyword, subtree, doc_concepts)) return false;
   }
   return true;
 }

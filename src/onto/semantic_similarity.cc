@@ -146,8 +146,8 @@ void SemanticSimilarity::SetCorpusCounts(const std::vector<size_t>& counts) {
 void SemanticSimilarity::CountCorpusReferences(const Corpus& corpus) {
   std::vector<size_t> counts(ontology_->concept_count(), 0);
   for (const XmlDocument& doc : corpus) {
-    if (doc.root() == nullptr) continue;
-    doc.root()->Visit([&](const XmlNode& node) {
+    if (!doc.root()) continue;
+    doc.root().Visit([&](const XmlNode& node) {
       if (!node.onto_ref().has_value()) return;
       if (node.onto_ref()->system != ontology_->system_id()) return;
       ConceptId c = ontology_->FindByCode(node.onto_ref()->code);

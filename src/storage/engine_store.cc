@@ -1,10 +1,14 @@
 #include "storage/engine_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -42,12 +46,32 @@ Status WriteFileAtomic(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
+/// Reads a whole file into a string sized from the file's length, with one
+/// read in the common case and no intermediate copy.
 Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path + " for reading");
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open " + path + " for reading");
+  std::string content;
+  Status status = Status::OK();
+  struct stat info;
+  if (::fstat(fd, &info) != 0) {
+    status = Status::IoError("cannot stat " + path);
+  } else {
+    content.resize(static_cast<size_t>(info.st_size));
+    size_t done = 0;
+    while (done < content.size()) {
+      ssize_t n = ::read(fd, content.data() + done, content.size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        status = Status::IoError("short read from " + path);
+        break;
+      }
+      done += static_cast<size_t>(n);
+    }
+  }
+  ::close(fd);
+  if (!status.ok()) return status;
+  return content;
 }
 
 /// Parses a whole manifest.tsv field as a number. Malformed input is a
@@ -129,10 +153,12 @@ Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& dir) {
     manifest += "ontology\t" + name + "\n";
   }
 
-  // Corpus.
+  // Corpus. Each document is replaced atomically: the MANIFEST still on
+  // disk references these files until step 3 below, so a crash mid-write
+  // must leave the old document whole.
   for (size_t d = 0; d < snapshot.corpus_size(); ++d) {
     std::string name = StringPrintf("corpus/doc_%05zu.xml", d);
-    XONTO_RETURN_IF_ERROR(WriteFile(
+    XONTO_RETURN_IF_ERROR(WriteFileAtomic(
         dir + "/" + name,
         WriteXml(snapshot.document(static_cast<uint32_t>(d)))));
     manifest += "document\t" + name + "\n";
@@ -305,7 +331,8 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
   for (size_t d = 0; d < num_docs; ++d) {
     const std::string& name = document_files[d];
     XONTO_ASSIGN_OR_RETURN(std::string xml, ReadFile(dir + "/" + name));
-    auto parsed = ParseXml(xml);
+    // The document keeps the file's buffer as its source text.
+    auto parsed = ParseXml(std::move(xml));
     if (!parsed.ok()) {
       return Status::Corruption(name + ": " + parsed.status().message());
     }

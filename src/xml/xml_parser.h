@@ -1,7 +1,7 @@
 #ifndef XONTORANK_XML_XML_PARSER_H_
 #define XONTORANK_XML_XML_PARSER_H_
 
-#include <optional>
+#include <string>
 #include <string_view>
 
 #include "common/status.h"
@@ -11,21 +11,10 @@ namespace xontorank {
 
 /// Options controlling XML parsing.
 struct XmlParseOptions {
-  /// If true, text nodes consisting solely of whitespace between elements
-  /// are dropped (CDA documents are indented for readability; the
-  /// inter-element whitespace carries no content).
-  bool skip_ignorable_whitespace = true;
-
-  /// If true, code nodes are detected during parsing: any element carrying
-  /// both a `code` and a `codeSystem` attribute, or whose `value` carries
-  /// them, gets its OntoRef populated (HL7 CDA convention, §II/§III).
-  bool detect_onto_refs = true;
-
-  /// Maximum element nesting depth. The parser (and the resulting node
-  /// tree's destructor) recurses once per nesting level, so unbounded
-  /// depth lets a hostile document like `<a><a><a>...` overflow the
-  /// stack. Real CDA documents nest ~10 deep; 256 is generous. Inputs
-  /// deeper than this fail with a ParseError. Must be >= 1.
+  /// Maximum element nesting depth. Real CDA documents nest ~10 deep; 256
+  /// is generous. Inputs deeper than this fail with a ParseError, so a
+  /// hostile document like `<a><a><a>...` cannot make the tree, or any
+  /// recursive walk over it, arbitrarily deep. Must be >= 1.
   size_t max_depth = 256;
 };
 
@@ -39,14 +28,24 @@ struct XmlParseOptions {
 /// Namespace prefixes are kept as part of tag/attribute names (CDA uses a
 /// default namespace throughout, so no prefix resolution is required).
 ///
+/// Text consisting solely of whitespace between elements is dropped (CDA
+/// documents are indented for readability; that whitespace carries no
+/// content). Code nodes are recognised as their start tags close: see
+/// XmlNode::onto_ref.
+///
+/// The document keeps the text it was parsed from, and its names, values
+/// and text point into it; the string_view overload copies `input` once,
+/// the rvalue overload adopts the buffer.
+///
 /// Errors carry 1-based line:column positions of the offending byte.
 [[nodiscard]] Result<XmlDocument> ParseXml(std::string_view input,
-                             const XmlParseOptions& options = {});
-
-/// Extracts the ontological reference of a CDA element per the convention of
-/// §III: an element with both `code` and `codeSystem` attributes references
-/// concept `code` in system `codeSystem`. Returns nullopt otherwise.
-std::optional<OntoRef> ExtractOntoRef(const XmlNode& element);
+                                           const XmlParseOptions& options = {});
+[[nodiscard]] Result<XmlDocument> ParseXml(std::string&& input,
+                                           const XmlParseOptions& options = {});
+[[nodiscard]] inline Result<XmlDocument> ParseXml(
+    const char* input, const XmlParseOptions& options = {}) {
+  return ParseXml(std::string_view(input), options);
+}
 
 }  // namespace xontorank
 

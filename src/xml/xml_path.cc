@@ -33,10 +33,10 @@ bool ContainsAccept(const std::vector<std::string_view>& steps,
 
 void Walk(const XmlNode& node, const std::vector<std::string_view>& steps,
           const std::vector<size_t>& states,
-          std::vector<const XmlNode*>& out) {
+          std::vector<XmlNode>& out) {
   if (states.empty()) return;
-  for (const auto& child : node.children()) {
-    if (!child->is_element()) continue;
+  for (XmlNode child : node.children()) {
+    if (!child.is_element()) continue;
     std::vector<size_t> next;
     bool emit = false;
     for (size_t s : states) {
@@ -47,7 +47,7 @@ void Walk(const XmlNode& node, const std::vector<std::string_view>& steps,
         AddWithClosure(steps, s, next);
         continue;
       }
-      if (step == "*" || step == child->tag()) {
+      if (step == "*" || step == child.tag()) {
         std::vector<size_t> advanced;
         AddWithClosure(steps, s + 1, advanced);
         if (ContainsAccept(steps, advanced)) emit = true;
@@ -59,16 +59,15 @@ void Walk(const XmlNode& node, const std::vector<std::string_view>& steps,
         }
       }
     }
-    if (emit) out.push_back(child.get());
-    Walk(*child, steps, next, out);
+    if (emit) out.push_back(child);
+    Walk(child, steps, next, out);
   }
 }
 
 }  // namespace
 
-std::vector<const XmlNode*> SelectPath(const XmlNode& root,
-                                       std::string_view path) {
-  std::vector<const XmlNode*> out;
+std::vector<XmlNode> SelectPath(const XmlNode& root, std::string_view path) {
+  std::vector<XmlNode> out;
   std::vector<std::string_view> steps;
   for (std::string_view step : SplitString(path, '/')) {
     std::string_view trimmed = TrimWhitespace(step);
@@ -81,9 +80,9 @@ std::vector<const XmlNode*> SelectPath(const XmlNode& root,
   return out;
 }
 
-const XmlNode* SelectFirst(const XmlNode& root, std::string_view path) {
-  std::vector<const XmlNode*> matches = SelectPath(root, path);
-  return matches.empty() ? nullptr : matches.front();
+XmlNode SelectFirst(const XmlNode& root, std::string_view path) {
+  std::vector<XmlNode> matches = SelectPath(root, path);
+  return matches.empty() ? XmlNode() : matches.front();
 }
 
 }  // namespace xontorank

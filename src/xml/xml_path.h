@@ -26,11 +26,10 @@ namespace xontorank {
 /// Matches are returned in document order without duplicates. An empty or
 /// all-`**` path yields no matches for empty trees and never matches text
 /// nodes.
-std::vector<const XmlNode*> SelectPath(const XmlNode& root,
-                                       std::string_view path);
+std::vector<XmlNode> SelectPath(const XmlNode& root, std::string_view path);
 
-/// First match of SelectPath or nullptr.
-const XmlNode* SelectFirst(const XmlNode& root, std::string_view path);
+/// First match of SelectPath or a null handle.
+XmlNode SelectFirst(const XmlNode& root, std::string_view path);
 
 }  // namespace xontorank
 

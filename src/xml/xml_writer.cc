@@ -8,10 +8,32 @@ void AppendIndent(std::string& out, int depth, int width) {
   out.append(static_cast<size_t>(depth) * static_cast<size_t>(width), ' ');
 }
 
+/// Appends `text` with &, <, > (and, for attributes, ") escaped.
+void AppendEscaped(std::string& out, std::string_view text, bool attribute) {
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char* entity = nullptr;
+    switch (text[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"':
+        if (attribute) entity = "&quot;";
+        break;
+      default: break;
+    }
+    if (entity == nullptr) continue;
+    out.append(text.data() + run, i - run);
+    out += entity;
+    run = i + 1;
+  }
+  out.append(text.data() + run, text.size() - run);
+}
+
 void WriteNode(const XmlNode& node, const XmlWriteOptions& options, int depth,
                std::string& out) {
   if (node.is_text()) {
-    out += EscapeXmlText(node.text());
+    AppendEscaped(out, node.text(), /*attribute=*/false);
     return;
   }
   if (options.pretty && depth > 0) {
@@ -20,11 +42,11 @@ void WriteNode(const XmlNode& node, const XmlWriteOptions& options, int depth,
   }
   out.push_back('<');
   out += node.tag();
-  for (const XmlAttribute& attr : node.attributes()) {
+  for (XmlAttribute attr : node.attributes()) {
     out.push_back(' ');
     out += attr.name;
     out += "=\"";
-    out += EscapeXmlAttribute(attr.value);
+    AppendEscaped(out, attr.value, /*attribute=*/true);
     out.push_back('"');
   }
   if (node.children().empty()) {
@@ -33,9 +55,9 @@ void WriteNode(const XmlNode& node, const XmlWriteOptions& options, int depth,
   }
   out.push_back('>');
   bool has_element_child = false;
-  for (const auto& child : node.children()) {
-    if (child->is_element()) has_element_child = true;
-    WriteNode(*child, options, depth + 1, out);
+  for (XmlNode child : node.children()) {
+    if (child.is_element()) has_element_child = true;
+    WriteNode(child, options, depth + 1, out);
   }
   if (options.pretty && has_element_child) {
     out.push_back('\n');
@@ -60,38 +82,21 @@ std::string WriteXml(const XmlDocument& doc, const XmlWriteOptions& options) {
     out = "<?xml version=\"1.0\"?>";
     if (options.pretty) out.push_back('\n');
   }
-  if (doc.root() != nullptr) {
-    WriteNode(*doc.root(), options, 0, out);
-  }
+  if (XmlNode root = doc.root()) WriteNode(root, options, 0, out);
   return out;
 }
 
 std::string EscapeXmlText(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      default: out.push_back(c);
-    }
-  }
+  AppendEscaped(out, text, /*attribute=*/false);
   return out;
 }
 
 std::string EscapeXmlAttribute(std::string_view value) {
   std::string out;
   out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
+  AppendEscaped(out, value, /*attribute=*/true);
   return out;
 }
 

@@ -39,24 +39,24 @@ CdaDocument SampleDocument() {
 
 TEST(CdaToXmlTest, FollowsFigureOneShape) {
   XmlDocument xml = CdaToXml(SampleDocument(), 5);
-  const XmlNode* root = xml.root();
-  EXPECT_EQ(root->tag(), "ClinicalDocument");
+  XmlNode root = xml.root();
+  EXPECT_EQ(root.tag(), "ClinicalDocument");
   EXPECT_EQ(xml.doc_id(), 5u);
-  ASSERT_NE(root->FindChildElement("author"), nullptr);
-  ASSERT_NE(root->FindChildElement("recordTarget"), nullptr);
-  const XmlNode* body =
-      root->FindChildElement("component")->FindChildElement("StructuredBody");
-  ASSERT_NE(body, nullptr);
-  const XmlNode* section =
-      body->FindChildElement("component")->FindChildElement("section");
-  ASSERT_NE(section, nullptr);
-  EXPECT_EQ(section->FindChildElement("title")->InnerText(), "Medications");
+  ASSERT_TRUE(root.FindChildElement("author"));
+  ASSERT_TRUE(root.FindChildElement("recordTarget"));
+  XmlNode body =
+      root.FindChildElement("component").FindChildElement("StructuredBody");
+  ASSERT_TRUE(body);
+  XmlNode section =
+      body.FindChildElement("component").FindChildElement("section");
+  ASSERT_TRUE(section);
+  EXPECT_EQ(section.FindChildElement("title").InnerText(), "Medications");
 }
 
 TEST(CdaToXmlTest, CodeNodesCarryOntoRefs) {
   XmlDocument xml = CdaToXml(SampleDocument(), 0);
   size_t snomed_refs = 0;
-  xml.root()->Visit([&](const XmlNode& node) {
+  xml.root().Visit([&](const XmlNode& node) {
     if (node.onto_ref().has_value() &&
         node.onto_ref()->system == kSnomedSystemId) {
       ++snomed_refs;
@@ -68,27 +68,27 @@ TEST(CdaToXmlTest, CodeNodesCarryOntoRefs) {
 
 TEST(CdaToXmlTest, OriginalTextReferenceEmitted) {
   XmlDocument xml = CdaToXml(SampleDocument(), 0);
-  const XmlNode* reference = nullptr;
-  xml.root()->Visit([&](const XmlNode& node) {
-    if (node.is_element() && node.tag() == "reference") reference = &node;
+  XmlNode reference;
+  xml.root().Visit([&](const XmlNode& node) {
+    if (node.is_element() && node.tag() == "reference") reference = node;
   });
-  ASSERT_NE(reference, nullptr);
-  EXPECT_EQ(reference->GetAttribute("value").value(), "m1");
+  ASSERT_TRUE(reference);
+  EXPECT_EQ(reference.GetAttribute("value").value(), "m1");
 }
 
 TEST(CdaToXmlTest, SubstanceAdministrationNesting) {
   XmlDocument xml = CdaToXml(SampleDocument(), 0);
-  const XmlNode* drug = nullptr;
-  xml.root()->Visit([&](const XmlNode& node) {
+  XmlNode drug;
+  xml.root().Visit([&](const XmlNode& node) {
     if (node.is_element() && node.tag() == "manufacturedLabeledDrug") {
-      drug = &node;
+      drug = node;
     }
   });
-  ASSERT_NE(drug, nullptr);
+  ASSERT_TRUE(drug);
   // consumable → manufacturedProduct → manufacturedLabeledDrug → code.
-  EXPECT_EQ(drug->parent()->tag(), "manufacturedProduct");
-  EXPECT_EQ(drug->parent()->parent()->tag(), "consumable");
-  ASSERT_NE(drug->FindChildElement("code"), nullptr);
+  EXPECT_EQ(drug.parent().tag(), "manufacturedProduct");
+  EXPECT_EQ(drug.parent().parent().tag(), "consumable");
+  ASSERT_TRUE(drug.FindChildElement("code"));
 }
 
 TEST(CdaToXmlTest, RoundTripsThroughParser) {
@@ -99,7 +99,7 @@ TEST(CdaToXmlTest, RoundTripsThroughParser) {
   EXPECT_EQ(reparsed->NodeCount(), xml.NodeCount());
   // Onto refs re-detected after the round trip.
   size_t refs = 0;
-  reparsed->root()->Visit([&](const XmlNode& node) {
+  reparsed->root().Visit([&](const XmlNode& node) {
     if (node.onto_ref().has_value()) ++refs;
   });
   EXPECT_GE(refs, 3u);
@@ -152,9 +152,9 @@ TEST_F(CdaGeneratorFixture, EveryDocumentParsesAndHasStructure) {
   for (const XmlDocument& doc : gen.GenerateCorpus()) {
     auto reparsed = ParseXml(WriteXml(doc));
     ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-    EXPECT_EQ(doc.root()->tag(), "ClinicalDocument");
-    EXPECT_NE(doc.root()->FindDescendantElement("StructuredBody"), nullptr);
-    EXPECT_NE(doc.root()->FindDescendantElement("section"), nullptr);
+    EXPECT_EQ(doc.root().tag(), "ClinicalDocument");
+    EXPECT_TRUE(doc.root().FindDescendantElement("StructuredBody"));
+    EXPECT_TRUE(doc.root().FindDescendantElement("section"));
   }
 }
 
@@ -163,7 +163,7 @@ TEST_F(CdaGeneratorFixture, AllRefsResolveInOntology) {
   options.num_documents = 4;
   CdaGenerator gen(onto_, options);
   for (const XmlDocument& doc : gen.GenerateCorpus()) {
-    doc.root()->Visit([&](const XmlNode& node) {
+    doc.root().Visit([&](const XmlNode& node) {
       if (!node.onto_ref().has_value()) return;
       if (node.onto_ref()->system != onto_.system_id()) return;  // LOINC etc.
       EXPECT_NE(onto_.FindByCode(node.onto_ref()->code), kInvalidConcept)

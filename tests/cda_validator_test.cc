@@ -135,7 +135,7 @@ TEST(CdaValidatorTest, DiagnosticsCarryLocation) {
       /*doc_id=*/4);
   for (const CdaDiagnostic& d : ValidateCda(doc)) {
     if (d.is_error()) {
-      EXPECT_EQ(doc.Resolve(d.where)->tag(), "code");
+      EXPECT_EQ(doc.Resolve(d.where).tag(), "code");
     }
   }
 }

@@ -212,13 +212,13 @@ TEST(DocumentUnitsTest, FlatAddressesMatchPreorderElements) {
   for (size_t d = 0; d < corpus.size(); ++d) {
     const XmlDocument& document = corpus[d];
     const DocumentUnits& record = *index.documents()[d];
-    std::vector<const XmlNode*> elements;
-    document.root()->Visit([&elements](const XmlNode& node) {
-      if (node.is_element()) elements.push_back(&node);
+    std::vector<XmlNode> elements;
+    document.root().Visit([&elements](const XmlNode& node) {
+      if (node.is_element()) elements.push_back(node);
     });
     ASSERT_EQ(record.unit_count(), elements.size()) << "document " << d;
     for (uint32_t u = 0; u < record.unit_count(); ++u) {
-      DeweyId expected = document.DeweyIdOf(*elements[u]);
+      DeweyId expected = document.DeweyIdOf(elements[u]);
       EXPECT_TRUE(record.dewey(u) == expected)
           << "document " << d << " unit " << u << ": "
           << record.dewey(u).ToDeweyId().ToString() << " vs "

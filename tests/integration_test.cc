@@ -62,9 +62,9 @@ TEST_F(IntegrationFixture, EveryResultResolvesToARealElement) {
   XOntoRank engine = MakeEngine(Strategy::kRelationships);
   for (const WorkloadQuery& wq : TableOneQueries()) {
     for (const QueryResult& r : SearchTop(engine, wq.text, 10)) {
-      const XmlNode* node = engine.ResolveResult(r);
-      ASSERT_NE(node, nullptr) << wq.id;
-      EXPECT_TRUE(node->is_element());
+      XmlNode node = engine.ResolveResult(r);
+      ASSERT_TRUE(node) << wq.id;
+      EXPECT_TRUE(node.is_element());
     }
   }
 }

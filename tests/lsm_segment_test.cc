@@ -419,7 +419,7 @@ TEST_F(LsmFixture, MixedReadersWritersAndCompaction) {
         EXPECT_LE(response.results.size(), 5u);
         for (const QueryResult& result : response.results) {
           // Every result must resolve against the snapshot it came from.
-          EXPECT_NE(snapshot->ResolveResult(result), nullptr);
+          EXPECT_TRUE(snapshot->ResolveResult(result));
         }
       }
     });

@@ -99,9 +99,9 @@ TEST_F(MultiSystemFixture, CrossSystemQueryCombinesBothOntologies) {
   auto results = SearchTop(engine, "bronchial vital", 5);
   ASSERT_FALSE(results.empty());
   // The most specific covering element is the section.
-  const XmlNode* node = engine.ResolveResult(results[0]);
-  ASSERT_NE(node, nullptr);
-  EXPECT_EQ(node->tag(), "section");
+  XmlNode node = engine.ResolveResult(results[0]);
+  ASSERT_TRUE(node);
+  EXPECT_EQ(node.tag(), "section");
 }
 
 TEST_F(MultiSystemFixture, SystemsDoNotCrossTalk) {
@@ -112,10 +112,10 @@ TEST_F(MultiSystemFixture, SystemsDoNotCrossTalk) {
   KeywordQuery query = ParseQuery("asthma");
   auto results = SearchTop(engine, query, 0);
   for (const QueryResult& r : results) {
-    const XmlNode* node = engine.ResolveResult(r);
-    ASSERT_NE(node, nullptr);
-    if (node->onto_ref().has_value()) {
-      EXPECT_NE(node->onto_ref()->system, kLoincSystemId)
+    XmlNode node = engine.ResolveResult(r);
+    ASSERT_TRUE(node);
+    if (node.onto_ref().has_value()) {
+      EXPECT_NE(node.onto_ref()->system, kLoincSystemId)
           << "LOINC node scored for a SNOMED-only keyword at "
           << r.element.ToString();
     }

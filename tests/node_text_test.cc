@@ -11,7 +11,7 @@ using testing_util::MustParse;
 
 std::string Describe(std::string_view xml) {
   XmlDocument doc = MustParse(xml);
-  return TextualDescription(*doc.root(), DefaultExcludedAttributes());
+  return TextualDescription(doc.root(), DefaultExcludedAttributes());
 }
 
 TEST(NodeTextTest, IncludesTagAttributeNamesValuesAndText) {

@@ -115,14 +115,14 @@ TreeEvaluator::TreeEvaluator(const Corpus& corpus, const OntologySet& systems,
           }
         }
       }
-      for (const auto& child : node.children()) {
-        if (!child->is_element()) continue;
-        size_t child_index = self(self, *child);
+      for (XmlNode child : node.children()) {
+        if (!child.is_element()) continue;
+        size_t child_index = self(self, child);
         doc.elements[index].children.push_back(child_index);
       }
       return index;
     };
-    if (xml.root() != nullptr) number(number, *xml.root());
+    if (xml.root()) number(number, xml.root());
     doc.text.Finalize();
     if (options.use_elem_rank) {
       Corpus one;

@@ -11,17 +11,17 @@ using testing_util::MustParse;
 TEST(VisibleTextTest, CollectsTextAndDisplayNames) {
   XmlDocument doc = MustParse(
       R"(<r><title>Medications</title><v displayName="Asthma" code="1"/><t>take daily</t></r>)");
-  EXPECT_EQ(VisibleText(*doc.root()), "Medications Asthma take daily");
+  EXPECT_EQ(VisibleText(doc.root()), "Medications Asthma take daily");
 }
 
 TEST(VisibleTextTest, CollapsesWhitespace) {
   XmlDocument doc = MustParse("<r>a   b\n\n c </r>");
-  EXPECT_EQ(VisibleText(*doc.root()), "a b c");
+  EXPECT_EQ(VisibleText(doc.root()), "a b c");
 }
 
 TEST(VisibleTextTest, EmptyForAttributeOnlyElements) {
   XmlDocument doc = MustParse(R"(<r code="42" codeSystem="s"/>)");
-  EXPECT_EQ(VisibleText(*doc.root()), "");
+  EXPECT_EQ(VisibleText(doc.root()), "");
 }
 
 TEST(SnippetTest, HighlightsKeyword) {

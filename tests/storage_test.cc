@@ -1,7 +1,15 @@
 #include "storage/coding.h"
 
+#include <unistd.h>
+
+#include <filesystem>
+
+#include "cda/cda_generator.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
+#include "onto/snomed_fragment.h"
+#include "storage/engine_store.h"
+#include "tests/test_util.h"
 
 namespace xontorank {
 namespace {
@@ -53,6 +61,48 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
           << "offset " << offset << " length " << length;
     }
   }
+}
+
+// ---- Engine directory saves ----
+
+TEST(EngineDirSaveTest, SavingTwiceLeavesNoTemporaryFilesAndReloads) {
+  // Documents are written through a temp file and a rename, so a second
+  // save over the same directory replaces them whole and leaves no
+  // `*.tmp` behind.
+  Ontology snomed = BuildSnomedCardiologyFragment();
+  CdaGeneratorOptions gen_options;
+  gen_options.num_documents = 5;
+  CdaGenerator generator(snomed, gen_options);
+  OntologySet systems;
+  systems.Add(snomed);
+  XOntoRank engine(generator.GenerateCorpus(), systems, IndexBuildOptions{});
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("xontorank_storage_test_" + std::to_string(::getpid())))
+                        .string();
+  ASSERT_TRUE(SaveEngineDir(engine, dir).ok());
+  ASSERT_TRUE(SaveEngineDir(engine, dir).ok());
+
+  size_t documents = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    if (entry.path().extension() == ".xml") ++documents;
+  }
+  EXPECT_EQ(documents, 5u);
+
+  auto loaded = LoadEngineDir(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const char* query : {"asthma", "\"bronchial structure\" theophylline",
+                            "heart disease"}) {
+    std::vector<QueryResult> live = testing_util::SearchTop(engine, query, 10);
+    std::vector<QueryResult> reloaded =
+        testing_util::SearchTop(loaded.value()->engine(), query, 10);
+    ASSERT_EQ(live.size(), reloaded.size()) << query;
+    for (size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(live[i].element, reloaded[i].element) << query;
+      EXPECT_EQ(live[i].score, reloaded[i].score) << query;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

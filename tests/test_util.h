@@ -39,6 +39,13 @@ inline XmlDocument MustParse(std::string_view xml, uint32_t doc_id = 0) {
   return doc;
 }
 
+/// `node`'s children as a vector, for indexed access in assertions.
+inline std::vector<XmlNode> Children(const XmlNode& node) {
+  std::vector<XmlNode> kids;
+  for (XmlNode child : node.children()) kids.push_back(child);
+  return kids;
+}
+
 /// A minimal ontology exercising every structural feature:
 ///
 ///          Root

@@ -19,56 +19,61 @@ TEST(EscapeTest, AttributeAlsoEscapesDoubleQuote) {
 }
 
 TEST(XmlWriterTest, SelfClosingEmptyElement) {
-  auto node = XmlNode::MakeElement("a");
-  node->AddAttribute("x", "1");
-  EXPECT_EQ(WriteXml(*node), R"(<a x="1"/>)");
+  XmlBuilder builder("a");
+  builder.root().AddAttribute("x", "1");
+  XmlDocument doc = builder.Finish();
+  EXPECT_EQ(WriteXml(doc.root()), R"(<a x="1"/>)");
 }
 
 TEST(XmlWriterTest, NestedCompact) {
-  auto node = XmlNode::MakeElement("a");
-  XmlNode* b = node->AddElementChild("b");
-  b->AddTextChild("hi");
-  node->AddElementChild("c");
-  EXPECT_EQ(WriteXml(*node), "<a><b>hi</b><c/></a>");
+  XmlBuilder builder("a");
+  builder.root().AddElementChild("b").AddTextChild("hi");
+  builder.root().AddElementChild("c");
+  XmlDocument doc = builder.Finish();
+  EXPECT_EQ(WriteXml(doc.root()), "<a><b>hi</b><c/></a>");
 }
 
 TEST(XmlWriterTest, DocumentEmitsDeclaration) {
-  XmlDocument doc(XmlNode::MakeElement("root"));
+  XmlDocument doc = XmlBuilder("root").Finish();
   std::string xml = WriteXml(doc);
   EXPECT_EQ(xml, "<?xml version=\"1.0\"?><root/>");
 }
 
 TEST(XmlWriterTest, DeclarationSuppressed) {
-  XmlDocument doc(XmlNode::MakeElement("root"));
+  XmlDocument doc = XmlBuilder("root").Finish();
   XmlWriteOptions options;
   options.emit_declaration = false;
   EXPECT_EQ(WriteXml(doc, options), "<root/>");
 }
 
 TEST(XmlWriterTest, PrettyPrintIndents) {
-  auto node = XmlNode::MakeElement("a");
-  node->AddElementChild("b")->AddElementChild("c");
+  XmlBuilder builder("a");
+  builder.root().AddElementChild("b").AddElementChild("c");
+  XmlDocument doc = builder.Finish();
   XmlWriteOptions options;
   options.pretty = true;
-  EXPECT_EQ(WriteXml(*node, options), "<a>\n  <b>\n    <c/>\n  </b>\n</a>");
+  EXPECT_EQ(WriteXml(doc.root(), options),
+            "<a>\n  <b>\n    <c/>\n  </b>\n</a>");
 }
 
 TEST(XmlWriterTest, PrettyPreservesTextOnlyElements) {
-  auto node = XmlNode::MakeElement("a");
-  node->AddTextChild("hello");
+  XmlBuilder builder("a");
+  builder.root().AddTextChild("hello");
+  XmlDocument doc = builder.Finish();
   XmlWriteOptions options;
   options.pretty = true;
-  EXPECT_EQ(WriteXml(*node, options), "<a>hello</a>");
+  EXPECT_EQ(WriteXml(doc.root(), options), "<a>hello</a>");
 }
 
 TEST(XmlWriterTest, EscapedContentRoundTrips) {
-  auto node = XmlNode::MakeElement("a");
-  node->AddAttribute("v", "1 < 2 & \"3\"");
-  node->AddTextChild("x < y & z");
-  auto parsed = ParseXml(WriteXml(*node));
+  XmlBuilder builder("a");
+  builder.root().AddAttribute("v", "1 < 2 & \"3\"");
+  builder.root().AddTextChild("x < y & z");
+  XmlDocument doc = builder.Finish();
+  auto parsed = ParseXml(WriteXml(doc.root()));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->root()->GetAttribute("v").value(), "1 < 2 & \"3\"");
-  EXPECT_EQ(parsed->root()->InnerText(), "x < y & z");
+  EXPECT_EQ(parsed->root().GetAttribute("v").value(), "1 < 2 & \"3\"");
+  EXPECT_EQ(parsed->root().InnerText(), "x < y & z");
 }
 
 }  // namespace

@@ -66,9 +66,9 @@ TEST_F(XOntoRankFixture, ResolveResultReturnsElement) {
   XOntoRank engine = MakeEngine(Strategy::kRelationships);
   auto results = SearchTop(engine, "asthma", 1);
   ASSERT_FALSE(results.empty());
-  const XmlNode* node = engine.ResolveResult(results[0]);
-  ASSERT_NE(node, nullptr);
-  EXPECT_TRUE(node->is_element());
+  XmlNode node = engine.ResolveResult(results[0]);
+  ASSERT_TRUE(node);
+  EXPECT_TRUE(node.is_element());
   std::string fragment = engine.ResultFragmentXml(results[0]);
   EXPECT_NE(fragment.find("<"), std::string::npos);
 }
@@ -77,7 +77,7 @@ TEST_F(XOntoRankFixture, ResolveRejectsBogusResult) {
   XOntoRank engine = MakeEngine(Strategy::kXRank);
   QueryResult bogus;
   bogus.element = DeweyId({99, 0});
-  EXPECT_EQ(engine.ResolveResult(bogus), nullptr);
+  EXPECT_FALSE(engine.ResolveResult(bogus));
   EXPECT_EQ(engine.ResultFragmentXml(bogus), "");
 }
 

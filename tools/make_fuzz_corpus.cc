@@ -131,6 +131,15 @@ void WriteSeeds(const fs::path& out) {
   CdaGenerator generator(snomed, cda_options);
   WriteFile(out / "xml_parse", "cda_generated.xml",
             WriteXml(CdaToXml(generator.GenerateDocument(0), 0)));
+  // A few full-size generated documents, so a campaign starts from the
+  // documents the engine actually ingests.
+  CdaGeneratorOptions full_options;
+  full_options.seed = 2009;
+  CdaGenerator full_generator(snomed, full_options);
+  for (uint32_t i = 1; i <= 3; ++i) {
+    WriteFile(out / "xml_parse", "cda_full_" + std::to_string(i) + ".xml",
+              WriteXml(CdaToXml(full_generator.GenerateDocument(i), i)));
+  }
   WriteFile(out / "xml_parse", "small.xml",
             "<ClinicalDocument><section><title>Problems</title>"
             "<entry><Observation><value code=\"233604007\""
