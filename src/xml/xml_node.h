@@ -24,8 +24,10 @@ struct XmlAttribute {
 /// referenced ontological system (e.g. SNOMED's OID) and the concept code
 /// within that system. Views into the owning document.
 struct OntoRef {
-  std::string_view system;  ///< codeSystem attribute value, e.g. "2.16.840.1.113883.6.96"
-  std::string_view code;    ///< concept code within the system, e.g. "195967001"
+  /// codeSystem attribute value, e.g. "2.16.840.1.113883.6.96".
+  std::string_view system;
+  /// Concept code within the system, e.g. "195967001".
+  std::string_view code;
 
   bool operator==(const OntoRef& other) const = default;
 };

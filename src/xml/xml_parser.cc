@@ -140,14 +140,14 @@ class XmlParser {
   /// Position of the first `c` in [from, to), or `to`.
   size_t Find(char c, size_t from, size_t to) const {
     const void* hit = std::memchr(s_ + from, c, to - from);
-    return hit == nullptr ? to : static_cast<size_t>(
-                                     static_cast<const char*>(hit) - s_);
+    if (hit == nullptr) return to;
+    return static_cast<size_t>(static_cast<const char*>(hit) - s_);
   }
 
   Status Error(std::string_view what) const {
     std::string_view before(s_, pos_);
-    size_t line = 1 + static_cast<size_t>(
-                          std::count(before.begin(), before.end(), '\n'));
+    auto newlines = std::count(before.begin(), before.end(), '\n');
+    size_t line = 1 + static_cast<size_t>(newlines);
     size_t last_newline = before.rfind('\n');
     size_t column =
         last_newline == std::string_view::npos ? pos_ + 1 : pos_ - last_newline;
@@ -250,10 +250,15 @@ class XmlParser {
         for (size_t i = 2; i < name.size(); ++i) {
           char c = name[i];
           uint32_t digit = 0;
-          if (c >= '0' && c <= '9') digit = static_cast<uint32_t>(c - '0');
-          else if (c >= 'a' && c <= 'f') digit = static_cast<uint32_t>(c - 'a' + 10);
-          else if (c >= 'A' && c <= 'F') digit = static_cast<uint32_t>(c - 'A' + 10);
-          else return Error("bad hexadecimal character reference");
+          if (c >= '0' && c <= '9') {
+            digit = static_cast<uint32_t>(c - '0');
+          } else if (c >= 'a' && c <= 'f') {
+            digit = static_cast<uint32_t>(c - 'a' + 10);
+          } else if (c >= 'A' && c <= 'F') {
+            digit = static_cast<uint32_t>(c - 'A' + 10);
+          } else {
+            return Error("bad hexadecimal character reference");
+          }
           code = code * 16 + digit;
           ok = true;
         }
@@ -391,7 +396,8 @@ class XmlParser {
       if (name == "code") node.code_attr = index;
       if (name == "codeSystem") node.system_attr = index;
       size_t name_begin = static_cast<size_t>(name.data() - s_);
-      attrs_.push_back({SourceRef(name_begin, name_begin + name.size()), value});
+      attrs_.push_back(
+          {SourceRef(name_begin, name_begin + name.size()), value});
     }
     node.attr_end = static_cast<uint32_t>(attrs_.size());
     uint32_t index = AddNode(node);

@@ -12,17 +12,19 @@ void AppendIndent(std::string& out, int depth, int width) {
 void AppendEscaped(std::string& out, std::string_view text, bool attribute) {
   size_t run = 0;
   for (size_t i = 0; i < text.size(); ++i) {
-    const char* entity = nullptr;
-    switch (text[i]) {
-      case '&': entity = "&amp;"; break;
-      case '<': entity = "&lt;"; break;
-      case '>': entity = "&gt;"; break;
-      case '"':
-        if (attribute) entity = "&quot;";
-        break;
-      default: break;
+    const char c = text[i];
+    std::string_view entity;
+    if (c == '&') {
+      entity = "&amp;";
+    } else if (c == '<') {
+      entity = "&lt;";
+    } else if (c == '>') {
+      entity = "&gt;";
+    } else if (c == '"' && attribute) {
+      entity = "&quot;";
+    } else {
+      continue;
     }
-    if (entity == nullptr) continue;
     out.append(text.data() + run, i - run);
     out += entity;
     run = i + 1;

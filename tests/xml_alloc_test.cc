@@ -29,8 +29,9 @@ namespace {
 /// A CDA-shaped document with `sections` sections, each holding elements,
 /// attributes (some code nodes), text and an entity reference.
 std::string DocumentWithSections(size_t sections) {
-  std::string xml = "<?xml version=\"1.0\"?><ClinicalDocument xmlns=\"urn:hl7-org:v3\">"
-                    "<component><StructuredBody>";
+  std::string xml =
+      "<?xml version=\"1.0\"?><ClinicalDocument xmlns=\"urn:hl7-org:v3\">"
+      "<component><StructuredBody>";
   for (size_t i = 0; i < sections; ++i) {
     std::string n = std::to_string(i);
     xml += "<component><section><code code=\"" + n +
@@ -61,7 +62,7 @@ size_t AllocationsToParse(const std::string& xml, size_t* nodes) {
   return after - before;
 }
 
-TEST(XmlParseAllocationTest, TenTimesTheNodesMakesFewerThanTwiceTheAllocations) {
+TEST(XmlParseAllocationTest, TenTimesTheNodesMakeFewerThanTwiceTheAllocations) {
   size_t small_nodes = 0;
   size_t large_nodes = 0;
   size_t small = AllocationsToParse(DocumentWithSections(10), &small_nodes);

@@ -81,8 +81,10 @@ TEST(XmlNodeTest, OntoRefStorage) {
   // The reference is derived from the code and codeSystem attributes.
   XmlBuilder builder("r");
   builder.root().AddElementChild("code").AddAttribute("code", "42");
-  builder.root().AddElementChild("code").AddAttribute("code", "42").AddAttribute(
-      "codeSystem", "sys");
+  builder.root()
+      .AddElementChild("code")
+      .AddAttribute("code", "42")
+      .AddAttribute("codeSystem", "sys");
   XmlDocument doc = builder.Finish();
   std::vector<XmlNode> kids = Children(doc.root());
   EXPECT_FALSE(doc.root().onto_ref().has_value());

@@ -232,8 +232,10 @@ constexpr MalformedCase kMalformed[] = {
     {"<a><1/></a>", "1:5: expected a name"},
     {"<a></1></a>", "1:6: expected a name"},
     {"<a x=\"1\"\n    y=\"2\" x=\"3\"/>", "2:16: duplicate attribute 'x'"},
-    {"<a>\n<b>\n</c>\n</a>", "3:4: mismatched end tag: expected </b> but found </c>"},
-    {"<a><b></c></a>", "1:10: mismatched end tag: expected </b> but found </c>"},
+    {"<a>\n<b>\n</c>\n</a>",
+     "3:4: mismatched end tag: expected </b> but found </c>"},
+    {"<a><b></c></a>",
+     "1:10: mismatched end tag: expected </b> but found </c>"},
     {"<a>\n  text &bogus; more</a>", "2:15: unknown entity reference"},
     {"<a>\n\n  tex &nbsp;</a>", "3:13: unknown entity reference"},
     {"<a>\nhello", "2:6: unexpected end of input inside element 'a'"},
@@ -270,8 +272,10 @@ constexpr MalformedCase kMalformed[] = {
     {"<a><!-- open", "1:13: unexpected end of input inside element 'a'"},
     {"<a><?pi open", "1:13: unexpected end of input inside element 'a'"},
     {"<a><!DOCTYPE x></a>", "1:5: expected a name"},
-    {"<!DOCTYPE a [ <!ELEMENT a ANY> ]", "1:33: document contains no root element"},
-    {"<?xml version=\"1.0\"?>\n<!-- c -->\n<a>\n  <b x=\"1\" x=\"2\"/>\n</a>", "4:17: duplicate attribute 'x'"},
+    {"<!DOCTYPE a [ <!ELEMENT a ANY> ]",
+     "1:33: document contains no root element"},
+    {"<?xml version=\"1.0\"?>\n<!-- c -->\n<a>\n  <b x=\"1\" x=\"2\"/>\n</a>",
+     "4:17: duplicate attribute 'x'"},
     {"<a>\n\t<b>\r\n</b>&</a>", "3:10: unterminated entity reference"},
     {"<a>&\n</a>", "2:5: unterminated entity reference"},
     {"\xEF\xBB\xBF<a/>", "1:1: expected '<' before root element"},
