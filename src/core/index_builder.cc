@@ -305,10 +305,8 @@ std::vector<ScoredUnit> CorpusIndex::LookupUnits(
     const Keyword& keyword, const Records& records) const {
   std::vector<ScoredUnit> units;
   for (size_t r = 0; r < records.documents.size(); ++r) {
-    for (const ScoredUnit& unit :
-         records.documents[r]->text().Lookup(keyword)) {
-      units.push_back({records.base[r] + unit.unit_id, unit.score});
-    }
+    records.documents[r]->text().AppendLookup(keyword, records.base[r],
+                                              &units);
   }
   return units;
 }
@@ -377,12 +375,6 @@ void CorpusIndex::Precompute(
               lists.end());
   flat_ = FreezeLists(lists, &pool);
   stats_.freeze_millis = phase.ElapsedMillis();
-}
-
-OntoScoreMap CorpusIndex::ComputeOntoScoreRow(const Keyword& keyword,
-                                              size_t system) const {
-  return ComputeOntoScores(context_->index(system), keyword,
-                           options_.strategy, options_.score);
 }
 
 std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
@@ -501,9 +493,9 @@ std::vector<DilPosting> CorpusIndex::BuildPostings(
   std::vector<OntoScoreRowCache::Row> rows;
   if (options_.strategy != Strategy::kXRank) {
     for (size_t system = 0; system < context_->systems().size(); ++system) {
-      rows.push_back(std::make_shared<const OntoScoreRow>(DenseOntoScoreRow(
-          ComputeOntoScoreRow(keyword, system),
-          context_->systems().system(system).concept_count())));
+      rows.push_back(std::make_shared<const OntoScoreRow>(
+          ComputeDenseOntoScores(context_->index(system), keyword,
+                                 options_.strategy, options_.score)));
     }
   }
   std::vector<DilPosting> postings;

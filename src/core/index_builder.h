@@ -232,12 +232,6 @@ class CorpusIndex {
   /// scratch).
   std::vector<DilPosting> BuildPostings(const Keyword& keyword) const;
 
-  /// The OntoScore hash-map row for `keyword` within one ontological
-  /// system (stage 2 output), computed fresh; empty under the XRANK
-  /// strategy.
-  OntoScoreMap ComputeOntoScoreRow(const Keyword& keyword,
-                                   size_t system = 0) const;
-
   /// The precomputed single-token vocabulary.
   std::vector<std::string> PrecomputedVocabulary() const;
 

@@ -2,6 +2,9 @@
 
 #include <cstdint>
 #include <queue>
+#include <span>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -40,57 +43,82 @@ struct QueueEntry {
   }
 };
 
-/// Generic merged multi-source best-first expansion over an implicit graph.
-/// `expand(key, score, push)` must push every neighbor with its transferred
-/// score. Every transfer factor must be ≤ 1, which makes best-first
-/// settlement correct for the max-product semiring: the first time a state
-/// pops it carries its maximum attainable score.
+/// What Settle leaves: every settled concept's score at its id (kUnsettled
+/// for the rest), and the settled concepts in settle order.
+struct SettledConcepts {
+  std::vector<double> scores;
+  std::vector<ConceptId> order;
+};
+
+constexpr double kUnsettled = -1.0;  // scores are never negative
+
+/// Generic merged multi-source best-first expansion over an implicit graph
+/// of `concept_count` concepts plus restriction states. `expand(key, score,
+/// push)` must push every neighbor with its transferred score. Every
+/// transfer factor must be ≤ 1, which makes best-first settlement correct
+/// for the max-product semiring: the first time a state pops it carries its
+/// maximum attainable score. Concepts are marked settled in a dense array;
+/// restriction states, which only relay scores, in a hash set.
 template <typename ExpandFn>
-std::unordered_map<StateKey, double> Settle(
-    const std::vector<ScoredConcept>& seeds, double threshold,
-    const ExpandFn& expand, size_t max_settled_concepts = 0) {
+SettledConcepts Settle(const std::vector<ScoredConcept>& seeds,
+                       size_t concept_count, double threshold,
+                       const ExpandFn& expand,
+                       size_t max_settled_concepts = 0) {
   std::priority_queue<QueueEntry> queue;
   for (const ScoredConcept& seed : seeds) {
     if (seed.irs >= threshold) queue.push({seed.irs, ConceptKey(seed.concept_id)});
   }
-  std::unordered_map<StateKey, double> settled;
-  size_t settled_concepts = 0;
+  if (queue.empty()) return {};
+  SettledConcepts settled{std::vector<double>(concept_count, kUnsettled), {}};
+  std::unordered_set<StateKey> settled_restrictions;
+  auto is_settled = [&](StateKey key) {
+    if (IsRestriction(key)) return settled_restrictions.count(key) > 0;
+    XO_DCHECK_LT(key, concept_count);
+    return settled.scores[key] != kUnsettled;
+  };
   while (!queue.empty()) {
     QueueEntry top = queue.top();
     queue.pop();
-    if (settled.count(top.key) > 0) continue;  // Observation 1: merge & halt
-    if (!IsRestriction(top.key)) {
+    if (is_settled(top.key)) continue;  // Observation 1: merge & halt
+    if (IsRestriction(top.key)) {
+      settled_restrictions.insert(top.key);
+    } else {
       // §IX approximation: nodes settle in descending score order, so
       // stopping after N concepts keeps exactly the top-N of the exact map.
-      if (max_settled_concepts > 0 && settled_concepts >= max_settled_concepts) {
+      if (max_settled_concepts > 0 &&
+          settled.order.size() >= max_settled_concepts) {
         break;
       }
-      ++settled_concepts;
+      settled.scores[top.key] = top.score;
+      settled.order.push_back(TargetOfKey(top.key));
     }
-    settled.emplace(top.key, top.score);
     auto push = [&](StateKey key, double score) {
-      if (score >= threshold && settled.count(key) == 0) {
-        queue.push({score, key});
-      }
+      if (score >= threshold && !is_settled(key)) queue.push({score, key});
     };
     expand(top.key, top.score, push);
   }
   return settled;
 }
 
-/// Keeps only atomic-concept states.
-OntoScoreMap ConceptsOnly(const std::unordered_map<StateKey, double>& settled) {
+/// The settled concepts as a hash-map row.
+OntoScoreMap ToMap(const SettledConcepts& settled) {
   OntoScoreMap out;
-  out.reserve(settled.size());
-  for (const auto& [key, score] : settled) {
-    if (!IsRestriction(key)) out.emplace(TargetOfKey(key), score);
-  }
+  out.reserve(settled.order.size());
+  for (ConceptId c : settled.order) out.emplace(c, settled.scores[c]);
   return out;
 }
 
-OntoScoreMap ComputeGraphScores(const OntologyIndex& index,
-                                const Keyword& keyword,
-                                const ScoreOptions& options) {
+/// The settled concepts as a dense row (empty when none settled).
+OntoScoreRow ToRow(SettledConcepts settled) {
+  if (settled.order.empty()) return {};
+  for (double& score : settled.scores) {
+    if (score == kUnsettled) score = 0.0;
+  }
+  return std::move(settled.scores);
+}
+
+SettledConcepts SettleGraph(const OntologyIndex& index, const Keyword& keyword,
+                            const ScoreOptions& options) {
   const Ontology& onto = index.ontology();
   auto expand = [&](StateKey key, double score, const auto& push) {
     ConceptId c = TargetOfKey(key);
@@ -104,8 +132,8 @@ OntoScoreMap ComputeGraphScores(const OntologyIndex& index,
       push(ConceptKey(rel.source), next);
     }
   };
-  return ConceptsOnly(Settle(index.Match(keyword), options.threshold, expand,
-                             options.max_concepts_per_keyword));
+  return Settle(index.Match(keyword), index.ontology().concept_count(),
+                options.threshold, expand, options.max_concepts_per_keyword);
 }
 
 /// Taxonomy transfer: downward (super→sub) full, upward damped by the
@@ -122,20 +150,20 @@ void ExpandTaxonomic(const Ontology& onto, ConceptId c, double score,
   }
 }
 
-OntoScoreMap ComputeTaxonomyScores(const OntologyIndex& index,
-                                   const Keyword& keyword,
-                                   const ScoreOptions& options) {
+SettledConcepts SettleTaxonomy(const OntologyIndex& index,
+                               const Keyword& keyword,
+                               const ScoreOptions& options) {
   const Ontology& onto = index.ontology();
   auto expand = [&](StateKey key, double score, const auto& push) {
     ExpandTaxonomic(onto, TargetOfKey(key), score, push);
   };
-  return ConceptsOnly(Settle(index.Match(keyword), options.threshold, expand,
-                             options.max_concepts_per_keyword));
+  return Settle(index.Match(keyword), index.ontology().concept_count(),
+                options.threshold, expand, options.max_concepts_per_keyword);
 }
 
-OntoScoreMap ComputeRelationshipScores(const OntologyIndex& index,
-                                       const Keyword& keyword,
-                                       const ScoreOptions& options) {
+SettledConcepts SettleRelationships(const OntologyIndex& index,
+                                    const Keyword& keyword,
+                                    const ScoreOptions& options) {
   const Ontology& onto = index.ontology();
   auto expand = [&](StateKey key, double score, const auto& push) {
     if (IsRestriction(key)) {
@@ -143,26 +171,45 @@ OntoScoreMap ComputeRelationshipScores(const OntologyIndex& index,
       RelationTypeId role = RoleOfKey(key);
       ConceptId target = TargetOfKey(key);
       push(ConceptKey(target), score * options.decay);  // dotted link
-      for (const ConceptRelationship& rel : onto.InRelationships(target)) {
-        if (rel.type == role) push(ConceptKey(rel.source), score);  // factor 1
+      for (ConceptId source : index.RelationSources(target, role)) {
+        push(ConceptKey(source), score);  // factor 1
       }
       return;
     }
     ConceptId c = TargetOfKey(key);
     ExpandTaxonomic(onto, c, score, push);
-    // Is-a up into each restriction c belongs to: c ⊑ ∃r.t for r(c, t).
-    for (const ConceptRelationship& rel : onto.OutRelationships(c)) {
-      size_t indeg = onto.RelationInDegree(rel.target, rel.type);
-      push(RestrictionKey(rel.type, rel.target),
-           score / static_cast<double>(indeg == 0 ? 1 : indeg));
+    // Is-a up into each restriction c belongs to: c ⊑ ∃r.t for r(c, t),
+    // damped by the restriction's in-degree (at least 1: r(c, t) itself).
+    const std::vector<ConceptRelationship>& out = onto.OutRelationships(c);
+    const std::span<const uint32_t> indegrees = index.OutRelationInDegrees(c);
+    for (size_t i = 0; i < out.size(); ++i) {
+      push(RestrictionKey(out[i].type, out[i].target),
+           score / static_cast<double>(indegrees[i]));
     }
     // Dotted link from c into each restriction ∃r.c over c.
     for (const ConceptRelationship& rel : onto.InRelationships(c)) {
       push(RestrictionKey(rel.type, c), score * options.decay);
     }
   };
-  return ConceptsOnly(Settle(index.Match(keyword), options.threshold, expand,
-                             options.max_concepts_per_keyword));
+  return Settle(index.Match(keyword), index.ontology().concept_count(),
+                options.threshold, expand, options.max_concepts_per_keyword);
+}
+
+/// The keyword's expansion under `strategy`; nothing settles under XRANK.
+SettledConcepts SettleKeyword(const OntologyIndex& index,
+                              const Keyword& keyword, Strategy strategy,
+                              const ScoreOptions& options) {
+  switch (strategy) {
+    case Strategy::kXRank:
+      return {};
+    case Strategy::kGraph:
+      return SettleGraph(index, keyword, options);
+    case Strategy::kTaxonomy:
+      return SettleTaxonomy(index, keyword, options);
+    case Strategy::kRelationships:
+      return SettleRelationships(index, keyword, options);
+  }
+  return {};
 }
 
 }  // namespace
@@ -181,17 +228,13 @@ OntoScoreRow DenseOntoScoreRow(const OntoScoreMap& map, size_t concept_count) {
 OntoScoreMap ComputeOntoScores(const OntologyIndex& index,
                                const Keyword& keyword, Strategy strategy,
                                const ScoreOptions& options) {
-  switch (strategy) {
-    case Strategy::kXRank:
-      return {};
-    case Strategy::kGraph:
-      return ComputeGraphScores(index, keyword, options);
-    case Strategy::kTaxonomy:
-      return ComputeTaxonomyScores(index, keyword, options);
-    case Strategy::kRelationships:
-      return ComputeRelationshipScores(index, keyword, options);
-  }
-  return {};
+  return ToMap(SettleKeyword(index, keyword, strategy, options));
+}
+
+OntoScoreRow ComputeDenseOntoScores(const OntologyIndex& index,
+                                    const Keyword& keyword, Strategy strategy,
+                                    const ScoreOptions& options) {
+  return ToRow(SettleKeyword(index, keyword, strategy, options));
 }
 
 OntoScoreMap ComputeRelationshipScoresOnDlView(const DlView& view,
@@ -199,8 +242,8 @@ OntoScoreMap ComputeRelationshipScoresOnDlView(const DlView& view,
                                                const Keyword& keyword,
                                                const ScoreOptions& options) {
   // States are DlNodeIds; reuse the generic settle loop with keys = node id
-  // (atomic node ids coincide with concept ids, so ConceptsOnly applies if
-  // we tag restriction ids).
+  // (atomic node ids coincide with concept ids, so concept states settle as
+  // concepts if we tag restriction ids).
   auto expand = [&](StateKey key, double score, const auto& push) {
     DlNodeId node = static_cast<DlNodeId>(
         IsRestriction(key) ? (key & 0x7fffffffULL) : key);
@@ -220,8 +263,9 @@ OntoScoreMap ComputeRelationshipScoresOnDlView(const DlView& view,
       push(key_of(dotted), score * options.decay);
     }
   };
-  return ConceptsOnly(Settle(index.Match(keyword), options.threshold, expand,
-                             options.max_concepts_per_keyword));
+  return ToMap(Settle(index.Match(keyword), index.ontology().concept_count(),
+                      options.threshold, expand,
+                      options.max_concepts_per_keyword));
 }
 
 OntoScoreMap ComputeGraphScoresIndependent(const OntologyIndex& index,
@@ -242,8 +286,8 @@ OntoScoreMap ComputeGraphScoresIndependent(const OntologyIndex& index,
         push(ConceptKey(rel.source), next);
       }
     };
-    OntoScoreMap one =
-        ConceptsOnly(Settle({seed}, options.threshold, expand));
+    OntoScoreMap one = ToMap(Settle({seed}, onto.concept_count(),
+                                    options.threshold, expand));
     for (const auto& [c, score] : one) {
       auto [it, inserted] = combined.emplace(c, score);
       if (!inserted && score > it->second) it->second = score;

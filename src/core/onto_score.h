@@ -59,6 +59,13 @@ OntoScoreMap ComputeOntoScores(const OntologyIndex& index,
                                const Keyword& keyword, Strategy strategy,
                                const ScoreOptions& options);
 
+/// The same scores as a dense row (the form OntologyContext caches):
+/// equal to DenseOntoScoreRow(ComputeOntoScores(...), concept_count), read
+/// straight off the expansion's dense settle array.
+OntoScoreRow ComputeDenseOntoScores(const OntologyIndex& index,
+                                    const Keyword& keyword, Strategy strategy,
+                                    const ScoreOptions& options);
+
 /// Reference implementation of the Relationships strategy that *does*
 /// materialize the DL view (§IV-C) and runs the generic expansion over it.
 /// Exists to validate, by equivalence testing, that the implicit traversal

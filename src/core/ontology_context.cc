@@ -61,9 +61,8 @@ OntoScoreRowCache::Row OntologyContext::GetRow(size_t system,
   }
   // Compute outside any lock; a racing thread may duplicate the work, in
   // which case the first insert wins.
-  OntoScoreRow row = DenseOntoScoreRow(
-      ComputeOntoScores(*indexes_[system], keyword, strategy_, score_),
-      systems_.system(system).concept_count());
+  OntoScoreRow row =
+      ComputeDenseOntoScores(*indexes_[system], keyword, strategy_, score_);
   if (!cache_rows_) {
     return std::make_shared<const OntoScoreRow>(std::move(row));
   }

@@ -1,25 +1,40 @@
 #include "ir/text_index.h"
 
 #include <algorithm>
+#include <numeric>
+#include <tuple>
 
 #include "common/check.h"
 
 namespace xontorank {
 
+namespace {
+
+/// unit_lengths_ entry of an id that was never added (build state only).
+constexpr uint32_t kNoUnit = UINT32_MAX;
+
+}  // namespace
+
 void TextIndex::AddUnit(uint32_t unit_id, std::string_view text) {
   XO_CHECK(!finalized_ && "AddUnit after Finalize");
-  uint32_t& length = unit_lengths_[unit_id];  // creates entry if absent
+  if (unit_id >= unit_lengths_.size()) {
+    unit_lengths_.resize(size_t{unit_id} + 1, kNoUnit);
+  }
+  uint32_t& length = unit_lengths_[unit_id];
+  if (length == kNoUnit) {
+    length = 0;
+    ++unit_count_;
+  }
   uint32_t raw_tokens = 0;
   std::vector<PositionedToken> tokens =
       TokenizeWithPositions(text, tokenizer_, &raw_tokens);
   for (PositionedToken& tok : tokens) {
-    PostingList& list = postings_[tok.token];
-    if (list.empty() || list.back().unit_id != unit_id) {
-      // Units are commonly added in ascending order, making this an append;
-      // out-of-order additions are fixed up in Finalize().
-      list.push_back({unit_id, {}});
+    auto it = term_ids_.find(std::string_view(tok.token));
+    if (it == term_ids_.end()) {
+      const auto id = static_cast<uint32_t>(term_ids_.size());
+      it = term_ids_.emplace(std::move(tok.token), id).first;
     }
-    list.back().positions.push_back(length + tok.position);
+    occurrences_.push_back({it->second, unit_id, length + tok.position});
   }
   // Advance by the RAW token count: a dropped trailing token (number,
   // stopword) still occupies a position, so tokens of the next segment can
@@ -27,164 +42,237 @@ void TextIndex::AddUnit(uint32_t unit_id, std::string_view text) {
   length += raw_tokens;
 }
 
-void TextIndex::Reopen() {
-  XO_CHECK(finalized_ && "Reopen only applies to a finalized index");
-  finalized_ = false;
-}
-
 void TextIndex::Finalize() {
   XO_CHECK(!finalized_);
-  for (auto& [term, list] : postings_) {
-    std::sort(list.begin(), list.end(),
-              [](const Posting& a, const Posting& b) {
-                return a.unit_id < b.unit_id;
-              });
-    // Merge duplicate unit entries produced by out-of-order AddUnit calls.
-    PostingList merged;
-    for (Posting& p : list) {
-      if (!merged.empty() && merged.back().unit_id == p.unit_id) {
-        merged.back().positions.insert(merged.back().positions.end(),
-                                       p.positions.begin(), p.positions.end());
-      } else {
-        merged.push_back(std::move(p));
+  // Sorted term order: rank[id] is interned term id's place in it.
+  const size_t terms = term_ids_.size();
+  std::vector<const std::string*> spelling(terms);
+  for (const auto& [term, id] : term_ids_) spelling[id] = &term;
+  std::vector<uint32_t> order(terms);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&spelling](uint32_t a, uint32_t b) {
+    return *spelling[a] < *spelling[b];
+  });
+  std::vector<uint32_t> rank(terms);
+  size_t chars = 0;
+  for (uint32_t r = 0; r < terms; ++r) {
+    rank[order[r]] = r;
+    chars += spelling[order[r]]->size();
+  }
+  term_arena_.reserve(chars);
+  term_offsets_.reserve(terms + 1);
+  term_offsets_.push_back(0);
+  for (uint32_t id : order) {
+    term_arena_.insert(term_arena_.end(), spelling[id]->begin(),
+                       spelling[id]->end());
+    term_offsets_.push_back(static_cast<uint32_t>(term_arena_.size()));
+  }
+
+  // Counting sort of the occurrences by term rank. It is stable, so each
+  // term's run keeps the order of the AddUnit calls: ascending by (unit,
+  // position) unless units were added out of order, in which case the
+  // run is sorted here.
+  const size_t n = occurrences_.size();
+  std::vector<uint32_t> run_begin(terms + 1, 0);
+  for (const Occurrence& occ : occurrences_) ++run_begin[rank[occ.term] + 1];
+  std::partial_sum(run_begin.begin(), run_begin.end(), run_begin.begin());
+  std::vector<uint32_t> units(n);
+  positions_.resize(n);
+  {
+    std::vector<uint32_t> cursor(run_begin.begin(), run_begin.end() - 1);
+    for (const Occurrence& occ : occurrences_) {
+      const uint32_t at = cursor[rank[occ.term]]++;
+      units[at] = occ.unit;
+      positions_[at] = occ.position;
+    }
+  }
+  // Assigning `{}` would keep the storage; move-assign fresh objects.
+  occurrences_ = std::vector<Occurrence>();
+  term_ids_ = decltype(term_ids_)();
+  size_t postings = 0;
+  for (size_t t = 0; t < terms; ++t) {
+    const uint32_t begin = run_begin[t];
+    const uint32_t end = run_begin[t + 1];
+    bool sorted = true;
+    for (uint32_t i = begin + 1; i < end && sorted; ++i) {
+      sorted = units[i - 1] != units[i] ? units[i - 1] < units[i]
+                                        : positions_[i - 1] < positions_[i];
+    }
+    if (!sorted) {
+      std::vector<std::pair<uint32_t, uint32_t>> run;
+      run.reserve(end - begin);
+      for (uint32_t i = begin; i < end; ++i) {
+        run.emplace_back(units[i], positions_[i]);
+      }
+      std::sort(run.begin(), run.end());
+      for (uint32_t i = begin; i < end; ++i) {
+        units[i] = run[i - begin].first;
+        positions_[i] = run[i - begin].second;
       }
     }
-    for (Posting& p : merged) {
-      std::sort(p.positions.begin(), p.positions.end());
+    for (uint32_t i = begin; i < end; ++i) {
+      if (i == begin || units[i] != units[i - 1]) ++postings;
     }
-    list = std::move(merged);
   }
-  double total = 0.0;
-  for (const auto& [unit, len] : unit_lengths_) total += len;
-  avg_unit_length_ =
-      unit_lengths_.empty() ? 0.0 : total / static_cast<double>(unit_lengths_.size());
+
+  // One posting per (term, unit) run.
+  term_postings_.reserve(terms + 1);
+  posting_units_.reserve(postings);
+  posting_positions_.reserve(postings + 1);
+  for (size_t t = 0; t < terms; ++t) {
+    term_postings_.push_back(static_cast<uint32_t>(posting_units_.size()));
+    for (uint32_t i = run_begin[t]; i < run_begin[t + 1]; ++i) {
+      if (i == run_begin[t] || units[i] != units[i - 1]) {
+        posting_units_.push_back(units[i]);
+        posting_positions_.push_back(i);
+      }
+    }
+  }
+  term_postings_.push_back(static_cast<uint32_t>(posting_units_.size()));
+  posting_positions_.push_back(static_cast<uint32_t>(n));
+
+  // Collection statistics: N counts every unit added, avgdl is the exact
+  // integer length sum over N.
+  uint64_t total = 0;
+  for (uint32_t& length : unit_lengths_) {
+    if (length == kNoUnit) length = 0;
+    total += length;
+  }
+  unit_lengths_.shrink_to_fit();
+  avg_unit_length_ = unit_count_ == 0 ? 0.0
+                                      : static_cast<double>(total) /
+                                            static_cast<double>(unit_count_);
   finalized_ = true;
 }
 
-const TextIndex::PostingList* TextIndex::FindPostings(
+std::pair<uint32_t, uint32_t> TextIndex::FindPostings(
     std::string_view token) const {
-  auto it = postings_.find(token);
-  return it == postings_.end() ? nullptr : &it->second;
+  size_t lo = 0;
+  size_t hi = term_postings_.size() - 1;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (Term(mid) < token) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == term_postings_.size() - 1 || Term(lo) != token) return {0, 0};
+  return {term_postings_[lo], term_postings_[lo + 1]};
 }
 
-std::vector<std::pair<uint32_t, uint32_t>> TextIndex::MatchCounts(
-    const Keyword& keyword) const {
-  XO_CHECK(finalized_ && "Lookup before Finalize");
-  std::vector<std::pair<uint32_t, uint32_t>> counts;
-  if (keyword.tokens.empty()) return counts;
-
-  if (!keyword.is_phrase()) {
-    const PostingList* list = FindPostings(keyword.tokens[0]);
-    if (list == nullptr) return counts;
-    counts.reserve(list->size());
-    for (const Posting& p : *list) {
-      counts.emplace_back(p.unit_id, static_cast<uint32_t>(p.positions.size()));
-    }
-    return counts;
+void TextIndex::AppendPhraseCounts(const Keyword& keyword,
+                                   std::vector<ScoredUnit>* out) const {
+  // Intersect the tokens' posting ranges, then count adjacent position
+  // chains in every unit they share.
+  const size_t k = keyword.tokens.size();
+  std::vector<uint32_t> cursor(k);
+  std::vector<uint32_t> end(k);
+  for (size_t i = 0; i < k; ++i) {
+    std::tie(cursor[i], end[i]) = FindPostings(keyword.tokens[i]);
+    if (cursor[i] == end[i]) return;
   }
-
-  // Phrase: intersect posting lists, then count adjacent position chains.
-  std::vector<const PostingList*> lists;
-  lists.reserve(keyword.tokens.size());
-  for (const std::string& token : keyword.tokens) {
-    const PostingList* list = FindPostings(token);
-    if (list == nullptr) return counts;
-    lists.push_back(list);
-  }
-  // Galloping would be overkill; a k-way pointer walk over sorted lists.
-  std::vector<size_t> cursor(lists.size(), 0);
+  // A k-way walk over the sorted unit ranges.
   while (true) {
     // Find the max current unit across all cursors.
     uint32_t target = 0;
-    bool done = false;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (cursor[i] >= lists[i]->size()) {
-        done = true;
-        break;
-      }
-      target = std::max(target, (*lists[i])[cursor[i]].unit_id);
+    for (size_t i = 0; i < k; ++i) {
+      if (cursor[i] == end[i]) return;
+      target = std::max(target, posting_units_[cursor[i]]);
     }
-    if (done) break;
     // Advance every cursor to >= target.
     bool aligned = true;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      while (cursor[i] < lists[i]->size() &&
-             (*lists[i])[cursor[i]].unit_id < target) {
+    for (size_t i = 0; i < k; ++i) {
+      while (cursor[i] < end[i] && posting_units_[cursor[i]] < target) {
         ++cursor[i];
       }
-      if (cursor[i] >= lists[i]->size() ||
-          (*lists[i])[cursor[i]].unit_id != target) {
+      if (cursor[i] == end[i] || posting_units_[cursor[i]] != target) {
         aligned = false;
       }
     }
-    if (cursor[0] >= lists[0]->size()) break;
     if (!aligned) continue;
-    // All lists point at `target`; count phrase occurrences.
+    // All ranges point at `target`; count phrase occurrences.
     uint32_t phrase_count = 0;
-    const std::vector<uint32_t>& first = (*lists[0])[cursor[0]].positions;
-    for (uint32_t pos : first) {
+    for (uint32_t p = posting_positions_[cursor[0]];
+         p < posting_positions_[cursor[0] + 1]; ++p) {
       bool chain = true;
-      for (size_t i = 1; i < lists.size(); ++i) {
-        const std::vector<uint32_t>& positions =
-            (*lists[i])[cursor[i]].positions;
-        if (!std::binary_search(positions.begin(), positions.end(),
-                                pos + static_cast<uint32_t>(i))) {
-          chain = false;
-          break;
-        }
+      for (size_t i = 1; i < k && chain; ++i) {
+        const uint32_t* first =
+            positions_.data() + posting_positions_[cursor[i]];
+        const uint32_t* last =
+            positions_.data() + posting_positions_[cursor[i] + 1];
+        chain = std::binary_search(first, last,
+                                   positions_[p] + static_cast<uint32_t>(i));
       }
       if (chain) ++phrase_count;
     }
-    if (phrase_count > 0) counts.emplace_back(target, phrase_count);
-    for (size_t i = 0; i < lists.size(); ++i) ++cursor[i];
+    if (phrase_count > 0) {
+      out->push_back({target, static_cast<double>(phrase_count)});
+    }
+    for (size_t i = 0; i < k; ++i) ++cursor[i];
   }
-  return counts;
+}
+
+void TextIndex::AppendLookup(const Keyword& keyword, uint32_t unit_base,
+                             std::vector<ScoredUnit>* out) const {
+  XO_CHECK(finalized_ && "Lookup before Finalize");
+  if (keyword.tokens.empty()) return;
+  // First every matching unit with its term frequency (in the score
+  // field), then, with df known, the BM25 scores in place.
+  const size_t first = out->size();
+  if (keyword.is_phrase()) {
+    AppendPhraseCounts(keyword, out);
+  } else {
+    const auto [begin, end] = FindPostings(keyword.tokens[0]);
+    for (uint32_t p = begin; p < end; ++p) {
+      out->push_back(
+          {posting_units_[p], static_cast<double>(TermFrequency(p))});
+    }
+  }
+  const size_t df = out->size() - first;
+  double max_score = 0.0;
+  for (size_t i = first; i < out->size(); ++i) {
+    ScoredUnit& unit = (*out)[i];
+    unit.score = Bm25TermScore(static_cast<size_t>(unit.score), df,
+                               unit_count_, unit_lengths_[unit.unit_id],
+                               avg_unit_length_, params_);
+    max_score = std::max(max_score, unit.score);
+  }
+  for (size_t i = first; i < out->size(); ++i) {
+    ScoredUnit& unit = (*out)[i];
+    if (max_score > 0.0) unit.score /= max_score;
+    unit.unit_id += unit_base;
+  }
 }
 
 std::vector<ScoredUnit> TextIndex::Lookup(const Keyword& keyword) const {
-  std::vector<std::pair<uint32_t, uint32_t>> counts = MatchCounts(keyword);
   std::vector<ScoredUnit> out;
-  if (counts.empty()) return out;
-  const size_t df = counts.size();
-  out.reserve(df);
-  double max_score = 0.0;
-  for (const auto& [unit, tf] : counts) {
-    auto len_it = unit_lengths_.find(unit);
-    size_t len = len_it == unit_lengths_.end() ? 0 : len_it->second;
-    double score =
-        Bm25TermScore(tf, df, unit_lengths_.size(), len, avg_unit_length_,
-                      params_);
-    out.push_back({unit, score});
-    max_score = std::max(max_score, score);
-  }
-  if (max_score > 0.0) {
-    for (ScoredUnit& s : out) s.score /= max_score;
-  }
+  AppendLookup(keyword, 0, &out);
   return out;
 }
 
-double TextIndex::RawScore(uint32_t unit_id, const Keyword& keyword) const {
-  std::vector<std::pair<uint32_t, uint32_t>> counts = MatchCounts(keyword);
-  for (const auto& [unit, tf] : counts) {
-    if (unit != unit_id) continue;
-    auto len_it = unit_lengths_.find(unit);
-    size_t len = len_it == unit_lengths_.end() ? 0 : len_it->second;
-    return Bm25TermScore(tf, counts.size(), unit_lengths_.size(), len,
-                         avg_unit_length_, params_);
-  }
-  return 0.0;
-}
-
 std::vector<std::string> TextIndex::Vocabulary() const {
+  XO_CHECK(finalized_);
   std::vector<std::string> terms;
-  terms.reserve(postings_.size());
-  for (const auto& [term, list] : postings_) terms.push_back(term);
-  std::sort(terms.begin(), terms.end());
+  terms.reserve(term_count());
+  for (size_t t = 0; t < term_count(); ++t) terms.emplace_back(Term(t));
   return terms;
 }
 
 bool TextIndex::ContainsTerm(std::string_view token) const {
-  return postings_.find(token) != postings_.end();
+  XO_CHECK(finalized_);
+  const auto [begin, end] = FindPostings(token);
+  return begin != end;
+}
+
+size_t TextIndex::MemoryBytes() const {
+  if (!finalized_) return 0;
+  auto bytes = [](const auto& column) {
+    return column.capacity() * sizeof(column[0]);
+  };
+  return bytes(term_arena_) + bytes(term_offsets_) + bytes(term_postings_) +
+         bytes(posting_units_) + bytes(posting_positions_) +
+         bytes(positions_) + bytes(unit_lengths_);
 }
 
 }  // namespace xontorank

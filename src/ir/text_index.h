@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/bm25.h"
@@ -35,23 +36,28 @@ struct ScoredUnit {
 ///
 /// Usage: AddUnit() for every unit, then Finalize(), then Lookup(). Lookups
 /// before Finalize() or adds after it are programming errors (assert).
+///
+/// Finalize() freezes the index into sorted flat columns and frees the
+/// build state: the terms in one character arena (sorted, with offsets),
+/// each term's range of postings, one unit id per posting, every posting's
+/// range of token positions in one positions column, and the unit lengths
+/// indexed by unit id. A (term, unit) pair costs two u32s plus one per
+/// occurrence, with no heap block of its own; a term lookup is a binary
+/// search over the arena. Unit ids index the length column, so they should
+/// be dense (every caller numbers its units from 0).
 class TextIndex {
  public:
   explicit TextIndex(Bm25Params params = {}, TokenizerOptions tokenizer = {})
       : params_(params), tokenizer_(tokenizer) {}
 
   /// Indexes `text` under `unit_id`. May be called repeatedly with the same
-  /// id to extend a unit (token positions continue from the previous call).
+  /// id to extend a unit (token positions continue from the previous call),
+  /// and with ids in any order.
   void AddUnit(uint32_t unit_id, std::string_view text);
 
-  /// Freezes the index and computes collection statistics.
+  /// Freezes the index into its columns and computes collection
+  /// statistics.
   void Finalize();
-
-  /// Reopens a finalized index for further AddUnit calls; Finalize() must
-  /// be called again before lookups. Existing postings are kept (they are
-  /// re-sorted and re-merged on the next Finalize), so appending units is
-  /// equivalent to having indexed everything in one pass.
-  void Reopen();
 
   bool finalized() const { return finalized_; }
 
@@ -60,15 +66,18 @@ class TextIndex {
   /// unit id. Empty if no unit matches.
   std::vector<ScoredUnit> Lookup(const Keyword& keyword) const;
 
-  /// Raw (unnormalized) BM25 score of `keyword` for one unit; 0 if the unit
-  /// does not match.
-  double RawScore(uint32_t unit_id, const Keyword& keyword) const;
+  /// Lookup's matches appended to `out`, each unit id offset by
+  /// `unit_base` (a caller laying several indexes out under one id space).
+  void AppendLookup(const Keyword& keyword, uint32_t unit_base,
+                    std::vector<ScoredUnit>* out) const;
 
-  /// Number of distinct units indexed.
-  size_t unit_count() const { return unit_lengths_.size(); }
+  /// Number of distinct units indexed, including units with no tokens.
+  size_t unit_count() const { return unit_count_; }
 
   /// Number of distinct terms indexed.
-  size_t term_count() const { return postings_.size(); }
+  size_t term_count() const {
+    return finalized_ ? term_postings_.size() - 1 : term_ids_.size();
+  }
 
   /// The indexed vocabulary (distinct single tokens), sorted.
   std::vector<std::string> Vocabulary() const;
@@ -76,22 +85,20 @@ class TextIndex {
   /// True if at least one unit contains the token.
   bool ContainsTerm(std::string_view token) const;
 
+  /// Heap bytes the frozen columns hold: the sum of their capacities (0
+  /// before Finalize). Finalize sizes every column exactly.
+  size_t MemoryBytes() const;
+
  private:
-  struct Posting {
-    uint32_t unit_id;
-    std::vector<uint32_t> positions;  // sorted token positions within unit
+  /// One token occurrence, recorded while adding.
+  struct Occurrence {
+    uint32_t term;  ///< interned id, in first-seen order
+    uint32_t unit;
+    uint32_t position;
   };
-  using PostingList = std::vector<Posting>;
 
-  /// Occurrence count of `keyword` in each unit (phrase-aware); pairs of
-  /// (unit, tf), sorted by unit id.
-  std::vector<std::pair<uint32_t, uint32_t>> MatchCounts(
-      const Keyword& keyword) const;
-
-  const PostingList* FindPostings(std::string_view token) const;
-
-  /// Transparent hashing and equality, so that lookups by string_view
-  /// build no std::string.
+  /// Transparent hashing and equality, so that interning by string_view
+  /// builds no std::string for a term already seen.
   struct TermHash {
     using is_transparent = void;
     size_t operator()(std::string_view term) const {
@@ -99,13 +106,52 @@ class TextIndex {
     }
   };
 
+  /// Sorted term `t` (finalized only).
+  std::string_view Term(size_t t) const {
+    return {term_arena_.data() + term_offsets_[t],
+            term_offsets_[t + 1] - term_offsets_[t]};
+  }
+  /// The posting range [first, second) of `token`; empty if absent.
+  std::pair<uint32_t, uint32_t> FindPostings(std::string_view token) const;
+  /// Occurrences of posting `p`.
+  uint32_t TermFrequency(uint32_t p) const {
+    return posting_positions_[p + 1] - posting_positions_[p];
+  }
+  /// Appends (unit, phrase occurrence count) for every unit holding the
+  /// phrase `keyword`, the count in ScoredUnit::score.
+  void AppendPhraseCounts(const Keyword& keyword,
+                          std::vector<ScoredUnit>* out) const;
+
   Bm25Params params_;
   TokenizerOptions tokenizer_;
   bool finalized_ = false;
-  std::unordered_map<std::string, PostingList, TermHash, std::equal_to<>>
-      postings_;
-  std::unordered_map<uint32_t, uint32_t> unit_lengths_;
+  size_t unit_count_ = 0;
   double avg_unit_length_ = 0.0;
+
+  // Build state, freed by Finalize.
+  std::unordered_map<std::string, uint32_t, TermHash, std::equal_to<>>
+      term_ids_;
+  std::vector<Occurrence> occurrences_;
+
+  // Frozen columns.
+  /// Every term's characters, in sorted term order, back to back.
+  std::vector<char> term_arena_;
+  /// Term t is term_arena_[term_offsets_[t], term_offsets_[t + 1]).
+  std::vector<uint32_t> term_offsets_;
+  /// Term t's postings are [term_postings_[t], term_postings_[t + 1]),
+  /// ascending by unit.
+  std::vector<uint32_t> term_postings_;
+  /// The unit of each posting.
+  std::vector<uint32_t> posting_units_;
+  /// Posting p's positions are
+  /// positions_[posting_positions_[p], posting_positions_[p + 1]).
+  std::vector<uint32_t> posting_positions_;
+  /// Every posting's token positions within its unit, ascending per
+  /// posting.
+  std::vector<uint32_t> positions_;
+  /// Token length (raw tokens, kept or dropped) by unit id. While adding,
+  /// an id never added holds kNoUnit; Finalize turns those into 0.
+  std::vector<uint32_t> unit_lengths_;
 };
 
 }  // namespace xontorank

@@ -1,6 +1,7 @@
 #ifndef XONTORANK_ONTO_ONTOLOGY_INDEX_H_
 #define XONTORANK_ONTO_ONTOLOGY_INDEX_H_
 
+#include <span>
 #include <vector>
 
 #include "ir/query.h"
@@ -40,13 +41,39 @@ class OntologyIndex {
   /// the indexing Vocabulary (§V-B).
   std::vector<std::string> Vocabulary() const { return index_.Vocabulary(); }
 
-  bool ContainsTerm(std::string_view token) const {
-    return index_.ContainsTerm(token);
+  /// The Relationships strategy's (§VI-C) adjacency, computed once here so
+  /// that its expansion never rescans a concept's incoming relationships:
+  ///
+  /// RelationInDegree(rel.target, rel.type) for each relationship of
+  /// OutRelationships(c), in the same order.
+  std::span<const uint32_t> OutRelationInDegrees(ConceptId c) const {
+    return {out_indegrees_.data() + out_begin_[c],
+            out_begin_[c + 1] - out_begin_[c]};
   }
+  /// The sources of every relationship of `role` arriving at `target`, in
+  /// InRelationships(target) order.
+  std::span<const ConceptId> RelationSources(ConceptId target,
+                                             RelationTypeId role) const;
 
  private:
+  /// One role's run of in_sources_ for a target.
+  struct RoleSources {
+    RelationTypeId role;
+    uint32_t begin;
+    uint32_t end;
+  };
+
   const Ontology* ontology_;
   TextIndex index_;
+  /// OutRelationInDegrees(c) is out_indegrees_[out_begin_[c],
+  /// out_begin_[c + 1]).
+  std::vector<uint32_t> out_begin_;
+  std::vector<uint32_t> out_indegrees_;
+  /// Target t's roles are in_roles_[in_begin_[t], in_begin_[t + 1]), in
+  /// order of first appearance; each names its run of in_sources_.
+  std::vector<uint32_t> in_begin_;
+  std::vector<RoleSources> in_roles_;
+  std::vector<ConceptId> in_sources_;
 };
 
 }  // namespace xontorank

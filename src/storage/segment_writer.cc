@@ -93,7 +93,16 @@ std::string EncodeSegment(const FlatDil& dil, uint32_t version) {
     XO_CHECK_EQ(v.block_max.size(), v.skip_first_doc.size());
   }
 
+  // The file's exact size, so the image is written into one allocation
+  // (doubling growth would hold up to twice the segment at the end).
+  size_t file_bytes = table_end;
+  for (size_t s = 0; s < section_count; ++s) {
+    file_bytes = SegmentAlignUp(file_bytes) + payloads[s].bytes;
+  }
+  file_bytes += kSegmentFooterBytes;
+
   std::string out;
+  out.reserve(file_bytes);
   // Header (file_bytes is patched once the total is known).
   out.append(kSegmentMagic, sizeof(kSegmentMagic));
   AppendU32(&out, version);
@@ -126,6 +135,7 @@ std::string EncodeSegment(const FlatDil& dil, uint32_t version) {
   AppendU32(&out, Crc32(std::string_view(out).substr(0, table_end)));
   AppendU32(&out, kSegmentFooterMagic);
   XO_CHECK_EQ(out.size() % 4, 0u);
+  XO_CHECK_EQ(out.size(), file_bytes);
   return out;
 }
 

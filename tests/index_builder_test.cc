@@ -64,7 +64,7 @@ TEST_F(IndexBuilderFixture, XRankHasNoOntologicalPostings) {
   // "bronchus" never occurs textually; under XRANK its list is empty.
   CorpusIndex index = Build(Strategy::kXRank);
   EXPECT_TRUE(index.BuildPostings(MakeKeyword("bronchus")).empty());
-  EXPECT_TRUE(index.ComputeOntoScoreRow(MakeKeyword("bronchus")).empty());
+  EXPECT_TRUE(index.context()->GetRow(0, MakeKeyword("bronchus"))->empty());
 }
 
 TEST_F(IndexBuilderFixture, OntologicalPostingThroughCodeNode) {

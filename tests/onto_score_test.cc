@@ -5,6 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/ontology_context.h"
 #include "gtest/gtest.h"
@@ -397,6 +401,77 @@ TEST(OntoScoreRowTest, DenseOntoScoreRowLaysOutMap) {
   EXPECT_TRUE(DenseOntoScoreRow({}, 5).empty());
   OntoScoreRow row = DenseOntoScoreRow({{1, 0.25}, {4, 1.0}}, 5);
   EXPECT_EQ(row, (OntoScoreRow{0.0, 0.25, 0.0, 0.0, 1.0}));
+}
+
+// The Relationships expansion reads the adjacency OntologyIndex computes
+// once; it must agree with the ontology's own scans, in the same order.
+TEST(OntologyIndexTest, PrecomputedRelationshipAdjacencyMatchesOntology) {
+  OntologyGeneratorOptions gen;
+  gen.num_concepts = 400;
+  gen.relationships_per_concept = 3.0;
+  gen.seed = 11;
+  Ontology onto = GenerateOntology(gen);
+  OntologyIndex index(onto);
+  size_t multi_role_targets = 0;
+  for (ConceptId c = 0; c < onto.concept_count(); ++c) {
+    const std::vector<ConceptRelationship>& out = onto.OutRelationships(c);
+    std::span<const uint32_t> indegrees = index.OutRelationInDegrees(c);
+    ASSERT_EQ(indegrees.size(), out.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(indegrees[i],
+                onto.RelationInDegree(out[i].target, out[i].type));
+    }
+    std::set<RelationTypeId> roles;
+    for (const ConceptRelationship& rel : onto.InRelationships(c)) {
+      roles.insert(rel.type);
+    }
+    multi_role_targets += roles.size() > 1 ? 1 : 0;
+    for (RelationTypeId role = 0; role < onto.relation_type_count(); ++role) {
+      std::vector<ConceptId> expected;
+      for (const ConceptRelationship& rel : onto.InRelationships(c)) {
+        if (rel.type == role) expected.push_back(rel.source);
+      }
+      std::span<const ConceptId> sources = index.RelationSources(c, role);
+      EXPECT_EQ(std::vector<ConceptId>(sources.begin(), sources.end()),
+                expected)
+          << "target " << c << " role " << role;
+    }
+  }
+  EXPECT_GT(multi_role_targets, 0u);
+}
+
+// The dense row is read straight off the expansion; it must equal the map
+// laid out densely, bit for bit, for every strategy, including under the
+// §IX cap (which stops the expansion part way).
+TEST(OntoScoreRowTest, ComputeDenseOntoScoresEqualsDenseMap) {
+  OntologyGeneratorOptions gen;
+  gen.num_concepts = 500;
+  gen.seed = 5;
+  Ontology onto = GenerateOntology(gen);
+  OntologyIndex index(onto);
+  std::vector<std::string> vocabulary = index.Vocabulary();
+  ASSERT_GT(vocabulary.size(), 50u);
+  for (size_t cap : {size_t{0}, size_t{7}}) {
+    ScoreOptions options;
+    options.max_concepts_per_keyword = cap;
+    for (Strategy strategy : {Strategy::kXRank, Strategy::kGraph,
+                              Strategy::kTaxonomy, Strategy::kRelationships}) {
+      for (size_t w = 0; w < vocabulary.size(); w += 5) {
+        Keyword keyword = MakeKeyword(vocabulary[w]);
+        OntoScoreRow expected = DenseOntoScoreRow(
+            ComputeOntoScores(index, keyword, strategy, options),
+            onto.concept_count());
+        OntoScoreRow row =
+            ComputeDenseOntoScores(index, keyword, strategy, options);
+        ASSERT_EQ(row.size(), expected.size()) << vocabulary[w];
+        for (size_t c = 0; c < row.size(); ++c) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(row[c]),
+                    std::bit_cast<uint64_t>(expected[c]))
+              << StrategyName(strategy) << " " << vocabulary[w];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,17 @@
 #include "ir/text_index.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "cda/cda_document.h"
+#include "cda/cda_generator.h"
+#include "core/node_text.h"
+#include "core/options.h"
 #include "gtest/gtest.h"
+#include "onto/snomed_fragment.h"
 
 namespace xontorank {
 namespace {
@@ -144,16 +153,6 @@ TEST(TextIndexTest, ContainsTerm) {
   EXPECT_FALSE(index.ContainsTerm("flu"));
 }
 
-TEST(TextIndexTest, RawScoreMatchesLookupRanking) {
-  TextIndex index = MakeIndex({"asthma one", "asthma asthma two"});
-  Keyword kw = MakeKeyword("asthma");
-  double raw0 = index.RawScore(0, kw);
-  double raw1 = index.RawScore(1, kw);
-  EXPECT_GT(raw1, raw0);
-  EXPECT_GT(raw0, 0.0);
-  EXPECT_EQ(index.RawScore(99, kw), 0.0);
-}
-
 TEST(TextIndexTest, EmptyIndex) {
   TextIndex index;
   index.Finalize();
@@ -181,6 +180,172 @@ TEST(TextIndexTest, RawCountAdvancesPositionsExactly) {
   index.AddUnit(0, "arteriosus");
   index.Finalize();
   EXPECT_EQ(index.Lookup(MakeKeyword("patent ductus arteriosus")).size(), 1u);
+}
+
+TEST(TextIndexTest, MemoryBytesCountsExactSizeColumns) {
+  TextIndex building;
+  building.AddUnit(0, "beta alpha");
+  EXPECT_EQ(building.MemoryBytes(), 0u);
+
+  // Worked by hand: "alphabetagamma" (14 chars); 4 term offsets and 4
+  // posting-range bounds; postings alpha{0,1} beta{0,1} gamma{1} (5 unit
+  // ids, 6 position-range bounds); 5 positions; 2 unit lengths. Any
+  // column with spare capacity would add to the total.
+  TextIndex index = MakeIndex({"beta alpha", "alpha gamma beta"});
+  EXPECT_EQ(index.MemoryBytes(), 14 + 4 * (4 + 4 + 5 + 6 + 5 + 2));
+}
+
+TEST(TextIndexTest, OutOfOrderUnitsFreezeToExactColumns) {
+  TextIndex index;
+  index.AddUnit(7, "asthma cough");
+  index.AddUnit(2, "cough");
+  index.AddUnit(7, "asthma");
+  index.AddUnit(0, "");
+  index.Finalize();
+  EXPECT_EQ(index.unit_count(), 3u);  // 0, 2 and 7; 0 has no tokens
+  EXPECT_EQ(UnitIds(index.Lookup(MakeKeyword("cough"))),
+            (std::vector<uint32_t>{2, 7}));
+  EXPECT_EQ(UnitIds(index.Lookup(MakeKeyword("cough asthma"))),
+            (std::vector<uint32_t>{7}));
+  // "asthmacough"; 3 + 3 term bounds; postings asthma{7} cough{2,7} (3
+  // unit ids, 4 position-range bounds); 4 positions; lengths of 0..7.
+  EXPECT_EQ(index.MemoryBytes(), 11 + 4 * (3 + 3 + 3 + 4 + 4 + 8));
+}
+
+/// A unit's raw token stream: every kept token at its position, and the
+/// raw token count.
+struct RawUnit {
+  std::map<uint32_t, std::string> tokens;
+  uint32_t length = 0;
+};
+
+/// Normalized BM25 over raw token streams, written without the index: a
+/// unit matches where the keyword's tokens sit at consecutive positions.
+std::vector<ScoredUnit> NaiveLookup(const std::vector<RawUnit>& units,
+                                    const Keyword& keyword) {
+  uint64_t total = 0;
+  for (const RawUnit& unit : units) total += unit.length;
+  const double avg = units.empty() ? 0.0
+                                   : static_cast<double>(total) /
+                                         static_cast<double>(units.size());
+  std::vector<std::pair<uint32_t, size_t>> counts;
+  for (uint32_t u = 0; u < units.size(); ++u) {
+    size_t tf = 0;
+    for (const auto& [position, token] : units[u].tokens) {
+      bool chain = true;
+      for (size_t i = 0; i < keyword.tokens.size() && chain; ++i) {
+        auto at = units[u].tokens.find(position + static_cast<uint32_t>(i));
+        chain = at != units[u].tokens.end() && at->second == keyword.tokens[i];
+      }
+      if (chain) ++tf;
+    }
+    if (tf > 0) counts.emplace_back(u, tf);
+  }
+  std::vector<ScoredUnit> out;
+  double max_score = 0.0;
+  for (const auto& [u, tf] : counts) {
+    const double score = Bm25TermScore(tf, counts.size(), units.size(),
+                                       units[u].length, avg, Bm25Params{});
+    out.push_back({u, score});
+    max_score = std::max(max_score, score);
+  }
+  for (ScoredUnit& unit : out) unit.score /= max_score;
+  return out;
+}
+
+/// Visits `node`'s elements in preorder.
+template <typename Fn>
+void VisitElements(const XmlNode& node, const Fn& fn) {
+  if (!node.is_element()) return;
+  fn(node);
+  for (XmlNode child : node.children()) VisitElements(child, fn);
+}
+
+TEST(TextIndexTest, LookupMatchesNaiveBm25OverGeneratedDocuments) {
+  const Ontology snomed = BuildSnomedCardiologyFragment();
+  CdaGeneratorOptions options;
+  options.num_documents = 50;
+  const CdaGenerator generator(snomed, options);
+  const auto& excluded = DefaultExcludedAttributes();
+  size_t checked = 0;
+  for (uint32_t d = 0; d < options.num_documents; ++d) {
+    // One collection per document, one unit per element, as in stage 1.
+    const XmlDocument document = CdaToXml(generator.GenerateDocument(d), d);
+    TextIndex index;
+    std::vector<RawUnit> units;
+    VisitElements(document.root(), [&](const XmlNode& node) {
+      const std::string text = TextualDescription(node, excluded);
+      const auto id = static_cast<uint32_t>(units.size());
+      index.AddUnit(id, text);
+      RawUnit& unit = units.emplace_back();
+      for (PositionedToken& token :
+           TokenizeWithPositions(text, {}, &unit.length)) {
+        unit.tokens.emplace(token.position, std::move(token.token));
+      }
+    });
+    index.Finalize();
+
+    // Every vocabulary term, and the two- and three-token phrases that
+    // start at every fifth token (with each pair also reversed, which
+    // mostly matches nothing).
+    std::set<std::string> vocabulary;
+    std::set<std::vector<std::string>> phrases;
+    size_t nth = 0;
+    for (const RawUnit& unit : units) {
+      for (const auto& [position, token] : unit.tokens) {
+        vocabulary.insert(token);
+        if (nth++ % 5 != 0) continue;
+        auto next = unit.tokens.find(position + 1);
+        if (next == unit.tokens.end()) continue;
+        phrases.insert({token, next->second});
+        phrases.insert({next->second, token});
+        auto third = unit.tokens.find(position + 2);
+        if (third != unit.tokens.end()) {
+          phrases.insert({token, next->second, third->second});
+        }
+      }
+    }
+    ASSERT_EQ(index.Vocabulary(),
+              std::vector<std::string>(vocabulary.begin(), vocabulary.end()));
+    // Exact-size columns: term characters, two bounds per term plus one,
+    // a unit id and a position bound per (term, unit) pair plus one, a
+    // position per occurrence, a length per unit.
+    size_t chars = 0;
+    for (const std::string& term : vocabulary) chars += term.size();
+    size_t pairs = 0;
+    size_t occurrences = 0;
+    for (const RawUnit& unit : units) {
+      std::set<std::string> terms;
+      for (const auto& [position, token] : unit.tokens) terms.insert(token);
+      pairs += terms.size();
+      occurrences += unit.tokens.size();
+    }
+    EXPECT_EQ(index.MemoryBytes(),
+              chars + 4 * (2 * (vocabulary.size() + 1) + 2 * pairs + 1 +
+                           occurrences + units.size()));
+    std::vector<Keyword> keywords;
+    for (const std::string& term : vocabulary) {
+      keywords.push_back(MakeKeyword(term));
+    }
+    for (const std::vector<std::string>& phrase : phrases) {
+      Keyword keyword;
+      keyword.tokens = phrase;
+      keywords.push_back(std::move(keyword));
+    }
+    for (const Keyword& keyword : keywords) {
+      const std::vector<ScoredUnit> expected = NaiveLookup(units, keyword);
+      const std::vector<ScoredUnit> got = index.Lookup(keyword);
+      ASSERT_EQ(got.size(), expected.size())
+          << "document " << d << ", keyword " << keyword.Canonical();
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].unit_id, expected[i].unit_id);
+        EXPECT_EQ(got[i].score, expected[i].score)
+            << "document " << d << ", keyword " << keyword.Canonical();
+      }
+      checked += got.size();
+    }
+  }
+  EXPECT_GT(checked, 10000u);
 }
 
 }  // namespace
