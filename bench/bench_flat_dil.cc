@@ -1,18 +1,18 @@
 // The flat serving representation:
-//   1. DIL merge throughput (postings/s) of the cursor merge over FlatDil
-//      columns, after its answers are checked bit for bit against the
-//      reference evaluator of Eq. 1-4 (tests/reference_eval.h);
-//   2. heap bytes/posting — allocator-measured footprint of the build-side
-//      map-of-posting-structs (XOntoDil) vs. the frozen columns
-//      (bench_util.h HeapBytesInUse deltas), plus FlatDil's exact column
+//   1. DIL merge throughput of the cursor merge over FlatDil columns,
+//      after its answers are checked bit for bit against the reference
+//      evaluator of Eq. 1-4 (tests/reference_eval.h). It reports postings
+//      scanned per second (every posting of every list) next to postings
+//      scored per second (the ones the merge consumed; the rest it skipped
+//      through the block skip table): the corpus is a sparse conjunction,
+//      so most of what it scans it never scores;
+//   2. bytes/posting of the frozen columns, allocator-measured
+//      (bench_util.h HeapBytesInUse deltas) and by FlatDil's exact column
 //      accounting.
 //
 // `--smoke` runs a small corpus through the parity and round-trip gates
 // only (no timing) and exits nonzero on any mismatch; CI runs this as a
 // ctest target so the bit-identity property is enforced on every build.
-//
-// Expected shape (recorded in EXPERIMENTS.md): >= 3x lower heap
-// bytes/posting for the flat form.
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,12 +26,13 @@
 #include "common/timer.h"
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
-#include "core/xonto_dil.h"
 #include "tests/reference_eval.h"
 
 using namespace xontorank;
 
 namespace {
+
+using reference::Posting;
 
 // A CDA-shaped synthetic corpus. Each document is a section/paragraph/item
 // tree, so a keyword's postings inside one document share 3-4 leading
@@ -40,14 +41,14 @@ namespace {
 // conjunction is sparse: the merge walks every posting but emits results
 // for only ~1/30 of documents — the realistic, merge-dominated regime
 // (dense-overlap parity is covered separately by the smoke gates).
-XOntoDil BuildSyntheticDil(size_t num_keywords, size_t docs,
-                           size_t postings_per_doc, uint64_t seed) {
+reference::Lists BuildSyntheticDil(size_t num_keywords, size_t docs,
+                                   size_t postings_per_doc, uint64_t seed) {
   static constexpr uint32_t kStrides[] = {2, 3, 5, 7, 11};
   Rng rng(seed);
-  XOntoDil dil;
+  reference::Lists dil;
   for (size_t w = 0; w < num_keywords; ++w) {
     uint32_t stride = kStrides[w % (sizeof(kStrides) / sizeof(kStrides[0]))];
-    std::vector<DilPosting> postings;
+    std::vector<Posting> postings;
     postings.reserve(docs / stride * postings_per_doc);
     for (uint32_t d = 0; d < docs; d += stride) {
       for (uint32_t i = 0; i < postings_per_doc; ++i) {
@@ -59,7 +60,7 @@ XOntoDil BuildSyntheticDil(size_t num_keywords, size_t docs,
             {DeweyId(std::move(comps)), 0.05 + 0.95 * rng.NextDouble()});
       }
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
   return dil;
 }
@@ -76,11 +77,9 @@ bool ResultsIdentical(const std::vector<QueryResult>& a,
   return true;
 }
 
-std::vector<std::vector<DilPosting>> Lists(const XOntoDil& dil) {
-  std::vector<std::vector<DilPosting>> lists;
-  for (const auto& [keyword, entry] : dil.entries()) {
-    lists.push_back(entry.postings);
-  }
+std::vector<std::vector<Posting>> Lists(const reference::Lists& dil) {
+  std::vector<std::vector<Posting>> lists;
+  for (const auto& [keyword, postings] : dil) lists.push_back(postings);
   return lists;
 }
 
@@ -93,7 +92,7 @@ std::vector<DilListRef> Refs(const FlatDil& flat) {
 }
 
 // Parity + round-trip gates; exits the process on failure.
-void RunGates(const XOntoDil& dil, const FlatDil& flat) {
+void RunGates(const reference::Lists& dil, const FlatDil& flat) {
   const ScoreOptions score;
   QueryProcessor processor(score);
   auto lists = Lists(dil);
@@ -113,28 +112,21 @@ void RunGates(const XOntoDil& dil, const FlatDil& flat) {
       }
     }
   }
-  // Freezing loses nothing: the flat form thaws back to the source.
-  XOntoDil thawed = flat.ThawAll();
-  if (thawed.keyword_count() != dil.keyword_count() ||
-      thawed.TotalPostings() != dil.TotalPostings()) {
+  // Freezing loses nothing: every list reads back as its source, in
+  // keyword order (the synthetic lists are built in Dewey order).
+  if (flat.keyword_count() != dil.size()) {
     std::fprintf(stderr, "ROUND-TRIP FAILURE: list counts differ\n");
     std::exit(1);
   }
-  auto ti = thawed.entries().begin();
-  for (const auto& [keyword, entry] : dil.entries()) {
-    if (ti->first != keyword ||
-        ti->second.postings.size() != entry.postings.size()) {
-      std::fprintf(stderr, "ROUND-TRIP FAILURE: entry mismatch\n");
+  uint32_t list = 0;
+  for (const auto& [keyword, postings] : dil) {
+    if (flat.KeywordAt(list) != keyword ||
+        reference::ReadList(flat, list) != postings) {
+      std::fprintf(stderr, "ROUND-TRIP FAILURE: list %s differs\n",
+                   keyword.c_str());
       std::exit(1);
     }
-    for (size_t i = 0; i < entry.postings.size(); ++i) {
-      if (!(ti->second.postings[i].dewey == entry.postings[i].dewey) ||
-          ti->second.postings[i].score != entry.postings[i].score) {
-        std::fprintf(stderr, "ROUND-TRIP FAILURE: posting mismatch\n");
-        std::exit(1);
-      }
-    }
-    ++ti;
+    ++list;
   }
 }
 
@@ -149,9 +141,10 @@ int main(int argc, char** argv) {
   const size_t per_doc = 16;
   const int reps = smoke ? 1 : 7;
 
-  XOntoDil dil = BuildSyntheticDil(kKeywords, docs, per_doc, /*seed=*/29);
-  FlatDil flat = dil.Freeze();
-  const size_t postings = dil.TotalPostings();
+  reference::Lists dil =
+      BuildSyntheticDil(kKeywords, docs, per_doc, /*seed=*/29);
+  FlatDil flat = reference::FreezeLists(dil);
+  const size_t postings = flat.total_postings();
 
   RunGates(dil, flat);
   if (smoke) {
@@ -169,46 +162,47 @@ int main(int argc, char** argv) {
   auto refs = Refs(flat);
   QueryProcessor processor((ScoreOptions()));
 
+  // Every rep runs the same merge, so the stats of the last one stand for
+  // all of them.
+  ExecuteStats stats;
   Timer timer;
   for (int r = 0; r < reps; ++r) {
     std::vector<DilCursor> cursors;
     cursors.reserve(refs.size());
     for (const DilListRef& ref : refs) cursors.push_back(ref.OpenCursor());
-    processor.Execute(std::move(cursors), kTopK);
+    stats = ExecuteStats();
+    processor.Execute(std::move(cursors), kTopK, PruningMode::kExact, &stats);
   }
   double flat_ms = timer.ElapsedMillis() / reps;
 
-  double flat_mps = postings / flat_ms / 1000.0;
   std::printf("%-34s %12s\n", "merge (serial, full corpus)", "flat");
   bench::PrintRule(47);
   std::printf("%-34s %9.2f ms\n", "time/query", flat_ms);
-  std::printf("%-34s %8.2f M/s\n\n", "posting throughput", flat_mps);
+  std::printf("%-34s %8.2f M/s\n", "postings scanned/s",
+              postings / flat_ms / 1000.0);
+  std::printf("%-34s %8.2f M/s  (%zu of %zu postings, %.3f)\n\n",
+              "postings scored/s", stats.postings_scored / flat_ms / 1000.0,
+              stats.postings_scored, postings,
+              static_cast<double>(stats.postings_scored) / postings);
 
-  // --- 2. heap bytes/posting ------------------------------------------
-  size_t legacy_heap = 0, flat_heap = 0;
+  // --- 2. bytes/posting -----------------------------------------------
+  size_t flat_heap = 0;
   {
-    XOntoDil rebuilt = bench::MeasureHeapDelta(
-        [&] {
-          return BuildSyntheticDil(kKeywords, docs, per_doc, /*seed=*/29);
-        },
-        &legacy_heap);
-    FlatDil frozen =
-        bench::MeasureHeapDelta([&] { return rebuilt.Freeze(); }, &flat_heap);
+    FlatDil frozen = bench::MeasureHeapDelta(
+        [&] { return reference::FreezeLists(dil); }, &flat_heap);
   }
 
-  std::printf("%-34s %12s %12s %9s\n", "memory", "legacy", "flat", "ratio");
-  bench::PrintRule(72);
-  std::printf("%-34s %9.1f B  %9.1f B  %8.2fx\n", "heap bytes/posting",
-              static_cast<double>(legacy_heap) / postings,
-              static_cast<double>(flat_heap) / postings,
-              static_cast<double>(legacy_heap) / flat_heap);
-  std::printf("%-34s %12s %9.1f B\n", "exact column bytes/posting", "",
+  std::printf("%-34s %12s\n", "memory", "flat");
+  bench::PrintRule(47);
+  std::printf("%-34s %9.1f B\n", "heap bytes/posting",
+              static_cast<double>(flat_heap) / postings);
+  std::printf("%-34s %9.1f B\n", "exact column bytes/posting",
               static_cast<double>(flat.MemoryBytes()) / postings);
   std::printf("%-34s %9zu KB\n\n", "process RSS",
               bench::CurrentRssBytes() / 1024);
 
   std::printf("Parity: cursor merge verified bit-identical to the "
-              "reference evaluator at 1/2/4/8 shards, and the flat form thaws "
-              "back to its source, before any timing.\n");
+              "reference evaluator at 1/2/4/8 shards, and every frozen list "
+              "reads back as its source, before any timing.\n");
   return 0;
 }

@@ -38,12 +38,12 @@
 #include "common/timer.h"
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
-#include "core/xonto_dil.h"
 #include "ir/query.h"
 #include "storage/coding.h"
 #include "storage/engine_store.h"
 #include "storage/segment_file.h"
 #include "storage/segment_writer.h"
+#include "tests/reference_eval.h"
 #include "xml/xml_parser.h"
 
 using namespace xontorank;
@@ -53,14 +53,14 @@ namespace {
 // Same CDA-shaped synthetic corpus as bench_flat_dil: keyword w appears in
 // documents divisible by its stride, several postings per document sharing
 // a deep prefix.
-XOntoDil BuildSyntheticDil(size_t num_keywords, size_t docs,
-                           size_t postings_per_doc, uint64_t seed) {
+reference::Lists BuildSyntheticDil(size_t num_keywords, size_t docs,
+                                   size_t postings_per_doc, uint64_t seed) {
   static constexpr uint32_t kStrides[] = {2, 3, 5, 7, 11};
   Rng rng(seed);
-  XOntoDil dil;
+  reference::Lists dil;
   for (size_t w = 0; w < num_keywords; ++w) {
     uint32_t stride = kStrides[w % (sizeof(kStrides) / sizeof(kStrides[0]))];
-    std::vector<DilPosting> postings;
+    std::vector<reference::Posting> postings;
     postings.reserve(docs / stride * postings_per_doc);
     for (uint32_t d = 0; d < docs; d += stride) {
       for (uint32_t i = 0; i < postings_per_doc; ++i) {
@@ -70,7 +70,7 @@ XOntoDil BuildSyntheticDil(size_t num_keywords, size_t docs,
             {DeweyId(std::move(comps)), 0.05 + 0.95 * rng.NextDouble()});
       }
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
   return dil;
 }
@@ -320,18 +320,19 @@ int main(int argc, char** argv) {
   const size_t per_doc = 16;
   const int reps = smoke ? 1 : 5;
 
-  XOntoDil dil = BuildSyntheticDil(keywords, docs, per_doc, /*seed=*/29);
-  const size_t postings = dil.TotalPostings();
+  reference::Lists dil =
+      BuildSyntheticDil(keywords, docs, per_doc, /*seed=*/29);
 
   std::string stem = (std::filesystem::temp_directory_path() /
                       ("bench_segment_load_" + std::to_string(::getpid())))
                          .string();
   std::string segment_path = stem + ".xoseg";
-  FlatDil heap = dil.Freeze();
+  FlatDil heap = reference::FreezeLists(dil);
   if (!SaveSegment(heap, segment_path).ok()) {
     std::fprintf(stderr, "segment write failed\n");
     return 1;
   }
+  const size_t postings = heap.total_postings();
 
   RunGates(heap, segment_path);
   if (smoke) {
@@ -406,7 +407,7 @@ int main(int argc, char** argv) {
   // --- 3. where the bytes live -----------------------------------------
   {
     bench::RssBreakdown before = bench::CurrentRssBreakdown();
-    FlatDil heap_copy = dil.Freeze();
+    FlatDil heap_copy = reference::FreezeLists(dil);
     bench::RssBreakdown with_heap = bench::CurrentRssBreakdown();
     auto segment = SegmentFile::Open(segment_path);  // CRC pass touches all
     if (!segment.ok()) return 1;

@@ -30,7 +30,7 @@
 #include "core/query_processor.h"
 #include "core/search_api.h"
 #include "core/simd_kernels.h"
-#include "core/xonto_dil.h"
+#include "tests/reference_eval.h"
 
 using namespace xontorank;
 
@@ -42,8 +42,8 @@ namespace {
 // do not). That is what block-max pruning exists for — per-posting noise
 // alone makes every 128-posting block's maximum similar and leaves
 // nothing to skip.
-XOntoDil BuildSyntheticDil(size_t num_keywords, size_t docs,
-                           size_t postings_per_doc, uint64_t seed) {
+reference::Lists BuildSyntheticDil(size_t num_keywords, size_t docs,
+                                   size_t postings_per_doc, uint64_t seed) {
   static constexpr uint32_t kStrides[] = {2, 3, 5, 7, 11};
   Rng rng(seed);
   std::vector<double> quality(docs);
@@ -53,10 +53,10 @@ XOntoDil BuildSyntheticDil(size_t num_keywords, size_t docs,
     double u8 = u4 * u4;
     q = 0.02 + 0.98 * u8 * u8;  // u^16: thin high-quality head
   }
-  XOntoDil dil;
+  reference::Lists dil;
   for (size_t w = 0; w < num_keywords; ++w) {
     uint32_t stride = kStrides[w % (sizeof(kStrides) / sizeof(kStrides[0]))];
-    std::vector<DilPosting> postings;
+    std::vector<reference::Posting> postings;
     postings.reserve(docs / stride * postings_per_doc);
     for (uint32_t d = 0; d < docs; d += stride) {
       for (uint32_t i = 0; i < postings_per_doc; ++i) {
@@ -66,7 +66,7 @@ XOntoDil BuildSyntheticDil(size_t num_keywords, size_t docs,
         postings.push_back({DeweyId(std::move(comps)), score});
       }
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
   return dil;
 }
@@ -153,10 +153,9 @@ bool SkipGate(const QueryProcessor& processor,
 }
 
 int RunSmoke() {
-  FlatDil flat =
+  FlatDil flat = reference::FreezeLists(
       BuildSyntheticDil(/*num_keywords=*/4, /*docs=*/4000,
-                        /*postings_per_doc=*/8, /*seed=*/17)
-          .Freeze();
+                        /*postings_per_doc=*/8, /*seed=*/17));
   ThreadPool pool(4);
   QueryProcessor processor((ScoreOptions()));
   std::vector<DilListRef> refs = QueryRefs(flat, 2);
@@ -177,10 +176,9 @@ int main(int argc, char** argv) {
               "(simd=%s, %u-posting blocks)\n\n",
               std::string(SimdLevelName(ActiveSimdLevel())).c_str(),
               FlatDil::kBlockPostings);
-  FlatDil flat =
+  FlatDil flat = reference::FreezeLists(
       BuildSyntheticDil(/*num_keywords=*/4, /*docs=*/60000,
-                        /*postings_per_doc=*/12, /*seed=*/17)
-          .Freeze();
+                        /*postings_per_doc=*/12, /*seed=*/17));
   ThreadPool pool(4);
   QueryProcessor processor((ScoreOptions()));
   std::vector<DilListRef> refs = QueryRefs(flat, 2);

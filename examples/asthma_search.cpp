@@ -141,8 +141,10 @@ void ShowDeweyAndDil(const Ontology& ontology) {
               "NS values)\n");
   for (const char* word : {"asthma", "theophylline", "bronchial"}) {
     std::printf("  %-14s:", word);
-    for (const DilPosting& p : index.BuildPostings(MakeKeyword(word))) {
-      std::printf(" (%s, %.3f)", p.dewey.ToString().c_str(), p.score);
+    for (DilCursor c = index.GetListRef(MakeKeyword(word)).OpenCursor();
+         !c.AtEnd(); c.Next()) {
+      std::printf(" (%s, %.3f)", c.dewey().ToDeweyId().ToString().c_str(),
+                  c.score());
     }
     std::printf("\n");
   }

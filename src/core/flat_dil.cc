@@ -33,7 +33,7 @@ void FlatDil::Reset() {
   skip_first_doc_.clear();
   skip_begin_ = {0};
   block_max_.clear();
-  mapped_ = false;
+  pin_.reset();
   Rebind();
 }
 
@@ -49,9 +49,9 @@ FlatDil& FlatDil::operator=(FlatDil&& other) noexcept {
   skip_first_doc_ = std::move(other.skip_first_doc_);
   skip_begin_ = std::move(other.skip_begin_);
   block_max_ = std::move(other.block_max_);
-  mapped_ = other.mapped_;
-  if (mapped_) {
-    // The views point at external memory, which is unaffected by the move.
+  pin_ = std::move(other.pin_);
+  if (pin_ != nullptr) {
+    // The views point at the pinned memory, which the move carries along.
     v_ = other.v_;
   } else {
     // keyword_arena_ may have been SSO-stored, so the moved string's bytes
@@ -63,9 +63,11 @@ FlatDil& FlatDil::operator=(FlatDil&& other) noexcept {
   return *this;
 }
 
-FlatDil FlatDil::FromSections(const Sections& sections) {
+FlatDil FlatDil::FromSections(const Sections& sections,
+                              std::shared_ptr<const void> pin) {
+  XO_CHECK(pin != nullptr && "a mapped view pins the memory it aliases");
   FlatDil dil;
-  dil.mapped_ = true;
+  dil.pin_ = std::move(pin);
   dil.v_ = sections;
   return dil;
 }
@@ -275,25 +277,6 @@ void FlatDil::CollectDocIds(uint32_t list,
              out->data() + old_size);
 }
 
-// --- thaw -----------------------------------------------------------------
-
-std::vector<DilPosting> FlatDil::ThawPostings(uint32_t list) const {
-  std::vector<DilPosting> postings;
-  postings.reserve(ListSize(list));
-  for (DilCursor c = OpenCursor(list); !c.AtEnd(); c.Next()) {
-    postings.push_back(DilPosting{c.dewey().ToDeweyId(), c.score()});
-  }
-  return postings;
-}
-
-XOntoDil FlatDil::ThawAll() const {
-  XOntoDil dil;
-  for (uint32_t l = 0; l < keyword_count(); ++l) {
-    dil.Put(std::string(KeywordAt(l)), ThawPostings(l));
-  }
-  return dil;
-}
-
 // --- introspection --------------------------------------------------------
 
 size_t FlatDil::MemoryBytes() const {
@@ -307,31 +290,6 @@ size_t FlatDil::MemoryBytes() const {
          v_.skip_first_doc.size() * sizeof(uint32_t) +
          v_.skip_begin.size() * sizeof(uint32_t) +
          v_.block_max.size() * sizeof(float);
-}
-
-// --- conversions ----------------------------------------------------------
-
-FlatDil XOntoDil::Freeze() const {
-  std::vector<FlatDil::Builder::ListShape> shapes;
-  shapes.reserve(entries_.size());
-  for (const auto& [keyword, entry] : entries_) {
-    FlatDil::Builder::ListShape& shape = shapes.emplace_back();
-    shape.keyword = keyword;  // map iterates sorted
-    for (size_t i = 0; i < entry.postings.size(); ++i) {
-      shape.Add(i == 0 ? DeweyRef() : DeweyRef(entry.postings[i - 1].dewey),
-                DeweyRef(entry.postings[i].dewey));
-    }
-  }
-  FlatDil::Builder builder(shapes);
-  size_t list = 0;
-  for (const auto& [keyword, entry] : entries_) {
-    FlatDil::Builder::ListWriter writer = builder.List(list++);
-    for (const DilPosting& posting : entry.postings) {
-      // Lists are Dewey-sorted by Put's invariant.
-      XO_CHECK(writer.AddPosting(posting.dewey.components(), posting.score));
-    }
-  }
-  return std::move(builder).Finish();
 }
 
 // --- partitioning ---------------------------------------------------------

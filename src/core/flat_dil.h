@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/xonto_dil.h"
 #include "xml/dewey_ref.h"
 
 namespace xontorank {
@@ -71,8 +70,8 @@ using FlatColumn = std::vector<T, DefaultInitAllocator<T>>;
 
 /// The immutable, flat serving representation of an XOnto-DIL (the
 /// perf-critical half of Table III / Fig. 11): every inverted list of every
-/// keyword lives in a handful of contiguous columns instead of a
-/// `std::map<std::string, DilEntry>` of per-posting heap-owned DeweyIds.
+/// keyword lives in a handful of contiguous columns instead of one
+/// heap-owned DeweyId per posting.
 ///
 /// Layout (see DESIGN.md "Posting storage layout"):
 ///   - keyword dictionary: one sorted string arena plus offsets; lookup is
@@ -95,16 +94,13 @@ using FlatColumn = std::vector<T, DefaultInitAllocator<T>>;
 /// *themselves*, which is why a segment opens with mmap + pointer fixup
 /// and no decode at all.
 ///
-/// Ownership modes. A FlatDil normally owns its columns (Builder /
-/// Freeze). In **mapped-view mode** (FromSections, used by
-/// SegmentFile::MakeView) it owns nothing: every column aliases external
-/// memory — typically a memory-mapped segment file — and the caller must
-/// keep that memory alive for the life of the FlatDil (IndexSegment holds
-/// the backing mapping alongside the served FlatDil). Either way the
-/// object is immutable after construction and safe to share across any
-/// number of reader threads.
-// xo-analyze: allow(backing-before-view) FlatDil is the view-capable root
-// by design: owners pin the mapping (IndexSegment) or own the columns.
+/// Ownership modes. A FlatDil normally owns its columns (Builder). In
+/// **mapped-view mode** (FromSections, used by SegmentFile::MakeView) every
+/// column aliases external memory — typically a memory-mapped segment
+/// file — and the FlatDil pins that memory itself: it holds a shared
+/// owner of the mapping for its whole life, so no holder has to. Either
+/// way the object is immutable after construction and safe to share
+/// across any number of reader threads.
 class FlatDil {
  public:
   /// Postings per block; restarts and skip entries are per block. 128
@@ -145,22 +141,23 @@ class FlatDil {
 
   /// Assembles a FlatDil from lists measured up front (ListShape) and then
   /// written, possibly in parallel, into exactly sized columns. Shared by
-  /// XOntoDil::Freeze, CorpusIndex and MergeSegments so there is exactly
-  /// one construction path. Defined after the class (it holds a FlatDil).
+  /// CorpusIndex and MergeSegments so there is exactly one construction
+  /// path. Defined after the class (it holds a FlatDil).
   class Builder;
 
-  /// A non-owning FlatDil whose columns alias `sections` (mapped-view
-  /// mode). The caller is responsible for (a) the sections being mutually
-  /// consistent — SegmentFile::Open validates exactly that before calling
-  /// — and (b) the referenced memory outliving the returned object.
-  static FlatDil FromSections(const Sections& sections);
+  /// A FlatDil whose columns alias `sections` (mapped-view mode) and
+  /// which holds `pin`, the non-null owner of the memory they alias, until
+  /// it is destroyed. The caller is responsible for the sections being
+  /// mutually consistent — SegmentFile::Open validates exactly that
+  /// before calling.
+  static FlatDil FromSections(const Sections& sections,
+                              std::shared_ptr<const void> pin);
 
-  /// This dil's column views. Valid as long as the FlatDil (owning mode)
-  /// or its external backing (mapped-view mode) stays alive.
+  /// This dil's column views. Valid as long as the FlatDil stays alive.
   const Sections& sections() const { return v_; }
 
   /// True when the columns alias external memory (FromSections).
-  bool is_mapped_view() const { return mapped_; }
+  bool is_mapped_view() const { return pin_ != nullptr; }
 
   // --- dictionary -------------------------------------------------------
 
@@ -197,15 +194,6 @@ class FlatDil {
   /// Appends every posting's document id, in posting order (one cheap
   /// sequential scan: the doc id changes only at restart postings).
   void CollectDocIds(uint32_t list, std::vector<uint32_t>* out) const;
-
-  // --- thaw (build-side interop) ----------------------------------------
-
-  /// Rebuilds the list's build-side posting vector, bit-identical to what was
-  /// frozen (scores are stored as full doubles).
-  std::vector<DilPosting> ThawPostings(uint32_t list) const;
-
-  /// Rebuilds the whole mutable index (persistence, tests).
-  XOntoDil ThawAll() const;
 
   // --- introspection ----------------------------------------------------
 
@@ -273,15 +261,15 @@ class FlatDil {
   FlatColumn<uint32_t> skip_begin_ = {0};       ///< K+1 block bounds
   FlatColumn<float> block_max_;                 ///< one per block
 
+  /// The owner of the memory v_ aliases in mapped-view mode; null in
+  /// owning mode. Declared before v_ so the views die first.
+  std::shared_ptr<const void> pin_;
   /// The read views: every accessor and cursor reads through these. They
-  /// alias the owned vectors above (owning mode) or external memory
+  /// alias the owned vectors above (owning mode) or the pinned memory
   /// (mapped-view mode).
   Sections v_;
-  bool mapped_ = false;
 };
 
-// xo-analyze: allow(backing-before-view) the Builder's FlatDil is always
-// in owning mode (mapped_ == false) until Finish() hands it off.
 class FlatDil::Builder {
  public:
   /// One list's exact extent in the columns, measured before the build:

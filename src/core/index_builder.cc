@@ -352,7 +352,7 @@ void CorpusIndex::Precompute(
                 Keyword kw = MakeKeyword(vocab[i]);
                 if (kw.tokens.empty()) continue;
                 lists[i].canonical = kw.Canonical();
-                lists[i].units = ScoreUnitsCached(kw);
+                lists[i].units = ScoreUnits(kw);
                 MeasureList(lists[i]);
               }
             });
@@ -378,12 +378,18 @@ void CorpusIndex::Precompute(
 }
 
 std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
-    const Keyword& keyword,
-    const std::vector<OntoScoreRowCache::Row>& rows) const {
+    const Keyword& keyword) const {
   // NS(w, v) = max(IRS(w, v), ω·OS(w, concept(v))), Eq. 5. Both components
   // are normalized to [0, 1] before combination. LookupUnits returns unit
   // order, and the code units are recorded in unit order, so the two
   // components are two sorted runs: merge them, then max-combine per unit.
+  // One dense OntoScore row per system, none under XRANK.
+  std::vector<OntoScoreRowCache::Row> rows;
+  if (options_.strategy != Strategy::kXRank) {
+    for (size_t system = 0; system < context_->systems().size(); ++system) {
+      rows.push_back(context_->GetRow(system, keyword));
+    }
+  }
   const Records& records = this->records();
   std::vector<UnitScore> units;
   for (const ScoredUnit& unit : LookupUnits(keyword, records)) {
@@ -436,17 +442,6 @@ std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
   return units;
 }
 
-std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnitsCached(
-    const Keyword& keyword) const {
-  std::vector<OntoScoreRowCache::Row> rows;
-  if (options_.strategy != Strategy::kXRank) {
-    for (size_t system = 0; system < context_->systems().size(); ++system) {
-      rows.push_back(context_->GetRow(system, keyword));
-    }
-  }
-  return ScoreUnits(keyword, rows);
-}
-
 void CorpusIndex::MeasureList(UnitList& list) const {
   const Records& records = this->records();
   UnitAddresses address(records.documents, records.base);
@@ -486,25 +481,6 @@ FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists,
               }
             });
   return std::move(builder).Finish();
-}
-
-std::vector<DilPosting> CorpusIndex::BuildPostings(
-    const Keyword& keyword) const {
-  std::vector<OntoScoreRowCache::Row> rows;
-  if (options_.strategy != Strategy::kXRank) {
-    for (size_t system = 0; system < context_->systems().size(); ++system) {
-      rows.push_back(std::make_shared<const OntoScoreRow>(
-          ComputeDenseOntoScores(context_->index(system), keyword,
-                                 options_.strategy, options_.score)));
-    }
-  }
-  std::vector<DilPosting> postings;
-  const Records& records = this->records();
-  UnitAddresses address(records.documents, records.base);
-  for (const UnitScore& u : ScoreUnits(keyword, rows)) {
-    postings.push_back({address(u.unit).ToDeweyId(), u.score});
-  }
-  return postings;
 }
 
 DilListRef CorpusIndex::GetListRef(const Keyword& keyword) const {
@@ -551,7 +527,7 @@ const FlatDil* CorpusIndex::DemandList(const Keyword& keyword,
   // and the duplicate work is discarded.
   std::unique_ptr<const FlatDil> built;
   std::vector<UnitList> lists(1);
-  lists[0].units = ScoreUnitsCached(keyword);
+  lists[0].units = ScoreUnits(keyword);
   if (!lists[0].units.empty()) {
     lists[0].canonical = canonical;
     MeasureList(lists[0]);

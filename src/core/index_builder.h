@@ -15,7 +15,6 @@
 #include "core/onto_score.h"
 #include "core/ontology_context.h"
 #include "core/options.h"
-#include "core/xonto_dil.h"
 #include "ir/query.h"
 #include "ir/text_index.h"
 #include "onto/ontology.h"
@@ -144,8 +143,6 @@ class DocumentUnits {
 /// lock. The only internal synchronization is the one-time stage-1 build
 /// of an adopted index (std::call_once) and the on-demand side cache.
 /// Returned list references are stable for the life of the index.
-// xo-analyze: allow(backing-before-view) intentional propagation: the
-// holder pins the mapping (IndexSegment declares backing_ first).
 class CorpusIndex {
  public:
   /// Full constructor: `corpus` must outlive the index (the IndexSegment
@@ -227,11 +224,6 @@ class CorpusIndex {
   /// The precomputed vocabulary's flat serving representation.
   const FlatDil& flat_dil() const { return flat_; }
 
-  /// Builds the inverted list for `keyword` without touching the entry or
-  /// row caches (used by the Table III bench to time entry creation from
-  /// scratch).
-  std::vector<DilPosting> BuildPostings(const Keyword& keyword) const;
-
   /// The precomputed single-token vocabulary.
   std::vector<std::string> PrecomputedVocabulary() const;
 
@@ -304,16 +296,10 @@ class CorpusIndex {
                   ThreadPool& pool);
   /// The keyword's postings in unit form, sorted by unit id — which is
   /// Dewey order, since units are numbered in document order. Stage 3's
-  /// one build path: precomputed, demand-built and BuildPostings lists all
-  /// start here.
-  /// `rows` holds one non-null dense row per system (none under XRANK); an
-  /// empty row contributes nothing.
-  std::vector<UnitScore> ScoreUnits(
-      const Keyword& keyword,
-      const std::vector<OntoScoreRowCache::Row>& rows) const;
-  /// ScoreUnits through the context's row cache (exact same output; used
-  /// by Precompute and the demand cache so snapshot rebuilds share rows).
-  std::vector<UnitScore> ScoreUnitsCached(const Keyword& keyword) const;
+  /// one build path: precomputed and demand-built lists both start here.
+  /// The OntoScore rows come through the context's row cache, so snapshot
+  /// rebuilds share them.
+  std::vector<UnitScore> ScoreUnits(const Keyword& keyword) const;
   /// Records the arena words `list` takes once frozen (its shape's one
   /// data-dependent extent), walking its units' addresses.
   void MeasureList(UnitList& list) const;

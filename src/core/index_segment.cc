@@ -32,12 +32,10 @@ std::shared_ptr<const IndexSegment> IndexSegment::Build(
 std::shared_ptr<const IndexSegment> IndexSegment::Adopt(
     uint64_t id, std::shared_ptr<const Corpus> docs, uint32_t first_doc,
     std::shared_ptr<const OntologyContext> context,
-    const IndexBuildOptions& options, FlatDil adopted,
-    std::shared_ptr<const void> backing) {
+    const IndexBuildOptions& options, FlatDil adopted) {
   XO_CHECK(docs != nullptr);
   // xo-lint: allow(new-delete) — private ctor, unreachable by make_shared.
   auto segment = std::shared_ptr<IndexSegment>(new IndexSegment());
-  segment->backing_ = std::move(backing);
   segment->docs_ = std::move(docs);
   segment->index_ = std::make_unique<const CorpusIndex>(
       *segment->docs_, std::move(context), options, std::move(adopted));

@@ -31,8 +31,6 @@ namespace xontorank {
 /// Thread-safety: serves the same answers for its whole life, like
 /// CorpusIndex; the only internal synchronization is the index's: its
 /// one-time stage-1 build (adopted segments) and its demand cache.
-// xo-analyze: allow(backing-before-view) intentional propagation: backing_
-// is declared first so a mmap-backed index_ dies before its mapping.
 class IndexSegment {
  public:
   /// Seals a segment over `docs` (document ids [first_doc,
@@ -44,16 +42,15 @@ class IndexSegment {
       const IndexBuildOptions& options);
 
   /// Adopts an already-built FlatDil (the engine-store load path) as the
-  /// segment's precomputed vocabulary, empty or not. For a mapped view,
-  /// `backing` pins the mapping for the segment's lifetime. Stage 1 over
-  /// `docs` is deferred to its first use (a demand-built list, explain, a
-  /// merge, build stats): vocabulary queries never read it, so a load
-  /// re-indexes nothing.
+  /// segment's precomputed vocabulary, empty or not; a mapped view pins
+  /// its own mapping for the segment's lifetime. Stage 1 over `docs` is
+  /// deferred to its first use (a demand-built list, explain, a merge,
+  /// build stats): vocabulary queries never read it, so a load re-indexes
+  /// nothing.
   static std::shared_ptr<const IndexSegment> Adopt(
       uint64_t id, std::shared_ptr<const Corpus> docs, uint32_t first_doc,
       std::shared_ptr<const OntologyContext> context,
-      const IndexBuildOptions& options, FlatDil adopted,
-      std::shared_ptr<const void> backing = nullptr);
+      const IndexBuildOptions& options, FlatDil adopted);
 
   /// Segment id: unique within one engine lifetime, strictly increasing in
   /// creation order (compacted segments get fresh, higher ids), and the
@@ -74,9 +71,6 @@ class IndexSegment {
 
   IndexSegment() = default;
 
-  /// Keep-alive for mmap-backed segments; declared FIRST so it outlives
-  /// index_, whose FlatDil view may alias the mapping.
-  std::shared_ptr<const void> backing_;
   /// The segment's own sub-corpus (handles shared with the snapshot's full
   /// corpus — no document is ever copied). Heap-owned so index_'s corpus
   /// reference stays stable wherever the segment moves.

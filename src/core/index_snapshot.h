@@ -108,7 +108,7 @@ class IndexSnapshot {
   std::shared_ptr<const OntologyContext> context_;
   IndexBuildOptions options_;
   Corpus corpus_;
-  /// Segments pin their own mapped files (IndexSegment's backing).
+  /// A loaded segment's mapped view pins its own segment file.
   std::vector<std::shared_ptr<const IndexSegment>> segments_;
   QueryProcessor processor_;
   /// Snapshot-scoped result cache (see Search). Mutable: caching is not

@@ -214,17 +214,6 @@ SettledConcepts SettleKeyword(const OntologyIndex& index,
 
 }  // namespace
 
-OntoScoreRow DenseOntoScoreRow(const OntoScoreMap& map, size_t concept_count) {
-  OntoScoreRow row;
-  if (map.empty()) return row;
-  row.assign(concept_count, 0.0);
-  for (const auto& [concept_id, score] : map) {
-    XO_DCHECK_LT(concept_id, concept_count);
-    row[concept_id] = score;
-  }
-  return row;
-}
-
 OntoScoreMap ComputeOntoScores(const OntologyIndex& index,
                                const Keyword& keyword, Strategy strategy,
                                const ScoreOptions& options) {

@@ -24,10 +24,6 @@ using OntoScoreMap = std::unordered_map<ConceptId, double>;
 /// has an empty row, so callers test empty() before indexing.
 using OntoScoreRow = std::vector<double>;
 
-/// Lays `map` out densely over a system of `concept_count` concepts; empty
-/// when `map` is. Every id in `map` must be below `concept_count`.
-OntoScoreRow DenseOntoScoreRow(const OntoScoreMap& map, size_t concept_count);
-
 /// Computes OS(w, ·) for `keyword` under the given strategy (§IV, §VI).
 ///
 /// All three ontology-aware strategies are instances of a merged
@@ -59,9 +55,10 @@ OntoScoreMap ComputeOntoScores(const OntologyIndex& index,
                                const Keyword& keyword, Strategy strategy,
                                const ScoreOptions& options);
 
-/// The same scores as a dense row (the form OntologyContext caches):
-/// equal to DenseOntoScoreRow(ComputeOntoScores(...), concept_count), read
-/// straight off the expansion's dense settle array.
+/// The same scores as a dense row (the form OntologyContext caches): the
+/// map's score at each concept it holds, 0.0 at every other concept of the
+/// system, and an empty row when the map is empty. Read straight off the
+/// expansion's dense settle array.
 OntoScoreRow ComputeDenseOntoScores(const OntologyIndex& index,
                                     const Keyword& keyword, Strategy strategy,
                                     const ScoreOptions& options);

@@ -36,8 +36,6 @@ struct QueryExpansionOptions {
 /// documents that only reference a concept by code remain invisible; and
 /// expansion terms multiply the inverted lists to merge, inflating query
 /// time with the expansion budget.
-// xo-analyze: allow(backing-before-view) the comparator builds its own
-// CorpusIndex, so its FlatDil owns its columns (never mapped).
 class QueryExpansionEngine {
  public:
   /// `corpus` and the ontologies must outlive the engine.

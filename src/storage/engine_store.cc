@@ -352,18 +352,15 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
         dir + "/" +
         StringPrintf("seg-%llu.xoseg",
                      static_cast<unsigned long long>(entry.id));
-    XONTO_ASSIGN_OR_RETURN(std::unique_ptr<SegmentFile> file,
+    XONTO_ASSIGN_OR_RETURN(std::shared_ptr<const SegmentFile> file,
                            SegmentFile::Open(path));
-    FlatDil view = file->MakeView();
-    std::shared_ptr<const void> backing(std::move(file));
     auto docs = std::make_shared<Corpus>();
     for (uint32_t d = entry.first_doc; d < entry.end_doc; ++d) {
       docs->Add(corpus.handle(d));
     }
     segments.push_back(IndexSegment::Adopt(entry.id, std::move(docs),
                                            entry.first_doc, context, options,
-                                           std::move(view),
-                                           std::move(backing)));
+                                           file->MakeView()));
   }
   auto snapshot = std::make_shared<const IndexSnapshot>(
       std::move(corpus), std::move(context), options, std::move(segments));

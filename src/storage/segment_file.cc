@@ -87,7 +87,7 @@ int AdviceFlag(SegmentFile::Options::Advice advice) {
 
 }  // namespace
 
-Result<std::unique_ptr<SegmentFile>> SegmentFile::Open(
+Result<std::shared_ptr<const SegmentFile>> SegmentFile::Open(
     const std::string& path, const Options& options) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -125,18 +125,14 @@ Result<std::unique_ptr<SegmentFile>> SegmentFile::Open(
 
   // The object owns the mapping from here on, so every validation exit
   // path (and the success path) releases or keeps it via RAII.
-  std::unique_ptr<SegmentFile> segment(
+  std::shared_ptr<SegmentFile> segment(
       new SegmentFile(path, base, size));  // xo-lint: allow(new-delete)
   XONTO_RETURN_IF_ERROR(segment->Validate(options));
-  return segment;
+  return std::shared_ptr<const SegmentFile>(std::move(segment));
 }
 
 SegmentFile::~SegmentFile() {
   if (base_ != nullptr) ::munmap(base_, size_);
-}
-
-void SegmentFile::Prefetch() const {
-  ::madvise(base_, size_, MADV_WILLNEED);
 }
 
 Status SegmentFile::Validate(const Options& options) {
@@ -459,7 +455,6 @@ Status SegmentFile::Validate(const Options& options) {
   }
 
   ::madvise(base_, size_, AdviceFlag(options.advice));
-  if (options.prefetch) Prefetch();
   return Status::OK();
 }
 

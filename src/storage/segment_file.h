@@ -32,12 +32,16 @@ namespace xontorank {
 /// The mithril engine this design borrows from warns that mapping a large
 /// dictionary cold "can take a good minute" when touched eagerly; the
 /// Options knobs make that trade explicit instead of implicit — advise for
-/// the expected access pattern, opt into prefetch, or skip checksums when
-/// the file was verified out of band (checksum verification is the only
-/// part of Open that faults in the whole file).
+/// the expected access pattern, or skip checksums when the file was
+/// verified out of band (checksum verification is the only part of Open
+/// that faults in the whole file).
+///
+/// A SegmentFile is always held by shared_ptr (Open returns one): every
+/// view MakeView hands out shares its ownership, so the mapping lives
+/// until the file handle and every view are gone.
 // xo-analyze: allow(backing-before-view) SegmentFile IS the backing: it
 // owns the mapping its view aliases and unmaps it in the destructor.
-class SegmentFile {
+class SegmentFile : public std::enable_shared_from_this<SegmentFile> {
  public:
   struct Options {
     /// Access-pattern hint forwarded to madvise once validation is done.
@@ -45,10 +49,6 @@ class SegmentFile {
     /// sequential consumer (inspector, re-encoder) wants kSequential.
     enum class Advice { kNormal, kRandom, kSequential };
     Advice advice = Advice::kRandom;
-
-    /// When true, asks the kernel to read the whole segment ahead
-    /// (MADV_WILLNEED) so first queries don't fault one page at a time.
-    bool prefetch = false;
 
     /// When false, skips the per-section CRC pass (metadata CRCs are
     /// always checked — they are 280 bytes, not the corpus). Cold opens
@@ -89,13 +89,13 @@ class SegmentFile {
   /// mapping; on any validation failure the mapping is released and a
   /// descriptive error comes back (IoError for filesystem problems,
   /// Corruption for bad bytes).
-  [[nodiscard]] static Result<std::unique_ptr<SegmentFile>> Open(
+  [[nodiscard]] static Result<std::shared_ptr<const SegmentFile>> Open(
       const std::string& path, const Options& options);
 
   /// Open with default options. (An overload rather than a default
   /// argument: Options' member initializers are incomplete at this point
   /// in the enclosing class.)
-  [[nodiscard]] static Result<std::unique_ptr<SegmentFile>> Open(
+  [[nodiscard]] static Result<std::shared_ptr<const SegmentFile>> Open(
       const std::string& path) {
     return Open(path, Options());
   }
@@ -106,13 +106,11 @@ class SegmentFile {
   SegmentFile& operator=(const SegmentFile&) = delete;
 
   /// A FlatDil in mapped-view mode whose columns alias this mapping. The
-  /// SegmentFile must outlive every view (IndexSnapshot keeps the backing
-  /// alive for exactly this reason).
-  FlatDil MakeView() const { return FlatDil::FromSections(view_); }
-
-  /// Faults the whole segment in ahead of use (MADV_WILLNEED) — the
-  /// Options::prefetch knob, callable later.
-  void Prefetch() const;
+  /// view shares ownership of this SegmentFile, so it stays valid after
+  /// every other handle to the file is released.
+  FlatDil MakeView() const {
+    return FlatDil::FromSections(view_, shared_from_this());
+  }
 
   const std::string& path() const { return path_; }
   const Header& header() const { return header_; }

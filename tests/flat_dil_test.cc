@@ -1,4 +1,4 @@
-// The flat serving representation: Freeze/Thaw losslessness, skip-table
+// The flat serving representation: freeze/read-back losslessness, skip-table
 // seeks at block boundaries, and the property that the cursor merge is
 // bit-identical to the reference evaluator of Eq. 1-4 for every shard
 // count.
@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/query_processor.h"
-#include "core/xonto_dil.h"
 #include "gtest/gtest.h"
 #include "tests/reference_eval.h"
 #include "tests/test_util.h"
@@ -21,16 +20,22 @@
 namespace xontorank {
 namespace {
 
-DilPosting P(std::vector<uint32_t> comps, double score) {
+using reference::FreezeLists;
+using reference::Lists;
+using reference::Posting;
+using reference::ReadList;
+using reference::ReadLists;
+
+Posting P(std::vector<uint32_t> comps, double score) {
   return {DeweyId(std::move(comps)), score};
 }
 
 // A randomized Dewey-sorted index: `num_keywords` lists of up to
 // `max_postings` postings each, depth 1..5, scores in (0, 1].
-XOntoDil RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
-  XOntoDil dil;
+Lists RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
+  Lists dil;
   for (size_t w = 0; w < num_keywords; ++w) {
-    std::vector<DilPosting> postings;
+    std::vector<Posting> postings;
     std::set<std::vector<uint32_t>> used;
     size_t n = 1 + rng.NextBelow(max_postings);
     for (size_t i = 0; i < n; ++i) {
@@ -42,56 +47,75 @@ XOntoDil RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
       if (!used.insert(comps).second) continue;
       postings.push_back(P(comps, 0.05 + 0.95 * rng.NextDouble()));
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    std::sort(postings.begin(), postings.end(),
+              [](const Posting& a, const Posting& b) {
+                return a.dewey < b.dewey;
+              });
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
   return dil;
 }
 
 // A single list of `n` postings spread over documents 0..n/3 (several
 // postings per document) so lists span multiple 128-posting blocks.
-XOntoDil DeepDil(size_t n) {
-  XOntoDil dil;
-  std::vector<DilPosting> postings;
+std::vector<Posting> DeepList(size_t n) {
+  std::vector<Posting> postings;
   for (uint32_t i = 0; i < n; ++i) {
     postings.push_back(P({i / 3, i % 3, 7}, 0.25 + 0.5 * ((i % 11) / 11.0)));
   }
-  dil.Put("deep", std::move(postings));
-  return dil;
+  return postings;
 }
 
-void ExpectDilEqual(const XOntoDil& a, const XOntoDil& b) {
-  ASSERT_EQ(a.keyword_count(), b.keyword_count());
-  auto ai = a.entries().begin();
-  auto bi = b.entries().begin();
-  for (; ai != a.entries().end(); ++ai, ++bi) {
+Lists DeepDil(size_t n) { return {{"deep", DeepList(n)}}; }
+
+void ExpectDilEqual(const Lists& a, const Lists& b) {
+  ASSERT_EQ(a.size(), b.size());
+  auto ai = a.begin();
+  auto bi = b.begin();
+  for (; ai != a.end(); ++ai, ++bi) {
     EXPECT_EQ(ai->first, bi->first);
-    ASSERT_EQ(ai->second.postings.size(), bi->second.postings.size())
-        << ai->first;
-    for (size_t i = 0; i < ai->second.postings.size(); ++i) {
-      EXPECT_EQ(ai->second.postings[i].dewey, bi->second.postings[i].dewey);
-      EXPECT_EQ(ai->second.postings[i].score, bi->second.postings[i].score)
+    ASSERT_EQ(ai->second.size(), bi->second.size()) << ai->first;
+    for (size_t i = 0; i < ai->second.size(); ++i) {
+      EXPECT_EQ(ai->second[i].dewey, bi->second[i].dewey);
+      EXPECT_EQ(ai->second[i].score, bi->second[i].score)
           << ai->first << " posting " << i;
     }
   }
 }
 
-// ---- Freeze / Thaw ----
+// ---- Freeze / read back ----
 
 TEST(FlatDilTest, FreezeThawIsLossless) {
   Rng rng(17);
   for (int trial = 0; trial < 10; ++trial) {
-    XOntoDil dil = RandomDil(rng, 1 + rng.NextBelow(5), 80);
-    FlatDil flat = dil.Freeze();
-    EXPECT_EQ(flat.keyword_count(), dil.keyword_count());
-    EXPECT_EQ(flat.total_postings(), dil.TotalPostings());
-    // Thaw rebuilds the exact mutable index, full-double scores included.
-    ExpectDilEqual(dil, flat.ThawAll());
+    Lists dil = RandomDil(rng, 1 + rng.NextBelow(5), 80);
+    FlatDil flat = FreezeLists(dil);
+    EXPECT_EQ(flat.keyword_count(), dil.size());
+    size_t postings = 0;
+    for (const auto& [keyword, list] : dil) postings += list.size();
+    EXPECT_EQ(flat.total_postings(), postings);
+    // Reading back yields the exact lists, full-double scores included.
+    ExpectDilEqual(dil, ReadLists(flat));
   }
 }
 
+TEST(FlatDilTest, FreezeSortsEachListByDewey) {
+  FlatDil flat = FreezeLists(
+      {{"zeta", {}},
+       {"asthma", {P({1, 2}, 0.5), P({0, 1}, 0.9), P({1}, 0.3)}}});
+  ASSERT_EQ(flat.keyword_count(), 2u);
+  EXPECT_EQ(flat.KeywordAt(0), "asthma");
+  std::vector<Posting> postings = ReadList(flat, 0);
+  ASSERT_EQ(postings.size(), 3u);
+  EXPECT_EQ(postings[0].dewey.ToString(), "0.1");
+  EXPECT_EQ(postings[1].dewey.ToString(), "1");
+  EXPECT_EQ(postings[2].dewey.ToString(), "1.2");
+  EXPECT_EQ(postings[0].score, 0.9);
+  EXPECT_EQ(flat.ListSize(1), 0u);
+}
+
 TEST(FlatDilTest, FreezeEmptyIndex) {
-  XOntoDil dil;
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists({});
   EXPECT_EQ(flat.keyword_count(), 0u);
   EXPECT_EQ(flat.total_postings(), 0u);
   EXPECT_EQ(flat.FindList("anything"), FlatDil::kNoList);
@@ -161,7 +185,7 @@ TEST(FlatDilBuilderTest, RejectedPostingLeavesTheListIntact) {
   ASSERT_TRUE(writer.AddPosting(accepted[4], scores[4]));
   EXPECT_FALSE(writer.AddPosting(later_document, 0.9));  // the list is full
   FlatDil flat = std::move(builder).Finish();
-  std::vector<DilPosting> thawed = flat.ThawPostings(0);
+  std::vector<Posting> thawed = ReadList(flat, 0);
   ASSERT_EQ(thawed.size(), accepted.size());
   for (size_t i = 0; i < accepted.size(); ++i) {
     EXPECT_EQ(thawed[i].dewey, DeweyId(accepted[i])) << i;
@@ -171,28 +195,29 @@ TEST(FlatDilBuilderTest, RejectedPostingLeavesTheListIntact) {
 
 TEST(FlatDilBuilderTest, ListsWrittenInAnyOrderMatchFreeze) {
   // Every list owns its slice of the columns, so writing the lists last
-  // to first (or from several threads) builds the same columns as Freeze.
+  // to first (or from several threads) builds the same columns as a
+  // freeze in list order.
   Rng rng(29);
-  XOntoDil dil = RandomDil(rng, 6, 300);
-  dil.Put("deep", DeepDil(700).entries().begin()->second.postings);
-  FlatDil frozen = dil.Freeze();
+  Lists dil = RandomDil(rng, 6, 300);
+  dil["deep"] = DeepList(700);
+  FlatDil frozen = FreezeLists(dil);
   std::vector<FlatDil::Builder::ListShape> shapes;
-  for (const auto& [keyword, entry] : dil.entries()) {
+  for (const auto& [keyword, postings] : dil) {
     FlatDil::Builder::ListShape& shape = shapes.emplace_back();
     shape.keyword = keyword;
-    for (size_t i = 0; i < entry.postings.size(); ++i) {
-      shape.Add(i == 0 ? DeweyRef() : DeweyRef(entry.postings[i - 1].dewey),
-                DeweyRef(entry.postings[i].dewey));
+    for (size_t i = 0; i < postings.size(); ++i) {
+      shape.Add(i == 0 ? DeweyRef() : DeweyRef(postings[i - 1].dewey),
+                DeweyRef(postings[i].dewey));
     }
   }
   FlatDil::Builder builder(shapes);
-  std::vector<const DilEntry*> entries;
-  for (const auto& [keyword, entry] : dil.entries()) entries.push_back(&entry);
+  std::vector<const std::vector<Posting>*> entries;
+  for (const auto& [keyword, postings] : dil) entries.push_back(&postings);
   ThreadPool pool(3);
   pool.ParallelFor(entries.size(), [&](size_t i) {
     const size_t list = entries.size() - 1 - i;
     FlatDil::Builder::ListWriter writer = builder.List(list);
-    for (const DilPosting& posting : entries[list]->postings) {
+    for (const Posting& posting : *entries[list]) {
       ASSERT_TRUE(writer.AddPosting(posting.dewey.components(), posting.score));
     }
   });
@@ -208,26 +233,25 @@ TEST(FlatDilBuilderTest, ListsWrittenInAnyOrderMatchFreeze) {
   EXPECT_TRUE(std::ranges::equal(a.skip_first_doc, b.skip_first_doc));
   EXPECT_TRUE(std::ranges::equal(a.skip_begin, b.skip_begin));
   EXPECT_TRUE(std::ranges::equal(a.block_max, b.block_max));
-  ExpectDilEqual(dil, built.ThawAll());
+  ExpectDilEqual(dil, ReadLists(built));
 }
 
 TEST(FlatDilTest, FindListMatchesDictionary) {
   Rng rng(23);
-  XOntoDil dil = RandomDil(rng, 7, 20);
-  FlatDil flat = dil.Freeze();
-  for (const auto& [keyword, entry] : dil.entries()) {
+  Lists dil = RandomDil(rng, 7, 20);
+  FlatDil flat = FreezeLists(dil);
+  for (const auto& [keyword, postings] : dil) {
     uint32_t list = flat.FindList(keyword);
     ASSERT_NE(list, FlatDil::kNoList) << keyword;
     EXPECT_EQ(flat.KeywordAt(list), keyword);
-    EXPECT_EQ(flat.ListSize(list), entry.postings.size());
+    EXPECT_EQ(flat.ListSize(list), postings.size());
   }
   EXPECT_EQ(flat.FindList("kw"), FlatDil::kNoList);    // prefix of kw0
   EXPECT_EQ(flat.FindList("zzzz"), FlatDil::kNoList);  // past the end
 }
 
 TEST(FlatDilTest, MemoryBytesCountsColumns) {
-  XOntoDil dil = DeepDil(1000);
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists(DeepDil(1000));
   // Columns alone: scores (8B) + shared (2B) + suffix offset (4B) per
   // posting, plus the arena. MemoryBytes must cover at least that and the
   // arena must be far smaller than un-elided components.
@@ -241,9 +265,10 @@ TEST(FlatDilTest, MemoryBytesCountsColumns) {
 // ---- Skip table & PostingRange ----
 
 // The reference: count postings whose doc id falls in [begin, end).
-size_t ReferenceCount(const DilEntry* entry, const DocRange& range) {
-  return std::count_if(entry->postings.begin(), entry->postings.end(),
-                       [&range](const DilPosting& p) {
+size_t ReferenceCount(const std::vector<Posting>& postings,
+                      const DocRange& range) {
+  return std::count_if(postings.begin(), postings.end(),
+                       [&range](const Posting& p) {
                          return p.dewey.doc_id() >= range.begin_doc &&
                                 p.dewey.doc_id() < range.end_doc;
                        });
@@ -251,17 +276,16 @@ size_t ReferenceCount(const DilEntry* entry, const DocRange& range) {
 
 TEST(FlatDilTest, PostingRangeMatchesNaiveCountExhaustively) {
   // 1000 postings over ~334 documents => 8 blocks; sweep every boundary.
-  XOntoDil dil = DeepDil(1000);
-  FlatDil flat = dil.Freeze();
+  const std::vector<Posting> postings = DeepList(1000);
+  FlatDil flat = FreezeLists({{"deep", postings}});
   uint32_t list = flat.FindList("deep");
   ASSERT_NE(list, FlatDil::kNoList);
   EXPECT_GE(flat.BlockCount(list), 7u);
-  const DilEntry* entry = dil.Find("deep");
   for (uint32_t begin = 0; begin <= 340; begin += 3) {
     for (uint32_t len : {0u, 1u, 2u, 40u, 127u, 128u, 129u, 340u}) {
       DocRange range{begin, begin + len};
       auto [lo, hi] = flat.PostingRange(list, range);
-      EXPECT_EQ(hi - lo, ReferenceCount(entry, range))
+      EXPECT_EQ(hi - lo, ReferenceCount(postings, range))
           << "range [" << begin << ", " << begin + len << ")";
       // The cursor over the same range visits exactly those postings.
       DilCursor cursor = flat.OpenCursor(list, range);
@@ -279,11 +303,9 @@ TEST(FlatDilTest, PostingRangeMatchesNaiveCountExhaustively) {
 TEST(FlatDilTest, SeekAtExactBlockBoundary) {
   // Documents 0..999, one posting each: posting p == doc p, so block
   // restarts land exactly on documents 128, 256, ...
-  XOntoDil dil;
-  std::vector<DilPosting> postings;
+  std::vector<Posting> postings;
   for (uint32_t d = 0; d < 1000; ++d) postings.push_back(P({d, 0}, 0.5));
-  dil.Put("w", std::move(postings));
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists({{"w", std::move(postings)}});
   uint32_t list = flat.FindList("w");
   ASSERT_EQ(flat.BlockCount(list), 8u);  // ceil(1000 / 128)
   for (uint32_t doc : {0u, 127u, 128u, 129u, 255u, 256u, 895u, 896u, 999u}) {
@@ -299,11 +321,9 @@ TEST(FlatDilTest, SeekAtExactBlockBoundary) {
 }
 
 TEST(FlatDilTest, SeekInLastPartialBlock) {
-  XOntoDil dil;
-  std::vector<DilPosting> postings;
+  std::vector<Posting> postings;
   for (uint32_t d = 0; d < 130; ++d) postings.push_back(P({d, 1}, 0.5));
-  dil.Put("w", std::move(postings));
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists({{"w", std::move(postings)}});
   uint32_t list = flat.FindList("w");
   EXPECT_EQ(flat.BlockCount(list), 2u);
   auto [lo, hi] = flat.PostingRange(list, DocRange{129, 200});
@@ -312,9 +332,8 @@ TEST(FlatDilTest, SeekInLastPartialBlock) {
 }
 
 TEST(FlatDilTest, SingleDocumentList) {
-  XOntoDil dil;
-  dil.Put("w", {P({7, 0}, 0.5), P({7, 1}, 0.6), P({7, 2}, 0.7)});
-  FlatDil flat = dil.Freeze();
+  FlatDil flat =
+      FreezeLists({{"w", {P({7, 0}, 0.5), P({7, 1}, 0.6), P({7, 2}, 0.7)}}});
   uint32_t list = flat.FindList("w");
   auto [lo, hi] = flat.PostingRange(list, DocRange{7, 8});
   EXPECT_EQ(hi - lo, 3u);
@@ -323,8 +342,7 @@ TEST(FlatDilTest, SingleDocumentList) {
 }
 
 TEST(FlatDilTest, EmptyRangeYieldsExhaustedCursor) {
-  XOntoDil dil = DeepDil(300);
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists(DeepDil(300));
   uint32_t list = flat.FindList("deep");
   auto [lo, hi] = flat.PostingRange(list, DocRange{50, 50});
   EXPECT_EQ(lo, hi);
@@ -334,12 +352,11 @@ TEST(FlatDilTest, EmptyRangeYieldsExhaustedCursor) {
 
 TEST(FlatDilTest, CollectDocIdsMatchesThaw) {
   Rng rng(65537);
-  XOntoDil dil = RandomDil(rng, 3, 300);
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 3, 300));
   for (uint32_t list = 0; list < flat.keyword_count(); ++list) {
     std::vector<uint32_t> docs;
     flat.CollectDocIds(list, &docs);
-    std::vector<DilPosting> thawed = flat.ThawPostings(list);
+    std::vector<Posting> thawed = ReadList(flat, list);
     ASSERT_EQ(docs.size(), thawed.size());
     for (size_t i = 0; i < docs.size(); ++i) {
       EXPECT_EQ(docs[i], thawed[i].dewey.doc_id());
@@ -355,16 +372,16 @@ TEST_P(FlatParityTest, CursorExecuteMatchesReferenceBitForBit) {
   Rng rng(GetParam());
   ThreadPool pool(4);
   for (int trial = 0; trial < 15; ++trial) {
-    XOntoDil dil = RandomDil(rng, 1 + rng.NextBelow(3), 60);
-    FlatDil flat = dil.Freeze();
+    Lists dil = RandomDil(rng, 1 + rng.NextBelow(3), 60);
+    FlatDil flat = FreezeLists(dil);
     ScoreOptions score;
     score.decay = 0.25 + 0.5 * rng.NextDouble();
     QueryProcessor processor(score);
 
-    std::vector<std::vector<DilPosting>> lists;
+    std::vector<std::vector<Posting>> lists;
     std::vector<DilListRef> refs;
-    for (const auto& [keyword, entry] : dil.entries()) {
-      lists.push_back(entry.postings);
+    for (const auto& [keyword, postings] : dil) {
+      lists.push_back(postings);
       uint32_t list = flat.FindList(keyword);
       ASSERT_NE(list, FlatDil::kNoList);
       refs.push_back(DilListRef::OverFlat(flat, list));

@@ -3,11 +3,13 @@
 #include "cda/cda_generator.h"
 #include "gtest/gtest.h"
 #include "onto/snomed_fragment.h"
+#include "tests/reference_eval.h"
 #include "tests/test_util.h"
 
 namespace xontorank {
 namespace {
 
+using reference::Posting;
 using testing_util::BuildTinyOntology;
 using testing_util::MustParse;
 using testing_util::TinyCdaXml;
@@ -31,6 +33,13 @@ class IndexBuilderFixture : public ::testing::Test {
   Corpus corpus_;
 };
 
+/// The list `index` serves for `keyword`, precomputed or demand-built.
+std::vector<Posting> ServedPostings(const CorpusIndex& index,
+                                    const Keyword& keyword) {
+  DilListRef ref = index.GetListRef(keyword);
+  return reference::ReadList(*ref.flat, ref.list);
+}
+
 TEST_F(IndexBuilderFixture, CountsNodesAndCodeNodes) {
   CorpusIndex index = Build(Strategy::kRelationships);
   EXPECT_EQ(index.stats().documents, 1u);
@@ -51,10 +60,10 @@ TEST_F(IndexBuilderFixture, UnresolvableRefsIgnored) {
 
 TEST_F(IndexBuilderFixture, TextualPostingForLiteralOccurrence) {
   CorpusIndex index = Build(Strategy::kXRank);
-  std::vector<DilPosting> postings =
-      index.BuildPostings(MakeKeyword("theophylline"));
+  std::vector<Posting> postings =
+      ServedPostings(index, MakeKeyword("theophylline"));
   ASSERT_FALSE(postings.empty());
-  for (const DilPosting& p : postings) {
+  for (const Posting& p : postings) {
     EXPECT_GT(p.score, 0.0);
     EXPECT_LE(p.score, 1.0);
   }
@@ -63,7 +72,7 @@ TEST_F(IndexBuilderFixture, TextualPostingForLiteralOccurrence) {
 TEST_F(IndexBuilderFixture, XRankHasNoOntologicalPostings) {
   // "bronchus" never occurs textually; under XRANK its list is empty.
   CorpusIndex index = Build(Strategy::kXRank);
-  EXPECT_TRUE(index.BuildPostings(MakeKeyword("bronchus")).empty());
+  EXPECT_TRUE(ServedPostings(index, MakeKeyword("bronchus")).empty());
   EXPECT_TRUE(index.context()->GetRow(0, MakeKeyword("bronchus"))->empty());
 }
 
@@ -73,8 +82,8 @@ TEST_F(IndexBuilderFixture, OntologicalPostingThroughCodeNode) {
   // node's best route is taxonomic: up to Structure (sole child → 1/1),
   // up to Root (3 children → 1/3), down to Drug (×1): OS = 1/3 → NS = 1/6.
   CorpusIndex index = Build(Strategy::kRelationships);
-  std::vector<DilPosting> postings =
-      index.BuildPostings(MakeKeyword("bronchus"));
+  std::vector<Posting> postings =
+      ServedPostings(index, MakeKeyword("bronchus"));
   ASSERT_EQ(postings.size(), 2u);
   EXPECT_NEAR(postings[0].score, 0.25, 1e-9);       // Asthma value node
   EXPECT_NEAR(postings[1].score, 1.0 / 6.0, 1e-9);  // Drug code node
@@ -85,14 +94,14 @@ TEST_F(IndexBuilderFixture, NsIsMaxOfTextualAndOntological) {
   // ontologically (OS = 1 on the Asthma concept → ω·1 = 0.5). Eq. 5 takes
   // the max, which is the textual 1.0 (it is the best textual match).
   CorpusIndex index = Build(Strategy::kRelationships);
-  std::vector<DilPosting> postings = index.BuildPostings(MakeKeyword("asthma"));
+  std::vector<Posting> postings = ServedPostings(index, MakeKeyword("asthma"));
   double best = 0.0;
-  for (const DilPosting& p : postings) best = std::max(best, p.score);
+  for (const Posting& p : postings) best = std::max(best, p.score);
   EXPECT_NEAR(best, 1.0, 1e-9);
   // The Drug code node gets an ontological-only posting: Drug treats
   // Asthma → OS(Drug) = 0.5 under Relationships → NS = 0.25.
   bool found_quarter = false;
-  for (const DilPosting& p : postings) {
+  for (const Posting& p : postings) {
     if (std::abs(p.score - 0.25) < 1e-9) found_quarter = true;
   }
   EXPECT_TRUE(found_quarter);
@@ -106,7 +115,7 @@ TEST_F(IndexBuilderFixture, VocabularyModesAgreeOnPostings) {
   EXPECT_EQ(lazy.stats().precomputed_keywords, 0u);
   for (const char* word : {"asthma", "theophylline", "bronchus", "drug"}) {
     Keyword kw = MakeKeyword(word);
-    EXPECT_EQ(eager.BuildPostings(kw), lazy.BuildPostings(kw)) << word;
+    EXPECT_EQ(ServedPostings(eager, kw), ServedPostings(lazy, kw)) << word;
   }
 }
 
@@ -133,7 +142,9 @@ TEST_F(IndexBuilderFixture, DemandListCachesAndIsStable) {
   EXPECT_EQ(first.flat, second.flat);
   EXPECT_EQ(first.list, second.list);
   EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first.flat->ThawPostings(first.list), index.BuildPostings(phrase));
+  // The demand-built list equals the eager index's precomputed one.
+  EXPECT_EQ(reference::ReadList(*first.flat, first.list),
+            ServedPostings(Build(Strategy::kRelationships), phrase));
 }
 
 TEST_F(IndexBuilderFixture, UnknownKeywordYieldsEmptyEntryNotNull) {
@@ -147,7 +158,7 @@ TEST_F(IndexBuilderFixture, UnknownKeywordYieldsEmptyEntryNotNull) {
 TEST_F(IndexBuilderFixture, PostingsSortedByDewey) {
   CorpusIndex index = Build(Strategy::kRelationships);
   for (const char* word : {"asthma", "mg", "theophylline"}) {
-    std::vector<DilPosting> postings = index.BuildPostings(MakeKeyword(word));
+    std::vector<Posting> postings = ServedPostings(index, MakeKeyword(word));
     for (size_t i = 1; i < postings.size(); ++i) {
       EXPECT_TRUE(postings[i - 1].dewey < postings[i].dewey) << word;
     }
@@ -157,10 +168,10 @@ TEST_F(IndexBuilderFixture, PostingsSortedByDewey) {
 TEST_F(IndexBuilderFixture, MultiDocumentDeweysCarryDocIds) {
   corpus_.Add(MustParse(TinyCdaXml(), 1));
   CorpusIndex index = Build(Strategy::kXRank);
-  std::vector<DilPosting> postings =
-      index.BuildPostings(MakeKeyword("theophylline"));
+  std::vector<Posting> postings =
+      ServedPostings(index, MakeKeyword("theophylline"));
   std::set<uint32_t> docs;
-  for (const DilPosting& p : postings) docs.insert(p.dewey.doc_id());
+  for (const Posting& p : postings) docs.insert(p.dewey.doc_id());
   EXPECT_EQ(docs, (std::set<uint32_t>{0, 1}));
 }
 
@@ -168,7 +179,7 @@ TEST_F(IndexBuilderFixture, MultiDocumentDeweysCarryDocIds) {
 TEST_F(IndexBuilderFixture, ComputeNodeSupportSeparatesSources) {
   CorpusIndex index = Build(Strategy::kRelationships);
   // The Asthma value node: textual hit (displayName) AND a code node.
-  std::vector<DilPosting> postings = index.BuildPostings(MakeKeyword("asthma"));
+  std::vector<Posting> postings = ServedPostings(index, MakeKeyword("asthma"));
   ASSERT_FALSE(postings.empty());
   const DeweyId& asthma_node = postings.front().dewey;
   CorpusIndex::NodeSupport support =

@@ -128,18 +128,18 @@ TEST_F(IntegrationFixture, IndexSurvivesStorageRoundTrip) {
     queries.push_back(ParseQuery(wq.text));
     SearchTop(engine, queries.back(), 5);
   }
-  XOntoDil lists;
+  reference::Lists lists;
   for (const KeywordQuery& q : queries) {
     for (const Keyword& kw : q.keywords) {
       DilListRef served = index.GetListRef(kw);
-      lists.Put(kw.Canonical(), served.flat->ThawPostings(served.list));
+      lists[kw.Canonical()] = reference::ReadList(*served.flat, served.list);
     }
   }
   std::string path =
       (std::filesystem::temp_directory_path() /
        ("xontorank_integration_" + std::to_string(::getpid()) + ".xoseg"))
           .string();
-  ASSERT_TRUE(SaveSegment(lists.Freeze(), path).ok());
+  ASSERT_TRUE(SaveSegment(reference::FreezeLists(lists), path).ok());
   auto segment = SegmentFile::Open(path);
   ASSERT_TRUE(segment.ok()) << segment.status().ToString();
   FlatDil mapped = (*segment)->MakeView();
@@ -149,10 +149,10 @@ TEST_F(IntegrationFixture, IndexSurvivesStorageRoundTrip) {
   ScoreOptions score;
   QueryProcessor processor(score);
   for (const KeywordQuery& q : queries) {
-    std::vector<std::vector<DilPosting>> live;
+    std::vector<std::vector<reference::Posting>> live;
     std::vector<DilCursor> loaded;
     for (const Keyword& kw : q.keywords) {
-      live.push_back(lists.Find(kw.Canonical())->postings);
+      live.push_back(lists.at(kw.Canonical()));
       uint32_t list = mapped.FindList(kw.Canonical());
       ASSERT_NE(list, FlatDil::kNoList) << kw.Canonical();
       loaded.push_back(mapped.OpenCursor(list));

@@ -22,6 +22,7 @@
 #include "onto/snomed_fragment.h"
 #include "storage/engine_store.h"
 #include "storage/manifest.h"
+#include "tests/reference_eval.h"
 #include "tests/test_util.h"
 
 namespace xontorank {
@@ -133,7 +134,8 @@ void ExpectServedListsMatchFreshSeal(const IndexSegment& segment,
   for (const std::string& canonical : keywords) {
     DilListRef a = index.GetListRef(MakeKeyword(canonical));
     DilListRef b = fresh->index().GetListRef(MakeKeyword(canonical));
-    EXPECT_EQ(a.flat->ThawPostings(a.list), b.flat->ThawPostings(b.list))
+    EXPECT_EQ(reference::ReadList(*a.flat, a.list),
+              reference::ReadList(*b.flat, b.list))
         << tag << " keyword " << canonical;
   }
 }

@@ -4,6 +4,7 @@
 #include "onto/loinc_fragment.h"
 #include "onto/ontology_set.h"
 #include "onto/snomed_fragment.h"
+#include "tests/reference_eval.h"
 #include "tests/test_util.h"
 
 namespace xontorank {
@@ -155,7 +156,9 @@ TEST_F(MultiSystemFixture, DenseRowsSizedAndReadPerSystem) {
     }
     // Every code node's posting takes its ontological half from its own
     // system's row.
-    std::vector<DilPosting> postings = index.BuildPostings(keyword);
+    DilListRef ref = index.GetListRef(keyword);
+    std::vector<reference::Posting> postings =
+        reference::ReadList(*ref.flat, ref.list);
     for (const CodeUnit& code_unit : code_units) {
       OntoScoreRowCache::Row row =
           index.context()->GetRow(code_unit.system, keyword);
@@ -167,7 +170,7 @@ TEST_F(MultiSystemFixture, DenseRowsSizedAndReadPerSystem) {
       EXPECT_EQ(support.onto_score, os) << word;
       double expected = std::max(support.textual_irs, w * os);
       double got = 0.0;
-      for (const DilPosting& p : postings) {
+      for (const reference::Posting& p : postings) {
         if (p.dewey == dewey) got = p.score;
       }
       EXPECT_EQ(got, expected) << word << " system " << code_unit.system;

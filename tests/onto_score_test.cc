@@ -397,12 +397,6 @@ TEST(OntoScoreRowTest, DenseRowMatchesMapAtEveryConcept) {
   }
 }
 
-TEST(OntoScoreRowTest, DenseOntoScoreRowLaysOutMap) {
-  EXPECT_TRUE(DenseOntoScoreRow({}, 5).empty());
-  OntoScoreRow row = DenseOntoScoreRow({{1, 0.25}, {4, 1.0}}, 5);
-  EXPECT_EQ(row, (OntoScoreRow{0.0, 0.25, 0.0, 0.0, 1.0}));
-}
-
 // The Relationships expansion reads the adjacency OntologyIndex computes
 // once; it must agree with the ontology's own scans, in the same order.
 TEST(OntologyIndexTest, PrecomputedRelationshipAdjacencyMatchesOntology) {
@@ -441,7 +435,8 @@ TEST(OntologyIndexTest, PrecomputedRelationshipAdjacencyMatchesOntology) {
 }
 
 // The dense row is read straight off the expansion; it must equal the map
-// laid out densely, bit for bit, for every strategy, including under the
+// at every concept, bit for bit (0.0 where the map has no entry, and an
+// empty row for an empty map), for every strategy, including under the
 // §IX cap (which stops the expansion part way).
 TEST(OntoScoreRowTest, ComputeDenseOntoScoresEqualsDenseMap) {
   OntologyGeneratorOptions gen;
@@ -458,15 +453,17 @@ TEST(OntoScoreRowTest, ComputeDenseOntoScoresEqualsDenseMap) {
                               Strategy::kTaxonomy, Strategy::kRelationships}) {
       for (size_t w = 0; w < vocabulary.size(); w += 5) {
         Keyword keyword = MakeKeyword(vocabulary[w]);
-        OntoScoreRow expected = DenseOntoScoreRow(
-            ComputeOntoScores(index, keyword, strategy, options),
-            onto.concept_count());
+        OntoScoreMap map =
+            ComputeOntoScores(index, keyword, strategy, options);
         OntoScoreRow row =
             ComputeDenseOntoScores(index, keyword, strategy, options);
-        ASSERT_EQ(row.size(), expected.size()) << vocabulary[w];
-        for (size_t c = 0; c < row.size(); ++c) {
+        ASSERT_EQ(row.size(), map.empty() ? 0 : onto.concept_count())
+            << vocabulary[w];
+        for (ConceptId c = 0; c < row.size(); ++c) {
+          auto it = map.find(c);
+          double expected = it == map.end() ? 0.0 : it->second;
           EXPECT_EQ(std::bit_cast<uint64_t>(row[c]),
-                    std::bit_cast<uint64_t>(expected[c]))
+                    std::bit_cast<uint64_t>(expected))
               << StrategyName(strategy) << " " << vocabulary[w];
         }
       }

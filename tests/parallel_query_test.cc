@@ -12,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
-#include "core/xonto_dil.h"
 #include "gtest/gtest.h"
 #include "tests/reference_eval.h"
 #include "tests/test_util.h"
@@ -20,22 +19,21 @@
 namespace xontorank {
 namespace {
 
+using reference::Posting;
 using testing_util::ExpectSameResults;
 
-DilPosting P(std::vector<uint32_t> comps, double score) {
+Posting P(std::vector<uint32_t> comps, double score) {
   return {DeweyId(std::move(comps)), score};
 }
 
 /// One frozen list per keyword ("kw0", "kw1", ...) and refs to them in
 /// keyword order.
 struct Lists {
-  explicit Lists(const std::vector<std::vector<DilPosting>>& postings)
+  explicit Lists(const std::vector<std::vector<Posting>>& postings)
       : postings(postings) {
-    XOntoDil dil;
-    for (size_t w = 0; w < postings.size(); ++w) {
-      dil.Put(Key(w), postings[w]);
-    }
-    flat = dil.Freeze();
+    reference::Lists dil;
+    for (size_t w = 0; w < postings.size(); ++w) dil[Key(w)] = postings[w];
+    flat = reference::FreezeLists(dil);
     for (size_t w = 0; w < postings.size(); ++w) {
       refs.push_back(DilListRef::OverFlat(flat, flat.FindList(Key(w))));
     }
@@ -43,15 +41,15 @@ struct Lists {
 
   static std::string Key(size_t w) { return "kw" + std::to_string(w); }
 
-  std::vector<std::vector<DilPosting>> postings;
+  std::vector<std::vector<Posting>> postings;
   FlatDil flat;
   std::vector<DilListRef> refs;
 };
 
 /// `n` random postings with unique Dewey ids over `docs` documents.
-std::vector<DilPosting> RandomPostings(Rng& rng, size_t n, uint32_t docs,
-                                       size_t max_depth) {
-  std::vector<DilPosting> postings;
+std::vector<Posting> RandomPostings(Rng& rng, size_t n, uint32_t docs,
+                                    size_t max_depth) {
+  std::vector<Posting> postings;
   std::set<std::vector<uint32_t>> used;
   for (size_t i = 0; i < n; ++i) {
     std::vector<uint32_t> comps{static_cast<uint32_t>(rng.NextBelow(docs))};
@@ -92,7 +90,7 @@ TEST(PartitionTest, SingleDocumentCannotBeSplit) {
 TEST(PartitionTest, RangesAreDisjointCoveringAndNonEmpty) {
   Rng rng(77);
   for (int trial = 0; trial < 30; ++trial) {
-    std::vector<std::vector<DilPosting>> postings;
+    std::vector<std::vector<Posting>> postings;
     size_t num_lists = 1 + rng.NextBelow(3);
     for (size_t w = 0; w < num_lists; ++w) {
       postings.push_back(RandomPostings(rng, 1 + rng.NextBelow(40), 12, 3));
@@ -130,7 +128,7 @@ TEST_P(ParallelParityTest, ShardedMatchesSerialBitForBit) {
   for (int trial = 0; trial < 25; ++trial) {
     // Randomized corpus: up to 16 documents, 1-3 keywords, varied depth.
     size_t num_keywords = 1 + rng.NextBelow(3);
-    std::vector<std::vector<DilPosting>> postings;
+    std::vector<std::vector<Posting>> postings;
     for (size_t w = 0; w < num_keywords; ++w) {
       postings.push_back(RandomPostings(rng, 1 + rng.NextBelow(60), 16, 5));
       if (postings.back().empty()) postings.back().push_back(P({0}, 0.5));

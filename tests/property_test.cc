@@ -244,7 +244,9 @@ TEST_P(EngineInvariantTest, PostingScoresBounded) {
   options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
   CorpusIndex index(corpus, onto, options);
   for (const char* word : {"asthma", "cardiac", "bronchial", "furosemide"}) {
-    for (const DilPosting& p : index.BuildPostings(MakeKeyword(word))) {
+    DilListRef ref = index.GetListRef(MakeKeyword(word));
+    for (const reference::Posting& p :
+         reference::ReadList(*ref.flat, ref.list)) {
       EXPECT_GT(p.score, 0.0);
       EXPECT_LE(p.score, 1.0 + kEps);
     }
@@ -270,10 +272,10 @@ TEST_P(StorageFuzzTest, RandomIndexesRoundTrip) {
   Rng rng(GetParam());
   const std::string path = TempPath();
   for (int trial = 0; trial < 20; ++trial) {
-    XOntoDil dil;
+    reference::Lists dil;
     size_t num_keywords = rng.NextBelow(8);
     for (size_t k = 0; k < num_keywords; ++k) {
-      std::vector<DilPosting> postings;
+      std::vector<reference::Posting> postings;
       std::set<std::vector<uint32_t>> used;
       size_t n = rng.NextBelow(40);
       for (size_t i = 0; i < n; ++i) {
@@ -286,23 +288,23 @@ TEST_P(StorageFuzzTest, RandomIndexesRoundTrip) {
         if (!used.insert(comps).second) continue;
         postings.push_back({DeweyId(comps), rng.NextDouble()});
       }
-      dil.Put("kw" + std::to_string(k), std::move(postings));
+      dil["kw" + std::to_string(k)] = std::move(postings);
     }
-    ASSERT_TRUE(SaveSegment(dil.Freeze(), path).ok());
+    FlatDil frozen = reference::FreezeLists(dil);
+    ASSERT_TRUE(SaveSegment(frozen, path).ok());
     auto segment = SegmentFile::Open(path);
     ASSERT_TRUE(segment.ok()) << segment.status().ToString();
-    XOntoDil decoded = (*segment)->MakeView().ThawAll();
-    ASSERT_EQ(decoded.keyword_count(), dil.keyword_count());
-    EXPECT_EQ(decoded.TotalPostings(), dil.TotalPostings());
+    reference::Lists decoded = reference::ReadLists((*segment)->MakeView());
+    ASSERT_EQ(decoded.size(), dil.size());
+    EXPECT_EQ(decoded, reference::ReadLists(frozen));
   }
   std::filesystem::remove(path);
 }
 
 TEST_P(StorageFuzzTest, RandomTruncationsNeverCrashOrSucceedWrongly) {
   Rng rng(GetParam() ^ 0xBEEF);
-  XOntoDil dil;
-  dil.Put("asthma", {{DeweyId({0, 1, 2}), 0.5}, {DeweyId({3}), 0.25}});
-  const std::string blob = EncodeSegment(dil.Freeze());
+  const std::string blob = EncodeSegment(reference::FreezeLists(
+      {{"asthma", {{DeweyId({0, 1, 2}), 0.5}, {DeweyId({3}), 0.25}}}}));
   const std::string path = TempPath();
   for (int trial = 0; trial < 100; ++trial) {
     size_t keep = rng.NextBelow(blob.size());

@@ -21,33 +21,25 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-DilPosting P(std::vector<uint32_t> comps, double score) {
-  return {DeweyId(std::move(comps)), score};
-}
+using reference::Posting;
+/// One keyword's postings, in any order (freezing sorts them).
+using List = std::vector<Posting>;
 
-DilEntry Entry(std::vector<DilPosting> postings) {
-  DilEntry entry;
-  std::sort(postings.begin(), postings.end(),
-            [](const DilPosting& a, const DilPosting& b) {
-              return a.dewey < b.dewey;
-            });
-  entry.postings = std::move(postings);
-  return entry;
+Posting P(std::vector<uint32_t> comps, double score) {
+  return {DeweyId(std::move(comps)), score};
 }
 
 /// Freezes one list per keyword, runs the cursor merge over them, and
 /// checks the answer against the reference evaluator before returning it.
-std::vector<QueryResult> RunQuery(const std::vector<DilEntry>& entries,
+std::vector<QueryResult> RunQuery(const std::vector<List>& lists,
                                   size_t top_k = 0, double decay = 0.5) {
-  XOntoDil dil;
-  std::vector<std::vector<DilPosting>> lists;
-  for (size_t w = 0; w < entries.size(); ++w) {
-    dil.Put("kw" + std::to_string(w), entries[w].postings);
-    lists.push_back(entries[w].postings);
+  reference::Lists dil;
+  for (size_t w = 0; w < lists.size(); ++w) {
+    dil["kw" + std::to_string(w)] = lists[w];
   }
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = reference::FreezeLists(dil);
   std::vector<DilCursor> cursors;
-  for (size_t w = 0; w < entries.size(); ++w) {
+  for (size_t w = 0; w < lists.size(); ++w) {
     cursors.push_back(flat.OpenCursor(flat.FindList("kw" + std::to_string(w))));
   }
   ScoreOptions options;
@@ -60,7 +52,7 @@ std::vector<QueryResult> RunQuery(const std::vector<DilEntry>& entries,
 }
 
 TEST(QueryProcessorTest, SingleKeywordReturnsPostingNodes) {
-  DilEntry a = Entry({P({0, 1}, 0.8), P({0, 2}, 0.4)});
+  List a = {P({0, 1}, 0.8), P({0, 2}, 0.4)};
   auto results = RunQuery({a});
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].element.ToString(), "0.1");
@@ -70,15 +62,15 @@ TEST(QueryProcessorTest, SingleKeywordReturnsPostingNodes) {
 
 TEST(QueryProcessorTest, ConjunctionRequiresAllKeywords) {
   // Keyword A in doc 0 only, keyword B in doc 1 only: no common subtree.
-  DilEntry a = Entry({P({0, 1}, 1.0)});
-  DilEntry b = Entry({P({1, 1}, 1.0)});
+  List a = {P({0, 1}, 1.0)};
+  List b = {P({1, 1}, 1.0)};
   EXPECT_TRUE(RunQuery({a, b}).empty());
 }
 
 TEST(QueryProcessorTest, LcaBecomesResultWithDecayedScores) {
   // A at 0.0.0, B at 0.0.1 → result is 0.0 with each score decayed once.
-  DilEntry a = Entry({P({0, 0, 0}, 1.0)});
-  DilEntry b = Entry({P({0, 0, 1}, 0.6)});
+  List a = {P({0, 0, 0}, 1.0)};
+  List b = {P({0, 0, 1}, 0.6)};
   auto results = RunQuery({a, b});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].element.ToString(), "0.0");
@@ -91,8 +83,8 @@ TEST(QueryProcessorTest, LcaBecomesResultWithDecayedScores) {
 TEST(QueryProcessorTest, MinimalityExcludesAncestors) {
   // Both keywords inside 0.0.1 AND spread across 0.0: only the deep node
   // (which already has all keywords) is returned; 0.0 is not (Eq. 1).
-  DilEntry a = Entry({P({0, 0, 1}, 1.0), P({0, 0, 0}, 0.2)});
-  DilEntry b = Entry({P({0, 0, 1}, 0.9)});
+  List a = {P({0, 0, 1}, 1.0), P({0, 0, 0}, 0.2)};
+  List b = {P({0, 0, 1}, 0.9)};
   auto results = RunQuery({a, b});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].element.ToString(), "0.0.1");
@@ -100,8 +92,8 @@ TEST(QueryProcessorTest, MinimalityExcludesAncestors) {
 }
 
 TEST(QueryProcessorTest, SameNodeCarriesBothKeywords) {
-  DilEntry a = Entry({P({0, 3}, 0.7)});
-  DilEntry b = Entry({P({0, 3}, 0.2)});
+  List a = {P({0, 3}, 0.7)};
+  List b = {P({0, 3}, 0.2)};
   auto results = RunQuery({a, b});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].element.ToString(), "0.3");
@@ -109,8 +101,8 @@ TEST(QueryProcessorTest, SameNodeCarriesBothKeywords) {
 }
 
 TEST(QueryProcessorTest, MultipleResultsAcrossDocuments) {
-  DilEntry a = Entry({P({0, 0}, 1.0), P({2, 0}, 0.5)});
-  DilEntry b = Entry({P({0, 1}, 1.0), P({2, 1}, 1.0)});
+  List a = {P({0, 0}, 1.0), P({2, 0}, 0.5)};
+  List b = {P({0, 1}, 1.0), P({2, 1}, 1.0)};
   auto results = RunQuery({a, b});
   ASSERT_EQ(results.size(), 2u);
   // Doc 0 root scores 0.5+0.5=1.0; doc 2 root scores 0.25+0.5=0.75.
@@ -122,8 +114,8 @@ TEST(QueryProcessorTest, MultipleResultsAcrossDocuments) {
 
 TEST(QueryProcessorTest, SiblingSubtreesProduceSeparateResults) {
   // Two independent sections of one document each contain both keywords.
-  DilEntry a = Entry({P({0, 0, 0}, 1.0), P({0, 1, 0}, 0.8)});
-  DilEntry b = Entry({P({0, 0, 1}, 1.0), P({0, 1, 1}, 0.8)});
+  List a = {P({0, 0, 0}, 1.0), P({0, 1, 0}, 0.8)};
+  List b = {P({0, 0, 1}, 1.0), P({0, 1, 1}, 0.8)};
   auto results = RunQuery({a, b});
   ASSERT_EQ(results.size(), 2u);
   std::set<std::string> elems{results[0].element.ToString(),
@@ -133,8 +125,8 @@ TEST(QueryProcessorTest, SiblingSubtreesProduceSeparateResults) {
 }
 
 TEST(QueryProcessorTest, DeepPropagationUsesDecayPower) {
-  DilEntry a = Entry({P({0, 0, 0, 0, 0}, 1.0)});
-  DilEntry b = Entry({P({0, 1}, 1.0)});
+  List a = {P({0, 0, 0, 0, 0}, 1.0)};
+  List b = {P({0, 1}, 1.0)};
   auto results = RunQuery({a, b});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].element.ToString(), "0");
@@ -145,8 +137,8 @@ TEST(QueryProcessorTest, DeepPropagationUsesDecayPower) {
 
 TEST(QueryProcessorTest, MaxCombinesMultipleWitnesses) {
   // Keyword a occurs twice below the LCA; Eq. 3 takes the max decayed one.
-  DilEntry a = Entry({P({0, 0, 0}, 1.0), P({0, 0, 1, 0}, 1.0)});
-  DilEntry b = Entry({P({0, 1}, 1.0)});
+  List a = {P({0, 0, 0}, 1.0), P({0, 0, 1, 0}, 1.0)};
+  List b = {P({0, 1}, 1.0)};
   auto results = RunQuery({a, b});
   ASSERT_EQ(results.size(), 1u);
   // From 0.0.0: 0.5^2 = 0.25; from 0.0.1.0: 0.5^3 = 0.125 → max 0.25.
@@ -154,7 +146,7 @@ TEST(QueryProcessorTest, MaxCombinesMultipleWitnesses) {
 }
 
 TEST(QueryProcessorTest, TopKOrdersByScoreDescending) {
-  DilEntry a = Entry({P({0, 0}, 0.3), P({1, 0}, 0.9), P({2, 0}, 0.6)});
+  List a = {P({0, 0}, 0.3), P({1, 0}, 0.9), P({2, 0}, 0.6)};
   auto results = RunQuery({a}, 2);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].element.ToString(), "1.0");
@@ -162,7 +154,7 @@ TEST(QueryProcessorTest, TopKOrdersByScoreDescending) {
 }
 
 TEST(QueryProcessorTest, TiesBrokenByDeweyOrder) {
-  DilEntry a = Entry({P({3, 0}, 0.5), P({1, 0}, 0.5), P({2, 0}, 0.5)});
+  List a = {P({3, 0}, 0.5), P({1, 0}, 0.5), P({2, 0}, 0.5)};
   auto results = RunQuery({a});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].element.ToString(), "1.0");
@@ -171,15 +163,11 @@ TEST(QueryProcessorTest, TiesBrokenByDeweyOrder) {
 }
 
 TEST(QueryProcessorTest, EmptyOrNullListsShortCircuit) {
-  DilEntry a = Entry({P({0, 0}, 1.0)});
-  DilEntry empty = Entry({});
+  List a = {P({0, 0}, 1.0)};
+  List empty = {};
   EXPECT_TRUE(RunQuery({a, empty}).empty());
   // A default cursor is an exhausted list: the keyword matches nothing.
-  FlatDil flat = [&a] {
-    XOntoDil dil;
-    dil.Put("a", a.postings);
-    return dil.Freeze();
-  }();
+  FlatDil flat = reference::FreezeLists({{"a", a}});
   QueryProcessor processor((ScoreOptions()));
   std::vector<DilCursor> with_null;
   with_null.push_back(flat.OpenCursor(flat.FindList("a")));
@@ -189,8 +177,8 @@ TEST(QueryProcessorTest, EmptyOrNullListsShortCircuit) {
 }
 
 TEST(QueryProcessorTest, ResultsFormAntichain) {
-  DilEntry a = Entry({P({0, 0, 0}, 1.0), P({0, 0}, 0.1), P({0}, 0.1)});
-  DilEntry b = Entry({P({0, 0, 0}, 1.0), P({0, 1}, 1.0)});
+  List a = {P({0, 0, 0}, 1.0), P({0, 0}, 0.1), P({0}, 0.1)};
+  List b = {P({0, 0, 0}, 1.0), P({0, 1}, 1.0)};
   auto results = RunQuery({a, b});
   for (size_t i = 0; i < results.size(); ++i) {
     for (size_t j = 0; j < results.size(); ++j) {
@@ -208,9 +196,9 @@ TEST_P(QueryProcessorPropertyTest, MatchesBruteForceOnRandomInputs) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 40; ++trial) {
     size_t num_keywords = 1 + rng.NextBelow(3);
-    std::vector<DilEntry> entries;
+    std::vector<List> entries;
     for (size_t w = 0; w < num_keywords; ++w) {
-      std::vector<DilPosting> postings;
+      List postings;
       size_t n = 1 + rng.NextBelow(12);
       std::set<std::vector<uint32_t>> used;
       for (size_t i = 0; i < n; ++i) {
@@ -223,7 +211,7 @@ TEST_P(QueryProcessorPropertyTest, MatchesBruteForceOnRandomInputs) {
         postings.push_back(P(comps, 0.1 + 0.9 * rng.NextDouble()));
       }
       if (postings.empty()) postings.push_back(P({0}, 0.5));
-      entries.push_back(Entry(std::move(postings)));
+      entries.push_back(std::move(postings));
     }
     double decay = 0.25 + 0.5 * rng.NextDouble();
     size_t top_k = rng.NextBelow(2) == 0 ? 0 : 1 + rng.NextBelow(10);

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
+#include "common/check.h"
 #include "core/elem_rank.h"
 #include "core/node_text.h"
 #include "core/onto_score.h"
+#include "xml/dewey_ref.h"
 #include "xml/xml_node.h"
 
 namespace xontorank {
@@ -38,10 +41,90 @@ bool AllPositive(const std::vector<double>& scores) {
                      [](double s) { return s > 0.0; });
 }
 
+bool DeweyLess(const Posting& a, const Posting& b) {
+  return a.dewey < b.dewey;
+}
+
+// Bytes of v as a LEB128 varint: 7 payload bits per byte.
+size_t VarintLength(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 }  // namespace
 
+FlatDil FreezeLists(const Lists& lists) {
+  // Sorted copies of only the lists that need them.
+  std::map<std::string_view, std::vector<Posting>> sorted;
+  std::vector<const std::vector<Posting>*> postings;
+  std::vector<FlatDil::Builder::ListShape> shapes;
+  for (const auto& [keyword, list] : lists) {
+    const std::vector<Posting>* ordered = &list;
+    if (!std::is_sorted(list.begin(), list.end(), DeweyLess)) {
+      std::vector<Posting>& copy = sorted[keyword] = list;
+      std::sort(copy.begin(), copy.end(), DeweyLess);
+      ordered = &copy;
+    }
+    postings.push_back(ordered);
+    FlatDil::Builder::ListShape& shape = shapes.emplace_back();
+    shape.keyword = keyword;
+    for (size_t i = 0; i < ordered->size(); ++i) {
+      shape.Add(i == 0 ? DeweyRef() : DeweyRef((*ordered)[i - 1].dewey),
+                DeweyRef((*ordered)[i].dewey));
+    }
+  }
+  FlatDil::Builder builder(shapes);
+  for (size_t l = 0; l < postings.size(); ++l) {
+    FlatDil::Builder::ListWriter writer = builder.List(l);
+    for (const Posting& posting : *postings[l]) {
+      XO_CHECK(writer.AddPosting(posting.dewey.components(), posting.score));
+    }
+  }
+  return std::move(builder).Finish();
+}
+
+std::vector<Posting> ReadList(const FlatDil& dil, uint32_t list) {
+  std::vector<Posting> postings;
+  postings.reserve(dil.ListSize(list));
+  for (DilCursor c = dil.OpenCursor(list); !c.AtEnd(); c.Next()) {
+    postings.push_back(Posting{c.dewey().ToDeweyId(), c.score()});
+  }
+  return postings;
+}
+
+Lists ReadLists(const FlatDil& dil) {
+  Lists lists;
+  for (uint32_t l = 0; l < dil.keyword_count(); ++l) {
+    lists.emplace(std::string(dil.KeywordAt(l)), ReadList(dil, l));
+  }
+  return lists;
+}
+
+size_t ApproxSizeBytes(const std::vector<Posting>& postings) {
+  // Per posting: varint(shared) + varint(fresh) + fresh component varints
+  // + fixed32 quantized score.
+  size_t bytes = 0;
+  const Posting* prev = nullptr;
+  for (const Posting& p : postings) {
+    size_t shared =
+        prev == nullptr ? 0 : prev->dewey.CommonPrefixLength(p.dewey);
+    bytes += VarintLength(shared);
+    bytes += VarintLength(p.dewey.size() - shared);
+    for (size_t i = shared; i < p.dewey.size(); ++i) {
+      bytes += VarintLength(p.dewey[i]);
+    }
+    bytes += sizeof(uint32_t);  // quantized score
+    prev = &p;
+  }
+  return bytes;
+}
+
 std::vector<QueryResult> EvaluateLists(
-    const std::vector<std::vector<DilPosting>>& lists, double decay,
+    const std::vector<std::vector<Posting>>& lists, double decay,
     size_t top_k) {
   if (lists.empty()) return {};
   const size_t num_keywords = lists.size();
@@ -50,7 +133,7 @@ std::vector<QueryResult> EvaluateLists(
   // multiplying by the decay once per containment edge.
   std::map<std::vector<uint32_t>, std::vector<double>> candidates;
   for (size_t w = 0; w < num_keywords; ++w) {
-    for (const DilPosting& posting : lists[w]) {
+    for (const Posting& posting : lists[w]) {
       const std::vector<uint32_t>& comps = posting.dewey.components();
       double value = posting.score;
       for (size_t len = comps.size(); len >= 1; --len) {

@@ -6,7 +6,9 @@
 // definitions. It shares no code with the serving path: no inverted-list
 // representation, cursor, merge stack, pruning, segment or cache. Tests,
 // bench_flat_dil's smoke gate and fuzz_query compare the engine against
-// it with exact double equality.
+// it with exact double equality. The list helpers beside it (Posting,
+// FreezeLists, ReadList) are how tests and benches write explicit lists
+// into, and read them back out of, the engine's FlatDil.
 //
 // Bit-identity is by construction, not by luck: both sides combine the
 // same doubles with the same operations. Decay is applied as repeated
@@ -16,12 +18,15 @@
 // and a result's score sums its keyword scores in keyword order from 0.
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/flat_dil.h"
 #include "core/options.h"
 #include "core/query_result.h"
-#include "core/xonto_dil.h"
 #include "ir/query.h"
 #include "ir/text_index.h"
 #include "onto/ontology_index.h"
@@ -32,6 +37,35 @@
 namespace xontorank {
 namespace reference {
 
+/// One posting of an XOnto Dewey Inverted List (Fig. 10): a node address
+/// and its relevance score NS(w, v) for the list's keyword (Eq. 5).
+struct Posting {
+  DeweyId dewey;
+  double score;
+
+  bool operator==(const Posting&) const = default;
+};
+
+/// Named inverted lists: keyword -> postings (in any order).
+using Lists = std::map<std::string, std::vector<Posting>>;
+
+/// Freezes `lists` into a FlatDil through FlatDil::Builder: one list per
+/// keyword in keyword order, each list's postings sorted by Dewey id.
+FlatDil FreezeLists(const Lists& lists);
+
+/// List `list` of `dil` read back through a cursor walk: the postings as
+/// frozen, scores bit for bit.
+std::vector<Posting> ReadList(const FlatDil& dil, uint32_t list);
+
+/// Every list of `dil`, read back by ReadList.
+Lists ReadLists(const FlatDil& dil);
+
+/// Table III's "Size" of one list in bytes: per posting, the Dewey
+/// components after shared-prefix elision — varint(shared), varint(fresh
+/// count) and each fresh component as a varint — plus a 4-byte quantized
+/// score. The definition is self-contained: no encoder computes it.
+size_t ApproxSizeBytes(const std::vector<Posting>& postings);
+
 /// Eq. 1-4 over explicit inverted lists, one per keyword (each posting a
 /// node address and its NS score; any order). Every prefix of a posting's
 /// address is a candidate element; its keyword score is the max over the
@@ -40,7 +74,7 @@ namespace reference {
 /// ordered by score descending, ties by Dewey order, truncated to `top_k`
 /// (0 = all). No lists, or any empty list, yields no results.
 std::vector<QueryResult> EvaluateLists(
-    const std::vector<std::vector<DilPosting>>& lists, double decay,
+    const std::vector<std::vector<Posting>>& lists, double decay,
     size_t top_k);
 
 /// Eq. 1-5 over XML trees. Construction does the per-corpus work once:

@@ -214,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- The list-level evaluator on hand-built inputs --------------------
 
-DilPosting P(std::vector<uint32_t> comps, double score) {
+reference::Posting P(std::vector<uint32_t> comps, double score) {
   return {DeweyId(std::move(comps)), score};
 }
 
@@ -249,6 +249,31 @@ TEST(ReferenceListsTest, OrdersByScoreThenDeweyAndTruncates) {
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].element.ToString(), "2.0");
   EXPECT_EQ(results[1].element.ToString(), "1.0");
+}
+
+// ---- Table III's Size definition ----
+
+TEST(ReferenceListsTest, ApproxSizeReportsEncodedFootprint) {
+  // Posting 1: shared(1) + fresh(1) + 3 component varints + 4-byte score
+  //          = 9 bytes.
+  // Posting 2: shares {0} with its predecessor — shared(1) + fresh(1) + no
+  //            components + 4-byte score = 6 bytes.
+  EXPECT_EQ(reference::ApproxSizeBytes({P({0, 1, 2}, 0.5), P({0}, 0.2)}),
+            15u);
+}
+
+TEST(ReferenceListsTest, ApproxSizeElidesSharedPrefixes) {
+  // 100 deep siblings: the common 7-component prefix is paid once, every
+  // later posting stores only its fresh last component.
+  std::vector<reference::Posting> postings;
+  for (uint32_t i = 0; i < 100; ++i) {
+    postings.push_back(P({0, 3, 0, 2, 0, 5, 1, i}, 0.5));
+  }
+  size_t uncompressed = 0;
+  for (const reference::Posting& p : postings) {
+    uncompressed += p.dewey.size() * sizeof(uint32_t) + sizeof(float);
+  }
+  EXPECT_LT(reference::ApproxSizeBytes(postings), uncompressed / 4);
 }
 
 }  // namespace

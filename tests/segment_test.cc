@@ -18,7 +18,6 @@
 #include "common/thread_pool.h"
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
-#include "core/xonto_dil.h"
 #include "gtest/gtest.h"
 #include "storage/coding.h"
 #include "storage/segment_file.h"
@@ -29,11 +28,17 @@
 namespace xontorank {
 namespace {
 
-// A randomized Dewey-sorted index, same shape as flat_dil_test's.
-XOntoDil RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
-  XOntoDil dil;
+using reference::FreezeLists;
+using reference::Lists;
+using reference::Posting;
+using reference::ReadList;
+
+// A randomized index, same shape as flat_dil_test's (FreezeLists sorts
+// each list by Dewey id).
+Lists RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
+  Lists dil;
   for (size_t w = 0; w < num_keywords; ++w) {
-    std::vector<DilPosting> postings;
+    std::vector<Posting> postings;
     std::set<std::vector<uint32_t>> used;
     size_t n = 1 + rng.NextBelow(max_postings);
     for (size_t i = 0; i < n; ++i) {
@@ -46,7 +51,7 @@ XOntoDil RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
       postings.push_back(
           {DeweyId(std::move(comps)), 0.05 + 0.95 * rng.NextDouble()});
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
   return dil;
 }
@@ -116,7 +121,7 @@ void ExpectSpanEq(std::span<const T> a, std::span<const T> b,
 
 TEST(SegmentRoundTrip, SectionsBitIdentical) {
   Rng rng(7);
-  FlatDil flat = RandomDil(rng, 12, 300).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 12, 300));
   std::string path = TempPath("roundtrip");
   ASSERT_TRUE(SaveSegment(flat, path).ok());
 
@@ -141,23 +146,17 @@ TEST(SegmentRoundTrip, SectionsBitIdentical) {
   ExpectSpanEq(a.skip_first_doc, b.skip_first_doc, "skip_first_doc");
   ExpectSpanEq(a.skip_begin, b.skip_begin, "skip_begin");
 
-  // Thawing every list through the mapped view reproduces the postings.
+  // Reading every list through the mapped view reproduces the postings.
   for (uint32_t list = 0; list < flat.keyword_count(); ++list) {
     EXPECT_EQ(view.KeywordAt(list), flat.KeywordAt(list));
-    std::vector<DilPosting> expected = flat.ThawPostings(list);
-    std::vector<DilPosting> mapped = view.ThawPostings(list);
-    ASSERT_EQ(expected.size(), mapped.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i].dewey, mapped[i].dewey);
-      EXPECT_EQ(expected[i].score, mapped[i].score);
-    }
+    EXPECT_EQ(ReadList(view, list), ReadList(flat, list)) << list;
   }
   std::filesystem::remove(path);
 }
 
 TEST(SegmentRoundTrip, EncodeIsDeterministicAndSavedVerbatim) {
   Rng rng(41);
-  FlatDil flat = RandomDil(rng, 5, 100).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 5, 100));
   std::string encoded = EncodeSegment(flat);
   EXPECT_EQ(encoded, EncodeSegment(flat));
   std::string path = TempPath("verbatim");
@@ -167,7 +166,7 @@ TEST(SegmentRoundTrip, EncodeIsDeterministicAndSavedVerbatim) {
 }
 
 TEST(SegmentRoundTrip, EmptyIndex) {
-  FlatDil flat = XOntoDil().Freeze();
+  FlatDil flat = FreezeLists({});
   std::string path = TempPath("empty");
   ASSERT_TRUE(SaveSegment(flat, path).ok());
   auto segment = SegmentFile::Open(path);
@@ -186,14 +185,14 @@ TEST(SegmentRoundTrip, OpenMissingFileIsIoError) {
 }
 
 TEST(SegmentRoundTrip, SaveToUnwritablePathIsIoError) {
-  EXPECT_EQ(SaveSegment(XOntoDil().Freeze(), "/nonexistent/dir/seg-0.xoseg")
-                .code(),
-            StatusCode::kIoError);
+  EXPECT_EQ(
+      SaveSegment(FreezeLists({}), "/nonexistent/dir/seg-0.xoseg").code(),
+      StatusCode::kIoError);
 }
 
 TEST(SegmentRoundTrip, MovedViewStaysBoundToMapping) {
   Rng rng(1009);
-  FlatDil flat = RandomDil(rng, 4, 50).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 4, 50));
   std::string path = TempPath("move");
   ASSERT_TRUE(SaveSegment(flat, path).ok());
   auto segment = SegmentFile::Open(path);
@@ -208,6 +207,28 @@ TEST(SegmentRoundTrip, MovedViewStaysBoundToMapping) {
   std::filesystem::remove(path);
 }
 
+TEST(SegmentRoundTrip, ViewOutlivesReleasedFileHandle) {
+  // The view pins its own mapping: with the SegmentFile handle released
+  // and the file unlinked, every list still reads back in full.
+  Rng rng(2027);
+  FlatDil flat = FreezeLists(RandomDil(rng, 6, 300));
+  std::string path = TempPath("pin");
+  ASSERT_TRUE(SaveSegment(flat, path).ok());
+  FlatDil view;
+  {
+    auto segment = SegmentFile::Open(path);
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    view = (*segment)->MakeView();
+  }
+  std::filesystem::remove(path);
+  ASSERT_TRUE(view.is_mapped_view());
+  ASSERT_EQ(view.keyword_count(), flat.keyword_count());
+  for (uint32_t list = 0; list < view.keyword_count(); ++list) {
+    EXPECT_EQ(view.KeywordAt(list), flat.KeywordAt(list));
+    EXPECT_EQ(ReadList(view, list), ReadList(flat, list)) << list;
+  }
+}
+
 // ---- Query parity: mapped view vs the heap FlatDil, bit for bit ----
 
 class SegmentParityTest : public ::testing::TestWithParam<uint64_t> {};
@@ -217,10 +238,10 @@ TEST_P(SegmentParityTest, MappedExecuteMatchesDecodedBitForBit) {
   ThreadPool pool(4);
   std::string path = TempPath("parity" + std::to_string(GetParam()));
   for (int trial = 0; trial < 6; ++trial) {
-    XOntoDil dil = RandomDil(rng, 1 + rng.NextBelow(3), 60);
+    Lists dil = RandomDil(rng, 1 + rng.NextBelow(3), 60);
     // The segment is written FROM the heap columns, so both sides of the
     // comparison carry identical doubles.
-    FlatDil heap = dil.Freeze();
+    FlatDil heap = FreezeLists(dil);
     ASSERT_TRUE(SaveSegment(heap, path).ok());
     auto segment = SegmentFile::Open(path);
     ASSERT_TRUE(segment.ok()) << segment.status().ToString();
@@ -231,9 +252,9 @@ TEST_P(SegmentParityTest, MappedExecuteMatchesDecodedBitForBit) {
     score.decay = 0.25 + 0.5 * rng.NextDouble();
     QueryProcessor processor(score);
     std::vector<DilListRef> heap_refs, mapped_refs;
-    std::vector<std::vector<DilPosting>> lists;
-    for (const auto& [keyword, entry] : dil.entries()) {
-      lists.push_back(entry.postings);
+    std::vector<std::vector<Posting>> lists;
+    for (const auto& [keyword, postings] : dil) {
+      lists.push_back(postings);
       uint32_t list = heap.FindList(keyword);
       ASSERT_NE(list, FlatDil::kNoList);
       ASSERT_EQ(view.FindList(keyword), list);
@@ -271,7 +292,7 @@ class SegmentCorruptionTest : public ::testing::Test {
     path_ = TempPath(
         ::testing::UnitTest::GetInstance()->current_test_info()->name());
     Rng rng(65537);
-    FlatDil flat = RandomDil(rng, 8, 200).Freeze();
+    FlatDil flat = FreezeLists(RandomDil(rng, 8, 200));
     ASSERT_TRUE(SaveSegment(flat, path_).ok());
     pristine_ = ReadAll(path_);
     ASSERT_GE(pristine_.size(), kSegmentMinBytes);
@@ -544,7 +565,6 @@ TEST_F(SegmentCorruptionTest, BrokenOffsetColumnCaughtWithoutChecksums) {
 TEST_F(SegmentCorruptionTest, PristineFileStillOpensAfterSuite) {
   WriteAll(path_, pristine_);
   SegmentFile::Options options;
-  options.prefetch = true;  // exercise the WILLNEED path too
   options.advice = SegmentFile::Options::Advice::kSequential;
   auto segment = SegmentFile::Open(path_, options);
   EXPECT_TRUE(segment.ok()) << segment.status().ToString();

@@ -20,21 +20,25 @@
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
 #include "core/simd_kernels.h"
-#include "core/xonto_dil.h"
 #include "gtest/gtest.h"
 #include "storage/segment_file.h"
 #include "storage/segment_writer.h"
+#include "tests/reference_eval.h"
 
 namespace xontorank {
 namespace {
 
+using reference::FreezeLists;
+using reference::Lists;
+using reference::Posting;
+
 // A randomized Dewey-sorted index, same shape as segment_test's: enough
 // postings per keyword to span multiple 128-posting blocks.
-XOntoDil RandomDil(Rng& rng, size_t num_keywords, size_t max_postings,
-                   uint32_t num_docs = 64) {
-  XOntoDil dil;
+Lists RandomDil(Rng& rng, size_t num_keywords, size_t max_postings,
+                uint32_t num_docs = 64) {
+  Lists dil;
   for (size_t w = 0; w < num_keywords; ++w) {
-    std::vector<DilPosting> postings;
+    std::vector<Posting> postings;
     std::set<std::vector<uint32_t>> used;
     size_t n = 1 + rng.NextBelow(max_postings);
     for (size_t i = 0; i < n; ++i) {
@@ -48,7 +52,7 @@ XOntoDil RandomDil(Rng& rng, size_t num_keywords, size_t max_postings,
       postings.push_back(
           {DeweyId(std::move(comps)), 0.05 + 0.95 * rng.NextDouble()});
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
   return dil;
 }
@@ -85,7 +89,7 @@ std::string TempPath(const std::string& tag) {
 
 TEST(BlockMaxParity, MatchesExhaustiveForEveryKAndShardCount) {
   Rng rng(42);
-  FlatDil flat = RandomDil(rng, 6, 1200).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 6, 1200));
   ASSERT_TRUE(flat.has_block_max());
   QueryProcessor processor(ScoreOptions{});
   ThreadPool pool(4);
@@ -113,7 +117,7 @@ TEST(BlockMaxParity, MatchesExhaustiveForEveryKAndShardCount) {
 
 TEST(BlockMaxParity, SingleKeywordEveryK) {
   Rng rng(7);
-  FlatDil flat = RandomDil(rng, 2, 2000).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 2, 2000));
   QueryProcessor processor(ScoreOptions{});
   std::vector<DilListRef> lists = FlatRefs(flat, {"kw0"});
   for (size_t top_k : {size_t{1}, size_t{3}, size_t{50}, size_t{0}}) {
@@ -130,16 +134,16 @@ TEST(BlockMaxParity, TieScoresKeepDeweyOrderDeterministic) {
   // Every posting scores identically, so the top-k frontier is all ties:
   // the pruned merge must resolve them exactly like the exhaustive one
   // (ascending Dewey among equal scores), with zero tolerance.
-  XOntoDil dil;
+  Lists dil;
   for (size_t w = 0; w < 2; ++w) {
-    std::vector<DilPosting> postings;
+    std::vector<Posting> postings;
     for (uint32_t doc = 0; doc < 600; ++doc) {
       postings.push_back({DeweyId({doc, w == 0 ? 0u : 1u}), 0.25});
       postings.push_back({DeweyId({doc, 2}), 0.25});
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists(dil);
   QueryProcessor processor(ScoreOptions{});
   std::vector<DilListRef> lists = FlatRefs(flat, {"kw0", "kw1"});
   for (size_t top_k : {size_t{1}, size_t{7}, size_t{100}}) {
@@ -156,14 +160,12 @@ TEST(BlockMaxPruning, SkipsBlocksOnSkewedScores) {
   // Doc 0 holds the only high-scoring posting; every other block's upper
   // bound loses to it, so a top-1 query must leapfrog essentially the
   // whole list after the first document.
-  std::vector<DilPosting> postings;
+  std::vector<Posting> postings;
   postings.push_back({DeweyId({0, 0}), 10.0});
   for (uint32_t doc = 1; doc < 2000; ++doc) {
     postings.push_back({DeweyId({doc, 0}), 0.01});
   }
-  XOntoDil dil;
-  dil.Put("kw", std::move(postings));
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists({{"kw", std::move(postings)}});
   QueryProcessor processor(ScoreOptions{});
   std::vector<DilListRef> lists = FlatRefs(flat, {"kw"});
 
@@ -187,9 +189,9 @@ TEST(ExactTopKHeap, MatchesFullSortTruncatedWithTies) {
   // tied on the k-th score survive (ties go to the smaller Dewey id).
   // Scores come from a three-value set, so ties sit on every frontier.
   Rng rng(17);
-  XOntoDil dil;
+  Lists dil;
   for (size_t w = 0; w < 3; ++w) {
-    std::vector<DilPosting> postings;
+    std::vector<Posting> postings;
     std::set<std::vector<uint32_t>> used;
     for (size_t i = 0; i < 900; ++i) {
       std::vector<uint32_t> comps{static_cast<uint32_t>(rng.NextBelow(48))};
@@ -201,9 +203,9 @@ TEST(ExactTopKHeap, MatchesFullSortTruncatedWithTies) {
       postings.push_back(
           {DeweyId(std::move(comps)), 0.25 * (1 + rng.NextBelow(3))});
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
-  FlatDil flat = dil.Freeze();
+  FlatDil flat = FreezeLists(dil);
   QueryProcessor processor(ScoreOptions{});
   size_t tied_cuts = 0;
   for (const std::vector<std::string>& keywords :
@@ -248,7 +250,7 @@ TEST(BlockMaxFallback, DecayAboveOneRunsExact) {
   // decay > 1 amplifies scores while propagating upward, so a block max
   // no longer bounds emitted frames — the merge must not prune.
   Rng rng(3);
-  FlatDil flat = RandomDil(rng, 3, 800).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 3, 800));
   ScoreOptions amplifying;
   amplifying.decay = 1.5;
   QueryProcessor processor(amplifying);
@@ -267,7 +269,7 @@ TEST(BlockMaxFallback, DecayAboveOneRunsExact) {
 
 TEST(BlockMaxColumn, UpperBoundsEveryPostingInItsBlock) {
   Rng rng(11);
-  FlatDil flat = RandomDil(rng, 8, 900).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 8, 900));
   const FlatDil::Sections& v = flat.sections();
   ASSERT_EQ(v.block_max.size(), flat.TotalBlocks());
   // Walk every list's blocks: the stored float must dominate each score
@@ -299,7 +301,7 @@ TEST(BlockMaxColumn, ScoreUpperBoundFloatNeverUnderestimates) {
 
 TEST(BlockMaxSegment, MappedViewMatchesBuiltColumnAndPrunesIdentically) {
   Rng rng(17);
-  FlatDil flat = RandomDil(rng, 5, 1000).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 5, 1000));
   std::string path = TempPath("v2");
   ASSERT_TRUE(SaveSegment(flat, path).ok());
   auto segment = SegmentFile::Open(path);
@@ -329,7 +331,7 @@ TEST(BlockMaxSegment, MappedViewMatchesBuiltColumnAndPrunesIdentically) {
 
 TEST(BlockMaxSegment, V1SegmentOpensAndFallsBackToExact) {
   Rng rng(19);
-  FlatDil flat = RandomDil(rng, 4, 800).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 4, 800));
   std::string path = TempPath("v1");
   {
     std::string encoded = EncodeSegment(flat, /*version=*/1);
@@ -361,7 +363,7 @@ TEST(BlockMaxSegment, V1SegmentOpensAndFallsBackToExact) {
 
 TEST(BlockMaxSegment, TamperedBlockMaxSectionFailsItsChecksum) {
   Rng rng(23);
-  FlatDil flat = RandomDil(rng, 4, 600).Freeze();
+  FlatDil flat = FreezeLists(RandomDil(rng, 4, 600));
   std::string path = TempPath("tamper");
   ASSERT_TRUE(SaveSegment(flat, path).ok());
 

@@ -5,9 +5,9 @@ Each test seeds a temporary tree with a deliberate lifetime or
 lock-discipline violation and asserts that exactly the expected rule
 fires (exit 1) and that the conforming variant passes (exit 0) — i.e.
 every rule has a fixture that fails without the rule and passes with it.
-The IndexSnapshot acceptance scenarios (backing member deleted, backing
-member reordered after the index member) are reproduced on a miniature
-copy of the real class chain. The final tests run the analyzer over the
+The FlatDil pin scenarios (pin deleted, pin declared after the views
+it keeps alive) are reproduced on a miniature copy of the real class
+chain. The final tests run the analyzer over the
 real repo tree, which must be clean, and exercise the self-test and
 baseline machinery. Stdlib only; uses the builtin frontend so the suite
 is deterministic on GCC-only machines (the clang frontend shares the IR
@@ -23,62 +23,75 @@ import unittest
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 XO_ANALYZE = os.path.join(REPO_ROOT, "tools", "xo_analyze.py")
 
-# A miniature copy of the real serving chain: FlatDil (view-capable
-# root, suppressed like the real one), CorpusIndex holding it by value
-# (capability propagates), IndexSnapshot pinning the backing first.
+# A miniature copy of the real serving chain: FlatDil holds its column
+# views (Sections, the mapped-view root) after the pin that keeps their
+# mapping alive, so CorpusIndex and IndexSegment hold it by value with no
+# backing of their own.
 MINI_FLAT_DIL = """\
 #pragma once
+#include <memory>
 #include <string_view>
-// xo-analyze: allow(backing-before-view) FlatDil is the view-capable
-// root; owners pin the mapping or own the columns.
+class FlatDil {
+ public:
+  struct Sections { std::string_view keyword_arena; };
+ private:
+  std::shared_ptr<const void> pin_;
+  Sections v_;
+};
+"""
+
+MINI_FLAT_DIL_NO_PIN = """\
+#pragma once
+#include <string_view>
 class FlatDil {
  public:
   struct Sections { std::string_view keyword_arena; };
  private:
   Sections v_;
-  bool mapped_ = false;
+};
+"""
+
+MINI_FLAT_DIL_REORDERED = """\
+#pragma once
+#include <memory>
+#include <string_view>
+class FlatDil {
+ public:
+  struct Sections { std::string_view keyword_arena; };
+ private:
+  Sections v_;
+  std::shared_ptr<const void> pin_;
 };
 """
 
 MINI_INDEX = """\
 #pragma once
 #include "flat_dil.h"
-// xo-analyze: allow(backing-before-view) the holder pins the mapping
-// (IndexSnapshot declares backing_ first).
 class CorpusIndex {
  private:
   FlatDil flat_;
 };
 """
 
-MINI_SNAPSHOT_OK = """\
+MINI_SEGMENT = """\
 #pragma once
 #include <memory>
 #include "corpus_index.h"
-class IndexSnapshot {
+class IndexSegment {
  private:
-  std::shared_ptr<const void> backing_;
-  CorpusIndex index_;
+  std::unique_ptr<const CorpusIndex> index_;
 };
 """
 
-MINI_SNAPSHOT_NO_BACKING = """\
+# A view holder that owns the mapping itself (like SegmentFile), so its
+# own finding is suppressed; holders of it still need a backing.
+MINI_MAPPING = """\
 #pragma once
-#include "corpus_index.h"
-class IndexSnapshot {
+#include "flat_dil.h"
+// xo-analyze: allow(backing-before-view) the mapping owner itself.
+class Mapping {
  private:
-  CorpusIndex index_;
-};
-"""
-
-MINI_SNAPSHOT_REORDERED = """\
-#pragma once
-#include <memory>
-#include "corpus_index.h"
-class IndexSnapshot {
- private:
-  CorpusIndex index_;
-  std::shared_ptr<const void> backing_;
+  FlatDil::Sections view_;
 };
 """
 
@@ -181,68 +194,74 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
 
     # --- backing-before-view -------------------------------------------
 
-    def test_mini_snapshot_chain_is_clean(self):
+    def test_mini_segment_chain_is_clean(self):
         self.assert_clean(
             {"src/core/flat_dil.h": MINI_FLAT_DIL,
              "src/core/corpus_index.h": MINI_INDEX,
-             "src/core/index_snapshot.h": MINI_SNAPSHOT_OK})
+             "src/core/index_segment.h": MINI_SEGMENT})
 
-    def test_deleting_backing_member_fires(self):
-        # Acceptance scenario 1: backing_ removed from IndexSnapshot.
+    def test_deleting_flat_dil_pin_fires(self):
+        # Without its pin, FlatDil holds unpinned views, and CorpusIndex,
+        # which holds FlatDil by value with no backing, inherits that.
         self.assert_fires(
-            {"src/core/flat_dil.h": MINI_FLAT_DIL,
+            {"src/core/flat_dil.h": MINI_FLAT_DIL_NO_PIN,
              "src/core/corpus_index.h": MINI_INDEX,
-             "src/core/index_snapshot.h": MINI_SNAPSHOT_NO_BACKING},
-            "backing-before-view")
+             "src/core/index_segment.h": MINI_SEGMENT},
+            "backing-before-view", count=2)
 
-    def test_reordering_backing_after_index_fires(self):
-        # Acceptance scenario 2: backing_ declared after index_.
+    def test_declaring_flat_dil_pin_after_views_fires(self):
+        # The pin declared after v_ dies first: the views outlive it.
         self.assert_fires(
-            {"src/core/flat_dil.h": MINI_FLAT_DIL,
+            {"src/core/flat_dil.h": MINI_FLAT_DIL_REORDERED,
              "src/core/corpus_index.h": MINI_INDEX,
-             "src/core/index_snapshot.h": MINI_SNAPSHOT_REORDERED},
+             "src/core/index_segment.h": MINI_SEGMENT},
             "backing-before-view")
 
     def test_suppression_does_not_break_propagation(self):
-        # CorpusIndex's own finding is suppressed, but the capability
-        # still propagates: an unpinned holder is caught regardless.
+        # The mapping owner's own finding is suppressed (as SegmentFile's
+        # is), but the capability still propagates: an unpinned holder of
+        # it is caught regardless.
         self.assert_fires(
             {"src/core/flat_dil.h": MINI_FLAT_DIL,
-             "src/core/corpus_index.h": MINI_INDEX,
+             "src/core/mapping.h": MINI_MAPPING,
              "src/core/holder.h":
                  "#pragma once\n"
-                 "#include \"corpus_index.h\"\n"
+                 "#include \"mapping.h\"\n"
                  "class Holder {\n"
                  " private:\n"
-                 "  CorpusIndex index_;\n"
+                 "  Mapping mapping_;\n"
                  "};\n"},
             "backing-before-view")
 
     def test_smart_ptr_and_reference_members_do_not_propagate(self):
         self.assert_clean(
             {"src/core/flat_dil.h": MINI_FLAT_DIL,
-             "src/core/corpus_index.h": MINI_INDEX,
+             "src/core/mapping.h": MINI_MAPPING,
              "src/core/holder.h":
                  "#pragma once\n"
                  "#include <memory>\n"
-                 "#include \"corpus_index.h\"\n"
+                 "#include \"mapping.h\"\n"
                  "class Holder {\n"
                  " private:\n"
-                 "  std::shared_ptr<const CorpusIndex> index_;\n"
-                 "  const CorpusIndex* raw_;\n"
+                 "  std::shared_ptr<const Mapping> mapping_;\n"
+                 "  const Mapping* raw_;\n"
                  "};\n"})
 
     def test_segment_file_backing_counts(self):
+        holder = ("#pragma once\n"
+                  "#include \"flat_dil.h\"\n"
+                  "class SegmentHolder {\n"
+                  " private:\n"
+                  "%s"
+                  "  FlatDil::Sections view_;\n"
+                  "};\n")
         self.assert_clean(
             {"src/core/flat_dil.h": MINI_FLAT_DIL,
-             "src/core/holder.h":
-                 "#pragma once\n"
-                 "#include \"flat_dil.h\"\n"
-                 "class SegmentHolder {\n"
-                 " private:\n"
-                 "  SegmentFile file_;\n"
-                 "  FlatDil dil_;\n"
-                 "};\n"})
+             "src/core/holder.h": holder % "  SegmentFile file_;\n"})
+        self.assert_fires(
+            {"src/core/flat_dil.h": MINI_FLAT_DIL,
+             "src/core/holder.h": holder % ""},
+            "backing-before-view")
 
     # --- snapshot-pin ---------------------------------------------------
 

@@ -25,16 +25,20 @@
 #include "cda/cda_generator.h"
 #include "common/random.h"
 #include "core/flat_dil.h"
-#include "core/xonto_dil.h"
 #include "onto/snomed_fragment.h"
 #include "storage/coding.h"
 #include "storage/manifest.h"
 #include "storage/segment_format.h"
 #include "storage/segment_writer.h"
+#include "tests/reference_eval.h"
 #include "xml/xml_writer.h"
 
 namespace xontorank {
 namespace {
+
+using reference::FreezeLists;
+using reference::Lists;
+using reference::Posting;
 
 namespace fs = std::filesystem;
 
@@ -46,10 +50,10 @@ void WriteFile(const fs::path& dir, const std::string& name,
 }
 
 // Same shape as the segment/flat-dil tests' randomized index.
-XOntoDil RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
-  XOntoDil dil;
+Lists RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
+  Lists dil;
   for (size_t w = 0; w < num_keywords; ++w) {
-    std::vector<DilPosting> postings;
+    std::vector<Posting> postings;
     std::set<std::vector<uint32_t>> used;
     size_t n = 1 + rng.NextBelow(max_postings);
     for (size_t i = 0; i < n; ++i) {
@@ -62,7 +66,7 @@ XOntoDil RandomDil(Rng& rng, size_t num_keywords, size_t max_postings) {
       postings.push_back(
           {DeweyId(std::move(comps)), 0.05 + 0.95 * rng.NextDouble()});
     }
-    dil.Put("kw" + std::to_string(w), std::move(postings));
+    dil["kw" + std::to_string(w)] = std::move(postings);
   }
   return dil;
 }
@@ -154,8 +158,8 @@ void WriteSeeds(const fs::path& out) {
   // segment_open: both segment versions, plus a multi-block index so the
   // skip table and block-max sections are non-trivial.
   Rng rng(42);
-  FlatDil small = RandomDil(rng, 6, 40).Freeze();
-  FlatDil blocky = RandomDil(rng, 8, 400).Freeze();
+  FlatDil small = FreezeLists(RandomDil(rng, 6, 40));
+  FlatDil blocky = FreezeLists(RandomDil(rng, 8, 400));
   WriteFile(out / "segment_open", "small_v1.xoseg", EncodeSegment(small, 1));
   WriteFile(out / "segment_open", "small_v2.xoseg", EncodeSegment(small, 2));
   WriteFile(out / "segment_open", "blocky_v2.xoseg", EncodeSegment(blocky, 2));
@@ -200,7 +204,7 @@ void WriteHostile(const fs::path& out) {
   // the metadata CRC passes and Validate's plausibility caps are what
   // stands between the header and a multi-terabyte reserve.
   Rng rng(43);
-  std::string segment = EncodeSegment(RandomDil(rng, 6, 40).Freeze(), 2);
+  std::string segment = EncodeSegment(FreezeLists(RandomDil(rng, 6, 40)), 2);
 
   std::string declared_bomb = segment;
   uint64_t huge_bytes = uint64_t{1} << 42;

@@ -13,14 +13,15 @@ rules:
                       the storage dies with the frame and the view
                       dangles.                            [scope: src/]
   backing-before-view a class holding (directly or transitively) a member
-                      that can alias external mapped memory — FlatDil,
+                      that can alias external mapped memory —
                       FlatDil::Sections, or a class that itself holds one
                       without pinning it — must also hold a backing
                       member (shared_ptr<const void>, SegmentFile, or a
                       smart pointer to one) declared BEFORE the first
                       such member: members destroy in reverse order, so
-                      the mapping outlives every view (the IndexSegment
-                      pattern, DESIGN.md §11).            [scope: src/]
+                      the mapping outlives every view (FlatDil's pin_
+                      before its Sections v_, DESIGN.md §11).
+                                                          [scope: src/]
   snapshot-pin        calling .get() directly on a shared_ptr returned by
                       value (XOntoRank::snapshot(), make_shared, ...) and
                       storing the raw pointer: the temporary shared_ptr
@@ -83,12 +84,14 @@ VIEW_RETURN_TYPES = {"string_view", "span", "DeweyRef", "DilListRef"}
 OWNING_TYPES = {
     "string", "vector", "array", "deque", "map", "set", "unordered_map",
     "unordered_set", "ostringstream", "stringstream",
-    "XOntoDil", "FlatDil", "DeweyId", "DilEntry", "Corpus", "DilPosting",
+    "FlatDil", "DeweyId", "Corpus",
 }
 
 # Types that can alias external mapped memory when held by value. Holding
 # one (transitively) obliges the holder to pin a backing member first.
-MAPPED_VIEW_ROOTS = {"FlatDil", "Sections"}
+# FlatDil is not a root: it holds Sections after its own pin, so it is
+# checked like any other holder.
+MAPPED_VIEW_ROOTS = {"Sections"}
 
 # Member types that count as the backing keep-alive.
 BACKING_MEMBER_MARKERS = ("SegmentFile",)  # by value or smart pointer
@@ -1822,9 +1825,9 @@ SELF_TEST_FIXTURES = {
     "src/fixture_backing.h": (
         "#pragma once\n"
         "#include \"flat_dil.h\"\n"
-        "class Snapshot {\n"
+        "class View {\n"
         " private:\n"
-        "  FlatDil flat_;\n"
+        "  FlatDil::Sections v_;\n"
         "};\n",
         [("backing-before-view", 3)],
     ),
