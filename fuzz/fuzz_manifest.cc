@@ -1,11 +1,13 @@
-// Harness: the binary engine-dir MANIFEST (storage/manifest.h), the
-// commit point of every LSM save. DecodeManifest must answer every byte
-// string with a Status or a manifest upholding the invariants load
-// depends on: generation >= 1, entries tile [0, N) contiguously with
-// non-empty ranges, segment ids unique. A successful decode must
-// re-encode byte-identically (the format is canonical: fixed-width
-// fields, no padding, one CRC).
+// Harness: the engine-dir MANIFEST (storage/manifest.h), the one commit
+// record of every save. DecodeManifest must answer every byte string
+// with a Status or a manifest upholding the invariants load depends on:
+// generation >= 1, at least one ontology, enum codes in range, finite
+// doubles, entries tiling [0, N) contiguously with non-empty ranges,
+// segment ids unique. A successful decode must re-encode byte-identically
+// (the format is canonical: fixed-width fields, raw IEEE doubles, no
+// padding, one CRC).
 
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <string>
@@ -26,7 +28,19 @@ namespace {
 constexpr size_t kMaxInput = size_t{1} << 20;
 
 void CheckInvariants(const xontorank::EngineManifest& m) {
+  using xontorank::IndexBuildOptions;
   XO_CHECK(m.generation >= 1);
+  XO_CHECK(m.ontology_count >= 1);
+  const IndexBuildOptions& o = m.options;
+  XO_CHECK(static_cast<uint32_t>(o.strategy) <
+           std::size(xontorank::kAllStrategies));
+  XO_CHECK(static_cast<uint32_t>(o.vocabulary_mode) <=
+           static_cast<uint32_t>(IndexBuildOptions::VocabularyMode::kNone));
+  for (double value : {o.score.decay, o.score.threshold,
+                       o.score.ontology_weight, o.score.bm25.k1,
+                       o.score.bm25.b, o.elem_rank_blend}) {
+    XO_CHECK(std::isfinite(value));
+  }
   std::unordered_set<uint64_t> ids;
   uint32_t expect = 0;
   for (const xontorank::ManifestSegment& s : m.segments) {
@@ -74,6 +88,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   auto again = xontorank::DecodeManifest(encoded);
   XO_CHECK(again.ok());
   XO_CHECK_EQ(again->generation, decoded->generation);
+  XO_CHECK_EQ(again->ontology_count, decoded->ontology_count);
   XO_CHECK_EQ(again->segments.size(), decoded->segments.size());
   return 0;
 }

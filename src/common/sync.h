@@ -28,12 +28,10 @@
 ///   Process-wide, level 1 (outermost):
 ///     SaveMutex            engine_store.cc — one whole-directory save
 ///                          at a time.
-///   Process-wide, level 2 (under SaveMutex; never nested in each other):
-///     SegmentFileMutex     segment_writer.cc — temp+rename of a segment.
-///     ManifestFileMutex    manifest.cc      — temp+rename of a MANIFEST
-///                          (the LSM commit point; always the LAST file a
-///                          save writes, so it nests innermost in time as
-///                          well as in order).
+///   Process-wide, level 2 (under SaveMutex; never nested in itself):
+///     DurableFileMutex     file_io.cc — WriteFileDurable's temp + fsync +
+///                          rename of one file (segments, ontologies,
+///                          documents and, last, the MANIFEST).
 ///   Per-object:
 ///     IndexWriter::mutex_  before IndexWriter::compaction_mutex_ — the
 ///                          compactor claims its in-flight slot under

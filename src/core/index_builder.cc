@@ -179,7 +179,7 @@ DocumentUnits::DocumentUnits(const Corpus& corpus, size_t doc,
     // ElemRank numbers elements in the same preorder as the units above.
     Corpus one;
     one.Add(corpus.handle(doc));
-    ElemRank rank(one, options.elem_rank);
+    ElemRank rank(one);
     XO_CHECK_EQ(rank.size(), unit_count());
     elem_ranks_.reserve(rank.size());
     for (uint32_t unit = 0; unit < rank.size(); ++unit) {

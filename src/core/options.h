@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/elem_rank.h"
 #include "ir/bm25.h"
 
 namespace xontorank {
@@ -123,14 +122,11 @@ struct IndexBuildOptions {
   /// corpus carries reference→content links, so the extension is
   /// exercisable. Those links never leave their document, so ElemRank runs
   /// per document (DocumentUnits). Final score:
-  /// NS · ((1-λ) + λ·ElemRank(v)).
+  /// NS · ((1-λ) + λ·ElemRank(v)), with ElemRank's default knobs.
   bool use_elem_rank = false;
 
   /// Blend λ between pure NS (0) and fully ElemRank-modulated (1).
   double elem_rank_blend = 0.5;
-
-  /// ElemRank damping/iteration knobs (used when use_elem_rank is set).
-  ElemRankOptions elem_rank;
 
   /// Capacity (in entries) of the per-snapshot query-result cache consulted
   /// by the unified Search API when SearchOptions::use_cache is set. Each

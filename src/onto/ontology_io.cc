@@ -1,7 +1,6 @@
 #include "onto/ontology_io.h"
 
-#include <cstdio>
-
+#include "common/file_io.h"
 #include "common/string_util.h"
 
 namespace xontorank {
@@ -145,37 +144,11 @@ Result<Ontology> ParseOntologyText(std::string_view text) {
 }
 
 Status SaveOntology(const Ontology& ontology, const std::string& path) {
-  std::string text = WriteOntologyText(ontology);
-  std::string tmp_path = path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + tmp_path + " for writing");
-  }
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write to " + tmp_path);
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot rename " + tmp_path);
-  }
-  return Status::OK();
+  return WriteFileDurable(path, WriteOntologyText(ontology));
 }
 
 Result<Ontology> LoadOntology(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + " for reading");
-  }
-  std::string text;
-  char buffer[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(f);
+  XONTO_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
   return ParseOntologyText(text);
 }
 

@@ -31,7 +31,7 @@ std::string WriteOntologyText(const Ontology& ontology);
 /// Parses an ontology from the flat format.
 [[nodiscard]] Result<Ontology> ParseOntologyText(std::string_view text);
 
-/// Writes the flat form to `path` (atomically).
+/// Writes the flat form to `path` with WriteFileDurable.
 [[nodiscard]] Status SaveOntology(const Ontology& ontology,
                                   const std::string& path);
 

@@ -17,13 +17,15 @@ namespace xontorank {
 /// made durable). Layout (DESIGN.md §15):
 ///
 /// ```
-///   <dir>/manifest.tsv        # options + file inventory
+///   <dir>/MANIFEST            # the one commit record: options, ontology
+///                             # count, segment list (storage/manifest.h)
 ///   <dir>/ontology_<i>.tsv    # one per ontological system
-///   <dir>/corpus/doc_<i>.xml  # the document collection
+///   <dir>/corpus/doc_<d>.xml  # the documents, d < last segment's end_doc
 ///   <dir>/seg-<id>.xoseg      # one mmap-native file per live segment
-///   <dir>/MANIFEST            # CRC'd segment list; the commit point
 /// ```
 ///
+/// Every file is written with WriteFileDurable (fsync, then rename), and
+/// the MANIFEST is written last, after the directories are synced.
 /// Loading reconstructs a fully owned engine: the corpus and ontologies are
 /// parsed back and each segment file is mapped (its sections CRC-checked)
 /// and served in place, so stage 2+3 — the expensive OntoScore work — is
@@ -64,9 +66,9 @@ class LoadedEngine {
 /// mapped segment files (so stage 2+3 — the expensive OntoScore work — is
 /// never repeated for persisted keywords), and the engine adopts it as its
 /// published serving state. The saved options, vocabulary mode included,
-/// govern the segments later commits seal. A directory in the retired
-/// single-index layout (index.xodl / index.xoseg) yields Status::Corruption
-/// naming that layout.
+/// govern the segments later commits seal. A directory in a retired layout
+/// (a version-1 MANIFEST, or none beside the old text record) yields
+/// Status::Corruption naming that layout.
 [[nodiscard]] Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(
     const std::string& dir);
 

@@ -1,12 +1,12 @@
 #include "storage/manifest.h"
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 
-#include "common/sync.h"
+#include "common/file_io.h"
 #include "storage/coding.h"
 
 namespace xontorank {
@@ -14,40 +14,84 @@ namespace xontorank {
 namespace {
 
 constexpr char kMagic[4] = {'X', 'O', 'M', 'F'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
+constexpr uint32_t kRetiredVersion = 1;
 
-/// Bytes before the entries: magic + version + generation (2 words) +
-/// count. Every record is fixed-width, so the full file size is exact
-/// arithmetic in the entry count.
-constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;
+/// Bytes before the entries: magic + version + generation + ontology
+/// count + options (four codes/flags, two 64-bit counts, six doubles) +
+/// segment count. Every record is fixed-width, so the full file size is
+/// exact arithmetic in the entry count.
+constexpr size_t kOptionsBytes = 4 * 4 + 2 * 8 + 6 * 8;
+constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4 + kOptionsBytes + 4;
 constexpr size_t kEntryBytes = 8 + 4 + 4;
 constexpr size_t kCrcBytes = 4;
 
-/// Serializes SaveManifest's temp-file + rename sequence, same reasoning
-/// as SegmentFileMutex: concurrent saves to one path share the
-/// "<path>.tmp" name. Acquired AFTER the engine-store save lock when
-/// reached through SaveSnapshot — see the lock-order table in
-/// common/sync.h and DESIGN.md §9.
-Mutex& ManifestFileMutex() {
-  // xo-lint: allow(new-delete) — leaked singleton, see above.
-  static Mutex* mutex = new Mutex();
-  return *mutex;
+// Enum codes are the enumerators' declaration order; reordering them is a
+// format change.
+constexpr uint32_t kStrategyCount = std::size(kAllStrategies);
+constexpr uint32_t kVocabularyModeCount =
+    static_cast<uint32_t>(IndexBuildOptions::VocabularyMode::kNone) + 1;
+
+void PutFixed64(std::string* out, uint64_t value) {
+  PutFixed32(out, static_cast<uint32_t>(value));
+  PutFixed32(out, static_cast<uint32_t>(value >> 32));
+}
+
+bool GetFixed64(Decoder* decoder, uint64_t* value) {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  if (!decoder->GetFixed32(&lo) || !decoder->GetFixed32(&hi)) return false;
+  *value = (static_cast<uint64_t>(hi) << 32) | lo;
+  return true;
+}
+
+/// The options' doubles, in wire order.
+template <typename Options>
+auto WireDoubles(Options& o) {
+  return std::array{&o.score.decay,   &o.score.threshold,
+                    &o.score.ontology_weight,
+                    &o.score.bm25.k1, &o.score.bm25.b,
+                    &o.elem_rank_blend};
 }
 
 }  // namespace
 
+std::string SegmentFileName(uint64_t id) {
+  return "seg-" + std::to_string(id) + ".xoseg";
+}
+
+bool IsSegmentFileName(std::string_view name) {
+  return name.size() > 10 && name.starts_with("seg-") &&
+         name.ends_with(".xoseg");
+}
+
+Status RetiredLayoutError(const std::string& where) {
+  return Status::Corruption(
+      where + " is in the retired manifest.tsv layout; rebuild the "
+              "directory with save-engine");
+}
+
 std::string EncodeManifest(const EngineManifest& manifest) {
+  const IndexBuildOptions& o = manifest.options;
   std::string out;
   out.reserve(kHeaderBytes + manifest.segments.size() * kEntryBytes +
               kCrcBytes);
   out.append(kMagic, sizeof(kMagic));
   PutFixed32(&out, kVersion);
-  PutFixed32(&out, static_cast<uint32_t>(manifest.generation));
-  PutFixed32(&out, static_cast<uint32_t>(manifest.generation >> 32));
+  PutFixed64(&out, manifest.generation);
+  PutFixed32(&out, manifest.ontology_count);
+  PutFixed32(&out, static_cast<uint32_t>(o.strategy));
+  PutFixed32(&out, static_cast<uint32_t>(o.vocabulary_mode));
+  PutFixed32(&out, o.use_elem_rank ? 1 : 0);
+  PutFixed32(&out, o.lsm.auto_compact ? 1 : 0);
+  PutFixed64(&out, o.score.max_concepts_per_keyword);
+  PutFixed64(&out, o.lsm.compaction_fanin);
+  for (const double* value : WireDoubles(o)) {
+    PutFixed64(&out, std::bit_cast<uint64_t>(*value));
+  }
   PutFixed32(&out, static_cast<uint32_t>(manifest.segments.size()));
   for (const ManifestSegment& segment : manifest.segments) {
-    PutFixed32(&out, static_cast<uint32_t>(segment.id));
-    PutFixed32(&out, static_cast<uint32_t>(segment.id >> 32));
+    PutFixed64(&out, segment.id);
     PutFixed32(&out, segment.first_doc);
     PutFixed32(&out, segment.end_doc);
   }
@@ -56,7 +100,7 @@ std::string EncodeManifest(const EngineManifest& manifest) {
 }
 
 Result<EngineManifest> DecodeManifest(std::string_view data) {
-  if (data.size() < kHeaderBytes + kCrcBytes) {
+  if (data.size() < 4 + 4 + kCrcBytes) {
     return Status::Corruption("manifest truncated");
   }
   if (std::string_view(data.data(), 4) != std::string_view(kMagic, 4)) {
@@ -66,53 +110,95 @@ Result<EngineManifest> DecodeManifest(std::string_view data) {
   // some writer produced (hostile-but-CRC-valid input still hits the
   // semantic checks below).
   uint32_t stored_crc = 0;
-  {
-    Decoder crc_decoder(data.substr(data.size() - kCrcBytes));
-    if (!crc_decoder.GetFixed32(&stored_crc)) {
-      return Status::Corruption("manifest truncated");
-    }
-  }
-  if (Crc32(data.substr(0, data.size() - kCrcBytes)) != stored_crc) {
+  Decoder crc_decoder(data.substr(data.size() - kCrcBytes));
+  if (!crc_decoder.GetFixed32(&stored_crc) ||
+      Crc32(data.substr(0, data.size() - kCrcBytes)) != stored_crc) {
     return Status::Corruption("manifest checksum mismatch");
   }
 
   Decoder decoder(data.substr(4, data.size() - 4 - kCrcBytes));
   uint32_t version = 0;
-  uint32_t gen_lo = 0;
-  uint32_t gen_hi = 0;
-  uint32_t count = 0;
-  if (!decoder.GetFixed32(&version) || !decoder.GetFixed32(&gen_lo) ||
-      !decoder.GetFixed32(&gen_hi) || !decoder.GetFixed32(&count)) {
+  if (!decoder.GetFixed32(&version)) {
     return Status::Corruption("manifest truncated");
   }
-  if (version != kVersion) {
-    return Status::Corruption("unsupported manifest version");
+  if (version == kRetiredVersion) {
+    return RetiredLayoutError("MANIFEST version 1");
   }
+  if (version != kVersion) {
+    return Status::Corruption("unsupported manifest version " +
+                              std::to_string(version));
+  }
+
+  EngineManifest manifest;
+  IndexBuildOptions& o = manifest.options;
+  uint32_t strategy = 0;
+  uint32_t vocabulary = 0;
+  uint32_t use_elem_rank = 0;
+  uint32_t auto_compact = 0;
+  uint64_t max_concepts = 0;
+  uint64_t fanin = 0;
+  uint32_t count = 0;
+  bool read = GetFixed64(&decoder, &manifest.generation) &&
+              decoder.GetFixed32(&manifest.ontology_count) &&
+              decoder.GetFixed32(&strategy) &&
+              decoder.GetFixed32(&vocabulary) &&
+              decoder.GetFixed32(&use_elem_rank) &&
+              decoder.GetFixed32(&auto_compact) &&
+              GetFixed64(&decoder, &max_concepts) &&
+              GetFixed64(&decoder, &fanin);
+  bool finite = true;
+  for (double* value : WireDoubles(o)) {
+    uint64_t bits = 0;
+    read = read && GetFixed64(&decoder, &bits);
+    *value = std::bit_cast<double>(bits);
+    finite = finite && std::isfinite(*value);
+  }
+  if (!read || !decoder.GetFixed32(&count)) {
+    return Status::Corruption("manifest truncated");
+  }
+
+  if (manifest.generation == 0) {
+    return Status::Corruption("manifest generation must be >= 1");
+  }
+  if (manifest.ontology_count == 0) {
+    return Status::Corruption("manifest lists no ontologies");
+  }
+  if (strategy >= kStrategyCount) {
+    return Status::Corruption("unknown strategy code in manifest");
+  }
+  if (vocabulary >= kVocabularyModeCount) {
+    return Status::Corruption("unknown vocabulary mode code in manifest");
+  }
+  if (use_elem_rank > 1 || auto_compact > 1) {
+    return Status::Corruption("manifest flag is neither 0 nor 1");
+  }
+  if (!finite) {
+    return Status::Corruption("manifest option is not a finite number");
+  }
+  o.strategy = static_cast<Strategy>(strategy);
+  o.vocabulary_mode =
+      static_cast<IndexBuildOptions::VocabularyMode>(vocabulary);
+  o.use_elem_rank = use_elem_rank == 1;
+  o.lsm.auto_compact = auto_compact == 1;
+  o.score.max_concepts_per_keyword = max_concepts;
+  o.lsm.compaction_fanin = fanin;
+
   // Exact-size check before touching entries: fixed-width records make the
   // expected size pure arithmetic, and a count that does not match the
   // byte count is rejected without any count-sized allocation.
   if (decoder.remaining() != static_cast<size_t>(count) * kEntryBytes) {
     return Status::Corruption("manifest entry count does not match size");
   }
-
-  EngineManifest manifest;
-  manifest.generation = (static_cast<uint64_t>(gen_hi) << 32) | gen_lo;
-  if (manifest.generation == 0) {
-    return Status::Corruption("manifest generation must be >= 1");
-  }
   manifest.segments.reserve(count);
   std::unordered_set<uint64_t> seen_ids;
   uint32_t expect_doc = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t id_lo = 0;
-    uint32_t id_hi = 0;
     ManifestSegment segment;
-    if (!decoder.GetFixed32(&id_lo) || !decoder.GetFixed32(&id_hi) ||
+    if (!GetFixed64(&decoder, &segment.id) ||
         !decoder.GetFixed32(&segment.first_doc) ||
         !decoder.GetFixed32(&segment.end_doc)) {
       return Status::Corruption("manifest truncated");
     }
-    segment.id = (static_cast<uint64_t>(id_hi) << 32) | id_lo;
     if (!seen_ids.insert(segment.id).second) {
       return Status::Corruption("manifest lists a segment id twice");
     }
@@ -124,40 +210,15 @@ Result<EngineManifest> DecodeManifest(std::string_view data) {
     expect_doc = segment.end_doc;
     manifest.segments.push_back(segment);
   }
-  if (!decoder.AtEnd()) {
-    return Status::Corruption("trailing bytes in manifest");
-  }
   return manifest;
 }
 
 Status SaveManifest(const EngineManifest& manifest, const std::string& path) {
-  std::string encoded = EncodeManifest(manifest);
-  MutexLock lock(ManifestFileMutex());
-  std::string tmp_path = path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + tmp_path + " for writing");
-  }
-  size_t written = std::fwrite(encoded.data(), 1, encoded.size(), f);
-  bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != encoded.size() || !flushed) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write to " + tmp_path);
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot rename " + tmp_path + " to " + path);
-  }
-  return Status::OK();
+  return WriteFileDurable(path, EncodeManifest(manifest));
 }
 
 Result<EngineManifest> LoadManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path + " for reading");
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string data = buffer.str();
+  XONTO_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
   Result<EngineManifest> decoded = DecodeManifest(data);
   if (!decoded.ok()) {
     return Status::Corruption(path + ": " + decoded.status().message());

@@ -1,26 +1,16 @@
 #include "storage/segment_writer.h"
 
 #include <bit>
-#include <cstdio>
 #include <cstring>
 
 #include "common/check.h"
-#include "common/sync.h"
+#include "common/file_io.h"
 #include "storage/coding.h"
 #include "storage/segment_format.h"
 
 namespace xontorank {
 
 namespace {
-
-/// Serializes SaveSegment's temp-file + rename sequence: two concurrent
-/// saves to the same path share one "<path>.tmp" name. Leaked so saves
-/// racing static destruction stay safe.
-Mutex& SegmentFileMutex() {
-  // xo-lint: allow(new-delete) — leaked singleton, see above.
-  static Mutex* mutex = new Mutex();
-  return *mutex;
-}
 
 // The format is little-endian (segment_format.h). The writer copies the
 // serving columns byte for byte and appends metadata in native order, so
@@ -140,25 +130,7 @@ std::string EncodeSegment(const FlatDil& dil, uint32_t version) {
 }
 
 Status SaveSegment(const FlatDil& dil, const std::string& path) {
-  std::string encoded = EncodeSegment(dil);  // the expensive part, unlocked
-  MutexLock lock(SegmentFileMutex());
-  std::string tmp_path = path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + tmp_path + " for writing");
-  }
-  size_t written = std::fwrite(encoded.data(), 1, encoded.size(), f);
-  bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != encoded.size() || !flushed) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write to " + tmp_path);
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot rename " + tmp_path + " to " + path);
-  }
-  return Status::OK();
+  return WriteFileDurable(path, EncodeSegment(dil));
 }
 
 }  // namespace xontorank

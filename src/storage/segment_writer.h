@@ -21,8 +21,9 @@ namespace xontorank {
 std::string EncodeSegment(const FlatDil& dil);
 std::string EncodeSegment(const FlatDil& dil, uint32_t version);
 
-/// Writes the encoded segment to `path` (atomically: temp file + rename). Works for owning and mapped-view dils alike — writing
-/// a mapped view back out is a byte-identical copy of its sections.
+/// Writes the encoded segment to `path` with WriteFileDurable. Works for
+/// owning and mapped-view dils alike — writing a mapped view back out is a
+/// byte-identical copy of its sections.
 [[nodiscard]] Status SaveSegment(const FlatDil& dil, const std::string& path);
 
 }  // namespace xontorank

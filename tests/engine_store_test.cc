@@ -1,13 +1,17 @@
 #include "storage/engine_store.h"
 
+#include <unistd.h>
+
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
 #include "cda/cda_generator.h"
 #include "gtest/gtest.h"
 #include "onto/loinc_fragment.h"
 #include "onto/snomed_fragment.h"
+#include "storage/coding.h"
+#include "storage/manifest.h"
 #include "tests/test_util.h"
 
 namespace xontorank {
@@ -31,7 +35,8 @@ class EngineStoreFixture : public ::testing::Test {
 
   std::unique_ptr<XOntoRank> BuildEngine(
       IndexBuildOptions::VocabularyMode vocabulary =
-          IndexBuildOptions::VocabularyMode::kNone) {
+          IndexBuildOptions::VocabularyMode::kNone,
+      size_t max_concepts_per_keyword = 0) {
     CdaGeneratorOptions gen_options;
     gen_options.num_documents = 6;
     gen_options.seed = 55;
@@ -43,45 +48,72 @@ class EngineStoreFixture : public ::testing::Test {
     options.strategy = Strategy::kRelationships;
     options.score.decay = 0.4;           // non-default, must round-trip
     options.score.ontology_weight = 0.6;
+    options.score.max_concepts_per_keyword = max_concepts_per_keyword;
     options.vocabulary_mode = vocabulary;
     return std::make_unique<XOntoRank>(generator.GenerateCorpus(), systems,
                                        options);
   }
 
-  /// Replaces dir_'s manifest.tsv line whose key is `key` with `line`, or
-  /// appends `line` when no such line exists.
-  void RewriteManifestLine(const std::string& key, const std::string& line) {
-    std::string path = dir_ + "/manifest.tsv";
-    std::string rewritten;
-    bool replaced = false;
-    {
-      std::ifstream in(path);
-      for (std::string current; std::getline(in, current);) {
-        if (current.rfind(key + "\t", 0) == 0) {
-          current = line;
-          replaced = true;
-        }
-        rewritten += current + "\n";
-      }
-    }
-    if (!replaced) rewritten += line + "\n";
-    std::ofstream out(path, std::ios::trunc);
-    out << rewritten;
+  /// The last document of a seed-55 corpus of `index + 1` documents.
+  XmlDocument ExtraDocument(size_t index) {
+    CdaGeneratorOptions more;
+    more.num_documents = index + 1;
+    more.seed = 55;
+    return std::move(CdaGenerator(snomed_, more).GenerateCorpus().back());
   }
 
-  /// Drops dir_'s manifest.tsv lines whose key is `key`.
-  void DropManifestLine(const std::string& key) {
-    std::string path = dir_ + "/manifest.tsv";
-    std::string kept;
-    {
-      std::ifstream in(path);
-      for (std::string current; std::getline(in, current);) {
-        if (current.rfind(key + "\t", 0) != 0) kept += current + "\n";
+  static std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }
+
+  static void WriteBytes(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Overwrites the fixed32 at `offset` of dir_'s MANIFEST and re-signs
+  /// its trailing CRC, so the patched field reaches the semantic checks.
+  void PatchManifest(size_t offset, uint32_t value) {
+    std::string bytes = ReadBytes(dir_ + "/MANIFEST");
+    ASSERT_GT(bytes.size(), offset + 8);
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    uint32_t crc = Crc32(std::string_view(bytes).substr(0, bytes.size() - 4));
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+    WriteBytes(dir_ + "/MANIFEST", bytes);
+  }
+
+  /// Top-10 answers of every query in kQueries.
+  template <typename Engine>
+  static std::vector<std::vector<QueryResult>> Answers(const Engine& engine) {
+    std::vector<std::vector<QueryResult>> answers;
+    for (const char* q : kQueries) answers.push_back(SearchTop(engine, q, 10));
+    return answers;
+  }
+
+  /// Bit-identical answers: same elements, same scores, same order.
+  static void ExpectSameAnswers(
+      const std::vector<std::vector<QueryResult>>& got,
+      const std::vector<std::vector<QueryResult>>& want,
+      const std::string& label) {
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t q = 0; q < got.size(); ++q) {
+      ASSERT_EQ(got[q].size(), want[q].size()) << label << " " << kQueries[q];
+      for (size_t r = 0; r < got[q].size(); ++r) {
+        EXPECT_EQ(got[q][r].element, want[q][r].element)
+            << label << " " << kQueries[q];
+        EXPECT_EQ(got[q][r].score, want[q][r].score)
+            << label << " " << kQueries[q];
       }
     }
-    std::ofstream out(path, std::ios::trunc);
-    out << kept;
   }
+
+  static constexpr const char* kQueries[] = {
+      "asthma",        "hypertension",
+      "disorder",      "\"cardiac arrest\"",
+      "epinephrine",   "\"cardiac arrest\" epinephrine",
+      "\"bronchial structure\" theophylline"};
 
   /// The engine's precomputed postings, summed over its segments.
   static size_t PrecomputedPostings(const XOntoRank& engine) {
@@ -130,7 +162,7 @@ TEST_F(EngineStoreFixture, SegmentFormatSaveLoadPreservesQueryResults) {
 
   ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
   // One mmap-native file per live segment plus the binary MANIFEST; the
-  // retired single-index files are never written.
+  // retired single-index and text-record files are never written.
   for (const auto& segment : engine->snapshot()->segments()) {
     EXPECT_TRUE(std::filesystem::exists(
         dir_ + "/seg-" + std::to_string(segment->id()) + ".xoseg"));
@@ -138,6 +170,7 @@ TEST_F(EngineStoreFixture, SegmentFormatSaveLoadPreservesQueryResults) {
   EXPECT_TRUE(std::filesystem::exists(dir_ + "/MANIFEST"));
   EXPECT_FALSE(std::filesystem::exists(dir_ + "/index.xoseg"));
   EXPECT_FALSE(std::filesystem::exists(dir_ + "/index.xodl"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/manifest.tsv"));
 
   auto loaded = LoadEngineDir(dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -182,63 +215,77 @@ TEST_F(EngineStoreFixture, CorruptSegmentIndexFailsWithSectionContext) {
 }
 
 TEST_F(EngineStoreFixture, OptionsRoundTrip) {
-  auto engine = BuildEngine();
-  ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
-  auto loaded = LoadEngineDir(dir_);
-  ASSERT_TRUE(loaded.ok());
-  const IndexBuildOptions& options =
-      (*loaded)->engine().snapshot()->options();
-  EXPECT_EQ(options.strategy, Strategy::kRelationships);
-  EXPECT_DOUBLE_EQ(options.score.decay, 0.4);
-  EXPECT_DOUBLE_EQ(options.score.ontology_weight, 0.6);
-  EXPECT_EQ(options.vocabulary_mode, IndexBuildOptions::VocabularyMode::kNone);
-
-  // The vocabulary mode round-trips, so a commit on the reloaded engine
-  // seals a segment with precomputed lists rather than a lazy one.
-  {
-    auto eager =
-        BuildEngine(IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
-    std::filesystem::remove_all(dir_);
-    ASSERT_TRUE(SaveEngineDir(*eager, dir_).ok());
-    auto reloaded = LoadEngineDir(dir_);
-    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-    XOntoRank& engine = (*reloaded)->engine();
-    EXPECT_EQ(engine.snapshot()->options().vocabulary_mode,
-              IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
-    CdaGeneratorOptions more;
-    more.num_documents = 7;
-    more.seed = 55;
-    std::vector<XmlDocument> docs =
-        CdaGenerator(snomed_, more).GenerateCorpus();
-    engine.AddDocument(std::move(docs.back()));
-    auto snap = engine.snapshot();
-    ASSERT_EQ(snap->corpus_size(), 7u);
-    EXPECT_GT(snap->segments().back()->index().flat_dil().keyword_count(), 0u);
-  }
-
-  // The compaction knobs round-trip too: from the current four-field
-  // lsm line, and from an older directory whose five-field line carries a
-  // retired posting-tier base before auto_compact.
+  // Every persisted field, away from its default.
+  IndexBuildOptions options;
+  options.strategy = Strategy::kGraph;
+  options.score.decay = 0.4;
+  options.score.threshold = 0.15;
+  options.score.ontology_weight = 0.6;
+  options.score.max_concepts_per_keyword = 7;
+  options.score.bm25.k1 = 1.6;
+  options.score.bm25.b = 0.55;
+  options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kCorpusOnly;
+  options.use_elem_rank = true;
+  options.elem_rank_blend = 0.3;
+  options.lsm.compaction_fanin = 3;
+  options.lsm.auto_compact = false;
   CdaGeneratorOptions gen_options;
   gen_options.num_documents = 3;
   gen_options.seed = 55;
-  IndexBuildOptions lsm_options;
-  lsm_options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
-  lsm_options.lsm.compaction_fanin = 3;
-  lsm_options.lsm.auto_compact = false;
-  XOntoRank lsm_engine(CdaGenerator(snomed_, gen_options).GenerateCorpus(),
-                       OntologySet(snomed_), lsm_options);
+  XOntoRank engine(CdaGenerator(snomed_, gen_options).GenerateCorpus(),
+                   OntologySet(snomed_), options);
+  ASSERT_TRUE(SaveEngineDir(engine, dir_).ok());
+  auto loaded = LoadEngineDir(dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const IndexBuildOptions& got = (*loaded)->engine().snapshot()->options();
+  EXPECT_EQ(got.strategy, options.strategy);
+  EXPECT_EQ(got.score.decay, options.score.decay);
+  EXPECT_EQ(got.score.threshold, options.score.threshold);
+  EXPECT_EQ(got.score.ontology_weight, options.score.ontology_weight);
+  EXPECT_EQ(got.score.max_concepts_per_keyword,
+            options.score.max_concepts_per_keyword);
+  EXPECT_EQ(got.score.bm25.k1, options.score.bm25.k1);
+  EXPECT_EQ(got.score.bm25.b, options.score.bm25.b);
+  EXPECT_EQ(got.vocabulary_mode, options.vocabulary_mode);
+  EXPECT_EQ(got.use_elem_rank, options.use_elem_rank);
+  EXPECT_EQ(got.elem_rank_blend, options.elem_rank_blend);
+  EXPECT_EQ(got.lsm.compaction_fanin, options.lsm.compaction_fanin);
+  EXPECT_EQ(got.lsm.auto_compact, options.lsm.auto_compact);
+
+  // The vocabulary mode round-trips, so a commit on the reloaded engine
+  // seals a segment with precomputed lists rather than a lazy one.
+  auto eager =
+      BuildEngine(IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
   std::filesystem::remove_all(dir_);
-  ASSERT_TRUE(SaveEngineDir(lsm_engine, dir_).ok());
-  for (const char* lsm_line : {"", "lsm\t1\t3\t1024\t0"}) {
-    if (*lsm_line != '\0') RewriteManifestLine("lsm", lsm_line);
-    auto reloaded = LoadEngineDir(dir_);
-    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-    const IndexBuildOptions& lsm =
-        (*reloaded)->engine().snapshot()->options();
-    EXPECT_EQ(lsm.lsm.compaction_fanin, 3u) << lsm_line;
-    EXPECT_FALSE(lsm.lsm.auto_compact) << lsm_line;
-  }
+  ASSERT_TRUE(SaveEngineDir(*eager, dir_).ok());
+  auto reloaded = LoadEngineDir(dir_);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  XOntoRank& reopened = (*reloaded)->engine();
+  EXPECT_EQ(reopened.snapshot()->options().vocabulary_mode,
+            IndexBuildOptions::VocabularyMode::kCorpusAndOntology);
+  reopened.AddDocument(ExtraDocument(6));
+  auto snap = reopened.snapshot();
+  ASSERT_EQ(snap->corpus_size(), 7u);
+  EXPECT_GT(snap->segments().back()->index().flat_dil().keyword_count(), 0u);
+}
+
+TEST_F(EngineStoreFixture, ConceptCapRoundTripKeepsAnswers) {
+  // The §IX approximation cap changes which concepts a keyword reaches, so
+  // a reloaded lazy engine must build its demand lists under the same cap.
+  auto live = BuildEngine(IndexBuildOptions::VocabularyMode::kNone,
+                          /*max_concepts_per_keyword=*/3);
+  ASSERT_TRUE(SaveEngineDir(*live, dir_).ok());
+  auto loaded = LoadEngineDir(dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  XOntoRank& reloaded = (*loaded)->engine();
+  EXPECT_EQ(reloaded.snapshot()->options().score.max_concepts_per_keyword,
+            3u);
+  ExpectSameAnswers(Answers(reloaded), Answers(*live), "reloaded");
+
+  // A commit seals under the saved options on both engines.
+  live->AddDocument(ExtraDocument(6));
+  reloaded.AddDocument(ExtraDocument(6));
+  ExpectSameAnswers(Answers(reloaded), Answers(*live), "after commit");
 }
 
 TEST_F(EngineStoreFixture, ReloadedBuildStatsAreExact) {
@@ -318,59 +365,137 @@ TEST_F(EngineStoreFixture, LoadMissingDirectoryFails) {
 }
 
 TEST_F(EngineStoreFixture, CorruptManifestFails) {
-  std::filesystem::create_directories(dir_);
-  {
-    std::ofstream out(dir_ + "/manifest.tsv");
-    out << "format\tsomething-else\t1\n";
-  }
-  auto loaded = LoadEngineDir(dir_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-
-  // Malformed numeric fields are reported as corruption, never thrown.
+  // Version-2 field offsets (storage/manifest.h).
+  constexpr size_t kVersion = 4, kOntologyCount = 16, kStrategy = 20,
+                   kVocabulary = 24, kElemRankFlag = 28, kAutoCompactFlag = 32,
+                   kDecayHiWord = 56;
   auto engine = BuildEngine();
-  // So is the retired single-index layout, named as such: an `index`
-  // line, or no `lsm` line.
-  for (bool drop_lsm : {false, true}) {
+  // CRC-valid but hostile records: unknown strategy and vocabulary codes,
+  // a flag of 2, a NaN decay (hi word of a quiet NaN), zero ontologies.
+  for (const auto& [offset, value] : std::vector<std::pair<size_t, uint32_t>>{
+           {kStrategy, 4},
+           {kVocabulary, 3},
+           {kElemRankFlag, 2},
+           {kAutoCompactFlag, 2},
+           {kDecayHiWord, 0x7ff80000u},
+           {kOntologyCount, 0}}) {
     std::filesystem::remove_all(dir_);
     ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
-    if (drop_lsm) {
-      DropManifestLine("lsm");
-    } else {
-      RewriteManifestLine("index", "index\tindex.xodl");
-    }
-    auto legacy = LoadEngineDir(dir_);
-    ASSERT_FALSE(legacy.ok()) << drop_lsm;
-    EXPECT_EQ(legacy.status().code(), StatusCode::kCorruption) << drop_lsm;
-    EXPECT_NE(legacy.status().message().find("retired single-index layout"),
-              std::string::npos)
-        << legacy.status().message();
+    PatchManifest(offset, value);
+    auto hostile = LoadEngineDir(dir_);
+    ASSERT_FALSE(hostile.ok()) << offset;
+    EXPECT_EQ(hostile.status().code(), StatusCode::kCorruption) << offset;
   }
-  for (const auto& [key, line] :
-       {std::pair<std::string, std::string>{"decay", "decay\tabc"},
-        {"lsm", "lsm\t1\tfour\t0"},
-        {"vocabulary", "vocabulary\teverything"}}) {
-    std::filesystem::remove_all(dir_);
-    ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
-    RewriteManifestLine(key, line);
-    auto malformed = LoadEngineDir(dir_);
-    ASSERT_FALSE(malformed.ok()) << line;
-    EXPECT_EQ(malformed.status().code(), StatusCode::kCorruption) << line;
-  }
+
+  // The retired layout is named: a version-1 MANIFEST, or its text
+  // record without any MANIFEST.
+  std::filesystem::remove_all(dir_);
+  ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
+  PatchManifest(kVersion, 1);
+  auto v1 = LoadEngineDir(dir_);
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(v1.status().message().find("retired manifest.tsv layout"),
+            std::string::npos)
+      << v1.status().message();
+  std::filesystem::remove(dir_ + "/MANIFEST");
+  WriteBytes(dir_ + "/manifest.tsv", "format\txontorank-engine\t1\n");
+  auto text_only = LoadEngineDir(dir_);
+  ASSERT_FALSE(text_only.ok());
+  EXPECT_EQ(text_only.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(text_only.status().message().find("retired manifest.tsv layout"),
+            std::string::npos)
+      << text_only.status().message();
+  EXPECT_NE(text_only.status().message().find("save-engine"),
+            std::string::npos);
 }
 
-TEST_F(EngineStoreFixture, ManifestWithoutDocumentsFails) {
-  std::filesystem::create_directories(dir_);
+TEST_F(EngineStoreFixture, SegmentRangePastDocumentsNamesMissingFile) {
   auto engine = BuildEngine();
   ASSERT_TRUE(SaveEngineDir(*engine, dir_).ok());
-  // Rewrite the manifest without document lines.
-  {
-    std::ofstream out(dir_ + "/manifest.tsv");
-    out << "format\txontorank-engine\t1\nontology\tontology_0.tsv\n";
-  }
+  auto manifest = LoadManifest(dir_ + "/MANIFEST");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->segments.back().end_doc, 6u);
+  manifest->segments.back().end_doc = 8;  // two documents never saved
+  ASSERT_TRUE(SaveManifest(*manifest, dir_ + "/MANIFEST").ok());
   auto loaded = LoadEngineDir(dir_);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("documents"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("corpus/doc_00006.xml"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
+TEST_F(EngineStoreFixture, FailedSaveAtEveryStepLeavesPreviousGeneration) {
+  // A save that fails at any file must leave the directory loading as the
+  // previous generation g, answering exactly as g did. A directory
+  // planted at "<file>.tmp" makes WriteFileDurable fail at that file.
+  namespace fs = std::filesystem;
+  for (bool compact : {false, true}) {
+    const std::string label = compact ? "after CompactNow" : "plain";
+    OntologySet systems;
+    systems.Add(snomed_);
+    systems.Add(loinc_);
+    IndexBuildOptions options;
+    options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+    options.lsm.compaction_fanin = 2;
+    options.lsm.auto_compact = false;
+    CdaGeneratorOptions gen_options;
+    gen_options.num_documents = 4;
+    gen_options.seed = 55;
+    XOntoRank engine(CdaGenerator(snomed_, gen_options).GenerateCorpus(),
+                     systems, options);
+    engine.AddDocument(ExtraDocument(4));
+    engine.AddDocument(ExtraDocument(5));
+    fs::remove_all(dir_);
+    const std::string base = dir_ + "/g";
+    ASSERT_TRUE(SaveEngineDir(engine, base).ok());
+    auto prior = LoadManifest(base + "/MANIFEST");
+    ASSERT_TRUE(prior.ok()) << prior.status().ToString();
+    const uint64_t g = prior->generation;
+    const auto answers_g = Answers(engine);
+
+    engine.AddDocument(ExtraDocument(6));
+    engine.AddDocument(ExtraDocument(7));
+    if (compact) engine.CompactNow();
+    const auto answers_next = Answers(engine);
+
+    // A save rewrites every file it keeps, so the files a complete g+1
+    // save writes are the regular files of a completed copy.
+    const std::string full = dir_ + "/full";
+    fs::copy(base, full, fs::copy_options::recursive);
+    ASSERT_TRUE(SaveEngineDir(engine, full).ok());
+    std::vector<std::string> written;
+    for (const auto& entry : fs::recursive_directory_iterator(full)) {
+      if (entry.is_regular_file()) {
+        written.push_back(fs::relative(entry.path(), full).string());
+      }
+    }
+    ASSERT_GE(written.size(), 12u) << label;
+
+    auto expect_generation = [&](const std::string& dir, uint64_t generation,
+                                 const auto& answers, const std::string& at) {
+      auto manifest = LoadManifest(dir + "/MANIFEST");
+      ASSERT_TRUE(manifest.ok()) << at << ": " << manifest.status().ToString();
+      EXPECT_EQ(manifest->generation, generation) << at;
+      auto loaded = LoadEngineDir(dir);
+      ASSERT_TRUE(loaded.ok()) << at << ": " << loaded.status().ToString();
+      ExpectSameAnswers(Answers((*loaded)->engine()), answers, at);
+    };
+    for (const std::string& file : written) {
+      const std::string at = label + ", blocked at " + file;
+      const std::string copy = dir_ + "/copy";
+      fs::remove_all(copy);
+      fs::copy(base, copy, fs::copy_options::recursive);
+      const std::string blocker = copy + "/" + file + ".tmp";
+      fs::create_directories(blocker);
+      Status failed = SaveEngineDir(engine, copy);
+      EXPECT_EQ(failed.code(), StatusCode::kIoError) << at;
+      expect_generation(copy, g, answers_g, at);
+      fs::remove_all(blocker);
+      ASSERT_TRUE(SaveEngineDir(engine, copy).ok()) << at;
+      expect_generation(copy, g + 1, answers_next, at + ", saved again");
+    }
+  }
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 // Document-scoped scoring (DocumentUnits) is what makes the property hold;
 // these tests are the proof obligation.
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -20,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "ir/query.h"
 #include "onto/snomed_fragment.h"
+#include "storage/coding.h"
 #include "storage/engine_store.h"
 #include "storage/manifest.h"
 #include "tests/reference_eval.h"
@@ -207,7 +211,7 @@ TEST_F(LsmFixture, ElemRankIsPerDocumentAndIdenticalAcrossSegmentations) {
     ASSERT_EQ(record.elem_ranks().size(), record.unit_count());
     Corpus alone;
     alone.Add(one->snapshot()->corpus().handle(d));
-    ElemRank rank(alone, one->snapshot()->options().elem_rank);
+    ElemRank rank(alone);
     for (uint32_t unit = 0; unit < record.unit_count(); ++unit) {
       EXPECT_EQ(record.elem_ranks()[unit], rank.rank(unit)) << d;
     }
@@ -596,6 +600,49 @@ TEST_F(LsmFixture, CorruptManifestIsRejectedNotTrusted) {
     EXPECT_FALSE(DecodeManifest(EncodeManifest(hostile)).ok());
   }
   {
+    EngineManifest hostile;
+    hostile.generation = 1;
+    hostile.ontology_count = 0;  // an engine has at least one system
+    EXPECT_FALSE(DecodeManifest(EncodeManifest(hostile)).ok());
+  }
+  {
+    // Out-of-range enum codes.
+    EngineManifest hostile;
+    hostile.generation = 1;
+    hostile.options.strategy = static_cast<Strategy>(4);
+    EXPECT_FALSE(DecodeManifest(EncodeManifest(hostile)).ok());
+    hostile.options.strategy = Strategy::kGraph;
+    hostile.options.vocabulary_mode =
+        static_cast<IndexBuildOptions::VocabularyMode>(3);
+    EXPECT_FALSE(DecodeManifest(EncodeManifest(hostile)).ok());
+  }
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    // Non-finite doubles, in the first and the last double field.
+    EngineManifest hostile;
+    hostile.generation = 1;
+    hostile.options.score.decay = bad;
+    EXPECT_FALSE(DecodeManifest(EncodeManifest(hostile)).ok()) << bad;
+    hostile.options.score.decay = 0.5;
+    hostile.options.elem_rank_blend = bad;
+    EXPECT_FALSE(DecodeManifest(EncodeManifest(hostile)).ok()) << bad;
+  }
+  for (uint32_t version : {0u, 1u, 3u}) {
+    // Only version 2 decodes; version 1 names the retired layout.
+    EngineManifest plain;
+    plain.generation = 1;
+    std::string bytes = EncodeManifest(plain);
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    uint32_t crc = Crc32(std::string_view(bytes).substr(0, bytes.size() - 4));
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+    auto decoded = DecodeManifest(bytes);
+    ASSERT_FALSE(decoded.ok()) << version;
+    EXPECT_EQ(decoded.status().message().find("retired") != std::string::npos,
+              version == 1)
+        << decoded.status().message();
+  }
+  {
     // More documents than the directory holds: decodes fine, load rejects.
     EngineManifest hostile;
     hostile.generation = 1;
@@ -619,9 +666,21 @@ TEST_F(LsmFixture, ManifestEncodeDecodeRoundtrip) {
   EngineManifest manifest;
   manifest.generation = (uint64_t{3} << 32) | 7;  // exercises the hi word
   manifest.segments = {{(uint64_t{1} << 40) | 5, 0, 3}, {2, 3, 4}, {9, 4, 9}};
+  manifest.ontology_count = 3;
+  manifest.options.strategy = Strategy::kTaxonomy;
+  manifest.options.score.max_concepts_per_keyword = uint64_t{1} << 33;
+  manifest.options.score.threshold = -0.0;  // raw bits keep the sign
+  manifest.options.elem_rank_blend = 0.1;
   auto decoded = DecodeManifest(EncodeManifest(manifest));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().generation, manifest.generation);
+  EXPECT_EQ(decoded.value().ontology_count, 3u);
+  const IndexBuildOptions& got = decoded.value().options;
+  EXPECT_EQ(got.strategy, Strategy::kTaxonomy);
+  EXPECT_EQ(got.score.max_concepts_per_keyword, uint64_t{1} << 33);
+  EXPECT_TRUE(std::signbit(got.score.threshold));
+  EXPECT_EQ(got.elem_rank_blend, 0.1);
+  EXPECT_EQ(EncodeManifest(decoded.value()), EncodeManifest(manifest));
   ASSERT_EQ(decoded.value().segments.size(), manifest.segments.size());
   for (size_t i = 0; i < manifest.segments.size(); ++i) {
     EXPECT_EQ(decoded.value().segments[i].id, manifest.segments[i].id);

@@ -210,7 +210,7 @@ TreeEvaluator::TreeEvaluator(const Corpus& corpus, const OntologySet& systems,
     if (options.use_elem_rank) {
       Corpus one;
       one.Add(corpus.handle(d));
-      ElemRank rank(one, options.elem_rank);
+      ElemRank rank(one);
       for (size_t e = 0; e < doc.elements.size(); ++e) {
         doc.elements[e].elem_rank = rank.rank(static_cast<uint32_t>(e));
       }

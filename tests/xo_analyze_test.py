@@ -321,12 +321,12 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
 
     # --- lock-order -----------------------------------------------------
 
-    def test_save_mutex_under_segment_file_mutex_fires(self):
+    def test_save_mutex_under_durable_file_mutex_fires(self):
         self.assert_fires(
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
                  "void F() {\n"
-                 "  MutexLock lock(SegmentFileMutex());\n"
+                 "  MutexLock lock(DurableFileMutex());\n"
                  "  MutexLock save(SaveMutex());\n"
                  "}\n"},
             "lock-order")
@@ -339,7 +339,7 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
                  "  MutexLock lock(SaveMutex());\n"
                  "}\n"
                  "void F() {\n"
-                 "  MutexLock lock(SegmentFileMutex());\n"
+                 "  MutexLock lock(DurableFileMutex());\n"
                  "  TakesSave();\n"
                  "}\n"},
             "lock-order")
@@ -349,8 +349,8 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
                  "void F() {\n"
-                 "  MutexLock a(SegmentFileMutex());\n"
-                 "  MutexLock b(ManifestFileMutex());\n"
+                 "  MutexLock a(DurableFileMutex());\n"
+                 "  MutexLock b(DurableFileMutex());\n"
                  "}\n"},
             "lock-order")
 
@@ -365,57 +365,58 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
                  "}\n"},
             "lock-order")
 
-    def test_save_mutex_under_manifest_file_mutex_fires(self):
-        # The inverted LSM-save shape: the manifest file lock is level 2,
-        # so nothing under it may take the whole-directory save lock.
+    def test_save_under_durable_file_mutex_in_nested_block_fires(self):
+        # The inverted save shape: the file lock is level 2, so nothing
+        # under it — however deeply scoped — may take the save lock.
         self.assert_fires(
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
                  "void F() {\n"
-                 "  MutexLock lock(ManifestFileMutex());\n"
-                 "  MutexLock save(SaveMutex());\n"
+                 "  MutexLock lock(DurableFileMutex());\n"
+                 "  {\n"
+                 "    MutexLock save(SaveMutex());\n"
+                 "  }\n"
                  "}\n"},
             "lock-order")
 
-    def test_manifest_under_segment_file_mutex_fires(self):
-        # Same level (both are per-file temp+rename locks): never nested,
-        # in either order.
+    def test_durable_write_under_durable_write_fires(self):
+        # A durable write calling another durable write re-acquires the
+        # one per-file lock through its callee: a self-deadlock.
         self.assert_fires(
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
-                 "void SaveManifestLike() {\n"
-                 "  MutexLock lock(ManifestFileMutex());\n"
+                 "void WriteFileDurableLike() {\n"
+                 "  MutexLock lock(DurableFileMutex());\n"
                  "}\n"
                  "void F() {\n"
-                 "  MutexLock lock(SegmentFileMutex());\n"
-                 "  SaveManifestLike();\n"
+                 "  MutexLock lock(DurableFileMutex());\n"
+                 "  WriteFileDurableLike();\n"
                  "}\n"},
             "lock-order")
 
-    def test_manifest_under_save_is_clean(self):
-        # The real LSM SaveSnapshot -> SaveManifest shape: SaveMutex
-        # (level 1) held across the manifest publish (level 2).
+    def test_manifest_publish_under_save_is_clean(self):
+        # The real SaveSnapshot -> SaveManifest -> WriteFileDurable shape:
+        # SaveMutex (level 1) held across the durable write (level 2).
         self.assert_clean(
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
-                 "void SaveManifestLike() {\n"
-                 "  MutexLock lock(ManifestFileMutex());\n"
+                 "void WriteFileDurableLike() {\n"
+                 "  MutexLock lock(DurableFileMutex());\n"
                  "}\n"
+                 "void SaveManifestLike() { WriteFileDurableLike(); }\n"
                  "void F() {\n"
                  "  MutexLock lock(SaveMutex());\n"
                  "  SaveManifestLike();\n"
                  "}\n"})
 
     def test_documented_order_is_clean(self):
-        # SaveMutex (level 1) before SegmentFileMutex (level 2): the real
-        # SaveSnapshot -> SaveSegment shape.
+        # SaveMutex (level 1) before DurableFileMutex (level 2).
         self.assert_clean(
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
-                 "void SaveSegmentLike() { MutexLock lock(SegmentFileMutex()); }\n"
                  "void F() {\n"
                  "  MutexLock lock(SaveMutex());\n"
-                 "  SaveSegmentLike();\n"
+                 "  MutexLock file(DurableFileMutex());\n"
                  "}\n"})
 
     def test_sequential_scopes_are_clean(self):
@@ -423,25 +424,74 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
             {"src/storage/w.cc":
                  "#include \"sync.h\"\n"
                  "void F() {\n"
-                 "  { MutexLock lock(SegmentFileMutex()); }\n"
+                 "  { MutexLock lock(DurableFileMutex()); }\n"
                  "  { MutexLock lock(SaveMutex()); }\n"
                  "}\n"})
 
     # --- view-outlives-unmap -------------------------------------------
 
-    def test_view_used_after_reset_fires(self):
+    def test_sections_used_after_reset_fires(self):
         self.assert_fires(
+            {"src/storage/w.cc":
+                 "#include \"segment_file.h\"\n"
+                 "size_t F(SegmentFile file) {\n"
+                 "  const auto& infos = file.sections();\n"
+                 "  file.reset();\n"
+                 "  return infos.size();\n"
+                 "}\n"},
+            "view-outlives-unmap")
+
+    def test_sections_used_after_move_fires(self):
+        self.assert_fires(
+            {"src/storage/w.cc":
+                 "#include \"segment_file.h\"\n"
+                 "#include <utility>\n"
+                 "SegmentFile G(SegmentFile file) {\n"
+                 "  const auto& infos = file.sections();\n"
+                 "  SegmentFile other = std::move(file);\n"
+                 "  infos.size();\n"
+                 "  return other;\n"
+                 "}\n"},
+            "view-outlives-unmap")
+
+    def test_sections_used_after_owner_scope_exit_fires(self):
+        self.assert_fires(
+            {"src/storage/w.cc":
+                 "#include \"segment_file.h\"\n"
+                 "size_t F() {\n"
+                 "  std::span<const SectionInfo> infos;\n"
+                 "  {\n"
+                 "    SegmentFile file = OpenSegmentFile();\n"
+                 "    infos = file.sections();\n"
+                 "  }\n"
+                 "  return infos.size();\n"
+                 "}\n"},
+            "view-outlives-unmap")
+
+    def test_sections_used_after_reassignment_fires(self):
+        self.assert_fires(
+            {"src/storage/w.cc":
+                 "#include \"segment_file.h\"\n"
+                 "size_t F(SegmentFile file) {\n"
+                 "  const auto& infos = file.sections();\n"
+                 "  file = OpenSegmentFile();\n"
+                 "  return infos.size();\n"
+                 "}\n"},
+            "view-outlives-unmap")
+
+    def test_make_view_used_after_reset_is_clean(self):
+        # A MakeView() FlatDil shares ownership of its SegmentFile.
+        self.assert_clean(
             {"src/storage/w.cc":
                  "#include \"segment_file.h\"\n"
                  "int F(SegmentFile file) {\n"
                  "  auto view = file.MakeView();\n"
                  "  file.reset();\n"
                  "  return view.num_keywords();\n"
-                 "}\n"},
-            "view-outlives-unmap")
+                 "}\n"})
 
-    def test_view_used_after_move_fires(self):
-        self.assert_fires(
+    def test_make_view_used_after_move_is_clean(self):
+        self.assert_clean(
             {"src/storage/w.cc":
                  "#include \"segment_file.h\"\n"
                  "#include <utility>\n"
@@ -450,11 +500,10 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
                  "  SegmentFile other = std::move(file);\n"
                  "  view.num_keywords();\n"
                  "  return other;\n"
-                 "}\n"},
-            "view-outlives-unmap")
+                 "}\n"})
 
-    def test_view_used_after_owner_scope_exit_fires(self):
-        self.assert_fires(
+    def test_make_view_used_after_owner_scope_exit_is_clean(self):
+        self.assert_clean(
             {"src/storage/w.cc":
                  "#include \"segment_file.h\"\n"
                  "int F() {\n"
@@ -464,16 +513,15 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
                  "    view = file.MakeView();\n"
                  "  }\n"
                  "  return view.num_keywords();\n"
-                 "}\n"},
-            "view-outlives-unmap")
+                 "}\n"})
 
     def test_use_before_reset_is_clean(self):
         self.assert_clean(
             {"src/storage/w.cc":
                  "#include \"segment_file.h\"\n"
-                 "int F(SegmentFile file) {\n"
-                 "  auto view = file.MakeView();\n"
-                 "  int n = view.num_keywords();\n"
+                 "size_t F(SegmentFile file) {\n"
+                 "  const auto& infos = file.sections();\n"
+                 "  size_t n = infos.size();\n"
                  "  file.reset();\n"
                  "  return n;\n"
                  "}\n"})
@@ -482,9 +530,9 @@ class XoAnalyzeFixtureTest(unittest.TestCase):
         self.assert_clean(
             {"src/storage/w.cc":
                  "#include \"segment_file.h\"\n"
-                 "int F(const SegmentFile& file) {\n"
-                 "  auto view = file.MakeView();\n"
-                 "  return view.num_keywords();\n"
+                 "size_t F(const SegmentFile& file) {\n"
+                 "  const auto& infos = file.sections();\n"
+                 "  return infos.size();\n"
                  "}\n"})
 
     # --- suppressions and unjustified-allow -----------------------------

@@ -194,43 +194,6 @@ class XoLintFixtureTest(unittest.TestCase):
                  "void Peek() { (void)DecodeManifest(blob); }\n"},
             "voided-status", count=2)
 
-    # --- posting-by-value -----------------------------------------------
-
-    def test_posting_by_value_loop_fires(self):
-        self.assert_fires(
-            {"src/core/widget.cc":
-                 "void Scan(const DilEntry& e) {\n"
-                 "  for (DilPosting p : e.postings) Use(p);\n"
-                 "}\n"},
-            "posting-by-value")
-
-    def test_posting_const_by_value_loop_fires(self):
-        self.assert_fires(
-            {"src/core/widget.cc":
-                 "void Scan(const DilEntry& e) {\n"
-                 "  for (const DilPosting p : e.postings) Use(p);\n"
-                 "}\n"},
-            "posting-by-value")
-
-    def test_posting_by_reference_loop_does_not_fire(self):
-        self.assert_clean(
-            {"src/core/widget.cc":
-                 "void Scan(const DilEntry& e) {\n"
-                 "  for (const DilPosting& p : e.postings) Use(p);\n"
-                 "  for (DilPosting& q : mutable_postings) Touch(q);\n"
-                 "}\n"})
-
-    def test_posting_by_value_outside_core_does_not_fire(self):
-        self.assert_clean(
-            {"src/storage/widget.cc":
-                 "void Scan(const DilEntry& e) {\n"
-                 "  for (DilPosting p : e.postings) Use(p);\n"
-                 "}\n",
-             "tests/widget_test.cc":
-                 "void Scan(const DilEntry& e) {\n"
-                 "  for (DilPosting p : e.postings) Use(p);\n"
-                 "}\n"})
-
     # --- raw-thread -----------------------------------------------------
 
     def test_raw_thread_in_src_fires(self):

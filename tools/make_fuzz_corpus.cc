@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -126,6 +127,28 @@ std::string ResignManifest(std::string bytes) {
   return bytes;
 }
 
+/// A manifest of `generation` over `segments` with default options.
+std::string Manifest(uint64_t generation,
+                     std::vector<ManifestSegment> segments) {
+  EngineManifest manifest;
+  manifest.generation = generation;
+  manifest.segments = std::move(segments);
+  return EncodeManifest(manifest);
+}
+
+/// Overwrites the fixed32 at `offset` of a manifest image and re-signs it.
+std::string PatchManifest(std::string bytes, size_t offset, uint32_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return ResignManifest(std::move(bytes));
+}
+
+/// Version-2 MANIFEST field offsets (storage/manifest.h).
+constexpr size_t kOntologyCountOffset = 16;
+constexpr size_t kStrategyOffset = 20;
+constexpr size_t kVocabularyOffset = 24;
+constexpr size_t kElemRankFlagOffset = 28;
+constexpr size_t kSegmentCountOffset = 100;
+
 void WriteSeeds(const fs::path& out) {
   // xml_parse: real CDA shapes plus small syntax variants.
   Ontology snomed = BuildSnomedCardiologyFragment();
@@ -178,18 +201,35 @@ void WriteSeeds(const fs::path& out) {
   WriteFile(out / "dewey", "cross_doc.bin", DeweySeed({1, 3}, {2, 3}));
   WriteFile(out / "dewey", "empty.bin", DeweySeed({}, {7}));
 
-  // manifest: valid LSM segment manifests of increasing shape — empty
-  // engine, single sealed segment, a post-compaction tiering (merged
-  // segments leave id gaps), and high-word generation/id values.
-  WriteFile(out / "manifest", "empty.xomf", EncodeManifest({1, {}}));
-  WriteFile(out / "manifest", "single.xomf",
-            EncodeManifest({1, {{0, 0, 8}}}));
+  // manifest: valid engine manifests of increasing shape — empty engine,
+  // single sealed segment, a post-compaction tiering (merged segments
+  // leave id gaps), high-word generation/id values, and every persisted
+  // option away from its default.
+  WriteFile(out / "manifest", "empty.xomf", Manifest(1, {}));
+  WriteFile(out / "manifest", "single.xomf", Manifest(1, {{0, 0, 8}}));
   WriteFile(out / "manifest", "tiered.xomf",
-            EncodeManifest(
-                {7, {{5, 0, 16}, {3, 16, 20}, {4, 20, 21}, {6, 21, 24}}}));
+            Manifest(7, {{5, 0, 16}, {3, 16, 20}, {4, 20, 21}, {6, 21, 24}}));
   WriteFile(out / "manifest", "hiword.xomf",
-            EncodeManifest({uint64_t{1} << 40,
-                            {{uint64_t{1} << 36, 0, 3}, {2, 3, 5}}}));
+            Manifest(uint64_t{1} << 40,
+                     {{uint64_t{1} << 36, 0, 3}, {2, 3, 5}}));
+  EngineManifest options;
+  options.generation = 3;
+  options.segments = {{0, 0, 6}, {1, 6, 7}};
+  options.ontology_count = 2;
+  IndexBuildOptions& o = options.options;
+  o.strategy = Strategy::kGraph;
+  o.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+  o.use_elem_rank = true;
+  o.lsm.auto_compact = false;
+  o.score.max_concepts_per_keyword = 3;
+  o.lsm.compaction_fanin = 6;
+  o.score.decay = 0.4;
+  o.score.threshold = 0.05;
+  o.score.ontology_weight = 0.7;
+  o.score.bm25.k1 = 1.6;
+  o.score.bm25.b = 0.6;
+  o.elem_rank_blend = 0.3;
+  WriteFile(out / "manifest", "options.xomf", EncodeManifest(options));
 }
 
 void WriteHostile(const fs::path& out) {
@@ -230,27 +270,44 @@ void WriteHostile(const fs::path& out) {
   // dewey: counts larger than the remaining bytes (components read as 0).
   WriteFile(out / "dewey", "overlong_count.bin", std::string("\xff\x01", 2));
 
-  // manifest: the commit-point file of an LSM engine dir. Truncation
-  // (the crash-mid-write shape), CRC-valid-but-hostile segment lists
-  // (stale generation 0, tiling gap, duplicate id, empty range — all
-  // pass the integrity gate, all must die in semantic validation), and a
-  // re-signed count bomb attacking the size arithmetic.
-  std::string good = EncodeManifest({3, {{0, 0, 4}, {1, 4, 8}}});
+  // manifest: the commit record of an engine dir. Truncation (the
+  // crash-mid-write shape), CRC-valid-but-hostile records (stale
+  // generation 0, tiling gap, duplicate id, empty range, zero ontologies,
+  // out-of-range enum codes, a flag of 2, a non-finite double — all pass
+  // the integrity gate, all must die in semantic validation), a re-signed
+  // count bomb attacking the size arithmetic, and a version-1 image of
+  // the retired layout that must be rejected by its version.
+  std::string good = Manifest(3, {{0, 0, 4}, {1, 4, 8}});
   WriteFile(out / "manifest", "truncated.xomf",
             good.substr(0, good.size() - 9));
-  WriteFile(out / "manifest", "gen_zero.xomf",
-            EncodeManifest({0, {{0, 0, 4}}}));
+  WriteFile(out / "manifest", "gen_zero.xomf", Manifest(0, {{0, 0, 4}}));
   WriteFile(out / "manifest", "tiling_gap.xomf",
-            EncodeManifest({2, {{0, 0, 4}, {1, 5, 8}}}));
+            Manifest(2, {{0, 0, 4}, {1, 5, 8}}));
   WriteFile(out / "manifest", "dup_id.xomf",
-            EncodeManifest({2, {{7, 0, 4}, {7, 4, 8}}}));
+            Manifest(2, {{7, 0, 4}, {7, 4, 8}}));
   WriteFile(out / "manifest", "empty_range.xomf",
-            EncodeManifest({2, {{0, 0, 4}, {1, 4, 4}}}));
-  std::string manifest_bomb = good;
-  uint32_t huge32 = uint32_t{1} << 28;
-  std::memcpy(manifest_bomb.data() + 16, &huge32, sizeof(huge32));  // count
+            Manifest(2, {{0, 0, 4}, {1, 4, 4}}));
+  WriteFile(out / "manifest", "zero_ontologies.xomf",
+            PatchManifest(good, kOntologyCountOffset, 0));
+  WriteFile(out / "manifest", "bad_strategy.xomf",
+            PatchManifest(good, kStrategyOffset, 4));
+  WriteFile(out / "manifest", "bad_vocabulary.xomf",
+            PatchManifest(good, kVocabularyOffset, 3));
+  WriteFile(out / "manifest", "bad_flag.xomf",
+            PatchManifest(good, kElemRankFlagOffset, 2));
+  EngineManifest nan_decay;
+  nan_decay.generation = 2;
+  nan_decay.options.score.decay = std::numeric_limits<double>::quiet_NaN();
+  WriteFile(out / "manifest", "nan_decay.xomf", EncodeManifest(nan_decay));
   WriteFile(out / "manifest", "count_bomb.xomf",
-            ResignManifest(std::move(manifest_bomb)));
+            PatchManifest(good, kSegmentCountOffset, uint32_t{1} << 28));
+  // The retired version-1 layout: generation, count, one 16-byte entry.
+  std::string v1("XOMF", 4);
+  for (uint32_t word : {1u, 1u, 0u, 1u, 0u, 0u, 0u, 4u}) {
+    PutFixed32(&v1, word);
+  }
+  PutFixed32(&v1, 0);
+  WriteFile(out / "manifest", "v1_layout.xomf", ResignManifest(std::move(v1)));
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 //
 // File mode prints the parsed header, one row per section (offset,
 // length, element count, stored CRC) and per-list summary stats.
-// Directory mode decodes the binary MANIFEST (the LSM commit point,
-// DESIGN.md §15) and prints the generation plus one row per live
+// Directory mode decodes the MANIFEST (the engine directory's one
+// commit record, DESIGN.md §15) and prints the generation, the saved
+// options, the ontology and document counts, and one row per live
 // segment (id, doc range, file, bytes, keywords, postings), then runs a
 // verify pass over every listed segment: full CRC validation through
 // SegmentFile::Open and a posting walk checking that each document id
@@ -22,6 +23,7 @@
 // Everything goes through SegmentFile's public API: this tool has no mmap
 // calls of its own (xo_lint's raw-mmap rule keeps it that way).
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -36,6 +38,17 @@ using namespace xontorank;
 
 namespace {
 
+/// VocabularyMode names, by MANIFEST code.
+constexpr const char* kVocabularyNames[] = {"corpus", "corpus+ontology",
+                                            "none"};
+
+/// The shortest decimal that reads back as `value` exactly.
+std::string Exact(double value) {
+  char buffer[32];
+  auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  return std::string(buffer, end);
+}
+
 /// Directory mode: manifest dump + per-segment verify. Returns the exit
 /// status.
 int InspectEngineDir(const std::string& dir, bool verify) {
@@ -44,15 +57,31 @@ int InspectEngineDir(const std::string& dir, bool verify) {
     std::fprintf(stderr, "%s\n", manifest.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s: LSM engine dir, generation %" PRIu64 ", %zu segment(s)%s\n",
+  const IndexBuildOptions& o = manifest->options;
+  const uint32_t documents =
+      manifest->segments.empty() ? 0 : manifest->segments.back().end_doc;
+  std::printf("%s: engine dir, generation %" PRIu64 ", %zu segment(s), "
+              "%u ontology file(s), %u document(s)%s\n",
               dir.c_str(), manifest->generation, manifest->segments.size(),
+              manifest->ontology_count, documents,
               verify ? "" : " (section CRCs / doc ranges not checked)");
+  std::printf("  options: strategy %s, vocabulary %s, decay %s, "
+              "threshold %s, omega %s, max_concepts_per_keyword %zu,\n"
+              "           bm25 k1 %s b %s, use_elem_rank %d, "
+              "elem_rank_blend %s, compaction_fanin %zu, auto_compact %d\n",
+              std::string(StrategyName(o.strategy)).c_str(),
+              kVocabularyNames[static_cast<int>(o.vocabulary_mode)],
+              Exact(o.score.decay).c_str(), Exact(o.score.threshold).c_str(),
+              Exact(o.score.ontology_weight).c_str(),
+              o.score.max_concepts_per_keyword, Exact(o.score.bm25.k1).c_str(),
+              Exact(o.score.bm25.b).c_str(), o.use_elem_rank ? 1 : 0,
+              Exact(o.elem_rank_blend).c_str(), o.lsm.compaction_fanin,
+              o.lsm.auto_compact ? 1 : 0);
   std::printf("\n  %10s %10s %10s %-24s %12s %10s %12s\n", "id", "first_doc",
               "end_doc", "file", "bytes", "keywords", "postings");
   bool ok = true;
   for (const ManifestSegment& entry : manifest->segments) {
-    std::string name =
-        "seg-" + std::to_string(entry.id) + ".xoseg";
+    std::string name = SegmentFileName(entry.id);
     SegmentFile::Options options;
     options.advice = SegmentFile::Options::Advice::kSequential;
     options.verify_checksums = verify;

@@ -30,15 +30,15 @@ rules:
                       must hold the shared_ptr itself.    [scope: src/]
   lock-order          cross-TU partial-order check over the named
                       process-wide locks (engine_store SaveMutex before
-                      segment_writer SegmentFileMutex / manifest
-                      ManifestFileMutex):
+                      the file_io DurableFileMutex):
                       while one is held, no direct or
                       transitive callee may acquire a lock of lower or
                       equal level (DESIGN.md §9).         [scope: src/]
-  view-outlives-unmap a view created from a SegmentFile (MakeView(),
-                      sections()) is used after the SegmentFile local is
-                      reset, reassigned, moved from, or destroyed by
-                      scope exit — use-after-unmap.       [scope: src/]
+  view-outlives-unmap a view into a SegmentFile's metadata (sections())
+                      is used after the SegmentFile local is reset,
+                      reassigned, moved from, or destroyed by scope exit
+                      — use-after-unmap. MakeView() views are exempt:
+                      they pin the file.                  [scope: src/]
   unjustified-allow   every `xo-analyze: allow(rule)` suppression must
                       name a known rule and carry a one-line
                       justification after the closing parenthesis.
@@ -107,15 +107,16 @@ RAW_VIEW_MEMBER_TYPES = {"string_view", "span", "DeweyRef", "DilListRef",
 # may only be acquired while holding locks of strictly LOWER level.
 LOCK_LEVELS = {
     "SaveMutex": (1, "engine_store.cc whole-directory save lock"),
-    "SegmentFileMutex": (2, "segment_writer.cc temp+rename file lock"),
-    "ManifestFileMutex": (2, "manifest.cc temp+rename file lock"),
+    "DurableFileMutex": (2, "file_io.cc temp+fsync+rename file lock"),
 }
 
 # shared_ptr factories that are always pin sources for snapshot-pin.
 PTR_FACTORIES = {"make_shared", "make_unique"}
 
-# SegmentFile methods whose results alias the mapping (view-outlives-unmap).
-VIEW_MAKERS = {"MakeView", "sections"}
+# SegmentFile methods whose results alias the mapping without pinning it
+# (view-outlives-unmap). MakeView() is not one: its FlatDil shares
+# ownership of the SegmentFile.
+VIEW_MAKERS = {"sections"}
 
 RULE_DOCS = {
     "view-escape": "view return/store derived from frame-local owning "
@@ -125,10 +126,9 @@ RULE_DOCS = {
     "snapshot-pin": ".get() on a temporary shared_ptr stored as a raw "
                     "pointer (unpinned snapshot)",
     "lock-order": "named lock acquired under a lock of equal or higher "
-                  "level (SaveMutex < SegmentFileMutex/"
-                  "ManifestFileMutex)",
-    "view-outlives-unmap": "SegmentFile view used after reset/move/scope "
-                           "death of its mapping",
+                  "level (SaveMutex < DurableFileMutex)",
+    "view-outlives-unmap": "SegmentFile sections() view used after "
+                           "reset/move/scope death of its mapping",
     "unjustified-allow": "xo-analyze suppression without a justification "
                          "or naming an unknown rule",
 }
@@ -1367,9 +1367,8 @@ def check_lock_order(program):
                             f"{level}, via {via}) while holding {held} "
                             f"(level {held_level}, acquired line "
                             f"{held_line}); the documented order is "
-                            "SaveMutex before SegmentFileMutex/"
-                            "ManifestFileMutex and same-level locks "
-                            "never nest"))
+                            "SaveMutex before DurableFileMutex and "
+                            "same-level locks never nest"))
     return findings
 
 
@@ -1846,17 +1845,17 @@ SELF_TEST_FIXTURES = {
         "  MutexLock lock(SaveMutex());\n"
         "}\n"
         "void Outer() {\n"
-        "  MutexLock lock(SegmentFileMutex());\n"
+        "  MutexLock lock(DurableFileMutex());\n"
         "  Inner();\n"
         "}\n",
         [("lock-order", 7)],
     ),
     "src/fixture_unmap.cc": (
         "#include \"segment_file.h\"\n"
-        "int Use(SegmentFile file) {\n"
-        "  auto view = file.MakeView();\n"
+        "size_t Use(SegmentFile file) {\n"
+        "  const auto& infos = file.sections();\n"
         "  file.reset();\n"
-        "  return view.num_keywords();\n"
+        "  return infos.size();\n"
         "}\n",
         [("view-outlives-unmap", 5)],
     ),

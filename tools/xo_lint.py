@@ -27,10 +27,6 @@ sources and enforces the XOntoRank contract invariants:
                   dropped failure; check it, propagate it
                   (XONTO_RETURN_IF_ERROR), or XO_CHECK_OK it.
                                     [scope: src/ tests/ bench/ examples/]
-  posting-by-value  range-for iterating DilPosting by value in the query
-                  layer copies a heap-owned DeweyId per posting; iterate
-                  by const reference, or use DilCursor/DeweyRef on the
-                  serving path.                      [scope: src/core/]
   raw-mmap        mmap/munmap/madvise may appear only in
                   src/storage/segment_file.* — the single RAII owner of
                   every mapping; everywhere else takes views through
@@ -84,12 +80,15 @@ FALLIBLE_FUNCTIONS = [
     "LoadOntology",
     "ParseOntologyText",
     "ParseXml",
+    "ReadFile",
     "SaveEngineDir",
     "SaveManifest",
     "SaveOntology",
     "SaveSegment",
     "SaveSnapshot",
+    "SyncDirectory",
     "Validate",
+    "WriteFileDurable",
 ]
 
 SCAN_ROOTS = ("src", "tests", "bench", "examples", "fuzz")
@@ -119,9 +118,6 @@ VOIDED_STATUS_RE = re.compile(
     r"(?:[A-Za-z_][A-Za-z0-9_]*\s*(?:::|\.|->)\s*)*"
     r"(?:" + "|".join(FALLIBLE_FUNCTIONS) + r")\s*\("
 )
-POSTING_BY_VALUE_RE = re.compile(
-    r"for\s*\(\s*(?:const\s+)?DilPosting\s+[A-Za-z_][A-Za-z0-9_]*\s*:"
-)
 RAW_MMAP_RE = re.compile(r"\b(?:mmap|munmap|madvise)\s*\(")
 RAW_THREAD_RE = re.compile(r"\bstd::(?:thread|jthread|async)\b")
 # The finalized-API rule: SearchRanked is gone, and a Search(...) call
@@ -149,7 +145,6 @@ RULE_DOCS = {
     "new-delete": "raw new/delete expression in src/",
     "include-guard": "header guard must be XONTORANK_<PATH>_H_",
     "voided-status": "(void)-cast of a Status/Result-returning call",
-    "posting-by-value": "DilPosting iterated by value in src/core",
     "raw-mmap": "mmap/munmap/madvise outside src/storage/segment_file.*",
     "raw-thread": "std::thread/jthread/async outside "
                   "src/common/thread_pool.*",
@@ -269,7 +264,6 @@ class Linter:
         allowed = parse_suppressions(comments)
         lines = stripped.split("\n")
         in_src = relpath.startswith("src/")
-        in_core = relpath.startswith("src/core/")
         is_sync_header = relpath == "src/common/sync.h"
         is_mapping_owner = relpath.startswith("src/storage/segment_file.")
         is_thread_owner = relpath.startswith("src/common/thread_pool.")
@@ -331,12 +325,6 @@ class Linter:
                     "layer; parse through Decoder (storage/coding.h) or a "
                     "SegmentFile view so every wire-byte interpretation "
                     "stays in the fuzzed files", allowed)
-            if in_core and POSTING_BY_VALUE_RE.search(code):
-                self.report(
-                    relpath, idx, "posting-by-value",
-                    "DilPosting iterated by value copies a heap DeweyId "
-                    "per posting; iterate by const reference or use "
-                    "DilCursor", allowed)
 
         if relpath.endswith(".h"):
             self.lint_include_guard(relpath, lines, allowed)
