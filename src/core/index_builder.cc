@@ -4,6 +4,7 @@
 #include <functional>
 #include <iterator>
 #include <ranges>
+#include <span>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -301,16 +302,6 @@ void CorpusIndex::BuildRecords(
   records.base.push_back(units);
 }
 
-std::vector<ScoredUnit> CorpusIndex::LookupUnits(
-    const Keyword& keyword, const Records& records) const {
-  std::vector<ScoredUnit> units;
-  for (size_t r = 0; r < records.documents.size(); ++r) {
-    records.documents[r]->text().AppendLookup(keyword, records.base[r],
-                                              &units);
-  }
-  return units;
-}
-
 void CorpusIndex::Precompute(
     std::vector<std::vector<std::string>> corpus_vocabularies,
     ThreadPool& pool) {
@@ -351,9 +342,8 @@ void CorpusIndex::Precompute(
               for (size_t i = begin; i < end; ++i) {
                 Keyword kw = MakeKeyword(vocab[i]);
                 if (kw.tokens.empty()) continue;
+                lists[i] = ScoreUnits(kw);
                 lists[i].canonical = kw.Canonical();
-                lists[i].units = ScoreUnits(kw);
-                MeasureList(lists[i]);
               }
             });
   stats_.score_millis = phase.ElapsedMillis();
@@ -377,82 +367,78 @@ void CorpusIndex::Precompute(
   stats_.freeze_millis = phase.ElapsedMillis();
 }
 
-std::vector<CorpusIndex::UnitScore> CorpusIndex::ScoreUnits(
-    const Keyword& keyword) const {
+CorpusIndex::UnitList CorpusIndex::ScoreUnits(const Keyword& keyword) const {
   // NS(w, v) = max(IRS(w, v), ω·OS(w, concept(v))), Eq. 5. Both components
-  // are normalized to [0, 1] before combination. LookupUnits returns unit
-  // order, and the code units are recorded in unit order, so the two
-  // components are two sorted runs: merge them, then max-combine per unit.
-  // One dense OntoScore row per system, none under XRANK.
+  // are normalized to [0, 1] before combination. Per record, the textual
+  // matches and the code units are two runs sorted by unit: one walk
+  // merges them, max-combining a unit present in both (max is exact in any
+  // order), drops scores <= 0, applies ElemRank and measures the frozen
+  // list's shape. One dense OntoScore row per system, none under XRANK.
   std::vector<OntoScoreRowCache::Row> rows;
   if (options_.strategy != Strategy::kXRank) {
     for (size_t system = 0; system < context_->systems().size(); ++system) {
       rows.push_back(context_->GetRow(system, keyword));
     }
   }
-  const Records& records = this->records();
-  std::vector<UnitScore> units;
-  for (const ScoredUnit& unit : LookupUnits(keyword, records)) {
-    units.push_back({unit.unit_id, unit.score});
+  // A code node's OntoScore is one load from its system's row; a system
+  // the keyword does not reach has no row (and contributes 0).
+  std::vector<const double*> os_rows;
+  for (const OntoScoreRowCache::Row& row : rows) {
+    os_rows.push_back(row->empty() ? nullptr : row->data());
   }
-  const size_t textual = units.size();
-
-  // Ontological component, through the corpus's code nodes. Each system's
-  // dense OntoScore row is indexed by that system's code nodes' concepts:
-  // one load per code node. A 0.0 entry (not reached) is skipped, which is
-  // exact: a unit whose only support is 0 is dropped below anyway
-  // (best.score <= 0.0), and max(IRS, 0) is IRS.
   const bool reaches = std::ranges::any_of(
-      rows, [](const OntoScoreRowCache::Row& row) { return !row->empty(); });
-  if (reaches) {
-    const double w = options_.score.ontology_weight;
-    for (const CodeUnit& code_unit : records.code_units) {
-      const OntoScoreRow& row = *rows[code_unit.system];
-      if (row.empty()) continue;
-      const double os = row[code_unit.concept_id];
-      if (os == 0.0) continue;
-      units.push_back({code_unit.unit, w * os});
-    }
-  }
-
-  std::inplace_merge(units.begin(),
-                     units.begin() + static_cast<std::ptrdiff_t>(textual),
-                     units.end(), [](const UnitScore& a, const UnitScore& b) {
-                       return a.unit < b.unit;
-                     });
-
+      os_rows, [](const double* row) { return row != nullptr; });
+  const double w = options_.score.ontology_weight;
   const double blend = options_.elem_rank_blend;
-  size_t out = 0;
-  size_t record = 0;  // the record holding best.unit, for its ElemRank
-  for (size_t i = 0; i < units.size();) {
-    UnitScore best = units[i];
-    for (++i; i < units.size() && units[i].unit == best.unit; ++i) {
-      best.score = std::max(best.score, units[i].score);
-    }
-    if (best.score <= 0.0) continue;
-    if (options_.use_elem_rank) {
-      while (best.unit >= records.base[record + 1]) ++record;
-      double rank = records.documents[record]
-                        ->elem_ranks()[best.unit - records.base[record]];
-      best.score *= (1.0 - blend) + blend * rank;
-    }
-    units[out++] = best;
-  }
-  units.resize(out);
-  return units;
-}
 
-void CorpusIndex::MeasureList(UnitList& list) const {
-  const Records& records = this->records();
-  UnitAddresses address(records.documents, records.base);
+  // The list is built in scratch and copied out exactly sized: Precompute
+  // keeps every keyword's list until the freeze. (Per-thread scratch would
+  // keep each pool worker's largest list alive for good; that raised peak
+  // RSS by 5-9% on the eager perfbench workloads.)
+  std::vector<ScoredUnit> text;
+  std::vector<UnitScore> units;
   FlatDil::Builder::ListShape shape;
   DeweyRef prev;
-  for (const UnitScore& u : list.units) {
-    const DeweyRef id = address(u.unit);
-    shape.Add(prev, id);
-    prev = id;
+  const Records& records = this->records();
+  for (size_t r = 0; r < records.documents.size(); ++r) {
+    const DocumentUnits& record = *records.documents[r];
+    text.clear();
+    record.text().AppendLookup(keyword, 0, &text);
+    const std::span<const CodeUnit> code =
+        reaches ? std::span<const CodeUnit>(record.code_units())
+                : std::span<const CodeUnit>();
+    size_t t = 0;
+    size_t c = 0;
+    while (t < text.size() || c < code.size()) {
+      uint32_t unit;
+      double score;
+      if (c == code.size() ||
+          (t < text.size() && text[t].unit_id < code[c].unit)) {
+        unit = text[t].unit_id;
+        score = text[t++].score;
+      } else {
+        const CodeUnit& code_unit = code[c++];
+        const double* row = os_rows[code_unit.system];
+        unit = code_unit.unit;
+        score = row == nullptr ? 0.0 : w * row[code_unit.concept_id];
+        if (t < text.size() && text[t].unit_id == unit) {
+          score = std::max(text[t++].score, score);
+        }
+      }
+      if (score <= 0.0) continue;
+      if (options_.use_elem_rank) {
+        score *= (1.0 - blend) + blend * record.elem_ranks()[unit];
+      }
+      units.push_back({records.base[r] + unit, score});
+      const DeweyRef id = record.dewey(unit);
+      shape.Add(prev, id);
+      prev = id;
+    }
   }
+  UnitList list;
+  list.units.assign(units.begin(), units.end());
   list.arena_words = shape.arena_words;
+  return list;
 }
 
 FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists,
@@ -483,17 +469,18 @@ FlatDil CorpusIndex::FreezeLists(const std::vector<UnitList>& lists,
   return std::move(builder).Finish();
 }
 
-DilListRef CorpusIndex::GetListRef(const Keyword& keyword) const {
-  auto [dil, list] = ResolveList(keyword);
+DilListRef CorpusIndex::GetListRef(const Keyword& keyword,
+                                   size_t* lists_built) const {
+  auto [dil, list] = ResolveList(keyword, lists_built);
   return DilListRef::OverFlat(*dil, list);
 }
 
 std::pair<const FlatDil*, uint32_t> CorpusIndex::ResolveList(
-    const Keyword& keyword) const {
+    const Keyword& keyword, size_t* lists_built) const {
   std::string canonical = keyword.Canonical();
   uint32_t list = flat_.FindList(canonical);
   if (list != FlatDil::kNoList) return {&flat_, list};
-  return {DemandList(keyword, canonical), 0};
+  return {DemandList(keyword, canonical, lists_built), 0};
 }
 
 namespace {
@@ -514,7 +501,8 @@ const FlatDil& EmptyList() {
 }  // namespace
 
 const FlatDil* CorpusIndex::DemandList(const Keyword& keyword,
-                                       const std::string& canonical) const {
+                                       const std::string& canonical,
+                                       size_t* lists_built) const {
   {
     MutexLock lock(demand_mutex_);
     auto it = demand_.find(canonical);
@@ -525,12 +513,11 @@ const FlatDil* CorpusIndex::DemandList(const Keyword& keyword,
   // Build outside the lock (the expensive part is read-only); a racing
   // thread may build the same list, in which case the first insert wins
   // and the duplicate work is discarded.
+  if (lists_built != nullptr) ++*lists_built;
   std::unique_ptr<const FlatDil> built;
-  std::vector<UnitList> lists(1);
-  lists[0].units = ScoreUnits(keyword);
+  std::vector<UnitList> lists{ScoreUnits(keyword)};
   if (!lists[0].units.empty()) {
     lists[0].canonical = canonical;
-    MeasureList(lists[0]);
     built = std::make_unique<const FlatDil>(FreezeLists(lists, nullptr));
   }
   MutexLock lock(demand_mutex_);

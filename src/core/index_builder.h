@@ -218,7 +218,11 @@ class CorpusIndex {
   /// list of flat_dil() — zero copies, no lock; anything else (phrases,
   /// out-of-vocabulary tokens) is built once into the demand cache as a
   /// one-list FlatDil. This is the serving path's entry point.
-  DilListRef GetListRef(const Keyword& keyword) const
+  /// `lists_built`, if non-null, is incremented when this call ran a
+  /// demand build (a keyword matching nothing counts too: its settle and
+  /// scoring ran).
+  DilListRef GetListRef(const Keyword& keyword,
+                        size_t* lists_built = nullptr) const
       XO_EXCLUDES(demand_mutex_);
 
   /// The precomputed vocabulary's flat serving representation.
@@ -255,7 +259,7 @@ class CorpusIndex {
     double score;  ///< NS(w, v) (Eq. 5), ElemRank blend applied
   };
   /// A keyword's list in unit form, keyed by its canonical string, with
-  /// the Dewey arena words its frozen form takes (MeasureList).
+  /// the Dewey arena words its frozen form takes.
   struct UnitList {
     std::string canonical;
     std::vector<UnitScore> units;
@@ -295,14 +299,13 @@ class CorpusIndex {
   void Precompute(std::vector<std::vector<std::string>> corpus_vocabularies,
                   ThreadPool& pool);
   /// The keyword's postings in unit form, sorted by unit id — which is
-  /// Dewey order, since units are numbered in document order. Stage 3's
-  /// one build path: precomputed and demand-built lists both start here.
-  /// The OntoScore rows come through the context's row cache, so snapshot
-  /// rebuilds share them.
-  std::vector<UnitScore> ScoreUnits(const Keyword& keyword) const;
-  /// Records the arena words `list` takes once frozen (its shape's one
-  /// data-dependent extent), walking its units' addresses.
-  void MeasureList(UnitList& list) const;
+  /// Dewey order, since units are numbered in document order — and the
+  /// arena words they take once frozen, measured in the same walk; the
+  /// canonical key is left to the caller. Stage 3's one build path:
+  /// precomputed and demand-built lists both start here. The OntoScore
+  /// rows come through the context's row cache, so snapshot rebuilds share
+  /// them.
+  UnitList ScoreUnits(const Keyword& keyword) const;
   /// Freezes measured `lists` (sorted by keyword, unique) into one
   /// FlatDil: the columns are sized once from the lists' shapes, then
   /// every list writes its own slice — in chunks of lists on `pool`, or
@@ -312,20 +315,17 @@ class CorpusIndex {
 
   /// The flat dil and list index serving `keyword`: the precomputed list,
   /// or the demand-built one (built and cached on first request).
-  std::pair<const FlatDil*, uint32_t> ResolveList(const Keyword& keyword)
-      const XO_EXCLUDES(demand_mutex_);
-  /// The cached demand-built list for `canonical`, building it on first
-  /// request; never null (a keyword matching nothing maps to a shared
-  /// empty list). The list is index 0 of the returned dil.
-  const FlatDil* DemandList(const Keyword& keyword,
-                            const std::string& canonical) const
+  std::pair<const FlatDil*, uint32_t> ResolveList(const Keyword& keyword,
+                                                  size_t* lists_built) const
       XO_EXCLUDES(demand_mutex_);
-
-  /// Stage-1 matches for `keyword` across the whole corpus, sorted by
-  /// (global) unit id: the records' matches concatenated, which is already
-  /// sorted because records are in document order.
-  std::vector<ScoredUnit> LookupUnits(const Keyword& keyword,
-                                      const Records& records) const;
+  /// The cached demand-built list for `canonical`, building it on first
+  /// request (and counting that build in `lists_built`, if non-null);
+  /// never null (a keyword matching nothing maps to a shared empty list).
+  /// The list is index 0 of the returned dil.
+  const FlatDil* DemandList(const Keyword& keyword,
+                            const std::string& canonical,
+                            size_t* lists_built) const
+      XO_EXCLUDES(demand_mutex_);
 
   const Corpus* corpus_;
   std::shared_ptr<const OntologyContext> context_;

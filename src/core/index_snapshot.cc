@@ -78,14 +78,14 @@ const CorpusIndex* IndexSnapshot::SegmentIndexForDoc(uint32_t doc_id) const {
 }
 
 std::vector<std::vector<DilListRef>> IndexSnapshot::CollectSegmentLists(
-    const KeywordQuery& query) const {
+    const KeywordQuery& query, size_t* lists_built) const {
   std::vector<std::vector<DilListRef>> segment_lists;
   segment_lists.reserve(segments_.size());
   for (const auto& segment : segments_) {
     std::vector<DilListRef> lists;
     lists.reserve(query.size());
     for (const Keyword& kw : query.keywords) {
-      lists.push_back(segment->index().GetListRef(kw));
+      lists.push_back(segment->index().GetListRef(kw, lists_built));
     }
     segment_lists.push_back(std::move(lists));
   }
@@ -114,8 +114,11 @@ SearchResponse IndexSnapshot::Search(const KeywordQuery& query,
     }
   }
 
+  const double resolve_start = timer.ElapsedMicros();
   std::vector<std::vector<DilListRef>> segment_lists =
-      CollectSegmentLists(query);
+      CollectSegmentLists(query, &response.stats.lists_built);
+  const double merge_start = timer.ElapsedMicros();
+  response.stats.resolve_micros = merge_start - resolve_start;
   ExecuteStats exec_stats;
   ThreadPool* pool =
       options.parallelism == 1 ? nullptr : &ThreadPool::Shared();
@@ -125,6 +128,7 @@ SearchResponse IndexSnapshot::Search(const KeywordQuery& query,
   response.results =
       processor_.ExecuteSegments(segment_lists, options.top_k, shards, pool,
                                  &exec_stats, options.pruning);
+  response.stats.merge_micros = timer.ElapsedMicros() - merge_start;
   response.stats.postings_scanned = exec_stats.postings_scanned;
   response.stats.shards = exec_stats.shards;
   response.stats.postings_scored = exec_stats.postings_scored;

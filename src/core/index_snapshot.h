@@ -101,9 +101,10 @@ class IndexSnapshot {
  private:
   /// One list vector per segment, same keyword order in each. Precomputed
   /// keywords resolve to their flat lists (no lock); the rest to one-list
-  /// flat dils in the demand cache.
+  /// flat dils in the demand cache; each demand build is counted in
+  /// `lists_built`.
   std::vector<std::vector<DilListRef>> CollectSegmentLists(
-      const KeywordQuery& query) const;
+      const KeywordQuery& query, size_t* lists_built) const;
 
   std::shared_ptr<const OntologyContext> context_;
   IndexBuildOptions options_;

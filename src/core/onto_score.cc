@@ -1,9 +1,9 @@
 #include "core/onto_score.h"
 
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -13,31 +13,13 @@ namespace xontorank {
 
 namespace {
 
-/// Node key of the implicit DL-view state space: atomic concepts keep their
-/// id; existential role restrictions ∃r.t get a tagged composite key.
-using StateKey = uint64_t;
-
-constexpr StateKey kRestrictionTag = 1ULL << 63;
-
-StateKey ConceptKey(ConceptId c) { return c; }
-
-StateKey RestrictionKey(RelationTypeId role, ConceptId target) {
-  return kRestrictionTag | (static_cast<uint64_t>(role) << 32) | target;
-}
-
-bool IsRestriction(StateKey key) { return (key & kRestrictionTag) != 0; }
-
-RelationTypeId RoleOfKey(StateKey key) {
-  return static_cast<RelationTypeId>((key >> 32) & 0x7fffffffULL);
-}
-
-ConceptId TargetOfKey(StateKey key) {
-  return static_cast<ConceptId>(key & 0xffffffffULL);
-}
+/// A state of the expansion's dense state space: a concept c is state c,
+/// anything else (a restriction ∃r.t) a state >= the concept count.
+using State = uint32_t;
 
 struct QueueEntry {
   double score;
-  StateKey key;
+  State state;
   bool operator<(const QueueEntry& other) const {
     return score < other.score;  // max-heap on score
   }
@@ -53,35 +35,45 @@ struct SettledConcepts {
 constexpr double kUnsettled = -1.0;  // scores are never negative
 
 /// Generic merged multi-source best-first expansion over an implicit graph
-/// of `concept_count` concepts plus restriction states. `expand(key, score,
-/// push)` must push every neighbor with its transferred score. Every
-/// transfer factor must be ≤ 1, which makes best-first settlement correct
-/// for the max-product semiring: the first time a state pops it carries its
-/// maximum attainable score. Concepts are marked settled in a dense array;
-/// restriction states, which only relay scores, in a hash set.
+/// of `state_count` dense states, the first `concept_count` of which are
+/// the concepts. `expand(state, score, push)` must push every neighbor
+/// with its transferred score. Every transfer factor must be ≤ 1, which
+/// makes best-first settlement correct for the max-product semiring: the
+/// first time a state pops it carries its maximum attainable score.
+/// Concepts are marked settled by their score, the other states (which
+/// only relay scores) in a flag array. The heap compares scores only, so
+/// the same pushes in the same order settle the same concepts in the same
+/// order, ties included.
 template <typename ExpandFn>
 SettledConcepts Settle(const std::vector<ScoredConcept>& seeds,
-                       size_t concept_count, double threshold,
-                       const ExpandFn& expand,
+                       size_t concept_count, size_t state_count,
+                       double threshold, const ExpandFn& expand,
                        size_t max_settled_concepts = 0) {
-  std::priority_queue<QueueEntry> queue;
+  std::vector<QueueEntry> heap;
+  heap.reserve(state_count);
+  std::priority_queue<QueueEntry> queue(std::less<QueueEntry>(),
+                                        std::move(heap));
   for (const ScoredConcept& seed : seeds) {
-    if (seed.irs >= threshold) queue.push({seed.irs, ConceptKey(seed.concept_id)});
+    if (seed.irs >= threshold) queue.push({seed.irs, seed.concept_id});
   }
   if (queue.empty()) return {};
   SettledConcepts settled{std::vector<double>(concept_count, kUnsettled), {}};
-  std::unordered_set<StateKey> settled_restrictions;
-  auto is_settled = [&](StateKey key) {
-    if (IsRestriction(key)) return settled_restrictions.count(key) > 0;
-    XO_DCHECK_LT(key, concept_count);
-    return settled.scores[key] != kUnsettled;
+  std::vector<uint8_t> settled_relays(state_count - concept_count, 0);
+  auto is_settled = [&](State state) {
+    XO_DCHECK_LT(state, state_count);
+    return state < concept_count
+               ? settled.scores[state] != kUnsettled
+               : settled_relays[state - concept_count] != 0;
+  };
+  auto push = [&](State state, double score) {
+    if (score >= threshold && !is_settled(state)) queue.push({score, state});
   };
   while (!queue.empty()) {
-    QueueEntry top = queue.top();
+    const QueueEntry top = queue.top();
     queue.pop();
-    if (is_settled(top.key)) continue;  // Observation 1: merge & halt
-    if (IsRestriction(top.key)) {
-      settled_restrictions.insert(top.key);
+    if (is_settled(top.state)) continue;  // Observation 1: merge & halt
+    if (top.state >= concept_count) {
+      settled_relays[top.state - concept_count] = 1;
     } else {
       // §IX approximation: nodes settle in descending score order, so
       // stopping after N concepts keeps exactly the top-N of the exact map.
@@ -89,13 +81,10 @@ SettledConcepts Settle(const std::vector<ScoredConcept>& seeds,
           settled.order.size() >= max_settled_concepts) {
         break;
       }
-      settled.scores[top.key] = top.score;
-      settled.order.push_back(TargetOfKey(top.key));
+      settled.scores[top.state] = top.score;
+      settled.order.push_back(top.state);
     }
-    auto push = [&](StateKey key, double score) {
-      if (score >= threshold && !is_settled(key)) queue.push({score, key});
-    };
-    expand(top.key, top.score, push);
+    expand(top.state, top.score, push);
   }
   return settled;
 }
@@ -117,23 +106,30 @@ OntoScoreRow ToRow(SettledConcepts settled) {
   return std::move(settled.scores);
 }
 
+/// Graph transfer: every edge, either direction, costs `decay`.
+template <typename PushFn>
+void ExpandGraph(const Ontology& onto, ConceptId c, double score,
+                 double decay, const PushFn& push) {
+  const double next = score * decay;
+  for (ConceptId p : onto.Parents(c)) push(p, next);
+  for (ConceptId ch : onto.Children(c)) push(ch, next);
+  for (const ConceptRelationship& rel : onto.OutRelationships(c)) {
+    push(rel.target, next);
+  }
+  for (const ConceptRelationship& rel : onto.InRelationships(c)) {
+    push(rel.source, next);
+  }
+}
+
 SettledConcepts SettleGraph(const OntologyIndex& index, const Keyword& keyword,
                             const ScoreOptions& options) {
   const Ontology& onto = index.ontology();
-  auto expand = [&](StateKey key, double score, const auto& push) {
-    ConceptId c = TargetOfKey(key);
-    double next = score * options.decay;
-    for (ConceptId p : onto.Parents(c)) push(ConceptKey(p), next);
-    for (ConceptId ch : onto.Children(c)) push(ConceptKey(ch), next);
-    for (const ConceptRelationship& rel : onto.OutRelationships(c)) {
-      push(ConceptKey(rel.target), next);
-    }
-    for (const ConceptRelationship& rel : onto.InRelationships(c)) {
-      push(ConceptKey(rel.source), next);
-    }
+  auto expand = [&](State c, double score, const auto& push) {
+    ExpandGraph(onto, c, score, options.decay, push);
   };
-  return Settle(index.Match(keyword), index.ontology().concept_count(),
-                options.threshold, expand, options.max_concepts_per_keyword);
+  return Settle(index.Match(keyword), onto.concept_count(),
+                onto.concept_count(), options.threshold, expand,
+                options.max_concepts_per_keyword);
 }
 
 /// Taxonomy transfer: downward (super→sub) full, upward damped by the
@@ -142,11 +138,11 @@ template <typename PushFn>
 void ExpandTaxonomic(const Ontology& onto, ConceptId c, double score,
                      const PushFn& push) {
   for (ConceptId ch : onto.Children(c)) {
-    push(ConceptKey(ch), score);  // factor 1
+    push(ch, score);  // factor 1
   }
   for (ConceptId p : onto.Parents(c)) {
     size_t fanout = onto.Children(p).size();
-    push(ConceptKey(p), score / static_cast<double>(fanout == 0 ? 1 : fanout));
+    push(p, score / static_cast<double>(fanout == 0 ? 1 : fanout));
   }
 }
 
@@ -154,45 +150,49 @@ SettledConcepts SettleTaxonomy(const OntologyIndex& index,
                                const Keyword& keyword,
                                const ScoreOptions& options) {
   const Ontology& onto = index.ontology();
-  auto expand = [&](StateKey key, double score, const auto& push) {
-    ExpandTaxonomic(onto, TargetOfKey(key), score, push);
+  auto expand = [&](State c, double score, const auto& push) {
+    ExpandTaxonomic(onto, c, score, push);
   };
-  return Settle(index.Match(keyword), index.ontology().concept_count(),
-                options.threshold, expand, options.max_concepts_per_keyword);
+  return Settle(index.Match(keyword), onto.concept_count(),
+                onto.concept_count(), options.threshold, expand,
+                options.max_concepts_per_keyword);
 }
 
+/// States: the concepts, then restriction ∃r.t (OntologyIndex's dense id
+/// q) at concept_count + q.
 SettledConcepts SettleRelationships(const OntologyIndex& index,
                                     const Keyword& keyword,
                                     const ScoreOptions& options) {
   const Ontology& onto = index.ontology();
-  auto expand = [&](StateKey key, double score, const auto& push) {
-    if (IsRestriction(key)) {
+  const auto concepts = static_cast<State>(onto.concept_count());
+  auto expand = [&](State state, double score, const auto& push) {
+    if (state >= concepts) {
       // ∃r.t — dotted link to the filler, is-a down to every source of r.
-      RelationTypeId role = RoleOfKey(key);
-      ConceptId target = TargetOfKey(key);
-      push(ConceptKey(target), score * options.decay);  // dotted link
-      for (ConceptId source : index.RelationSources(target, role)) {
-        push(ConceptKey(source), score);  // factor 1
+      const uint32_t restriction = state - concepts;
+      push(index.RestrictionTarget(restriction),
+           score * options.decay);  // dotted link
+      for (ConceptId source : index.RestrictionSources(restriction)) {
+        push(source, score);  // factor 1
       }
       return;
     }
-    ConceptId c = TargetOfKey(key);
-    ExpandTaxonomic(onto, c, score, push);
+    ExpandTaxonomic(onto, state, score, push);
     // Is-a up into each restriction c belongs to: c ⊑ ∃r.t for r(c, t),
     // damped by the restriction's in-degree (at least 1: r(c, t) itself).
-    const std::vector<ConceptRelationship>& out = onto.OutRelationships(c);
-    const std::span<const uint32_t> indegrees = index.OutRelationInDegrees(c);
+    const std::span<const uint32_t> out = index.OutRestrictions(state);
+    const std::span<const uint32_t> indegrees =
+        index.OutRelationInDegrees(state);
     for (size_t i = 0; i < out.size(); ++i) {
-      push(RestrictionKey(out[i].type, out[i].target),
-           score / static_cast<double>(indegrees[i]));
+      push(concepts + out[i], score / static_cast<double>(indegrees[i]));
     }
     // Dotted link from c into each restriction ∃r.c over c.
-    for (const ConceptRelationship& rel : onto.InRelationships(c)) {
-      push(RestrictionKey(rel.type, c), score * options.decay);
+    for (uint32_t restriction : index.InRestrictions(state)) {
+      push(concepts + restriction, score * options.decay);
     }
   };
-  return Settle(index.Match(keyword), index.ontology().concept_count(),
-                options.threshold, expand, options.max_concepts_per_keyword);
+  return Settle(index.Match(keyword), concepts,
+                concepts + index.restriction_count(), options.threshold,
+                expand, options.max_concepts_per_keyword);
 }
 
 /// The keyword's expansion under `strategy`; nothing settles under XRANK.
@@ -230,30 +230,22 @@ OntoScoreMap ComputeRelationshipScoresOnDlView(const DlView& view,
                                                const OntologyIndex& index,
                                                const Keyword& keyword,
                                                const ScoreOptions& options) {
-  // States are DlNodeIds; reuse the generic settle loop with keys = node id
-  // (atomic node ids coincide with concept ids, so concept states settle as
-  // concepts if we tag restriction ids).
-  auto expand = [&](StateKey key, double score, const auto& push) {
-    DlNodeId node = static_cast<DlNodeId>(
-        IsRestriction(key) ? (key & 0x7fffffffULL) : key);
-    auto key_of = [&](DlNodeId n) -> StateKey {
-      return view.IsAtomic(n) ? ConceptKey(view.ConceptOf(n))
-                              : (kRestrictionTag | n);
-    };
+  // States are DlNodeIds: atomic nodes occupy [0, concept_count) with the
+  // concept's id, restriction nodes follow.
+  auto expand = [&](State node, double score, const auto& push) {
     for (DlNodeId child : view.IsAChildren(node)) {
-      push(key_of(child), score);  // downward, factor 1
+      push(child, score);  // downward, factor 1
     }
     for (DlNodeId parent : view.IsAParents(node)) {
       size_t fanout = view.IsAChildren(parent).size();
-      push(key_of(parent),
-           score / static_cast<double>(fanout == 0 ? 1 : fanout));
+      push(parent, score / static_cast<double>(fanout == 0 ? 1 : fanout));
     }
     for (DlNodeId dotted : view.DottedNeighbors(node)) {
-      push(key_of(dotted), score * options.decay);
+      push(dotted, score * options.decay);
     }
   };
   return ToMap(Settle(index.Match(keyword), index.ontology().concept_count(),
-                      options.threshold, expand,
+                      view.node_count(), options.threshold, expand,
                       options.max_concepts_per_keyword));
 }
 
@@ -261,22 +253,14 @@ OntoScoreMap ComputeGraphScoresIndependent(const OntologyIndex& index,
                                            const Keyword& keyword,
                                            const ScoreOptions& options) {
   const Ontology& onto = index.ontology();
+  auto expand = [&](State c, double score, const auto& push) {
+    ExpandGraph(onto, c, score, options.decay, push);
+  };
   OntoScoreMap combined;
   for (const ScoredConcept& seed : index.Match(keyword)) {
-    auto expand = [&](StateKey key, double score, const auto& push) {
-      ConceptId c = TargetOfKey(key);
-      double next = score * options.decay;
-      for (ConceptId p : onto.Parents(c)) push(ConceptKey(p), next);
-      for (ConceptId ch : onto.Children(c)) push(ConceptKey(ch), next);
-      for (const ConceptRelationship& rel : onto.OutRelationships(c)) {
-        push(ConceptKey(rel.target), next);
-      }
-      for (const ConceptRelationship& rel : onto.InRelationships(c)) {
-        push(ConceptKey(rel.source), next);
-      }
-    };
-    OntoScoreMap one = ToMap(Settle({seed}, onto.concept_count(),
-                                    options.threshold, expand));
+    OntoScoreMap one =
+        ToMap(Settle({seed}, onto.concept_count(), onto.concept_count(),
+                     options.threshold, expand));
     for (const auto& [c, score] : one) {
       auto [it, inserted] = combined.emplace(c, score);
       if (!inserted && score > it->second) it->second = score;

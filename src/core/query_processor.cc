@@ -160,7 +160,7 @@ class CursorMerger {
     if (top_k_ == 0 || results_.size() < top_k_) return true;
     const QueryResult& worst = results_.front();
     if (total != worst.score) return total > worst.score;
-    return CompareDewey(DeweyRef(path_.data(), path_.size()),
+    return CompareDewey(DeweyRef(path_.data(), depth_),
                         DeweyRef(worst.element)) < 0;
   }
 
@@ -218,23 +218,30 @@ class CursorMerger {
 
   void Consume(DeweyRef dewey, double score, size_t keyword) {
     size_t common = 0;
-    while (common < path_.size() && common < dewey.size() &&
+    while (common < depth_ && common < dewey.size() &&
            path_[common] == dewey[common]) {
       ++common;
     }
     PopTo(common);
-    while (path_.size() < dewey.size()) {
-      path_.push_back(dewey[path_.size()]);
-      emitted_.push_back(0);
-      scores_.resize(scores_.size() + num_keywords_, 0.0);
+    if (dewey.size() > path_.size()) {
+      // The frame arrays only grow, to the deepest frame seen.
+      path_.resize(dewey.size());
+      emitted_.resize(dewey.size());
+      scores_.resize(dewey.size() * num_keywords_);
     }
-    double& slot = scores_[(path_.size() - 1) * num_keywords_ + keyword];
+    for (; depth_ < dewey.size(); ++depth_) {
+      path_[depth_] = dewey[depth_];
+      emitted_[depth_] = 0;
+      std::fill_n(scores_.data() + depth_ * num_keywords_, num_keywords_,
+                  0.0);
+    }
+    double& slot = scores_[(depth_ - 1) * num_keywords_ + keyword];
     if (score > slot) slot = score;
   }
 
   void PopTo(size_t depth) {
-    while (path_.size() > depth) {
-      size_t f = path_.size() - 1;
+    while (depth_ > depth) {
+      size_t f = depth_ - 1;
       double* frame = scores_.data() + f * num_keywords_;
       bool has_all = true;
       double total = 0.0;
@@ -250,8 +257,8 @@ class CursorMerger {
       // ancestors must not become results either (Eq. 1 minimality).
       if (emit && EntersOutput(total)) {
         QueryResult result;
-        result.element =
-            DeweyId(std::vector<uint32_t>(path_.begin(), path_.end()));
+        result.element = DeweyId(
+            std::vector<uint32_t>(path_.data(), path_.data() + depth_));
         result.score = total;
         result.keyword_scores.assign(frame, frame + num_keywords_);
         Emit(std::move(result));
@@ -264,15 +271,16 @@ class CursorMerger {
         }
         if (emit || emitted_[f] != 0) emitted_[f - 1] = 1;
       }
-      path_.pop_back();
-      emitted_.pop_back();
-      scores_.resize(scores_.size() - num_keywords_);
+      depth_ = f;
     }
   }
 
   std::vector<DilCursor>& cursors_;
   ScoreOptions options_;
   size_t num_keywords_;
+  // The frame stack: frames [0, depth_) are live; the arrays are sized to
+  // the deepest frame seen, so a push or pop never touches the allocator.
+  size_t depth_ = 0;
   std::vector<uint32_t> path_;     ///< current stack's Dewey components
   std::vector<uint8_t> emitted_;   ///< per-frame descendant-emitted flag
   std::vector<double> scores_;     ///< depth × num_keywords_ score matrix

@@ -53,6 +53,17 @@ struct QueryStats {
   /// End-to-end wall time of the call, microseconds.
   double wall_micros = 0.0;
 
+  // Phase split of an uncached call (all 0 on a cache hit); the phases
+  // are disjoint parts of wall_micros.
+  /// Resolving every keyword's list in every segment, including the
+  /// demand builds (and their OntoScore settles) this call ran.
+  double resolve_micros = 0.0;
+  /// The merge over the resolved lists (ExecuteSegments).
+  double merge_micros = 0.0;
+  /// Demand-list builds this call ran: one per keyword and segment that
+  /// had not built that keyword's list before.
+  size_t lists_built = 0;
+
   // Work counters of the DIL merge (0 on a cache hit).
   /// Postings actually decoded and scored; under block-max pruning this is
   /// postings_scanned minus everything leapfrogged.

@@ -1,6 +1,7 @@
 #include "ir/text_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <tuple>
 
@@ -62,10 +63,16 @@ void TextIndex::Finalize() {
   term_arena_.reserve(chars);
   term_offsets_.reserve(terms + 1);
   term_offsets_.push_back(0);
+  term_filter_.assign(
+      std::bit_ceil(std::max<size_t>(
+          1, (terms * kFilterBitsPerTerm + 63) / 64)),
+      0);
   for (uint32_t id : order) {
     term_arena_.insert(term_arena_.end(), spelling[id]->begin(),
                        spelling[id]->end());
     term_offsets_.push_back(static_cast<uint32_t>(term_arena_.size()));
+    const uint64_t hash = std::hash<std::string_view>{}(*spelling[id]);
+    term_filter_[FilterWord(hash)] |= FilterMask(hash);
   }
 
   // Counting sort of the occurrences by term rank. It is stable, so each
@@ -145,8 +152,15 @@ void TextIndex::Finalize() {
   finalized_ = true;
 }
 
+bool TextIndex::MayContain(std::string_view token) const {
+  const uint64_t hash = std::hash<std::string_view>{}(token);
+  const uint64_t mask = FilterMask(hash);
+  return (term_filter_[FilterWord(hash)] & mask) == mask;
+}
+
 std::pair<uint32_t, uint32_t> TextIndex::FindPostings(
     std::string_view token) const {
+  if (!MayContain(token)) return {0, 0};
   size_t lo = 0;
   size_t hi = term_postings_.size() - 1;
   while (lo < hi) {
@@ -270,9 +284,10 @@ size_t TextIndex::MemoryBytes() const {
   auto bytes = [](const auto& column) {
     return column.capacity() * sizeof(column[0]);
   };
-  return bytes(term_arena_) + bytes(term_offsets_) + bytes(term_postings_) +
-         bytes(posting_units_) + bytes(posting_positions_) +
-         bytes(positions_) + bytes(unit_lengths_);
+  return bytes(term_arena_) + bytes(term_offsets_) + bytes(term_filter_) +
+         bytes(term_postings_) + bytes(posting_units_) +
+         bytes(posting_positions_) + bytes(positions_) +
+         bytes(unit_lengths_);
 }
 
 }  // namespace xontorank

@@ -9,46 +9,44 @@ OntologyIndex::OntologyIndex(const Ontology& ontology, Bm25Params params)
   }
   index_.Finalize();
 
+  // Restrictions first, target by target: each of t's roles becomes one
+  // restriction, with its sources grouped in InRelationships(t) order.
   const size_t concepts = ontology.concept_count();
-  out_begin_.reserve(concepts + 1);
   in_begin_.reserve(concepts + 1);
-  out_begin_.push_back(0);
   in_begin_.push_back(0);
-  for (ConceptId c = 0; c < concepts; ++c) {
-    for (const ConceptRelationship& rel : ontology.OutRelationships(c)) {
-      out_indegrees_.push_back(static_cast<uint32_t>(
-          ontology.RelationInDegree(rel.target, rel.type)));
-    }
-    out_begin_.push_back(static_cast<uint32_t>(out_indegrees_.size()));
-    // Group c's incoming relationships by role, keeping their order.
-    const size_t first_role = in_roles_.size();
-    const std::vector<ConceptRelationship>& in = ontology.InRelationships(c);
+  std::vector<uint32_t> first_restriction;  // of each target
+  first_restriction.reserve(concepts);
+  for (ConceptId t = 0; t < concepts; ++t) {
+    first_restriction.push_back(static_cast<uint32_t>(restrictions_.size()));
+    const std::vector<ConceptRelationship>& in = ontology.InRelationships(t);
     for (const ConceptRelationship& rel : in) {
-      bool seen = false;
-      for (size_t r = first_role; r < in_roles_.size() && !seen; ++r) {
-        seen = in_roles_[r].role == rel.type;
-      }
-      if (seen) continue;
+      uint32_t r = first_restriction.back();
+      while (r < restrictions_.size() && restrictions_[r].role != rel.type) ++r;
+      in_restrictions_.push_back(r);
+      if (r < restrictions_.size()) continue;
       const auto begin = static_cast<uint32_t>(in_sources_.size());
       for (const ConceptRelationship& same : in) {
         if (same.type == rel.type) in_sources_.push_back(same.source);
       }
-      in_roles_.push_back(
-          {rel.type, begin, static_cast<uint32_t>(in_sources_.size())});
+      restrictions_.push_back({rel.type, t, begin,
+                               static_cast<uint32_t>(in_sources_.size())});
     }
-    in_begin_.push_back(static_cast<uint32_t>(in_roles_.size()));
+    in_begin_.push_back(static_cast<uint32_t>(in_restrictions_.size()));
   }
-}
 
-std::span<const ConceptId> OntologyIndex::RelationSources(
-    ConceptId target, RelationTypeId role) const {
-  for (uint32_t r = in_begin_[target]; r < in_begin_[target + 1]; ++r) {
-    const RoleSources& run = in_roles_[r];
-    if (run.role == role) {
-      return {in_sources_.data() + run.begin, run.end - run.begin};
+  out_begin_.reserve(concepts + 1);
+  out_begin_.push_back(0);
+  for (ConceptId c = 0; c < concepts; ++c) {
+    for (const ConceptRelationship& rel : ontology.OutRelationships(c)) {
+      out_indegrees_.push_back(static_cast<uint32_t>(
+          ontology.RelationInDegree(rel.target, rel.type)));
+      // r(c, t) is one of t's in-relationships, so ∃r.t exists.
+      uint32_t r = first_restriction[rel.target];
+      while (restrictions_[r].role != rel.type) ++r;
+      out_restrictions_.push_back(r);
     }
+    out_begin_.push_back(static_cast<uint32_t>(out_indegrees_.size()));
   }
-  return {};
 }
 
 std::vector<ScoredConcept> OntologyIndex::Match(const Keyword& keyword) const {

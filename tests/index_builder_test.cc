@@ -1,5 +1,11 @@
 #include "core/index_builder.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "cda/cda_generator.h"
 #include "gtest/gtest.h"
 #include "onto/snomed_fragment.h"
@@ -243,6 +249,135 @@ TEST(DocumentUnitsTest, FlatAddressesMatchPreorderElements) {
   }
   EXPECT_GT(units, corpus.size());
   EXPECT_EQ(units, index.stats().indexed_nodes);
+}
+
+// Eq. 5 written out naively for one keyword: for every unit of every
+// record, NS = max(IRS from the record's own TextIndex::Lookup, ω·OS from
+// ComputeOntoScores' hash-map row for a code unit), kept when positive,
+// then the ElemRank blend. Postings come out in document, then unit
+// order, which is Dewey order.
+std::vector<Posting> NaiveDemandList(const CorpusIndex& index,
+                                     const Keyword& keyword) {
+  const IndexBuildOptions& options = index.options();
+  std::vector<OntoScoreMap> rows(index.systems().size());
+  for (size_t system = 0; system < rows.size(); ++system) {
+    rows[system] = ComputeOntoScores(index.ontology_index(system), keyword,
+                                     options.strategy, options.score);
+  }
+  std::vector<Posting> postings;
+  for (const auto& record : index.documents()) {
+    std::vector<double> ns(record->unit_count(), 0.0);
+    for (const ScoredUnit& unit : record->text().Lookup(keyword)) {
+      ns[unit.unit_id] = unit.score;
+    }
+    for (const CodeUnit& code : record->code_units()) {
+      auto it = rows[code.system].find(code.concept_id);
+      if (it == rows[code.system].end()) continue;
+      ns[code.unit] =
+          std::max(ns[code.unit], options.score.ontology_weight * it->second);
+    }
+    for (uint32_t u = 0; u < record->unit_count(); ++u) {
+      double score = ns[u];
+      if (score <= 0.0) continue;
+      if (options.use_elem_rank) {
+        score *= (1.0 - options.elem_rank_blend) +
+                 options.elem_rank_blend * record->elem_ranks()[u];
+      }
+      postings.push_back({record->dewey(u).ToDeweyId(), score});
+    }
+  }
+  return postings;
+}
+
+// Every demand-built list equals the naive Eq. 5 list bit for bit: each
+// vocabulary keyword (corpus and ontology tokens), a phrase and an
+// out-of-vocabulary word, under all four strategies, with and without the
+// ElemRank blend. The corpus must exercise the merge's edges: a code unit
+// that also matches textually, and textual postings before the corpus's
+// first code unit and after its last.
+TEST(DemandListOracleTest, EveryDemandListMatchesNaiveEq5) {
+  Ontology onto = BuildSnomedCardiologyFragment(false);
+  CdaGeneratorOptions gen_options;
+  gen_options.num_documents = 40;
+  gen_options.seed = 11;
+  Corpus corpus = CdaGenerator(onto, gen_options).GenerateCorpus();
+
+  std::vector<Keyword> keywords;
+  {
+    IndexBuildOptions options;
+    options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+    CorpusIndex probe(corpus, onto, options);
+    std::vector<std::string> vocabulary = probe.ontology_index().Vocabulary();
+    for (const auto& record : probe.documents()) {
+      std::vector<std::string> part = record->text().Vocabulary();
+      vocabulary.insert(vocabulary.end(), part.begin(), part.end());
+    }
+    std::sort(vocabulary.begin(), vocabulary.end());
+    vocabulary.erase(std::unique(vocabulary.begin(), vocabulary.end()),
+                     vocabulary.end());
+    for (const std::string& word : vocabulary) {
+      Keyword keyword = MakeKeyword(word);
+      if (!keyword.tokens.empty()) keywords.push_back(std::move(keyword));
+    }
+  }
+  ASSERT_GT(keywords.size(), 200u);
+  keywords.push_back(MakeKeyword("bronchial structure"));
+  keywords.push_back(MakeKeyword("zyxwvutsrq"));
+
+  bool code_unit_matches_text = false;
+  bool posting_before_first_code_unit = false;
+  bool posting_after_last_code_unit = false;
+  for (bool elem_rank : {false, true}) {
+    for (Strategy strategy : kAllStrategies) {
+      IndexBuildOptions options;
+      options.strategy = strategy;
+      options.use_elem_rank = elem_rank;
+      options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+      CorpusIndex index(corpus, onto, options);
+      const auto& records = index.documents();
+      const DeweyId first_code =
+          records.front()->dewey(records.front()->code_units().front().unit)
+              .ToDeweyId();
+      const DeweyId last_code =
+          records.back()->dewey(records.back()->code_units().back().unit)
+              .ToDeweyId();
+      size_t nonempty = 0;
+      for (const Keyword& keyword : keywords) {
+        const std::vector<Posting> expected = NaiveDemandList(index, keyword);
+        const std::vector<Posting> served = ServedPostings(index, keyword);
+        ASSERT_EQ(served.size(), expected.size())
+            << StrategyName(strategy) << " elem_rank " << elem_rank << " "
+            << keyword.Canonical();
+        for (size_t i = 0; i < served.size(); ++i) {
+          ASSERT_EQ(served[i].dewey, expected[i].dewey)
+              << keyword.Canonical() << " posting " << i;
+          ASSERT_EQ(std::bit_cast<uint64_t>(served[i].score),
+                    std::bit_cast<uint64_t>(expected[i].score))
+              << StrategyName(strategy) << " elem_rank " << elem_rank << " "
+              << keyword.Canonical() << " posting " << i;
+        }
+        nonempty += served.empty() ? 0 : 1;
+        if (served.empty()) continue;
+        posting_before_first_code_unit |= served.front().dewey < first_code;
+        posting_after_last_code_unit |= last_code < served.back().dewey;
+        if (strategy == Strategy::kXRank) continue;
+        for (const auto& record : records) {
+          const std::vector<ScoredUnit> text = record->text().Lookup(keyword);
+          for (const CodeUnit& code : record->code_units()) {
+            code_unit_matches_text |= std::ranges::any_of(
+                text, [&code](const ScoredUnit& unit) {
+                  return unit.unit_id == code.unit;
+                });
+          }
+        }
+      }
+      EXPECT_GT(nonempty, keywords.size() / 2) << StrategyName(strategy);
+      EXPECT_TRUE(ServedPostings(index, keywords.back()).empty());
+    }
+  }
+  EXPECT_TRUE(code_unit_matches_text);
+  EXPECT_TRUE(posting_before_first_code_unit);
+  EXPECT_TRUE(posting_after_last_code_unit);
 }
 
 }  // namespace

@@ -398,7 +398,10 @@ TEST(OntoScoreRowTest, DenseRowMatchesMapAtEveryConcept) {
 }
 
 // The Relationships expansion reads the adjacency OntologyIndex computes
-// once; it must agree with the ontology's own scans, in the same order.
+// once; it must agree with the ontology's own scans, in the same order:
+// one restriction per (role, target) with an incoming relationship, its
+// sources in InRelationships(target) order, and every relationship slot
+// naming its own restriction.
 TEST(OntologyIndexTest, PrecomputedRelationshipAdjacencyMatchesOntology) {
   OntologyGeneratorOptions gen;
   gen.num_concepts = 400;
@@ -407,30 +410,49 @@ TEST(OntologyIndexTest, PrecomputedRelationshipAdjacencyMatchesOntology) {
   Ontology onto = GenerateOntology(gen);
   OntologyIndex index(onto);
   size_t multi_role_targets = 0;
+  size_t restrictions = 0;
+  auto sources_of = [&onto](ConceptId target, RelationTypeId role) {
+    std::vector<ConceptId> sources;
+    for (const ConceptRelationship& rel : onto.InRelationships(target)) {
+      if (rel.type == role) sources.push_back(rel.source);
+    }
+    return sources;
+  };
   for (ConceptId c = 0; c < onto.concept_count(); ++c) {
     const std::vector<ConceptRelationship>& out = onto.OutRelationships(c);
     std::span<const uint32_t> indegrees = index.OutRelationInDegrees(c);
+    std::span<const uint32_t> out_restrictions = index.OutRestrictions(c);
     ASSERT_EQ(indegrees.size(), out.size());
+    ASSERT_EQ(out_restrictions.size(), out.size());
     for (size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(indegrees[i],
                 onto.RelationInDegree(out[i].target, out[i].type));
+      ASSERT_LT(out_restrictions[i], index.restriction_count());
+      EXPECT_EQ(index.RestrictionRole(out_restrictions[i]), out[i].type);
+      EXPECT_EQ(index.RestrictionTarget(out_restrictions[i]), out[i].target);
     }
+    const std::vector<ConceptRelationship>& in = onto.InRelationships(c);
+    std::span<const uint32_t> in_restrictions = index.InRestrictions(c);
+    ASSERT_EQ(in_restrictions.size(), in.size());
     std::set<RelationTypeId> roles;
-    for (const ConceptRelationship& rel : onto.InRelationships(c)) {
-      roles.insert(rel.type);
-    }
-    multi_role_targets += roles.size() > 1 ? 1 : 0;
-    for (RelationTypeId role = 0; role < onto.relation_type_count(); ++role) {
-      std::vector<ConceptId> expected;
-      for (const ConceptRelationship& rel : onto.InRelationships(c)) {
-        if (rel.type == role) expected.push_back(rel.source);
-      }
-      std::span<const ConceptId> sources = index.RelationSources(c, role);
+    std::set<uint32_t> ids;
+    for (size_t j = 0; j < in.size(); ++j) {
+      roles.insert(in[j].type);
+      ids.insert(in_restrictions[j]);
+      const uint32_t r = in_restrictions[j];
+      ASSERT_LT(r, index.restriction_count());
+      EXPECT_EQ(index.RestrictionRole(r), in[j].type);
+      EXPECT_EQ(index.RestrictionTarget(r), c);
+      std::span<const ConceptId> sources = index.RestrictionSources(r);
       EXPECT_EQ(std::vector<ConceptId>(sources.begin(), sources.end()),
-                expected)
-          << "target " << c << " role " << role;
+                sources_of(c, in[j].type))
+          << "target " << c << " role " << in[j].type;
     }
+    EXPECT_EQ(ids.size(), roles.size()) << "target " << c;
+    restrictions += roles.size();
+    multi_role_targets += roles.size() > 1 ? 1 : 0;
   }
+  EXPECT_EQ(index.restriction_count(), restrictions);
   EXPECT_GT(multi_role_targets, 0u);
 }
 
@@ -468,6 +490,62 @@ TEST(OntoScoreRowTest, ComputeDenseOntoScoresEqualsDenseMap) {
         }
       }
     }
+  }
+}
+
+// Bit-identity guard for the settle: a digest of every ontology-vocabulary
+// keyword's dense row (concept id and score bits of every reached concept,
+// in concept order) over the fragment plus 3,000 generated concepts (seed
+// 13, the Fig. 11 ontology), for each ontology-aware strategy, uncapped and
+// under the §IX cap. The expected values were recorded from the hash-set
+// settle the dense state space replaced; a change to push order, tie order
+// or the cap's cut shows up here.
+TEST(OntoScoreRowTest, SettleDigestsOverFig11OntologyArePinned) {
+  Ontology onto = BuildSnomedCardiologyFragment(false);
+  OntologyGeneratorOptions gen;
+  gen.num_concepts = 3000;
+  gen.seed = 13;
+  ExtendOntology(onto, gen);
+  OntologyIndex index(onto);
+  const std::vector<std::string> vocabulary = index.Vocabulary();
+  ASSERT_GT(vocabulary.size(), 1000u);
+
+  struct Case {
+    Strategy strategy;
+    size_t cap;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {Strategy::kGraph, 0, 0x437678781c02700cULL},
+      {Strategy::kGraph, 50, 0x726405791cc9e14fULL},
+      {Strategy::kTaxonomy, 0, 0x654f302d82e3a0c6ULL},
+      {Strategy::kTaxonomy, 50, 0xae797e2ab2a38292ULL},
+      {Strategy::kRelationships, 0, 0x51d58174b1235993ULL},
+      {Strategy::kRelationships, 50, 0x4a0fa3ff7470d2d5ULL},
+  };
+  for (const Case& c : cases) {
+    ScoreOptions options;
+    options.max_concepts_per_keyword = c.cap;
+    uint64_t digest = 14695981039346656037ULL;  // FNV-1a over 64-bit words
+    auto mix = [&digest](uint64_t word) {
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (word >> (8 * byte)) & 0xff;
+        digest *= 1099511628211ULL;
+      }
+    };
+    for (const std::string& word : vocabulary) {
+      const OntoScoreRow row = ComputeDenseOntoScores(
+          index, MakeKeyword(word), c.strategy, options);
+      mix(row.size());
+      for (ConceptId concept_id = 0; concept_id < row.size(); ++concept_id) {
+        if (row[concept_id] == 0.0) continue;
+        mix(concept_id);
+        mix(std::bit_cast<uint64_t>(row[concept_id]));
+      }
+    }
+    EXPECT_EQ(digest, c.digest)
+        << StrategyName(c.strategy) << " cap " << c.cap << " digest 0x"
+        << std::hex << digest;
   }
 }
 

@@ -152,6 +152,55 @@ TEST_F(SearchApiFixture, ParallelismIsAnExecutionHintOnly) {
   ExpectSameResults(expected, engine_->Search(query, automatic).results);
 }
 
+// The phase split: on a lazy engine the first query demand-builds one
+// list per keyword (inside resolve_micros); repeating it builds nothing.
+// The phases are disjoint parts of the wall time, and a cache hit or a
+// precomputed vocabulary reports no builds.
+TEST(SearchApiPhaseStatsTest, ResolveAndMergeSplitWallTime) {
+  Ontology onto = BuildTinyOntology();
+  std::vector<XmlDocument> corpus;
+  corpus.push_back(MustParse(TinyCdaXml(), 0));
+  IndexBuildOptions build;
+  build.strategy = Strategy::kRelationships;
+  build.vocabulary_mode = IndexBuildOptions::VocabularyMode::kNone;
+  XOntoRank engine(std::move(corpus), onto, build);
+  KeywordQuery query = ParseQuery("bronchus theophylline");
+  SearchOptions options;
+  options.top_k = 10;
+  options.use_cache = false;
+
+  SearchResponse first = engine.Search(query, options);
+  EXPECT_FALSE(first.results.empty());
+  EXPECT_EQ(first.stats.lists_built, 2u);
+  EXPECT_GT(first.stats.resolve_micros, 0.0);
+  EXPECT_GE(first.stats.merge_micros, 0.0);
+  EXPECT_LE(first.stats.resolve_micros + first.stats.merge_micros,
+            first.stats.wall_micros);
+
+  SearchResponse repeat = engine.Search(query, options);
+  EXPECT_EQ(repeat.stats.lists_built, 0u);
+  EXPECT_LE(repeat.stats.resolve_micros + repeat.stats.merge_micros,
+            repeat.stats.wall_micros);
+  ExpectSameResults(first.results, repeat.results);
+
+  options.use_cache = true;
+  engine.Search(query, options);
+  SearchResponse hit = engine.Search(query, options);
+  ASSERT_TRUE(hit.stats.cache_hit);
+  EXPECT_EQ(hit.stats.lists_built, 0u);
+  EXPECT_EQ(hit.stats.resolve_micros, 0.0);
+  EXPECT_EQ(hit.stats.merge_micros, 0.0);
+}
+
+TEST_F(SearchApiFixture, PrecomputedVocabularyBuildsNoLists) {
+  SearchOptions options;
+  options.use_cache = false;
+  SearchResponse response =
+      engine_->Search(ParseQuery("bronchus theophylline"), options);
+  EXPECT_FALSE(response.results.empty());
+  EXPECT_EQ(response.stats.lists_built, 0u);
+}
+
 TEST(SearchApiCacheDisabledTest, ZeroCapacityNeverHits) {
   Ontology onto = BuildTinyOntology();
   std::vector<XmlDocument> corpus;

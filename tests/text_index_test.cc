@@ -1,6 +1,7 @@
 #include "ir/text_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <string>
@@ -182,6 +183,12 @@ TEST(TextIndexTest, RawCountAdvancesPositionsExactly) {
   EXPECT_EQ(index.Lookup(MakeKeyword("patent ductus arteriosus")).size(), 1u);
 }
 
+/// Bytes of the term filter over `terms` terms: 8 bits per term, rounded
+/// up to a power-of-two number of 64-bit words (at least one).
+size_t FilterBytes(size_t terms) {
+  return 8 * std::bit_ceil(std::max<size_t>(1, (terms * 8 + 63) / 64));
+}
+
 TEST(TextIndexTest, MemoryBytesCountsExactSizeColumns) {
   TextIndex building;
   building.AddUnit(0, "beta alpha");
@@ -189,10 +196,35 @@ TEST(TextIndexTest, MemoryBytesCountsExactSizeColumns) {
 
   // Worked by hand: "alphabetagamma" (14 chars); 4 term offsets and 4
   // posting-range bounds; postings alpha{0,1} beta{0,1} gamma{1} (5 unit
-  // ids, 6 position-range bounds); 5 positions; 2 unit lengths. Any
-  // column with spare capacity would add to the total.
+  // ids, 6 position-range bounds); 5 positions; 2 unit lengths; one
+  // filter word. Any column with spare capacity would add to the total.
   TextIndex index = MakeIndex({"beta alpha", "alpha gamma beta"});
-  EXPECT_EQ(index.MemoryBytes(), 14 + 4 * (4 + 4 + 5 + 6 + 5 + 2));
+  EXPECT_EQ(index.MemoryBytes(), 14 + 4 * (4 + 4 + 5 + 6 + 5 + 2) + 8);
+}
+
+// The term filter in front of the arena search may pass an absent token
+// but must never reject a present one: over a few thousand terms, every
+// term is found, and no absent token is.
+TEST(TextIndexTest, TermFilterNeverHidesATerm) {
+  TextIndex index;
+  for (uint32_t u = 0; u < 500; ++u) {
+    std::string text;
+    for (uint32_t i = 0; i < 6; ++i) {
+      text += "term" + std::to_string((u * 7 + i * 131) % 3001) + "x ";
+    }
+    index.AddUnit(u, text);
+  }
+  index.Finalize();
+  const std::vector<std::string> vocabulary = index.Vocabulary();
+  ASSERT_GT(vocabulary.size(), 2000u);
+  for (const std::string& term : vocabulary) {
+    EXPECT_TRUE(index.ContainsTerm(term)) << term;
+    EXPECT_FALSE(index.Lookup(MakeKeyword(term)).empty()) << term;
+  }
+  for (uint32_t i = 0; i < 5000; ++i) {
+    const std::string absent = "absent" + std::to_string(i) + "y";
+    EXPECT_FALSE(index.ContainsTerm(absent)) << absent;
+  }
 }
 
 TEST(TextIndexTest, OutOfOrderUnitsFreezeToExactColumns) {
@@ -208,8 +240,9 @@ TEST(TextIndexTest, OutOfOrderUnitsFreezeToExactColumns) {
   EXPECT_EQ(UnitIds(index.Lookup(MakeKeyword("cough asthma"))),
             (std::vector<uint32_t>{7}));
   // "asthmacough"; 3 + 3 term bounds; postings asthma{7} cough{2,7} (3
-  // unit ids, 4 position-range bounds); 4 positions; lengths of 0..7.
-  EXPECT_EQ(index.MemoryBytes(), 11 + 4 * (3 + 3 + 3 + 4 + 4 + 8));
+  // unit ids, 4 position-range bounds); 4 positions; lengths of 0..7; one
+  // filter word.
+  EXPECT_EQ(index.MemoryBytes(), 11 + 4 * (3 + 3 + 3 + 4 + 4 + 8) + 8);
 }
 
 /// A unit's raw token stream: every kept token at its position, and the
@@ -309,7 +342,7 @@ TEST(TextIndexTest, LookupMatchesNaiveBm25OverGeneratedDocuments) {
               std::vector<std::string>(vocabulary.begin(), vocabulary.end()));
     // Exact-size columns: term characters, two bounds per term plus one,
     // a unit id and a position bound per (term, unit) pair plus one, a
-    // position per occurrence, a length per unit.
+    // position per occurrence, a length per unit, and the term filter.
     size_t chars = 0;
     for (const std::string& term : vocabulary) chars += term.size();
     size_t pairs = 0;
@@ -322,7 +355,8 @@ TEST(TextIndexTest, LookupMatchesNaiveBm25OverGeneratedDocuments) {
     }
     EXPECT_EQ(index.MemoryBytes(),
               chars + 4 * (2 * (vocabulary.size() + 1) + 2 * pairs + 1 +
-                           occurrences + units.size()));
+                           occurrences + units.size()) +
+                  FilterBytes(vocabulary.size()));
     std::vector<Keyword> keywords;
     for (const std::string& term : vocabulary) {
       keywords.push_back(MakeKeyword(term));
