@@ -16,12 +16,21 @@
 // set. It also times the settle alone at 30,320 concepts on a sample of
 // those keywords.
 //
-// Usage: bench_fig11_query_time [--smoke]
+// A third section times the warm merge on that lazy engine: per keyword
+// count, the 30 Fig. 11 queries once cold, then the best of 15 warm
+// passes, reporting postings scored and documents skipped per query (top
+// 10, block-max pruning) and the merge's nanoseconds per scored posting
+// (QueryStats::merge_micros over postings_scored).
+//
+// Usage: bench_fig11_query_time [--smoke | --warm]
+//   --warm   runs the warm-merge section only.
 //   --smoke  no timing: on 40 documents, checks every cold-set keyword's
 //            demand-built list against the eager build's list, posting by
 //            posting (reference::ReadList), and exits nonzero on any
 //            difference.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -49,6 +58,7 @@ constexpr size_t kColdDocuments = 400;
 constexpr size_t kExtraConcepts = 3000;
 constexpr uint64_t kQuerySeed = 97;
 constexpr int kColdRuns = 3;
+constexpr int kWarmPasses = 15;
 /// Synthetic concepts of the settle-only scale point (30,320 concepts).
 constexpr size_t kScaleExtraConcepts = 30000;
 /// Every n-th cold keyword is settled at the scale point.
@@ -183,6 +193,54 @@ void RunColdSplit() {
               timer.ElapsedMillis() / static_cast<double>(settled), settled);
 }
 
+/// The warm merge on the lazy engine, per keyword count.
+void RunWarmMerge() {
+  bench::ExperimentSetup setup(kColdDocuments, /*seed=*/11, kExtraConcepts);
+  XOntoRank engine(setup.generator->GenerateCorpus(), setup.search_ontology,
+                   LazyOptions());
+  std::printf("\nWARM MERGE — lazy engine (%zu documents, %zu concepts, "
+              "Relationships), top-%zu block-max, %zu queries/point, best of "
+              "%d passes\n\n",
+              kColdDocuments, setup.search_ontology.concept_count(), kTopK,
+              kQueriesPerLength, kWarmPasses);
+  std::printf("%-10s %16s %15s %15s %11s %14s\n", "#keywords",
+              "scored/query", "docs skipped/q", "merge ms/query", "ns/posting",
+              "M postings/s");
+  bench::PrintRule(86);
+  const SearchOptions options = bench::TimedSearch(kTopK);
+  for (size_t k = 1; k <= kMaxKeywords; ++k) {
+    std::vector<KeywordQuery> queries;
+    for (const WorkloadQuery& wq :
+         FixedLengthQueries(setup.ontology, k, kQueriesPerLength, kQuerySeed)) {
+      queries.push_back(ParseQuery(wq.text));
+    }
+    for (const KeywordQuery& q : queries) engine.Search(q, options);  // cold
+    double best_merge_us = HUGE_VAL;
+    size_t scored = 0;
+    size_t docs_skipped = 0;
+    for (int pass = 0; pass < kWarmPasses; ++pass) {
+      double merge_us = 0.0;
+      scored = 0;
+      docs_skipped = 0;
+      for (const KeywordQuery& q : queries) {
+        const QueryStats stats = engine.Search(q, options).stats;
+        merge_us += stats.merge_micros;
+        scored += stats.postings_scored;
+        docs_skipped += stats.docs_skipped;
+      }
+      best_merge_us = std::min(best_merge_us, merge_us);
+    }
+    const auto n = static_cast<double>(queries.size());
+    const double ns_per_posting =
+        scored == 0 ? 0.0 : best_merge_us * 1e3 / static_cast<double>(scored);
+    std::printf("%-10zu %16.0f %15.1f %15.4f %11.1f %14.2f\n", k,
+                static_cast<double>(scored) / n,
+                static_cast<double>(docs_skipped) / n, best_merge_us / n / 1e3,
+                ns_per_posting,
+                ns_per_posting == 0.0 ? 0.0 : 1e3 / ns_per_posting);
+  }
+}
+
 /// Every cold-set keyword's demand-built list (lazy engine) must equal the
 /// eager build's list for it, segment by segment, bit for bit.
 int RunSmoke() {
@@ -240,7 +298,12 @@ int RunSmoke() {
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return RunSmoke();
+  if (argc > 1 && std::strcmp(argv[1], "--warm") == 0) {
+    RunWarmMerge();
+    return 0;
+  }
   RunFigure11();
   RunColdSplit();
+  RunWarmMerge();
   return 0;
 }

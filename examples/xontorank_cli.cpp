@@ -299,10 +299,10 @@ void PrintQueryStats(const SearchOptions& options, const QueryStats& stats,
                                     stats.postings_scored) /
                 static_cast<double>(stats.postings_scanned);
   std::printf("  scored %zu of %zu postings (%.1f%% skipped), "
-              "blocks %zu scored / %zu skipped, "
+              "blocks %zu scored / %zu skipped, %zu document(s) skipped, "
               "%zu threshold update(s)\n",
               stats.postings_scored, stats.postings_scanned, skipped_pct,
-              stats.blocks_scored, stats.blocks_skipped,
+              stats.blocks_scored, stats.blocks_skipped, stats.docs_skipped,
               stats.threshold_updates);
 }
 

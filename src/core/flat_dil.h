@@ -424,6 +424,48 @@ class DilCursor {
   /// merge once the block bounds prove no remaining document can score.
   void SkipToEnd() { pos_ = end_; }
 
+  /// The current posting's stored shared-prefix length: the components it
+  /// shares with the list's previous posting, or 0 at a block restart (a
+  /// lower bound there). Requires !AtEnd().
+  uint32_t shared() const { return dil_->v_.shared[pos_]; }
+
+  /// The current document's postings in this cursor's range: where they
+  /// end and the best score among them.
+  struct DocumentBound {
+    double max_score;  ///< >= every score of the document's postings
+    uint32_t end;      ///< global index of the first posting past them
+  };
+
+  /// Scans the current document's postings, reading only the scores and
+  /// shared-prefix columns. A posting with shared > 0 continues the
+  /// document; one with shared == 0 starts a new document unless it is a
+  /// block restart of the same one, which its stored first component (the
+  /// document id) tells apart. The scan stops early, as soon as
+  /// `base + max_score > threshold` (the caller's running bound already
+  /// loses), and then `end` is not the document's end. Requires !AtEnd().
+  DocumentBound CurrentDocumentBound(double base, double threshold) const {
+    const FlatDil::Sections& v = dil_->v_;
+    const uint32_t doc = buf_[0];
+    double max_score = v.scores[pos_];
+    uint32_t p = pos_ + 1;
+    for (; p < end_ && base + max_score <= threshold; ++p) {
+      if (v.shared[p] == 0 && v.dewey_arena[v.suffix_offsets[p]] != doc) {
+        break;
+      }
+      max_score = std::max(max_score, v.scores[p]);
+    }
+    return {max_score, p};
+  }
+
+  /// Moves past the current document to `bound.end`, as computed by a
+  /// CurrentDocumentBound scan at this position that did not stop early.
+  /// The next document's first posting stores its whole id (shared == 0),
+  /// so this decodes one posting.
+  void SkipDocument(const DocumentBound& bound) {
+    pos_ = bound.end;
+    if (pos_ < end_) LoadCurrent();
+  }
+
   // --- block-max pruning ------------------------------------------------
 
   /// True when this cursor can participate in block-max pruning: its dil

@@ -134,6 +134,7 @@ SearchResponse IndexSnapshot::Search(const KeywordQuery& query,
   response.stats.postings_scored = exec_stats.postings_scored;
   response.stats.blocks_scored = exec_stats.blocks_scored;
   response.stats.blocks_skipped = exec_stats.blocks_skipped;
+  response.stats.docs_skipped = exec_stats.docs_skipped;
   response.stats.threshold_updates = exec_stats.threshold_updates;
 
   if (use_cache) {

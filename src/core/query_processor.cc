@@ -26,7 +26,11 @@ bool BetterResult(const QueryResult& a, const QueryResult& b) {
 class CursorMerger {
  public:
   CursorMerger(std::vector<DilCursor>& cursors, const ScoreOptions& options)
-      : cursors_(cursors), options_(options), num_keywords_(cursors.size()) {}
+      : cursors_(cursors),
+        options_(options),
+        num_keywords_(cursors.size()),
+        lcp_(cursors.size(), 0),
+        doc_bounds_(cursors.size()) {}
 
   /// The exact merge: scores every aligned document. top_k == 0 keeps
   /// every result; otherwise a BetterResult k-heap keeps the best k (same
@@ -116,6 +120,26 @@ class CursorMerger {
           }
           continue;
         }
+        // The same test at document grain with exact scores (DESIGN.md
+        // §12): a frame's keyword score never exceeds the best posting
+        // score of that keyword in the document, and the bound sums those
+        // maxima in keyword order exactly as PopTo sums a frame's scores.
+        // A scan stops early once the running bound exceeds the
+        // threshold, computing that sum as the line below does, so any
+        // early stop leaves bound > threshold_ and the document is
+        // drained; only complete scans decide a skip.
+        bound = 0.0;
+        for (size_t w = 0; w < num_keywords_ && bound <= threshold_; ++w) {
+          doc_bounds_[w] = cursors_[w].CurrentDocumentBound(bound, threshold_);
+          bound += doc_bounds_[w].max_score;
+        }
+        if (bound <= threshold_) {
+          for (size_t w = 0; w < num_keywords_; ++w) {
+            cursors_[w].SkipDocument(doc_bounds_[w]);
+          }
+          ++stats_->docs_skipped;
+          continue;
+        }
       }
       DrainDocument(doc);
       // Document boundary: flush the finished frames into the heap now so
@@ -126,30 +150,74 @@ class CursorMerger {
   }
 
   /// Drains every posting of `doc` with the min-Dewey merge, exactly as
-  /// the oblivious pass would.
+  /// the oblivious pass would. Selection by shared prefix (DESIGN.md §7):
+  /// lcp_[w] is how many components cursor w's posting shares with the
+  /// open path, which is the last consumed posting. Every unconsumed
+  /// posting sorts at or after the path, so the smallest one has the
+  /// longest lcp_; ties compare only past the shared components, and equal
+  /// ids go to the lowest keyword index. Consuming from cursor c changes
+  /// only lcp_[c] and the lcp_ of cursors that tied with c; kDrained
+  /// marks a cursor that has left the document.
   void DrainDocument(uint32_t doc) {
+    // Every cursor sits on `doc`, and the path is empty or lies in an
+    // earlier document: nothing is shared yet.
+    std::fill(lcp_.begin(), lcp_.end(), 0);
     while (true) {
       int chosen = -1;
+      int32_t longest = kDrained;
       for (size_t w = 0; w < num_keywords_; ++w) {
-        if (cursors_[w].AtEnd() || cursors_[w].doc() != doc) continue;
-        if (chosen < 0 || cursors_[w].dewey() < cursors_[chosen].dewey()) {
+        const int32_t lcp = lcp_[w];
+        if (lcp < longest || lcp == kDrained) continue;
+        if (lcp > longest ||
+            CompareDeweyFrom(cursors_[w].dewey(),
+                             cursors_[static_cast<size_t>(chosen)].dewey(),
+                             static_cast<size_t>(lcp)) < 0) {
           chosen = static_cast<int>(w);
+          longest = lcp;
         }
       }
       if (chosen < 0) break;
-      DilCursor& cursor = cursors_[chosen];
+      const size_t c = static_cast<size_t>(chosen);
+      DilCursor& cursor = cursors_[c];
       ++stats_->postings_scored;
       if (pruned_) {
         // Count each block once, the first time a posting is drawn from it.
         uint32_t block = cursor.block();
-        if (block != last_counted_block_[static_cast<size_t>(chosen)]) {
-          last_counted_block_[static_cast<size_t>(chosen)] = block;
+        if (block != last_counted_block_[c]) {
+          last_counted_block_[c] = block;
           ++stats_->blocks_scored;
         }
       }
-      Consume(cursor.dewey(), cursor.score(), static_cast<size_t>(chosen));
+      Consume(cursor.dewey(), cursor.score(), c,
+              static_cast<size_t>(longest));
+      // The path is now the consumed posting. A cursor that shared fewer
+      // components with the old path diverges from the new one where it
+      // did before; one that shared as many may share more now.
+      for (size_t w = 0; w < num_keywords_; ++w) {
+        if (w != c && lcp_[w] == longest) {
+          lcp_[w] = ExtendShared(cursors_[w].dewey(), lcp_[w]);
+        }
+      }
       cursor.Next();
+      if (cursor.AtEnd() || cursor.doc() != doc) {
+        lcp_[c] = kDrained;
+      } else {
+        // The stored shared length is exact against the consumed posting,
+        // and a lower bound (0) at a block restart.
+        lcp_[c] = ExtendShared(
+            cursor.dewey(),
+            static_cast<int32_t>(std::min<size_t>(cursor.shared(), depth_)));
+      }
     }
+  }
+
+  /// Extends `shared`, a count of leading components `id` is known to
+  /// share with the open path, to the full common prefix length.
+  int32_t ExtendShared(DeweyRef id, int32_t shared) const {
+    size_t n = static_cast<size_t>(shared);
+    const size_t limit = std::min(id.size(), depth_);
+    while (n < limit && id[n] == path_[n]) ++n;
+    return static_cast<int32_t>(n);
   }
 
   /// Whether a frame at the current path scoring `total` belongs in the
@@ -216,12 +284,10 @@ class CursorMerger {
     }
   }
 
-  void Consume(DeweyRef dewey, double score, size_t keyword) {
-    size_t common = 0;
-    while (common < depth_ && common < dewey.size() &&
-           path_[common] == dewey[common]) {
-      ++common;
-    }
+  /// Makes `dewey` the open path and records `score` at its frame.
+  /// `common` is the number of leading components it shares with the
+  /// current path (the selection already knows it).
+  void Consume(DeweyRef dewey, double score, size_t keyword, size_t common) {
     PopTo(common);
     if (dewey.size() > path_.size()) {
       // The frame arrays only grow, to the deepest frame seen.
@@ -275,9 +341,15 @@ class CursorMerger {
     }
   }
 
+  /// lcp_ of a cursor with no posting left in the current document.
+  static constexpr int32_t kDrained = -1;
+
   std::vector<DilCursor>& cursors_;
   ScoreOptions options_;
   size_t num_keywords_;
+  /// Per cursor: components its posting shares with the open path, or
+  /// kDrained (DrainDocument).
+  std::vector<int32_t> lcp_;
   // The frame stack: frames [0, depth_) are live; the arrays are sized to
   // the deepest frame seen, so a push or pop never touches the allocator.
   size_t depth_ = 0;
@@ -292,6 +364,8 @@ class CursorMerger {
   // Pruned-merge state (RunPruned / RunPrunedShared only).
   bool pruned_ = false;  ///< block-max leapfrogging on; block stats counted
   std::vector<uint32_t> last_counted_block_;  ///< per keyword, for stats
+  /// Per keyword, the current document's bound (RunPrunedLoop scratch).
+  std::vector<DilCursor::DocumentBound> doc_bounds_;
   ExecuteStats* stats_ = nullptr;  ///< added to, never reset; never null
   ExecuteStats local_stats_;       ///< sink when the caller passed none
 };
@@ -412,6 +486,7 @@ std::vector<QueryResult> QueryProcessor::ExecuteSegments(
         stats->postings_scored += s.postings_scored;
         stats->blocks_scored += s.blocks_scored;
         stats->blocks_skipped += s.blocks_skipped;
+        stats->docs_skipped += s.docs_skipped;
         stats->threshold_updates += s.threshold_updates;
       }
     }

@@ -36,6 +36,7 @@ struct ExecuteStats {
   size_t postings_scored = 0;   ///< postings actually consumed/scored
   size_t blocks_scored = 0;     ///< blocks the pruned merge decoded into
   size_t blocks_skipped = 0;    ///< blocks leapfrogged by upper bound
+  size_t docs_skipped = 0;      ///< documents passed over by their bound
   size_t threshold_updates = 0; ///< times the k-th score threshold rose
 };
 
@@ -50,8 +51,14 @@ struct ExecuteStats {
 /// descendant already emitted, it is a result (the Eq. 1 minimality
 /// condition); its score is the keyword-score sum (Eq. 4).
 ///
-/// Complexity: O(P·d) for P total postings of depth ≤ d, independent of
-/// result count.
+/// Complexity: O(P·(k + d)) for P scored postings of depth ≤ d over k
+/// keywords, independent of result count. Choosing the next posting
+/// compares only components past the prefix each cursor shares with the
+/// stack's path (DESIGN.md §7), so the d term is what a posting does not
+/// share with its predecessor plus the frames it pops, not its whole
+/// depth. Under kBlockMax, documents whose bound loses to the k-th score
+/// are passed over, costing at most one read of their scores (DESIGN.md
+/// §12).
 class QueryProcessor {
  public:
   explicit QueryProcessor(const ScoreOptions& options) : options_(options) {}
@@ -77,8 +84,8 @@ class QueryProcessor {
   /// to never grow while propagating) — and falls back to the exact merge
   /// otherwise, so the result set is identical either way (DESIGN.md §12
   /// gives the threshold algebra). `stats`, if non-null, is *added to*
-  /// (never reset): postings_scored plus the pruned path's block and
-  /// threshold counters.
+  /// (never reset): postings_scored plus the pruned path's block,
+  /// document and threshold counters.
   std::vector<QueryResult> Execute(std::vector<DilCursor> cursors,
                                    size_t top_k, PruningMode pruning,
                                    ExecuteStats* stats) const;

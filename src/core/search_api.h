@@ -73,6 +73,10 @@ struct QueryStats {
   /// Blocks skipped wholesale because their summed score upper bounds
   /// could not beat the running k-th score.
   size_t blocks_skipped = 0;
+  /// Documents skipped whole because the sum of each keyword's best score
+  /// in them could not beat the running k-th score (checked after the
+  /// block test passes).
+  size_t docs_skipped = 0;
   /// Times the k-th-score pruning threshold was set or raised.
   size_t threshold_updates = 0;
 };

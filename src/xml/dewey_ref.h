@@ -44,16 +44,22 @@ class DeweyRef {
   size_t size_ = 0;
 };
 
-/// Three-way document-order comparison: negative, zero or positive as
-/// `a` sorts before, equal to, or after `b`. Identical semantics to
-/// DeweyId::operator< (lexicographic; ancestors before descendants).
-inline int CompareDewey(DeweyRef a, DeweyRef b) {
+/// CompareDewey for ids already known to agree on their first `from`
+/// components (from <= both sizes): compares only what follows.
+inline int CompareDeweyFrom(DeweyRef a, DeweyRef b, size_t from) {
   size_t common = a.size() < b.size() ? a.size() : b.size();
-  for (size_t i = 0; i < common; ++i) {
+  for (size_t i = from; i < common; ++i) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
   }
   if (a.size() == b.size()) return 0;
   return a.size() < b.size() ? -1 : 1;
+}
+
+/// Three-way document-order comparison: negative, zero or positive as
+/// `a` sorts before, equal to, or after `b`. Identical semantics to
+/// DeweyId::operator< (lexicographic; ancestors before descendants).
+inline int CompareDewey(DeweyRef a, DeweyRef b) {
+  return CompareDeweyFrom(a, b, 0);
 }
 
 inline bool operator<(DeweyRef a, DeweyRef b) {

@@ -1,10 +1,10 @@
 // Block-max top-k pruning (DESIGN.md §12): the pruned merge must be
 // indistinguishable from the exhaustive one — bit-identical results for
 // every top_k and shard count, deterministic tie order — while provably
-// skipping work. Also pins the admissibility fallbacks (top_k == 0,
-// decay > 1, v1 segments), the block-max column's upper-bound
-// invariant, its mapped/decoded parity, and checksum coverage of the new
-// section.
+// skipping work, by block and by document bound. Also pins the
+// admissibility fallbacks (top_k == 0, decay > 1, v1 segments), the
+// block-max column's upper-bound invariant, its mapped/decoded parity, and
+// checksum coverage of the new section.
 
 #include <unistd.h>
 
@@ -20,10 +20,12 @@
 #include "core/flat_dil.h"
 #include "core/query_processor.h"
 #include "core/simd_kernels.h"
+#include "core/xontorank.h"
 #include "gtest/gtest.h"
 #include "storage/segment_file.h"
 #include "storage/segment_writer.h"
 #include "tests/reference_eval.h"
+#include "tests/test_util.h"
 
 namespace xontorank {
 namespace {
@@ -242,6 +244,253 @@ TEST(ExactTopKHeap, MatchesFullSortTruncatedWithTies) {
     }
   }
   EXPECT_GE(tied_cuts, 6u);
+}
+
+// ---- Document bounds and shared-prefix selection ---------------------
+
+// Lists built for the merge's edges: documents 3 and 11 (the last) hold
+// more than two blocks' worth of postings per list, so block restarts fall
+// inside a document and the last document ends at the list end; ids come
+// from a small space per document, so keywords share ids and a list
+// repeats some of its own (at different scores). Most scores are low and
+// a few are high, so documents lose to the running k-th score.
+Lists EdgeDil(Rng& rng, size_t num_keywords) {
+  Lists dil;
+  for (size_t w = 0; w < num_keywords; ++w) {
+    std::vector<Posting> postings;
+    for (uint32_t doc = 0; doc < 12; ++doc) {
+      size_t n = doc == 3 || doc == 11 ? 300 : rng.NextBelow(30);
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<uint32_t> comps{doc};
+        size_t depth = 1 + rng.NextBelow(6);
+        for (size_t d = 0; d < depth; ++d) {
+          comps.push_back(static_cast<uint32_t>(rng.NextBelow(3)));
+        }
+        double score = rng.NextBelow(10) == 0 ? 1.0 + rng.NextDouble()
+                                              : 0.01 + 0.1 * rng.NextDouble();
+        postings.push_back({DeweyId(comps), score});
+        if (rng.NextBelow(8) == 0) {
+          postings.push_back({DeweyId(std::move(comps)), rng.NextDouble()});
+        }
+      }
+    }
+    dil["kw" + std::to_string(w)] = std::move(postings);
+  }
+  return dil;
+}
+
+// `dil` with only the postings of documents in [begin_doc, end_doc).
+Lists DocumentSlice(const Lists& dil, uint32_t begin_doc, uint32_t end_doc) {
+  Lists slice;
+  for (const auto& [keyword, postings] : dil) {
+    std::vector<Posting>& out = slice[keyword];
+    for (const Posting& p : postings) {
+      if (p.dewey.doc_id() >= begin_doc && p.dewey.doc_id() < end_doc) {
+        out.push_back(p);
+      }
+    }
+  }
+  return slice;
+}
+
+TEST(DocBoundParity, RestartsInsideDocumentsRepeatedAndSharedIds) {
+  ThreadPool pool(4);
+  size_t docs_skipped = 0;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    for (size_t num_keywords = 1; num_keywords <= 4; ++num_keywords) {
+      const Lists dil = EdgeDil(rng, num_keywords);
+      std::vector<std::string> keywords;
+      std::vector<std::vector<Posting>> posting_lists;
+      for (const auto& [keyword, postings] : dil) {
+        keywords.push_back(keyword);
+        posting_lists.push_back(postings);
+      }
+      FlatDil flat = FreezeLists(dil);
+      // The same documents as two doc-disjoint segments (the merge that
+      // carries one heap across segments).
+      FlatDil low = FreezeLists(DocumentSlice(dil, 0, 6));
+      FlatDil high = FreezeLists(DocumentSlice(dil, 6, 12));
+      const std::vector<DilListRef> lists = FlatRefs(flat, keywords);
+      const std::vector<std::vector<DilListRef>> segments = {
+          FlatRefs(low, keywords), FlatRefs(high, keywords)};
+      for (double decay : {1.0, 0.8}) {
+        ScoreOptions options;
+        options.decay = decay;
+        QueryProcessor processor(options);
+        for (size_t top_k : {size_t{0}, size_t{1}, size_t{10}}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) +
+                       " keywords=" + std::to_string(num_keywords) +
+                       " decay=" + std::to_string(decay) +
+                       " top_k=" + std::to_string(top_k));
+          std::vector<QueryResult> expected =
+              reference::EvaluateLists(posting_lists, decay, top_k);
+          ASSERT_FALSE(expected.empty());
+          ExpectBitIdentical(expected,
+                             processor.ExecuteSegments({lists}, top_k, 1,
+                                                       nullptr, nullptr,
+                                                       PruningMode::kExact));
+          for (size_t shards : {size_t{1}, size_t{4}}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards));
+            ExecuteStats stats;
+            ExpectBitIdentical(
+                expected,
+                processor.ExecuteSegments({lists}, top_k, shards, &pool,
+                                          &stats, PruningMode::kBlockMax));
+            docs_skipped += stats.docs_skipped;
+            ExpectBitIdentical(
+                expected,
+                processor.ExecuteSegments(segments, top_k, shards, &pool,
+                                          &stats, PruningMode::kBlockMax));
+            docs_skipped += stats.docs_skipped;
+          }
+        }
+      }
+    }
+  }
+  // The document bound must have fired for the comparison to test it.
+  EXPECT_GT(docs_skipped, 0u);
+}
+
+// The same edges end to end: documents 0 and 7 have 300 elements, most of
+// which match the query words, so each keyword's list restarts blocks
+// inside them; elements matching several words put equal ids in several
+// lists. The engine (two segments) must equal the tree evaluator.
+TEST(DocBoundParity, SearchOnLongDocumentsMatchesTreeEvaluator) {
+  const char* kWords[] = {"alpha", "beta", "gamma", "delta"};
+  Rng rng(5);
+  std::vector<std::string> docs;
+  for (uint32_t d = 0; d < 8; ++d) {
+    size_t items = d == 0 || d == 7 ? 300 : 5 + rng.NextBelow(40);
+    std::string xml = "<ClinicalDocument><section>";
+    for (size_t i = 0; i < items; ++i) {
+      if (i % 16 == 0) xml += i == 0 ? "<group>" : "</group><group>";
+      xml += "<item>";
+      for (const char* word : kWords) {
+        if (rng.NextBelow(3) != 0) xml += std::string(word) + " ";
+      }
+      for (size_t f = rng.NextBelow(6); f > 0; --f) xml += "mg ";
+      xml += "</item>";
+    }
+    xml += "</group></section></ClinicalDocument>";
+    docs.push_back(std::move(xml));
+  }
+  Corpus corpus;
+  for (uint32_t d = 0; d < docs.size(); ++d) {
+    corpus.Add(testing_util::MustParse(docs[d], d));
+  }
+  const Ontology onto = testing_util::BuildTinyOntology();
+  for (double decay : {1.0, 0.8}) {
+    IndexBuildOptions options;
+    options.strategy = Strategy::kXRank;
+    options.score.decay = decay;
+    options.lsm.auto_compact = false;
+    reference::TreeEvaluator evaluator(corpus, OntologySet(onto), options);
+    XOntoRank engine(Corpus(), OntologySet(onto), options);
+    for (uint32_t d = 0; d < docs.size(); ++d) {
+      engine.StageDocument(testing_util::MustParse(docs[d], d));
+      if (d == 3 || d + 1 == docs.size()) engine.Commit();
+    }
+    ASSERT_EQ(engine.snapshot()->segments().size(), 2u);
+    std::string text;
+    for (const char* word : kWords) {
+      text += text.empty() ? word : std::string(" ") + word;
+      KeywordQuery query = ParseQuery(text);
+      for (size_t top_k : {size_t{0}, size_t{1}, size_t{10}}) {
+        std::vector<QueryResult> expected = evaluator.Evaluate(query, top_k);
+        ASSERT_FALSE(expected.empty()) << text;
+        for (PruningMode pruning :
+             {PruningMode::kExact, PruningMode::kBlockMax}) {
+          for (size_t parallelism : {size_t{1}, size_t{4}}) {
+            SearchOptions search;
+            search.top_k = top_k;
+            search.pruning = pruning;
+            search.parallelism = parallelism;
+            search.use_cache = false;
+            testing_util::ExpectSameResults(
+                engine.Search(query, search).results, expected,
+                "query=\"" + text + "\" decay=" + std::to_string(decay) +
+                    " k=" + std::to_string(top_k) + " " +
+                    std::string(PruningModeName(pruning)) +
+                    " parallelism=" + std::to_string(parallelism));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DocBoundPruning, SkipsDocumentsInsideOneBlock) {
+  // 100 documents fit in one block per list, and that block's bound holds
+  // document 99's high score, so block-max never fires; every document
+  // between the first and the last loses on its own maxima instead.
+  Lists dil;
+  for (uint32_t w = 0; w < 2; ++w) {
+    std::vector<Posting> postings;
+    for (uint32_t doc = 0; doc < 100; ++doc) {
+      double score = doc == 0 ? 0.5 : doc == 99 ? 5.0 : 0.01;
+      postings.push_back({DeweyId({doc, w}), score});
+    }
+    dil["kw" + std::to_string(w)] = std::move(postings);
+  }
+  FlatDil flat = FreezeLists(dil);
+  QueryProcessor processor(ScoreOptions{});
+  std::vector<DilListRef> lists = FlatRefs(flat, {"kw0", "kw1"});
+  ExecuteStats stats;
+  auto pruned = processor.ExecuteSegments({lists}, 1, 1, nullptr, &stats,
+                                          PruningMode::kBlockMax);
+  ASSERT_EQ(pruned.size(), 1u);
+  EXPECT_EQ(pruned[0].element, DeweyId({99}));
+  EXPECT_EQ(stats.blocks_skipped, 0u);
+  EXPECT_EQ(stats.docs_skipped, 98u);
+  EXPECT_EQ(stats.postings_scored, 4u);  // documents 0 and 99 only
+  ExpectBitIdentical(processor.ExecuteSegments({lists}, 1, 1, nullptr,
+                                               nullptr, PruningMode::kExact),
+                     pruned);
+
+  // Split into two segments, the carried threshold skips the same
+  // documents, and the counter sums over both.
+  FlatDil low = FreezeLists(DocumentSlice(dil, 0, 50));
+  FlatDil high = FreezeLists(DocumentSlice(dil, 50, 100));
+  ExecuteStats split;
+  ExpectBitIdentical(pruned, processor.ExecuteSegments(
+                                 {FlatRefs(low, {"kw0", "kw1"}),
+                                  FlatRefs(high, {"kw0", "kw1"})},
+                                 1, 1, nullptr, &split,
+                                 PruningMode::kBlockMax));
+  EXPECT_EQ(split.blocks_skipped, 0u);
+  EXPECT_EQ(split.docs_skipped, 98u);
+
+  // The exact merge never skips a document.
+  ExecuteStats exact;
+  processor.ExecuteSegments({lists}, 1, 1, nullptr, &exact,
+                            PruningMode::kExact);
+  EXPECT_EQ(exact.docs_skipped, 0u);
+}
+
+TEST(DocBoundPruning, BlockRestartInsideADocumentDoesNotEndIt) {
+  // Document 1 holds list postings 1-300, so blocks restart (shared == 0)
+  // at its 128th and 256th postings; its only strong posting lies between
+  // the two restarts. A bound that stopped at the first restart would see
+  // only 0.01 and skip the document's answer.
+  std::vector<Posting> postings;
+  postings.push_back({DeweyId({0, 0}), 1.0});
+  for (uint32_t i = 0; i < 300; ++i) {
+    postings.push_back({DeweyId({1, i}), i == 200 ? 5.0 : 0.01});
+  }
+  postings.push_back({DeweyId({2, 0}), 0.01});
+  FlatDil flat = FreezeLists({{"kw", std::move(postings)}});
+  QueryProcessor processor(ScoreOptions{});
+  std::vector<DilListRef> lists = FlatRefs(flat, {"kw"});
+  ExecuteStats stats;
+  auto pruned = processor.ExecuteSegments({lists}, 1, 1, nullptr, &stats,
+                                          PruningMode::kBlockMax);
+  ASSERT_EQ(pruned.size(), 1u);
+  EXPECT_EQ(pruned[0].element, DeweyId({1, 200}));
+  EXPECT_EQ(stats.docs_skipped, 0u);
+  ExpectBitIdentical(processor.ExecuteSegments({lists}, 1, 1, nullptr,
+                                               nullptr, PruningMode::kExact),
+                     pruned);
 }
 
 // ---- Admissibility fallbacks -----------------------------------------
