@@ -9,10 +9,13 @@
 //      representation's bytes live: a heap FlatDil is anonymous memory,
 //      the mapped segment is file-backed page cache.
 //   4. engine directory load — a 1,000-document, five-segment engine is
-//      saved, then LoadEngineDir is timed next to its phases: XML read +
-//      parse, segment open with and without the CRC pass, Crc32 MB/s, and
-//      the first phrase query on the loaded engine, which builds the
-//      deferred stage-1 records of every segment.
+//      saved, then LoadEngineDir is timed next to its phases: XML read
+//      (common/file_io ReadFile, as the load reads) + parse and segment
+//      open with the CRC pass, each serially and as one task per file on
+//      the shared pool (as the load runs them); segment open without the
+//      CRC pass; Crc32 MB/s with the kernel in use; and the first phrase
+//      query on the loaded engine, which builds the deferred stage-1
+//      records of every segment.
 //
 // `--smoke` runs a small corpus through the bit-identity gate (mapped view
 // vs the heap columns it was written from, at 1/2/4/8 shards) plus a
@@ -23,6 +26,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/file_io.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -165,12 +170,6 @@ void RunGates(const FlatDil& heap, const std::string& segment_path) {
   }
 }
 
-std::string ReadWholeFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
 /// Section 4: LoadEngineDir on a serve-shaped directory, and its phases
 /// measured one by one over the same files (best of `reps` each).
 int EngineDirLoadPhases(int reps) {
@@ -234,21 +233,37 @@ int EngineDirLoadPhases(int reps) {
     }
     return best;
   };
+  // Each phase runs serially and as LoadEngineDir runs it: one task per
+  // file on the shared pool, claimed by the calling thread too.
+  ThreadPool& pool = ThreadPool::Shared();
+  auto serial_and_parallel = [&](size_t n, auto&& task) {
+    const double serial = best_of([&] {
+      for (size_t i = 0; i < n; ++i) {
+        if (!task(i)) return false;
+      }
+      return true;
+    });
+    const double parallel = best_of([&] {
+      std::atomic<bool> ok{true};
+      pool.ParallelFor(n, [&](size_t i) {
+        if (!task(i)) ok = false;
+      });
+      return ok.load();
+    });
+    return std::make_pair(serial, parallel);
+  };
   const double load_ms = best_of([&] { return LoadEngineDir(dir).ok(); });
-  const double parse_ms = best_of([&] {
-    for (const auto& path : xml_files) {
-      if (!ParseXml(ReadWholeFile(path)).ok()) return false;
-    }
-    return true;
-  });
+  const auto [parse_ms, parse_parallel_ms] =
+      serial_and_parallel(xml_files.size(), [&](size_t i) {
+        Result<std::string> xml = ReadFile(xml_files[i].string());
+        return xml.ok() && ParseXml(std::move(xml).value()).ok();
+      });
+  const auto [open_crc_ms, open_crc_parallel_ms] =
+      serial_and_parallel(segment_files.size(), [&](size_t i) {
+        return SegmentFile::Open(segment_files[i].string()).ok();
+      });
   SegmentFile::Options no_verify;
   no_verify.verify_checksums = false;
-  const double open_crc_ms = best_of([&] {
-    for (const auto& path : segment_files) {
-      if (!SegmentFile::Open(path.string()).ok()) return false;
-    }
-    return true;
-  });
   const double open_ms = best_of([&] {
     for (const auto& path : segment_files) {
       if (!SegmentFile::Open(path.string(), no_verify).ok()) return false;
@@ -257,7 +272,9 @@ int EngineDirLoadPhases(int reps) {
   });
   std::vector<std::string> segment_bytes_in_memory;
   for (const auto& path : segment_files) {
-    segment_bytes_in_memory.push_back(ReadWholeFile(path));
+    Result<std::string> bytes = ReadFile(path.string());
+    if (!bytes.ok()) return 1;
+    segment_bytes_in_memory.push_back(std::move(bytes).value());
   }
   uint32_t crc_sink = 0;
   const double crc_ms = best_of([&] {
@@ -290,19 +307,24 @@ int EngineDirLoadPhases(int reps) {
   std::filesystem::remove_all(dir, ec);
 
   std::printf("ENGINE DIRECTORY LOAD — %zu documents (%.1f MB XML), %zu "
-              "segments (%.1f MB); best of %d\n\n",
+              "segments (%.1f MB); best of %d; pool of %zu threads\n\n",
               live.corpus_size(), xml_bytes / 1048576.0, segment_files.size(),
-              segment_bytes / 1048576.0, reps);
+              segment_bytes / 1048576.0, reps, pool.num_threads());
   std::printf("%-44s %10s\n", "phase", "time");
   bench::PrintRule(60);
   std::printf("%-44s %8.1f ms\n", "LoadEngineDir (total)", load_ms);
-  std::printf("%-44s %8.1f ms\n", "  XML read + parse", parse_ms);
-  std::printf("%-44s %8.1f ms\n", "  SegmentFile::Open, all (CRC verify)",
+  std::printf("%-44s %8.1f ms\n", "  XML read + parse, serial", parse_ms);
+  std::printf("%-44s %8.1f ms\n", "  XML read + parse, pool",
+              parse_parallel_ms);
+  std::printf("%-44s %8.1f ms\n", "  SegmentFile::Open (CRC verify), serial",
               open_crc_ms);
-  std::printf("%-44s %8.1f ms\n", "  SegmentFile::Open, all (no verify)",
+  std::printf("%-44s %8.1f ms\n", "  SegmentFile::Open (CRC verify), pool",
+              open_crc_parallel_ms);
+  std::printf("%-44s %8.1f ms\n", "  SegmentFile::Open (no verify), serial",
               open_ms);
-  std::printf("%-44s %8.0f MB/s\n", "  Crc32 over the segment bytes",
-              segment_bytes / 1048576.0 / (crc_ms / 1e3));
+  std::printf("%-44s %8.0f MB/s  (%s)\n", "  Crc32 over the segment bytes",
+              segment_bytes / 1048576.0 / (crc_ms / 1e3),
+              std::string(Crc32KernelName()).c_str());
   std::printf("%-44s %8.1f ms\n", "first phrase query (builds stage 1)",
               first_query_ms);
   std::printf("%-44s %8.1f ms\n", "second phrase query", second_query_ms);

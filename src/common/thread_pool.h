@@ -12,9 +12,9 @@
 namespace xontorank {
 
 /// A small fixed-size worker pool for fork/join parallelism (intra-query
-/// shard execution, the eager index build) and detached background tasks
-/// (the compactor). Tasks are plain closures drained FIFO from one shared
-/// queue.
+/// shard execution, the eager index build, the engine-directory load) and
+/// detached background tasks (the compactor). Tasks are plain closures
+/// drained FIFO from one shared queue.
 ///
 /// The pool is deliberately minimal: no futures, no priorities, no task
 /// stealing. The only composition primitive is ParallelFor, a blocking
@@ -63,8 +63,8 @@ class ThreadPool {
 
   /// A process-wide pool sized to the hardware, created on first use and
   /// intentionally leaked (serving threads may outlive static destruction
-  /// order). Shared by query execution, the eager index build and the
-  /// compactor.
+  /// order). Shared by query execution, the eager index build, the
+  /// engine-directory load and the compactor.
   static ThreadPool& Shared();
 
  private:

@@ -31,7 +31,15 @@ class Decoder {
 };
 
 /// CRC-32 (IEEE polynomial) over `data`, used to detect index corruption.
+/// On x86-64 CPUs with PCLMULQDQ, inputs of 64 bytes and more are folded
+/// by carry-less multiplication; the slicing-by-8 table loop takes shorter
+/// inputs, the tail, and every input elsewhere. Both compute the same
+/// checksum.
 uint32_t Crc32(std::string_view data);
+
+/// "pclmul" or "table": the kernel Crc32 runs long inputs through in this
+/// process (decided once, from CPUID) — for bench output.
+std::string_view Crc32KernelName();
 
 }  // namespace xontorank
 

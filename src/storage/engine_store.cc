@@ -1,11 +1,14 @@
 #include "storage/engine_store.h"
 
+#include <algorithm>
 #include <filesystem>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/file_io.h"
 #include "common/string_util.h"
 #include "common/sync.h"
+#include "common/thread_pool.h"
 #include "core/index_segment.h"
 #include "onto/ontology_io.h"
 #include "storage/manifest.h"
@@ -34,6 +37,18 @@ Mutex& SaveMutex() {
   // xo-lint: allow(new-delete) — leaked singleton, see above.
   static Mutex* mutex = new Mutex();
   return *mutex;
+}
+
+/// Reads and parses one committed document; the document keeps the
+/// file's buffer as its source text.
+Status ReadDocument(const std::string& path, XmlDocument* doc) {
+  XONTO_ASSIGN_OR_RETURN(std::string xml, ReadFile(path));
+  auto parsed = ParseXml(std::move(xml));
+  if (!parsed.ok()) {
+    return Status::Corruption(path + ": " + parsed.status().message());
+  }
+  *doc = std::move(parsed).value();
+  return Status::OK();
 }
 
 }  // namespace
@@ -135,39 +150,72 @@ Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(const std::string& dir) {
   // documents past the last segment's end are leftovers of an interrupted
   // save (the MANIFEST rename is the commit point) and are deliberately
   // ignored, restoring the previous generation's state.
-  size_t num_docs =
+  const size_t num_docs =
       manifest.segments.empty() ? 0 : manifest.segments.back().end_doc;
+  const size_t num_segments = manifest.segments.size();
+
+  // One parallel pass over the independent I/O-and-verify work: every
+  // segment's open (mapping, validation, CRC pass) and every document's
+  // read and parse. Segments are claimed first, those with the most
+  // documents (the most bytes to verify) first, so the longest tasks do
+  // not start last. Each task writes only its own slots. Documents go in
+  // windows of kLoadWindow, so a MANIFEST claiming more documents than
+  // the directory holds sizes nothing by its claim: the window holding
+  // the first missing file ends the load.
+  constexpr size_t kLoadWindow = 4096;
+  std::vector<size_t> segment_order(num_segments);
+  std::iota(segment_order.begin(), segment_order.end(), size_t{0});
+  std::stable_sort(segment_order.begin(), segment_order.end(),
+                   [&](size_t a, size_t b) {
+                     const ManifestSegment& x = manifest.segments[a];
+                     const ManifestSegment& y = manifest.segments[b];
+                     return x.end_doc - x.first_doc > y.end_doc - y.first_doc;
+                   });
+  std::vector<Result<std::shared_ptr<const SegmentFile>>> files(
+      num_segments, Status::Internal("segment not opened"));
   Corpus corpus;
-  for (size_t d = 0; d < num_docs; ++d) {
-    const std::string path = dir + "/" + DocumentFileName(d);
-    XONTO_ASSIGN_OR_RETURN(std::string xml, ReadFile(path));
-    // The document keeps the file's buffer as its source text.
-    auto parsed = ParseXml(std::move(xml));
-    if (!parsed.ok()) {
-      return Status::Corruption(path + ": " + parsed.status().message());
+  for (size_t begin = 0; begin < num_docs; begin += kLoadWindow) {
+    const size_t count = std::min(kLoadWindow, num_docs - begin);
+    const size_t opens = begin == 0 ? num_segments : 0;
+    std::vector<XmlDocument> documents(count);
+    std::vector<Status> document_status(count);
+    ThreadPool::Shared().ParallelFor(opens + count, [&](size_t task) {
+      if (task < opens) {
+        const size_t s = segment_order[task];
+        files[s] = SegmentFile::Open(dir + "/" +
+                                     SegmentFileName(manifest.segments[s].id));
+      } else {
+        const size_t i = task - opens;
+        document_status[i] = ReadDocument(
+            dir + "/" + DocumentFileName(begin + i), &documents[i]);
+      }
+    });
+    // A failing load reports what a serial load would meet first: the
+    // first failing document in index order, then (below) the first
+    // failing segment in MANIFEST order.
+    for (size_t i = 0; i < count; ++i) {
+      XONTO_RETURN_IF_ERROR(document_status[i]);
+      documents[i].set_doc_id(static_cast<uint32_t>(corpus.size()));
+      corpus.Add(std::move(documents[i]));
     }
-    XmlDocument doc = std::move(parsed).value();
-    doc.set_doc_id(static_cast<uint32_t>(corpus.size()));
-    corpus.Add(std::move(doc));
   }
+  for (const auto& file : files) XONTO_RETURN_IF_ERROR(file.status());
 
   OntologySet systems;
   for (const auto& onto : loaded->ontologies_) systems.Add(*onto);
 
   auto context = OntologyContext::Create(systems, options);
   std::vector<std::shared_ptr<const IndexSegment>> segments;
-  segments.reserve(manifest.segments.size());
-  for (const ManifestSegment& entry : manifest.segments) {
-    XONTO_ASSIGN_OR_RETURN(
-        std::shared_ptr<const SegmentFile> file,
-        SegmentFile::Open(dir + "/" + SegmentFileName(entry.id)));
+  segments.reserve(num_segments);
+  for (size_t s = 0; s < num_segments; ++s) {
+    const ManifestSegment& entry = manifest.segments[s];
     auto docs = std::make_shared<Corpus>();
     for (uint32_t d = entry.first_doc; d < entry.end_doc; ++d) {
       docs->Add(corpus.handle(d));
     }
     segments.push_back(IndexSegment::Adopt(entry.id, std::move(docs),
                                            entry.first_doc, context, options,
-                                           file->MakeView()));
+                                           files[s].value()->MakeView()));
   }
   auto snapshot = std::make_shared<const IndexSnapshot>(
       std::move(corpus), std::move(context), options, std::move(segments));

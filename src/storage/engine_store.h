@@ -66,7 +66,11 @@ class LoadedEngine {
 /// mapped segment files (so stage 2+3 — the expensive OntoScore work — is
 /// never repeated for persisted keywords), and the engine adopts it as its
 /// published serving state. The saved options, vocabulary mode included,
-/// govern the segments later commits seal. A directory in a retired layout
+/// govern the segments later commits seal. Segment opens and document
+/// parses run in one pass on ThreadPool::Shared(); a failing load still
+/// returns the error a serial load would meet first (ontologies, then the
+/// first failing document by index, then the first failing segment in
+/// MANIFEST order). A directory in a retired layout
 /// (a version-1 MANIFEST, or none beside the old text record) yields
 /// Status::Corruption naming that layout.
 [[nodiscard]] Result<std::unique_ptr<LoadedEngine>> LoadEngineDir(

@@ -416,13 +416,98 @@ TEST_F(EngineStoreFixture, SegmentRangePastDocumentsNamesMissingFile) {
   auto manifest = LoadManifest(dir_ + "/MANIFEST");
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   ASSERT_EQ(manifest->segments.back().end_doc, 6u);
-  manifest->segments.back().end_doc = 8;  // two documents never saved
-  ASSERT_TRUE(SaveManifest(*manifest, dir_ + "/MANIFEST").ok());
-  auto loaded = LoadEngineDir(dir_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("corpus/doc_00006.xml"),
-            std::string::npos)
-      << loaded.status().message();
+  // Two documents never saved, then a claim no directory can back: the
+  // load must size nothing by it and still name the first missing file.
+  for (uint32_t end_doc : {8u, UINT32_MAX}) {
+    manifest->segments.back().end_doc = end_doc;
+    ASSERT_TRUE(SaveManifest(*manifest, dir_ + "/MANIFEST").ok());
+    auto loaded = LoadEngineDir(dir_);
+    ASSERT_FALSE(loaded.ok()) << end_doc;
+    EXPECT_NE(loaded.status().message().find("corpus/doc_00006.xml"),
+              std::string::npos)
+        << end_doc << ": " << loaded.status().message();
+  }
+}
+
+TEST_F(EngineStoreFixture, LoadReportsFirstFailureInDirectoryOrder) {
+  // A load opens segments and parses documents in one parallel pass,
+  // segments with the most documents first; the error it returns must
+  // still be the one a serial load meets first. The segments here hold,
+  // in MANIFEST order, 2, 1 and 3 documents, so of the two corrupt ones
+  // the first in MANIFEST order is the last to be claimed.
+  OntologySet systems;
+  systems.Add(snomed_);
+  systems.Add(loinc_);
+  IndexBuildOptions options;
+  options.vocabulary_mode = IndexBuildOptions::VocabularyMode::kCorpusOnly;
+  options.lsm.auto_compact = false;
+  CdaGeneratorOptions gen_options;
+  gen_options.num_documents = 2;
+  gen_options.seed = 55;
+  XOntoRank engine(CdaGenerator(snomed_, gen_options).GenerateCorpus(),
+                   systems, options);
+  engine.AddDocument(ExtraDocument(2));
+  for (size_t d = 3; d < 6; ++d) engine.StageDocument(ExtraDocument(d));
+  engine.Commit();
+  ASSERT_TRUE(SaveEngineDir(engine, dir_).ok());
+  auto manifest = LoadManifest(dir_ + "/MANIFEST");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->segments.size(), 3u);
+  ASSERT_EQ(manifest->segments[2].first_doc, 3u);
+  ASSERT_EQ(manifest->segments[2].end_doc, 6u);
+
+  auto segment_path = [&](size_t s) {
+    return dir_ + "/" + SegmentFileName(manifest->segments[s].id);
+  };
+  // Flip a payload byte of segments 1 and 2, inside a checksummed section.
+  for (size_t s : {size_t{1}, size_t{2}}) {
+    SegmentFile::Options no_verify;
+    no_verify.verify_checksums = false;
+    uint64_t offset = 0;
+    {
+      auto file = SegmentFile::Open(segment_path(s), no_verify);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      for (const auto& info : (*file)->sections()) {
+        if (info.bytes > 0) {
+          offset = info.offset + info.bytes / 2;
+          break;
+        }
+      }
+    }
+    ASSERT_GT(offset, 0u);
+    std::string bytes = ReadBytes(segment_path(s));
+    bytes[offset] ^= 0x20;
+    WriteBytes(segment_path(s), bytes);
+  }
+  // Documents 2 and 4 stop being XML.
+  const std::string doc2 = dir_ + "/corpus/doc_00002.xml";
+  const std::string doc4 = dir_ + "/corpus/doc_00004.xml";
+  const std::string doc2_bytes = ReadBytes(doc2);
+  const std::string doc4_bytes = ReadBytes(doc4);
+  WriteBytes(doc2, "<ClinicalDocument><unclosed>");
+  WriteBytes(doc4, "<ClinicalDocument><unclosed>");
+
+  for (int load = 0; load < 20; ++load) {
+    auto loaded = LoadEngineDir(dir_);
+    ASSERT_FALSE(loaded.ok()) << load;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << load;
+    EXPECT_NE(loaded.status().message().find(doc2), std::string::npos)
+        << load << ": " << loaded.status().message();
+  }
+
+  WriteBytes(doc2, doc2_bytes);
+  WriteBytes(doc4, doc4_bytes);
+  for (int load = 0; load < 20; ++load) {
+    auto loaded = LoadEngineDir(dir_);
+    ASSERT_FALSE(loaded.ok()) << load;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << load;
+    EXPECT_NE(loaded.status().message().find(segment_path(1)),
+              std::string::npos)
+        << load << ": " << loaded.status().message();
+    EXPECT_NE(loaded.status().message().find("CRC mismatch"),
+              std::string::npos)
+        << load << ": " << loaded.status().message();
+  }
 }
 
 TEST_F(EngineStoreFixture, FailedSaveAtEveryStepLeavesPreviousGeneration) {

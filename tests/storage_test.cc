@@ -47,20 +47,26 @@ uint32_t BitwiseCrc32(std::string_view data) {
 }
 
 TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  // Lengths 0..257 cover the empty input, tails of every size after the
-  // eight-byte steps, and several full steps; offsets 0..7 put the first
-  // byte at every alignment of a word.
+  // Lengths 0..1100 cover the empty input, every input short of the
+  // folding kernel's 64 bytes, the 64-byte fold loop, the 16-byte folds
+  // after it and tails of every size; offsets 0..15 put the first byte at
+  // every alignment of a 16-byte lane. One 4 MiB buffer runs the fold
+  // loop long. Whichever kernel this CPU runs must match the definition.
   Rng rng(2009);
-  std::string buffer(8 + 257, '\0');
+  std::string buffer(16 + 1100, '\0');
   for (char& c : buffer) c = static_cast<char>(rng.NextBelow(256));
   const std::string_view all(buffer);
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t length = 0; length <= 257; ++length) {
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 1100; ++length) {
       std::string_view data = all.substr(offset, length);
       ASSERT_EQ(Crc32(data), BitwiseCrc32(data))
-          << "offset " << offset << " length " << length;
+          << "offset " << offset << " length " << length << " kernel "
+          << Crc32KernelName();
     }
   }
+  std::string large(size_t{4} << 20, '\0');
+  for (char& c : large) c = static_cast<char>(rng.NextBelow(256));
+  EXPECT_EQ(Crc32(large), BitwiseCrc32(large)) << Crc32KernelName();
 }
 
 // ---- Engine directory saves ----
