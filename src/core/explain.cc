@@ -2,117 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <unordered_map>
+#include <cstdint>
+#include <limits>
 
 #include "common/string_util.h"
+#include "core/onto_score.h"
 
 namespace xontorank {
-
-namespace {
-
-/// State keys mirror core/onto_score.cc: concepts keep their id,
-/// existential role restrictions ∃r.t get a tagged composite key.
-using StateKey = uint64_t;
-constexpr StateKey kRestrictionTag = 1ULL << 63;
-
-StateKey ConceptKey(ConceptId c) { return c; }
-StateKey RestrictionKey(RelationTypeId role, ConceptId target) {
-  return kRestrictionTag | (static_cast<uint64_t>(role) << 32) | target;
-}
-bool IsRestriction(StateKey key) { return (key & kRestrictionTag) != 0; }
-RelationTypeId RoleOfKey(StateKey key) {
-  return static_cast<RelationTypeId>((key >> 32) & 0x7fffffffULL);
-}
-ConceptId TargetOfKey(StateKey key) {
-  return static_cast<ConceptId>(key & 0xffffffffULL);
-}
-
-struct Settled {
-  double score;
-  StateKey predecessor;  ///< == self for seeds
-};
-
-struct QueueEntry {
-  double score;
-  StateKey key;
-  StateKey predecessor;
-  bool operator<(const QueueEntry& other) const {
-    return score < other.score;
-  }
-};
-
-/// Provenance-recording variant of the merged best-first expansion. The
-/// scores it settles are asserted (by tests) to equal ComputeOntoScores.
-std::unordered_map<StateKey, Settled> SettleWithProvenance(
-    const OntologyIndex& index, const Keyword& keyword, Strategy strategy,
-    const ScoreOptions& options) {
-  const Ontology& onto = index.ontology();
-  std::priority_queue<QueueEntry> queue;
-  for (const ScoredConcept& seed : index.Match(keyword)) {
-    if (seed.irs >= options.threshold) {
-      StateKey key = ConceptKey(seed.concept_id);
-      queue.push({seed.irs, key, key});
-    }
-  }
-  std::unordered_map<StateKey, Settled> settled;
-  while (!queue.empty()) {
-    QueueEntry top = queue.top();
-    queue.pop();
-    if (settled.count(top.key) > 0) continue;
-    settled.emplace(top.key, Settled{top.score, top.predecessor});
-    auto push = [&](StateKey key, double score) {
-      if (score >= options.threshold && settled.count(key) == 0) {
-        queue.push({score, key, top.key});
-      }
-    };
-    const double score = top.score;
-
-    if (strategy == Strategy::kGraph) {
-      ConceptId c = TargetOfKey(top.key);
-      double next = score * options.decay;
-      for (ConceptId p : onto.Parents(c)) push(ConceptKey(p), next);
-      for (ConceptId ch : onto.Children(c)) push(ConceptKey(ch), next);
-      for (const ConceptRelationship& rel : onto.OutRelationships(c)) {
-        push(ConceptKey(rel.target), next);
-      }
-      for (const ConceptRelationship& rel : onto.InRelationships(c)) {
-        push(ConceptKey(rel.source), next);
-      }
-      continue;
-    }
-
-    if (IsRestriction(top.key)) {
-      RelationTypeId role = RoleOfKey(top.key);
-      ConceptId target = TargetOfKey(top.key);
-      push(ConceptKey(target), score * options.decay);
-      for (const ConceptRelationship& rel : onto.InRelationships(target)) {
-        if (rel.type == role) push(ConceptKey(rel.source), score);
-      }
-      continue;
-    }
-
-    ConceptId c = TargetOfKey(top.key);
-    for (ConceptId ch : onto.Children(c)) push(ConceptKey(ch), score);
-    for (ConceptId p : onto.Parents(c)) {
-      size_t fanout = onto.Children(p).size();
-      push(ConceptKey(p), score / static_cast<double>(fanout == 0 ? 1 : fanout));
-    }
-    if (strategy == Strategy::kRelationships) {
-      for (const ConceptRelationship& rel : onto.OutRelationships(c)) {
-        size_t indeg = onto.RelationInDegree(rel.target, rel.type);
-        push(RestrictionKey(rel.type, rel.target),
-             score / static_cast<double>(indeg == 0 ? 1 : indeg));
-      }
-      for (const ConceptRelationship& rel : onto.InRelationships(c)) {
-        push(RestrictionKey(rel.type, c), score * options.decay);
-      }
-    }
-  }
-  return settled;
-}
-
-}  // namespace
 
 Result<OntoExplanation> ExplainOntoScore(const OntologyIndex& index,
                                          const Keyword& keyword,
@@ -122,65 +18,55 @@ Result<OntoExplanation> ExplainOntoScore(const OntologyIndex& index,
   if (strategy == Strategy::kXRank) {
     return Status::InvalidArgument("the XRANK baseline has no OntoScores");
   }
-  auto settled = SettleWithProvenance(index, keyword, strategy, options);
-  auto target_it = settled.find(ConceptKey(target));
-  if (target_it == settled.end()) {
+  std::vector<uint32_t> predecessors;
+  const OntoScoreRow row = ComputeDenseOntoScores(index, keyword, strategy,
+                                                  options, &predecessors);
+  if (target >= predecessors.size() ||
+      predecessors[target] == std::numeric_limits<uint32_t>::max()) {
     return Status::NotFound("concept has no OntoScore above the threshold");
   }
 
-  // Walk predecessors back to the seed.
-  std::vector<StateKey> reversed;
-  StateKey cursor = ConceptKey(target);
-  while (true) {
-    reversed.push_back(cursor);
-    const Settled& s = settled.at(cursor);
-    if (s.predecessor == cursor) break;  // seed
-    cursor = s.predecessor;
-  }
-  std::reverse(reversed.begin(), reversed.end());
-
+  // Walk predecessors back to the seed (the state that is its own).
   const Ontology& onto = index.ontology();
+  const auto concepts = static_cast<uint32_t>(onto.concept_count());
+  std::vector<uint32_t> states = {target};
+  while (predecessors[states.back()] != states.back()) {
+    states.push_back(predecessors[states.back()]);
+  }
+  std::reverse(states.begin(), states.end());
+
   OntoExplanation explanation;
   explanation.target = target;
-  explanation.score = target_it->second.score;
-
-  for (size_t i = 0; i < reversed.size(); ++i) {
-    StateKey key = reversed[i];
-    if (IsRestriction(key)) continue;  // folded into the next concept step
+  explanation.score = row[target];
+  for (size_t i = 0; i < states.size(); ++i) {
+    // A restriction ∃r.t (state concepts + q) folds into the next step.
+    if (states[i] >= concepts) continue;
     OntoPathStep step;
-    step.concept_id = TargetOfKey(key);
-    step.score = settled.at(key).score;
+    step.concept_id = states[i];
+    step.score = row[step.concept_id];
     if (i == 0) {
       step.kind = OntoPathStep::Kind::kSeed;
-    } else {
-      StateKey prev = reversed[i - 1];
-      if (IsRestriction(prev)) {
-        RelationTypeId role = RoleOfKey(prev);
-        ConceptId filler = TargetOfKey(prev);
-        step.via = onto.RelationTypeName(role);
-        if (step.concept_id == filler) {
-          step.kind = OntoPathStep::Kind::kRelationForward;
-        } else {
-          // The restriction was entered either from the filler (reverse
-          // traversal) or from a sibling source.
-          StateKey before = i >= 2 ? reversed[i - 2] : prev;
-          if (!IsRestriction(before) && TargetOfKey(before) == filler) {
-            step.kind = OntoPathStep::Kind::kRelationReverse;
-          } else {
-            step.kind = OntoPathStep::Kind::kRelationForward;
-            step.via += " (shared restriction)";
-          }
-        }
-      } else if (strategy == Strategy::kGraph) {
-        step.kind = OntoPathStep::Kind::kGraphEdge;
+    } else if (const uint32_t prev = states[i - 1]; prev >= concepts) {
+      const ConceptId filler = index.RestrictionTarget(prev - concepts);
+      step.via = onto.RelationTypeName(index.RestrictionRole(prev - concepts));
+      if (step.concept_id == filler) {
+        step.kind = OntoPathStep::Kind::kRelationForward;
+      } else if (i >= 2 && states[i - 2] == filler) {
+        // The restriction was entered from its filler (reverse traversal).
+        step.kind = OntoPathStep::Kind::kRelationReverse;
       } else {
-        ConceptId prev_concept = TargetOfKey(prev);
-        const auto& children = onto.Children(prev_concept);
-        bool down = std::find(children.begin(), children.end(),
-                              step.concept_id) != children.end();
-        step.kind = down ? OntoPathStep::Kind::kIsADown
-                         : OntoPathStep::Kind::kIsAUp;
+        // ... or from a sibling source of the same restriction.
+        step.kind = OntoPathStep::Kind::kRelationForward;
+        step.via += " (shared restriction)";
       }
+    } else if (strategy == Strategy::kGraph) {
+      step.kind = OntoPathStep::Kind::kGraphEdge;
+    } else {
+      const auto& children = onto.Children(prev);
+      bool down = std::find(children.begin(), children.end(),
+                            step.concept_id) != children.end();
+      step.kind =
+          down ? OntoPathStep::Kind::kIsADown : OntoPathStep::Kind::kIsAUp;
     }
     explanation.path.push_back(std::move(step));
   }
@@ -227,13 +113,19 @@ Result<std::vector<KeywordEvidence>> ExplainResult(const CorpusIndex& index,
   const double omega = index.options().score.ontology_weight;
 
   const DeweyRef element(result.element);
+  if (element.size() == 0) {
+    return Status::InvalidArgument("result has no element");
+  }
+  const uint32_t doc = element[0];
   for (const Keyword& keyword : query.keywords) {
     // Find the Eq. 3 witness: posting under the result with max decayed NS,
-    // read from the very list the query was served from.
+    // read from the result's document in the very list the query was
+    // served from.
     KeywordEvidence item;
     bool found = false;
-    for (DilCursor cursor = index.GetListRef(keyword).OpenCursor();
-         !cursor.AtEnd(); cursor.Next()) {
+    DilCursor cursor = index.GetListRef(keyword).OpenCursor();
+    for (cursor.SeekDoc(doc); !cursor.AtEnd() && cursor.doc() == doc;
+         cursor.Next()) {
       DeweyRef posting = cursor.dewey();
       if (CommonPrefixLength(element, posting) != element.size()) continue;
       double decayed =

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <span>
 #include <utility>
@@ -20,10 +21,12 @@ using State = uint32_t;
 struct QueueEntry {
   double score;
   State state;
+  State from;  ///< the state whose expansion pushed it (a seed: itself)
   bool operator<(const QueueEntry& other) const {
     return score < other.score;  // max-heap on score
   }
 };
+static_assert(sizeof(QueueEntry) == 16, "the heap holds 16-byte entries");
 
 /// What Settle leaves: every settled concept's score at its id (kUnsettled
 /// for the rest), and the settled concepts in settle order.
@@ -43,18 +46,25 @@ constexpr double kUnsettled = -1.0;  // scores are never negative
 /// Concepts are marked settled by their score, the other states (which
 /// only relay scores) in a flag array. The heap compares scores only, so
 /// the same pushes in the same order settle the same concepts in the same
-/// order, ties included.
+/// order, ties included. With `predecessors`, every state that settles
+/// records there the state whose expansion pushed it (a seed, itself).
 template <typename ExpandFn>
 SettledConcepts Settle(const std::vector<ScoredConcept>& seeds,
                        size_t concept_count, size_t state_count,
                        double threshold, const ExpandFn& expand,
-                       size_t max_settled_concepts = 0) {
+                       size_t max_settled_concepts,
+                       std::vector<State>* predecessors) {
+  if (predecessors != nullptr) {
+    predecessors->assign(state_count, std::numeric_limits<State>::max());
+  }
   std::vector<QueueEntry> heap;
   heap.reserve(state_count);
   std::priority_queue<QueueEntry> queue(std::less<QueueEntry>(),
                                         std::move(heap));
   for (const ScoredConcept& seed : seeds) {
-    if (seed.irs >= threshold) queue.push({seed.irs, seed.concept_id});
+    if (seed.irs >= threshold) {
+      queue.push({seed.irs, seed.concept_id, seed.concept_id});
+    }
   }
   if (queue.empty()) return {};
   SettledConcepts settled{std::vector<double>(concept_count, kUnsettled), {}};
@@ -65,8 +75,11 @@ SettledConcepts Settle(const std::vector<ScoredConcept>& seeds,
                ? settled.scores[state] != kUnsettled
                : settled_relays[state - concept_count] != 0;
   };
+  State from = 0;  // the state being expanded
   auto push = [&](State state, double score) {
-    if (score >= threshold && !is_settled(state)) queue.push({score, state});
+    if (score >= threshold && !is_settled(state)) {
+      queue.push({score, state, from});
+    }
   };
   while (!queue.empty()) {
     const QueueEntry top = queue.top();
@@ -84,6 +97,8 @@ SettledConcepts Settle(const std::vector<ScoredConcept>& seeds,
       settled.scores[top.state] = top.score;
       settled.order.push_back(top.state);
     }
+    if (predecessors != nullptr) (*predecessors)[top.state] = top.from;
+    from = top.state;
     expand(top.state, top.score, push);
   }
   return settled;
@@ -122,14 +137,15 @@ void ExpandGraph(const Ontology& onto, ConceptId c, double score,
 }
 
 SettledConcepts SettleGraph(const OntologyIndex& index, const Keyword& keyword,
-                            const ScoreOptions& options) {
+                            const ScoreOptions& options,
+                            std::vector<State>* predecessors) {
   const Ontology& onto = index.ontology();
   auto expand = [&](State c, double score, const auto& push) {
     ExpandGraph(onto, c, score, options.decay, push);
   };
   return Settle(index.Match(keyword), onto.concept_count(),
                 onto.concept_count(), options.threshold, expand,
-                options.max_concepts_per_keyword);
+                options.max_concepts_per_keyword, predecessors);
 }
 
 /// Taxonomy transfer: downward (super→sub) full, upward damped by the
@@ -148,21 +164,23 @@ void ExpandTaxonomic(const Ontology& onto, ConceptId c, double score,
 
 SettledConcepts SettleTaxonomy(const OntologyIndex& index,
                                const Keyword& keyword,
-                               const ScoreOptions& options) {
+                               const ScoreOptions& options,
+                               std::vector<State>* predecessors) {
   const Ontology& onto = index.ontology();
   auto expand = [&](State c, double score, const auto& push) {
     ExpandTaxonomic(onto, c, score, push);
   };
   return Settle(index.Match(keyword), onto.concept_count(),
                 onto.concept_count(), options.threshold, expand,
-                options.max_concepts_per_keyword);
+                options.max_concepts_per_keyword, predecessors);
 }
 
 /// States: the concepts, then restriction ∃r.t (OntologyIndex's dense id
 /// q) at concept_count + q.
 SettledConcepts SettleRelationships(const OntologyIndex& index,
                                     const Keyword& keyword,
-                                    const ScoreOptions& options) {
+                                    const ScoreOptions& options,
+                                    std::vector<State>* predecessors) {
   const Ontology& onto = index.ontology();
   const auto concepts = static_cast<State>(onto.concept_count());
   auto expand = [&](State state, double score, const auto& push) {
@@ -192,22 +210,24 @@ SettledConcepts SettleRelationships(const OntologyIndex& index,
   };
   return Settle(index.Match(keyword), concepts,
                 concepts + index.restriction_count(), options.threshold,
-                expand, options.max_concepts_per_keyword);
+                expand, options.max_concepts_per_keyword, predecessors);
 }
 
 /// The keyword's expansion under `strategy`; nothing settles under XRANK.
 SettledConcepts SettleKeyword(const OntologyIndex& index,
                               const Keyword& keyword, Strategy strategy,
-                              const ScoreOptions& options) {
+                              const ScoreOptions& options,
+                              std::vector<State>* predecessors = nullptr) {
   switch (strategy) {
     case Strategy::kXRank:
+      if (predecessors != nullptr) predecessors->clear();
       return {};
     case Strategy::kGraph:
-      return SettleGraph(index, keyword, options);
+      return SettleGraph(index, keyword, options, predecessors);
     case Strategy::kTaxonomy:
-      return SettleTaxonomy(index, keyword, options);
+      return SettleTaxonomy(index, keyword, options, predecessors);
     case Strategy::kRelationships:
-      return SettleRelationships(index, keyword, options);
+      return SettleRelationships(index, keyword, options, predecessors);
   }
   return {};
 }
@@ -222,51 +242,9 @@ OntoScoreMap ComputeOntoScores(const OntologyIndex& index,
 
 OntoScoreRow ComputeDenseOntoScores(const OntologyIndex& index,
                                     const Keyword& keyword, Strategy strategy,
-                                    const ScoreOptions& options) {
-  return ToRow(SettleKeyword(index, keyword, strategy, options));
-}
-
-OntoScoreMap ComputeRelationshipScoresOnDlView(const DlView& view,
-                                               const OntologyIndex& index,
-                                               const Keyword& keyword,
-                                               const ScoreOptions& options) {
-  // States are DlNodeIds: atomic nodes occupy [0, concept_count) with the
-  // concept's id, restriction nodes follow.
-  auto expand = [&](State node, double score, const auto& push) {
-    for (DlNodeId child : view.IsAChildren(node)) {
-      push(child, score);  // downward, factor 1
-    }
-    for (DlNodeId parent : view.IsAParents(node)) {
-      size_t fanout = view.IsAChildren(parent).size();
-      push(parent, score / static_cast<double>(fanout == 0 ? 1 : fanout));
-    }
-    for (DlNodeId dotted : view.DottedNeighbors(node)) {
-      push(dotted, score * options.decay);
-    }
-  };
-  return ToMap(Settle(index.Match(keyword), index.ontology().concept_count(),
-                      view.node_count(), options.threshold, expand,
-                      options.max_concepts_per_keyword));
-}
-
-OntoScoreMap ComputeGraphScoresIndependent(const OntologyIndex& index,
-                                           const Keyword& keyword,
-                                           const ScoreOptions& options) {
-  const Ontology& onto = index.ontology();
-  auto expand = [&](State c, double score, const auto& push) {
-    ExpandGraph(onto, c, score, options.decay, push);
-  };
-  OntoScoreMap combined;
-  for (const ScoredConcept& seed : index.Match(keyword)) {
-    OntoScoreMap one =
-        ToMap(Settle({seed}, onto.concept_count(), onto.concept_count(),
-                     options.threshold, expand));
-    for (const auto& [c, score] : one) {
-      auto [it, inserted] = combined.emplace(c, score);
-      if (!inserted && score > it->second) it->second = score;
-    }
-  }
-  return combined;
+                                    const ScoreOptions& options,
+                                    std::vector<uint32_t>* predecessors) {
+  return ToRow(SettleKeyword(index, keyword, strategy, options, predecessors));
 }
 
 }  // namespace xontorank

@@ -2,12 +2,12 @@
 #define XONTORANK_CORE_ONTO_SCORE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "core/options.h"
 #include "ir/query.h"
-#include "onto/dl_view.h"
 #include "onto/ontology.h"
 #include "onto/ontology_index.h"
 
@@ -59,25 +59,19 @@ OntoScoreMap ComputeOntoScores(const OntologyIndex& index,
 /// map's score at each concept it holds, 0.0 at every other concept of the
 /// system, and an empty row when the map is empty. Read straight off the
 /// expansion's dense settle array.
+///
+/// With `predecessors`, the expansion also leaves its provenance there
+/// (explain.h walks it): one entry per expansion state — the concepts at
+/// their ids, then under Relationships restriction q (OntologyIndex's
+/// dense id) at concept_count() + q — holding the state whose expansion
+/// settled it, the state itself for a seed, and UINT32_MAX for a state that
+/// never settled (below the threshold, or cut off by the §IX cap). Under
+/// Strategy::kXRank it is left empty.
 OntoScoreRow ComputeDenseOntoScores(const OntologyIndex& index,
                                     const Keyword& keyword, Strategy strategy,
-                                    const ScoreOptions& options);
-
-/// Reference implementation of the Relationships strategy that *does*
-/// materialize the DL view (§IV-C) and runs the generic expansion over it.
-/// Exists to validate, by equivalence testing, that the implicit traversal
-/// of ComputeOntoScores matches the materialized semantics exactly.
-OntoScoreMap ComputeRelationshipScoresOnDlView(const DlView& view,
-                                               const OntologyIndex& index,
-                                               const Keyword& keyword,
-                                               const ScoreOptions& options);
-
-/// Reference implementation of Algorithm 1 *without* Observation 1: one
-/// independent BFS per seed concept, combined by max. Exponentially slower
-/// on dense graphs; used to property-test the merged expansion.
-OntoScoreMap ComputeGraphScoresIndependent(const OntologyIndex& index,
-                                           const Keyword& keyword,
-                                           const ScoreOptions& options);
+                                    const ScoreOptions& options,
+                                    std::vector<uint32_t>* predecessors =
+                                        nullptr);
 
 }  // namespace xontorank
 

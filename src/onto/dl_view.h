@@ -29,10 +29,10 @@ using DlNodeId = uint32_t;
 ///
 /// This reduces a multi-relational graph to one with only is-a edges plus
 /// dotted links, over which the Relationships OntoScore strategy is defined.
-/// The production strategy (core/onto_score_relationships) traverses the
-/// *implicit* DL view directly on the ontology, as §VI-C prescribes; this
-/// materialized form is the reference used for equivalence testing and for
-/// the ontology_explorer example.
+/// The production strategy (core/onto_score.cc) traverses the *implicit*
+/// DL view directly on the ontology, as §VI-C prescribes; this
+/// materialized form is what the test oracle (tests/reference_eval.h) and
+/// the ontology_explorer example traverse.
 class DlView {
  public:
   explicit DlView(const Ontology& ontology);

@@ -59,11 +59,4 @@ std::vector<ScoredConcept> OntologyIndex::Match(const Keyword& keyword) const {
   return out;
 }
 
-double OntologyIndex::Irs(ConceptId concept_id, const Keyword& keyword) const {
-  for (const ScoredConcept& sc : Match(keyword)) {
-    if (sc.concept_id == concept_id) return sc.irs;
-  }
-  return 0.0;
-}
-
 }  // namespace xontorank

@@ -34,9 +34,6 @@ class OntologyIndex {
   /// normalized IRS scores; the seeds of OntoScore propagation.
   std::vector<ScoredConcept> Match(const Keyword& keyword) const;
 
-  /// Normalized IRS of one concept for `keyword`; 0 if no match.
-  double Irs(ConceptId concept_id, const Keyword& keyword) const;
-
   /// Distinct tokens appearing in any concept term — the ontology part of
   /// the indexing Vocabulary (§V-B).
   std::vector<std::string> Vocabulary() const { return index_.Vocabulary(); }

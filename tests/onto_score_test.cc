@@ -13,7 +13,9 @@
 #include "core/ontology_context.h"
 #include "gtest/gtest.h"
 #include "onto/ontology_generator.h"
+#include "onto/dl_view.h"
 #include "onto/snomed_fragment.h"
+#include "tests/reference_eval.h"
 #include "tests/test_util.h"
 
 namespace xontorank {
@@ -211,16 +213,15 @@ TEST_P(ObservationOneTest, MergedEqualsIndependentOnGeneratedOntology) {
     OntoScoreMap merged =
         ComputeOntoScores(index, keyword, Strategy::kGraph, options);
     OntoScoreMap independent =
-        ComputeGraphScoresIndependent(index, keyword, options);
-    // Same support, same values. (Threshold pruning can differ at the
-    // margin: a node reached at >= threshold only via a sub-threshold
-    // intermediate in one direction — both implementations prune identically
-    // since factors are uniform, so exact equality is expected.)
+        reference::ComputeGraphScoresIndependent(index, keyword, options);
+    // Same support, same values, bit for bit: both sides combine the same
+    // products by max, and every factor is <= 1, so a path's scores never
+    // rise and the threshold prunes the same paths.
     ASSERT_EQ(merged.size(), independent.size()) << kw;
     for (const auto& [c, score] : merged) {
       auto it = independent.find(c);
       ASSERT_NE(it, independent.end()) << kw;
-      EXPECT_NEAR(it->second, score, kEps) << kw;
+      EXPECT_EQ(it->second, score) << kw;
     }
   }
 }
@@ -257,14 +258,14 @@ TEST_P(DlEquivalenceTest, ImplicitMatchesMaterialized) {
     Keyword keyword = MakeKeyword(kw);
     OntoScoreMap implicit_map =
         ComputeOntoScores(index, keyword, Strategy::kRelationships, options);
-    OntoScoreMap materialized =
-        ComputeRelationshipScoresOnDlView(view, index, keyword, options);
+    OntoScoreMap materialized = reference::ComputeRelationshipScoresOnDlView(
+        view, index, keyword, options);
     ASSERT_EQ(implicit_map.size(), materialized.size()) << kw;
     for (const auto& [c, score] : implicit_map) {
       auto it = materialized.find(c);
       ASSERT_NE(it, materialized.end())
           << kw << " " << onto.GetConcept(c).preferred_term;
-      EXPECT_NEAR(it->second, score, kEps)
+      EXPECT_EQ(it->second, score)
           << kw << " " << onto.GetConcept(c).preferred_term;
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <string_view>
+#include <utility>
 
 #include "common/check.h"
 #include "core/elem_rank.h"
@@ -55,7 +56,111 @@ size_t VarintLength(uint64_t v) {
   return n;
 }
 
+/// One edge of an OntoScore oracle's graph: `to` receives
+/// score(from) * multiplier / divisor.
+struct ScoreEdge {
+  uint32_t from;
+  uint32_t to;
+  double multiplier;
+  double divisor;
+};
+
+/// The max-product fixpoint over `edges` from `seeds` (node, IRS): the
+/// best score per node, and which nodes were reached at all.
+struct Fixpoint {
+  std::vector<double> score;
+  std::vector<bool> reached;
+};
+
+Fixpoint MaxProductFixpoint(
+    size_t node_count, const std::vector<ScoreEdge>& edges,
+    const std::vector<std::pair<uint32_t, double>>& seeds, double threshold) {
+  Fixpoint out{std::vector<double>(node_count, 0.0),
+               std::vector<bool>(node_count, false)};
+  auto offer = [&out, threshold](uint32_t node, double score) {
+    if (score < threshold) return false;
+    if (out.reached[node] && score <= out.score[node]) return false;
+    out.reached[node] = true;
+    out.score[node] = score;
+    return true;
+  };
+  for (const auto& [node, irs] : seeds) offer(node, irs);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const ScoreEdge& edge : edges) {
+      if (!out.reached[edge.from]) continue;
+      if (offer(edge.to,
+                out.score[edge.from] * edge.multiplier / edge.divisor)) {
+        changed = true;
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+OntoScoreMap ComputeGraphScoresIndependent(const OntologyIndex& index,
+                                           const Keyword& keyword,
+                                           const ScoreOptions& options) {
+  const Ontology& onto = index.ontology();
+  std::vector<ScoreEdge> edges;
+  for (ConceptId c = 0; c < onto.concept_count(); ++c) {
+    for (ConceptId p : onto.Parents(c)) {
+      edges.push_back({c, p, options.decay, 1.0});
+      edges.push_back({p, c, options.decay, 1.0});
+    }
+    for (const ConceptRelationship& rel : onto.OutRelationships(c)) {
+      edges.push_back({c, rel.target, options.decay, 1.0});
+      edges.push_back({rel.target, c, options.decay, 1.0});
+    }
+  }
+  OntoScoreMap combined;
+  for (const ScoredConcept& seed : index.Match(keyword)) {
+    Fixpoint one =
+        MaxProductFixpoint(onto.concept_count(), edges,
+                           {{seed.concept_id, seed.irs}}, options.threshold);
+    for (ConceptId c = 0; c < onto.concept_count(); ++c) {
+      if (!one.reached[c]) continue;
+      auto [it, inserted] = combined.emplace(c, one.score[c]);
+      if (!inserted && one.score[c] > it->second) it->second = one.score[c];
+    }
+  }
+  return combined;
+}
+
+OntoScoreMap ComputeRelationshipScoresOnDlView(const DlView& view,
+                                               const OntologyIndex& index,
+                                               const Keyword& keyword,
+                                               const ScoreOptions& options) {
+  std::vector<ScoreEdge> edges;
+  for (DlNodeId node = 0; node < view.node_count(); ++node) {
+    for (DlNodeId child : view.IsAChildren(node)) {
+      edges.push_back({node, child, 1.0, 1.0});
+    }
+    for (DlNodeId parent : view.IsAParents(node)) {
+      edges.push_back({node, parent, 1.0,
+                       static_cast<double>(view.IsAChildren(parent).size())});
+    }
+    for (DlNodeId dotted : view.DottedNeighbors(node)) {
+      edges.push_back({node, dotted, options.decay, 1.0});
+    }
+  }
+  std::vector<std::pair<uint32_t, double>> seeds;
+  for (const ScoredConcept& seed : index.Match(keyword)) {
+    seeds.emplace_back(view.AtomicNode(seed.concept_id), seed.irs);
+  }
+  Fixpoint all = MaxProductFixpoint(view.node_count(), edges, seeds,
+                                    options.threshold);
+  OntoScoreMap out;
+  for (DlNodeId node = 0; node < view.node_count(); ++node) {
+    if (all.reached[node] && view.IsAtomic(node)) {
+      out.emplace(view.ConceptOf(node), all.score[node]);
+    }
+  }
+  return out;
+}
 
 FlatDil FreezeLists(const Lists& lists) {
   // Sorted copies of only the lists that need them.

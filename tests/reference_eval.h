@@ -25,10 +25,12 @@
 #include <vector>
 
 #include "core/flat_dil.h"
+#include "core/onto_score.h"
 #include "core/options.h"
 #include "core/query_result.h"
 #include "ir/query.h"
 #include "ir/text_index.h"
+#include "onto/dl_view.h"
 #include "onto/ontology_index.h"
 #include "onto/ontology_set.h"
 #include "xml/corpus.h"
@@ -76,6 +78,32 @@ size_t ApproxSizeBytes(const std::vector<Posting>& postings);
 std::vector<QueryResult> EvaluateLists(
     const std::vector<std::vector<Posting>>& lists, double decay,
     size_t top_k);
+
+/// OntoScore oracles (§IV). Both compute OS(w, ·) as a deliberately naive
+/// max-product fixpoint over an explicit edge list: every seed concept
+/// (Match(keyword) with IRS >= threshold) starts at its IRS, and every
+/// edge is relaxed, in list order, until no score changes; a score below
+/// the threshold is never written. No heap and no code is shared with the
+/// engine's best-first expansion (core/onto_score.cc), and the §IX cap is
+/// not applied. Each edge transfers score * multiplier / divisor, the same
+/// operations as the engine's transfer factors, so with max-combining the
+/// scores agree with ComputeOntoScores bit for bit.
+
+/// Graph strategy without Observation 1: one fixpoint per seed concept over
+/// the undirected is-a and relationship edges (each costing `decay`),
+/// combined by max.
+OntoScoreMap ComputeGraphScoresIndependent(const OntologyIndex& index,
+                                           const Keyword& keyword,
+                                           const ScoreOptions& options);
+
+/// Relationships strategy over the materialized DL view (§IV-C): is-a
+/// down costs 1, is-a up divides by the parent's subclass count, and a
+/// dotted link costs `decay`. Restriction nodes only relay scores; the map
+/// holds the atomic nodes' concepts.
+OntoScoreMap ComputeRelationshipScoresOnDlView(const DlView& view,
+                                               const OntologyIndex& index,
+                                               const Keyword& keyword,
+                                               const ScoreOptions& options);
 
 /// Eq. 1-5 over XML trees. Construction does the per-corpus work once:
 /// each document's elements are numbered in preorder and indexed into the

@@ -280,6 +280,47 @@ class XoLintFixtureTest(unittest.TestCase):
                  "  ::madvise(p, n, 1);  // xo-lint: allow(raw-mmap)\n"
                  "}\n"})
 
+    # --- best-first-queue -----------------------------------------------
+
+    def test_priority_queue_in_src_fires(self):
+        self.assert_fires(
+            {"src/core/explain.cc":
+                 "#include <queue>\n"
+                 "void Walk() {\n"
+                 "  std::priority_queue<QueueEntry> queue;\n"
+                 "}\n"},
+            "best-first-queue")
+
+    def test_unqualified_priority_queue_fires(self):
+        self.assert_fires(
+            {"src/ir/widget.h":
+                 "#ifndef XONTORANK_IR_WIDGET_H_\n"
+                 "#define XONTORANK_IR_WIDGET_H_\n"
+                 "using std::priority_queue;\n"
+                 "priority_queue<double> heap;\n"
+                 "#endif  // XONTORANK_IR_WIDGET_H_\n"},
+            "best-first-queue", count=2)
+
+    def test_onto_score_is_exempt(self):
+        self.assert_clean(
+            {"src/core/onto_score.cc":
+                 "std::priority_queue<QueueEntry> queue;\n"})
+
+    def test_priority_queue_outside_src_does_not_fire(self):
+        self.assert_clean(
+            {"tests/widget_test.cc":
+                 "std::priority_queue<int> heap;\n",
+             "bench/bench_widget.cc":
+                 "std::priority_queue<int> heap;\n",
+             "src/core/widget.cc":
+                 "// explain used to run its own std::priority_queue\n"})
+
+    def test_best_first_queue_suppression_comment(self):
+        self.assert_clean(
+            {"src/core/widget.cc":
+                 "// xo-lint: allow(best-first-queue) — a reason\n"
+                 "std::priority_queue<int> heap;\n"})
+
     # --- legacy-search --------------------------------------------------
 
     def test_search_ranked_fires(self):

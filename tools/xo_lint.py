@@ -32,6 +32,11 @@ sources and enforces the XOntoRank contract invariants:
                   every mapping; everywhere else takes views through
                   SegmentFile so lifetime and advice policy stay in one
                   auditable place.                      [scope: src/]
+  best-first-queue  std::priority_queue may appear only in
+                  src/core/onto_score.cc — Settle is the engine's one
+                  best-first expansion; explain and any other reader of
+                  OntoScore provenance walk its predecessor column
+                  instead of running a copy of it.      [scope: src/]
   legacy-search   the pre-SearchOptions query surface — SearchRanked()
                   and the Search(query, <integer top_k>) convenience
                   overloads — was removed when the API was finalized;
@@ -120,6 +125,7 @@ VOIDED_STATUS_RE = re.compile(
 )
 RAW_MMAP_RE = re.compile(r"\b(?:mmap|munmap|madvise)\s*\(")
 RAW_THREAD_RE = re.compile(r"\bstd::(?:thread|jthread|async)\b")
+PRIORITY_QUEUE_RE = re.compile(r"\bpriority_queue\b")
 # The finalized-API rule: SearchRanked is gone, and a Search(...) call
 # whose last argument is an integer literal is the removed top_k
 # convenience shape (Search(query, 5)). The unified surface takes a
@@ -148,6 +154,8 @@ RULE_DOCS = {
     "raw-mmap": "mmap/munmap/madvise outside src/storage/segment_file.*",
     "raw-thread": "std::thread/jthread/async outside "
                   "src/common/thread_pool.*",
+    "best-first-queue": "std::priority_queue outside "
+                        "src/core/onto_score.cc",
     "legacy-search": "removed SearchRanked/Search(query, top_k) call shape",
     "untrusted-decode": "byte-reinterpreting cast outside the audited "
                         "decode layer (segment_file.*, coding.*, "
@@ -267,6 +275,7 @@ class Linter:
         is_sync_header = relpath == "src/common/sync.h"
         is_mapping_owner = relpath.startswith("src/storage/segment_file.")
         is_thread_owner = relpath.startswith("src/common/thread_pool.")
+        is_expansion_owner = relpath == "src/core/onto_score.cc"
         is_decode_owner = relpath.startswith(UNTRUSTED_DECODE_OWNERS)
 
         for idx, code in enumerate(lines, start=1):
@@ -308,6 +317,14 @@ class Linter:
                     "raw std::thread/jthread/async; run parallel work on "
                     "ThreadPool::Shared() (src/common/thread_pool.h), the "
                     "engine's one owner of threads", allowed)
+            if in_src and not is_expansion_owner and \
+                    PRIORITY_QUEUE_RE.search(code):
+                self.report(
+                    relpath, idx, "best-first-queue",
+                    "std::priority_queue outside core/onto_score.cc; Settle "
+                    "is the one best-first expansion — read its predecessor "
+                    "column (ComputeDenseOntoScores) instead of running "
+                    "another", allowed)
             if LEGACY_SEARCH_RANKED_RE.search(code) or \
                     LEGACY_SEARCH_TOPK_RE.search(code):
                 self.report(
