@@ -78,7 +78,7 @@ void WalkView(const xontorank::FlatDil& dil, bool verified) {
       seek.SeekDoc(target);
       if (!seek.AtEnd()) {
         (void)seek.dewey();
-        if (seek.has_block_max()) (void)seek.BlockUpperBound(seek.doc());
+        (void)seek.BlockUpperBound(seek.doc());
       }
     }
 

@@ -108,18 +108,11 @@ size_t MutateSegmentBytes(uint8_t* data, size_t size, size_t max_size,
       std::memcmp(data, kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
     return MutateBytes(data, size, max_size, rng);
   }
-  uint32_t version = LoadAt<uint32_t>(data, 4);
-  if (version < kSegmentVersionV1 || version > kSegmentVersion) {
-    version = kSegmentVersion;
-  }
-  const size_t sections = SegmentSectionCountFor(version);
-  const size_t table_end = SegmentTableEndFor(version);
-
   size_t ops = 1 + Rand(rng, 3);
   for (size_t i = 0; i < ops; ++i) {
     switch (Rand(rng, 6)) {
       case 0: {  // bit-flip inside a section payload, maybe re-fix its CRC
-        size_t s = Rand(rng, sections);
+        size_t s = Rand(rng, kSegmentSectionCount);
         size_t entry = kSegmentHeaderBytes + s * kSegmentTableEntryBytes;
         uint64_t off = LoadAt<uint64_t>(data, entry);
         uint64_t bytes = LoadAt<uint64_t>(data, entry + 8);
@@ -131,8 +124,8 @@ size_t MutateSegmentBytes(uint8_t* data, size_t size, size_t max_size,
         break;
       }
       case 1: {  // splice: swap two section-table entries wholesale
-        size_t a = Rand(rng, sections);
-        size_t b = Rand(rng, sections);
+        size_t a = Rand(rng, kSegmentSectionCount);
+        size_t b = Rand(rng, kSegmentSectionCount);
         uint8_t tmp[kSegmentTableEntryBytes];
         uint8_t* ea = data + kSegmentHeaderBytes + a * kSegmentTableEntryBytes;
         uint8_t* eb = data + kSegmentHeaderBytes + b * kSegmentTableEntryBytes;
@@ -154,7 +147,7 @@ size_t MutateSegmentBytes(uint8_t* data, size_t size, size_t max_size,
         break;
       }
       case 3: {  // tweak a table offset/length field
-        size_t s = Rand(rng, sections);
+        size_t s = Rand(rng, kSegmentSectionCount);
         size_t entry = kSegmentHeaderBytes + s * kSegmentTableEntryBytes;
         size_t field = entry + 8 * Rand(rng, 2);
         uint64_t value = LoadAt<uint64_t>(data, field);
@@ -170,7 +163,6 @@ size_t MutateSegmentBytes(uint8_t* data, size_t size, size_t max_size,
       case 4: {  // hostile u32 in an offset-ish column, CRC re-fixed
         static constexpr size_t kU32Sections[] = {1, 2, 5, 7, 8};
         size_t s = kU32Sections[Rand(rng, 5)];
-        if (s >= sections) break;
         size_t entry = kSegmentHeaderBytes + s * kSegmentTableEntryBytes;
         uint64_t off = LoadAt<uint64_t>(data, entry);
         uint64_t bytes = LoadAt<uint64_t>(data, entry + 8);
@@ -195,7 +187,7 @@ size_t MutateSegmentBytes(uint8_t* data, size_t size, size_t max_size,
   // footer gate and reach the structural validation; leave a fraction
   // broken to keep the CRC path itself exercised.
   if (size >= kSegmentMinBytes && Rand(rng, 10) != 0) {
-    StoreAt<uint32_t>(data, size - 8, CrcOver(data, 0, table_end));
+    StoreAt<uint32_t>(data, size - 8, CrcOver(data, 0, kSegmentTableEnd));
     StoreAt<uint32_t>(data, size - 4, kSegmentFooterMagic);
   }
   return size;

@@ -1,25 +1,20 @@
 #include "common/check.h"
 
+#include <cstdio>
 #include <cstdlib>
-
-#include "common/logging.h"
 
 namespace xontorank {
 namespace internal_check {
 
 void CheckFailed(const char* file, int line, const char* kind,
                  const char* expr, const std::string& detail) {
-  {
-    // Constructing LogMessage directly (instead of XONTO_LOG) bypasses
-    // the global level threshold: a failed invariant is emitted even at
-    // LogLevel::kOff, serialized with concurrent log lines by the sink
-    // mutex. The scope guarantees the destructor flushes before abort.
-    internal_logging::LogMessage msg(LogLevel::kError);
-    msg << file << ":" << line << " " << kind << "(" << expr << ") failed";
-    if (!detail.empty()) {
-      msg << ": " << detail;
-    }
-  }
+  // One write of the whole line, so concurrent failures do not interleave
+  // their pieces.
+  std::string message = std::string(file) + ":" + std::to_string(line) +
+                        " " + kind + "(" + expr + ") failed";
+  if (!detail.empty()) message += ": " + detail;
+  message += "\n";
+  std::fwrite(message.data(), 1, message.size(), stderr);
   std::abort();
 }
 

@@ -7,11 +7,9 @@
 namespace xontorank {
 namespace internal_check {
 
-/// Reports a failed contract to the logging sink (bypassing the global
-/// threshold — a failed invariant must never be silent) and aborts the
-/// process. The message carries file:line, the macro kind, and the
-/// stringified expression so a Release-build core dump is actionable
-/// without symbols.
+/// Writes a failed contract to stderr as one line and aborts the process.
+/// The message carries file:line, the macro kind, and the stringified
+/// expression so a Release-build core dump is actionable without symbols.
 [[noreturn]] void CheckFailed(const char* file, int line, const char* kind,
                               const char* expr, const std::string& detail);
 

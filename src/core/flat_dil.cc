@@ -66,6 +66,8 @@ FlatDil& FlatDil::operator=(FlatDil&& other) noexcept {
 FlatDil FlatDil::FromSections(const Sections& sections,
                               std::shared_ptr<const void> pin) {
   XO_CHECK(pin != nullptr && "a mapped view pins the memory it aliases");
+  // Cursors read the bound of any block they visit without asking.
+  XO_CHECK_EQ(sections.block_max.size(), sections.skip_first_doc.size());
   FlatDil dil;
   dil.pin_ = std::move(pin);
   dil.v_ = sections;

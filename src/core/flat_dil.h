@@ -115,10 +115,9 @@ class FlatDil {
   /// FlatDil these alias its own vectors; for a mapped view they alias the
   /// external (mmap'd) memory. SegmentWriter serializes exactly these.
   ///
-  /// `block_max` (one float per block, upper-rounded from the double
-  /// scores) is the only optional column: segment v1 files predate it, so
-  /// a v1 mapped view carries an empty span and top-k pruning falls back
-  /// to the exact merge (has_block_max()).
+  /// `block_max` holds one float per block, rounded up from the block's
+  /// double scores so it never under-estimates them (pruning against it
+  /// is admissible).
   struct Sections {
     std::string_view keyword_arena;             ///< concatenated keywords
     std::span<const uint32_t> keyword_offsets;  ///< K+1 arena offsets
@@ -129,7 +128,7 @@ class FlatDil {
     std::span<const uint32_t> dewey_arena;      ///< concatenated suffixes
     std::span<const uint32_t> skip_first_doc;   ///< one per block
     std::span<const uint32_t> skip_begin;       ///< K+1 block bounds
-    std::span<const float> block_max;           ///< one per block, or empty
+    std::span<const float> block_max;           ///< one per block
   };
 
   FlatDil() { Rebind(); }
@@ -216,21 +215,6 @@ class FlatDil {
   /// Skip-table blocks across all lists (the segment header's block
   /// count).
   size_t TotalBlocks() const { return v_.skip_first_doc.size(); }
-
-  // --- block-max pruning ------------------------------------------------
-
-  /// True when every block carries its score upper bound (always for
-  /// built/decoded dils; false for mapped views of v1 segments, which
-  /// predate the column). Top-k pruning requires this; without it the
-  /// query path falls back to the exact merge.
-  bool has_block_max() const {
-    return v_.block_max.size() == v_.skip_first_doc.size();
-  }
-
-  /// Upper bound of any score in `block` (global skip-table index). The
-  /// bound is a float rounded *up* from the block's double scores, so it
-  /// never under-estimates (pruning against it is admissible).
-  float BlockMaxAt(uint32_t block) const { return v_.block_max[block]; }
 
  private:
   friend class DilCursor;
@@ -468,13 +452,6 @@ class DilCursor {
 
   // --- block-max pruning ------------------------------------------------
 
-  /// True when this cursor can participate in block-max pruning: its dil
-  /// carries the block-max column. v1 mapped views answer false, which
-  /// routes the whole query to the exact merge.
-  bool has_block_max() const {
-    return dil_ != nullptr && dil_->has_block_max();
-  }
-
   /// Global skip-table index of the current posting's block. Requires
   /// !AtEnd().
   uint32_t block() const {
@@ -501,7 +478,7 @@ class DilCursor {
   /// are document-sorted, so any posting of a document < next_doc lies
   /// inside it, and the returned max_score bounds them all. Blocks past
   /// the cursor's range end over-extend the bound harmlessly (bounds may
-  /// only over-estimate). Requires !AtEnd() and has_block_max().
+  /// only over-estimate). Requires !AtEnd().
   BlockBound BlockUpperBound(uint32_t pivot_doc) const {
     uint32_t lo = block();
     uint32_t last = range_last_block();

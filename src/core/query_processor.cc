@@ -10,7 +10,7 @@ namespace {
 
 /// The result order every path in this file produces: score descending,
 /// ties broken by Dewey order. Doubles as the heap comparator of the
-/// pruned merge (comp = "a beats b" puts the *worst* kept result at the
+/// top-k merge (comp = "a beats b" puts the *worst* kept result at the
 /// heap top, which is exactly the running k-th threshold).
 bool BetterResult(const QueryResult& a, const QueryResult& b) {
   if (a.score != b.score) return a.score > b.score;
@@ -21,8 +21,9 @@ bool BetterResult(const QueryResult& a, const QueryResult& b) {
 /// stack is three flat reused arrays — path components, emitted flags, and
 /// a depth × keyword score matrix — so pushing or popping a frame never
 /// allocates. This is where the columnar layout pays off: the hot loop
-/// touches contiguous memory only. With top_k >= 1 every run keeps its results in a k-heap,
-/// so an emitted frame that cannot enter the top k costs no allocation.
+/// touches contiguous memory only. With top_k >= 1 the results live in a
+/// k-heap, so an emitted frame that cannot enter the top k costs no
+/// allocation.
 class CursorMerger {
  public:
   CursorMerger(std::vector<DilCursor>& cursors, const ScoreOptions& options)
@@ -32,69 +33,38 @@ class CursorMerger {
         lcp_(cursors.size(), 0),
         doc_bounds_(cursors.size()) {}
 
-  /// The exact merge: scores every aligned document. top_k == 0 keeps
-  /// every result; otherwise a BetterResult k-heap keeps the best k (same
-  /// output as sorting everything and truncating).
-  std::vector<QueryResult> Run(size_t top_k, ExecuteStats* stats) {
-    Start(top_k, stats);
-    results_.reserve(top_k);
-    while (AlignOnSharedDocument()) {
-      DrainDocument(cursors_[0].doc());
-    }
-    PopTo(0);
-    std::sort(results_.begin(), results_.end(), BetterResult);
-    return std::move(results_);
-  }
-
-  /// Block-Max-WAND merge (DESIGN.md §12). Same output as Run, proven by
-  /// the threshold algebra: once the heap holds k results, a document range
-  /// whose summed per-list block maxima is <= the k-th score cannot produce
-  /// a result that enters the heap — Eq. 4 sums per-keyword subtree maxima,
-  /// each bounded by its list's window max (decay <= 1 keeps propagation
-  /// non-increasing), and a tie on the threshold loses to the already-kept
-  /// earlier-document result under the Dewey tiebreak. Callers must ensure
-  /// every cursor has_block_max(), top_k >= 1, and decay <= 1.
-  std::vector<QueryResult> RunPruned(size_t top_k, ExecuteStats* stats) {
-    Start(top_k, stats);
-    pruned_ = true;
-    results_.reserve(top_k);
-    last_counted_block_.assign(num_keywords_, UINT32_MAX);
-    RunPrunedLoop();
-    std::sort(results_.begin(), results_.end(), BetterResult);
-    return std::move(results_);
-  }
-
-  /// Cross-segment step of the pruned merge (DESIGN.md §15): continues a
-  /// *shared* global top-k carried across segments. `heap` is a
-  /// BetterResult heap of at most top_k results from earlier segments; on
-  /// return it holds the updated (still unsorted) heap. Pruning against the
-  /// carried threshold stays exact for the same tie argument as within one
-  /// segment: segments are visited in ascending document order, so a
-  /// later candidate that merely ties the k-th score loses the Dewey
-  /// tiebreak to the already-kept result and could never enter the heap.
-  void RunPrunedShared(size_t top_k, ExecuteStats* stats,
-                       std::vector<QueryResult>* heap) {
-    Start(top_k, stats);
-    pruned_ = true;
-    results_ = std::move(*heap);
-    results_.reserve(top_k);
-    if (results_.size() == top_k_) threshold_ = results_.front().score;
-    last_counted_block_.assign(num_keywords_, UINT32_MAX);
-    RunPrunedLoop();
-    *heap = std::move(results_);
-  }
-
- private:
-  void Start(size_t top_k, ExecuteStats* stats) {
+  /// Merges every aligned document into `results`, which it continues:
+  /// with top_k == 0 an unsorted list of every result, otherwise a
+  /// BetterResult heap of at most top_k results from documents before
+  /// these cursors' (empty for the first segment or shard). On return
+  /// `results` is the updated, still unsorted, list or heap.
+  ///
+  /// `prune` turns on Block-Max-WAND (DESIGN.md §12); the caller sets it
+  /// only when it is admissible (top_k >= 1 and decay <= 1). The output is
+  /// the same either way, by the threshold algebra: once the heap holds k
+  /// results, a document range whose summed per-list block maxima is <=
+  /// the k-th score cannot produce a result that enters the heap — Eq. 4
+  /// sums per-keyword subtree maxima, each bounded by its list's window
+  /// max (decay <= 1 keeps propagation non-increasing), and a tie on the
+  /// threshold loses to the already-kept result from an earlier document
+  /// under the Dewey tiebreak. The same argument holds against a heap
+  /// carried from earlier segments, which hold earlier documents
+  /// (DESIGN.md §15). Only a pruning run counts blocks, skipped documents
+  /// and threshold updates in `stats`.
+  void Run(bool prune, size_t top_k, ExecuteStats* stats,
+           std::vector<QueryResult>* results) {
+    prune_ = prune;
     top_k_ = top_k;
     stats_ = stats != nullptr ? stats : &local_stats_;
-  }
-
-  /// The Block-Max-WAND loop shared by RunPruned and RunPrunedShared.
-  void RunPrunedLoop() {
+    results_ = std::move(*results);
+    results_.reserve(top_k);
+    if (top_k_ > 0 && results_.size() == top_k_) {
+      threshold_ = results_.front().score;
+    }
+    if (prune_) last_counted_block_.assign(num_keywords_, UINT32_MAX);
     while (AlignOnSharedDocument()) {
       uint32_t doc = cursors_[0].doc();
-      if (results_.size() == top_k_) {
+      if (prune_ && results_.size() == top_k_) {
         double bound = 0.0;
         uint32_t next_doc = UINT32_MAX;
         for (size_t w = 0; w < num_keywords_; ++w) {
@@ -142,13 +112,14 @@ class CursorMerger {
         }
       }
       DrainDocument(doc);
-      // Document boundary: flush the finished frames into the heap now so
-      // the next prune decision sees the freshest threshold.
+      // Document boundary: flush the finished frames into the output now
+      // so the next prune decision sees the freshest threshold.
       PopTo(0);
     }
-    PopTo(0);
+    *results = std::move(results_);
   }
 
+ private:
   /// Drains every posting of `doc` with the min-Dewey merge, exactly as
   /// the oblivious pass would. Selection by shared prefix (DESIGN.md §7):
   /// lcp_[w] is how many components cursor w's posting shares with the
@@ -180,7 +151,7 @@ class CursorMerger {
       const size_t c = static_cast<size_t>(chosen);
       DilCursor& cursor = cursors_[c];
       ++stats_->postings_scored;
-      if (pruned_) {
+      if (prune_) {
         // Count each block once, the first time a posting is drawn from it.
         uint32_t block = cursor.block();
         if (block != last_counted_block_[c]) {
@@ -241,13 +212,14 @@ class CursorMerger {
       results_.push_back(std::move(result));
       return;
     }
-    // The exact merge keeps the same heap but reports no pruning work.
+    // A run without pruning keeps the same heap but reports no pruning
+    // work.
     if (results_.size() < top_k_) {
       results_.push_back(std::move(result));
       std::push_heap(results_.begin(), results_.end(), BetterResult);
       if (results_.size() == top_k_) {
         threshold_ = results_.front().score;
-        if (pruned_) ++stats_->threshold_updates;
+        if (prune_) ++stats_->threshold_updates;
       }
       return;
     }
@@ -256,7 +228,7 @@ class CursorMerger {
     std::push_heap(results_.begin(), results_.end(), BetterResult);
     if (results_.front().score > threshold_) {
       threshold_ = results_.front().score;
-      if (pruned_) ++stats_->threshold_updates;
+      if (prune_) ++stats_->threshold_updates;
     }
   }
 
@@ -361,14 +333,25 @@ class CursorMerger {
   size_t top_k_ = 0;
   double threshold_ = 0.0;  ///< k-th best score once the heap is full
 
-  // Pruned-merge state (RunPruned / RunPrunedShared only).
-  bool pruned_ = false;  ///< block-max leapfrogging on; block stats counted
+  // Pruning state (Run with prune set).
+  bool prune_ = false;  ///< block-max leapfrogging on; block stats counted
   std::vector<uint32_t> last_counted_block_;  ///< per keyword, for stats
-  /// Per keyword, the current document's bound (RunPrunedLoop scratch).
+  /// Per keyword, the current document's bound (Run's scratch).
   std::vector<DilCursor::DocumentBound> doc_bounds_;
   ExecuteStats* stats_ = nullptr;  ///< added to, never reset; never null
   ExecuteStats local_stats_;       ///< sink when the caller passed none
 };
+
+/// Whether a merge may prune as `pruning` asks (DESIGN.md §12): pruning
+/// needs a threshold (top_k >= 1) and non-increasing score propagation
+/// (decay <= 1), so a window's block maxima bound every frame its
+/// documents can emit. Without it the merge scores every aligned
+/// document; the results are the same.
+bool PruneAdmissible(PruningMode pruning, size_t top_k,
+                     const ScoreOptions& options) {
+  return pruning == PruningMode::kBlockMax && top_k >= 1 &&
+         options.decay <= 1.0;
+}
 
 /// Flattens per-shard top-k lists into the global (score desc, Dewey) order
 /// the serial pass produces, truncated to `top_k`.
@@ -396,27 +379,13 @@ std::vector<QueryResult> QueryProcessor::Execute(
 std::vector<QueryResult> QueryProcessor::Execute(
     std::vector<DilCursor> cursors, size_t top_k, PruningMode pruning,
     ExecuteStats* stats) const {
-  if (cursors.empty()) return {};
-  for (const DilCursor& cursor : cursors) {
-    if (cursor.AtEnd()) return {};  // conjunctive short-circuit
-  }
-  // Admissibility: pruning needs a threshold (top_k >= 1), per-block
-  // bounds on every list, and non-increasing score propagation
-  // (decay <= 1) so the window max bounds every frame a document range
-  // can emit. Anything else runs the exact merge — same results.
-  bool prunable = pruning == PruningMode::kBlockMax && top_k >= 1 &&
-                  options_.decay <= 1.0;
-  if (prunable) {
-    for (const DilCursor& cursor : cursors) {
-      if (!cursor.has_block_max()) {
-        prunable = false;
-        break;
-      }
-    }
-  }
-  CursorMerger merger(cursors, options_);
-  return prunable ? merger.RunPruned(top_k, stats)
-                  : merger.Run(top_k, stats);
+  std::vector<QueryResult> results;
+  if (cursors.empty()) return results;
+  CursorMerger(cursors, options_)
+      .Run(PruneAdmissible(pruning, top_k, options_), top_k, stats,
+           &results);
+  std::sort(results.begin(), results.end(), BetterResult);
+  return results;
 }
 
 std::vector<QueryResult> QueryProcessor::ExecuteSegments(
@@ -446,14 +415,17 @@ std::vector<QueryResult> QueryProcessor::ExecuteSegments(
   if (eligible.empty()) return {};
   if (stats != nullptr) stats->postings_scanned = total_postings;
 
-  auto open_all = [&eligible](size_t s, const DocRange* range) {
+  // Merges segment s (within `range`, if any) into `results`.
+  const bool prune = PruneAdmissible(pruning, top_k, options_);
+  auto run = [&](size_t s, const DocRange* range, ExecuteStats* run_stats,
+                 std::vector<QueryResult>* results) {
     std::vector<DilCursor> cursors;
     cursors.reserve(eligible[s]->size());
     for (const DilListRef& list : *eligible[s]) {
       cursors.push_back(range == nullptr ? list.OpenCursor()
                                          : list.OpenCursor(*range));
     }
-    return cursors;
+    CursorMerger(cursors, options_).Run(prune, top_k, run_stats, results);
   };
 
   // Parallel plan: flatten into (segment, document range) work items —
@@ -478,8 +450,7 @@ std::vector<QueryResult> QueryProcessor::ExecuteSegments(
     std::vector<ExecuteStats> item_stats(items.size());
     pool->ParallelFor(items.size(), [&](size_t i) {
       const auto& [s, range] = items[i];
-      item_results[i] =
-          Execute(open_all(s, &range), top_k, pruning, &item_stats[i]);
+      run(s, &range, &item_stats[i], &item_results[i]);
     });
     if (stats != nullptr) {
       for (const ExecuteStats& s : item_stats) {
@@ -492,57 +463,16 @@ std::vector<QueryResult> QueryProcessor::ExecuteSegments(
     }
     return MergeShardResults(std::move(item_results), top_k);
   }
-  // One live segment: the plain serial merge.
-  if (eligible.size() == 1) {
-    return Execute(open_all(0, nullptr), top_k, pruning, stats);
-  }
 
-  // Serial plan: one global top-k heap shared across segments, visited in
-  // ascending document order. Prunable segments (block-max admissible)
-  // continue the Block-Max-WAND merge against the carried threshold;
-  // non-prunable ones run the exact merge locally — their local top-k
-  // contains every candidate that could enter the shared heap, because
-  // scores never interact across (doc-disjoint) segments.
-  std::vector<QueryResult> heap;  // BetterResult heap, <= top_k entries
-  auto emit_shared = [&heap, top_k](std::vector<QueryResult> results) {
-    for (QueryResult& r : results) {
-      if (top_k == 0) {
-        heap.push_back(std::move(r));
-        continue;
-      }
-      if (heap.size() < top_k) {
-        heap.push_back(std::move(r));
-        std::push_heap(heap.begin(), heap.end(), BetterResult);
-        continue;
-      }
-      if (!BetterResult(r, heap.front())) continue;
-      std::pop_heap(heap.begin(), heap.end(), BetterResult);
-      heap.back() = std::move(r);
-      std::push_heap(heap.begin(), heap.end(), BetterResult);
-    }
-  };
+  // Serial plan: one top-k heap carried across the segments in ascending
+  // document order, so a later segment prunes against the threshold the
+  // earlier ones raised.
+  std::vector<QueryResult> results;
   for (size_t s = 0; s < eligible.size(); ++s) {
-    std::vector<DilCursor> cursors = open_all(s, nullptr);
-    bool prunable = pruning == PruningMode::kBlockMax && top_k >= 1 &&
-                    options_.decay <= 1.0;
-    if (prunable) {
-      for (const DilCursor& cursor : cursors) {
-        if (!cursor.has_block_max()) {
-          prunable = false;
-          break;
-        }
-      }
-    }
-    CursorMerger merger(cursors, options_);
-    if (prunable) {
-      merger.RunPrunedShared(top_k, stats, &heap);
-    } else {
-      emit_shared(merger.Run(top_k, stats));
-    }
+    run(s, nullptr, stats, &results);
   }
-  std::sort(heap.begin(), heap.end(), BetterResult);
-  if (top_k > 0 && heap.size() > top_k) heap.resize(top_k);
-  return heap;
+  std::sort(results.begin(), results.end(), BetterResult);
+  return results;
 }
 
 }  // namespace xontorank

@@ -21,20 +21,20 @@ enum class PruningMode {
   kExact,
   /// Block-Max-WAND upper-bound pruning: keep the running k-th score in a
   /// bounded heap and leapfrog all cursors past document ranges whose
-  /// summed per-block score upper bounds cannot beat it. Requires every
-  /// list to carry the block-max column (flat, built or v2-mapped);
-  /// otherwise the merge silently falls back to kExact.
+  /// summed per-block score upper bounds cannot beat it. Admissible only
+  /// with top_k >= 1 and decay <= 1; otherwise the merge scores every
+  /// aligned document, as under kExact.
   kBlockMax,
 };
 
-/// Work counters of one (possibly sharded) execution. The block/threshold
-/// counters are filled by the pruned merge; the exact path leaves them 0
-/// (except postings_scored, counted on both paths).
+/// Work counters of one (possibly sharded) execution. The block, document
+/// and threshold counters are filled only by a merge that prunes; one that
+/// does not leaves them 0. postings_scored is counted either way.
 struct ExecuteStats {
   size_t postings_scanned = 0;  ///< postings fed into the merge
   size_t shards = 1;            ///< shards the merge actually ran with
   size_t postings_scored = 0;   ///< postings actually consumed/scored
-  size_t blocks_scored = 0;     ///< blocks the pruned merge decoded into
+  size_t blocks_scored = 0;     ///< blocks a pruning merge decoded into
   size_t blocks_skipped = 0;    ///< blocks leapfrogged by upper bound
   size_t docs_skipped = 0;      ///< documents passed over by their bound
   size_t threshold_updates = 0; ///< times the k-th score threshold rose
@@ -78,13 +78,12 @@ class QueryProcessor {
   std::vector<QueryResult> Execute(std::vector<DilCursor> cursors,
                                    size_t top_k) const;
 
-  /// Same, with a pruning mode. kBlockMax runs the Block-Max-WAND merge
-  /// when it is admissible — a finite top_k, a block-max column behind
-  /// every cursor, and a decay <= 1 (the bound argument needs scores
-  /// to never grow while propagating) — and falls back to the exact merge
+  /// Same, with a pruning mode. kBlockMax prunes when it is admissible —
+  /// a finite top_k and a decay <= 1 (the bound argument needs scores to
+  /// never grow while propagating) — and scores every aligned document
   /// otherwise, so the result set is identical either way (DESIGN.md §12
   /// gives the threshold algebra). `stats`, if non-null, is *added to*
-  /// (never reset): postings_scored plus the pruned path's block,
+  /// (never reset): postings_scored plus, when pruning, the block,
   /// document and threshold counters.
   std::vector<QueryResult> Execute(std::vector<DilCursor> cursors,
                                    size_t top_k, PruningMode pruning,
@@ -98,16 +97,17 @@ class QueryProcessor {
   /// segments never share a document, so the merge stack and the
   /// conjunctive/pruning arguments all localize per segment, and the
   /// segment results compose through one shared top-k. Serially the
-  /// segments run in document order against one global heap (block-max
-  /// segments continue Block-Max-WAND with the carried threshold;
-  /// non-prunable ones run exact and feed the heap); with a pool and
-  /// num_shards > 1 the segments shard into (segment, doc range) items
-  /// whose exact local top-k's k-way merge is the global answer: the merge
-  /// stack never spans a document boundary, so a doc-granular partition
-  /// (PartitionListsByDocument) changes nothing but the work distribution.
+  /// segments run in document order, each continuing the merge against
+  /// the heap (and, when pruning, the threshold) the earlier ones left;
+  /// with a pool and num_shards > 1 the segments shard into (segment, doc
+  /// range) items whose exact local top-k's k-way merge is the global
+  /// answer: the merge stack never spans a document boundary, so a
+  /// doc-granular partition (PartitionListsByDocument) changes nothing but
+  /// the work distribution.
   /// Under kBlockMax each item prunes against its own local threshold;
   /// every local top-k is exact, so the result is bit-identical to the
-  /// serial exact pass. `num_shards <= 1` or a null pool runs serially.
+  /// serial pass without pruning. `num_shards <= 1` or a null pool runs
+  /// serially.
   std::vector<QueryResult> ExecuteSegments(
       const std::vector<std::vector<DilListRef>>& segment_lists, size_t top_k,
       size_t num_shards, ThreadPool* pool, ExecuteStats* stats = nullptr,

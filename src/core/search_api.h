@@ -34,9 +34,8 @@ struct SearchOptions {
   /// Top-k pruning of the DIL merge (see PruningMode). Like
   /// `parallelism`, an execution hint: results are identical under either
   /// mode, so it is excluded from the cache key. The default prunes
-  /// whenever admissible; `top_k == 0` (no threshold exists), a decay > 1,
-  /// or lists without the block-max column (v1 segments) silently run
-  /// exact.
+  /// whenever admissible; with `top_k == 0` (no threshold exists) or a
+  /// decay > 1 the merge silently scores every aligned document.
   PruningMode pruning = PruningMode::kBlockMax;
 };
 

@@ -143,18 +143,12 @@ Status SegmentFile::Validate(const Options& options) {
     return Status::Corruption(path_ + ": bad segment magic (offset 0)");
   }
   header_.version = LoadU32(bytes + 4);
-  if (header_.version < kSegmentVersionV1 ||
-      header_.version > kSegmentVersion) {
+  if (header_.version != kSegmentVersion) {
     return Status::Corruption(
         path_ + ": unsupported segment version " +
         std::to_string(header_.version) + ", this build reads " +
-        std::to_string(kSegmentVersionV1) + " to " +
         std::to_string(kSegmentVersion) + " (offset 4)");
   }
-  // v1 carries one fewer section (no block_max) and a shorter table; the
-  // payload layout rules are otherwise identical (segment_format.h).
-  section_count_ = SegmentSectionCountFor(header_.version);
-  const size_t table_end = SegmentTableEndFor(header_.version);
   header_.file_bytes = LoadU64(bytes + 8);
   header_.keyword_count = LoadU64(bytes + 16);
   header_.total_postings = LoadU64(bytes + 24);
@@ -183,12 +177,12 @@ Status SegmentFile::Validate(const Options& options) {
         std::to_string(header_.file_bytes) + " bytes, file has " +
         std::to_string(size_) + " (offset 8)");
   }
-  if (section_count != section_count_) {
+  if (section_count != kSegmentSectionCount) {
     return Status::Corruption(path_ + ": segment has " +
                               std::to_string(section_count) +
                               " sections, version " +
-                              std::to_string(header_.version) +
-                              " expects " + std::to_string(section_count_) +
+                              std::to_string(header_.version) + " expects " +
+                              std::to_string(kSegmentSectionCount) +
                               " (offset 40)");
   }
   // The header counts size serving-side bookkeeping (FlatDil indexes with
@@ -222,7 +216,7 @@ Status SegmentFile::Validate(const Options& options) {
                               std::to_string(size_ - 4) + ")");
   }
   uint32_t stored_meta_crc = LoadU32(bytes + size_ - 8);
-  uint32_t actual_meta_crc = Crc32(std::string_view(bytes, table_end));
+  uint32_t actual_meta_crc = Crc32(std::string_view(bytes, kSegmentTableEnd));
   if (stored_meta_crc != actual_meta_crc) {
     return Status::Corruption(
         path_ + ": segment metadata CRC mismatch (offset " +
@@ -241,11 +235,11 @@ Status SegmentFile::Validate(const Options& options) {
       UINT64_MAX,                   // dewey_arena: cross-checked below
       header_.block_count,          // skip_first_doc
       header_.keyword_count + 1,    // skip_begin
-      header_.block_count,          // block_max (v2 only)
+      header_.block_count,          // block_max
   };
   uint64_t prev_end = kSegmentSectionStart;
   uint64_t data_end = size_ - kSegmentFooterBytes;
-  for (size_t s = 0; s < section_count_; ++s) {
+  for (size_t s = 0; s < kSegmentSectionCount; ++s) {
     const char* entry = bytes + kSegmentHeaderBytes +
                         s * kSegmentTableEntryBytes;
     const char* name = kSegmentSections[s].name;
@@ -330,13 +324,9 @@ Status SegmentFile::Validate(const Options& options) {
   view_.skip_begin = std::span<const uint32_t>(
       reinterpret_cast<const uint32_t*>(bytes + infos_[8].offset),
       infos_[8].elements);
-  if (has_block_max()) {
-    view_.block_max = std::span<const float>(
-        reinterpret_cast<const float*>(bytes + infos_[9].offset),
-        infos_[9].elements);
-  }
-  // (v1: view_.block_max stays empty — FlatDil::has_block_max() answers
-  // false and top-k queries over this view run the exact merge.)
+  view_.block_max = std::span<const float>(
+      reinterpret_cast<const float*>(bytes + infos_[9].offset),
+      infos_[9].elements);
 
   // Cross-checks tying the offset columns to the arenas they index.
   XONTO_RETURN_IF_ERROR(CheckOffsetColumn(path_, "keyword_offsets",

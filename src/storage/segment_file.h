@@ -116,18 +116,8 @@ class SegmentFile : public std::enable_shared_from_this<SegmentFile> {
   const Header& header() const { return header_; }
   size_t file_bytes() const { return size_; }
 
-  /// The file's sections — kSegmentSectionCountV1 of them for a v1
-  /// segment (no block_max), kSegmentSectionCount for v2.
-  std::span<const SectionInfo> sections() const {
-    return std::span<const SectionInfo>(infos_, section_count_);
-  }
-
-  /// True when the mapped view carries the block-max column (v2): its
-  /// queries are eligible for top-k pruning. v1 segments still open and
-  /// serve — on the exact merge path.
-  bool has_block_max() const {
-    return section_count_ == kSegmentSectionCount;
-  }
+  /// The file's kSegmentSectionCount sections, in kSegmentSections order.
+  std::span<const SectionInfo> sections() const { return infos_; }
 
  private:
   SegmentFile(std::string path, void* base, size_t size)
@@ -141,7 +131,6 @@ class SegmentFile : public std::enable_shared_from_this<SegmentFile> {
   size_t size_ = 0;
   Header header_{};
   SectionInfo infos_[kSegmentSectionCount] = {};
-  size_t section_count_ = 0;  ///< sections this file actually carries
   FlatDil::Sections view_{};
 };
 

@@ -48,16 +48,7 @@ void PadToAlignment(std::string* out) {
 }  // namespace
 
 std::string EncodeSegment(const FlatDil& dil) {
-  return EncodeSegment(dil, kSegmentVersion);
-}
-
-std::string EncodeSegment(const FlatDil& dil, uint32_t version) {
-  XO_CHECK(version == kSegmentVersion || version == kSegmentVersionV1);
   const FlatDil::Sections& v = dil.sections();
-  // A v1 segment simply omits the trailing block_max section; everything
-  // else (and the payload start offset) is identical.
-  const size_t section_count = SegmentSectionCountFor(version);
-  const size_t table_end = SegmentTableEndFor(version);
 
   // The section payloads, in kSegmentSections order: raw bytes of the
   // serving columns (little-endian, exactly as FlatDil reads them).
@@ -77,16 +68,14 @@ std::string EncodeSegment(const FlatDil& dil, uint32_t version) {
       {v.skip_begin.data(), v.skip_begin.size_bytes()},
       {v.block_max.data(), v.block_max.size_bytes()},
   };
-  if (version >= 2) {
-    // Never write a v2 segment with a block_max column that does not
-    // cover every block: readers treat presence as "pruning-ready".
-    XO_CHECK_EQ(v.block_max.size(), v.skip_first_doc.size());
-  }
+  // Never write a block_max column that does not cover every block:
+  // cursors read it without asking.
+  XO_CHECK_EQ(v.block_max.size(), v.skip_first_doc.size());
 
   // The file's exact size, so the image is written into one allocation
   // (doubling growth would hold up to twice the segment at the end).
-  size_t file_bytes = table_end;
-  for (size_t s = 0; s < section_count; ++s) {
+  size_t file_bytes = kSegmentTableEnd;
+  for (size_t s = 0; s < kSegmentSectionCount; ++s) {
     file_bytes = SegmentAlignUp(file_bytes) + payloads[s].bytes;
   }
   file_bytes += kSegmentFooterBytes;
@@ -95,20 +84,20 @@ std::string EncodeSegment(const FlatDil& dil, uint32_t version) {
   out.reserve(file_bytes);
   // Header (file_bytes is patched once the total is known).
   out.append(kSegmentMagic, sizeof(kSegmentMagic));
-  AppendU32(&out, version);
+  AppendU32(&out, kSegmentVersion);
   constexpr size_t kFileBytesOffset = 8;
   AppendU64(&out, 0);  // file_bytes placeholder
   AppendU64(&out, dil.keyword_count());
   AppendU64(&out, dil.total_postings());
   AppendU64(&out, dil.TotalBlocks());
-  AppendU32(&out, static_cast<uint32_t>(section_count));
+  AppendU32(&out, static_cast<uint32_t>(kSegmentSectionCount));
   AppendU32(&out, 0);  // flags, reserved
   out.resize(kSegmentHeaderBytes, '\0');
 
   // Section table placeholder, patched per section below.
-  out.resize(table_end, '\0');
+  out.resize(kSegmentTableEnd, '\0');
 
-  for (size_t s = 0; s < section_count; ++s) {
+  for (size_t s = 0; s < kSegmentSectionCount; ++s) {
     PadToAlignment(&out);
     size_t offset = out.size();
     out.append(static_cast<const char*>(payloads[s].data),
@@ -122,7 +111,7 @@ std::string EncodeSegment(const FlatDil& dil, uint32_t version) {
 
   PatchU64(&out, kFileBytesOffset, out.size() + kSegmentFooterBytes);
   // Footer: CRC over the (now final) header + section table, then magic.
-  AppendU32(&out, Crc32(std::string_view(out).substr(0, table_end)));
+  AppendU32(&out, Crc32(std::string_view(out).substr(0, kSegmentTableEnd)));
   AppendU32(&out, kSegmentFooterMagic);
   XO_CHECK_EQ(out.size() % 4, 0u);
   XO_CHECK_EQ(out.size(), file_bytes);

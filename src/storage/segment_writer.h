@@ -13,13 +13,7 @@ namespace xontorank {
 /// maps and serves, with no decode step between disk and query. Raw
 /// columns compress nothing; the trade is O(1) open time and
 /// page-cache-backed serving memory.
-///
-/// `version` selects the format revision to emit — the current one by
-/// default; kSegmentVersionV1 writes a v1 segment without the block_max
-/// column (compatibility tests, downgrade escapes). Any other value is a
-/// programming error (XO_CHECK).
 std::string EncodeSegment(const FlatDil& dil);
-std::string EncodeSegment(const FlatDil& dil, uint32_t version);
 
 /// Writes the encoded segment to `path` with WriteFileDurable. Works for
 /// owning and mapped-view dils alike — writing a mapped view back out is a

@@ -294,7 +294,9 @@ TEST_F(LsmFixture, DemandListsAreFlatBlockMaxAndPruneIdentically) {
       for (const Keyword& kw : ParseQuery(text).keywords) {
         DilListRef ref = index.GetListRef(kw);
         ASSERT_NE(ref.flat, nullptr) << kw.Canonical();
-        EXPECT_TRUE(ref.flat->has_block_max()) << kw.Canonical();
+        EXPECT_EQ(ref.flat->sections().block_max.size(),
+                  ref.flat->TotalBlocks())
+            << kw.Canonical();
         if (!ref.empty()) ++nonempty;
       }
     }

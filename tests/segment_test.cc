@@ -347,10 +347,17 @@ TEST_F(SegmentCorruptionTest, BadMagic) {
 }
 
 TEST_F(SegmentCorruptionTest, FutureVersion) {
-  std::string data = pristine_;
-  PatchAt<uint32_t>(&data, 4, 99);
-  RepatchMetaCrc(&data);
-  ExpectCorrupt(data, {"unsupported segment version 99", "(offset 4)"});
+  // Only version 2 opens: 1 is retired, 0 was never written, 3 and 99
+  // are from the future. Each error names the version it read.
+  for (uint32_t version : {0u, 1u, 3u, 99u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string data = pristine_;
+    PatchAt<uint32_t>(&data, 4, version);
+    RepatchMetaCrc(&data);
+    ExpectCorrupt(data, {"unsupported segment version " +
+                             std::to_string(version) + ",",
+                         "this build reads 2", "(offset 4)"});
+  }
 }
 
 TEST_F(SegmentCorruptionTest, BadFooterMagic) {

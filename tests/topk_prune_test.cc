@@ -2,9 +2,9 @@
 // indistinguishable from the exhaustive one — bit-identical results for
 // every top_k and shard count, deterministic tie order — while provably
 // skipping work, by block and by document bound. Also pins the
-// admissibility fallbacks (top_k == 0, decay > 1, v1 segments), the
-// block-max column's upper-bound invariant, its mapped/decoded parity, and
-// checksum coverage of the new section.
+// admissibility fallbacks (top_k == 0, decay > 1), the block-max column's
+// upper-bound invariant, its mapped/built parity, and checksum coverage
+// of its section.
 
 #include <unistd.h>
 
@@ -92,7 +92,6 @@ std::string TempPath(const std::string& tag) {
 TEST(BlockMaxParity, MatchesExhaustiveForEveryKAndShardCount) {
   Rng rng(42);
   FlatDil flat = FreezeLists(RandomDil(rng, 6, 1200));
-  ASSERT_TRUE(flat.has_block_max());
   QueryProcessor processor(ScoreOptions{});
   ThreadPool pool(4);
   std::vector<DilListRef> lists = FlatRefs(flat, {"kw0", "kw1", "kw2"});
@@ -314,7 +313,9 @@ TEST(DocBoundParity, RestartsInsideDocumentsRepeatedAndSharedIds) {
       const std::vector<DilListRef> lists = FlatRefs(flat, keywords);
       const std::vector<std::vector<DilListRef>> segments = {
           FlatRefs(low, keywords), FlatRefs(high, keywords)};
-      for (double decay : {1.0, 0.8}) {
+      // decay 1.5 is not admissible for pruning: every plan then scores
+      // every aligned document, the two-segment one into a carried heap.
+      for (double decay : {1.0, 0.8, 1.5}) {
         ScoreOptions options;
         options.decay = decay;
         QueryProcessor processor(options);
@@ -338,11 +339,14 @@ TEST(DocBoundParity, RestartsInsideDocumentsRepeatedAndSharedIds) {
                 processor.ExecuteSegments({lists}, top_k, shards, &pool,
                                           &stats, PruningMode::kBlockMax));
             docs_skipped += stats.docs_skipped;
-            ExpectBitIdentical(
-                expected,
-                processor.ExecuteSegments(segments, top_k, shards, &pool,
-                                          &stats, PruningMode::kBlockMax));
-            docs_skipped += stats.docs_skipped;
+            for (PruningMode pruning :
+                 {PruningMode::kExact, PruningMode::kBlockMax}) {
+              ExpectBitIdentical(
+                  expected,
+                  processor.ExecuteSegments(segments, top_k, shards, &pool,
+                                            &stats, pruning));
+              docs_skipped += stats.docs_skipped;
+            }
           }
         }
       }
@@ -546,7 +550,7 @@ TEST(BlockMaxColumn, ScoreUpperBoundFloatNeverUnderestimates) {
   EXPECT_GE(static_cast<double>(ScoreUpperBoundFloat(0.1)), 0.1);
 }
 
-// ---- Segment v2 round trip and v1 compatibility ----------------------
+// ---- Segment round trip ----------------------------------------------
 
 TEST(BlockMaxSegment, MappedViewMatchesBuiltColumnAndPrunesIdentically) {
   Rng rng(17);
@@ -555,9 +559,7 @@ TEST(BlockMaxSegment, MappedViewMatchesBuiltColumnAndPrunesIdentically) {
   ASSERT_TRUE(SaveSegment(flat, path).ok());
   auto segment = SegmentFile::Open(path);
   ASSERT_TRUE(segment.ok()) << segment.status().ToString();
-  EXPECT_TRUE((*segment)->has_block_max());
   FlatDil view = (*segment)->MakeView();
-  ASSERT_TRUE(view.has_block_max());
 
   std::span<const float> built = flat.sections().block_max;
   std::span<const float> mapped = view.sections().block_max;
@@ -575,38 +577,6 @@ TEST(BlockMaxSegment, MappedViewMatchesBuiltColumnAndPrunesIdentically) {
       {FlatRefs(view, {"kw0", "kw1"})}, 10, 1, nullptr, &stats,
       PruningMode::kBlockMax);
   ExpectBitIdentical(from_built, from_mapped);
-  std::filesystem::remove(path);
-}
-
-TEST(BlockMaxSegment, V1SegmentOpensAndFallsBackToExact) {
-  Rng rng(19);
-  FlatDil flat = FreezeLists(RandomDil(rng, 4, 800));
-  std::string path = TempPath("v1");
-  {
-    std::string encoded = EncodeSegment(flat, /*version=*/1);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-  }
-  auto segment = SegmentFile::Open(path);
-  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
-  EXPECT_EQ((*segment)->header().version, 1u);
-  EXPECT_FALSE((*segment)->has_block_max());
-  FlatDil view = (*segment)->MakeView();
-  EXPECT_FALSE(view.has_block_max());
-
-  // The v1 view serves; a blockmax request silently degrades to exact and
-  // still matches the built (v2-capable) index bit for bit.
-  QueryProcessor processor(ScoreOptions{});
-  ExecuteStats stats;
-  auto from_v1 = processor.ExecuteSegments(
-      {FlatRefs(view, {"kw0", "kw1"})}, 10, 1, nullptr, &stats,
-      PruningMode::kBlockMax);
-  EXPECT_EQ(stats.blocks_skipped, 0u);
-  EXPECT_EQ(stats.threshold_updates, 0u);
-  auto expected = processor.ExecuteSegments(
-      {FlatRefs(flat, {"kw0", "kw1"})}, 10, 1, nullptr, nullptr,
-      PruningMode::kExact);
-  ExpectBitIdentical(expected, from_v1);
   std::filesystem::remove(path);
 }
 

@@ -108,11 +108,7 @@ std::string DeweySeed(const std::vector<uint32_t>& a,
 /// semantic checks rather than dying at the integrity gate.
 void ResignSegment(std::string* bytes) {
   if (bytes->size() < kSegmentMinBytes) return;
-  uint32_t version = 0;
-  std::memcpy(&version, bytes->data() + 4, sizeof(version));
-  size_t table_end = SegmentTableEndFor(version);
-  if (table_end > bytes->size()) return;
-  uint32_t crc = Crc32(std::string_view(bytes->data(), table_end));
+  uint32_t crc = Crc32(std::string_view(bytes->data(), kSegmentTableEnd));
   std::memcpy(bytes->data() + bytes->size() - 8, &crc, sizeof(crc));
 }
 
@@ -178,14 +174,13 @@ void WriteSeeds(const fs::path& out) {
             "<!-- note --><doc a=\"&lt;1&gt;\"><![CDATA[raw < text]]></doc>");
   WriteFile(out / "xml_parse", "nested_32.xml", NestedXml(32));
 
-  // segment_open: both segment versions, plus a multi-block index so the
-  // skip table and block-max sections are non-trivial.
+  // segment_open: a small index, plus a multi-block one so the skip table
+  // and block-max sections are non-trivial.
   Rng rng(42);
   FlatDil small = FreezeLists(RandomDil(rng, 6, 40));
   FlatDil blocky = FreezeLists(RandomDil(rng, 8, 400));
-  WriteFile(out / "segment_open", "small_v1.xoseg", EncodeSegment(small, 1));
-  WriteFile(out / "segment_open", "small_v2.xoseg", EncodeSegment(small, 2));
-  WriteFile(out / "segment_open", "blocky_v2.xoseg", EncodeSegment(blocky, 2));
+  WriteFile(out / "segment_open", "small_v2.xoseg", EncodeSegment(small));
+  WriteFile(out / "segment_open", "blocky_v2.xoseg", EncodeSegment(blocky));
 
   // query: option header + text in the harness's input layout.
   WriteFile(out / "query", "asthma.txt", QuerySeed("asthma bronchus"));
@@ -244,7 +239,7 @@ void WriteHostile(const fs::path& out) {
   // the metadata CRC passes and Validate's plausibility caps are what
   // stands between the header and a multi-terabyte reserve.
   Rng rng(43);
-  std::string segment = EncodeSegment(FreezeLists(RandomDil(rng, 6, 40)), 2);
+  std::string segment = EncodeSegment(FreezeLists(RandomDil(rng, 6, 40)));
 
   std::string declared_bomb = segment;
   uint64_t huge_bytes = uint64_t{1} << 42;
@@ -261,6 +256,14 @@ void WriteHostile(const fs::path& out) {
 
   std::string truncated = segment.substr(0, kSegmentMinBytes + 7);
   WriteFile(out / "segment_open", "truncated.xoseg", truncated);
+
+  // The retired version 1, re-signed: Open must reject it by its version.
+  std::string v1_layout = segment;
+  uint32_t retired_version = 1;
+  std::memcpy(v1_layout.data() + 4, &retired_version,
+              sizeof(retired_version));
+  ResignSegment(&v1_layout);
+  WriteFile(out / "segment_open", "v1_layout.xoseg", v1_layout);
 
   // query: extreme option bytes with degenerate text.
   WriteFile(out / "query", "all_options.txt",

@@ -202,14 +202,10 @@ int main(int argc, char** argv) {
                     static_cast<double>(view.total_postings()));
   }
 
-  // Block-max column (v2+): the per-block score upper bounds that drive
-  // top-k pruning. A v1 file has no such section — say so explicitly, and
-  // note that queries served from it fall back to exact scoring.
+  // Block-max column: the per-block score upper bounds that drive top-k
+  // pruning.
   std::span<const float> block_max = view.sections().block_max;
-  if (!seg.has_block_max()) {
-    std::printf("\n  block-max: none — v1 (no block-max); queries over this "
-                "segment score exactly, no pruning\n");
-  } else if (block_max.empty()) {
+  if (block_max.empty()) {
     std::printf("\n  block-max: 0 blocks (empty segment)\n");
   } else {
     float hi = MaxFloat(block_max.data(), block_max.size());
